@@ -60,6 +60,12 @@
 //	prbench -scale 16 -cachesweep
 //	prbench -scale 16 -cachesweep -variant csr,dist -cachebudget 268435456
 //
+// With -distmode and -procs the sweep's dist variants run in that mode
+// on that many ranks — how a warm socket run on resident workers is
+// measured:
+//
+//	prbench -scale 16 -cachesweep -variant distgo -distmode socket -procs 2
+//
 // Machine-readable output for the perf trajectory (single pipeline runs
 // and -cachesweep; schema documented in the README, archived as
 // BENCH_*.json by CI):
@@ -150,7 +156,7 @@ func main() {
 	if err != nil {
 		fatal(fmt.Errorf("bad -rankworkers: %w", err))
 	}
-	if *jsonOut && (*predict || *procSweep != "" || *procs > 0) {
+	if *jsonOut && (*predict || *procSweep != "" || *procs > 0 && !*cacheSweep) {
 		fatal(fmt.Errorf("-json reports single pipeline runs; drop -predict/-procsweep/-procs"))
 	}
 	if *injectFault != "" && *ckptEvery <= 0 {
@@ -164,8 +170,12 @@ func main() {
 		return
 	}
 	if *cacheSweep {
-		if *sweep || *formatSweep || *procSweep != "" || *procs > 0 || *ckptEvery > 0 {
-			fatal(fmt.Errorf("-cachesweep is its own mode; drop -sweep/-formatsweep/-procsweep/-procs/-checkpoint-every"))
+		if *sweep || *formatSweep || *procSweep != "" || *ckptEvery > 0 {
+			fatal(fmt.Errorf("-cachesweep is its own mode; drop -sweep/-formatsweep/-procsweep/-checkpoint-every"))
+		}
+		ranks := *workers // the dist variants' rank count is Config.Workers
+		if *procs > 0 {
+			ranks = *procs
 		}
 		// A bare -cachesweep ablates every variant; an explicit -variant
 		// (other than "all") narrows it to a comma list.
@@ -179,7 +189,7 @@ func main() {
 		if variantSet && *variant != "all" {
 			variants = strings.Split(*variant, ",")
 		}
-		if err := runCacheSweep(ctx, *scale, *edgeFactor, *seed, *nfiles, variants, *cacheBudget, *workers, *iterations, *damping, *dangling, *output, *jsonOut); err != nil {
+		if err := runCacheSweep(ctx, *scale, *edgeFactor, *seed, *nfiles, variants, *cacheBudget, ranks, *distMode, *iterations, *damping, *dangling, *output, *jsonOut); err != nil {
 			fatal(err)
 		}
 		return
@@ -566,6 +576,8 @@ type jsonCacheSweep struct {
 	EdgeFactor  int                 `json:"edgeFactor"`
 	Seed        uint64              `json:"seed"`
 	Iterations  int                 `json:"iterations"`
+	DistMode    string              `json:"distMode,omitempty"`
+	Workers     int                 `json:"workers,omitempty"`
 	CacheBudget int64               `json:"cacheBudgetBytes,omitempty"`
 	Sweep       []jsonCacheSweepRow `json:"cacheSweep"`
 }
@@ -576,7 +588,7 @@ type jsonCacheSweep struct {
 // warm run's per-stage hit/miss counters and the cache's resident
 // footprint.  The warm ranks are cross-checked bit for bit against the
 // cold run's: the cache trades time, never output.
-func runCacheSweep(ctx context.Context, scale, edgeFactor int, seed uint64, nfiles int, variants []string, budget int64, workers, iterations int, damping float64, dangling bool, output string, jsonOut bool) error {
+func runCacheSweep(ctx context.Context, scale, edgeFactor int, seed uint64, nfiles int, variants []string, budget int64, workers int, distMode string, iterations int, damping float64, dangling bool, output string, jsonOut bool) error {
 	rows := make([]jsonCacheSweepRow, 0, len(variants))
 	for _, v := range variants {
 		opts := []core.ServiceOption{core.WithMaxConcurrent(1)}
@@ -586,7 +598,7 @@ func runCacheSweep(ctx context.Context, scale, edgeFactor int, seed uint64, nfil
 		svc := core.NewService(opts...)
 		cfg := core.Config{
 			Scale: scale, EdgeFactor: edgeFactor, Seed: seed, NFiles: nfiles,
-			Variant: v, Workers: workers, KeepRank: true,
+			Variant: v, Workers: workers, DistMode: distMode, KeepRank: true,
 			PageRank: pagerank.Options{Iterations: iterations, Damping: damping, Dangling: dangling},
 		}
 		run := func(what string) (*core.Result, float64, error) {
@@ -629,7 +641,8 @@ func runCacheSweep(ctx context.Context, scale, edgeFactor int, seed uint64, nfil
 		enc.SetIndent("", "  ")
 		return enc.Encode(jsonCacheSweep{
 			Schema: "prbench/v3", Scale: scale, EdgeFactor: edgeFactor,
-			Seed: seed, Iterations: iterations, CacheBudget: budget, Sweep: rows,
+			Seed: seed, Iterations: iterations, DistMode: distMode, Workers: workers,
+			CacheBudget: budget, Sweep: rows,
 		})
 	}
 	t := results.NewTable(

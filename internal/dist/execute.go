@@ -99,6 +99,16 @@ type Spec struct {
 	// SocketSpec).  The zero value is a private unix-domain fabric with
 	// self-spawned workers.
 	Socket SocketSpec
+	// Session, when non-nil (ExecSocket only), runs the program on that
+	// open fabric instead of a private one opened and closed around it;
+	// Socket is then unused.  The caller serializes a session's jobs.
+	Session *Session
+	// OperandID names Matrix to a Session (OpRunMatrix): workers that
+	// still hold the row blocks of the same id from an earlier job are
+	// sent none.  It must change whenever the matrix does — the staged
+	// cache's key plus fill generation, not a pointer.  Empty always
+	// ships.
+	OperandID string
 }
 
 // Outcome is the result of one Execute: exactly one field is non-nil,

@@ -30,6 +30,12 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add(frame(FrameJoin, AppendJoin(nil, Join{FabricID: "f", MeshNetwork: "unix", MeshAddr: "/x"})))
 	f.Add(frame(FrameWelcome, AppendWelcome(nil, Welcome{Rank: 0, Procs: 2, MeshNetwork: "unix", MeshAddrs: []string{"", "/y"}})))
 	f.Add(frame(FrameMeshHello, AppendMeshHello(nil, MeshHello{FabricID: "f", Src: 1, Dst: 0})))
+	f.Add(frame(FrameBlock, AppendBlock(nil, []int64{0, 2, 2, 3}, []uint32{0, 7, 1 << 31}, []float64{0.5, 0.5, 1})))
+	f.Add(frame(FrameBlock, AppendBlock(nil, []int64{0}, nil, nil)))
+	// Fabricated block counts: nothing behind them, and a product that
+	// would wrap 64 bits.
+	f.Add(frame(FrameBlock, binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1<<40), 1<<40)))
+	f.Add(frame(FrameBlock, binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1<<61), 0)))
 	// Wrong magic, truncated header, empty input.
 	f.Add([]byte("XXFB"))
 	f.Add([]byte("PRFB"))
@@ -65,6 +71,17 @@ func FuzzEnvelopeDecode(f *testing.F) {
 			back := AppendVec(nil, v)
 			if string(back) != string(payload) {
 				t.Fatal("vec round trip drifted")
+			}
+		case FrameBlock:
+			rowPtr, col, val, err := DecodeBlock(payload)
+			if err != nil {
+				return
+			}
+			if len(col) != len(val) || rowPtr[0] != 0 || rowPtr[len(rowPtr)-1] != int64(len(col)) {
+				t.Fatalf("DecodeBlock accepted an inconsistent block: %d pointers, %d columns, %d values", len(rowPtr), len(col), len(val))
+			}
+			if string(AppendBlock(nil, rowPtr, col, val)) != string(payload) {
+				t.Fatal("block round trip drifted")
 			}
 		case FrameKeys:
 			if h.Len%8 != 0 {

@@ -16,7 +16,10 @@ package fabric
 //	     s < r and sends the hello; r accepts p-1-r conns from s > r
 //	     and validates theirs.  One conn per unordered rank pair.
 //	w→c  FrameReady    — mesh complete
-//	c→w  FrameJob      — gob job spec; the run begins
+//	c→w  FrameJob      — gob job spec; a run begins.  When the spec
+//	     announces an operand, a FrameBlock follows with the rank's row
+//	     block.  The worker answers with FrameOutcome and waits for the
+//	     next job; the coordinator closing the link ends the session.
 //
 // Every frame carries the wire version in its header, so a version
 // mismatch fails at the first frame either side reads.

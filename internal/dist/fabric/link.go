@@ -20,7 +20,9 @@ import (
 
 // DefaultIOTimeout is the per-frame read/write deadline applied when the
 // caller does not choose one: generous against scheduler stalls on a
-// loaded CI host, small against a genuinely wedged peer.
+// loaded CI host, small against a genuinely wedged peer.  It bounds a
+// frame in flight, never the wait for one: a link may idle between
+// frames (a resident session between jobs) for as long as it likes.
 const DefaultIOTimeout = 5 * time.Minute
 
 // Counters is a point-in-time snapshot of a Stats set.
@@ -44,6 +46,17 @@ func (c *Counters) Add(o Counters) {
 	c.ControlBytes += o.ControlBytes
 	c.OverheadBytes += o.OverheadBytes
 	c.Frames += o.Frames
+}
+
+// Sub returns c minus the earlier snapshot o: one job's share of a
+// resident link's cumulative counters.
+func (c Counters) Sub(o Counters) Counters {
+	return Counters{
+		DataBytes:     c.DataBytes - o.DataBytes,
+		ControlBytes:  c.ControlBytes - o.ControlBytes,
+		OverheadBytes: c.OverheadBytes - o.OverheadBytes,
+		Frames:        c.Frames - o.Frames,
+	}
 }
 
 // Stats is a shared, concurrency-safe byte-accounting sink.  Every Link
@@ -214,11 +227,34 @@ func (l *Link) WriteControl(t FrameType, src, dst int, payload []byte) error {
 	return l.writeFrame(Header{Type: t, Src: src, Dst: dst, Len: n}, 0, n)
 }
 
+// WriteBlock sends a FrameBlock: one rank's resident operand, control
+// plane.  The block-sized scratch is dropped afterwards so a long-lived
+// link does not pin it.
+func (l *Link) WriteBlock(dst int, rowPtr []int64, col []uint32, val []float64) error {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	defer func() { l.wbuf = nil }()
+	l.begin()
+	l.wbuf = AppendBlock(l.wbuf, rowPtr, col, val)
+	n := uint64(len(l.wbuf) - HeaderSize)
+	return l.writeFrame(Header{Type: FrameBlock, Src: dst, Dst: dst, Len: n}, 0, n)
+}
+
 // ReadFrame reads, validates and returns the next frame.  The payload
 // slice is the Link's scratch buffer: it is valid only until the next
-// ReadFrame, and the caller must decode or copy before then.
+// ReadFrame, and the caller must decode or copy before then.  The
+// deadline is armed only once the frame's first byte is in — idle is
+// not stalled — and a peer that closed between frames yields io.EOF.
 func (l *Link) ReadFrame() (Header, []byte, error) {
 	if l.timeout > 0 {
+		if l.br.Buffered() == 0 {
+			if err := l.conn.SetReadDeadline(time.Time{}); err != nil {
+				return Header{}, nil, err
+			}
+			if _, err := l.br.Peek(1); err != nil {
+				return Header{}, nil, err
+			}
+		}
 		if err := l.conn.SetReadDeadline(time.Now().Add(l.timeout)); err != nil {
 			return Header{}, nil, err
 		}

@@ -45,8 +45,10 @@ const Magic = "PRFB"
 // Version is the wire-format version this package speaks.  Peers
 // exchange it in every frame header; a mismatch anywhere tears the
 // connection down (there is no downgrade path — both ends of a fabric
-// ship in the same binary in every supported deployment).
-const Version = 1
+// ship in the same binary in every supported deployment).  Version 2
+// added the block frames and made a worker serve jobs until the
+// coordinator hangs up; a version-1 worker would exit after one.
+const Version = 2
 
 // HeaderSize is the fixed frame-header length in bytes.
 const HeaderSize = 24
@@ -112,6 +114,11 @@ const (
 	FrameProgress FrameType = 15
 	// FrameReject aborts a handshake with a reason string.
 	FrameReject FrameType = 16
+	// FrameBlock ships one rank's resident kernel-3 operand — its CSR
+	// row block as raw arrays — after a job frame that announces it.
+	// Set-up, not a collective: it travels on the control link and
+	// counts as control bytes.
+	FrameBlock FrameType = 17
 )
 
 // String implements fmt.Stringer.
@@ -149,13 +156,15 @@ func (t FrameType) String() string {
 		return "progress"
 	case FrameReject:
 		return "reject"
+	case FrameBlock:
+		return "block"
 	default:
 		return fmt.Sprintf("frame?(%d)", uint16(t))
 	}
 }
 
 // valid reports whether t is a defined frame type.
-func (t FrameType) valid() bool { return t >= FrameVec && t <= FrameReject }
+func (t FrameType) valid() bool { return t >= FrameVec && t <= FrameBlock }
 
 // Header is one decoded frame header.
 type Header struct {
@@ -254,6 +263,52 @@ func DecodeKeys(payload []byte, dst []uint64) error {
 		dst[i] = binary.LittleEndian.Uint64(payload[8*i:])
 	}
 	return nil
+}
+
+// AppendBlock appends the FrameBlock encoding of a CSR row block: u64
+// row and entry counts, then the rows+1 row pointers (i64, rebased to
+// start at 0), the column indices (u32) and the values (f64), raw.
+func AppendBlock(b []byte, rowPtr []int64, col []uint32, val []float64) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(rowPtr)-1))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(col)))
+	for _, x := range rowPtr {
+		b = binary.LittleEndian.AppendUint64(b, uint64(x))
+	}
+	for _, x := range col {
+		b = binary.LittleEndian.AppendUint32(b, x)
+	}
+	return AppendVec(b, val)
+}
+
+// DecodeBlock decodes a FrameBlock payload.  The counts must account for
+// the payload's length exactly before anything is allocated from them,
+// and the row pointers must describe the entries: start at 0, never
+// decrease, end at the entry count.
+func DecodeBlock(payload []byte) (rowPtr []int64, col []uint32, val []float64, err error) {
+	if len(payload) < 24 {
+		return nil, nil, nil, fmt.Errorf("fabric: block payload %d bytes, want >= 24", len(payload))
+	}
+	rows, nnz := binary.LittleEndian.Uint64(payload), binary.LittleEndian.Uint64(payload[8:])
+	rest := uint64(len(payload) - 24)
+	if rows > rest/8 || nnz > rest/12 || 8*rows+12*nnz != rest {
+		return nil, nil, nil, fmt.Errorf("fabric: block of %d rows and %d entries does not fill its %d-byte payload", rows, nnz, len(payload))
+	}
+	rowPtr, col, val = make([]int64, rows+1), make([]uint32, nnz), make([]float64, nnz)
+	payload = payload[16:]
+	for i := range rowPtr {
+		rowPtr[i] = int64(binary.LittleEndian.Uint64(payload[8*i:]))
+		if i == 0 && rowPtr[0] != 0 || i > 0 && rowPtr[i] < rowPtr[i-1] {
+			return nil, nil, nil, fmt.Errorf("fabric: block row pointers out of order at row %d", i)
+		}
+	}
+	if rowPtr[rows] != int64(nnz) {
+		return nil, nil, nil, fmt.Errorf("fabric: block row pointers end at %d, want the entry count %d", rowPtr[rows], nnz)
+	}
+	payload = payload[8*len(rowPtr):]
+	for i := range col {
+		col[i] = binary.LittleEndian.Uint32(payload[4*i:])
+	}
+	return rowPtr, col, val, DecodeVec(payload[4*nnz:], val)
 }
 
 // AppendEdges appends the FrameEdges encoding of l: interleaved (u, v)

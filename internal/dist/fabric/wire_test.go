@@ -3,9 +3,14 @@ package fabric
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/edge"
 )
@@ -287,5 +292,122 @@ func TestLinkRejectsCorruptStream(t *testing.T) {
 	}()
 	if _, _, err := r.ReadFrame(); err == nil {
 		t.Fatal("ReadFrame accepted a garbage header")
+	}
+}
+
+// TestLinkWriteBlock pins the operand shipment: one control-plane frame
+// that decodes back to the block, counted as control bytes — never as
+// data, which is the collectives' ledger — and a decoder that refuses
+// blocks whose counts or row pointers do not add up.
+func TestLinkWriteBlock(t *testing.T) {
+	c1, c2 := net.Pipe()
+	var wst, rst Stats
+	w := NewLink(c1, -1, &wst)
+	r := NewLink(c2, -1, &rst)
+	defer w.Close()
+	defer r.Close()
+	rowPtr, col, val := []int64{0, 2, 2, 3}, []uint32{1, 4, 0}, []float64{0.5, 0.5, 1}
+	errc := make(chan error, 1)
+	go func() { errc <- w.WriteBlock(2, rowPtr, col, val) }()
+
+	h, payload, err := r.ReadFrame()
+	if err != nil || h.Type != FrameBlock || h.Dst != 2 {
+		t.Fatalf("frame: %+v, %v", h, err)
+	}
+	gotPtr, gotCol, gotVal, err := DecodeBlock(payload)
+	if err != nil || !equal(gotPtr, rowPtr) || !equal(gotCol, col) || !equal(gotVal, val) {
+		t.Fatalf("decoded %v %v %v, %v", gotPtr, gotCol, gotVal, err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	want := Counters{ControlBytes: 16 + 8*4 + 4*3 + 8*3, OverheadBytes: HeaderSize, Frames: 1}
+	if c := wst.Snapshot(); c != want {
+		t.Fatalf("writer counters %+v, want %+v", c, want)
+	}
+
+	good := AppendBlock(nil, rowPtr, col, val)
+	for name, mutate := range map[string]func(b []byte) []byte{
+		"truncated":     func(b []byte) []byte { return b[:len(b)-1] },
+		"trailing byte": func(b []byte) []byte { return append(b, 0) },
+		"row count":     func(b []byte) []byte { b[0]++; return b },
+		"huge counts":   func(b []byte) []byte { b[7], b[15] = 0x20, 0x20; return b },
+		"first pointer": func(b []byte) []byte { b[16] = 1; return b },
+		"decreasing":    func(b []byte) []byte { b[16+8] = 3; return b },
+		"last pointer":  func(b []byte) []byte { b[16+24] = 2; return b },
+		"header only":   func(b []byte) []byte { return b[:16] },
+	} {
+		if _, _, _, err := DecodeBlock(mutate(append([]byte(nil), good...))); err == nil {
+			t.Errorf("%s: DecodeBlock accepted a corrupt block", name)
+		}
+	}
+}
+
+func equal[T comparable](a, b []T) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLinkIdleIsNotStalled pins the deadline's scope on a real socket:
+// a link may wait for a frame far longer than its timeout (a resident
+// session idles between jobs), a frame that stops arriving half way is
+// a timeout, and a peer closing between frames is io.EOF.
+func TestLinkIdleIsNotStalled(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	path := filepath.Join(t.TempDir(), "l.sock")
+	ln, err := Listen("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var st Stats
+	w, err := Dial("unix", path, timeout, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewLink(conn, timeout, &st)
+	defer r.Close()
+
+	go func() {
+		time.Sleep(5 * timeout) // idle well past the deadline, then a whole frame
+		w.WriteControl(FrameString, 0, 1, []byte("late"))
+		// Then half a header, and nothing.
+		w.conn.Write([]byte(Magic))
+	}()
+	h, payload, err := r.ReadFrame()
+	if err != nil || h.Type != FrameString || string(payload) != "late" {
+		t.Fatalf("frame after an idle wait: %+v %q, %v", h, payload, err)
+	}
+	_, _, err = r.ReadFrame()
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled frame: err = %v, want a deadline error", err)
+	}
+
+	// A fresh pair: the writer closes between frames.
+	w2, err := Dial("unix", path, timeout, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn2, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2 := NewLink(conn2, timeout, &st)
+	defer r2.Close()
+	w2.Close()
+	if _, _, err := r2.ReadFrame(); !errors.Is(err, io.EOF) {
+		t.Fatalf("closed between frames: err = %v, want io.EOF", err)
 	}
 }

@@ -5,31 +5,37 @@ package dist
 // file does what spawnRanks does for goroutines — bring up p ranks, hand
 // each the shared schedule, join them, fold their outcomes — except the
 // ranks are separate OS processes reached over real sockets (DESIGN.md
-// §13):
+// §13).  The fabric is a Session with three phases:
 //
-//	listen  — open the coordinator's control listener (unix or tcp);
-//	spawn   — re-exec this binary p times with the join environment
-//	          (sockworker.go's init hook), unless Socket.External asks
-//	          for workers started by hand (cmd/prrankd);
-//	admit   — accept p joins, assign ranks in join order, reject
-//	          strays by fabric id;
-//	welcome — send every worker the full mesh address table, await the
-//	          p ready frames proving the worker-to-worker mesh is up;
-//	job     — gob one wireJob per rank down the control links;
-//	serve   — per worker, relay progress and checkpoint traffic until
-//	          its outcome frame (or its death) arrives;
-//	join    — reap the children and fold the outcomes exactly like
-//	          spawnRanks: context error first, then the originating
-//	          failure in rank order, then the aborted sentinel.
+//	open   — listen on the control address (unix or tcp); spawn p
+//	         copies of this binary with the join environment
+//	         (sockworker.go's init hook) unless Socket.External asks for
+//	         workers started by hand (cmd/prrankd); admit p joins,
+//	         assigning ranks in join order and rejecting strays by
+//	         fabric id; welcome every worker with the mesh address
+//	         table and await the p ready frames proving the
+//	         worker-to-worker mesh is up; start one control reader per
+//	         worker.
+//	job*   — send every rank its gob wireJob, all ranks at once — and,
+//	         when a run-matrix job names an operand the workers do not
+//	         hold, each rank's own row block as a block frame; the
+//	         control readers relay progress and checkpoint traffic until
+//	         each worker's outcome frame (or its death) arrives; fold
+//	         the outcomes exactly like spawnRanks: context error first,
+//	         then the originating failure in rank order, then the
+//	         aborted sentinel.
+//	close  — hang up every control link, which is how a worker learns
+//	         there are no more jobs; reap the children.
 //
-// Teardown mirrors the goroutine fabric's plane: the first failure —
-// a worker death, a failed outcome, a cancelled context — trips a
-// once-guarded teardown that closes the listener and every control
-// link.  Each surviving worker's control reader turns that into a local
-// cancel plus mesh abort, so every process unwinds and every child is
-// reaped before Execute returns; the tearing flag keeps the induced
-// follow-on errors classified as the aborted sentinel, preserving the
-// originating error's precedence.
+// Execute without Spec.Session is open, one job, close.  Teardown
+// mirrors the goroutine fabric's plane: the first failure — a worker
+// death, a failed outcome, a cancelled context — closes the listener
+// (while the handshake still has one) and every control link and ends
+// the session.  Each surviving worker's
+// control reader turns that into a local cancel plus mesh abort, so
+// every process unwinds; the tearing flag keeps the induced follow-on
+// errors classified as the aborted sentinel, preserving the originating
+// error's precedence.
 
 import (
 	"bytes"
@@ -120,9 +126,6 @@ func jobOf(spec Spec, ck *ckptRun) *wireJob {
 	if spec.Edges != nil {
 		job.EdgesU, job.EdgesV = spec.Edges.U, spec.Edges.V
 	}
-	if spec.Op == OpRunMatrix {
-		job.Matrix = matrixToWire(spec.Matrix)
-	}
 	if spec.Op == OpSortExternal {
 		job.Ext = wireExt{
 			RunEdges:  spec.Ext.RunEdges,
@@ -156,15 +159,63 @@ func perRankJob(job *wireJob, rank int) *wireJob {
 	return &j
 }
 
-// socketOutcomes runs one job on a fresh socket fabric of spec.Procs
-// worker processes and joins them.  ck (may be nil) supplies the
-// coordinator-side checkpoint storage the workers' relay frames land on.
-func socketOutcomes(ctx context.Context, spec Spec, ck *ckptRun, job *wireJob) (*sockJoined, error) {
+// Session is an open socket fabric: p worker processes admitted, meshed
+// and serving jobs until Close.  Execute runs on it when Spec.Session is
+// set, one job at a time; between jobs the workers keep the row blocks
+// of the last run-matrix operand resident, so a job naming the same
+// Spec.OperandID ships options and the initial vector only.  Any job
+// failure — a rank error, a worker death, a cancelled context — ends the
+// session (Err reports the cause); the owner Closes it and opens
+// another.
+type Session struct {
+	p     int
+	cmds  []*exec.Cmd // self-spawned workers, reaped by Close
+	stats fabric.Stats
+
+	// operand is the OperandID whose row blocks the workers hold ("" =
+	// none); only the job in flight touches it.
+	operand string
+
+	tearing   atomic.Bool
+	readers   sync.WaitGroup
+	closeOnce sync.Once
+
+	mu    sync.Mutex
+	ctrls []*fabric.Link
+	err   error    // first failure: the session serves no more jobs
+	job   *sessJob // the job in flight, nil between jobs
+}
+
+// sessJob is the coordinator's half of one job: where the control
+// readers deliver each rank's outcome or failure.  Slot r is written by
+// rank r's reader alone.
+type sessJob struct {
+	progress func(iteration int) // the caller's hook, fed by rank 0's progress frames
+	ck       *ckptRun
+	outs     []*wireOutcome
+	errs     []error
+	pending  sync.WaitGroup
+}
+
+// finish records rank r's end of the job, once: its outcome or failure.
+func (j *sessJob) finish(r int, out *wireOutcome, err error) {
+	if j.outs[r] == nil && j.errs[r] == nil {
+		j.outs[r], j.errs[r] = out, err
+		j.pending.Done()
+	}
+}
+
+var errSessionClosed = errors.New("dist: socket session closed")
+
+// OpenSession brings up a socket fabric of p worker processes and
+// returns it ready for jobs.  ctx bounds the handshake only.
+func OpenSession(ctx context.Context, p int, sk SocketSpec) (s *Session, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p := spec.Procs
-	sk := spec.Socket
+	if p < 1 {
+		return nil, fmt.Errorf("dist: socket fabric with p = %d, want >= 1", p)
+	}
 	network := sk.Network
 	if network == "" {
 		network = "unix"
@@ -174,15 +225,23 @@ func socketOutcomes(ctx context.Context, spec Spec, ck *ckptRun, job *wireJob) (
 		if sk.External {
 			return nil, fmt.Errorf("dist: external socket fabric requires Socket.FabricID")
 		}
-		var err error
 		if fabricID, err = newFabricID(); err != nil {
 			return nil, err
 		}
 	}
+	s = &Session{p: p}
+	defer func() {
+		if err != nil {
+			s.Close()
+			s = nil
+		}
+	}()
 	addr := sk.Addr
 	if addr == "" {
 		switch network {
 		case "unix":
+			// The address is a rendezvous: once every worker has joined,
+			// nothing dials it again, so it does not outlive the handshake.
 			dir, err := os.MkdirTemp("", "prfabric")
 			if err != nil {
 				return nil, err
@@ -207,10 +266,7 @@ func socketOutcomes(ctx context.Context, spec Spec, ck *ckptRun, job *wireJob) (
 
 	// Self-spawn: p copies of this very binary, flipped into worker mode
 	// by the join environment (sockworker.go's init hook).  Stderr is
-	// inherited so a worker's crash is visible.  The children are reaped
-	// before this function returns, on every path.
-	var cmds []*exec.Cmd
-	defer func() { reapWorkers(cmds) }()
+	// inherited so a worker's crash is visible.
 	if !sk.External {
 		exe, err := os.Executable()
 		if err != nil {
@@ -226,47 +282,46 @@ func socketOutcomes(ctx context.Context, spec Spec, ck *ckptRun, job *wireJob) (
 			if err := cmd.Start(); err != nil {
 				return nil, fmt.Errorf("dist: spawning worker %d: %w", i, err)
 			}
-			cmds = append(cmds, cmd)
+			s.cmds = append(s.cmds, cmd)
 		}
 	}
 
 	// Admission under the join timer: accept until p workers presented
-	// the fabric id, assigning ranks in join order; strays are rejected
-	// and the timer converts a missing worker into a clean error.
+	// the fabric id, assigning ranks in join order; strays are rejected.
+	// The timer and a cancelled ctx both tear the half-built fabric down,
+	// which unblocks whichever accept or read the handshake is in.
 	joinTimeout := sk.JoinTimeout
 	if joinTimeout <= 0 {
 		joinTimeout = DefaultJoinTimeout
 	}
 	var timedOut atomic.Bool
+	abort := func() {
+		ln.Close()
+		s.teardown()
+	}
 	timer := time.AfterFunc(joinTimeout, func() {
 		timedOut.Store(true)
-		ln.Close()
+		abort()
 	})
 	defer timer.Stop()
+	stopCtx := context.AfterFunc(ctx, abort)
+	defer stopCtx()
 	joinErr := func(stage string, err error) error {
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
 		if timedOut.Load() {
-			return fmt.Errorf("dist: socket fabric %s timed out after %v", stage, joinTimeout)
+			return fmt.Errorf("dist: socket fabric %s timed out after %v (%d of %d workers joined)", stage, joinTimeout, len(s.ctrls), p)
 		}
 		return fmt.Errorf("dist: socket fabric %s: %w", stage, err)
 	}
-	var ctrlStats fabric.Stats
-	ctrls := make([]*fabric.Link, 0, p)
-	closeCtrls := func() {
-		for _, c := range ctrls {
-			c.Close()
-		}
-	}
 	meshAddrs := make([]string, 0, p)
-	for len(ctrls) < p {
+	for len(meshAddrs) < p {
 		conn, err := ln.Accept()
 		if err != nil {
-			closeCtrls()
-			if timedOut.Load() {
-				return nil, fmt.Errorf("dist: socket fabric join timed out after %v (%d of %d workers joined)", joinTimeout, len(ctrls), p)
-			}
-			return nil, joinErr("accept", err)
+			return nil, joinErr("join", err)
 		}
-		c := fabric.NewLink(conn, sk.IOTimeout, &ctrlStats)
+		c := fabric.NewLink(conn, sk.IOTimeout, &s.stats)
 		h, payload, err := c.ReadFrame()
 		if err != nil || h.Type != fabric.FrameJoin {
 			c.Close()
@@ -278,89 +333,267 @@ func socketOutcomes(ctx context.Context, spec Spec, ck *ckptRun, job *wireJob) (
 			c.Close()
 			continue
 		}
-		ctrls = append(ctrls, c)
+		s.mu.Lock()
+		s.ctrls = append(s.ctrls, c)
+		s.mu.Unlock()
+		if s.tearing.Load() {
+			c.Close() // raced the teardown's sweep
+		}
 		meshAddrs = append(meshAddrs, j.MeshAddr)
 	}
 
 	// Welcome each rank with the full address table, then await the p
 	// ready frames proving the worker mesh is complete.
-	for r, c := range ctrls {
-		err := c.WriteControl(fabric.FrameWelcome, 0, r, fabric.AppendWelcome(nil, fabric.Welcome{
+	for r, c := range s.ctrls {
+		err := c.WriteControl(fabric.FrameWelcome, r, r, fabric.AppendWelcome(nil, fabric.Welcome{
 			Rank: r, Procs: p, MeshNetwork: network, MeshAddrs: meshAddrs,
 		}))
 		if err != nil {
-			closeCtrls()
 			return nil, joinErr("welcome", err)
 		}
 	}
-	for r, c := range ctrls {
+	for r, c := range s.ctrls {
 		h, _, err := c.ReadFrame()
 		if err != nil || h.Type != fabric.FrameReady {
-			closeCtrls()
 			if err == nil {
 				err = fmt.Errorf("unexpected %v frame from rank %d in place of ready", h.Type, r)
 			}
 			return nil, joinErr("mesh", err)
 		}
 	}
-	timer.Stop()
+	if !timer.Stop() || !stopCtx() {
+		return nil, joinErr("mesh", errSessionClosed)
+	}
+	for r, c := range s.ctrls {
+		s.readers.Add(1)
+		//prlint:allow determinism -- per-worker control reader: relays storage and progress and watches for the worker's death; Close joins it
+		go s.serve(r, c)
+	}
+	return s, nil
+}
 
-	// Ship the jobs; the run is on.
-	for r, c := range ctrls {
-		buf, err := encodeGob(perRankJob(job, r))
+// teardown is the session's teardown plane: it closes every control
+// link, unblocking whatever the coordinator is reading or writing.
+// Idempotent, safe from any goroutine.
+func (s *Session) teardown() {
+	s.tearing.Store(true)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.ctrls {
+		c.Close()
+	}
+}
+
+// fail ends the session with err (the first failure wins), trips the
+// teardown plane and returns the job in flight, if any.  Recording the
+// failure and reading the job under one lock is what lets run refuse a
+// job on a session whose reader already left.
+func (s *Session) fail(err error) *sessJob {
+	s.mu.Lock()
+	if s.err == nil {
+		s.err = err
+	}
+	j := s.job
+	s.mu.Unlock()
+	s.teardown()
+	return j
+}
+
+// Err reports why the session can serve no more jobs; nil while it can.
+func (s *Session) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
+// Close hangs up on the workers — the signal that there are no more
+// jobs — joins the control readers and reaps self-spawned children.
+// Idempotent.
+func (s *Session) Close() error {
+	s.closeOnce.Do(func() {
+		s.fail(errSessionClosed)
+		s.readers.Wait()
+		reapWorkers(s.cmds)
+	})
+	return nil
+}
+
+// serve is worker r's control reader for the whole session: it hands
+// every frame to the job in flight and, when the link dies or the
+// worker reports a failure, ends the session.  A dead link between jobs
+// is how an idle worker's death is noticed before the next job is sent.
+func (s *Session) serve(r int, c *fabric.Link) {
+	defer s.readers.Done()
+	for {
+		h, payload, err := c.ReadFrame()
+		s.mu.Lock()
+		j := s.job
+		s.mu.Unlock()
+		var out *wireOutcome
+		switch {
+		case err == nil && j == nil:
+			err = fmt.Errorf("dist: rank %d sent a %v frame between jobs", r, h.Type)
+		case err == nil:
+			if out, err = j.frame(r, c, h, payload); out == nil && err == nil {
+				continue // a relayed frame; the job goes on
+			}
+		case s.tearing.Load():
+			err = errRunAborted
+		default:
+			err = fmt.Errorf("dist: rank %d worker died: %v", r, err)
+		}
 		if err != nil {
-			closeCtrls()
+			j = s.fail(err)
+		} else if out.ErrKind != errKindNone {
+			s.fail(out.outcomeErr())
+		}
+		if j != nil {
+			j.finish(r, out, err)
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// frame handles one control frame of rank r during a job: progress and
+// checkpoint frames are relayed — chunks and commits land on the
+// coordinator's storage through the same ckpt calls the goroutine ranks
+// make, and the acks carry the write errors back into the workers'
+// agreeError barriers, so the epoch protocol, torn-epoch semantics
+// included, is the goroutine mode's verbatim — and the outcome frame is
+// returned decoded.
+func (j *sessJob) frame(rank int, c *fabric.Link, h fabric.Header, payload []byte) (*wireOutcome, error) {
+	ck := j.ck
+	ack := func(msg string) error {
+		if err := c.WriteControl(fabric.FrameCkptAck, rank, rank, []byte(msg)); err != nil {
+			return fmt.Errorf("dist: rank %d checkpoint ack: %v", rank, err)
+		}
+		return nil
+	}
+	switch h.Type {
+	case fabric.FrameProgress:
+		if j.progress != nil && len(payload) == 8 {
+			j.progress(int(binary.LittleEndian.Uint64(payload)))
+		}
+		return nil, nil
+	case fabric.FrameCkptChunk:
+		msg := ""
+		if ck == nil || !ck.spec.enabled() {
+			msg = "dist: checkpoint relay without coordinator storage"
+		} else if chunk, derr := ckpt.Decode(bytes.NewReader(payload)); derr != nil {
+			msg = derr.Error()
+		} else if werr := ckpt.WriteChunk(ck.spec.FS, ck.spec.Prefix, chunk); werr != nil {
+			msg = werr.Error()
+		}
+		return nil, ack(msg)
+	case fabric.FrameCkptCommit:
+		msg := ""
+		if ck == nil || !ck.spec.enabled() || len(payload) != 8 {
+			msg = "dist: checkpoint relay without coordinator storage"
+		} else {
+			g := int64(binary.LittleEndian.Uint64(payload))
+			if werr := ckpt.WriteCommit(ck.spec.FS, ck.spec.Prefix, g, ck.n, ck.procs, ck.damping); werr != nil {
+				msg = werr.Error()
+			} else {
+				ck.noteCommitted(g)
+			}
+		}
+		return nil, ack(msg)
+	case fabric.FrameOutcome:
+		out := new(wireOutcome)
+		if err := decodeGob(payload, out); err != nil {
+			return nil, fmt.Errorf("dist: rank %d outcome: %v", rank, err)
+		}
+		if out.Rank != rank {
+			return nil, fmt.Errorf("dist: rank %d reported outcome for rank %d", rank, out.Rank)
+		}
+		return out, nil
+	default:
+		return nil, fmt.Errorf("dist: rank %d sent unexpected %v frame", rank, h.Type)
+	}
+}
+
+// socketOutcomes runs one job on spec.Session — or, without one, on a
+// private session it opens and closes around the job — and joins the
+// ranks.  ck (may be nil) supplies the coordinator-side checkpoint
+// storage the workers' relay frames land on.
+func socketOutcomes(ctx context.Context, spec Spec, ck *ckptRun, job *wireJob) (*sockJoined, error) {
+	s := spec.Session
+	if s == nil {
+		var err error
+		if s, err = OpenSession(ctx, spec.Procs, spec.Socket); err != nil {
 			return nil, err
 		}
-		if err := c.WriteControl(fabric.FrameJob, 0, r, buf); err != nil {
-			closeCtrls()
-			return nil, joinErr("job", err)
-		}
+		defer s.Close()
+	}
+	return s.run(ctx, spec, ck, job)
+}
+
+// run executes one job on the session's workers.  The caller serializes
+// jobs; an error leaves the session ended.
+func (s *Session) run(ctx context.Context, spec Spec, ck *ckptRun, job *wireJob) (*sockJoined, error) {
+	p := s.p
+	if spec.Procs != p {
+		return nil, fmt.Errorf("dist: job for p = %d on a socket session of %d workers", spec.Procs, p)
+	}
+	// Ranks 1..p-1 share one encoding of the job.  A run-matrix job whose
+	// operand the workers do not hold is followed by the rank's own row
+	// block, viewed — not copied — out of the caller's matrix.
+	if spec.Op == OpRunMatrix {
+		job.ShipOperand = spec.OperandID == "" || spec.OperandID != s.operand
+	}
+	root, err := encodeGob(job)
+	rest := root
+	if err == nil && p > 1 {
+		rest, err = encodeGob(perRankJob(job, 1))
+	}
+	if err != nil {
+		return nil, err
+	}
+	j := &sessJob{progress: spec.PageRank.Progress, ck: ck, outs: make([]*wireOutcome, p), errs: make([]error, p)}
+	j.pending.Add(p)
+	s.mu.Lock()
+	if s.err != nil {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("dist: socket session is down: %w", s.err)
+	}
+	s.job = j
+	s.mu.Unlock()
+	stopCtx := context.AfterFunc(ctx, func() { s.fail(ctx.Err()) })
+	setup := s.stats.Snapshot().ControlBytes
+	if job.ShipOperand {
+		s.operand = spec.OperandID
 	}
 
-	// The teardown plane: first failure closes the listener and every
-	// control link; tearing keeps the induced errors classified as the
-	// aborted sentinel so the originating error keeps its precedence.
-	var tearing atomic.Bool
-	var teardownOnce sync.Once
-	teardown := func() {
-		teardownOnce.Do(func() {
-			tearing.Store(true)
-			ln.Close()
-			closeCtrls()
-		})
-	}
-	stopWatch := make(chan struct{})
-	//prlint:allow determinism -- cancellation watcher: joins via stopWatch before socketOutcomes returns, never touches results
-	go func() {
-		select {
-		case <-ctx.Done():
-			teardown()
-		case <-stopWatch:
+	// Ship, all ranks at once.
+	var sends sync.WaitGroup
+	for r, c := range s.ctrls {
+		buf := rest
+		if r == 0 {
+			buf = root
 		}
-	}()
-
-	outs := make([]*wireOutcome, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r, c := range ctrls {
-		wg.Add(1)
-		//prlint:allow determinism -- per-worker control server: relays storage and progress, joins on wg before results are read
+		sends.Add(1)
+		//prlint:allow determinism -- per-rank job sender: set-up traffic only, joined before run returns
 		go func(r int, c *fabric.Link) {
-			defer wg.Done()
-			out, err := serveWorker(spec, ck, r, c, &tearing)
-			outs[r], errs[r] = out, err
-			if err != nil || out.ErrKind != errKindNone {
-				teardown()
+			defer sends.Done()
+			err := c.WriteControl(fabric.FrameJob, r, r, buf)
+			if err == nil && job.ShipOperand {
+				lo, hi := blockBounds(spec.Matrix.N, p, r)
+				b := blockOf(spec.Matrix, lo, hi)
+				err = c.WriteBlock(r, b.rowPtr, b.col, b.val)
+			}
+			if err != nil {
+				s.fail(fmt.Errorf("dist: rank %d worker died: %v", r, err))
 			}
 		}(r, c)
 	}
-	wg.Wait()
-	close(stopWatch)
-	teardownOnce.Do(func() {}) // clean finish: nothing tripped the plane
-	closeCtrls()
-	reapWorkers(cmds)
-	cmds = nil
+	sends.Wait()
+	j.pending.Wait()
+	stopCtx()
+	s.mu.Lock()
+	s.job = nil
+	s.mu.Unlock()
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -369,96 +602,32 @@ func socketOutcomes(ctx context.Context, spec Spec, ck *ckptRun, job *wireJob) (
 	// order) outranks the aborted sentinel of the ranks it unwound.
 	var aborted error
 	for r := 0; r < p; r++ {
-		err := errs[r]
-		if err == nil && outs[r] != nil {
-			err = outs[r].outcomeErr()
+		err := j.errs[r]
+		if err == nil {
+			err = j.outs[r].outcomeErr()
 		}
 		switch {
 		case err == nil:
 		case errors.Is(err, errRunAborted):
-			if aborted == nil {
-				aborted = err
-			}
+			aborted = err
 		default:
 			return nil, err
 		}
 	}
 	if aborted != nil {
+		if cause := s.Err(); cause != nil {
+			return nil, cause
+		}
 		return nil, aborted
 	}
-	j := &sockJoined{outcomes: outs, seconds: make([]float64, p)}
-	for r, o := range outs {
-		j.comm.Add(o.Comm)
-		j.seconds[r] = o.Seconds
-		j.wire.Add(o.Wire)
+	out := &sockJoined{outcomes: j.outs, seconds: make([]float64, p)}
+	for r, o := range j.outs {
+		out.comm.Add(o.Comm)
+		out.seconds[r] = o.Seconds
+		out.wire.Add(o.Wire)
 	}
-	return j, nil
-}
-
-// serveWorker is one worker's control server: it relays progress and
-// checkpoint frames until the worker's outcome (or death) ends the
-// stream.  Checkpoint chunks and commits land on the coordinator's
-// storage through the same ckpt calls the goroutine ranks make, and the
-// acks carry the write errors back into the workers' agreeError
-// barriers — so the epoch protocol, torn-epoch semantics included, is
-// the goroutine mode's verbatim.
-func serveWorker(spec Spec, ck *ckptRun, rank int, c *fabric.Link, tearing *atomic.Bool) (*wireOutcome, error) {
-	ack := func(msg string) error {
-		return c.WriteControl(fabric.FrameCkptAck, 0, rank, []byte(msg))
-	}
-	for {
-		h, payload, err := c.ReadFrame()
-		if err != nil {
-			if tearing.Load() {
-				return nil, errRunAborted
-			}
-			return nil, fmt.Errorf("dist: rank %d worker died: %v", rank, err)
-		}
-		switch h.Type {
-		case fabric.FrameProgress:
-			if spec.PageRank.Progress != nil && len(payload) == 8 {
-				spec.PageRank.Progress(int(binary.LittleEndian.Uint64(payload)))
-			}
-		case fabric.FrameCkptChunk:
-			msg := ""
-			if ck == nil || !ck.spec.enabled() {
-				msg = "dist: checkpoint relay without coordinator storage"
-			} else if chunk, derr := ckpt.Decode(bytes.NewReader(payload)); derr != nil {
-				msg = derr.Error()
-			} else if werr := ckpt.WriteChunk(ck.spec.FS, ck.spec.Prefix, chunk); werr != nil {
-				msg = werr.Error()
-			}
-			if err := ack(msg); err != nil {
-				return nil, fmt.Errorf("dist: rank %d checkpoint ack: %v", rank, err)
-			}
-		case fabric.FrameCkptCommit:
-			msg := ""
-			if ck == nil || !ck.spec.enabled() || len(payload) != 8 {
-				msg = "dist: checkpoint relay without coordinator storage"
-			} else {
-				g := int64(binary.LittleEndian.Uint64(payload))
-				if werr := ckpt.WriteCommit(ck.spec.FS, ck.spec.Prefix, g, ck.n, ck.procs, ck.damping); werr != nil {
-					msg = werr.Error()
-				} else {
-					ck.noteCommitted(g)
-				}
-			}
-			if err := ack(msg); err != nil {
-				return nil, fmt.Errorf("dist: rank %d checkpoint ack: %v", rank, err)
-			}
-		case fabric.FrameOutcome:
-			out := new(wireOutcome)
-			if err := decodeGob(payload, out); err != nil {
-				return nil, fmt.Errorf("dist: rank %d outcome: %v", rank, err)
-			}
-			if out.Rank != rank {
-				return nil, fmt.Errorf("dist: rank %d reported outcome for rank %d", rank, out.Rank)
-			}
-			return out, nil
-		default:
-			return nil, fmt.Errorf("dist: rank %d sent unexpected %v frame", rank, h.Type)
-		}
-	}
+	out.wire.SetupBytes = s.stats.Snapshot().ControlBytes - setup
+	return out, nil
 }
 
 // reapWorkers waits for self-spawned workers, killing any that outlives
@@ -492,9 +661,13 @@ func runSocket(ctx context.Context, spec Spec, ck *ckptRun) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	nnz := j.outcomes[0].NNZ
+	if spec.Op == OpRunMatrix {
+		nnz = spec.Matrix.NNZ()
+	}
 	return &Result{
 		Rank:        j.outcomes[0].RankVec,
-		NNZ:         j.outcomes[0].NNZ,
+		NNZ:         nnz,
 		Comm:        j.comm,
 		Iterations:  j.outcomes[0].Iters,
 		RankSeconds: j.seconds,

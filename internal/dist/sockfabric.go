@@ -27,12 +27,17 @@ package dist
 // Teardown: abort closes the done plane and every mesh connection,
 // which unblocks blocked reads and writes with errors; link operations
 // then panic fabricDown exactly like the channel fabric's.  A peer
-// closing its connections after finishing its schedule is NOT an abort:
-// the reader exits silently (every message the peer sent was delivered
-// in order before the EOF), and a genuinely premature death is
-// surfaced through the coordinator's control plane instead.
+// closing its connections between frames is NOT an abort: the reader
+// exits silently (every message the peer sent was delivered in order
+// before the EOF), and a genuinely premature death is surfaced through
+// the coordinator's control plane instead.  Any other way a reader can
+// stop — a frame stalled past the link's deadline, a reset — IS: a mesh
+// that outlives one job must not lose a reader unnoticed, or the next
+// job would block in recv until torn down.
 
 import (
+	"errors"
+	"io"
 	"sync"
 
 	"repro/internal/dist/fabric"
@@ -155,15 +160,18 @@ func (f *sockFabric) release(m any) {
 }
 
 // readLoop is rank src's inbound decoder: frame by frame into pooled
-// envelopes, pushed to the src inbox.  A read error after abort — or a
-// clean close from a peer that finished its schedule — ends the loop
-// silently; a protocol violation (misrouted frame, undecodable payload)
-// brings the fabric down, because the schedule guarantees neither.
+// envelopes, pushed to the src inbox.  A clean close from the peer ends
+// the loop silently; any other read error, like a protocol violation
+// (misrouted frame, undecodable payload), brings the fabric down —
+// abort is idempotent, so the errors abort itself induces are harmless.
 func (f *sockFabric) readLoop(src int, ln *fabric.Link) {
 	defer f.readers.Done()
 	for {
 		h, payload, err := ln.ReadFrame()
 		if err != nil {
+			if !errors.Is(err, io.EOF) {
+				f.abort()
+			}
 			return
 		}
 		if h.Src != src || h.Dst != f.self {

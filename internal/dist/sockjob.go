@@ -19,7 +19,6 @@ import (
 	"repro/internal/edge"
 	"repro/internal/fastio"
 	"repro/internal/pagerank"
-	"repro/internal/sparse"
 	"repro/internal/vfs"
 )
 
@@ -29,12 +28,18 @@ import (
 // and equal the run's CommStats total identically (the typed frame
 // encodings cost exactly the wire-cost formulas); ControlBytes are the
 // unmetered error-agreement strings; OverheadBytes the frame headers
-// and segment boundaries.
+// and segment boundaries.  On a resident Session all four are the job's
+// own share, not the session's running total.
 type WireStats struct {
 	DataBytes     uint64
 	ControlBytes  uint64
 	OverheadBytes uint64
 	Frames        uint64
+	// SetupBytes is the set-up ledger, apart from the mesh: the payload
+	// bytes the coordinator sent down the control links for this job —
+	// the job specs and, when the workers did not already hold it, the
+	// kernel-3 operand's row blocks.
+	SetupBytes uint64
 }
 
 // Add folds o into w.
@@ -61,12 +66,15 @@ type wireJob struct {
 	Workers int
 
 	// EdgesU/EdgesV carry the full input edge list (every op except
-	// run-matrix); every rank receives the whole list and works on its
-	// blockBounds chunk, exactly like a goroutine rank.
+	// run-matrix, whose operand travels as a block frame); every rank
+	// receives the whole list and works on its blockBounds chunk,
+	// exactly like a goroutine rank.
 	EdgesU, EdgesV []uint64
 
-	// Matrix is the built input (run-matrix only).
-	Matrix *wireMatrix
+	// ShipOperand announces (run-matrix only) that the rank's row block
+	// follows the job as a block frame and replaces whatever operand
+	// the worker holds; without it the job runs on the resident one.
+	ShipOperand bool
 
 	Opt wireOpt
 	// ReportProgress asks rank 0 to stream per-iteration progress
@@ -81,22 +89,6 @@ type wireJob struct {
 	Ckpt wireCkpt
 	// Fault is the planned rank failure, if any.
 	Fault *FaultPlan
-}
-
-// wireMatrix is sparse.CSR flattened for gob.
-type wireMatrix struct {
-	N      int
-	RowPtr []int64
-	Col    []uint32
-	Val    []float64
-}
-
-func matrixToWire(a *sparse.CSR) *wireMatrix {
-	return &wireMatrix{N: a.N, RowPtr: a.RowPtr, Col: a.Col, Val: a.Val}
-}
-
-func (m *wireMatrix) csr() *sparse.CSR {
-	return &sparse.CSR{N: m.N, RowPtr: m.RowPtr, Col: m.Col, Val: m.Val}
 }
 
 // wireOpt is pagerank.Options minus the function fields, which cannot

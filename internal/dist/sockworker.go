@@ -2,12 +2,14 @@ package dist
 
 // The socket worker: one OS process executing one rank of a socket
 // fabric.  JoinFabric performs the handshake of DESIGN.md §13 — join
-// the coordinator, build the rank mesh, receive the job — then runs the
-// SAME rank programs the goroutine runtime spawns (buildRank,
-// iterateRank, sortRank, sortExternalRank) over a sockFabric, and
-// reports a wireOutcome.  Because the programs, the collectives and the
-// metering are shared, the socket mode's results and CommStats equal
-// the other modes' bit for bit by construction.
+// the coordinator, build the rank mesh — then serves jobs until the
+// coordinator closes the control link: each job runs the SAME rank
+// programs the goroutine runtime spawns (buildRank, iterateRank,
+// sortRank, sortExternalRank) over one long-lived sockFabric and
+// reports a wireOutcome, and the row block of the last run-matrix
+// operand stays resident between jobs.  Because the programs, the
+// collectives and the metering are shared, the socket mode's results
+// and CommStats equal the other modes' bit for bit by construction.
 //
 // Two ways into this file: the prrankd binary calls JoinFabric
 // explicitly, and the init hook below turns ANY dist-importing binary
@@ -22,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,7 +44,7 @@ const (
 )
 
 // init is the self-spawn hook: a process launched with the coordinator's
-// environment joins the fabric, serves one rank job, and exits without
+// environment joins the fabric, serves its rank's jobs, and exits without
 // ever reaching the binary's own main (or a test binary's test driver).
 func init() {
 	spec := os.Getenv(envJoin)
@@ -62,13 +65,14 @@ func init() {
 
 // JoinFabric joins the socket fabric whose coordinator listens at addr
 // ("unix" socket path or "tcp" host:port) as one worker rank: it
-// handshakes, builds its share of the rank mesh, executes the one job
-// the coordinator sends, reports the outcome, and returns.  fabricID
-// must match the coordinator's (Spec.Socket.FabricID for an external
-// fabric).  A rank-program failure is reported through the outcome, not
-// the returned error, which covers only transport and protocol
-// failures.  Cancelling ctx aborts the worker's fabric and unwinds the
-// rank at its next cancellation point.
+// handshakes, builds its share of the rank mesh, then serves jobs until
+// the coordinator closes the control link — one job under a one-shot
+// Execute, many under a Session — reporting each outcome, and returns.
+// fabricID must match the coordinator's (Spec.Socket.FabricID for an
+// external fabric).  A rank-program failure is reported through the
+// outcome, not the returned error, which covers only transport and
+// protocol failures.  Cancelling ctx hangs up on the coordinator, which
+// unwinds a running rank at its next cancellation point.
 func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 	if network == "" {
 		network = "unix"
@@ -78,7 +82,7 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 	// The worker's own mesh listener must exist before it announces its
 	// address in the join; higher ranks may dial the moment the
 	// coordinator forwards it.
-	meshAddr := ""
+	meshAddr, meshDir := "", ""
 	switch network {
 	case "unix":
 		dir, err := os.MkdirTemp("", "prrankd")
@@ -86,7 +90,7 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		meshAddr = filepath.Join(dir, "mesh.sock")
+		meshAddr, meshDir = filepath.Join(dir, "mesh.sock"), dir
 	case "tcp":
 		meshAddr = "127.0.0.1:0"
 	default:
@@ -176,88 +180,163 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 		peers[mh.Src] = ln
 	}
 	meshLn.Close()
+	if meshDir != "" {
+		os.RemoveAll(meshDir) // the mesh is built: a worker killed while resident leaves nothing behind
+	}
 
 	if err := ctrl.WriteControl(fabric.FrameReady, rank, rank, nil); err != nil {
 		closeMesh()
 		return err
 	}
-	h, payload, err = ctrl.ReadFrame()
-	if err != nil {
-		closeMesh()
-		return err
-	}
-	if h.Type != fabric.FrameJob {
-		closeMesh()
-		return fmt.Errorf("dist: unexpected %v frame in place of job", h.Type)
-	}
-	job := new(wireJob)
-	if err := decodeGob(payload, job); err != nil {
-		closeMesh()
-		return err
-	}
 
 	f := newSockFabric(rank, p, peers)
+	defer f.shutdown()
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// A cancelled ctx hangs up on the coordinator, which unwinds exactly
+	// like the coordinator hanging up on the worker — mid-job or idle.
+	defer context.AfterFunc(ctx, func() { ctrl.Close() })()
 
-	// The control reader: routes checkpoint acks to the rank program and
-	// converts a lost coordinator into a local abort — which is also how
-	// a cancelled or failed run reaches a worker that is not inside a
-	// mesh collective (p = 1 especially).  It exits when the control
-	// connection dies, coordinator- or worker-initiated.
+	// The control reader: delivers jobs (with the operand frames that
+	// follow one) to the loop below, routes checkpoint acks to the rank
+	// program, and converts a lost coordinator into a local abort —
+	// which is also how a cancelled or failed run reaches a worker that
+	// is not inside a mesh collective (p = 1 especially).  It exits when
+	// the control connection dies, coordinator- or worker-initiated.
+	jobs := make(chan workerJob)
 	acks := make(chan string, 1)
-	ctrlDone := make(chan struct{})
-	//prlint:allow determinism -- control-link reader: routes acks and teardown only, joins via ctrlDone before JoinFabric returns
+	var ctrlErr error // why the reader left; published by close(jobs)
+	//prlint:allow determinism -- control-link reader: routes jobs, acks and teardown only, joins via jobs before JoinFabric returns
 	go func() {
-		defer close(ctrlDone)
-		for {
-			ah, ap, aerr := ctrl.ReadFrame()
-			if aerr != nil {
-				cancel()
-				f.abort()
+		defer close(jobs)
+		defer f.abort()
+		defer cancel()
+		for ctrlErr == nil {
+			var h fabric.Header
+			var payload []byte
+			if h, payload, ctrlErr = ctrl.ReadFrame(); ctrlErr != nil {
 				return
 			}
-			if ah.Type == fabric.FrameCkptAck {
+			switch h.Type {
+			case fabric.FrameCkptAck:
 				select {
-				case acks <- string(ap):
+				case acks <- string(payload):
 				case <-wctx.Done():
 				}
+			case fabric.FrameJob:
+				var wj workerJob
+				if wj, ctrlErr = readJob(ctrl, payload, rank, p); ctrlErr == nil {
+					select {
+					case jobs <- wj:
+					case <-wctx.Done():
+					}
+				}
+			default:
+				ctrlErr = fmt.Errorf("dist: unexpected %v frame on the control link", h.Type)
 			}
 		}
 	}()
 
-	out := runWorkerRank(wctx, f, ctrl, rank, job, acks)
-	if out.ErrKind != errKindNone {
-		// Mirror spawnRanks' teardown: a failed rank brings the fabric
-		// down so no peer waits for it.
-		f.abort()
-	}
-	f.shutdown()
-	out.Wire = wireCounters(meshStats.Snapshot())
-	buf, err := encodeGob(out)
-	if err != nil {
-		return err
-	}
-	if err := ctrl.WriteControl(fabric.FrameOutcome, rank, rank, buf); err != nil {
-		if out.ErrKind == errKindAborted {
-			// The coordinator already tore the control link down — it
-			// deliberately unwound this worker and is not waiting for the
-			// outcome.  Exiting quietly keeps induced teardown noise out
-			// of the inherited stderr.
-			return nil
+	// Serve jobs until the coordinator hangs up.  The operand of the last
+	// run-matrix job stays resident: a later job that ships none runs on
+	// it.
+	var resident *rankState
+	var reported fabric.Counters // a job's Wire is the mesh traffic since the last report; the first job's includes the mesh hellos
+	for wj := range jobs {
+		if wj.st != nil {
+			resident = wj.st
 		}
-		return err
+		out := runWorkerRank(wctx, f, ctrl, rank, wj.job, resident, acks)
+		if out.ErrKind != errKindNone {
+			// Mirror spawnRanks' teardown: a failed rank brings the fabric
+			// down so no peer waits for it.
+			f.abort()
+		}
+		now := meshStats.Snapshot()
+		out.Wire, reported = wireCounters(now.Sub(reported)), now
+		buf, err := encodeGob(out)
+		if err == nil {
+			err = ctrl.WriteControl(fabric.FrameOutcome, rank, rank, buf)
+		}
+		if err != nil || out.ErrKind != errKindNone {
+			// The session is over: the coordinator tears a fabric down on
+			// any failure.  When it already hung up on this worker — it
+			// deliberately unwound it and is not waiting for the outcome —
+			// exiting quietly keeps induced teardown noise out of the
+			// inherited stderr.
+			ctrl.Close()
+			for range jobs {
+			}
+			if out.ErrKind == errKindAborted {
+				return nil
+			}
+			return err
+		}
 	}
-	ctrl.Close()
-	<-ctrlDone
-	return nil
+	if errors.Is(ctrlErr, io.EOF) {
+		return nil // the coordinator hung up between jobs: a clean end
+	}
+	return ctrlErr
+}
+
+// workerJob is one received job: the spec and, when the coordinator
+// shipped one, the rank's new resident operand.
+type workerJob struct {
+	job *wireJob
+	st  *rankState
+}
+
+// readJob decodes a job frame and, when it announces an operand, reads
+// and validates the block frame behind it.  The arrays arrive from a
+// socket: nothing about them is trusted until checked.
+func readJob(ctrl *fabric.Link, payload []byte, rank, p int) (workerJob, error) {
+	job := new(wireJob)
+	if err := decodeGob(payload, job); err != nil {
+		return workerJob{}, err
+	}
+	if job.Procs != p {
+		return workerJob{}, fmt.Errorf("dist: job for p = %d on a fabric of %d", job.Procs, p)
+	}
+	if !job.ShipOperand {
+		return workerJob{job: job}, nil
+	}
+	if job.N < 1 {
+		return workerJob{}, fmt.Errorf("dist: operand for n = %d", job.N)
+	}
+	h, payload, err := ctrl.ReadFrame()
+	if err != nil {
+		return workerJob{}, err
+	}
+	if h.Type != fabric.FrameBlock {
+		return workerJob{}, fmt.Errorf("dist: unexpected %v frame in place of the operand block", h.Type)
+	}
+	lo, hi := blockBounds(job.N, p, rank)
+	blk := &block{lo: lo, hi: hi, n: job.N}
+	if blk.rowPtr, blk.col, blk.val, err = fabric.DecodeBlock(payload); err != nil {
+		return workerJob{}, err
+	}
+	if len(blk.rowPtr) != hi-lo+1 {
+		return workerJob{}, fmt.Errorf("dist: rank %d operand block has %d rows, want rows [%d,%d)", rank, len(blk.rowPtr)-1, lo, hi)
+	}
+	for _, c := range blk.col {
+		if int(c) >= job.N {
+			return workerJob{}, fmt.Errorf("dist: rank %d operand block: column %d out of range n = %d", rank, c, job.N)
+		}
+	}
+	st := &rankState{blk: blk}
+	for i, d := range blk.outDegrees() {
+		if d == 0 {
+			st.danglingRows = append(st.danglingRows, lo+i)
+		}
+	}
+	return workerJob{job: job, st: st}, nil
 }
 
 // runWorkerRank executes the rank program for one job, mirroring the
 // per-rank body of spawnRanks: the fabricDown panic becomes the aborted
 // outcome, wall clock is reported, and every failure classifies into a
 // wire error kind.
-func runWorkerRank(ctx context.Context, f *sockFabric, ctrl *fabric.Link, rank int, job *wireJob, acks <-chan string) *wireOutcome {
+func runWorkerRank(ctx context.Context, f *sockFabric, ctrl *fabric.Link, rank int, job *wireJob, resident *rankState, acks <-chan string) *wireOutcome {
 	out := &wireOutcome{Rank: rank}
 	c := newRankComm(f, rank)
 	//prlint:allow determinism -- wall-clock feeds only the reported per-rank timing, never the kernel results
@@ -272,7 +351,7 @@ func runWorkerRank(ctx context.Context, f *sockFabric, ctrl *fabric.Link, rank i
 				panic(e)
 			}
 		}()
-		return workerProgram(ctx, c, ctrl, rank, job, acks, out)
+		return workerProgram(ctx, c, ctrl, rank, job, resident, acks, out)
 	}()
 	out.ErrKind, out.ErrMsg = errToKind(err)
 	out.Comm = c.st
@@ -283,7 +362,7 @@ func runWorkerRank(ctx context.Context, f *sockFabric, ctrl *fabric.Link, rank i
 
 // workerProgram dispatches the shared rank program of the job's op and
 // records its results on out.
-func workerProgram(ctx context.Context, c *rankComm, ctrl *fabric.Link, rank int, job *wireJob, acks <-chan string, out *wireOutcome) error {
+func workerProgram(ctx context.Context, c *rankComm, ctrl *fabric.Link, rank int, job *wireJob, resident *rankState, acks <-chan string, out *wireOutcome) error {
 	l := edgesOf(job.EdgesU, job.EdgesV)
 	switch Op(job.Op) {
 	case OpSort:
@@ -328,17 +407,11 @@ func workerProgram(ctx context.Context, c *rankComm, ctrl *fabric.Link, rank int
 			}
 		}
 		ck := workerCkpt(ctx, job, ctrl, rank, acks)
-		var st *rankState
-		n := job.N
-		if Op(job.Op) == OpRunMatrix {
-			a := job.Matrix.csr()
-			n = a.N
-			st = splitMatrix(a, job.Procs)[rank]
-			out.NNZ = a.NNZ()
-		} else {
-			var mass float64
-			st, mass, out.NNZ = buildRank(c, l, n)
-			out.Mass = mass
+		st, n := resident, job.N
+		if Op(job.Op) == OpRun {
+			st, out.Mass, out.NNZ = buildRank(c, l, n)
+		} else if st == nil || st.blk.n != n {
+			return fmt.Errorf("dist: run-matrix job for n = %d, but no such operand is resident", n)
 		}
 		rankVec, iters, err := iterateRank(ctx, c, st, n, opt, job.Workers, ck)
 		if err != nil {

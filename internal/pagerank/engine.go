@@ -227,7 +227,14 @@ func NewScatterEngine(a *sparse.CSR, opt Options) (*Engine, error) {
 // NewGatherEngine transposes a once and builds a reusable engine over the
 // cache-friendlier gather product (the engine behind Gather).
 func NewGatherEngine(a *sparse.CSR, opt Options) (*Engine, error) {
-	at := a.Transpose()
+	return NewGatherEngineWith(a, a.Transpose(), opt)
+}
+
+// NewGatherEngineWith is NewGatherEngine for a caller that already holds
+// at = a.Transpose() — the staged cache keeps one beside each resident
+// matrix — so repeated engines over one matrix transpose it once, not
+// once each.  The engine only reads at.
+func NewGatherEngineWith(a, at *sparse.CSR, opt Options) (*Engine, error) {
 	return newMaskedEngine(a.N, func(out, r []float64) { at.MxV(out, r) }, danglingMask(a), opt)
 }
 

@@ -57,6 +57,36 @@ func TestEngineRunEqualsScatter(t *testing.T) {
 	}
 }
 
+// TestGatherEngineWithSharedTranspose pins that engines handed one
+// ready transpose — the staged cache's — run bit for bit like engines
+// that transpose for themselves, and leave the shared copy untouched.
+func TestGatherEngineWithSharedTranspose(t *testing.T) {
+	a := engineTestMatrix(t, 2, 1<<12, 1<<9)
+	at, pristine := a.Transpose(), a.Transpose()
+	opt := Options{Seed: 3, Dangling: true, Iterations: 7}
+	own, err := NewGatherEngine(a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := own.Run().Rank
+	for i := 0; i < 2; i++ {
+		e, err := NewGatherEngineWith(a, at, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range e.Run().Rank {
+			if v != want[j] {
+				t.Fatalf("engine %d over the shared transpose differs at %d: %v vs %v", i, j, v, want[j])
+			}
+		}
+	}
+	for k := range at.Val {
+		if at.Val[k] != pristine.Val[k] || at.Col[k] != pristine.Col[k] {
+			t.Fatalf("shared transpose modified at entry %d", k)
+		}
+	}
+}
+
 func TestEngineResetReproducesRun(t *testing.T) {
 	a := engineTestMatrix(t, 2, 1<<12, 1<<9)
 	e, err := NewGatherEngine(a, Options{Seed: 5, Iterations: 6})

@@ -149,6 +149,14 @@ type Config struct {
 	// so it is bit-identical across all variants and safe to exchange
 	// between them.
 	MatrixSource func(Config) (MatrixLease, error)
+	// FabricSource, when non-nil, lends the dist variants' socket-mode
+	// kernel 3 an open worker fabric of procs ranks in place of one
+	// spawned and torn down inside the kernel.  Together with a
+	// matrix-stage hit's MatrixLease.ID it makes a warm socket run the
+	// iteration's collectives and nothing else: the lender keeps the
+	// workers, and the row blocks they hold, alive between runs.  The
+	// call may wait for another run to return the fabric.
+	FabricSource func(procs int) (FabricLease, error)
 	// Progress, when non-nil, receives execution events: kernel start
 	// and end, and one event per kernel-3 iteration.  Callbacks run
 	// synchronously on the executing goroutine (rank 0's, for the dist
@@ -349,6 +357,27 @@ type MatrixLease struct {
 	Hit bool
 	// Fill deposits the artifact or the failure (misses only).
 	Fill func(m *sparse.CSR, mass float64, err error)
+	// ID names the cached artifact across runs — on a hit the one
+	// served, on a miss the one Fill is about to deposit — or is empty
+	// when the source has no stable identity to offer.  Equal IDs mean
+	// the same matrix bits, and a refilled key gets a new one.  The dist
+	// variants pass it to a lent fabric as the resident operand's name.
+	ID string
+	// Transposed, when non-nil (hits only), returns the artifact's
+	// transpose, built at most once per cached artifact and shared
+	// read-only like the matrix itself.
+	Transposed func() *sparse.CSR
+}
+
+// FabricLease is one FabricSource transaction: exclusive use of an open
+// socket fabric for one kernel 3.
+type FabricLease struct {
+	// Session is the lent fabric.
+	Session *dist.Session
+	// Release returns it, with the kernel's error: after a failed,
+	// cancelled or fault-injected run the lender discards the fabric
+	// instead of lending it again.  It must be called exactly once.
+	Release func(err error)
 }
 
 // CacheTraits declares a variant's staged-cache participation.  A
@@ -460,6 +489,12 @@ type Run struct {
 	// end of K2 (all variants converge to CSR for cross-validation; the
 	// graphblas variant also keeps its generic form internally).
 	Matrix *sparse.CSR
+	// MatrixID is the staged cache's MatrixLease.ID of Matrix, set once
+	// Matrix is the cached artifact (served by a hit, or deposited by
+	// this run's fill); MatrixT is a hit's Transposed.  Kernel-3
+	// implementations read the transpose through Transposed().
+	MatrixID string
+	MatrixT  func() *sparse.CSR
 	// GB optionally holds the graphblas variant's generic matrix between
 	// K2 and K3.
 	GB *graphblas.Matrix[float64]
@@ -498,6 +533,15 @@ func (r *Run) stageStats() *CacheStats {
 		r.Cache = &CacheStats{}
 	}
 	return r.Cache
+}
+
+// Transposed returns Matrixᵀ for the gather engines: the staged cache's
+// shared copy on a matrix-stage hit, a fresh one otherwise.  Read-only.
+func (r *Run) Transposed() *sparse.CSR {
+	if r.MatrixT != nil {
+		return r.MatrixT()
+	}
+	return r.Matrix.Transpose()
 }
 
 // Context returns the run's cancellation context.  Variants thread it
@@ -694,6 +738,7 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 	var skip [numKernels]bool
 	var sortedFill func(*edge.List, error)
 	var matrixFill func(*sparse.CSR, float64, error)
+	var matrixFillID string
 	defer func() {
 		// Discharge unfulfilled obligations on every exit path so
 		// waiters are never stranded.
@@ -726,10 +771,11 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 			run.stageStats().Matrix.Hits++
 			run.Matrix = lease.Matrix
 			run.MatrixMass = lease.Mass
+			run.MatrixID, run.MatrixT = lease.ID, lease.Transposed
 			skip[K0Generate], skip[K1Sort], skip[K2Filter] = true, true, true
 		} else {
 			run.stageStats().Matrix.Misses++
-			matrixFill = lease.Fill
+			matrixFill, matrixFillID = lease.Fill, lease.ID
 		}
 		emitCache(K2Filter, lease.Hit)
 	}
@@ -776,6 +822,7 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 	resCfg.Source = nil
 	resCfg.SortedSource = nil
 	resCfg.MatrixSource = nil
+	resCfg.FabricSource = nil
 	resCfg.Progress = nil
 	resCfg.Checkpoint.OnCommit = nil
 	resCfg.Checkpoint.OnResume = nil
@@ -838,6 +885,7 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 		if k == K2Filter && matrixFill != nil {
 			if run.Matrix != nil {
 				matrixFill(run.Matrix, run.MatrixMass, nil)
+				run.MatrixID = matrixFillID
 			} else {
 				matrixFill(nil, 0, fmt.Errorf("pipeline: variant %q produced no matrix artifact", cfg.Variant))
 			}

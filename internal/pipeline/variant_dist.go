@@ -131,8 +131,10 @@ func (v distVariant) Kernel2(r *Run) error {
 	return nil
 }
 
-// Kernel3 implements Variant.
-func (v distVariant) Kernel3(r *Run) error {
+// Kernel3 implements Variant.  In the socket mode with a FabricSource
+// the iteration runs on the lent fabric, naming the cached matrix so
+// workers that already hold its row blocks are sent none.
+func (v distVariant) Kernel3(r *Run) (err error) {
 	spec := dist.Spec{
 		Config: v.distCfg(r), Op: dist.OpRunMatrix,
 		Matrix: r.Matrix, Procs: v.procs(r), PageRank: r.Cfg.PageRank,
@@ -154,6 +156,14 @@ func (v distVariant) Kernel3(r *Run) error {
 			}
 			progress(Event{Kind: EventCheckpointRestored, Kernel: K3PageRank, Iteration: int(epoch)})
 		}
+	}
+	if spec.Mode == dist.ExecSocket && r.Cfg.FabricSource != nil {
+		lease, lerr := r.Cfg.FabricSource(spec.Procs)
+		if lerr != nil {
+			return lerr
+		}
+		defer func() { lease.Release(err) }()
+		spec.Session, spec.OperandID = lease.Session, r.MatrixID
 	}
 	out, err := dist.Execute(r.Context(), spec)
 	if err != nil {

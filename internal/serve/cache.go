@@ -48,6 +48,7 @@ type artifactCache struct {
 	entries  map[cacheKey]*cacheEntry
 	order    *list.List // LRU: front = most recently used; ready entries only
 	stats    [numStages]cacheStageStats
+	fills    uint64 // matrix-stage fill generations reserved
 }
 
 // stage identifies one cached artifact level.
@@ -78,10 +79,19 @@ type cacheKey struct {
 }
 
 // matrixArtifact is the matrix stage's cached value: the filtered,
-// normalized matrix plus the pre-filter mass a warm Result reports.
+// normalized matrix plus the pre-filter mass a warm Result reports,
+// the identity warm runs name it by, and — built on first gather use,
+// then shared like the matrix — its transpose.
 type matrixArtifact struct {
 	m    *sparse.CSR
 	mass float64
+	// id is the cache key plus the fill generation, reserved when the
+	// filler's lease is handed out: a key evicted and refilled gets a
+	// new id, so holders of exec-ready state derived from the old fill
+	// (resident rank blocks) can tell.
+	id    string
+	tOnce sync.Once
+	t     *sparse.CSR
 }
 
 type cacheEntry struct {
@@ -216,6 +226,20 @@ func (c *artifactCache) evictOldestLocked(keep *cacheEntry, st *stage) bool {
 	return false
 }
 
+// charge adds delta bytes to key's resident entry — exec-ready state
+// built beside a cached artifact after its fill — and re-runs eviction.
+// It is a no-op when val is no longer what the key holds: an evicted
+// artifact's late additions live and die with the runs still using it.
+func (c *artifactCache) charge(key cacheKey, val any, delta int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok && e.elem != nil && e.val == val {
+		e.cost += delta
+		c.stats[key.stage].bytes += delta
+		c.evictLocked(e)
+	}
+}
+
 func (c *artifactCache) totalBytesLocked() int64 {
 	var b int64
 	for st := stage(0); st < numStages; st++ {
@@ -272,9 +296,20 @@ func (c *artifactCache) matrixLease(ctx context.Context, key cacheKey) (pipeline
 	}
 	if hit {
 		art := val.(*matrixArtifact)
-		return pipeline.MatrixLease{Matrix: art.m, Mass: art.mass, Hit: true}, nil
+		return pipeline.MatrixLease{Matrix: art.m, Mass: art.mass, Hit: true, ID: art.id,
+			Transposed: func() *sparse.CSR {
+				art.tOnce.Do(func() {
+					art.t = art.m.Transpose()
+					c.charge(key, art, art.t.Footprint())
+				})
+				return art.t
+			}}, nil
 	}
-	return pipeline.MatrixLease{Fill: func(m *sparse.CSR, mass float64, err error) {
+	c.mu.Lock()
+	c.fills++
+	id := fmt.Sprintf("%+v#%d", key, c.fills)
+	c.mu.Unlock()
+	return pipeline.MatrixLease{ID: id, Fill: func(m *sparse.CSR, mass float64, err error) {
 		if err == nil && m == nil {
 			err = fmt.Errorf("serve: matrix fill delivered no matrix")
 		}
@@ -282,7 +317,7 @@ func (c *artifactCache) matrixLease(ctx context.Context, key cacheKey) (pipeline
 			fill(nil, 0, err)
 			return
 		}
-		fill(&matrixArtifact{m: m, mass: mass}, m.Footprint(), nil)
+		fill(&matrixArtifact{m: m, mass: mass, id: id}, m.Footprint(), nil)
 	}}, nil
 }
 

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/sparse"
 )
 
 // key builds a distinct cache key in the given stage.
@@ -196,4 +198,53 @@ func TestCacheAcquireRespectsContext(t *testing.T) {
 	if val, hit, _, err := c.acquire(context.Background(), k); err != nil || !hit || val != "v" {
 		t.Fatalf("fill lost after a cancelled waiter: hit=%v val=%v err=%v", hit, val, err)
 	}
+}
+
+// TestCacheMatrixTransposeIsBuiltOnceAndCharged pins the exec-ready
+// operand kept beside the matrix artifact: Aᵀ is built on first use
+// only, every hit shares it, it is charged to the byte budget and goes
+// when its matrix goes — and a refilled key gets a new identity, which
+// is how a resident worker fabric learns its row blocks are stale.
+func TestCacheMatrixTransposeIsBuiltOnceAndCharged(t *testing.T) {
+	m := &sparse.CSR{N: 2, RowPtr: []int64{0, 1, 2}, Col: []uint32{1, 0}, Val: []float64{1, 0.5}}
+	ctx := context.Background()
+	c := newArtifactCache(0, 3*m.Footprint())
+	k := key(stageMatrix, 1)
+	miss, err := c.matrixLease(ctx, k)
+	if err != nil || miss.Hit || miss.ID == "" {
+		t.Fatalf("first lease: %+v, %v", miss, err)
+	}
+	miss.Fill(m, 2, nil)
+	if got := c.stageStats(stageMatrix).Bytes; got != m.Footprint() {
+		t.Fatalf("resident bytes %d before any gather use, want the matrix's %d", got, m.Footprint())
+	}
+	h1, _ := c.matrixLease(ctx, k)
+	h2, _ := c.matrixLease(ctx, k)
+	if !h1.Hit || h1.ID != miss.ID || h2.ID != miss.ID {
+		t.Fatalf("hit ids %q, %q; the fill reserved %q", h1.ID, h2.ID, miss.ID)
+	}
+	at := h1.Transposed()
+	if at.RowPtr[1] != 1 || at.Col[0] != 1 || at.Val[0] != 0.5 {
+		t.Fatalf("transpose %+v", at)
+	}
+	if h2.Transposed() != at || h1.Transposed() != at {
+		t.Fatal("hits built separate transposes")
+	}
+	if got, want := c.stageStats(stageMatrix).Bytes, m.Footprint()+at.Footprint(); got != want {
+		t.Fatalf("resident bytes %d, want matrix + transpose = %d", got, want)
+	}
+
+	// A second matrix's deposit pushes the pair out together.
+	mustFill(t, c, key(stageMatrix, 2), 2*m.Footprint())
+	if resident(c, k) {
+		t.Fatal("matrix + transpose should have been evicted as one entry")
+	}
+	if got := c.stageStats(stageMatrix).Bytes; got != 2*m.Footprint() {
+		t.Fatalf("resident bytes %d after eviction, want %d", got, 2*m.Footprint())
+	}
+	refill, _ := c.matrixLease(ctx, k)
+	if refill.Hit || refill.ID == miss.ID {
+		t.Fatalf("refill lease %+v reuses identity %q", refill, miss.ID)
+	}
+	refill.Fill(m, 2, nil)
 }

@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/dist"
 	"repro/internal/edge"
 	"repro/internal/pipeline"
 	"repro/internal/vfs"
@@ -90,6 +91,85 @@ type Service struct {
 
 	ckptOnce sync.Once
 	ckptFS   vfs.FS // storage for resume-keyed checkpoints; lazily an in-memory store
+
+	fabrics []*fabricSlot // resident socket fabrics, one per rank count seen; under mu
+}
+
+// fabricSlot holds the service's one resident socket fabric of a given
+// rank count: worker processes that outlive a run, keeping their row
+// blocks of the cached matrix, so a warm DistMode "socket" run is the
+// iteration's collectives and nothing else (DESIGN.md §12, §13).
+type fabricSlot struct {
+	procs int
+	// busy is the slot's lock, a channel so that waiting for the run
+	// that holds the fabric respects a context.
+	busy chan struct{}
+	sess *dist.Session // nil until first use and after a discard; under busy
+}
+
+// drop closes and forgets the slot's fabric; the caller holds busy.
+func (sl *fabricSlot) drop() {
+	if sl.sess != nil {
+		sl.sess.Close()
+		sl.sess = nil
+	}
+}
+
+// fabricLease is the pipeline.Config.FabricSource of every Service run:
+// it waits for the slot, opens a fabric when there is none — or the one
+// there is has lost a worker since its last run — and lends it.  Release
+// discards the fabric on any error (the next run opens a fresh one) and,
+// once the service is closed, with the last run to hand it back.
+func (s *Service) fabricLease(ctx context.Context, procs int) (pipeline.FabricLease, error) {
+	s.mu.Lock()
+	var sl *fabricSlot
+	for _, have := range s.fabrics {
+		if have.procs == procs {
+			sl = have
+			break
+		}
+	}
+	if sl == nil {
+		sl = &fabricSlot{procs: procs, busy: make(chan struct{}, 1)}
+		s.fabrics = append(s.fabrics, sl)
+	}
+	s.mu.Unlock()
+	select {
+	case sl.busy <- struct{}{}:
+	case <-ctx.Done():
+		return pipeline.FabricLease{}, ctx.Err()
+	}
+	if sl.sess != nil && sl.sess.Err() != nil {
+		sl.drop()
+	}
+	if sl.sess == nil {
+		sess, err := dist.OpenSession(ctx, procs, dist.SocketSpec{})
+		if err != nil {
+			<-sl.busy
+			return pipeline.FabricLease{}, err
+		}
+		sl.sess = sess
+	}
+	return pipeline.FabricLease{Session: sl.sess, Release: func(err error) {
+		if err != nil {
+			sl.drop()
+		}
+		<-sl.busy
+		if s.isClosed() {
+			sl.closeIfIdle()
+		}
+	}}, nil
+}
+
+// closeIfIdle closes the slot's fabric unless a run holds it — that
+// run's Release comes back here.
+func (sl *fabricSlot) closeIfIdle() {
+	select {
+	case sl.busy <- struct{}{}:
+		sl.drop()
+		<-sl.busy
+	default:
+	}
 }
 
 // Option configures a Service at construction.
@@ -176,9 +256,19 @@ func New(opts ...Option) *Service {
 
 // Close stops admitting new runs: callers queued in admission unblock
 // with an error, and later Runs are rejected.  Runs already admitted
-// complete normally; closing is idempotent.
+// complete normally; closing is idempotent.  Resident socket fabrics are
+// closed — workers hung up on and reaped — here when idle, else by the
+// last run using them as it finishes.
 func (s *Service) Close() error {
-	s.closeOnce.Do(func() { close(s.closed) })
+	s.closeOnce.Do(func() {
+		close(s.closed)
+		s.mu.Lock()
+		slots := append([]*fabricSlot(nil), s.fabrics...)
+		s.mu.Unlock()
+		for _, sl := range slots {
+			sl.closeIfIdle()
+		}
+	})
 	return nil
 }
 
@@ -370,6 +460,11 @@ func (s *Service) Run(ctx context.Context, cfg pipeline.Config, opts ...RunOptio
 			cfg.MatrixSource = func(dcfg pipeline.Config) (pipeline.MatrixLease, error) {
 				return s.cache.matrixLease(ctx, matrixKeyOf(dcfg))
 			}
+		}
+	}
+	if cfg.FabricSource == nil {
+		cfg.FabricSource = func(procs int) (pipeline.FabricLease, error) {
+			return s.fabricLease(ctx, procs)
 		}
 	}
 	if rs.progress != nil {
