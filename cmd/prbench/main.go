@@ -4,6 +4,11 @@
 //
 //	prbench -scale 18 -variant csr
 //
+// Every variant (or a comma-separated list) in turn, each cold, with one
+// table of per-kernel edges/second:
+//
+//	prbench -scale 16 -variant all
+//
 // Reproduce the paper's figures (edges/second vs. number of edges for every
 // implementation variant, kernels 0-3):
 //
@@ -108,7 +113,7 @@ func main() {
 		edgeFactor  = flag.Int("edgefactor", 16, "average edges per vertex k")
 		seed        = flag.Uint64("seed", 1, "random seed")
 		nfiles      = flag.Int("nfiles", 1, "number of edge files (the paper's free parameter)")
-		variant     = flag.String("variant", "csr", "implementation variant, or 'all'")
+		variant     = flag.String("variant", "csr", "implementation variant; a comma-separated list or 'all' runs each in turn, cold, and tabulates per-kernel edges/s (-sweep and -cachesweep take lists too; -json, -formatsweep and -checkpoint-every take one variant)")
 		generator   = flag.String("generator", "kronecker", "kernel-0 generator: kronecker, ppl, er")
 		workers     = flag.Int("workers", 0, "worker goroutines for parallel variants (0 = GOMAXPROCS)")
 		dir         = flag.String("dir", "", "storage directory (empty = in-memory)")
@@ -178,17 +183,13 @@ func main() {
 			ranks = *procs
 		}
 		// A bare -cachesweep ablates every variant; an explicit -variant
-		// (other than "all") narrows it to a comma list.
+		// narrows it.
 		variants := core.Variants()
-		variantSet := false
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "variant" {
-				variantSet = true
+				variants = variantList(*variant)
 			}
 		})
-		if variantSet && *variant != "all" {
-			variants = strings.Split(*variant, ",")
-		}
 		if err := runCacheSweep(ctx, *scale, *edgeFactor, *seed, *nfiles, variants, *cacheBudget, ranks, *distMode, *iterations, *damping, *dangling, *output, *jsonOut); err != nil {
 			fatal(err)
 		}
@@ -256,6 +257,10 @@ func main() {
 		}
 		cfg.FS = fsys
 	}
+	variants := variantList(*variant)
+	if len(variants) > 1 && (*jsonOut || *ckptEvery > 0) {
+		fatal(fmt.Errorf("-json and -checkpoint-every report one variant's run; -variant %s names %d", *variant, len(variants)))
+	}
 	if *ckptEvery > 0 {
 		if err := runCheckpointed(ctx, svc, cfg, *ckptEvery, *injectFault, *ckptDir); err != nil {
 			fatal(err)
@@ -265,6 +270,12 @@ func main() {
 	ks, err := parseKernels(*kernels)
 	if err != nil {
 		fatal(err)
+	}
+	if len(variants) > 1 {
+		if err := runVariants(ctx, cfg, variants, ks, *output); err != nil {
+			fatal(err)
+		}
+		return
 	}
 	res, err := svc.Run(ctx, cfg, core.WithKernels(ks...))
 	if err != nil {
@@ -277,6 +288,44 @@ func main() {
 		return
 	}
 	printResult(res, *output)
+}
+
+// variantList expands a -variant value: "all" (or nothing) is every
+// registered variant, anything else a comma-separated list of names.
+func variantList(v string) []string {
+	if v == "all" || v == "" {
+		return core.Variants()
+	}
+	return strings.Split(v, ",")
+}
+
+// runVariants is the plain run over several variants: each executes the
+// same configuration in turn on a throwaway, cache-less Service — so every
+// one is a cold run — and one table lists their per-kernel edges/second.
+func runVariants(ctx context.Context, cfg core.Config, variants []string, ks []core.Kernel, output string) error {
+	t := results.NewTable(
+		fmt.Sprintf("PageRank pipeline: scale %d, N=%s, M=%s, each variant cold, edges/second",
+			cfg.Scale, pipeline.HumanCount(cfg.N()), pipeline.HumanCount(cfg.M())),
+		"variant", "K0 generate", "K1 sort", "K2 filter", "K3 pagerank", "seconds")
+	for _, v := range variants {
+		cfg.Variant = v
+		res, err := core.RunOnce(ctx, cfg, ks...)
+		if err != nil {
+			return fmt.Errorf("variant %s: %w", v, err)
+		}
+		row, total := []string{v}, 0.0
+		for _, k := range []core.Kernel{core.K0Generate, core.K1Sort, core.K2Filter, core.K3PageRank} {
+			cell := "-"
+			if kr := res.KernelResultFor(k); kr != nil {
+				cell = fmt.Sprintf("%.4g", kr.EdgesPerSecond)
+				total += kr.Seconds
+			}
+			row = append(row, cell)
+		}
+		t.AddRow(append(row, fmt.Sprintf("%.4f", total))...)
+	}
+	emit(t, output)
+	return nil
 }
 
 // parseIntList parses a comma-separated list of positive integers.
@@ -508,10 +557,7 @@ func runSweep(ctx context.Context, minScale, maxScale, edgeFactor int, seed uint
 	// turn the reported K0 edges/second into a cache fetch.
 	svc := core.NewService(core.WithCacheCapacity(0), core.WithMaxConcurrent(1))
 	defer svc.Close()
-	variants := core.Variants()
-	if variant != "all" && variant != "" {
-		variants = strings.Split(variant, ",")
-	}
+	variants := variantList(variant)
 	figures := [4]*results.Figure{}
 	titles := [4]string{
 		"Figure 4. Kernel 0 (generate) measurements",

@@ -40,3 +40,18 @@ func TestParseIntList(t *testing.T) {
 		}
 	}
 }
+
+func TestVariantList(t *testing.T) {
+	all := core.Variants()
+	for _, v := range []string{"all", ""} {
+		if got := variantList(v); len(got) != len(all) || len(got) < 2 {
+			t.Errorf("variantList(%q) = %v, want every registered variant %v", v, got, all)
+		}
+	}
+	if got := variantList("csr"); len(got) != 1 || got[0] != "csr" {
+		t.Errorf("variantList(csr) = %v", got)
+	}
+	if got := variantList("csr,extsort"); len(got) != 2 || got[1] != "extsort" {
+		t.Errorf("variantList(csr,extsort) = %v", got)
+	}
+}

@@ -10,7 +10,7 @@
 package edge
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/xrand"
 )
@@ -39,6 +39,12 @@ func (l *List) Len() int { return len(l.U) }
 func (l *List) Append(u, v uint64) {
 	l.U = append(l.U, u)
 	l.V = append(l.V, v)
+}
+
+// Grow makes room for n more edges without changing the list's length.
+func (l *List) Grow(n int) {
+	l.U = slices.Grow(l.U, n)
+	l.V = slices.Grow(l.V, n)
 }
 
 // AppendList appends all edges of other to l.
@@ -111,26 +117,6 @@ func (l *List) MaxVertex() uint64 {
 // is not trivially presorted.
 func (l *List) Shuffle(g *xrand.Xoshiro256) {
 	g.Shuffle(l.Len(), l.Swap)
-}
-
-// RelabelVertices applies the vertex permutation perm to every endpoint:
-// vertex x becomes perm[x].  It panics if any vertex is out of range.
-// Graph500 kernel 0 relabels vertices with a random permutation so that
-// vertex IDs carry no structural information.
-func (l *List) RelabelVertices(perm []uint64) {
-	n := uint64(len(perm))
-	for i, u := range l.U {
-		if u >= n {
-			panic(fmt.Sprintf("edge: vertex %d out of range for permutation of size %d", u, n))
-		}
-		l.U[i] = perm[u]
-	}
-	for i, v := range l.V {
-		if v >= n {
-			panic(fmt.Sprintf("edge: vertex %d out of range for permutation of size %d", v, n))
-		}
-		l.V[i] = perm[v]
-	}
 }
 
 // IsSortedByU reports whether the edges are sorted by start vertex

@@ -2,7 +2,6 @@ package edge
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/xrand"
 )
@@ -110,31 +109,6 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestRelabelVertices(t *testing.T) {
-	l := NewList(2)
-	l.Append(0, 1)
-	l.Append(2, 0)
-	perm := []uint64{5, 6, 7}
-	l.RelabelVertices(perm)
-	if u, v := l.At(0); u != 5 || v != 6 {
-		t.Errorf("relabeled edge 0 = (%d,%d), want (5,6)", u, v)
-	}
-	if u, v := l.At(1); u != 7 || v != 5 {
-		t.Errorf("relabeled edge 1 = (%d,%d), want (7,5)", u, v)
-	}
-}
-
-func TestRelabelVerticesPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range vertex")
-		}
-	}()
-	l := NewList(1)
-	l.Append(9, 0)
-	l.RelabelVertices([]uint64{0, 1})
-}
-
 func TestIsSorted(t *testing.T) {
 	l := NewList(3)
 	l.Append(1, 5)
@@ -187,29 +161,5 @@ func TestSameMultisetWithDuplicates(t *testing.T) {
 	b.Append(2, 2)
 	if a.SameMultiset(b) {
 		t.Error("multiset multiplicities not respected")
-	}
-}
-
-func TestRelabelIsBijectiveProperty(t *testing.T) {
-	// Relabeling with a permutation then with its inverse restores the list.
-	err := quick.Check(func(seed uint64) bool {
-		g := xrand.New(seed)
-		const n = 32
-		l := NewList(64)
-		for i := 0; i < 64; i++ {
-			l.Append(g.Uint64n(n), g.Uint64n(n))
-		}
-		orig := l.Clone()
-		perm := g.Perm(n)
-		inv := make([]uint64, n)
-		for i, p := range perm {
-			inv[p] = uint64(i)
-		}
-		l.RelabelVertices(perm)
-		l.RelabelVertices(inv)
-		return l.Equal(orig)
-	}, &quick.Config{MaxCount: 50})
-	if err != nil {
-		t.Error(err)
 	}
 }

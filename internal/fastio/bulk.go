@@ -92,16 +92,10 @@ func ReadEdges(s EdgeSource, l *edge.List, max int) (int, error) {
 // WriteEdges implements BulkEdgeSink: the per-edge formatting loop runs
 // without interface dispatch between edges.
 func (t *TSVWriter) WriteEdges(l *edge.List, lo, hi int) error {
-	us, vs := l.U, l.V
-	for i := lo; i < hi; i++ {
-		t.buf = AppendUint(t.buf, us[i])
-		t.buf = append(t.buf, '\t')
-		t.buf = AppendUint(t.buf, vs[i])
-		t.buf = append(t.buf, '\n')
-		if len(t.buf) >= t.max-42 {
-			if err := t.Flush(); err != nil {
-				return err
-			}
+	us, vs := l.U[lo:hi], l.V[lo:hi]
+	for i, u := range us {
+		if err := t.WriteEdge(u, vs[i]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -109,27 +103,17 @@ func (t *TSVWriter) WriteEdges(l *edge.List, lo, hi int) error {
 
 // ReadEdges implements BulkEdgeSource.
 func (t *TSVReader) ReadEdges(l *edge.List, max int) (int, error) {
-	n := 0
-	for n < max {
-		t.line++
-		u, err := t.readField('\t')
-		if err != nil {
-			if err == io.EOF {
-				if n == 0 {
-					return 0, io.EOF
-				}
-				return n, nil
-			}
-			return n, fmt.Errorf("fastio: line %d: %w", t.line, err)
+	for n := 0; n < max; n++ {
+		u, v, err := t.ReadEdge()
+		if err == io.EOF && n > 0 {
+			return n, nil
 		}
-		v, err := t.readField('\n')
-		if err != nil && err != io.EOF {
-			return n, fmt.Errorf("fastio: line %d: %w", t.line, err)
+		if err != nil {
+			return n, err
 		}
 		l.Append(u, v)
-		n++
 	}
-	return n, nil
+	return max, nil
 }
 
 // WriteEdges implements BulkEdgeSink.

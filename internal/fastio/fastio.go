@@ -28,6 +28,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 	"strconv"
 
 	"repro/internal/edge"
@@ -40,23 +42,57 @@ import (
 const DefaultBufSize = 256 << 10
 
 // AppendUint appends the decimal representation of v to dst and returns the
-// extended slice.  It is equivalent to strconv.AppendUint(dst, v, 10) but
-// specialized and inlined for the hot path of kernel 0.
+// extended slice.  It is equivalent to strconv.AppendUint(dst, v, 10),
+// through the routine the TSV writer formats its records with.
 func AppendUint(dst []byte, v uint64) []byte {
-	if v < 10 {
-		return append(dst, byte('0'+v))
+	i := len(dst)
+	dst = slices.Grow(dst, maxDigits)
+	return dst[:putUint(dst[:i+maxDigits], i, v)]
+}
+
+// maxDigits is the decimal width of the largest uint64.
+const maxDigits = 20
+
+// digitPairs holds the two-digit decimal forms of 0..99 back to back.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// moreDigits[d] is the smallest value with more than d decimal digits:
+// 10^d, except that 0 has one digit too.
+var moreDigits = [maxDigits]uint64{0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// putUint writes the decimal form of v into b at offset i, two digits per
+// step from the low end, and returns the offset past it.  b must have
+// room for the digits (at most maxDigits).
+func putUint(b []byte, i int, v uint64) int {
+	// 1233/4096 ≈ log10(2): d is the digit count of v or one less.
+	d := bits.Len64(v) * 1233 >> 12
+	if v >= moreDigits[d] {
+		d++
 	}
-	var tmp [20]byte
-	i := len(tmp)
-	for v >= 10 {
-		q := v / 10
-		i--
-		tmp[i] = byte('0' + v - q*10)
-		v = q
+	end := i + d
+	j := end
+	for v >= 100 {
+		p := v % 100 * 2
+		v /= 100
+		j -= 2
+		b[j], b[j+1] = digitPairs[p], digitPairs[p+1]
 	}
-	i--
-	tmp[i] = byte('0' + v)
-	return append(dst, tmp[i:]...)
+	if v >= 10 {
+		b[j-2], b[j-1] = digitPairs[2*v], digitPairs[2*v+1]
+	} else {
+		b[j-1] = byte('0' + v)
+	}
+	return end
 }
 
 // ErrSyntax is returned by ParseUint for malformed input.
@@ -168,13 +204,19 @@ func NewTSVWriter(w io.Writer, bufSize int) *TSVWriter {
 	return &TSVWriter{w: w, buf: make([]byte, 0, bufSize), max: bufSize}
 }
 
-// WriteEdge implements EdgeSink.
+// maxRecord is the longest record: two maxDigits fields, a tab, a newline.
+const maxRecord = 2*maxDigits + 2
+
+// WriteEdge implements EdgeSink.  The buffer always has room for one more
+// record, so the record is formatted in place.
 func (t *TSVWriter) WriteEdge(u, v uint64) error {
-	t.buf = AppendUint(t.buf, u)
-	t.buf = append(t.buf, '\t')
-	t.buf = AppendUint(t.buf, v)
-	t.buf = append(t.buf, '\n')
-	if len(t.buf) >= t.max-42 { // 42 = max record size (2×20 digits + 2)
+	b := t.buf[:t.max]
+	n := putUint(b, len(t.buf), u)
+	b[n] = '\t'
+	n = putUint(b, n+1, v)
+	b[n] = '\n'
+	t.buf = b[:n+1]
+	if len(t.buf) >= t.max-maxRecord {
 		return t.Flush()
 	}
 	return nil
@@ -190,79 +232,129 @@ func (t *TSVWriter) Flush() error {
 	return err
 }
 
-// TSVReader decodes "u\tv\n" records.  It tolerates \r\n line endings and
-// a missing final newline, and reports the line number in parse errors.
+// TSVReader decodes "u\tv\n" records, scanning digits straight out of its
+// own buffer, which it refills only once every byte in it is consumed — a
+// record may straddle a refill at any byte.  It tolerates \r\n line
+// endings and a final record without a newline; input that ends anywhere
+// else inside a record is truncated, and the error (io.ErrUnexpectedEOF)
+// carries the line number like every parse error.
 type TSVReader struct {
-	r    *bufio.Reader
-	line int
+	r        io.Reader
+	buf      []byte // one byte longer than a refill: buf[end] is a non-digit
+	pos, end int    // buf[pos:end] is read but not yet decoded
+	off      int64  // input bytes that came before buf[0]
+	line     int
+	err      error // what r ended with, io.EOF included; reported once buf drains
 }
 
 // NewTSVReader returns a TSVReader with the given buffer size.
 func NewTSVReader(r io.Reader, bufSize int) *TSVReader {
-	return &TSVReader{r: bufio.NewReaderSize(r, bufSize)}
+	if bufSize < 16 {
+		bufSize = 16
+	}
+	return &TSVReader{r: r, buf: make([]byte, bufSize+1)}
 }
+
+// InputOffset returns the number of input bytes the edges decoded so far
+// occupied.
+func (t *TSVReader) InputOffset() int64 { return t.off + int64(t.pos) }
 
 // ReadEdge implements EdgeSource.
 func (t *TSVReader) ReadEdge() (uint64, uint64, error) {
 	t.line++
-	u, err := t.readField('\t')
-	if err != nil {
-		if err == io.EOF {
-			return 0, 0, io.EOF
-		}
-		return 0, 0, fmt.Errorf("fastio: line %d: %w", t.line, err)
-	}
-	v, err := t.readField('\n')
+	u, v, err := t.record()
 	if err != nil && err != io.EOF {
-		return 0, 0, fmt.Errorf("fastio: line %d: %w", t.line, err)
+		err = fmt.Errorf("fastio: line %d: %w", t.line, err)
 	}
-	return u, v, nil
+	return u, v, err
 }
 
-// readField parses one decimal field terminated by delim.  Returning io.EOF
-// with no digits consumed means clean end of stream; io.EOF after digits for
-// the final field of a file without trailing newline yields the value and
-// a nil error from ReadEdge's second call.
-func (t *TSVReader) readField(delim byte) (uint64, error) {
+// refill replaces the fully decoded buffer with the next bytes of input.
+// It returns false when there are none, leaving the cause in t.err.
+func (t *TSVReader) refill() bool {
+	t.off += int64(t.end)
+	t.pos, t.end = 0, 0
+	for tries := 0; t.end == 0 && t.err == nil; tries++ {
+		if tries == 100 {
+			t.err = io.ErrNoProgress
+			break
+		}
+		t.end, t.err = t.r.Read(t.buf[:len(t.buf)-1])
+	}
+	t.buf[t.end] = 0 // stops the digit loop at the end of the data
+	return t.end > 0
+}
+
+// record decodes one record.  io.EOF means the input ended cleanly before
+// the record's first byte; every other error is bare, for ReadEdge to
+// position.
+func (t *TSVReader) record() (u, v uint64, err error) {
 	const cutoff = (1<<64-1)/10 + 1
-	var n uint64
-	digits := 0
-	for {
-		c, err := t.r.ReadByte()
-		if err == io.EOF {
-			if digits == 0 {
-				return 0, io.EOF
+	buf, pos := t.buf, t.pos
+	for field := 0; ; field++ {
+		var n uint64
+		digits := 0
+		for {
+			for ; ; pos++ {
+				d := uint64(buf[pos] - '0')
+				if d > 9 {
+					break
+				}
+				if n >= cutoff {
+					return 0, 0, ErrRange
+				}
+				n = n*10 + d
+				if n < d {
+					return 0, 0, ErrRange
+				}
+				digits++
 			}
-			return n, io.EOF
+			if pos != t.end {
+				break // a terminator
+			}
+			// The data ran out mid-field: go on in the next buffer.
+			t.pos = pos
+			if !t.refill() {
+				switch {
+				case t.err != io.EOF:
+					return 0, 0, t.err
+				case field == 0 && digits == 0:
+					return 0, 0, io.EOF
+				case field == 1 && digits > 0: // final record, no newline
+					return u, n, nil
+				}
+				return 0, 0, io.ErrUnexpectedEOF
+			}
+			pos = 0
 		}
-		if err != nil {
-			return 0, err
+		c := buf[pos]
+		pos++
+		if digits == 0 {
+			return 0, 0, ErrSyntax
 		}
-		switch {
-		case c >= '0' && c <= '9':
-			if n >= cutoff {
-				return 0, ErrRange
+		if field == 0 {
+			if c != '\t' {
+				return 0, 0, ErrSyntax
 			}
-			n = n*10 + uint64(c-'0')
-			if n < uint64(c-'0') {
-				return 0, ErrRange
-			}
-			digits++
-		case c == delim:
-			if digits == 0 {
-				return 0, ErrSyntax
-			}
-			return n, nil
-		case c == '\r' && delim == '\n':
-			// Tolerate CRLF: the next byte must be the newline.
-			nc, err := t.r.ReadByte()
-			if err == nil && nc == '\n' && digits > 0 {
-				return n, nil
-			}
-			return 0, ErrSyntax
-		default:
-			return 0, ErrSyntax
+			u = n
+			continue
 		}
+		if c == '\r' { // tolerate CRLF: the next byte must be the newline
+			if pos == t.end {
+				t.pos = pos
+				if !t.refill() {
+					return 0, 0, ErrSyntax
+				}
+				pos = 0
+			}
+			c = buf[pos]
+			pos++
+		}
+		if c != '\n' {
+			return 0, 0, ErrSyntax
+		}
+		t.pos = pos
+		return u, n, nil
 	}
 }
 
@@ -509,19 +601,44 @@ func ReadStriped(fs vfs.FS, prefix string, codec Codec) (*edge.List, error) {
 }
 
 func readOneStripe(fs vfs.FS, name string, codec Codec, l *edge.List) error {
+	size, err := fs.Size(name)
+	if err != nil {
+		return err
+	}
 	r, err := fs.Open(name)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
 	src := codec.NewReader(r)
+	start := l.Len()
 	for {
+		if cap(l.U)-l.Len() < readChunkEdges {
+			reserveStripe(l, l.Len()-start, src, size)
+		}
 		if _, err := ReadEdges(src, l, readChunkEdges); err != nil {
 			if err == io.EOF {
 				return nil
 			}
 			return fmt.Errorf("fastio: %s: %w", name, err)
 		}
+	}
+}
+
+// reserveStripe grows l once to hold the rest of a stripe of size bytes, of
+// which src has decoded the first n edges: where src knows the input offset
+// of those edges, the stripe is predicted to keep their bytes per edge (plus
+// 2 %), so the list is not regrown and recopied chunk after chunk.  A
+// prediction that falls short only means another call later, made on more
+// evidence.
+func reserveStripe(l *edge.List, n int, src EdgeSource, size int64) {
+	o, ok := src.(interface{ InputOffset() int64 })
+	if !ok || n == 0 {
+		return
+	}
+	rest := float64(size-o.InputOffset()) * float64(n) / float64(o.InputOffset())
+	if rest > 0 {
+		l.Grow(int(rest*1.02) + 1)
 	}
 }
 

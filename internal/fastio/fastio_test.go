@@ -2,6 +2,8 @@ package fastio
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"strconv"
@@ -167,6 +169,9 @@ func TestTSVReaderTolerance(t *testing.T) {
 	}{
 		{"no trailing newline", "1\t2\n3\t4", [][2]uint64{{1, 2}, {3, 4}}},
 		{"crlf", "1\t2\r\n3\t4\r\n", [][2]uint64{{1, 2}, {3, 4}}},
+		{"crlf, no trailing newline", "1\t2\r\n3\t4", [][2]uint64{{1, 2}, {3, 4}}},
+		{"only record, no newline", "3\t4", [][2]uint64{{3, 4}}},
+		{"leading zeros", "0007\t000000000000000000000000000000000000000000000000000000000000000000000000008\n", [][2]uint64{{7, 8}}},
 		{"empty", "", nil},
 	}
 	for _, c := range cases {
@@ -195,12 +200,70 @@ func TestTSVReaderTolerance(t *testing.T) {
 	}
 }
 
+// tsvErrorCases are malformed inputs with the error ReadEdge must end in
+// after decoding the records before it: the parse errors with their line,
+// and the truncations — a stripe cut inside a record is an error, not a
+// clean end of stream (it used to drop "123" silently and to decode
+// "123\t" as the edge (123, 0)).
+var tsvErrorCases = []struct {
+	input string
+	edges int
+	line  int
+	cause error
+}{
+	{"a\t2\n", 0, 1, ErrSyntax},
+	{"1 2\n", 0, 1, ErrSyntax},
+	{"1\t\n", 0, 1, ErrSyntax},
+	{"\t2\n", 0, 1, ErrSyntax},
+	{"\n", 0, 1, ErrSyntax},
+	{"1\t2x\n", 0, 1, ErrSyntax},
+	{"1\t2\r", 0, 1, ErrSyntax},
+	{"1\t2\rx\n", 0, 1, ErrSyntax},
+	{"1\r\n", 0, 1, ErrSyntax},
+	{"18446744073709551616\t0\n", 0, 1, ErrRange},
+	{"0\t99999999999999999999\n", 0, 1, ErrRange},
+	{"1\t2\n3\t4\n5\tx\n", 2, 3, ErrSyntax},
+	{"1\t2\r\n\r\n", 1, 2, ErrSyntax},
+	{"123", 0, 1, io.ErrUnexpectedEOF},
+	{"123\t", 0, 1, io.ErrUnexpectedEOF},
+	{"1\t2\n123", 1, 2, io.ErrUnexpectedEOF},
+	{"1\t2\n3\t4\n123\t", 2, 3, io.ErrUnexpectedEOF},
+}
+
 func TestTSVReaderErrors(t *testing.T) {
-	for _, bad := range []string{"a\t2\n", "1 2\n", "1\t\n", "\t2\n", "1\t2x\n", "18446744073709551616\t0\n"} {
-		r := TSV{}.NewReader(strings.NewReader(bad))
-		if _, _, err := r.ReadEdge(); err == nil || err == io.EOF {
-			t.Errorf("ReadEdge(%q) err = %v, want parse error", bad, err)
+	for _, c := range tsvErrorCases {
+		want := fmt.Sprintf("fastio: line %d: %v", c.line, c.cause)
+		check := func(path string, edges int, err error) {
+			t.Helper()
+			if edges != c.edges || !errors.Is(err, c.cause) || !strings.HasSuffix(err.Error(), want) {
+				t.Errorf("%s(%q): %d edges then %v, want %d then %q", path, c.input, edges, err, c.edges, want)
+			}
 		}
+
+		r := TSV{}.NewReader(strings.NewReader(c.input))
+		n, err := CountEdges(r)
+		check("ReadEdge", n, err)
+
+		l := edge.NewList(0)
+		_, err = ReadEdges(TSV{}.NewReader(strings.NewReader(c.input)), l, 100)
+		check("ReadEdges", l.Len(), err)
+
+		fs := vfs.NewMem()
+		w, _ := fs.Create(StripeName("t", TSV{}, 0))
+		io.WriteString(w, c.input)
+		w.Close()
+		if _, err = ReadStriped(fs, "t", TSV{}); err == nil || !strings.Contains(err.Error(), "t-0000.tsv") {
+			t.Errorf("ReadStriped(%q): error %v does not name the stripe", c.input, err)
+		}
+		check("ReadStriped", c.edges, err) // edges are not returned with the error
+
+		src, err := NewStripedSource(fs, "t", TSV{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err = CountEdges(src)
+		check("StripedSource", n, err)
+		src.Close()
 	}
 }
 

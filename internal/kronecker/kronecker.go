@@ -110,36 +110,69 @@ func (c Config) M() uint64 {
 //	aNorm  = A / (A+B)
 //	iiBit  = rand > ab
 //	jjBit  = rand > (iiBit ? cNorm : aNorm)
+//
+// where rand is k·2⁻⁵³ for a 53-bit integer k, the top bits of one
+// generator word.  Both k·2⁻⁵³ and p·2⁵³ are exact in float64, and for an
+// integer k, k > p·2⁵³ exactly when k > ⌊p·2⁵³⌋; so each comparison is
+// held as the integer threshold ⌊p·2⁵³⌋ and decided by the sign bit of
+// (threshold − k), with no float conversion and no branch.
 type sampler struct {
-	ab, cNorm, aNorm float64
+	scale int
+	ab    uint64 // threshold of iiBit
+	aNorm uint64 // threshold of jjBit when iiBit is 0 ...
+	cStep uint64 // ... plus this (mod 2⁶⁴) when it is 1: cNorm − aNorm
 }
 
 func newSampler(c Config) sampler {
+	aNorm := threshold(c.A / (c.A + c.B))
 	return sampler{
-		ab:    c.A + c.B,
-		cNorm: c.C / (1 - (c.A + c.B)),
-		aNorm: c.A / (c.A + c.B),
+		scale: c.Scale,
+		ab:    threshold(c.A + c.B),
+		aNorm: aNorm,
+		cStep: threshold(c.C/(1-(c.A+c.B))) - aNorm,
 	}
 }
 
-// edgeBits draws one scale-S edge from g.
-func (s sampler) edgeBits(g *xrand.Xoshiro256, scale int) (u, v uint64) {
-	for bit := 0; bit < scale; bit++ {
-		var ii, jj uint64
-		if g.Float64() > s.ab {
-			ii = 1
-		}
-		threshold := s.aNorm
-		if ii == 1 {
-			threshold = s.cNorm
-		}
-		if g.Float64() > threshold {
-			jj = 1
-		}
-		u |= ii << uint(bit)
-		v |= jj << uint(bit)
+// threshold returns the T for which float64(k)·2⁻⁵³ > p ⇔ k > T holds for
+// every k < 2⁵³.  p is positive (Config.Validate); no k exceeds a p ≥ 1.
+func threshold(p float64) uint64 {
+	if !(p < 1) {
+		return 1 << 53
 	}
-	return u, v
+	return uint64(p * (1 << 53))
+}
+
+// sampleWords bounds the generator words drawn per batch (16 KiB, so the
+// batch stays in L1): 2·Scale words make one edge.
+const sampleWords = 2048
+
+// sample draws len(us) edges from g into us and vs, labelled through perm
+// unless it is nil.  Level b of an edge consumes two consecutive words of
+// g's sequence, the start-vertex bit first, so the stream — and with it
+// the edge list — is the one 2·Scale·len(us) calls of g.Float64 produced.
+func (s sampler) sample(g *xrand.Xoshiro256, us, vs, perm []uint64) {
+	var words [sampleWords]uint64
+	per := 2 * s.scale
+	for len(us) > 0 {
+		n := min(len(us), sampleWords/per)
+		w := words[:n*per]
+		g.Fill(w)
+		for e := 0; e < n; e++ {
+			// Highest level first, so each level shifts the lower ones in.
+			var u, v uint64
+			for lvl := w[e*per : (e+1)*per]; len(lvl) >= 2; lvl = lvl[:len(lvl)-2] {
+				ii := (s.ab - lvl[len(lvl)-2]>>11) >> 63
+				jj := (s.aNorm + s.cStep&-ii - lvl[len(lvl)-1]>>11) >> 63
+				u = u<<1 | ii
+				v = v<<1 | jj
+			}
+			if perm != nil {
+				u, v = perm[u], perm[v]
+			}
+			us[e], vs[e] = u, v
+		}
+		us, vs = us[n:], vs[n:]
+	}
 }
 
 // Generate produces the complete edge list for cfg serially.
@@ -148,14 +181,8 @@ func Generate(cfg Config) (*edge.List, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := cfg.M()
-	l := edge.Make(int(m))
-	g := xrand.NewSeeded(cfg.Seed, 0)
-	s := newSampler(cfg)
-	for i := uint64(0); i < m; i++ {
-		u, v := s.edgeBits(g, cfg.Scale)
-		l.Set(int(i), u, v)
-	}
+	l := edge.Make(int(cfg.M()))
+	newSampler(cfg).sample(xrand.NewSeeded(cfg.Seed, 0), l.U, l.V, labels(cfg))
 	finish(cfg, l)
 	return l, nil
 }
@@ -177,6 +204,7 @@ func GenerateParallel(cfg Config, workers int) (*edge.List, error) {
 	}
 	l := edge.Make(m)
 	s := newSampler(cfg)
+	perm := labels(cfg)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * m / workers
@@ -184,11 +212,7 @@ func GenerateParallel(cfg Config, workers int) (*edge.List, error) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			g := xrand.NewSeeded(cfg.Seed, uint64(w)+1)
-			for i := lo; i < hi; i++ {
-				u, v := s.edgeBits(g, cfg.Scale)
-				l.Set(i, u, v)
-			}
+			s.sample(xrand.NewSeeded(cfg.Seed, uint64(w)+1), l.U[lo:hi], l.V[lo:hi], perm)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -196,15 +220,21 @@ func GenerateParallel(cfg Config, workers int) (*edge.List, error) {
 	return l, nil
 }
 
-// finish applies the Graph500 label permutation and edge shuffle.
-func finish(cfg Config, l *edge.List) {
+// labels returns the Graph500 vertex relabelling of cfg — vertex x is
+// emitted as labels[x] — or nil when cfg skips the permutation.
+func labels(cfg Config) []uint64 {
 	if cfg.SkipPermutation {
-		return
+		return nil
 	}
-	pg := xrand.NewSeeded(cfg.Seed, permStream)
-	perm := pg.Perm(int(cfg.N()))
-	l.RelabelVertices(perm)
-	l.Shuffle(xrand.NewSeeded(cfg.Seed, shuffleStream))
+	return xrand.NewSeeded(cfg.Seed, permStream).Perm(int(cfg.N()))
+}
+
+// finish applies the Graph500 edge shuffle to a list sampled through
+// labels(cfg).
+func finish(cfg Config, l *edge.List) {
+	if !cfg.SkipPermutation {
+		l.Shuffle(xrand.NewSeeded(cfg.Seed, shuffleStream))
+	}
 }
 
 // Reserved stream indices for the finishing steps, far from worker streams.
@@ -212,6 +242,10 @@ const (
 	permStream    = 1<<63 + 1
 	shuffleStream = 1<<63 + 2
 )
+
+// generateToBatch is the number of edges GenerateTo samples between
+// hand-offs to its sink.
+const generateToBatch = 4096
 
 // GenerateTo streams the edges of cfg directly into sink without
 // materializing the full edge list, the entry point for the out-of-core
@@ -224,21 +258,17 @@ func GenerateTo(cfg Config, sink fastio.EdgeSink) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	var perm []uint64
-	if !cfg.SkipPermutation {
-		perm = xrand.NewSeeded(cfg.Seed, permStream).Perm(int(cfg.N()))
-	}
+	perm := labels(cfg)
 	g := xrand.NewSeeded(cfg.Seed, 0)
 	s := newSampler(cfg)
-	m := cfg.M()
-	for i := uint64(0); i < m; i++ {
-		u, v := s.edgeBits(g, cfg.Scale)
-		if perm != nil {
-			u, v = perm[u], perm[v]
-		}
-		if err := sink.WriteEdge(u, v); err != nil {
+	batch := edge.Make(generateToBatch)
+	for left := cfg.M(); left > 0; {
+		n := int(min(left, generateToBatch))
+		s.sample(g, batch.U[:n], batch.V[:n], perm)
+		if err := fastio.WriteEdges(sink, batch, 0, n); err != nil {
 			return err
 		}
+		left -= uint64(n)
 	}
 	return sink.Flush()
 }

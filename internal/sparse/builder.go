@@ -47,16 +47,7 @@ func (b *SortedBuilder) flushRow() {
 		return
 	}
 	sortUint32(b.staging)
-	for k := 0; k < len(b.staging); {
-		c := b.staging[k]
-		cnt := 1
-		for k+cnt < len(b.staging) && b.staging[k+cnt] == c {
-			cnt++
-		}
-		b.cols = append(b.cols, c)
-		b.vals = append(b.vals, float64(cnt))
-		k += cnt
-	}
+	b.cols, b.vals = appendRuns(b.cols, b.vals, b.staging)
 	b.rowPtr[b.curRow+1] = int64(len(b.cols))
 	b.staging = b.staging[:0]
 }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -139,24 +140,27 @@ func FromEdges(l *edge.List, n int) (*CSR, error) {
 
 // FromSortedEdges builds the counting adjacency matrix from an edge list
 // already sorted by start vertex (kernel 1's postcondition), skipping the
-// scatter pass.
+// scatter pass.  One pass over the list checks order and range and counts
+// the rows.
 func FromSortedEdges(l *edge.List, n int) (*CSR, error) {
 	if err := checkDim(n); err != nil {
 		return nil, err
 	}
-	if !l.IsSortedByU() {
-		return nil, fmt.Errorf("sparse: FromSortedEdges input is not sorted by start vertex")
-	}
-	m := l.Len()
 	rowPtr := make([]int64, n+1)
-	cols := make([]uint32, m)
-	for i := 0; i < m; i++ {
-		u, v := l.U[i], l.V[i]
+	cols := make([]uint32, l.Len())
+	vs := l.V[:len(l.U)]
+	var prev uint64
+	for i, u := range l.U {
+		v := vs[i]
+		if u < prev {
+			return nil, fmt.Errorf("sparse: FromSortedEdges input is not sorted by start vertex")
+		}
 		if u >= uint64(n) || v >= uint64(n) {
 			return nil, fmt.Errorf("sparse: edge (%d,%d) out of range N=%d", u, v, n)
 		}
 		rowPtr[u+1]++
 		cols[i] = uint32(v)
+		prev = u
 	}
 	for i := 0; i < n; i++ {
 		rowPtr[i+1] += rowPtr[i]
@@ -173,34 +177,49 @@ func checkDim(n int) error {
 
 // compressRows sorts each row bucket of cols, accumulates duplicates into
 // counts, and assembles the final CSR.  rowPtr delimits the uncompressed
-// buckets and is consumed.
+// buckets; cols is consumed as scratch.  The first pass sorts the buckets
+// and counts their distinct columns, so that Col and Val are allocated
+// once, at exactly NNZ entries: a matrix costs the same handful of
+// allocations whatever its size (the caller's two, and four here).
 func compressRows(n int, rowPtr []int64, cols []uint32) *CSR {
-	outPtr := make([]int64, n+1)
-	outCols := cols[:0] // compact in place: writes never overtake reads
-	vals := make([]float64, 0, len(cols))
-	w := int64(0)
+	distinct := make([]int64, n+1) // distinct[i+1]: row i, then the running sum
 	for i := 0; i < n; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		row := cols[lo:hi]
+		row := cols[rowPtr[i]:rowPtr[i+1]]
 		sortUint32(row)
-		for k := 0; k < len(row); {
-			c := row[k]
-			cnt := 1
-			for k+cnt < len(row) && row[k+cnt] == c {
-				cnt++
+		d := int64(0)
+		for k, c := range row {
+			if k == 0 || c != row[k-1] {
+				d++
 			}
-			outCols = append(outCols[:w], c)
-			vals = append(vals, float64(cnt))
-			w++
-			k += cnt
 		}
-		outPtr[i+1] = w
+		distinct[i+1] = distinct[i] + d
 	}
-	return &CSR{N: n, RowPtr: outPtr, Col: outCols[:w], Val: vals}
+	nnz := distinct[n]
+	a := &CSR{N: n, RowPtr: distinct, Col: make([]uint32, 0, nnz), Val: make([]float64, 0, nnz)}
+	for i := 0; i < n; i++ {
+		a.Col, a.Val = appendRuns(a.Col, a.Val, cols[rowPtr[i]:rowPtr[i+1]])
+	}
+	return a
+}
+
+// appendRuns appends one entry per run of equal columns in the sorted row
+// — the column to col, the run's length to val — and returns both.
+func appendRuns(col []uint32, val []float64, row []uint32) ([]uint32, []float64) {
+	for k := 0; k < len(row); {
+		c := row[k]
+		cnt := 1
+		for k+cnt < len(row) && row[k+cnt] == c {
+			cnt++
+		}
+		col = append(col, c)
+		val = append(val, float64(cnt))
+		k += cnt
+	}
+	return col, val
 }
 
 // sortUint32 sorts small uint32 slices; insertion sort below a threshold,
-// sort.Slice above it.  Row lengths in Kronecker graphs are mostly tiny
+// slices.Sort above it.  Row lengths in Kronecker graphs are mostly tiny
 // with a few huge hub rows, so both paths matter.
 func sortUint32(s []uint32) {
 	if len(s) < 24 {
@@ -215,7 +234,7 @@ func sortUint32(s []uint32) {
 		}
 		return
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 }
 
 // FromTriplets builds a CSR from explicit (row, col, val) triplets,

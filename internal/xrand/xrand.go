@@ -9,7 +9,10 @@
 // deterministic stream derivation via the xoshiro jump functions.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // golden is the 64-bit golden-ratio increment used by SplitMix64.
 const golden = 0x9e3779b97f4a7c15
@@ -105,6 +108,24 @@ func (g *Xoshiro256) Next() uint64 {
 	return result
 }
 
+// Fill sets dst to the next len(dst) values of the sequence, exactly as
+// that many calls of Next would, but with the state held in registers for
+// the whole batch — the form kernel 0's sampler draws its words in.
+func (g *Xoshiro256) Fill(dst []uint64) {
+	s0, s1, s2, s3 := g.s[0], g.s[1], g.s[2], g.s[3]
+	for i := range dst {
+		dst[i] = rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	g.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Uint64 returns the next value; it is an alias for Next matching the
 // math/rand/v2 Source interface shape.
 func (g *Xoshiro256) Uint64() uint64 { return g.Next() }
@@ -160,19 +181,7 @@ func (g *Xoshiro256) NormFloat64() float64 {
 }
 
 // mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
-}
+func mul64(x, y uint64) (hi, lo uint64) { return bits.Mul64(x, y) }
 
 // jumpPoly and longJumpPoly are the polynomials from the reference
 // implementation of xoshiro256**.

@@ -51,6 +51,24 @@ func TestXoshiroDeterminism(t *testing.T) {
 	}
 }
 
+// TestFillMatchesNext: Fill is Next in a loop — same values, and the same
+// generator state afterwards, for batches of any length (none included).
+func TestFillMatchesNext(t *testing.T) {
+	a, b := New(42), New(42)
+	for _, n := range []int{0, 1, 2, 31, 32, 2048, 5} {
+		got := make([]uint64, n)
+		a.Fill(got)
+		for i, x := range got {
+			if y := b.Next(); x != y {
+				t.Fatalf("batch of %d: word %d is %#x, Next gives %#x", n, i, x, y)
+			}
+		}
+	}
+	if x, y := a.Next(), b.Next(); x != y {
+		t.Fatalf("after Fill the generators diverge: %#x vs %#x", x, y)
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	g := New(7)
 	for i := 0; i < 100000; i++ {
