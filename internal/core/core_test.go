@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/kronecker"
@@ -113,5 +115,38 @@ func TestConfigDistModeValidated(t *testing.T) {
 	}
 	if err := (Config{Scale: 6, Variant: "distgo", DistMode: "sim"}).Validate(); err != nil {
 		t.Errorf("valid DistMode rejected: %v", err)
+	}
+}
+
+// TestWarmRunsShareOneTranspose: the gather variants that take part in
+// the matrix stage read Aᵀ from the staged cache, so warm runs of one
+// matrix transpose it once — the first hit builds and charges the shared
+// copy, later hits add nothing — and never once per run.
+func TestWarmRunsShareOneTranspose(t *testing.T) {
+	for _, variant := range []string{"csr", "extsort"} {
+		svc := NewService()
+		ctx := context.Background()
+		cfg := Config{Scale: 8, Seed: 7, Variant: variant, KeepRank: true}
+		cold, err := svc.Run(ctx, cfg)
+		if err != nil {
+			t.Fatalf("%s cold: %v", variant, err)
+		}
+		matrix := svc.Stats().CacheMatrix.Bytes
+		transpose := int64(1<<cfg.Scale+1)*8 + int64(cold.NNZ)*12
+		for i := 1; i <= 3; i++ {
+			warm, err := svc.Run(ctx, cfg)
+			if err != nil {
+				t.Fatalf("%s warm %d: %v", variant, i, err)
+			}
+			if warm.Cache == nil || warm.Cache.Matrix.Hits != 1 {
+				t.Fatalf("%s warm %d: Cache = %+v, want a matrix hit", variant, i, warm.Cache)
+			}
+			sameBits(t, fmt.Sprintf("%s warm %d vs cold", variant, i), cold.Rank, warm.Rank)
+			if got := svc.Stats().CacheMatrix.Bytes; got != matrix+transpose {
+				t.Fatalf("%s warm %d: %d resident matrix-stage bytes, want matrix %d + one shared transpose %d",
+					variant, i, got, matrix, transpose)
+			}
+		}
+		svc.Close()
 	}
 }

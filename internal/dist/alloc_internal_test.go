@@ -9,6 +9,7 @@ package dist
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/kronecker"
@@ -74,6 +75,53 @@ func TestHybridMatchesSerialBlockVxM(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBlockVxMMatchesNaiveScatter holds block.vxm to the loop it
+// replaced, bit for bit: every rank's block of a filtered Kronecker
+// matrix and an empty block, with zero, negative-zero, infinite and NaN
+// entries in r.
+func TestBlockVxMMatchesNaiveScatter(t *testing.T) {
+	naive := func(b *block, out, r []float64) {
+		for i := range out {
+			out[i] = 0
+		}
+		for i := 0; i < b.rows(); i++ {
+			ri := r[b.lo+i]
+			if ri == 0 {
+				continue
+			}
+			for k := b.rowPtr[i]; k < b.rowPtr[i+1]; k++ {
+				out[b.col[k]] += ri * b.val[k]
+			}
+		}
+	}
+	check := func(name string, b *block, r []float64) {
+		t.Helper()
+		want, got := make([]float64, b.n), make([]float64, b.n)
+		for i := range got {
+			got[i] = -1 // stale values must be zeroed
+		}
+		naive(b, want, r)
+		b.vxm(got, r)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: out[%d] = %v, naive scatter %v", name, j, got[j], want[j])
+			}
+		}
+	}
+	for rank := 0; rank < 3; rank++ {
+		st, n := testBlock(t, 3, rank)
+		r := make([]float64, n)
+		for i := range r {
+			r[i] = float64(i%7)/3 - 1 // zeros included
+		}
+		check("plain", st.blk, r)
+		lo := st.blk.lo
+		r[lo], r[lo+1], r[lo+2], r[lo+3] = math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()
+		check("special values", st.blk, r)
+	}
+	check("empty block", &block{lo: 5, hi: 5, n: 8, rowPtr: []int64{0}}, make([]float64, 8))
 }
 
 func TestCollectiveRoundTripZeroAllocs(t *testing.T) {

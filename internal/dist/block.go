@@ -213,17 +213,21 @@ func (b *block) scaleRows(dout []float64) {
 // is zeroed first, and contributions scatter to arbitrary columns.  The
 // loop order matches the serial scatter engine's, so summing the p block
 // partials in rank order reproduces its floating-point association.
+// Each row is taken as col/val sub-slices, as sparse.MxVRange takes its
+// rows, so only the data-dependent out[col] is bounds-checked.
 func (b *block) vxm(out, r []float64) {
 	for i := range out {
 		out[i] = 0
 	}
-	for i := 0; i < b.rows(); i++ {
-		ri := r[b.lo+i]
+	rowPtr, col, val := b.rowPtr, b.col, b.val
+	for i, ri := range r[b.lo:b.hi] {
 		if ri == 0 {
 			continue
 		}
-		for k := b.rowPtr[i]; k < b.rowPtr[i+1]; k++ {
-			out[b.col[k]] += ri * b.val[k]
+		c, v := col[rowPtr[i]:rowPtr[i+1]], val[rowPtr[i]:rowPtr[i+1]]
+		v = v[:len(c)]
+		for k, ck := range c {
+			out[ck] += float64(ri * v[k]) // rounded before the add: no FMA (DESIGN.md §4)
 		}
 	}
 }

@@ -25,6 +25,14 @@ import (
 // frames (a resident session between jobs) for as long as it likes.
 const DefaultIOTimeout = 5 * time.Minute
 
+// sockBufBytes is the kernel send and receive buffer asked for on every
+// fabric connection (the kernel clamps it to its own maximum).  A vector
+// frame of up to 2^17 floats then leaves in one write: the sender does
+// not stall at the default ~200 KiB until the receiving process has been
+// scheduled to drain it, which on a host with as many cores as ranks was
+// several sleep/wake round trips per all-reduce.
+const sockBufBytes = 1 << 20
+
 // Counters is a point-in-time snapshot of a Stats set.
 type Counters struct {
 	// DataBytes are payload bytes of the metered data plane — vector,
@@ -111,6 +119,13 @@ type Link struct {
 func NewLink(conn net.Conn, timeout time.Duration, st *Stats) *Link {
 	if timeout == 0 {
 		timeout = DefaultIOTimeout
+	}
+	if c, ok := conn.(interface {
+		SetReadBuffer(bytes int) error
+		SetWriteBuffer(bytes int) error
+	}); ok { // unix and tcp conns; best effort, a refusal only costs time
+		_ = c.SetReadBuffer(sockBufBytes)
+		_ = c.SetWriteBuffer(sockBufBytes)
 	}
 	return &Link{
 		conn:    conn,

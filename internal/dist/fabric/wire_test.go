@@ -9,6 +9,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -409,5 +411,52 @@ func TestLinkIdleIsNotStalled(t *testing.T) {
 	w2.Close()
 	if _, _, err := r2.ReadFrame(); !errors.Is(err, io.EOF) {
 		t.Fatalf("closed between frames: err = %v, want io.EOF", err)
+	}
+}
+
+// TestLinkVecFrameNeedsNoReader pins the socket buffer sizing: a vector
+// frame of 2^16 floats — the all-reduce payload of a scale-16 run — is
+// accepted by the kernel whole, with nobody reading, so a sender never
+// waits for the receiving process to be scheduled mid-frame.
+func TestLinkVecFrameNeedsNoReader(t *testing.T) {
+	const n = 1 << 16
+	if b, err := os.ReadFile("/proc/sys/net/core/wmem_max"); err != nil {
+		t.Skip("no wmem_max to read:", err)
+	} else if max, _ := strconv.Atoi(strings.TrimSpace(string(b))); max < 8*n+HeaderSize {
+		t.Skipf("kernel caps send buffers at %d bytes", max)
+	}
+	path := filepath.Join(t.TempDir(), "l.sock")
+	ln, err := Listen("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var st Stats
+	w, err := Dial("unix", path, time.Second, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewLink(conn, time.Second, &st)
+	defer r.Close()
+
+	vec := make([]float64, n)
+	for i := range vec {
+		vec[i] = float64(i)
+	}
+	if err := w.WriteVec(0, 1, vec); err != nil {
+		t.Fatalf("writing a %d-float frame with no reader: %v", n, err)
+	}
+	h, payload, err := r.ReadFrame()
+	if err != nil || h.Type != FrameVec {
+		t.Fatalf("reading it back: %+v, %v", h, err)
+	}
+	got := make([]float64, n)
+	if err := DecodeVec(payload, got); err != nil || !equal(got, vec) {
+		t.Fatalf("frame did not round-trip: %v", err)
 	}
 }

@@ -140,7 +140,7 @@ func (t *blockCSC) gatherRange(out, r []float64, jlo, jhi, clo, chi int) {
 			if ri == 0 {
 				continue
 			}
-			s += ri * t.val[k]
+			s += float64(ri * t.val[k]) // rounded before the add: no FMA (DESIGN.md §4)
 		}
 		out[c] = s
 		j = c + 1

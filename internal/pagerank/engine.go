@@ -105,7 +105,9 @@ func (e *Engine) Rank() []float64 { return e.r }
 // difference between the new and previous iterates when a tolerance is
 // configured (0 otherwise — the fixed-iteration benchmark mode skips the
 // comparison).  It does not enforce the iteration cap; Run does.
-// Iterate itself performs no heap allocations.
+// Iterate itself performs no heap allocations.  The float64 conversions
+// round every product before it is added, so FMA architectures compute
+// the bits amd64 does (DESIGN.md §4).
 func (e *Engine) Iterate() float64 {
 	sumR := sparse.Sum(e.r)
 	e.step(e.next, e.r)
@@ -119,12 +121,12 @@ func (e *Engine) Iterate() float64 {
 	case e.teleport == nil && e.policy != DanglingTeleport:
 		// Uniform teleport, uniform (or no) dangling redistribution:
 		// a single scalar addend, the benchmark fast path.
-		addend := teleMass * e.uniform
+		addend := float64(teleMass * e.uniform)
 		if e.policy == DanglingUniform {
-			addend += e.c * dangle * e.uniform
+			addend += float64(e.c * dangle * e.uniform)
 		}
 		for j := range next {
-			next[j] = e.c*next[j] + addend
+			next[j] = float64(e.c*next[j]) + addend
 		}
 	default:
 		v := e.teleport
@@ -133,12 +135,12 @@ func (e *Engine) Iterate() float64 {
 			if v != nil {
 				vj = v[j]
 			}
-			x := e.c*next[j] + teleMass*vj
+			x := float64(e.c*next[j]) + float64(teleMass*vj)
 			switch e.policy {
 			case DanglingUniform:
-				x += e.c * dangle * e.uniform
+				x += float64(e.c * dangle * e.uniform)
 			case DanglingTeleport:
-				x += e.c * dangle * vj
+				x += float64(e.c * dangle * vj)
 			}
 			next[j] = x
 		}
@@ -205,8 +207,15 @@ func (e *Engine) RunContextAfter(ctx context.Context, after func(it int, r []flo
 }
 
 // newMaskedEngine builds an engine whose dangling mass is a scan of the
-// given row mask — the serial engines' shared construction.
-func newMaskedEngine(n int, step func(out, r []float64), dangling []bool, opt Options) (*Engine, error) {
+// row mask — the serial engines' shared construction.  mask is called
+// only under an active dangling policy: Iterate never reads the mask
+// under DanglingIgnore, so the benchmark definition pays neither the pass
+// over the matrix that derives it nor its N-sized allocations.
+func newMaskedEngine(n int, step func(out, r []float64), mask func() []bool, opt Options) (*Engine, error) {
+	var dangling []bool
+	if opt.policy() != DanglingIgnore {
+		dangling = mask()
+	}
 	return NewEngine(n, step, func(r []float64) float64 {
 		var m float64
 		for i, d := range dangling {

@@ -5,7 +5,10 @@ package pagerank
 // pins the hybrid runtime's allocation budget rests on (DESIGN.md §7).
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/edge"
@@ -191,5 +194,116 @@ func BenchmarkParallelEngineIterate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pe.Engine().Iterate()
+	}
+}
+
+// rankHash folds a rank vector's bits into one comparable number.
+func rankHash(r []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range r {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestEngineRanksGolden pins the rank bits of every engine under every
+// dangling policy to hashes taken before the gather kernel was rewritten,
+// the dangling mask made lazy and the products explicitly rounded: none
+// of the three may move a bit on amd64, and on FMA architectures the
+// roundings are what keep these hashes true.  (Scatter and gather share
+// a hash: both add a column's products in ascending row order.)
+func TestEngineRanksGolden(t *testing.T) {
+	a := filteredMatrix(t, 24, 1024, 6000)
+	v := make([]float64, a.N)
+	for i := range v {
+		v[i] = float64(i+1) * 2 / float64(a.N*(a.N+1))
+	}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		want uint64
+	}{
+		{"ignore", Options{Seed: 5}, 0xf82be4703cf6f273},
+		{"uniform", Options{Seed: 5, Policy: DanglingUniform}, 0x9ca3507ecbac30c3},
+		{"uniform, personalized", Options{Seed: 5, Policy: DanglingUniform, Teleport: v}, 0x31cdf2f53610d140},
+		{"teleport", Options{Seed: 5, Policy: DanglingTeleport, Teleport: v}, 0x08f3e0bd16d88dd3},
+	} {
+		tc.opt.Workers = 3
+		for engine, run := range map[string]func(*sparse.CSR, Options) (*Result, error){
+			"scatter": Scatter, "gather": Gather, "parallel": Parallel,
+		} {
+			res, err := run(a, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rankHash(res.Rank); got != tc.want {
+				t.Errorf("%s, %s: rank hash %#x, want %#x", tc.name, engine, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestIgnorePolicyBuildsNoDanglingMask: under the benchmark's
+// DanglingIgnore policy Iterate never reads the dangling mask, so
+// constructing an engine must not derive it — no pass over the matrix, no
+// N-sized mask or degree vector.  The only N-sized allocations left are
+// the engine's two rank vectors.
+func TestIgnorePolicyBuildsNoDanglingMask(t *testing.T) {
+	a := engineTestMatrix(t, 6, 1<<16, 1<<14)
+	at := a.Transpose()
+	vectors := uint64(2 * 8 * a.N)
+	constructed := func(opt Options) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewGatherEngineWith(a, at, opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// The mask is N bytes and the degree vector 8·N; half a mask of slack
+	// covers the engine struct and closures.
+	if got := constructed(Options{}); got > vectors+uint64(a.N)/2 {
+		t.Errorf("DanglingIgnore construction allocated %d bytes, want only the two rank vectors (%d)", got, vectors)
+	}
+	if got := constructed(Options{Policy: DanglingUniform}); got < vectors+uint64(a.N) {
+		t.Errorf("DanglingUniform construction allocated %d bytes: no mask was built, the measurement is blind", got)
+	}
+}
+
+// TestWorkersDefaultIsGOMAXPROCS pins Options.Workers <= 0 to its
+// documented meaning — the team is as wide as GOMAXPROCS, serial on one
+// processor — and the ranks to the serial gather's bits whatever the
+// default resolves to (TestParallelEqualsGatherBitForBit covers the
+// explicit counts).
+func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	a := engineTestMatrix(t, 3, 1<<13, 1<<10)
+	opt := Options{Seed: 7, Iterations: 8, Dangling: true}
+	want, err := Gather(a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		if w0, wNeg, w5 := workersOr(0), workersOr(-1), workersOr(5); w0 != procs || wNeg != procs || w5 != 5 {
+			t.Fatalf("GOMAXPROCS=%d: workersOr(0, -1, 5) = %d, %d, %d", procs, w0, wNeg, w5)
+		}
+		pe, err := NewParallelEngine(a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (pe.team == nil) != (procs == 1) {
+			t.Errorf("GOMAXPROCS=%d: worker team present = %v", procs, pe.team != nil)
+		}
+		got := pe.Run()
+		pe.Close()
+		for i := range want.Rank {
+			if got.Rank[i] != want.Rank[i] {
+				t.Fatalf("GOMAXPROCS=%d: rank[%d] = %v, Gather %v", procs, i, got.Rank[i], want.Rank[i])
+			}
+		}
 	}
 }

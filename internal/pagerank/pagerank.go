@@ -3,6 +3,7 @@ package pagerank
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/graphblas"
 	"repro/internal/sparse"
@@ -187,7 +188,7 @@ func initVectorInto(r []float64, seed uint64) {
 	g := xrand.NewSeeded(seed, 0x70617261) // distinct stream tag
 	var sum float64
 	for i := range r {
-		r[i] = g.Float64()
+		r[i] = float64(g.Float64()) // an inlined product: rounded before the add
 		sum += r[i]
 	}
 	inv := 1 / sum
@@ -196,27 +197,16 @@ func initVectorInto(r []float64, seed uint64) {
 	}
 }
 
-// stepFunc evaluates out = r·A for the engine's matrix representation.
-type stepFunc func(out, r []float64)
-
-// danglingMask returns which rows of a carry no outgoing mass.
-func danglingMask(a *sparse.CSR) []bool {
-	mask := make([]bool, a.N)
-	dout := a.OutDegrees()
-	for i, d := range dout {
-		mask[i] = d == 0
+// danglingMask returns the deferred computation of which rows of a carry
+// no outgoing mass; newMaskedEngine runs it only when a policy reads it.
+func danglingMask(a *sparse.CSR) func() []bool {
+	return func() []bool {
+		mask := make([]bool, a.N)
+		for i, d := range a.OutDegrees() {
+			mask[i] = d == 0
+		}
+		return mask
 	}
-	return mask
-}
-
-// run adapts a dangling mask to the shared iteration engine, used by the
-// serial engines.
-func run(n int, step stepFunc, dangling []bool, opt Options) (*Result, error) {
-	e, err := newMaskedEngine(n, step, dangling, opt)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(), nil
 }
 
 // RunCustom is the shared iteration driver.  Each iteration computes
@@ -248,14 +238,21 @@ func RunCustom(n int, step func(out, r []float64), dangleMass func(r []float64) 
 // Scatter runs PageRank with the CSR scatter engine: each stored entry
 // A(i,j) contributes r[i]·A(i,j) to out[j] in row-major order.
 func Scatter(a *sparse.CSR, opt Options) (*Result, error) {
-	return run(a.N, a.VxM, danglingMask(a), opt)
+	e, err := NewScatterEngine(a, opt)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(), nil
 }
 
 // Gather runs PageRank with the gather engine: A is transposed once and
 // the product r·A becomes the cache-friendlier Aᵀ·r.
 func Gather(a *sparse.CSR, opt Options) (*Result, error) {
-	at := a.Transpose()
-	return run(a.N, func(out, r []float64) { at.MxV(out, r) }, danglingMask(a), opt)
+	e, err := NewGatherEngine(a, opt)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(), nil
 }
 
 // Parallel runs PageRank with the row-partitioned parallel gather engine:
@@ -273,9 +270,10 @@ func Parallel(a *sparse.CSR, opt Options) (*Result, error) {
 	return pe.Run(), nil
 }
 
+// workersOr resolves Options.Workers: <= 0 means GOMAXPROCS.
 func workersOr(w int) int {
 	if w <= 0 {
-		return 4
+		return runtime.GOMAXPROCS(0)
 	}
 	return w
 }
@@ -295,9 +293,12 @@ func GraphBLAS(m *graphblas.Matrix[float64], opt Options) (*Result, error) {
 // the generic representation too.
 func NewGraphBLASEngine(m *graphblas.Matrix[float64], opt Options) (*Engine, error) {
 	n := m.Dim()
-	dangling := make([]bool, n)
-	for i, s := range m.ReduceRows(graphblas.PlusFloat64) {
-		dangling[i] = s == 0
+	dangling := func() []bool {
+		mask := make([]bool, n)
+		for i, s := range m.ReduceRows(graphblas.PlusFloat64) {
+			mask[i] = s == 0
+		}
+		return mask
 	}
 	step := func(out, r []float64) {
 		if err := graphblas.VxM(out, r, m, graphblas.PlusTimesFloat64); err != nil {
@@ -364,7 +365,7 @@ func DominantEigenvector(a *sparse.CSR, opt EigenOptions) ([]float64, error) {
 			}
 			row := dense[i]
 			for j := 0; j < n; j++ {
-				next[j] += xi * row[j]
+				next[j] += float64(xi * row[j])
 			}
 		}
 		norm := sparse.Norm1(next)

@@ -173,7 +173,7 @@ func (extsortVariant) Kernel2(r *Run) error {
 
 // Kernel3 implements Variant.
 func (extsortVariant) Kernel3(r *Run) error {
-	eng, err := pagerank.NewGatherEngine(r.Matrix, r.Cfg.PageRank)
+	eng, err := pagerank.NewGatherEngineWith(r.Matrix, r.Transposed(), r.Cfg.PageRank)
 	if err != nil {
 		return err
 	}

@@ -460,7 +460,7 @@ func (a *CSR) VxM(out, r []float64) {
 			continue
 		}
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			out[a.Col[k]] += ri * a.Val[k]
+			out[a.Col[k]] += float64(ri * a.Val[k])
 		}
 	}
 }
@@ -468,26 +468,49 @@ func (a *CSR) VxM(out, r []float64) {
 // MxV computes out = A·x (matrix times column vector) with the gather
 // formulation: out[i] = Σ_k A(i,k)·x[k].  Applied to Aᵀ this evaluates
 // r·A by gathering, the cache-friendly alternative to VxM's scattering.
-func (a *CSR) MxV(out, x []float64) {
-	for i := 0; i < a.N; i++ {
-		var s float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Val[k] * x[a.Col[k]]
-		}
-		out[i] = s
-	}
-}
+func (a *CSR) MxV(out, x []float64) { a.MxVRange(out, x, 0, a.N) }
 
 // MxVRange computes the rows [lo, hi) of out = A·x — the gather product
 // restricted to a contiguous row range.  Each output element depends only
 // on its own row, so disjoint ranges may be computed concurrently with no
 // coordination and no effect on the result's bits; this is the primitive
 // the persistent worker teams of pagerank and dist partition over.
+//
+// This is the one gather loop (DESIGN.md §7).  Every row is a single
+// accumulator receiving its products in ascending-k order — that addition
+// sequence is the bit-for-bit contract.  Loading and multiplying a group
+// of entries before adding them changes which loads are in flight, not
+// the order of the adds; the float64 conversions keep the products from
+// being fused into the adds on FMA architectures (DESIGN.md §4).
 func (a *CSR) MxVRange(out, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	if lo >= hi {
+		return
+	}
+	rowPtr, col, val := a.RowPtr[lo:hi+1], a.Col, a.Val
+	out = out[lo:hi]
+	k := rowPtr[0]
+	for i := range out {
+		e := rowPtr[i+1]
+		c, v := col[k:e], val[k:e]
+		k = e
 		var s float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Val[k] * x[a.Col[k]]
+		// len(v) == len(c); testing both lets the compiler drop every
+		// bounds check in the group but the data-dependent x[c[·]].
+		for len(c) >= 8 && len(v) >= 8 {
+			p0 := float64(v[0] * x[c[0]])
+			p1 := float64(v[1] * x[c[1]])
+			p2 := float64(v[2] * x[c[2]])
+			p3 := float64(v[3] * x[c[3]])
+			p4 := float64(v[4] * x[c[4]])
+			p5 := float64(v[5] * x[c[5]])
+			p6 := float64(v[6] * x[c[6]])
+			p7 := float64(v[7] * x[c[7]])
+			s = s + p0 + p1 + p2 + p3 + p4 + p5 + p6 + p7
+			c, v = c[8:], v[8:]
+		}
+		v = v[:len(c)]
+		for j, cj := range c {
+			s += float64(v[j] * x[cj])
 		}
 		out[i] = s
 	}
@@ -588,7 +611,7 @@ func (a *CSR) ParallelVxMWith(out, r []float64, workers int, s *VxMScratch) {
 					continue
 				}
 				for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-					acc[a.Col[k]] += ri * a.Val[k]
+					acc[a.Col[k]] += float64(ri * a.Val[k])
 				}
 			}
 		}(w, lo, hi)
