@@ -59,7 +59,7 @@ func prepare(b *testing.B, cfg pipeline.Config, kernels []pipeline.Kernel) pipel
 	b.Helper()
 	cfg.FS = vfs.NewMem()
 	if len(kernels) > 0 {
-		if _, err := pipeline.ExecuteKernels(cfg, kernels); err != nil {
+		if _, err := pipeline.ExecuteKernelsContext(context.Background(), cfg, kernels); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func BenchmarkFigure4Kernel0(b *testing.B) {
 				cfg := prepare(b, benchCfg(v, s), nil)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := pipeline.ExecuteKernels(cfg, []pipeline.Kernel{pipeline.K0Generate}); err != nil {
+					if _, err := pipeline.ExecuteKernelsContext(context.Background(), cfg, []pipeline.Kernel{pipeline.K0Generate}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -124,7 +124,7 @@ func BenchmarkFigure5Kernel1(b *testing.B) {
 				cfg := prepare(b, benchCfg(v, s), []pipeline.Kernel{pipeline.K0Generate})
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := pipeline.ExecuteKernels(cfg, []pipeline.Kernel{pipeline.K1Sort}); err != nil {
+					if _, err := pipeline.ExecuteKernelsContext(context.Background(), cfg, []pipeline.Kernel{pipeline.K1Sort}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -141,7 +141,7 @@ func BenchmarkFigure6Kernel2(b *testing.B) {
 				cfg := prepare(b, benchCfg(v, s), []pipeline.Kernel{pipeline.K0Generate, pipeline.K1Sort})
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := pipeline.ExecuteKernels(cfg, []pipeline.Kernel{pipeline.K2Filter}); err != nil {
+					if _, err := pipeline.ExecuteKernelsContext(context.Background(), cfg, []pipeline.Kernel{pipeline.K2Filter}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -315,7 +315,7 @@ func BenchmarkAblationEdgeFormats(b *testing.B) {
 			cfg = prepare(b, cfg, []pipeline.Kernel{pipeline.K0Generate})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pipeline.ExecuteKernels(cfg, []pipeline.Kernel{pipeline.K1Sort}); err != nil {
+				if _, err := pipeline.ExecuteKernelsContext(context.Background(), cfg, []pipeline.Kernel{pipeline.K1Sort}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -395,11 +395,13 @@ func BenchmarkAblationDistributedProcs(b *testing.B) {
 		b.Run(fmt.Sprintf("procs=%d", p), func(b *testing.B) {
 			var comm dist.CommStats
 			for i := 0; i < b.N; i++ {
-				res, err := dist.Run(l, n, p, pagerank.Options{Seed: 1})
+				out, err := dist.Execute(context.Background(), dist.Spec{
+					Op: dist.OpRun, Edges: l, N: n, Procs: p, PageRank: pagerank.Options{Seed: 1},
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				comm = res.Comm
+				comm = out.Run.Comm
 			}
 			reportEdges(b, 20*uint64(l.Len()))
 			b.ReportMetric(float64(comm.AllReduceBytes+comm.BroadcastBytes)/1e6, "commMB")
@@ -417,17 +419,21 @@ func BenchmarkAblationHybridRankWorkers(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := 1 << 13
-	built, err := dist.BuildFiltered(l, n, 1)
+	out, err := dist.Execute(context.Background(), dist.Spec{Op: dist.OpBuildFiltered, Edges: l, N: n, Procs: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	built := out.Build
 	for _, p := range []int{1, 4} {
 		for _, w := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("procs=%d/workers=%d", p, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					cfg := dist.Config{Mode: dist.ExecGoroutine, Workers: w}
-					if _, err := dist.RunMatrixCfg(cfg, built.Matrix, p, pagerank.Options{Seed: 1}); err != nil {
+					_, err := dist.Execute(context.Background(), dist.Spec{
+						Config: dist.Config{Mode: dist.ExecGoroutine, Workers: w},
+						Op:     dist.OpRunMatrix, Matrix: built.Matrix, Procs: p, PageRank: pagerank.Options{Seed: 1},
+					})
+					if err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -555,7 +555,7 @@ func runSweep(ctx context.Context, minScale, maxScale, edgeFactor int, seed uint
 	// The figure sweep measures kernel 0 per variant, so its service
 	// runs with the generator cache disabled: a cached edge list would
 	// turn the reported K0 edges/second into a cache fetch.
-	svc := core.NewService(core.WithCacheCapacity(0), core.WithMaxConcurrent(1))
+	svc := core.NewService(core.WithCacheBudget(0), core.WithMaxConcurrent(1))
 	defer svc.Close()
 	variants := variantList(variant)
 	figures := [4]*results.Figure{}
@@ -1079,7 +1079,7 @@ func runProcSweep(ctx context.Context, svc *core.Service, scale, edgeFactor int,
 	emit(t, format)
 	st := svc.Stats()
 	fmt.Printf("generator cache: %d hits, %d misses — the sweep's graph was generated once, not once per cell\n",
-		st.CacheHits, st.CacheMisses)
+		st.CacheEdges.Hits, st.CacheEdges.Misses)
 	return nil
 }
 

@@ -63,7 +63,7 @@ func tableII() {
 func figures(minScale, maxScale int, seed uint64) {
 	// Like prbench -sweep: the per-variant kernel-0 measurement must
 	// actually generate, so this service's cache is disabled.
-	svc := core.NewService(core.WithCacheCapacity(0), core.WithMaxConcurrent(1))
+	svc := core.NewService(core.WithCacheBudget(0), core.WithMaxConcurrent(1))
 	defer svc.Close()
 	titles := [4]string{
 		"Figure 4 — kernel 0 (generate)",
@@ -219,7 +219,7 @@ func outOfCore(l *edge.List, procs int) {
 }
 
 // scaling tabulates the goroutine runtime's wall-clock across rank counts
-// against the parallel hardware model — the validation of the simulated
+// against the parallel hardware model — the validation of the modelled
 // comm schedule against real concurrent execution.
 func scaling(l *edge.List, n int, seed uint64) {
 	fmt.Println("### Goroutine-rank wall-clock scaling")

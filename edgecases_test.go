@@ -5,6 +5,7 @@ package repro
 // robustness against adversarial input.
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func TestEdgeCaseScaleOnePipeline(t *testing.T) {
 	// legal benchmark.  Every variant must survive it.
 	for _, v := range core.Variants() {
 		cfg := core.Config{Scale: 1, EdgeFactor: 4, Seed: 1, Variant: v, KeepRank: true}
-		res, err := core.Run(cfg)
+		res, err := core.RunOnce(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s at scale 1: %v", v, err)
 		}
@@ -38,12 +39,12 @@ func TestEdgeCaseScaleOnePipeline(t *testing.T) {
 func TestEdgeCaseMoreFilesThanEdges(t *testing.T) {
 	// NFiles far above M: stripes may be empty but the pipeline holds.
 	cfg := core.Config{Scale: 1, EdgeFactor: 1, Seed: 2, NFiles: 16, Variant: "csr"}
-	if _, err := core.Run(cfg); err != nil {
+	if _, err := core.RunOnce(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	// And for the streaming sink path.
 	cfg.Variant = "extsort"
-	if _, err := core.Run(cfg); err != nil {
+	if _, err := core.RunOnce(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -142,7 +143,7 @@ func TestEdgeCaseEmptyMatrixPageRankIsTeleportOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(core.Config{Scale: 3, EdgeFactor: 1, Seed: 1, Variant: "csr", KeepRank: true})
+	res, err := core.RunOnce(context.Background(), core.Config{Scale: 3, EdgeFactor: 1, Seed: 1, Variant: "csr", KeepRank: true})
 	if err != nil {
 		t.Fatal(err)
 	}

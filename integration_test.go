@@ -5,6 +5,7 @@ package repro
 // way a benchmark user would drive the system.
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -26,7 +27,7 @@ func TestIntegrationFullMatrixOfVariantsAndGenerators(t *testing.T) {
 	for _, gen := range []pipeline.GeneratorKind{pipeline.GenKronecker, pipeline.GenPPL, pipeline.GenER} {
 		for _, v := range core.Variants() {
 			cfg := core.Config{Scale: 6, EdgeFactor: 8, Seed: 3, Variant: v, Generator: gen, KeepRank: true}
-			res, err := core.Run(cfg)
+			res, err := core.RunOnce(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", gen, v, err)
 			}
@@ -49,7 +50,7 @@ func TestIntegrationVariantCrossProductMatrixIdentity(t *testing.T) {
 	// the same kernel-1 files (shared FS, mixed variants).
 	fs := vfs.NewMem()
 	cfg := core.Config{Scale: 7, EdgeFactor: 8, Seed: 11, Variant: "csr", FS: fs}
-	if _, err := core.RunKernels(cfg, []core.Kernel{core.K0Generate, core.K1Sort}); err != nil {
+	if _, err := core.RunOnce(context.Background(), cfg, core.K0Generate, core.K1Sort); err != nil {
 		t.Fatal(err)
 	}
 	var ref *sparse.CSR
@@ -88,17 +89,21 @@ func TestIntegrationDistributedSortFeedsDistributedPageRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	const p = 4
-	sorted, err := dist.Sort(l, p)
+	k1, err := dist.Execute(context.Background(), dist.Spec{Op: dist.OpSort, Edges: l, Procs: p})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sorted := k1.Sort
 	if !sorted.Sorted.IsSortedByU() {
 		t.Fatal("distributed sort postcondition")
 	}
-	res, err := dist.Run(sorted.Sorted, int(kcfg.N()), p, pagerank.Options{Seed: 2})
+	ran, err := dist.Execute(context.Background(), dist.Spec{
+		Op: dist.OpRun, Edges: sorted.Sorted, N: int(kcfg.N()), Procs: p, PageRank: pagerank.Options{Seed: 2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := ran.Run
 	// Serial reference from the same (unsorted) edges.
 	a, err := sparse.FromEdges(l, int(kcfg.N()))
 	if err != nil {
@@ -124,7 +129,7 @@ func TestIntegrationStorageFailurePropagates(t *testing.T) {
 	for _, budget := range []int64{0, 100, 10_000} {
 		fs := vfs.NewFaulty(vfs.NewMem(), budget)
 		cfg := core.Config{Scale: 8, Seed: 1, Variant: "csr", FS: fs}
-		_, err := core.Run(cfg)
+		_, err := core.RunOnce(context.Background(), cfg)
 		if err == nil {
 			t.Fatalf("budget %d: pipeline succeeded on a failing disk", budget)
 		}
@@ -139,13 +144,13 @@ func TestIntegrationStorageFailureInExternalSort(t *testing.T) {
 	// surface (budget sized to survive K0 but die during K1 spill).
 	mem := vfs.NewMem()
 	cfg := core.Config{Scale: 8, Seed: 1, Variant: "extsort", FS: mem, RunEdges: 128}
-	if _, err := core.RunKernels(cfg, []core.Kernel{core.K0Generate}); err != nil {
+	if _, err := core.RunOnce(context.Background(), cfg, core.K0Generate); err != nil {
 		t.Fatal(err)
 	}
 	k0Bytes := mem.TotalBytes()
 	faulty := vfs.NewFaulty(mem, k0Bytes+k0Bytes/2) // dies partway through K1
 	cfg.FS = faulty
-	if _, err := core.RunKernels(cfg, []core.Kernel{core.K1Sort}); !errors.Is(err, vfs.ErrInjected) {
+	if _, err := core.RunOnce(context.Background(), cfg, core.K1Sort); !errors.Is(err, vfs.ErrInjected) {
 		t.Fatalf("external sort on failing disk: err = %v", err)
 	}
 }
@@ -156,7 +161,7 @@ func TestIntegrationGraph500DegreeSkewDrivesFilter(t *testing.T) {
 	cfg := core.Config{Scale: 10, Seed: 4, Variant: "csr", KeepRank: true}
 	fs := vfs.NewMem()
 	cfg.FS = fs
-	if _, err := core.Run(cfg); err != nil {
+	if _, err := core.RunOnce(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	l, err := fastio.ReadStriped(fs, "k1", fastio.TSV{})
@@ -191,10 +196,11 @@ func TestIntegrationExternalAndDistSortAgreeWithSerial(t *testing.T) {
 	serial := l.Clone()
 	xsort.RadixByU(serial)
 
-	distRes, err := dist.Sort(l, 3)
+	distOut, err := dist.Execute(context.Background(), dist.Spec{Op: dist.OpSort, Edges: l, Procs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	distRes := distOut.Sort
 	extOut := serial.Clone()
 	extOut.Reset()
 	_, err = xsort.External(fastio.NewListSource(l), fastio.NewListSink(extOut),
@@ -240,7 +246,7 @@ func TestIntegrationValidationCatchesTampering(t *testing.T) {
 
 func TestIntegrationHumanReportRendering(t *testing.T) {
 	// End-to-end: results rendered through every output format.
-	res, err := core.Run(core.Config{Scale: 6, Seed: 1})
+	res, err := core.RunOnce(context.Background(), core.Config{Scale: 6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

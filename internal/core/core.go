@@ -21,8 +21,8 @@
 // computing each exactly once however many concurrent runs ask for it,
 // so a warm svc.Run executes kernel 3 only.  It streams per-kernel,
 // per-iteration and cache-hit/miss progress (svc.RunStream) and aborts
-// mid-kernel on context cancellation.  The one-shot core.Run remains
-// for throwaway calls; prefer the Service anywhere more than one run
+// mid-kernel on context cancellation.  RunOnce is the one-shot for
+// throwaway calls; prefer the Service anywhere more than one run
 // happens.
 //
 // The benchmark follows the IPDPS 2016 proposal "PageRank Pipeline
@@ -38,7 +38,6 @@ import (
 	"context"
 
 	"repro/internal/dist"
-	"repro/internal/edge"
 	"repro/internal/fastio"
 	"repro/internal/pagerank"
 	"repro/internal/perfmodel"
@@ -130,12 +129,6 @@ func NewService(opts ...ServiceOption) *Service { return serve.New(opts...) }
 // WithMaxConcurrent bounds the Service's concurrently executing runs.
 func WithMaxConcurrent(n int) ServiceOption { return serve.WithMaxConcurrent(n) }
 
-// WithCacheCapacity bounds the Service's staged artifact cache to n
-// resident entries per stage (0 disables it).
-//
-// Deprecated: use WithCacheBudget.
-func WithCacheCapacity(n int) ServiceOption { return serve.WithCacheCapacity(n) }
-
 // WithCacheBudget bounds the Service's staged artifact cache to the
 // given number of resident bytes across all stages, LRU-evicted with
 // artifacts charged at their real footprint (<= 0 disables it).
@@ -192,31 +185,13 @@ func WithProgress(fn func(PipelineEvent)) RunOption { return serve.WithProgress(
 // pipeline and exit (cache off: there is nothing to share).  An empty
 // kernel list means all four.
 func RunOnce(ctx context.Context, cfg Config, ks ...Kernel) (*Result, error) {
-	svc := NewService(WithCacheCapacity(0))
+	svc := NewService(WithCacheBudget(0))
 	defer svc.Close()
 	var opts []RunOption
 	if len(ks) > 0 {
 		opts = append(opts, WithKernels(ks...))
 	}
 	return svc.Run(ctx, cfg, opts...)
-}
-
-// ---------------------------------------------------------------------------
-// One-shot entrypoints (prefer the Service for anything long-lived)
-
-// Run executes the full four-kernel pipeline once.
-//
-// Deprecated: construct a Service with NewService and use Service.Run —
-// it adds cancellation, admission control, the shared generator cache
-// and streaming progress.  Results are bit-for-bit identical.
-func Run(cfg Config) (*Result, error) { return pipeline.Execute(cfg) }
-
-// RunKernels executes a subset of kernels in order; earlier kernels'
-// artifacts must already exist in cfg.FS.
-//
-// Deprecated: use Service.Run with the WithKernels option.
-func RunKernels(cfg Config, kernels []Kernel) (*Result, error) {
-	return pipeline.ExecuteKernels(cfg, kernels)
 }
 
 // Variants lists the registered implementation variants.
@@ -244,8 +219,8 @@ func SizeTable(scales []int, edgeFactor, bytesPerEdge int) []pipeline.SizeRow {
 // PaperScales are the scales of the paper's evaluation (16–22).
 var PaperScales = pipeline.PaperScales
 
-// ExecMode selects the distributed runtime's execution: the
-// single-threaded simulation, the concurrent goroutine ranks, or worker
+// ExecMode selects how the distributed runtime executes its ranks: one
+// at a time (the simulation), as concurrent goroutines, or as worker
 // processes over real sockets.
 type ExecMode = dist.ExecMode
 
@@ -256,42 +231,9 @@ const (
 	ExecSocket    = dist.ExecSocket
 )
 
-// DistributedRun executes the simulated distributed kernel-2/kernel-3
-// pipeline over p processors.
-//
-// Deprecated: use dist.Execute with dist.OpRun.
-func DistributedRun(l *edge.List, n, p int, opt PageRankOptions) (*dist.Result, error) {
-	return DistributedRunCfg(DistConfig{}, l, n, p, opt)
-}
-
-// DistributedRunMode executes the distributed kernel-2/kernel-3 pipeline
-// in the given execution mode; ExecGoroutine runs p concurrent goroutine
-// ranks with real channel message passing and fills Result.RankSeconds.
-//
-// Deprecated: use dist.Execute with dist.OpRun.
-func DistributedRunMode(mode ExecMode, l *edge.List, n, p int, opt PageRankOptions) (*dist.Result, error) {
-	return DistributedRunCfg(DistConfig{Mode: mode}, l, n, p, opt)
-}
-
 // DistConfig is the distributed runtime's full configuration: execution
 // mode plus the hybrid intra-rank worker count.  See dist.Config.
 type DistConfig = dist.Config
-
-// DistributedRunCfg executes the distributed kernel-2/kernel-3 pipeline
-// under the full runtime configuration; DistConfig.Workers spins that
-// many worker goroutines inside every rank (hybrid MPI+OpenMP-style
-// execution) without changing a bit of the result.
-//
-// Deprecated: use dist.Execute with dist.OpRun.
-func DistributedRunCfg(cfg DistConfig, l *edge.List, n, p int, opt PageRankOptions) (*dist.Result, error) {
-	out, err := dist.Execute(context.Background(), dist.Spec{
-		Config: cfg, Op: dist.OpRun, Edges: l, N: n, Procs: p, PageRank: opt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.Run, nil
-}
 
 // PredictKernels returns the hardware-model predictions for all four
 // kernels on the paper's test platform.

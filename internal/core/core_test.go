@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"repro/internal/kronecker"
-	"repro/internal/pagerank"
 )
 
 func TestRunFacade(t *testing.T) {
-	res, err := Run(Config{Scale: 7, EdgeFactor: 8, Seed: 1})
+	res, err := RunOnce(context.Background(), Config{Scale: 7, EdgeFactor: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +22,7 @@ func TestRunFacade(t *testing.T) {
 func TestRunKernelsFacade(t *testing.T) {
 	fs := NewMemFS()
 	cfg := Config{Scale: 6, Seed: 2, FS: fs}
-	if _, err := RunKernels(cfg, []Kernel{K0Generate, K1Sort}); err != nil {
+	if _, err := RunOnce(context.Background(), cfg, K0Generate, K1Sort); err != nil {
 		t.Fatal(err)
 	}
 	names, _ := fs.List()
@@ -48,20 +45,6 @@ func TestSizeTableFacade(t *testing.T) {
 	}
 }
 
-func TestDistributedRunFacade(t *testing.T) {
-	l, err := kronecker.Generate(kronecker.New(7, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := DistributedRun(l, 1<<7, 2, pagerank.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rank) != 1<<7 || res.Comm.AllReduceCalls == 0 {
-		t.Error("distributed facade incomplete result")
-	}
-}
-
 func TestPredictKernelsFacade(t *testing.T) {
 	preds := PredictKernels(20)
 	for i, p := range preds {
@@ -77,35 +60,8 @@ func TestNewDirFSFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Scale: 5, FS: d}
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunOnce(context.Background(), cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDistributedRunModeFacade(t *testing.T) {
-	l, err := kronecker.Generate(kronecker.New(7, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := pagerank.Options{Seed: 1, Iterations: 4}
-	sim, err := DistributedRunMode(ExecSim, l, 1<<7, 3, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	real, err := DistributedRunMode(ExecGoroutine, l, 1<<7, 3, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sim.Rank {
-		if real.Rank[i] != sim.Rank[i] {
-			t.Fatalf("mode results differ at %d", i)
-		}
-	}
-	if real.Comm != sim.Comm {
-		t.Errorf("mode comm records differ: %+v vs %+v", real.Comm, sim.Comm)
-	}
-	if len(real.RankSeconds) != 3 {
-		t.Errorf("goroutine mode reported %d rank times", len(real.RankSeconds))
 	}
 }
 

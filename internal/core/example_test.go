@@ -39,11 +39,11 @@ func ExampleNewService() {
 	// pagerank iterations: 20
 }
 
-// ExampleRun executes the full four-kernel benchmark at a tiny scale and
+// ExampleRunOnce executes the full four-kernel benchmark at a tiny scale and
 // prints the structural invariants (timings vary run to run, so the
 // example prints only deterministic quantities).
-func ExampleRun() {
-	res, err := core.Run(core.Config{Scale: 6, EdgeFactor: 4, Seed: 1})
+func ExampleRunOnce() {
+	res, err := core.RunOnce(context.Background(), core.Config{Scale: 6, EdgeFactor: 4, Seed: 1})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -16,7 +16,8 @@ import (
 	"repro/internal/pagerank"
 )
 
-// testBlock builds a filtered rank block from a small Kronecker graph.
+// testBlock builds rank r's filtered block of p from a small Kronecker
+// graph: kernel 2 on one rank (no peers, so no fabric traffic), split.
 func testBlock(t testing.TB, p, r int) (*rankState, int) {
 	t.Helper()
 	cfg := kronecker.New(8, 3)
@@ -25,12 +26,8 @@ func testBlock(t testing.TB, p, r int) (*rankState, int) {
 		t.Fatal(err)
 	}
 	n := int(cfg.N())
-	c := &comm{p: p}
-	states, _, _, err := buildFiltered(context.Background(), l, n, p, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return states[r], n
+	st, _, _ := buildRank(newRankComm(newChanFabric(1, false), 0), l, n)
+	return splitMatrix(assemble([]*rankState{st}, n), p)[r], n
 }
 
 func TestHybridStepZeroAllocs(t *testing.T) {
@@ -132,7 +129,7 @@ func TestCollectiveRoundTripZeroAllocs(t *testing.T) {
 	// allocation on either side fails the pin.
 	const warmup, runs = 8, 50
 	const vecLen = 512
-	f := newChanFabric(2)
+	f := newChanFabric(2, false)
 	c0, c1 := newRankComm(f, 0), newRankComm(f, 1)
 	done := make(chan struct{})
 	go func() {
@@ -171,17 +168,18 @@ func TestGoroutineIterationSteadyStateAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := int(cfg.N())
-	b, err := BuildFiltered(l, n, 1)
+	b, err := Execute(context.Background(), Spec{Op: OpBuildFiltered, Edges: l, N: n, Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(iters int) {
-		res, err := RunMatrixCfg(Config{Mode: ExecGoroutine, Workers: 2}, b.Matrix, 3,
-			pagerank.Options{Iterations: iters, Seed: 1, Dangling: true})
+		_, err := Execute(context.Background(), Spec{
+			Config: Config{Mode: ExecGoroutine, Workers: 2}, Op: OpRunMatrix, Matrix: b.Build.Matrix, Procs: 3,
+			PageRank: pagerank.Options{Iterations: iters, Seed: 1, Dangling: true},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = res
 	}
 	const extra = 40
 	// testing.AllocsPerRun gives a clean malloc count per call; the

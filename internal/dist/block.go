@@ -5,8 +5,7 @@ package dist
 // pointers.  Where the first-generation rankState kept a square n×n CSR
 // per rank (O(p·n) row pointers across ranks), a block stores hi-lo+1
 // pointers, so p ranks together hold exactly n+p — the storage a real
-// distributed memory forces, and the reason both the simulated and the
-// goroutine runtime build on this type (DESIGN.md §5).
+// distributed memory forces (DESIGN.md §5).
 //
 // Column indices still span the full [0, n) range: kernel 3's scatter
 // product writes into a full-length output vector, which is what the

@@ -42,7 +42,7 @@ func TestChaosFaultPlans(t *testing.T) {
 		{"last-rank-during-checkpoint", dist.FaultPlan{KillRank: procs - 1, AtIteration: 9, DuringCheckpoint: true}, 6},
 		{"mid-rank-at-epoch-boundary", dist.FaultPlan{KillRank: 2, AtIteration: 6}, 6},
 	}
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+	for _, mode := range execModes {
 		for _, tc := range cases {
 			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
@@ -95,24 +95,26 @@ func TestChaosRepeatedKills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := vfs.NewMem()
-	for i, at := range []int{3, 6, 9} {
-		kill := ckptSpec(dist.ExecGoroutine, procs, fs)
-		kill.Edges, kill.N = l, n
-		kill.Fault = &dist.FaultPlan{KillRank: at % procs, AtIteration: at}
-		if _, err := dist.Execute(context.Background(), kill); !errors.Is(err, dist.ErrFaultInjected) {
-			t.Fatalf("kill %d: err = %v", i, err)
+	for _, mode := range execModes {
+		fs := vfs.NewMem()
+		for i, at := range []int{3, 6, 9} {
+			kill := ckptSpec(mode, procs, fs)
+			kill.Edges, kill.N = l, n
+			kill.Fault = &dist.FaultPlan{KillRank: at % procs, AtIteration: at}
+			if _, err := dist.Execute(context.Background(), kill); !errors.Is(err, dist.ErrFaultInjected) {
+				t.Fatalf("%v kill %d: err = %v", mode, i, err)
+			}
 		}
-	}
-	final := ckptSpec(dist.ExecGoroutine, procs, fs)
-	final.Edges, final.N = l, n
-	out, err := dist.Execute(context.Background(), final)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRank(t, "after repeated kills", baseline.Run.Rank, out.Run.Rank)
-	if out.Run.Checkpoint.ResumedFrom != 9 {
-		t.Fatalf("final resume from %d, want 9", out.Run.Checkpoint.ResumedFrom)
+		final := ckptSpec(mode, procs, fs)
+		final.Edges, final.N = l, n
+		out, err := dist.Execute(context.Background(), final)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRank(t, "after repeated kills", baseline.Run.Rank, out.Run.Rank)
+		if out.Run.Checkpoint.ResumedFrom != 9 {
+			t.Fatalf("%v: final resume from %d, want 9", mode, out.Run.Checkpoint.ResumedFrom)
+		}
 	}
 }
 
@@ -140,19 +142,22 @@ func TestChaosFaultWithoutCheckpoint(t *testing.T) {
 // and unwind every rank.
 func TestChaosFaultUnderCancellation(t *testing.T) {
 	l, n := executeGraph(t, 7)
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	spec := ckptSpec(dist.ExecGoroutine, 4, vfs.NewMem())
-	spec.Edges, spec.N = l, n
-	spec.Fault = &dist.FaultPlan{KillRank: 3, AtIteration: 6}
-	spec.PageRank.Progress = func(it int) {
-		if it == 4 {
-			cancel()
+	for _, mode := range execModes {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		spec := ckptSpec(mode, 4, vfs.NewMem())
+		spec.Edges, spec.N = l, n
+		spec.Fault = &dist.FaultPlan{KillRank: 3, AtIteration: 6}
+		spec.PageRank.Progress = func(it int) {
+			if it == 4 {
+				cancel()
+			}
 		}
+		_, err := dist.Execute(ctx, spec)
+		cancel()
+		if err == nil {
+			t.Fatalf("%v: no error from cancelled faulty run", mode)
+		}
+		waitForGoroutines(t, base)
 	}
-	defer cancel()
-	if _, err := dist.Execute(ctx, spec); err == nil {
-		t.Fatal("no error from cancelled faulty run")
-	}
-	waitForGoroutines(t, base)
 }

@@ -7,10 +7,9 @@ package dist
 // spec's vfs.FS in the internal/ckpt format: one chunk per rank holding
 // its block-local slice of the replicated rank vector, then a commit
 // marker.  Chunk writes are two-phase (temp name + rename), the commit
-// is written only after every chunk landed, and the goroutine runtime
-// separates the phases with unmetered agreeError barriers — so a crash
-// at any point leaves at worst a torn epoch that the loader detects and
-// skips.  Checkpoint traffic is storage and control plane: CommStats,
+// is written only after every chunk landed, and the ranks separate the
+// phases with unmetered agreeError barriers — so a crash at any point
+// leaves at worst a torn epoch that the loader detects and skips.  Checkpoint traffic is storage and control plane: CommStats,
 // and therefore the §V closed form, are untouched.
 //
 // Resume loads the newest complete epoch before the run starts and feeds
@@ -58,8 +57,9 @@ type CheckpointSpec struct {
 	Keep int
 	// OnCommit, when non-nil, observes each committed epoch (its
 	// completed-iteration count).  It runs synchronously on the
-	// committing goroutine — rank 0's, in the goroutine mode — and must
-	// be fast; the pipeline's Progress events are built on it.
+	// committing goroutine — rank 0's in process, the control reader's in
+	// the socket mode — and must be fast; the pipeline's Progress events
+	// are built on it.
 	OnCommit func(epoch int64)
 	// OnResume, when non-nil, observes a successful resume load before
 	// the run starts: the epoch continued from and the count of newer
@@ -84,19 +84,17 @@ func (cs CheckpointSpec) withDefaults() CheckpointSpec {
 // FaultPlan injects a rank failure into a kernel-3 run — the chaos
 // harness's instrument.  The fault fires at the iteration boundary after
 // AtIteration completed update steps (counted globally, across a resume):
-// in the goroutine mode rank KillRank returns ErrFaultInjected from its
-// post-iteration hook, the teardown plane unwinds its peers, and Execute
-// returns ErrFaultInjected with no goroutine leaked; the simulation
-// aborts its single thread at the same boundary, so both modes leave
-// identical storage state.  When the boundary is also an epoch boundary
-// the epoch is committed first — unless DuringCheckpoint is set, which
-// kills the rank between its chunk write and the commit barrier,
-// manufacturing exactly the torn epoch the loader must skip.
+// rank KillRank returns ErrFaultInjected from its post-iteration hook, the
+// teardown plane unwinds its peers, and Execute returns ErrFaultInjected
+// with no goroutine leaked, in every mode.  When the boundary is also an
+// epoch boundary the epoch is committed first — unless DuringCheckpoint is
+// set, which kills the rank between its chunk write and the commit
+// barrier, manufacturing exactly the torn epoch the loader must skip.
 //
 // A FaultPlan describes one injection: the restarted run must not carry
 // it over, or the fault re-fires when the boundary is re-reached.
 type FaultPlan struct {
-	// KillRank is the goroutine rank brought down, in [0, Procs).
+	// KillRank is the rank brought down, in [0, Procs).
 	KillRank int
 	// AtIteration is the global completed-iteration count at whose
 	// boundary the fault fires (>= 1).
@@ -136,9 +134,9 @@ type CheckpointStats struct {
 // ckptRun is the per-Execute checkpoint/fault runtime: the resolved
 // spec, the resume base offset, and the running stats.  A nil *ckptRun
 // means both features are off; every method tolerates the nil receiver.
-// In the goroutine mode the struct is shared read-only across ranks
-// except stats, which only rank 0's hook mutates (the join's
-// happens-before edge publishes it to the driver).
+// In process the struct is shared read-only across the ranks except
+// stats, which only rank 0's hook mutates (the join's happens-before edge
+// publishes it to the driver).
 type ckptRun struct {
 	spec    CheckpointSpec
 	fault   *FaultPlan
@@ -357,41 +355,7 @@ func (ck *ckptRun) epochBoundary(g int64) bool {
 	return ck.enabled() && g%int64(ck.spec.Every) == 0
 }
 
-// afterSim builds the simulation's post-iteration hook: the single
-// driver writes every rank's chunk and the commit itself, then fires
-// any planned fault.  KillRank has no thread to kill in this mode; the
-// simulated run aborts at the same boundary with the same storage state
-// the goroutine mode leaves, which is what lets the property suite
-// exercise kill-and-resume identically in both modes.
-func (ck *ckptRun) afterSim(states []*rankState) func(int, []float64) error {
-	if ck == nil {
-		return nil
-	}
-	return func(it int, r []float64) error {
-		g := ck.base + int64(it)
-		if ck.epochBoundary(g) {
-			for rk, st := range states {
-				if err := ck.writeChunk(ck.chunkOf(g, r, rk, st.blk.lo, st.blk.hi)); err != nil {
-					return err
-				}
-			}
-			if ck.atFault(g) && ck.fault.DuringCheckpoint {
-				// Died after the chunks, before the commit: a torn epoch.
-				return ErrFaultInjected
-			}
-			if err := ck.writeCommit(g); err != nil {
-				return err
-			}
-			ck.commitNoted(g)
-		}
-		if ck.atFault(g) {
-			return ErrFaultInjected
-		}
-		return nil
-	}
-}
-
-// afterRank builds one goroutine rank's post-iteration hook.  All
+// afterRank builds one rank's post-iteration hook.  All
 // replicas step in lockstep, so every rank reaches an epoch boundary
 // together: each writes its own chunk, an agreeError barrier proves all
 // chunks landed, rank 0 writes the commit, and a second barrier

@@ -255,36 +255,38 @@ func TestCheckpointTornEpochSkippedOnResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := vfs.NewMem()
-	spec := ckptSpec(dist.ExecGoroutine, 2, fs)
-	spec.Edges, spec.N = l, n
-	if _, err := dist.Execute(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt one chunk of the newest epoch (9), commit intact.
-	name := ckpt.ChunkName("ckpt", 9, 1)
-	r, err := fs.Open(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(r)
-	r.Close()
-	b[len(b)/2] ^= 0x55
-	w, _ := fs.Create(name)
-	w.Write(b)
-	w.Close()
+	for _, mode := range execModes {
+		fs := vfs.NewMem()
+		spec := ckptSpec(mode, 2, fs)
+		spec.Edges, spec.N = l, n
+		if _, err := dist.Execute(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+		// Corrupt one chunk of the newest epoch (9), commit intact.
+		name := ckpt.ChunkName("ckpt", 9, 1)
+		r, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(r)
+		r.Close()
+		b[len(b)/2] ^= 0x55
+		w, _ := fs.Create(name)
+		w.Write(b)
+		w.Close()
 
-	resume := ckptSpec(dist.ExecGoroutine, 2, fs)
-	resume.Edges, resume.N = l, n
-	out, err := dist.Execute(context.Background(), resume)
-	if err != nil {
-		t.Fatal(err)
+		resume := ckptSpec(mode, 2, fs)
+		resume.Edges, resume.N = l, n
+		out, err := dist.Execute(context.Background(), resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := out.Run.Checkpoint
+		if st.ResumedFrom != 6 || st.TornSkipped != 1 {
+			t.Fatalf("stats %+v, want resume from 6 skipping 1 torn epoch", st)
+		}
+		sameRank(t, "torn-skip resume", baseline.Run.Rank, out.Run.Rank)
 	}
-	st := out.Run.Checkpoint
-	if st.ResumedFrom != 6 || st.TornSkipped != 1 {
-		t.Fatalf("stats %+v, want resume from 6 skipping 1 torn epoch", st)
-	}
-	sameRank(t, "torn-skip resume", baseline.Run.Rank, out.Run.Rank)
 }
 
 // TestCheckpointFaultDuringWriteLeavesTornEpoch pins the

@@ -1,9 +1,9 @@
 package dist
 
-// The goroutine fabric: typed point-to-point channels between p concurrent
-// ranks, and the collective layer built on them.  This is the real
-// counterpart of the simulated comm in dist.go; DESIGN.md §5 is the
-// normative statement of the contract implemented here.
+// The in-process fabric: typed point-to-point channels between p rank
+// goroutines, and the collective layer every execution mode's ranks speak
+// through.  DESIGN.md §5 is the normative statement of the contract
+// implemented here.
 //
 // Message-passing contract (summary of DESIGN.md §5):
 //
@@ -13,8 +13,8 @@ package dist
 //   - Collectives are bulk-synchronous and rooted at rank 0: a reduction
 //     receives contributions in ascending rank order and combines them in
 //     that order, which pins the floating-point association to the
-//     simulation's (rank-ordered) sum — the source of the bit-for-bit
-//     equality between the two runtimes.
+//     rank-ordered sum for every transport and every interleaving — the
+//     source of the bit-for-bit equality between the execution modes.
 //   - Every rank executes the same schedule of collectives in the same
 //     program order; sends within a collective precede receives.  Link
 //     buffering (linkBuf) covers the bounded number of sends a rank can
@@ -31,10 +31,9 @@ package dist
 //     release it back to the pool once the payload is consumed
 //     (DESIGN.md §7 amends the §5 contract with these rules).
 //   - Byte accounting is sender-side: each rank meters the payload bytes
-//     it puts on the wire, using the same wire-cost formulas as the
-//     simulation (dist.go), and the driver sums the per-rank records.
-//     Measured channel bytes therefore equal the simulation's metered
-//     bytes and PredictedCommBytes identically.
+//     it puts on the wire with the wire-cost formulas of dist.go, and the
+//     driver sums the per-rank records.  Measured bytes therefore equal
+//     PredictedCommBytes identically, in every mode.
 
 import (
 	"fmt"
@@ -91,11 +90,21 @@ type envPool struct {
 	freeKeys []*keyMsg
 }
 
-// chanFabric is the in-process message plane of one goroutine run: p²
-// dedicated links plus the shared envelope pools and the teardown plane.
+// chanFabric is the in-process message plane of one run: p² dedicated
+// links plus the shared envelope pools and the teardown plane.
 type chanFabric struct {
 	p     int
 	links []chan any // links[src*p+dst]
+
+	// turn, when non-nil, runs the ranks one at a time (ExecSim): turn[r]
+	// delivers the single run token to rank r.  A rank executes only while
+	// it holds the token and gives it up only where it would otherwise
+	// block — a link operation that cannot complete yet — or when its
+	// program ends, always to the next unfinished rank in rank order, so
+	// the interleaving is a pure function of the program.  left marks the
+	// finished ranks; only the token holder touches it.
+	turn []chan struct{}
+	left []bool
 
 	// done is the teardown plane: closed (once, by abort) when the run
 	// must come down — a rank failed, or the run's context was cancelled.
@@ -128,31 +137,102 @@ type vecMsg struct{ buf []float64 }
 // splitters.
 type keyMsg struct{ buf []uint64 }
 
-func newChanFabric(p int) *chanFabric {
+// newChanFabric returns a fabric of p ranks; oneAtATime hands rank 0 the
+// run token (see chanFabric.turn).
+func newChanFabric(p int, oneAtATime bool) *chanFabric {
 	f := &chanFabric{p: p, links: make([]chan any, p*p), done: make(chan struct{})}
 	for i := range f.links {
 		f.links[i] = make(chan any, linkBuf)
+	}
+	if oneAtATime {
+		f.turn, f.left = make([]chan struct{}, p), make([]bool, p)
+		for r := range f.turn {
+			f.turn[r] = make(chan struct{}, 1) // there is one token: a pass never blocks
+		}
+		f.turn[0] <- struct{}{}
 	}
 	return f
 }
 
 func (f *chanFabric) procs() int { return f.p }
 
+// pass hands the run token to the next unfinished rank after r — r itself
+// when it is the last one running.
+func (f *chanFabric) pass(r int) {
+	for i := 1; i <= f.p; i++ {
+		if next := (r + i) % f.p; !f.left[next] {
+			f.turn[next] <- struct{}{}
+			return
+		}
+	}
+}
+
+// await blocks rank r until the run token reaches it, or unwinds if the
+// fabric comes down first: an abort frees every rank waiting for a token
+// its failed or cancelled holder will never pass.
+func (f *chanFabric) await(r int) {
+	select {
+	case <-f.done:
+		panic(fabricDown{})
+	default:
+	}
+	select {
+	case <-f.turn[r]:
+	case <-f.done:
+		panic(fabricDown{})
+	}
+}
+
+// leave retires rank r when its program ends and passes the token on.
+// After an abort there is no rotation left to keep — every waiter has
+// been released through done, and r may not even hold the token.
+func (f *chanFabric) leave(r int) {
+	select {
+	case <-f.done:
+	default:
+		f.left[r] = true
+		f.pass(r)
+	}
+}
+
 // send delivers m to dst's inbound link from src, or unwinds if the
 // fabric comes down first (the select adds no allocation to the hot path).
+// One at a time, a send that cannot complete yields the token and retries
+// when it comes back: only the holder touches the links, so the poll is
+// exact.
 func (f *chanFabric) send(src, dst int, m any) {
+	link := f.links[src*f.p+dst]
+	for f.turn != nil {
+		select {
+		case link <- m:
+			return
+		default:
+			f.pass(src)
+			f.await(src)
+		}
+	}
 	select {
-	case f.links[src*f.p+dst] <- m:
+	case link <- m:
 	case <-f.done:
 		panic(fabricDown{})
 	}
 }
 
 // recv takes the next message on the (src, dst) link, or unwinds if the
-// fabric comes down first.
+// fabric comes down first; one at a time it yields exactly like send.
 func (f *chanFabric) recv(src, dst int) any {
+	link := f.links[src*f.p+dst]
+	for f.turn != nil {
+		select {
+		case m := <-link:
+			return m
+		default:
+			f.pass(dst)
+			f.await(dst)
+		}
+	}
 	select {
-	case m := <-f.links[src*f.p+dst]:
+	case m := <-link:
 		return m
 	case <-f.done:
 		panic(fabricDown{})
@@ -215,7 +295,6 @@ func (pl *envPool) putKeys(m *keyMsg) {
 }
 
 // newRankComm returns rank r's handle on a fabric.
-
 func newRankComm(f rankFabric, r int) *rankComm { return &rankComm{f: f, rank: r} }
 
 // rankComm is one rank's view of the fabric: its identity, its send
@@ -309,9 +388,9 @@ func (c *rankComm) recvString(src int) string {
 // allReduceSum leaves the rank-ordered global sum of the ranks' partial
 // vectors in vec on every rank: non-roots send their partial to rank 0,
 // the root accumulates the contributions in ascending rank order (its own
-// partial first — the association the simulation uses), then redistributes
-// the result.  Wire volume is 2·8·len·(p-1), charged half to the gathering
-// senders and half to the root's redistribution.
+// partial first — the association TestDistRankGolden pins), then
+// redistributes the result.  Wire volume is 2·8·len·(p-1), charged half
+// to the gathering senders and half to the root's redistribution.
 // allReduceSum is the kernel-3 steady-state hot path, so every payload
 // travels in a pooled envelope: the senders copy into envelopes, the root
 // folds each contribution and immediately releases it, and every receiver
@@ -421,8 +500,8 @@ func (c *rankComm) broadcastKeys(keys []uint64) []uint64 {
 }
 
 // gatherKeys collects every rank's key slice at rank 0 in ascending rank
-// order (the sort's sample gather); non-roots get nil back.  Like the
-// simulation, the personalized sends are metered as all-to-all traffic.
+// order (the sort's sample gather); non-roots get nil back.  The
+// personalized sends are metered as all-to-all traffic.
 func (c *rankComm) gatherKeys(keys []uint64) [][]uint64 {
 	p := c.procs()
 	if p == 1 {
@@ -452,7 +531,7 @@ func (c *rankComm) gatherKeys(keys []uint64) [][]uint64 {
 // whole team at a schedule point instead of stranding its peers inside a
 // later collective; every rank returns a non-nil error, its own first.
 // Control traffic is deliberately unmetered — CommStats records the data
-// plane the §V model prices, and the simulation needs no barrier at all.
+// plane the §V model prices.
 func (c *rankComm) agreeError(local error) error {
 	p := c.procs()
 	if p == 1 {

@@ -8,11 +8,10 @@ package dist
 // A single processor communicates nothing: at p = 1 every collective is
 // a local no-op and the whole record stays zero, for Sort and Run alike.
 //
-// Both execution modes fill the same record: the simulation meters the
-// formulas below, the goroutine runtime counts the payload bytes actually
-// sent over its channels — and the two are equal by construction, because
-// the fabric's collectives (collective.go) move exactly the bytes the
-// formulas price (DESIGN.md §5).
+// Every execution mode fills the record the same way: each rank counts
+// the payload bytes it actually puts on a link, and the collectives
+// (collective.go) move exactly the bytes the formulas below price
+// (DESIGN.md §5).
 type CommStats struct {
 	// AllToAllBytes is the personalized-exchange volume: edge data (and
 	// sort samples) routed between distinct processors.
@@ -29,10 +28,10 @@ type CommStats struct {
 	BroadcastBytes uint64
 }
 
-// Add accumulates another record — the driver totals the goroutine
-// runtime's per-rank records with it (byte counts are sender-side, so the
-// sum is the wire total), and the pipeline's dist variants total their
-// kernels' records into one per-run trajectory entry.
+// Add accumulates another record — the driver totals the per-rank records
+// with it (byte counts are sender-side, so the sum is the wire total), and
+// the pipeline's dist variants total their kernels' records into one
+// per-run trajectory entry.
 func (s *CommStats) Add(o CommStats) {
 	s.AllToAllBytes += o.AllToAllBytes
 	s.AllReduceCalls += o.AllReduceCalls
@@ -41,9 +40,9 @@ func (s *CommStats) Add(o CommStats) {
 	s.BroadcastBytes += o.BroadcastBytes
 }
 
-// Wire-cost formulas of the linear model, shared verbatim by the simulated
-// collective layer (comm, below), the goroutine fabric (collective.go) and
-// the closed form (PredictedCommBytes): every byte count in the package is
+// Wire-cost formulas of the linear model, shared verbatim by the
+// collective layer (collective.go), the socket frame encodings and the
+// closed form (PredictedCommBytes): every byte count in the package is
 // derived here, which is what makes "measured equals predicted" an
 // identity rather than an approximation.
 const (
@@ -62,66 +61,6 @@ func broadcastWire(payload uint64, p int) uint64 { return payload * uint64(p-1) 
 // allReduceWire prices an all-reduce of payload bytes on p processors:
 // a gather to the root plus a redistribution, each payload·(p-1).
 func allReduceWire(payload uint64, p int) uint64 { return 2 * payload * uint64(p-1) }
-
-// comm is the simulated collective layer shared by Sort and Run: it
-// performs the data movement between simulated processors in one address
-// space and meters every byte the wire-cost formulas price.
-type comm struct {
-	p  int
-	st CommStats
-}
-
-// allReduceSum element-wise sums the processors' equal-length partial
-// vectors into out, leaving the reduced vector replicated on every rank
-// (in the simulation, shared).  Partials are combined in rank order, the
-// same association the goroutine fabric's rooted reduction produces.
-func (c *comm) allReduceSum(out []float64, partials [][]float64) {
-	for i := range out {
-		out[i] = 0
-	}
-	for _, part := range partials {
-		for i, v := range part {
-			out[i] += v
-		}
-	}
-	if c.p > 1 {
-		c.st.AllReduceCalls++
-		c.st.AllReduceBytes += allReduceWire(floatWireBytes*uint64(len(out)), c.p)
-	}
-}
-
-// allReduceScalar sums one float64 contribution per rank.
-func (c *comm) allReduceScalar(parts []float64) float64 {
-	var s float64
-	for _, v := range parts {
-		s += v
-	}
-	if c.p > 1 {
-		c.st.AllReduceCalls++
-		c.st.AllReduceBytes += allReduceWire(floatWireBytes, c.p)
-	}
-	return s
-}
-
-// broadcastFloats meters the broadcast of an n-element float64 vector
-// from rank 0 to every other rank.  The simulation shares the backing
-// array; only the wire volume is recorded.
-func (c *comm) broadcastFloats(n int) {
-	if c.p > 1 {
-		c.st.BroadcastCalls++
-		c.st.BroadcastBytes += broadcastWire(floatWireBytes*uint64(n), c.p)
-	}
-}
-
-// broadcastKeys meters the broadcast of a uint64 key slice (the sort's
-// splitters).
-func (c *comm) broadcastKeys(keys []uint64) []uint64 {
-	if c.p > 1 {
-		c.st.BroadcastCalls++
-		c.st.BroadcastBytes += broadcastWire(keyWireBytes*uint64(len(keys)), c.p)
-	}
-	return keys
-}
 
 // blockBounds returns the half-open range [lo, hi) of the r-th of p
 // contiguous blocks of n items: the canonical 1D block distribution used
@@ -158,9 +97,9 @@ func blockOwner(n, p int, i int) int {
 //	per iteration, dangling-mass scalar:  2·8·(p-1)  if dangling
 //
 // The model equals the measured Comm.AllReduceBytes + Comm.BroadcastBytes
-// of Run and RunMode exactly — not approximately — because simulation,
-// goroutine fabric and closed form are all derived from the same
-// collective schedule and wire-cost formulas; prreport asserts the
+// of an OpRun exactly — not approximately — in every execution mode,
+// because the one rank program and the closed form are derived from the
+// same collective schedule and wire-cost formulas; prreport asserts the
 // equality on every run.  All-to-all edge routing is excluded: it belongs
 // to kernel 1's cost (see perfmodel.ParallelKernel1) and depends on the
 // data, not just n.

@@ -57,13 +57,13 @@ func TestSortEqualsSerialBitForBit(t *testing.T) {
 	for name, l := range inputs {
 		want := l.Clone()
 		// The serial reference kernel 1: stable LSD radix by start vertex.
-		res0, err := dist.Sort(want, 1)
+		res0, err := execSort(dist.Config{}, want, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = res0.Sorted
 		for _, p := range procCounts {
-			res, err := dist.Sort(l, p)
+			res, err := execSort(dist.Config{}, l, p)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", name, p, err)
 			}
@@ -84,10 +84,10 @@ func TestSortEqualsSerialBitForBit(t *testing.T) {
 }
 
 func TestSortRejectsBadInput(t *testing.T) {
-	if _, err := dist.Sort(nil, 2); err == nil {
+	if _, err := execSort(dist.Config{}, nil, 2); err == nil {
 		t.Error("nil list accepted")
 	}
-	if _, err := dist.Sort(edge.NewList(0), 0); err == nil {
+	if _, err := execSort(dist.Config{}, edge.NewList(0), 0); err == nil {
 		t.Error("p = 0 accepted")
 	}
 }
@@ -105,7 +105,7 @@ func TestRunMatchesSerialReferenceEveryP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range procCounts {
-		res, err := dist.Run(l, n, p, opt)
+		res, err := execRun(dist.Config{}, l, n, p, opt)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -141,7 +141,7 @@ func TestRunPExceedsVertexAndDistinctCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range procCounts {
-		res, err := dist.Run(l, n, p, pagerank.Options{Seed: 1})
+		res, err := execRun(dist.Config{}, l, n, p, pagerank.Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -162,7 +162,7 @@ func TestBuildFilteredEqualsSerialKernel2(t *testing.T) {
 	mass := ref.SumValues()
 	pipeline.ApplyKernel2Filter(ref)
 	for _, p := range procCounts {
-		b, err := dist.BuildFiltered(l, n, p)
+		b, err := execBuild(dist.ExecSim, l, n, p)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -189,7 +189,7 @@ func TestCommStatsEqualPredictionExactly(t *testing.T) {
 		for _, iters := range []int{1, 5, 20} {
 			for _, dangling := range []bool{false, true} {
 				opt := pagerank.Options{Seed: 1, Iterations: iters, Dangling: dangling}
-				res, err := dist.Run(l, n, p, opt)
+				res, err := execRun(dist.Config{}, l, n, p, opt)
 				if err != nil {
 					t.Fatalf("p=%d iters=%d dangling=%v: %v", p, iters, dangling, err)
 				}
@@ -212,7 +212,7 @@ func TestCommPredictionZeroDefaultIterations(t *testing.T) {
 	// taken at pagerank.DefaultIterations must match (the prreport path).
 	l, n := kron(t, 6, 8)
 	const p = 4
-	res, err := dist.Run(l, n, p, pagerank.Options{Seed: 1})
+	res, err := execRun(dist.Config{}, l, n, p, pagerank.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCommPredictionZeroDefaultIterations(t *testing.T) {
 	}
 	// And a single processor must measure zero too, calls included,
 	// matching Sort's p = 1 contract.
-	res1, err := dist.Run(l, n, 1, pagerank.Options{Seed: 1})
+	res1, err := execRun(dist.Config{}, l, n, 1, pagerank.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestRunMatrixMatchesSerialEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range procCounts {
-		res, err := dist.RunMatrix(a, p, opt)
+		res, err := execRunMatrix(dist.Config{}, a, p, opt)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -262,7 +262,7 @@ func TestRunMatrixMatchesSerialEngines(t *testing.T) {
 func TestRunToleranceEarlyExitMetersActualIterations(t *testing.T) {
 	l, n := kron(t, 7, 7)
 	opt := pagerank.Options{Seed: 1, Iterations: 200, Tolerance: 1e-3}
-	res, err := dist.Run(l, n, 3, opt)
+	res, err := execRun(dist.Config{}, l, n, 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,20 +277,20 @@ func TestRunToleranceEarlyExitMetersActualIterations(t *testing.T) {
 
 func TestRunRejectsBadInput(t *testing.T) {
 	l, n := kron(t, 5, 1)
-	if _, err := dist.Run(l, n, 0, pagerank.Options{}); err == nil {
+	if _, err := execRun(dist.Config{}, l, n, 0, pagerank.Options{}); err == nil {
 		t.Error("p = 0 accepted")
 	}
-	if _, err := dist.Run(l, 0, 2, pagerank.Options{}); err == nil {
+	if _, err := execRun(dist.Config{}, l, 0, 2, pagerank.Options{}); err == nil {
 		t.Error("n = 0 accepted")
 	}
-	if _, err := dist.Run(l, 2, 2, pagerank.Options{}); err == nil {
+	if _, err := execRun(dist.Config{}, l, 2, 2, pagerank.Options{}); err == nil {
 		t.Error("out-of-range vertices accepted")
 	}
 	bad := pagerank.Options{Damping: 2}
-	if _, err := dist.Run(l, n, 2, bad); err == nil {
+	if _, err := execRun(dist.Config{}, l, n, 2, bad); err == nil {
 		t.Error("invalid damping accepted")
 	}
-	if _, err := dist.Run(l, n, 2, pagerank.Options{Teleport: []float64{1}}); err == nil {
+	if _, err := execRun(dist.Config{}, l, n, 2, pagerank.Options{Teleport: []float64{1}}); err == nil {
 		t.Error("short teleport vector accepted")
 	}
 }

@@ -11,26 +11,28 @@
 // PredictedCommBytes reproduces the collective volume exactly, byte for
 // byte, which the prreport command asserts.
 //
-// The same schedule runs in two execution modes (ExecMode):
+// The schedule is stated once, as the program one rank runs (rank.go),
+// and Execute runs it three ways (ExecMode):
 //
-//   - ExecSim (Run, Sort, BuildFiltered, RunMatrix) simulates the p ranks
-//     single-threadedly in one address space: deterministic, no copying,
-//     only the wire volume is recorded.
-//   - ExecGoroutine (RunMode, SortMode, ... with ExecGoroutine) runs p
-//     concurrent goroutine ranks that exchange real messages over typed
-//     channels, counting the payload bytes actually sent.
+//   - ExecSim runs the p ranks one at a time in rank order, handing over
+//     only where a rank would block on a message: the same interleaving on
+//     every host and every run — the mode to debug and to account bytes in.
+//   - ExecGoroutine runs the same p ranks concurrently over the same typed
+//     channels.
+//   - ExecSocket runs them as p worker processes over unix or TCP sockets
+//     (DESIGN.md §13), where the measured wire bytes equal CommStats.
 //
-// Config (RunCfg, RunMatrixCfg, SortCfg) adds the hybrid second level of
-// the paper's decomposition: Config.Workers spins that many worker
-// goroutines inside each rank for its local kernel-3 block product and
-// kernel-1 partitioning, in either mode.  The worker count is a pure
-// wall-clock knob — results, CommStats and PredictedCommBytes are
-// bit-for-bit invariant in it — and the steady-state iteration performs
-// zero heap allocations (pooled collective buffers, persistent worker
-// teams, preallocated iteration vectors; DESIGN.md §7).
+// Config.Workers adds the hybrid second level of the paper's
+// decomposition: that many worker goroutines inside each rank for its
+// local kernel-3 block product and kernel-1 partitioning, in every mode.
+// The worker count is a pure wall-clock knob — results, CommStats and
+// PredictedCommBytes are bit-for-bit invariant in it — and the
+// steady-state iteration performs zero heap allocations (pooled
+// collective buffers, persistent worker teams, preallocated iteration
+// vectors; DESIGN.md §7).
 //
-// Because both modes execute the same schedule from the same shared steps
-// and wire-cost formulas (DESIGN.md §5 documents the contract), their
+// Because every mode runs the one program over the one collective layer
+// with sender-side metering (DESIGN.md §5 documents the contract), their
 // results are bit-for-bit identical and their CommStats are equal — to
 // each other and to PredictedCommBytes.  Relative to the serial engines,
 // kernel 1's output equals the serial stable radix sort exactly for every
@@ -38,8 +40,8 @@
 // output, and kernel 3 matches the serial engines to ~1e-12 (floating-
 // point sums re-associate across rank boundaries, the only deviation).
 //
-// Kernel 1 additionally has an out-of-core regime (SortExternal,
-// SortExternalMode; DESIGN.md §6) for the paper's "edge vectors exceed
+// Kernel 1 additionally has an out-of-core regime (OpSortExternal;
+// DESIGN.md §6) for the paper's "edge vectors exceed
 // RAM" case: each rank spills bounded sorted runs to a vfs.FS, the runs
 // are routed through the same metered all-to-all as sorted segments, and
 // per-bucket k-way merges reproduce the serial sort bit for bit for every

@@ -3,12 +3,8 @@ package dist
 // Execute is the distributed runtime's single entry point: every program
 // the package runs — the kernel-2/3 pipeline, kernel 3 alone, kernel 2
 // alone, and the two kernel-1 sorts — is one Op of one Spec, executed in
-// either mode under one context.  The form replaces the mode-suffixed
-// spread (Run/RunCfg/RunMode/RunMatrix…/Sort…/BuildFiltered…/
-// SortExternal…) the API had grown: those names survive as thin
-// deprecated wrappers that build the equivalent Spec and delegate here,
-// so their results — bits, CommStats, Spill records — are the redesign's
-// results by construction.  DESIGN.md §8 tabulates old → new.
+// any mode under one context: validate the Spec, launch its ranks
+// (in-process or over sockets), assemble the Op's result.
 
 import (
 	"context"
@@ -17,6 +13,7 @@ import (
 	"repro/internal/edge"
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
+	"repro/internal/xsort"
 )
 
 // Op selects the distributed program a Spec executes.
@@ -61,15 +58,14 @@ func (o Op) String() string {
 // Spec is one distributed execution: the runtime configuration (the
 // embedded Config's Mode and Workers), the program (Op), its processor
 // count and inputs, and the per-program knobs.  The zero Config is the
-// single-threaded simulation with serial ranks, as everywhere.
+// one-rank-at-a-time simulation with serial ranks, as everywhere.
 type Spec struct {
 	// Config is the runtime configuration: execution mode plus hybrid
 	// intra-rank workers.  Results are bit-for-bit invariant in both.
 	// Mode applies to every op; Workers parallelizes the kernel-3 block
 	// product (OpRun, OpRunMatrix) and the kernel-1 bucket partitioning
 	// (OpSort) — OpBuildFiltered and OpSortExternal have no intra-rank
-	// worker stage (exactly as their pre-redesign entrypoints, which
-	// took no Config) and ignore it.
+	// worker stage and ignore it.
 	Config
 	// Op selects the program.
 	Op Op
@@ -99,9 +95,10 @@ type Spec struct {
 	// SocketSpec).  The zero value is a private unix-domain fabric with
 	// self-spawned workers.
 	Socket SocketSpec
-	// Session, when non-nil (ExecSocket only), runs the program on that
-	// open fabric instead of a private one opened and closed around it;
-	// Socket is then unused.  The caller serializes a session's jobs.
+	// Session, when non-nil (ExecSocket only — Execute rejects it in any
+	// other mode), runs the program on that open fabric instead of a
+	// private one opened and closed around it; Socket is then unused.  The
+	// caller serializes a session's jobs.
 	Session *Session
 	// OperandID names Matrix to a Session (OpRunMatrix): workers that
 	// still hold the row blocks of the same id from an earlier job are
@@ -128,126 +125,150 @@ type Outcome struct {
 // explicit N for OpRun, the matrix dimension for OpRunMatrix.
 func specN(spec Spec) int {
 	if spec.Op == OpRunMatrix {
-		if spec.Matrix == nil {
-			return 0
-		}
 		return spec.Matrix.N
 	}
 	return spec.N
 }
 
+// validate checks spec's input contract once, for every mode — before
+// any rank exists, so bad input cannot fail one rank mid-collective.
+func validate(spec *Spec) error {
+	switch spec.Mode {
+	case ExecSim, ExecGoroutine:
+		if spec.Session != nil {
+			return fmt.Errorf("dist: Spec.Session requires the socket mode, not %v", spec.Mode)
+		}
+	case ExecSocket:
+	default:
+		return fmt.Errorf("dist: unknown execution mode %v (valid modes: %s)", spec.Mode, validExecModes)
+	}
+	kernel3 := spec.Op == OpRun || spec.Op == OpRunMatrix
+	switch spec.Op {
+	case OpRun, OpBuildFiltered, OpSort, OpSortExternal:
+		if spec.Edges == nil {
+			return fmt.Errorf("dist: %v of nil edge list", spec.Op)
+		}
+	case OpRunMatrix:
+		if spec.Matrix == nil {
+			return fmt.Errorf("dist: %v of nil matrix", spec.Op)
+		}
+	default:
+		return fmt.Errorf("dist: unknown op %v", spec.Op)
+	}
+	if spec.Procs < 1 {
+		return fmt.Errorf("dist: %v with p = %d, want >= 1", spec.Op, spec.Procs)
+	}
+	if spec.Op == OpRun || spec.Op == OpBuildFiltered {
+		if spec.N < 1 {
+			return fmt.Errorf("dist: %v with n = %d, want >= 1", spec.Op, spec.N)
+		}
+		if err := validateVertices(spec.Edges, spec.N); err != nil {
+			return err
+		}
+	}
+	if !kernel3 && spec.Checkpoint.enabled() {
+		return fmt.Errorf("dist: checkpointing applies to the kernel-3 ops, not %v", spec.Op)
+	}
+	if !kernel3 && spec.Fault != nil {
+		return fmt.Errorf("dist: fault injection applies to the kernel-3 ops, not %v", spec.Op)
+	}
+	return nil
+}
+
 // Execute runs one distributed program under ctx.  Cancelling the
 // context aborts the program at its next cancellation point — between
-// kernel-3 iterations, between the sorts' and kernel 2's phases — with
-// ctx's error, in both execution modes.  In the goroutine mode the
-// fabric's teardown plane guarantees the abort strands no rank: a
-// cancelled (or failed) run unwinds every rank goroutine before Execute
-// returns (DESIGN.md §8).  A background context adds no overhead and
-// changes no result: for every op, Execute under context.Background()
-// returns bit-for-bit the bytes, CommStats and Spill records of the
-// pre-redesign entrypoints it replaced.
+// kernel-3 iterations, and wherever a rank waits on a peer — with ctx's
+// error, in every execution mode.  The fabric's teardown plane guarantees
+// the abort strands no rank: a cancelled (or failed) run unwinds every
+// rank before Execute returns (DESIGN.md §8).  A background context adds
+// no overhead and changes no result.
 func Execute(ctx context.Context, spec Spec) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	switch spec.Mode {
-	case ExecSim, ExecGoroutine, ExecSocket:
-	default:
-		return nil, fmt.Errorf("dist: unknown execution mode %v (valid modes: %s)", spec.Mode, validExecModes)
+	if err := validate(&spec); err != nil {
+		return nil, err
 	}
-	if spec.Op != OpRun && spec.Op != OpRunMatrix {
-		if spec.Checkpoint.enabled() {
-			return nil, fmt.Errorf("dist: checkpointing applies to the kernel-3 ops, not %v", spec.Op)
-		}
-		if spec.Fault != nil {
-			return nil, fmt.Errorf("dist: fault injection applies to the kernel-3 ops, not %v", spec.Op)
-		}
+	// Inputs no rank needs to see: one processor or no edges sort without
+	// communicating, and an empty out-of-core sort spills nothing.
+	switch {
+	case spec.Op == OpSort && (spec.Procs == 1 || spec.Edges.Len() == 0):
+		out := spec.Edges.Clone()
+		xsort.RadixByU(out)
+		return &Outcome{Sort: &SortResult{Sorted: out}}, nil
+	case spec.Op == OpSortExternal && spec.Edges.Len() == 0:
+		return &Outcome{ExtSort: &ExtSortResult{Sorted: edge.NewList(0), RunsPerRank: make([]int, spec.Procs)}}, nil
+	case spec.Op == OpSortExternal:
+		spec.Ext = spec.Ext.withDefaults()
 	}
+	ck, done, err := prepareCheckpoint(&spec, specN(spec))
+	if err != nil {
+		return nil, err
+	}
+	if done != nil {
+		if spec.Op == OpRunMatrix {
+			done.NNZ = spec.Matrix.NNZ()
+		}
+		return &Outcome{Run: done}, nil
+	}
+	var j *joined
+	if spec.Mode == ExecSocket {
+		j, err = launchSocket(ctx, spec, ck)
+	} else {
+		j, err = launchRanks(ctx, spec, ck)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return assembleOutcome(spec, ck, j)
+}
+
+// assembleOutcome folds the joined ranks into spec.Op's result: rank 0's
+// replica for the kernel-3 ops, the row blocks concatenated into the
+// global matrix for kernel 2, the buckets concatenated in rank order for
+// the sorts (the unmetered "output stays distributed" convention).
+func assembleOutcome(spec Spec, ck *ckptRun, j *joined) (*Outcome, error) {
+	first := j.outcomes[0]
 	switch spec.Op {
-	case OpRun:
-		ck, done, err := prepareCheckpoint(&spec, specN(spec))
-		if err != nil {
-			return nil, err
+	case OpRun, OpRunMatrix:
+		res := &Result{
+			Rank: first.rank, NNZ: first.nnz, Comm: j.comm, Iterations: first.iters,
+			RankSeconds: j.seconds, Wire: j.wire,
 		}
-		if done != nil {
-			return &Outcome{Run: done}, nil
-		}
-		var res *Result
-		switch spec.Mode {
-		case ExecSim:
-			res, err = runSim(ctx, spec.Config, spec.Edges, spec.N, spec.Procs, spec.PageRank, ck)
-		case ExecSocket:
-			res, err = runSocket(ctx, spec, ck)
-		default:
-			res, err = runGoroutine(ctx, spec.Config, spec.Edges, spec.N, spec.Procs, spec.PageRank, ck)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ck.finish(res)
-		return &Outcome{Run: res}, nil
-	case OpRunMatrix:
-		ck, done, err := prepareCheckpoint(&spec, specN(spec))
-		if err != nil {
-			return nil, err
-		}
-		if done != nil {
-			if spec.Matrix != nil {
-				done.NNZ = spec.Matrix.NNZ()
-			}
-			return &Outcome{Run: done}, nil
-		}
-		var res *Result
-		switch spec.Mode {
-		case ExecSim:
-			res, err = runMatrixSim(ctx, spec.Config, spec.Matrix, spec.Procs, spec.PageRank, ck)
-		case ExecSocket:
-			res, err = runSocket(ctx, spec, ck)
-		default:
-			res, err = runMatrixGoroutine(ctx, spec.Config, spec.Matrix, spec.Procs, spec.PageRank, ck)
-		}
-		if err != nil {
-			return nil, err
+		if spec.Op == OpRunMatrix {
+			res.NNZ = spec.Matrix.NNZ()
 		}
 		ck.finish(res)
 		return &Outcome{Run: res}, nil
 	case OpBuildFiltered:
-		var res *BuildResult
-		var err error
-		switch spec.Mode {
-		case ExecSim:
-			res, err = buildFilteredSim(ctx, spec.Edges, spec.N, spec.Procs)
-		case ExecSocket:
-			res, err = buildFilteredSocket(ctx, spec)
-		default:
-			res, err = buildFilteredGoroutine(ctx, spec.Edges, spec.N, spec.Procs)
+		states := make([]*rankState, len(j.outcomes))
+		for r, o := range j.outcomes {
+			if o.st == nil {
+				return nil, fmt.Errorf("dist: rank %d outcome carries no block", r)
+			}
+			states[r] = o.st
 		}
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Build: res}, nil
-	case OpSort:
-		var res *SortResult
-		var err error
-		switch spec.Mode {
-		case ExecSim:
-			res, err = sortSim(ctx, spec.Config, spec.Edges, spec.Procs)
-		case ExecSocket:
-			res, err = sortSocket(ctx, spec)
-		default:
-			res, err = sortGoroutine(ctx, spec.Config, spec.Edges, spec.Procs)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Sort: res}, nil
-	case OpSortExternal:
-		res, err := executeSortExternal(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{ExtSort: res}, nil
-	default:
-		return nil, fmt.Errorf("dist: unknown op %v", spec.Op)
+		return &Outcome{Build: &BuildResult{
+			Matrix: assemble(states, spec.N), Mass: first.mass, NNZ: first.nnz, Comm: j.comm, Wire: j.wire,
+		}}, nil
 	}
+	sorted := edge.NewList(spec.Edges.Len())
+	for _, o := range j.outcomes {
+		sorted.AppendList(o.edges)
+	}
+	if spec.Op == OpSort {
+		return &Outcome{Sort: &SortResult{Sorted: sorted, Comm: j.comm, Wire: j.wire}}, nil
+	}
+	res := &ExtSortResult{
+		Sorted: sorted, Comm: j.comm, RunsPerRank: make([]int, len(j.outcomes)),
+		SpillCodec: spec.Ext.Codec.Name(), Wire: j.wire,
+	}
+	for r, o := range j.outcomes {
+		res.RunsPerRank[r] = o.runs
+		res.Spill.BytesRead += o.spill.BytesRead
+		res.Spill.BytesWritten += o.spill.BytesWritten
+		res.Spill.Opens += o.spill.Opens
+		res.Spill.Creates += o.spill.Creates
+	}
+	return &Outcome{ExtSort: res}, nil
 }

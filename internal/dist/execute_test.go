@@ -1,12 +1,9 @@
 package dist_test
 
-// Tests for the redesigned single entry point: every legacy entrypoint
-// must return bit-for-bit the results, CommStats and Spill records of
-// the equivalent Execute Spec (the deprecated wrappers delegate, and
-// this pins that they keep doing so), and a cancelled context must abort
-// mid-kernel-3 in both execution modes promptly and without leaking a
-// single goroutine — the fabric teardown-plane contract DESIGN.md §8
-// documents.
+// Tests for the single entry point: its input contract, and that a
+// cancelled context or a failed rank aborts mid-kernel-3 in every
+// in-process mode promptly and without leaking a single goroutine — the
+// fabric teardown-plane contract DESIGN.md §8 documents.
 
 import (
 	"context"
@@ -63,82 +60,47 @@ func sameMatrix(t *testing.T, what string, a, b *sparse.CSR) {
 	}
 }
 
-// TestExecuteEqualsLegacyEntrypoints pins the acceptance criterion of
-// the API redesign: for every op and both modes, the deprecated
-// entrypoints still compile, still run, and return bit-for-bit the
-// results and CommStats of the one Execute form.
-func TestExecuteEqualsLegacyEntrypoints(t *testing.T) {
-	l, n := executeGraph(t, 8)
-	opt := pagerank.Options{Seed: 5}
-	ctx := context.Background()
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-		for _, p := range []int{1, 3} {
-			cfg := dist.Config{Mode: mode}
+// The Execute call of each op, spelled once for the suites that run it
+// in a loop.
 
-			legacyRun, err := dist.RunCfg(cfg, l, n, p, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := dist.Execute(ctx, dist.Spec{Config: cfg, Op: dist.OpRun, Edges: l, N: n, Procs: p, PageRank: opt})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRank(t, "OpRun", legacyRun.Rank, out.Run.Rank)
-			if legacyRun.Comm != out.Run.Comm || legacyRun.NNZ != out.Run.NNZ {
-				t.Fatalf("OpRun (%v, p=%d): comm/nnz diverge: %+v vs %+v", mode, p, legacyRun, out.Run)
-			}
-
-			legacySort, err := dist.SortCfg(cfg, l, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sout, err := dist.Execute(ctx, dist.Spec{Config: cfg, Op: dist.OpSort, Edges: l, Procs: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !legacySort.Sorted.Equal(sout.Sort.Sorted) || legacySort.Comm != sout.Sort.Comm {
-				t.Fatalf("OpSort (%v, p=%d): output or comm diverges", mode, p)
-			}
-
-			legacyBuild, err := dist.BuildFilteredMode(mode, l, n, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bout, err := dist.Execute(ctx, dist.Spec{Config: dist.Config{Mode: mode}, Op: dist.OpBuildFiltered, Edges: l, N: n, Procs: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameMatrix(t, "OpBuildFiltered", legacyBuild.Matrix, bout.Build.Matrix)
-			if legacyBuild.Comm != bout.Build.Comm || legacyBuild.Mass != bout.Build.Mass {
-				t.Fatalf("OpBuildFiltered (%v, p=%d): comm/mass diverge", mode, p)
-			}
-
-			legacyMat, err := dist.RunMatrixCfg(cfg, legacyBuild.Matrix, p, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mout, err := dist.Execute(ctx, dist.Spec{Config: cfg, Op: dist.OpRunMatrix, Matrix: legacyBuild.Matrix, Procs: p, PageRank: opt})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRank(t, "OpRunMatrix", legacyMat.Rank, mout.Run.Rank)
-			if legacyMat.Comm != mout.Run.Comm {
-				t.Fatalf("OpRunMatrix (%v, p=%d): comm diverges", mode, p)
-			}
-
-			legacyExt, err := dist.SortExternalMode(mode, l, p, dist.ExtSortConfig{RunEdges: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eout, err := dist.Execute(ctx, dist.Spec{Config: dist.Config{Mode: mode}, Op: dist.OpSortExternal, Edges: l, Procs: p, Ext: dist.ExtSortConfig{RunEdges: 64}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !legacyExt.Sorted.Equal(eout.ExtSort.Sorted) || legacyExt.Comm != eout.ExtSort.Comm || legacyExt.Spill != eout.ExtSort.Spill {
-				t.Fatalf("OpSortExternal (%v, p=%d): output, comm or spill diverges", mode, p)
-			}
-		}
+func execRun(cfg dist.Config, l *edge.List, n, p int, opt pagerank.Options) (*dist.Result, error) {
+	out, err := dist.Execute(context.Background(), dist.Spec{Config: cfg, Op: dist.OpRun, Edges: l, N: n, Procs: p, PageRank: opt})
+	if err != nil {
+		return nil, err
 	}
+	return out.Run, nil
+}
+
+func execRunMatrix(cfg dist.Config, a *sparse.CSR, p int, opt pagerank.Options) (*dist.Result, error) {
+	out, err := dist.Execute(context.Background(), dist.Spec{Config: cfg, Op: dist.OpRunMatrix, Matrix: a, Procs: p, PageRank: opt})
+	if err != nil {
+		return nil, err
+	}
+	return out.Run, nil
+}
+
+func execBuild(mode dist.ExecMode, l *edge.List, n, p int) (*dist.BuildResult, error) {
+	out, err := dist.Execute(context.Background(), dist.Spec{Config: dist.Config{Mode: mode}, Op: dist.OpBuildFiltered, Edges: l, N: n, Procs: p})
+	if err != nil {
+		return nil, err
+	}
+	return out.Build, nil
+}
+
+func execSort(cfg dist.Config, l *edge.List, p int) (*dist.SortResult, error) {
+	out, err := dist.Execute(context.Background(), dist.Spec{Config: cfg, Op: dist.OpSort, Edges: l, Procs: p})
+	if err != nil {
+		return nil, err
+	}
+	return out.Sort, nil
+}
+
+func execSortExt(mode dist.ExecMode, l *edge.List, p int, ext dist.ExtSortConfig) (*dist.ExtSortResult, error) {
+	out, err := dist.Execute(context.Background(), dist.Spec{Config: dist.Config{Mode: mode}, Op: dist.OpSortExternal, Edges: l, Procs: p, Ext: ext})
+	if err != nil {
+		return nil, err
+	}
+	return out.ExtSort, nil
 }
 
 // TestExecuteCancelMidKernel3 pins prompt cancellation: a context
@@ -193,50 +155,55 @@ func waitForGoroutines(t *testing.T, want int) {
 	}
 }
 
-// TestCancelledRunsLeakNoGoroutines runs a batch of goroutine-mode
+// TestCancelledRunsLeakNoGoroutines runs a batch of in-process
 // executions that are cancelled mid-kernel-3 — with hybrid intra-rank
 // teams in play — and checks that every rank goroutine, worker team and
-// watcher is gone afterwards.
+// watcher is gone afterwards.  One at a time, the cancelling rank holds
+// the run token while its peers wait for it: the abort must free them.
 func TestCancelledRunsLeakNoGoroutines(t *testing.T) {
 	l, n := executeGraph(t, 8)
 	base := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		opt := pagerank.Options{
-			Seed:       5,
-			Iterations: 100000,
-			Progress: func(it int) {
-				if it == 2 {
-					cancel()
-				}
-			},
-		}
-		_, err := dist.Execute(ctx, dist.Spec{
-			Config: dist.Config{Mode: dist.ExecGoroutine, Workers: 2}, Op: dist.OpRun,
-			Edges: l, N: n, Procs: 4, PageRank: opt,
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("run %d: want context.Canceled, got %v", i, err)
+	for _, mode := range execModes {
+		for i := 0; i < 5; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			opt := pagerank.Options{
+				Seed:       5,
+				Iterations: 100000,
+				Progress: func(it int) {
+					if it == 2 {
+						cancel()
+					}
+				},
+			}
+			_, err := dist.Execute(ctx, dist.Spec{
+				Config: dist.Config{Mode: mode, Workers: 2}, Op: dist.OpRun,
+				Edges: l, N: n, Procs: 4, PageRank: opt,
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%v run %d: want context.Canceled, got %v", mode, i, err)
+			}
 		}
 	}
 	waitForGoroutines(t, base+2)
 }
 
-// TestFailedRunLeaksNoGoroutines drives the goroutine-mode out-of-core
-// sort into a storage failure (the error-mid-schedule path) and checks
-// the rank teardown leaves no goroutine behind.
+// TestFailedRunLeaksNoGoroutines drives the in-process out-of-core sort
+// into a storage failure (the error-mid-schedule path) and checks the
+// rank teardown leaves no goroutine behind.
 func TestFailedRunLeaksNoGoroutines(t *testing.T) {
 	l, _ := executeGraph(t, 8)
 	base := runtime.NumGoroutine()
-	for i := 0; i < 3; i++ {
-		faulty := vfs.NewFaulty(vfs.NewMem(), 1024) // fail after 1 KiB of I/O
-		_, err := dist.Execute(context.Background(), dist.Spec{
-			Config: dist.Config{Mode: dist.ExecGoroutine}, Op: dist.OpSortExternal,
-			Edges: l, Procs: 4, Ext: dist.ExtSortConfig{FS: faulty, RunEdges: 64},
-		})
-		if err == nil {
-			t.Fatal("faulty FS: want error, got success")
+	for _, mode := range execModes {
+		for i := 0; i < 3; i++ {
+			faulty := vfs.NewFaulty(vfs.NewMem(), 1024) // fail after 1 KiB of I/O
+			_, err := dist.Execute(context.Background(), dist.Spec{
+				Config: dist.Config{Mode: mode}, Op: dist.OpSortExternal,
+				Edges: l, Procs: 4, Ext: dist.ExtSortConfig{FS: faulty, RunEdges: 64},
+			})
+			if err == nil {
+				t.Fatalf("%v on a faulty FS: want error, got success", mode)
+			}
 		}
 	}
 	waitForGoroutines(t, base+2)
@@ -250,6 +217,12 @@ func TestExecuteRejectsUnknown(t *testing.T) {
 	}
 	if _, err := dist.Execute(context.Background(), dist.Spec{Config: dist.Config{Mode: dist.ExecMode(7)}, Op: dist.OpRun, Edges: l, N: n, Procs: 2}); err == nil {
 		t.Fatal("unknown mode: want error")
+	}
+	// A Session is a socket fabric: no other mode can run on one.
+	for _, mode := range execModes {
+		if _, err := dist.Execute(context.Background(), dist.Spec{Config: dist.Config{Mode: mode}, Op: dist.OpRun, Edges: l, N: n, Procs: 2, Session: new(dist.Session)}); err == nil {
+			t.Fatalf("%v on a socket session: want error", mode)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // The wire format exists to make the paper's communication model
 // falsifiable against bytes on a real wire: every data-plane payload
-// encodes at exactly the wire-cost formulas the simulation meters
+// encodes at exactly the wire-cost formulas the collectives meter
 // (8 B/float64, 8 B/key, 16 B/edge), so a Link's write-side DataBytes
 // equal the sender's CommStats contribution identically.  Frame headers
 // and segment boundaries are accounted separately (OverheadBytes), and

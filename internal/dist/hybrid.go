@@ -3,7 +3,7 @@ package dist
 // Hybrid intra-rank parallelism: the MPI+OpenMP-style second level of the
 // paper's decomposition.  Config.Workers spins a persistent team of worker
 // goroutines inside each rank for the local kernel-3 block product and the
-// kernel-1 bucket partitioning, in both execution modes.  The design
+// kernel-1 bucket partitioning, in every execution mode.  The design
 // constraint is DESIGN.md §7: results must be bit-for-bit invariant in
 // Workers (and therefore still bit-for-bit equal between the modes and to
 // the serial baseline), and the steady-state iteration must not allocate.
@@ -26,16 +26,14 @@ import (
 )
 
 // Config configures the distributed runtime beyond the processor count.
-// The zero value is the single-threaded simulation with serial ranks —
-// exactly the pre-hybrid behavior.
+// The zero value is the one-rank-at-a-time simulation with serial ranks.
 type Config struct {
-	// Mode selects the execution: the single-threaded simulation or the
-	// concurrent goroutine ranks.
+	// Mode selects how the ranks execute (see ExecMode).
 	Mode ExecMode
 	// Workers is the intra-rank worker-goroutine count for each rank's
 	// local compute (the kernel-3 block product and the kernel-1 bucket
 	// partitioning); <= 1 keeps local compute serial.  Results are
-	// bit-for-bit invariant in Workers in both modes.
+	// bit-for-bit invariant in Workers in every mode.
 	Workers int
 }
 

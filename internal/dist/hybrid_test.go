@@ -25,13 +25,13 @@ func TestHybridRunBitForBitAcrossWorkersAndModes(t *testing.T) {
 	for _, dangling := range []bool{false, true} {
 		opt := pagerank.Options{Seed: 4, Iterations: 6, Dangling: dangling}
 		for _, p := range procCounts {
-			base, err := dist.Run(l, n, p, opt) // sim, serial ranks: the contract baseline
+			base, err := execRun(dist.Config{}, l, n, p, opt) // sim, serial ranks: the contract baseline
 			if err != nil {
 				t.Fatalf("p=%d baseline: %v", p, err)
 			}
 			for _, w := range workerCounts {
 				for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-					res, err := dist.RunCfg(dist.Config{Mode: mode, Workers: w}, l, n, p, opt)
+					res, err := execRun(dist.Config{Mode: mode, Workers: w}, l, n, p, opt)
 					if err != nil {
 						t.Fatalf("p=%d w=%d %v: %v", p, w, mode, err)
 					}
@@ -57,19 +57,19 @@ func TestHybridRunBitForBitAcrossWorkersAndModes(t *testing.T) {
 
 func TestHybridRunMatrixBitForBitAcrossWorkers(t *testing.T) {
 	l, n := kron(t, 7, 6)
-	b, err := dist.BuildFiltered(l, n, 1)
+	b, err := execBuild(dist.ExecSim, l, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := pagerank.Options{Seed: 2, Dangling: true, Iterations: 5}
 	for _, p := range procCounts {
-		base, err := dist.RunMatrix(b.Matrix, p, opt)
+		base, err := execRunMatrix(dist.Config{}, b.Matrix, p, opt)
 		if err != nil {
 			t.Fatalf("p=%d baseline: %v", p, err)
 		}
 		for _, w := range workerCounts {
 			for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-				res, err := dist.RunMatrixCfg(dist.Config{Mode: mode, Workers: w}, b.Matrix, p, opt)
+				res, err := execRunMatrix(dist.Config{Mode: mode, Workers: w}, b.Matrix, p, opt)
 				if err != nil {
 					t.Fatalf("p=%d w=%d %v: %v", p, w, mode, err)
 				}
@@ -100,13 +100,13 @@ func TestHybridSortEqualsSerialAcrossWorkersAndModes(t *testing.T) {
 		serial := l.Clone()
 		xsort.RadixByU(serial)
 		for _, p := range procCounts {
-			base, err := dist.Sort(l, p)
+			base, err := execSort(dist.Config{}, l, p)
 			if err != nil {
 				t.Fatalf("%s p=%d baseline: %v", name, p, err)
 			}
 			for _, w := range workerCounts {
 				for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-					res, err := dist.SortCfg(dist.Config{Mode: mode, Workers: w}, l, p)
+					res, err := execSort(dist.Config{Mode: mode, Workers: w}, l, p)
 					if err != nil {
 						t.Fatalf("%s p=%d w=%d %v: %v", name, p, w, mode, err)
 					}
@@ -129,7 +129,7 @@ func TestHybridPredictedCommBytesUnchanged(t *testing.T) {
 	for _, p := range procCounts {
 		for _, w := range workerCounts {
 			opt := pagerank.Options{Seed: 1, Iterations: 4, Dangling: true}
-			res, err := dist.RunCfg(dist.Config{Mode: dist.ExecGoroutine, Workers: w}, l, n, p, opt)
+			res, err := execRun(dist.Config{Mode: dist.ExecGoroutine, Workers: w}, l, n, p, opt)
 			if err != nil {
 				t.Fatalf("p=%d w=%d: %v", p, w, err)
 			}

@@ -1,15 +1,15 @@
 package dist
 
-// The goroutine-rank runtime: p concurrent goroutines, one per rank, each
-// owning its rectangular block of the matrix and communicating only
-// through the typed channel fabric of collective.go.  Every rank executes
-// the same program — the schedule the simulation (run.go, sort.go) walks
-// globally — built from the same shared steps: routeChunk/buildBlock/
-// filterBlock for kernel 2, sampleChunk/chooseSplitters/destRank for
-// kernel 1, and pagerank.RunCustom for the kernel-3 update.  DESIGN.md §5
-// specifies the contract; the property tests in rank_test.go pin the
-// bit-for-bit result equality and the byte-count identity between the two
-// runtimes and the closed form.
+// The rank program: the one statement of the distributed K1/K2/K3
+// schedule.  Every rank of every execution mode runs runRank over a
+// rankComm — p goroutines on the channel fabric (ExecGoroutine), the same
+// p goroutines holding a run token so one executes at a time (ExecSim), or
+// p worker processes on the socket fabric (ExecSocket, sockworker.go) —
+// and communicates only through the collectives of collective.go.
+// DESIGN.md §5 specifies the contract; because program, collectives and
+// metering are shared, results and CommStats are equal across the modes by
+// construction, and TestDistRankGolden holds the one program to the bits
+// of the independent simulation it replaced.
 
 import (
 	"context"
@@ -21,7 +21,6 @@ import (
 	"repro/internal/edge"
 	"repro/internal/fastio"
 	"repro/internal/pagerank"
-	"repro/internal/sparse"
 	"repro/internal/vfs"
 	"repro/internal/xsort"
 )
@@ -30,12 +29,14 @@ import (
 type ExecMode int
 
 const (
-	// ExecSim is the single-threaded simulation: exact metering, no
-	// concurrency, results independent of the host (the default).
+	// ExecSim runs the p ranks one at a time in rank order, handing over
+	// only where a rank would block on a message: a schedule that is the
+	// same on every host and every run, which makes it the mode to debug
+	// and to account bytes in (the default).
 	ExecSim ExecMode = iota
-	// ExecGoroutine runs p concurrent goroutine ranks exchanging real
-	// messages over channels; results and byte counts equal ExecSim's
-	// bit for bit, and wall clock scales with the host's cores.
+	// ExecGoroutine runs the same p ranks concurrently, exchanging the
+	// same messages over the same channels; results and byte counts equal
+	// ExecSim's bit for bit, and wall clock scales with the host's cores.
 	ExecGoroutine
 	// ExecSocket runs p ranks as separate OS processes exchanging real
 	// messages over unix-domain or TCP sockets (socket.go; DESIGN.md
@@ -80,107 +81,6 @@ func ParseExecMode(s string) (ExecMode, error) {
 	}
 }
 
-// RunMode executes the distributed kernel-2/kernel-3 pipeline in the given
-// execution mode.  Both modes produce bit-for-bit identical Rank vectors
-// and identical CommStats; ExecGoroutine additionally fills RankSeconds.
-//
-// Deprecated: use Execute with OpRun.
-func RunMode(mode ExecMode, l *edge.List, n, p int, opt pagerank.Options) (*Result, error) {
-	return RunCfg(Config{Mode: mode}, l, n, p, opt)
-}
-
-// RunCfg executes the distributed kernel-2/kernel-3 pipeline under the
-// full runtime configuration: execution mode plus hybrid intra-rank
-// workers.  The result — rank vector bits and CommStats alike — is
-// invariant in both Mode and Workers; only wall clock changes.
-//
-// Deprecated: use Execute with OpRun.
-func RunCfg(cfg Config, l *edge.List, n, p int, opt pagerank.Options) (*Result, error) {
-	out, err := Execute(context.Background(), Spec{
-		Config: cfg, Op: OpRun, Edges: l, N: n, Procs: p, PageRank: opt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.Run, nil
-}
-
-// SortMode executes the distributed sample sort in the given mode.
-//
-// Deprecated: use Execute with OpSort.
-func SortMode(mode ExecMode, l *edge.List, p int) (*SortResult, error) {
-	return SortCfg(Config{Mode: mode}, l, p)
-}
-
-// SortCfg executes the distributed sample sort under the full runtime
-// configuration; Workers parallelizes each rank's bucket partitioning.
-//
-// Deprecated: use Execute with OpSort.
-func SortCfg(cfg Config, l *edge.List, p int) (*SortResult, error) {
-	out, err := Execute(context.Background(), Spec{
-		Config: cfg, Op: OpSort, Edges: l, Procs: p,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.Sort, nil
-}
-
-// BuildFilteredMode executes the distributed kernel 2 in the given mode.
-//
-// Deprecated: use Execute with OpBuildFiltered.
-func BuildFilteredMode(mode ExecMode, l *edge.List, n, p int) (*BuildResult, error) {
-	out, err := Execute(context.Background(), Spec{
-		Config: Config{Mode: mode}, Op: OpBuildFiltered, Edges: l, N: n, Procs: p,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.Build, nil
-}
-
-// RunMatrixMode executes the distributed kernel-3 iteration on a built
-// matrix in the given mode.
-//
-// Deprecated: use Execute with OpRunMatrix.
-func RunMatrixMode(mode ExecMode, a *sparse.CSR, p int, opt pagerank.Options) (*Result, error) {
-	return RunMatrixCfg(Config{Mode: mode}, a, p, opt)
-}
-
-// RunMatrixCfg executes the distributed kernel-3 iteration on a built
-// matrix under the full runtime configuration.
-//
-// Deprecated: use Execute with OpRunMatrix.
-func RunMatrixCfg(cfg Config, a *sparse.CSR, p int, opt pagerank.Options) (*Result, error) {
-	out, err := Execute(context.Background(), Spec{
-		Config: cfg, Op: OpRunMatrix, Matrix: a, Procs: p, PageRank: opt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.Run, nil
-}
-
-// runMatrixGoroutine is the concurrent execution of RunMatrix's schedule.
-func runMatrixGoroutine(ctx context.Context, cfg Config, a *sparse.CSR, p int, opt pagerank.Options, ck *ckptRun) (*Result, error) {
-	if a == nil {
-		return nil, fmt.Errorf("dist: RunMatrix of nil matrix")
-	}
-	if p < 1 {
-		return nil, fmt.Errorf("dist: RunMatrix with p = %d, want >= 1", p)
-	}
-	states := splitMatrix(a, p)
-	out, err := spawnRanks(ctx, p, func(c *rankComm) rankOutcome {
-		rank, iters, err := iterateRank(ctx, c, states[c.rank], a.N, opt, cfg.workers(), ck)
-		return rankOutcome{rank: rank, iters: iters, err: err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.result.NNZ = a.NNZ()
-	return out.result, nil
-}
-
 // rankOutcome is what one rank's program hands back to the driver.
 type rankOutcome struct {
 	// st is the rank's built state (kernel-2 programs only).
@@ -196,19 +96,91 @@ type rankOutcome struct {
 	nnz  int
 	// edges is the rank's sorted bucket (sort programs only).
 	edges *edge.List
-	// runs is the rank's spilled-run count (out-of-core sort program only).
-	runs int
+	// runs is the rank's spilled-run count and spill its run-file traffic
+	// (out-of-core sort program only).
+	runs  int
+	spill vfs.IOStats
 	// err is a per-rank failure; the schedule guarantees option errors
 	// surface identically on every rank before any collective, so no rank
 	// can strand another inside one.
 	err error
 }
 
-// joined collects the per-rank outcomes plus the summed communication
-// record.
+// joined is what either launcher hands Execute's assembler: the per-rank
+// outcomes plus the summed communication record.
 type joined struct {
 	outcomes []rankOutcome
-	result   *Result
+	comm     CommStats
+	// seconds is each rank's wall clock (nil under ExecSim, where a rank's
+	// clock would include its peers' turns).
+	seconds []float64
+	// wire is the measured socket traffic (ExecSocket only).
+	wire *WireStats
+}
+
+// rankInput is everything one rank's program reads: what the in-process
+// launcher captures from the Spec and a socket worker decodes from its
+// job.
+type rankInput struct {
+	op Op
+	// edges is the full input edge list (every op except OpRunMatrix);
+	// the rank works on its blockBounds chunk of it.
+	edges *edge.List
+	n     int
+	// st is the rank's row block of the operand (OpRunMatrix).
+	st      *rankState
+	workers int
+	opt     pagerank.Options
+	// ext carries the out-of-core sort's resolved knobs; ext.FS is the
+	// store this rank spills to.
+	ext ExtSortConfig
+	ck  *ckptRun
+}
+
+// runRank is the rank program: in's op on rank c.rank of c's fabric.
+func runRank(ctx context.Context, c *rankComm, in *rankInput) rankOutcome {
+	switch in.op {
+	case OpSort:
+		return rankOutcome{edges: sortRank(c, in.edges, in.workers)}
+	case OpSortExternal:
+		// Run files are rank-private, so per-rank meters sum to the
+		// sort's whole spill record.
+		fs := vfs.NewMetered(in.ext.FS)
+		bucket, runs, err := sortExternalRank(c, in.edges, fs, in.ext.TmpPrefix, in.ext.Codec, in.ext.RunEdges)
+		return rankOutcome{edges: bucket, runs: runs, spill: fs.Stats(), err: err}
+	case OpBuildFiltered:
+		st, mass, nnz := buildRank(c, in.edges, in.n)
+		return rankOutcome{st: st, mass: mass, nnz: nnz}
+	case OpRun, OpRunMatrix:
+		out := rankOutcome{st: in.st}
+		if in.op == OpRun {
+			out.st, out.mass, out.nnz = buildRank(c, in.edges, in.n)
+		}
+		out.rank, out.iters, out.err = iterateRank(ctx, c, out.st, in.n, in.opt, in.workers, in.ck)
+		return out
+	default:
+		return rankOutcome{err: fmt.Errorf("dist: unknown op %v", in.op)}
+	}
+}
+
+// launchRanks runs spec's program on p in-process ranks: concurrently
+// (ExecGoroutine) or one at a time (ExecSim).
+func launchRanks(ctx context.Context, spec Spec, ck *ckptRun) (*joined, error) {
+	in := rankInput{
+		op: spec.Op, edges: spec.Edges, n: specN(spec), workers: spec.workers(),
+		opt: spec.PageRank, ext: spec.Ext, ck: ck,
+	}
+	var states []*rankState
+	if spec.Op == OpRunMatrix {
+		states = splitMatrix(spec.Matrix, spec.Procs)
+	}
+	return spawnRanks(ctx, spec.Procs, spec.Mode == ExecSim, func(c *rankComm) rankOutcome {
+		in := in
+		if states != nil {
+			in.st = states[c.rank]
+		}
+		return runRank(ctx, c, &in)
+	})
 }
 
 // errRunAborted is the error a rank reports when it unwound because the
@@ -217,9 +189,10 @@ type joined struct {
 // the originating rank's error) in preference to this sentinel.
 var errRunAborted = errors.New("dist: run aborted")
 
-// spawnRanks runs the rank program on p concurrent goroutines over a
-// fresh fabric, joins them, and folds the per-rank communication records
-// and wall-clock times into a Result skeleton.
+// spawnRanks runs the rank program on p goroutines over a fresh channel
+// fabric — concurrently, or with oneAtATime under the fabric's run token —
+// joins them, and folds the per-rank communication records and wall-clock
+// times.
 //
 // Teardown is defer-based and cannot strand a rank: a rank whose program
 // returns an error (or panics) trips the fabric's teardown plane on its
@@ -227,12 +200,14 @@ var errRunAborted = errors.New("dist: run aborted")
 // cancelled ctx trips the same plane through a watcher goroutine.  Every
 // rank goroutine therefore joins — wg.Wait cannot hang — and the watcher
 // itself is stopped before spawnRanks returns, so an aborted run leaks
-// nothing (rank_test.go counts goroutines to pin this).
-func spawnRanks(ctx context.Context, p int, program func(c *rankComm) rankOutcome) (*joined, error) {
+// nothing (execute_test.go counts goroutines to pin this).  The same
+// plane frees a rank waiting for the run token: a token holder that fails
+// or is cancelled aborts on its way out, so it cannot strand its peers.
+func spawnRanks(ctx context.Context, p int, oneAtATime bool, program func(c *rankComm) rankOutcome) (*joined, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	f := newChanFabric(p)
+	f := newChanFabric(p, oneAtATime)
 	var stopWatch chan struct{}
 	if ctx.Done() != nil {
 		stopWatch = make(chan struct{})
@@ -255,6 +230,9 @@ func spawnRanks(ctx context.Context, p int, program func(c *rankComm) rankOutcom
 		//prlint:allow determinism -- the rank spawner IS the simulated machine; ranks sync only through the metered fabric and join on wg
 		go func(r int) {
 			defer wg.Done()
+			if oneAtATime {
+				defer f.leave(r)
+			}
 			// Runs after the recover below: a rank that failed for any
 			// reason brings the fabric down so no peer waits for it.
 			defer func() {
@@ -273,6 +251,9 @@ func spawnRanks(ctx context.Context, p int, program func(c *rankComm) rankOutcom
 					panic(e)
 				}
 			}()
+			if oneAtATime {
+				f.await(r)
+			}
 			//prlint:allow determinism -- wall-clock feeds only the reported per-rank timing, never the kernel results
 			start := time.Now()
 			outcomes[r] = program(comms[r])
@@ -304,63 +285,22 @@ func spawnRanks(ctx context.Context, p int, program func(c *rankComm) rankOutcom
 	if aborted != nil {
 		return nil, aborted
 	}
-	res := &Result{
-		Rank:        outcomes[0].rank,
-		Iterations:  outcomes[0].iters,
-		NNZ:         outcomes[0].nnz,
-		RankSeconds: seconds,
+	j := &joined{outcomes: outcomes}
+	if !oneAtATime {
+		j.seconds = seconds
 	}
 	for r := 0; r < p; r++ {
-		res.Comm.Add(comms[r].st)
+		j.comm.Add(comms[r].st)
 	}
-	return &joined{outcomes: outcomes, result: res}, nil
-}
-
-// runGoroutine is the concurrent execution of Run's schedule.
-func runGoroutine(ctx context.Context, cfg Config, l *edge.List, n, p int, opt pagerank.Options, ck *ckptRun) (*Result, error) {
-	if err := validateRun(l, n, p); err != nil {
-		return nil, err
-	}
-	out, err := spawnRanks(ctx, p, func(c *rankComm) rankOutcome {
-		st, mass, nnz := buildRank(c, l, n)
-		rank, iters, err := iterateRank(ctx, c, st, n, opt, cfg.workers(), ck)
-		return rankOutcome{st: st, rank: rank, iters: iters, mass: mass, nnz: nnz, err: err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.result, nil
-}
-
-// buildFilteredGoroutine is the concurrent execution of BuildFiltered's
-// schedule; the driver assembles the global matrix from the joined blocks.
-func buildFilteredGoroutine(ctx context.Context, l *edge.List, n, p int) (*BuildResult, error) {
-	if err := validateRun(l, n, p); err != nil {
-		return nil, err
-	}
-	out, err := spawnRanks(ctx, p, func(c *rankComm) rankOutcome {
-		st, mass, nnz := buildRank(c, l, n)
-		return rankOutcome{st: st, mass: mass, nnz: nnz}
-	})
-	if err != nil {
-		return nil, err
-	}
-	states := make([]*rankState, p)
-	for r := range states {
-		states[r] = out.outcomes[r].st
-	}
-	return &BuildResult{
-		Matrix: assemble(states, n),
-		Mass:   out.outcomes[0].mass,
-		NNZ:    out.outcomes[0].nnz,
-		Comm:   out.result.Comm,
-	}, nil
+	return j, nil
 }
 
 // buildRank is one rank's kernel-2 program: route the owned input chunk,
 // exchange edges all-to-all, build the block-local counting matrix, and
-// apply the global filter through the in-degree all-reduce.  Inputs were
-// validated by the driver, so the program cannot fail mid-collective.
+// apply the global filter through the in-degree all-reduce (the matrix
+// mass and the stored-entry count are metered scalar reductions beside
+// it; counts are integers, so their float64 sums are exact).  Inputs were
+// validated by Execute, so the program cannot fail mid-collective.
 func buildRank(c *rankComm, l *edge.List, n int) (*rankState, float64, int) {
 	p := c.procs()
 	lo, hi := blockBounds(l.Len(), p, c.rank)
@@ -377,7 +317,7 @@ func buildRank(c *rankComm, l *edge.List, n int) (*rankState, float64, int) {
 	rowLo, rowHi := blockBounds(n, p, c.rank)
 	blk, err := buildBlock(local, n, rowLo, rowHi)
 	if err != nil {
-		// Unreachable after validateRun; a failure here is a routing bug.
+		// Unreachable after validateVertices; a failure here is a routing bug.
 		panic(err)
 	}
 	mass := c.allReduceScalar(blk.sumValues())
@@ -397,7 +337,7 @@ func buildRank(c *rankComm, l *edge.List, n int) (*rankState, float64, int) {
 // dangling-mass hook all-reducing the owned dangling rows' mass.  Every
 // replica follows a byte-identical trajectory — the all-reduce hands all
 // ranks the root's rank-ordered sum — so rank 0's result is the global
-// result, equal to the simulation's bit for bit.  With workers > 1 the
+// result.  With workers > 1 the
 // local product runs on the rank's persistent hybrid team (spmvOf),
 // bit-for-bit invariantly; combined with the engine's preallocated
 // vectors and the fabric's pooled buffers, the steady-state iteration
@@ -452,57 +392,6 @@ func iterateRank(ctx context.Context, c *rankComm, st *rankState, n int, opt pag
 	return res.Rank, res.Iterations, nil
 }
 
-// sortGoroutine is the concurrent execution of Sort's schedule; each rank
-// samples, routes and sorts its bucket, and the driver concatenates the
-// buckets in rank order (the unmetered "output stays distributed"
-// convention the simulation shares).
-func sortGoroutine(ctx context.Context, cfg Config, l *edge.List, p int) (*SortResult, error) {
-	if l == nil {
-		return nil, fmt.Errorf("dist: Sort of nil edge list")
-	}
-	if p < 1 {
-		return nil, fmt.Errorf("dist: Sort with p = %d, want >= 1", p)
-	}
-	m := l.Len()
-	if p == 1 || m == 0 {
-		out := l.Clone()
-		xsort.RadixByU(out)
-		return &SortResult{Sorted: out}, nil
-	}
-	out, err := spawnRanks(ctx, p, func(c *rankComm) rankOutcome {
-		return rankOutcome{edges: sortRank(c, l, cfg.workers())}
-	})
-	if err != nil {
-		return nil, err
-	}
-	sorted := edge.NewList(m)
-	for _, o := range out.outcomes {
-		sorted.AppendList(o.edges)
-	}
-	return &SortResult{Sorted: sorted, Comm: out.result.Comm}, nil
-}
-
-// sortExternalGoroutine is the concurrent execution of the out-of-core
-// sort's schedule; each rank spills, samples, routes run segments and
-// merges its bucket, and the driver concatenates the buckets in rank
-// order.  Inputs were validated and defaulted by the Execute dispatcher.
-func sortExternalGoroutine(ctx context.Context, l *edge.List, p int, cfg ExtSortConfig, fs vfs.FS) (*ExtSortResult, error) {
-	out, err := spawnRanks(ctx, p, func(c *rankComm) rankOutcome {
-		bucket, runs, err := sortExternalRank(c, l, fs, cfg.TmpPrefix, cfg.Codec, cfg.RunEdges)
-		return rankOutcome{edges: bucket, runs: runs, err: err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	sorted := edge.NewList(l.Len())
-	runsPerRank := make([]int, p)
-	for r, o := range out.outcomes {
-		sorted.AppendList(o.edges)
-		runsPerRank[r] = o.runs
-	}
-	return &ExtSortResult{Sorted: sorted, Comm: out.result.Comm, RunsPerRank: runsPerRank}, nil
-}
-
 // sortExternalRank is one rank's out-of-core sample-sort program: spill
 // the owned chunk as bounded sorted runs, agree that every rank's spill
 // succeeded (control-plane barrier — a storage failure anywhere aborts all
@@ -555,12 +444,10 @@ func sortExternalRank(c *rankComm, l *edge.List, fs vfs.FS, prefix string, codec
 	return bucket, len(names), nil
 }
 
-// splitterPhase runs one goroutine rank's share of the sort's sampling
-// and splitter schedule: sample the owned chunk [lo, hi), gather the
-// samples at rank 0, select the splitters there and receive the
-// broadcast.  The in-memory and out-of-core sorts share it, so the two
-// schedules cannot drift apart (gatherSamples in sort.go is the
-// simulated counterpart).
+// splitterPhase runs one rank's share of the sort's sampling and splitter
+// schedule: sample the owned chunk [lo, hi), gather the samples at rank
+// 0, select the splitters there and receive the broadcast.  The in-memory
+// and out-of-core sorts share it, so the two schedules cannot drift apart.
 func splitterPhase(c *rankComm, l *edge.List, lo, hi int) []uint64 {
 	p := c.procs()
 	all := c.gatherKeys(sampleChunk(l, lo, hi))

@@ -1,11 +1,12 @@
 package dist_test
 
-// Property tests for the goroutine-rank runtime: for every processor
-// count the concurrent execution must equal the simulation bit for bit —
-// rank vectors, sorted output, assembled matrix AND communication record —
-// and therefore equal the closed-form byte model too.  A determinism test
-// pins that repeated concurrent runs are identical despite scheduling
-// noise.  Run under -race in CI.
+// Property tests for interleaving independence: for every processor
+// count the ranks run concurrently (ExecGoroutine) must equal the same
+// ranks run one at a time (ExecSim) bit for bit — rank vectors, sorted
+// output, assembled matrix AND communication record — and therefore equal
+// the closed-form byte model too.  A determinism test pins that repeated
+// concurrent runs are identical despite scheduling noise.  Run under
+// -race in CI.
 
 import (
 	"strings"
@@ -29,11 +30,11 @@ func TestGoroutineSortEqualsSimBitForBit(t *testing.T) {
 
 	for name, l := range inputs {
 		for _, p := range procCounts {
-			sim, err := dist.SortMode(dist.ExecSim, l, p)
+			sim, err := execSort(dist.Config{Mode: dist.ExecSim}, l, p)
 			if err != nil {
 				t.Fatalf("%s p=%d sim: %v", name, p, err)
 			}
-			real, err := dist.SortMode(dist.ExecGoroutine, l, p)
+			real, err := execSort(dist.Config{Mode: dist.ExecGoroutine}, l, p)
 			if err != nil {
 				t.Fatalf("%s p=%d goroutine: %v", name, p, err)
 			}
@@ -52,11 +53,11 @@ func TestGoroutineRunEqualsSimBitForBit(t *testing.T) {
 	for _, p := range procCounts {
 		for _, dangling := range []bool{false, true} {
 			opt := pagerank.Options{Seed: 4, Iterations: 7, Dangling: dangling}
-			sim, err := dist.RunMode(dist.ExecSim, l, n, p, opt)
+			sim, err := execRun(dist.Config{Mode: dist.ExecSim}, l, n, p, opt)
 			if err != nil {
 				t.Fatalf("p=%d sim: %v", p, err)
 			}
-			real, err := dist.RunMode(dist.ExecGoroutine, l, n, p, opt)
+			real, err := execRun(dist.Config{Mode: dist.ExecGoroutine}, l, n, p, opt)
 			if err != nil {
 				t.Fatalf("p=%d goroutine: %v", p, err)
 			}
@@ -88,7 +89,7 @@ func TestGoroutineCommEqualsPredictionExactly(t *testing.T) {
 	for _, p := range procCounts {
 		for _, dangling := range []bool{false, true} {
 			opt := pagerank.Options{Seed: 1, Iterations: 5, Dangling: dangling}
-			res, err := dist.RunMode(dist.ExecGoroutine, l, n, p, opt)
+			res, err := execRun(dist.Config{Mode: dist.ExecGoroutine}, l, n, p, opt)
 			if err != nil {
 				t.Fatalf("p=%d: %v", p, err)
 			}
@@ -109,12 +110,12 @@ func TestGoroutineRunDeterminism(t *testing.T) {
 	l, n := kron(t, 7, 11)
 	const p = 5
 	opt := pagerank.Options{Seed: 3, Iterations: 6, Dangling: true}
-	first, err := dist.RunMode(dist.ExecGoroutine, l, n, p, opt)
+	first, err := execRun(dist.Config{Mode: dist.ExecGoroutine}, l, n, p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 4; run++ {
-		res, err := dist.RunMode(dist.ExecGoroutine, l, n, p, opt)
+		res, err := execRun(dist.Config{Mode: dist.ExecGoroutine}, l, n, p, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +133,11 @@ func TestGoroutineRunDeterminism(t *testing.T) {
 func TestGoroutineBuildFilteredEqualsSim(t *testing.T) {
 	l, n := kron(t, 7, 2)
 	for _, p := range procCounts {
-		sim, err := dist.BuildFilteredMode(dist.ExecSim, l, n, p)
+		sim, err := execBuild(dist.ExecSim, l, n, p)
 		if err != nil {
 			t.Fatalf("p=%d sim: %v", p, err)
 		}
-		real, err := dist.BuildFilteredMode(dist.ExecGoroutine, l, n, p)
+		real, err := execBuild(dist.ExecGoroutine, l, n, p)
 		if err != nil {
 			t.Fatalf("p=%d goroutine: %v", p, err)
 		}
@@ -159,17 +160,17 @@ func TestGoroutineBuildFilteredEqualsSim(t *testing.T) {
 
 func TestGoroutineRunMatrixEqualsSim(t *testing.T) {
 	l, n := kron(t, 7, 6)
-	b, err := dist.BuildFiltered(l, n, 1)
+	b, err := execBuild(dist.ExecSim, l, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := pagerank.Options{Seed: 2, Dangling: true, Iterations: 5}
 	for _, p := range procCounts {
-		sim, err := dist.RunMatrixMode(dist.ExecSim, b.Matrix, p, opt)
+		sim, err := execRunMatrix(dist.Config{Mode: dist.ExecSim}, b.Matrix, p, opt)
 		if err != nil {
 			t.Fatalf("p=%d sim: %v", p, err)
 		}
-		real, err := dist.RunMatrixMode(dist.ExecGoroutine, b.Matrix, p, opt)
+		real, err := execRunMatrix(dist.Config{Mode: dist.ExecGoroutine}, b.Matrix, p, opt)
 		if err != nil {
 			t.Fatalf("p=%d goroutine: %v", p, err)
 		}
@@ -189,29 +190,34 @@ func TestGoroutineRunMatrixEqualsSim(t *testing.T) {
 
 func TestGoroutineRejectsBadInput(t *testing.T) {
 	l, n := kron(t, 5, 1)
-	if _, err := dist.RunMode(dist.ExecGoroutine, l, n, 0, pagerank.Options{}); err == nil {
-		t.Error("p = 0 accepted")
+	for _, mode := range execModes {
+		cfg := dist.Config{Mode: mode}
+		if _, err := execRun(cfg, l, n, 0, pagerank.Options{}); err == nil {
+			t.Errorf("%v: p = 0 accepted", mode)
+		}
+		if _, err := execRun(cfg, nil, n, 2, pagerank.Options{}); err == nil {
+			t.Errorf("%v: nil list accepted", mode)
+		}
+		if _, err := execRun(cfg, l, 2, 2, pagerank.Options{}); err == nil {
+			t.Errorf("%v: out-of-range vertices accepted", mode)
+		}
+		// Invalid options must fail on every rank consistently (no
+		// deadlock) — one at a time, rank 0 fails holding the run token
+		// its peers have yet to see.
+		if _, err := execRun(cfg, l, n, 3, pagerank.Options{Damping: 2}); err == nil {
+			t.Errorf("%v: invalid damping accepted", mode)
+		}
+		if _, err := execRun(cfg, l, n, 3, pagerank.Options{Teleport: []float64{1}}); err == nil {
+			t.Errorf("%v: short teleport vector accepted", mode)
+		}
+		if _, err := execSort(cfg, nil, 2); err == nil {
+			t.Errorf("%v: sort of nil list accepted", mode)
+		}
+		if _, err := execRunMatrix(cfg, nil, 2, pagerank.Options{}); err == nil {
+			t.Errorf("%v: nil matrix accepted", mode)
+		}
 	}
-	if _, err := dist.RunMode(dist.ExecGoroutine, nil, n, 2, pagerank.Options{}); err == nil {
-		t.Error("nil list accepted")
-	}
-	if _, err := dist.RunMode(dist.ExecGoroutine, l, 2, 2, pagerank.Options{}); err == nil {
-		t.Error("out-of-range vertices accepted")
-	}
-	// Invalid options must fail on every rank consistently (no deadlock).
-	if _, err := dist.RunMode(dist.ExecGoroutine, l, n, 3, pagerank.Options{Damping: 2}); err == nil {
-		t.Error("invalid damping accepted")
-	}
-	if _, err := dist.RunMode(dist.ExecGoroutine, l, n, 3, pagerank.Options{Teleport: []float64{1}}); err == nil {
-		t.Error("short teleport vector accepted")
-	}
-	if _, err := dist.SortMode(dist.ExecGoroutine, nil, 2); err == nil {
-		t.Error("sort of nil list accepted")
-	}
-	if _, err := dist.RunMatrixMode(dist.ExecGoroutine, nil, 2, pagerank.Options{}); err == nil {
-		t.Error("nil matrix accepted")
-	}
-	if _, err := dist.RunMode(dist.ExecMode(99), l, n, 2, pagerank.Options{}); err == nil {
+	if _, err := execRun(dist.Config{Mode: dist.ExecMode(99)}, l, n, 2, pagerank.Options{}); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }
@@ -222,11 +228,11 @@ func TestGoroutineCheckpointRestartPath(t *testing.T) {
 	l, n := kron(t, 6, 4)
 	init := pagerank.InitVector(n, 77)
 	opt := pagerank.Options{Seed: 1, Iterations: 3, InitialRank: init}
-	sim, err := dist.RunMode(dist.ExecSim, l, n, 3, opt)
+	sim, err := execRun(dist.Config{Mode: dist.ExecSim}, l, n, 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	real, err := dist.RunMode(dist.ExecGoroutine, l, n, 3, opt)
+	real, err := execRun(dist.Config{Mode: dist.ExecGoroutine}, l, n, 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +289,7 @@ func TestUnknownExecModeErrors(t *testing.T) {
 		{
 			name: "run with out-of-range enum",
 			run: func() error {
-				_, err := dist.RunMode(dist.ExecMode(42), l, n, 2, pagerank.Options{})
+				_, err := execRun(dist.Config{Mode: dist.ExecMode(42)}, l, n, 2, pagerank.Options{})
 				return err
 			},
 			want: []string{"42", "sim, goroutine, socket"},
@@ -291,7 +297,7 @@ func TestUnknownExecModeErrors(t *testing.T) {
 		{
 			name: "sort with out-of-range enum",
 			run: func() error {
-				_, err := dist.SortMode(dist.ExecMode(7), l, 2)
+				_, err := execSort(dist.Config{Mode: dist.ExecMode(7)}, l, 2)
 				return err
 			},
 			want: []string{"7", "sim, goroutine, socket"},

@@ -10,19 +10,14 @@ package dist
 // the communication pattern whose closed form the paper derives and
 // PredictedCommBytes reproduces.
 //
-// This file is the simulated (single-threaded) execution of that schedule;
-// rank.go executes the identical schedule on p concurrent goroutine ranks
-// (DESIGN.md §5).  Both share the block type, the collective wire-cost
-// formulas in dist.go, and pagerank.RunCustom's update semantics, which is
-// what keeps their results bit-for-bit equal and their byte counts
-// identical.
+// This file holds the result types and the purely local steps of that
+// schedule; rank.go is the schedule itself — the one rank program every
+// execution mode runs (DESIGN.md §5).
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/edge"
-	"repro/internal/pagerank"
 	"repro/internal/sparse"
 )
 
@@ -36,10 +31,10 @@ type Result struct {
 	Comm CommStats
 	// Iterations is the number of PageRank update steps performed.
 	Iterations int
-	// RankSeconds is each rank's wall-clock execution time.  Only the
-	// goroutine runtime fills it (the simulation runs all ranks on one
-	// thread, where per-rank wall-clock is meaningless); perfmodel's
-	// CompareRankElapsed relates it to the parallel hardware model.
+	// RankSeconds is each rank's wall-clock execution time.  ExecSim
+	// leaves it nil (it runs one rank at a time, so a rank's wall clock
+	// includes its peers' turns); perfmodel's CompareRankElapsed relates
+	// it to the parallel hardware model.
 	RankSeconds []float64
 	// Checkpoint reports what the checkpoint/restart machinery did; nil
 	// when the Spec enabled neither checkpointing nor resume.
@@ -70,8 +65,8 @@ type BuildResult struct {
 
 // rankState is one processor's share of the matrix: the rectangular row
 // block (block-local CSR, hi-lo+1 row pointers) plus the owned dangling
-// rows.  Both runtimes use it; p ranks together hold n+p row pointers,
-// the footprint a real distributed memory forces.
+// rows.  p ranks together hold n+p row pointers, the footprint a real
+// distributed memory forces.
 type rankState struct {
 	blk *block
 	// danglingRows lists owned rows (global indices) with zero out-degree
@@ -79,91 +74,11 @@ type rankState struct {
 	danglingRows []int
 }
 
-// Run executes the distributed kernel-2/kernel-3 pipeline over p simulated
-// processors: route edges by row owner, build and filter the distributed
-// matrix, then iterate PageRank with a metered all-reduce per step.  The
-// result matches pagerank.Scatter on the serially built and filtered
-// matrix to well under 1e-9 for every p.
-//
-// Deprecated: use Execute with OpRun.
-func Run(l *edge.List, n, p int, opt pagerank.Options) (*Result, error) {
-	return RunCfg(Config{}, l, n, p, opt)
-}
-
-// runSim is the simulated execution of Run's schedule under cfg.
-func runSim(ctx context.Context, cfg Config, l *edge.List, n, p int, opt pagerank.Options, ck *ckptRun) (*Result, error) {
-	c := &comm{p: p}
-	states, _, nnz, err := buildFiltered(ctx, l, n, p, c)
-	if err != nil {
-		return nil, err
-	}
-	rank, iters, err := iterate(ctx, states, n, opt, c, cfg.workers(), ck)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Rank: rank, NNZ: nnz, Comm: c.st, Iterations: iters}, nil
-}
-
-// RunMatrix executes the metered distributed kernel-3 iteration on an
-// already filtered, normalized matrix (kernel 2's output), splitting it
-// into p row blocks.  It is the kernel-3 entry point of the pipeline's
-// "dist" variant, which builds the matrix through the kernel-2 op first.
-//
-// Deprecated: use Execute with OpRunMatrix.
-func RunMatrix(a *sparse.CSR, p int, opt pagerank.Options) (*Result, error) {
-	return RunMatrixCfg(Config{}, a, p, opt)
-}
-
-// runMatrixSim is the simulated execution of RunMatrix's schedule under
-// cfg.
-func runMatrixSim(ctx context.Context, cfg Config, a *sparse.CSR, p int, opt pagerank.Options, ck *ckptRun) (*Result, error) {
-	if a == nil {
-		return nil, fmt.Errorf("dist: RunMatrix of nil matrix")
-	}
-	if p < 1 {
-		return nil, fmt.Errorf("dist: RunMatrix with p = %d, want >= 1", p)
-	}
-	states := splitMatrix(a, p)
-	c := &comm{p: p}
-	rank, iters, err := iterate(ctx, states, a.N, opt, c, cfg.workers(), ck)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Rank: rank, NNZ: a.NNZ(), Comm: c.st, Iterations: iters}, nil
-}
-
-// BuildFiltered executes the distributed kernel 2 over p simulated
-// processors and assembles the global filtered matrix from the row blocks.
-//
-// Deprecated: use Execute with OpBuildFiltered.
-func BuildFiltered(l *edge.List, n, p int) (*BuildResult, error) {
-	return BuildFilteredMode(ExecSim, l, n, p)
-}
-
-// buildFilteredSim is the simulated execution of the kernel-2 schedule,
-// assembling the global filtered matrix from the row blocks.
-func buildFilteredSim(ctx context.Context, l *edge.List, n, p int) (*BuildResult, error) {
-	c := &comm{p: p}
-	states, mass, nnz, err := buildFiltered(ctx, l, n, p, c)
-	if err != nil {
-		return nil, err
-	}
-	return &BuildResult{Matrix: assemble(states, n), Mass: mass, NNZ: nnz, Comm: c.st}, nil
-}
-
-// validateRun checks the shared preconditions of both runtimes' kernel-2
-// entry points.  The goroutine runtime validates before spawning ranks so
-// a bad edge cannot strand the other ranks inside a collective.
-func validateRun(l *edge.List, n, p int) error {
-	if l == nil {
-		return fmt.Errorf("dist: nil edge list")
-	}
-	if n < 1 {
-		return fmt.Errorf("dist: n = %d, want >= 1", n)
-	}
-	if p < 1 {
-		return fmt.Errorf("dist: p = %d, want >= 1", p)
-	}
+// validateVertices checks that every endpoint of l is a vertex of an
+// n-vertex graph — Execute's precondition for the kernel-2 programs,
+// checked before any rank starts so a bad edge cannot fail one rank
+// mid-collective.
+func validateVertices(l *edge.List, n int) error {
 	for i := 0; i < l.Len(); i++ {
 		if l.U[i] >= uint64(n) || l.V[i] >= uint64(n) {
 			return fmt.Errorf("dist: edge (%d,%d) out of range N=%d", l.U[i], l.V[i], n)
@@ -173,27 +88,27 @@ func validateRun(l *edge.List, n, p int) error {
 }
 
 // routeChunk partitions one rank's input chunk [lo, hi) of the global edge
-// list by row owner, appending to the p per-destination lists — the local
-// half of the kernel-2 all-to-all, shared by both runtimes (the goroutine
-// ranks route into private outboxes, the simulation directly into the
-// global parts).  It returns the count routed to each destination, which
-// is what the simulation meters.
-func routeChunk(out []*edge.List, l *edge.List, n, p, lo, hi int) []int {
-	counts := make([]int, p)
+// list by row owner, appending to the p per-destination outboxes — the
+// local half of the kernel-2 all-to-all.
+func routeChunk(out []*edge.List, l *edge.List, n, p, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		d := blockOwner(n, p, int(l.U[i]))
 		out[d].Append(l.U[i], l.V[i])
-		counts[d]++
 	}
-	return counts
 }
 
 // filterBlock applies the kernel-2 filter to one rank's block given the
 // globally reduced in-degree vector, and returns the owned dangling rows
 // (global indices) and the local stored-entry count — the purely local
-// step between the in-degree all-reduce and the NNZ reduction, shared by
-// both runtimes.  The mask rule is sparse.Kernel2Mask, the same the serial
-// filter uses, which is what keeps the distributed filter bit-identical.
+// step between the in-degree all-reduce and the NNZ reduction.  The filter
+// semantics are exactly pipeline.ApplyKernel2Filter's, because both derive
+// the column mask from sparse.Kernel2Mask:
+//
+//	din = sum(A,1); zero columns with din == max(din) or din == 1;
+//	compact; divide each non-empty row by its out-degree.
+//
+// Degree sums are integer counts, so the all-reduced din is exact and the
+// distributed filter is bit-identical to the serial one.
 func filterBlock(blk *block, din []float64) (dangling []int, nnz int) {
 	mask, _, _, _ := sparse.Kernel2Mask(din)
 	blk.zeroColumns(mask)
@@ -206,79 +121,6 @@ func filterBlock(blk *block, din []float64) (dangling []int, nnz int) {
 		}
 	}
 	return dangling, blk.nnz()
-}
-
-// buildFiltered routes edges, builds per-rank block-local matrices and
-// applies the kernel-2 filter with a global in-degree all-reduce.  The
-// filter semantics are exactly pipeline.ApplyKernel2Filter's — both derive
-// the column mask from sparse.Kernel2Mask:
-//
-//	din = sum(A,1); zero columns with din == max(din) or din == 1;
-//	compact; divide each non-empty row by its out-degree.
-func buildFiltered(ctx context.Context, l *edge.List, n, p int, c *comm) ([]*rankState, float64, int, error) {
-	if err := validateRun(l, n, p); err != nil {
-		return nil, 0, 0, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-
-	// Route edges to their row owner, scanning source chunks in rank
-	// order.  Off-rank edges are metered as all-to-all traffic.
-	parts := make([]*edge.List, p)
-	for r := range parts {
-		parts[r] = edge.NewList(0)
-	}
-	m := l.Len()
-	for src := 0; src < p; src++ {
-		lo, hi := blockBounds(m, p, src)
-		for d, cnt := range routeChunk(parts, l, n, p, lo, hi) {
-			if d != src {
-				c.st.AllToAllBytes += edgeWireBytes * uint64(cnt)
-			}
-		}
-	}
-
-	// Local block builds: each rank holds only its owned rows.  The
-	// routing pass above and the per-rank builds below are the kernel's
-	// long phases, so each is a cancellation point.
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-	states := make([]*rankState, p)
-	massParts := make([]float64, p)
-	partialDin := make([][]float64, p)
-	for r := 0; r < p; r++ {
-		lo, hi := blockBounds(n, p, r)
-		blk, err := buildBlock(parts[r], n, lo, hi)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		states[r] = &rankState{blk: blk}
-		massParts[r] = blk.sumValues()
-		partialDin[r] = blk.inDegrees()
-	}
-	// The global matrix mass is a cross-rank scalar reduction (it feeds
-	// the paper's sum(A) == M check), so it is metered like one.
-	mass := c.allReduceScalar(massParts)
-
-	// Global filter: one all-reduce of the in-degree vector, then purely
-	// local column zeroing and row normalization.  Degree sums are integer
-	// counts, so the distributed din is exact and the shared mask rule
-	// (sparse.Kernel2Mask, also used by the serial filter) produces the
-	// same mask the serial kernel 2 computes.
-	din := make([]float64, n)
-	c.allReduceSum(din, partialDin)
-	nnzParts := make([]float64, p)
-	for r, st := range states {
-		var local int
-		st.danglingRows, local = filterBlock(st.blk, din)
-		nnzParts[r] = float64(local)
-	}
-	// The global stored-entry count is likewise a metered scalar
-	// reduction; counts are integers, so the float64 sum is exact.
-	nnz := int(c.allReduceScalar(nnzParts))
-	return states, mass, nnz, nil
 }
 
 // splitMatrix views a global matrix as p row-block rankStates sharing the
@@ -318,65 +160,11 @@ func assemble(states []*rankState, n int) *sparse.CSR {
 }
 
 // danglingMassOf sums the rank mass sitting on one rank's owned dangling
-// rows — the local contribution to the dangling-mass scalar all-reduce,
-// shared by both runtimes.
+// rows — the local contribution to the dangling-mass scalar all-reduce.
 func danglingMassOf(st *rankState, r []float64) float64 {
 	var s float64
 	for _, i := range st.danglingRows {
 		s += r[i]
 	}
 	return s
-}
-
-// iterate is the simulated distributed kernel-3 driver: pagerank.Engine
-// supplies the exact serial update semantics, and the two hooks distribute
-// it — the step hook computes each processor's row-block partial product
-// and all-reduces the partials, and the dangling-mass hook performs a
-// scalar all-reduce because out-degrees are distributed.  The rank vector
-// stays replicated: rank 0 materializes the initial vector inside the
-// driver and one broadcast ships it.  With workers > 1 each simulated
-// rank's local product runs on its own hybrid worker team (spmvOf), which
-// changes wall clock but — by the §7 transpose-once construction — not a
-// single bit of the result.  The engine is driven through RunContext, so
-// a cancelled ctx aborts between iterations; the deferred team closes
-// run on that path too.  The checkpoint runtime (ck, may be nil) hangs
-// off the engine's post-iteration hook: the single simulated driver
-// writes every rank's chunk and the commit itself, unmetered — epoch
-// I/O is storage traffic, not the data plane CommStats prices.
-func iterate(ctx context.Context, states []*rankState, n int, opt pagerank.Options, c *comm, workers int, ck *ckptRun) ([]float64, int, error) {
-	partials := make([][]float64, len(states))
-	for i := range partials {
-		partials[i] = make([]float64, n)
-	}
-	spmvs := make([]func(out, r []float64), len(states))
-	for i, st := range states {
-		spmv, h := spmvOf(st, workers)
-		spmvs[i] = spmv
-		if h != nil {
-			defer h.close()
-		}
-	}
-	dangleParts := make([]float64, len(states))
-	step := func(out, r []float64) {
-		for rk := range states {
-			spmvs[rk](partials[rk], r)
-		}
-		c.allReduceSum(out, partials)
-	}
-	dangleMass := func(r []float64) float64 {
-		for rk, st := range states {
-			dangleParts[rk] = danglingMassOf(st, r)
-		}
-		return c.allReduceScalar(dangleParts)
-	}
-	c.broadcastFloats(n) // the initial rank vector
-	e, err := pagerank.NewEngine(n, step, dangleMass, opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := e.RunContextAfter(ctx, ck.afterSim(states))
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Rank, res.Iterations, nil
 }

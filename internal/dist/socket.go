@@ -1,11 +1,9 @@
 package dist
 
-// The socket coordinator: ExecSocket's driver side.  Execute stays the
-// single entry point; for the socket mode it delegates here, and this
-// file does what spawnRanks does for goroutines — bring up p ranks, hand
-// each the shared schedule, join them, fold their outcomes — except the
-// ranks are separate OS processes reached over real sockets (DESIGN.md
-// §13).  The fabric is a Session with three phases:
+// The socket coordinator: ExecSocket's launcher.  This file does what
+// spawnRanks does in process — bring up p ranks, hand each the rank
+// program's input, join them, fold their outcomes — except the ranks are
+// separate OS processes reached over real sockets (DESIGN.md §13).  The fabric is a Session with three phases:
 //
 //	open   — listen on the control address (unix or tcp); spawn p
 //	         copies of this binary with the join environment
@@ -54,8 +52,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/dist/fabric"
-	"repro/internal/edge"
-	"repro/internal/xsort"
 )
 
 // DefaultJoinTimeout bounds the socket handshake: listen to all ranks
@@ -100,15 +96,6 @@ func newFabricID() (string, error) {
 		return "", err
 	}
 	return hex.EncodeToString(b[:]), nil
-}
-
-// sockJoined is the coordinator's equivalent of joined: the per-rank
-// outcomes plus the folded communication, timing and wire records.
-type sockJoined struct {
-	outcomes []*wireOutcome
-	comm     CommStats
-	seconds  []float64
-	wire     WireStats
 }
 
 // jobOf flattens a Spec into the wireJob every worker receives; the
@@ -437,6 +424,11 @@ func (s *Session) serve(r int, c *fabric.Link) {
 			if out, err = j.frame(r, c, h, payload); out == nil && err == nil {
 				continue // a relayed frame; the job goes on
 			}
+			if err != nil && s.tearing.Load() {
+				// The teardown closed the link under a relay's ack: induced,
+				// like a failed read, and must not outrank the cause.
+				err = errRunAborted
+			}
 		case s.tearing.Load():
 			err = errRunAborted
 		default:
@@ -514,11 +506,11 @@ func (j *sessJob) frame(rank int, c *fabric.Link, h fabric.Header, payload []byt
 	}
 }
 
-// socketOutcomes runs one job on spec.Session — or, without one, on a
-// private session it opens and closes around the job — and joins the
-// ranks.  ck (may be nil) supplies the coordinator-side checkpoint
-// storage the workers' relay frames land on.
-func socketOutcomes(ctx context.Context, spec Spec, ck *ckptRun, job *wireJob) (*sockJoined, error) {
+// launchSocket runs spec's program on spec.Session's worker processes —
+// or, without one, on a private session it opens and closes around the
+// job — and joins the ranks.  ck (may be nil) supplies the
+// coordinator-side checkpoint storage the workers' relay frames land on.
+func launchSocket(ctx context.Context, spec Spec, ck *ckptRun) (*joined, error) {
 	s := spec.Session
 	if s == nil {
 		var err error
@@ -527,16 +519,17 @@ func socketOutcomes(ctx context.Context, spec Spec, ck *ckptRun, job *wireJob) (
 		}
 		defer s.Close()
 	}
-	return s.run(ctx, spec, ck, job)
+	return s.run(ctx, spec, ck)
 }
 
 // run executes one job on the session's workers.  The caller serializes
 // jobs; an error leaves the session ended.
-func (s *Session) run(ctx context.Context, spec Spec, ck *ckptRun, job *wireJob) (*sockJoined, error) {
+func (s *Session) run(ctx context.Context, spec Spec, ck *ckptRun) (*joined, error) {
 	p := s.p
 	if spec.Procs != p {
 		return nil, fmt.Errorf("dist: job for p = %d on a socket session of %d workers", spec.Procs, p)
 	}
+	job := jobOf(spec, ck)
 	// Ranks 1..p-1 share one encoding of the job.  A run-matrix job whose
 	// operand the workers do not hold is followed by the rank's own row
 	// block, viewed — not copied — out of the caller's matrix.
@@ -620,8 +613,9 @@ func (s *Session) run(ctx context.Context, spec Spec, ck *ckptRun, job *wireJob)
 		}
 		return nil, aborted
 	}
-	out := &sockJoined{outcomes: j.outs, seconds: make([]float64, p)}
+	out := &joined{outcomes: make([]rankOutcome, p), seconds: make([]float64, p), wire: new(WireStats)}
 	for r, o := range j.outs {
+		out.outcomes[r] = o.outcome()
 		out.comm.Add(o.Comm)
 		out.seconds[r] = o.Seconds
 		out.wire.Add(o.Wire)
@@ -643,116 +637,4 @@ func reapWorkers(cmds []*exec.Cmd) {
 		_ = cmd.Wait()
 		kill.Stop()
 	}
-}
-
-// runSocket executes OpRun and OpRunMatrix on a socket fabric.
-func runSocket(ctx context.Context, spec Spec, ck *ckptRun) (*Result, error) {
-	if spec.Op == OpRunMatrix {
-		if spec.Matrix == nil {
-			return nil, fmt.Errorf("dist: RunMatrix of nil matrix")
-		}
-		if spec.Procs < 1 {
-			return nil, fmt.Errorf("dist: RunMatrix with p = %d, want >= 1", spec.Procs)
-		}
-	} else if err := validateRun(spec.Edges, spec.N, spec.Procs); err != nil {
-		return nil, err
-	}
-	j, err := socketOutcomes(ctx, spec, ck, jobOf(spec, ck))
-	if err != nil {
-		return nil, err
-	}
-	nnz := j.outcomes[0].NNZ
-	if spec.Op == OpRunMatrix {
-		nnz = spec.Matrix.NNZ()
-	}
-	return &Result{
-		Rank:        j.outcomes[0].RankVec,
-		NNZ:         nnz,
-		Comm:        j.comm,
-		Iterations:  j.outcomes[0].Iters,
-		RankSeconds: j.seconds,
-		Wire:        &j.wire,
-	}, nil
-}
-
-// buildFilteredSocket executes OpBuildFiltered on a socket fabric; the
-// coordinator assembles the global matrix from the shipped blocks.
-func buildFilteredSocket(ctx context.Context, spec Spec) (*BuildResult, error) {
-	if err := validateRun(spec.Edges, spec.N, spec.Procs); err != nil {
-		return nil, err
-	}
-	j, err := socketOutcomes(ctx, spec, nil, jobOf(spec, nil))
-	if err != nil {
-		return nil, err
-	}
-	states := make([]*rankState, spec.Procs)
-	for r, o := range j.outcomes {
-		if o.Block == nil {
-			return nil, fmt.Errorf("dist: rank %d outcome carries no block", r)
-		}
-		states[r] = o.Block.state()
-	}
-	return &BuildResult{
-		Matrix: assemble(states, spec.N),
-		Mass:   j.outcomes[0].Mass,
-		NNZ:    j.outcomes[0].NNZ,
-		Comm:   j.comm,
-		Wire:   &j.wire,
-	}, nil
-}
-
-// sortSocket executes OpSort on a socket fabric, with the same
-// no-communication shortcut the goroutine mode takes for p = 1 and
-// empty inputs.
-func sortSocket(ctx context.Context, spec Spec) (*SortResult, error) {
-	l, p := spec.Edges, spec.Procs
-	if l == nil {
-		return nil, fmt.Errorf("dist: Sort of nil edge list")
-	}
-	if p < 1 {
-		return nil, fmt.Errorf("dist: Sort with p = %d, want >= 1", p)
-	}
-	m := l.Len()
-	if p == 1 || m == 0 {
-		out := l.Clone()
-		xsort.RadixByU(out)
-		return &SortResult{Sorted: out}, nil
-	}
-	j, err := socketOutcomes(ctx, spec, nil, jobOf(spec, nil))
-	if err != nil {
-		return nil, err
-	}
-	sorted := edge.NewList(m)
-	for _, o := range j.outcomes {
-		sorted.AppendList(edgesOf(o.EdgesU, o.EdgesV))
-	}
-	return &SortResult{Sorted: sorted, Comm: j.comm, Wire: &j.wire}, nil
-}
-
-// sortExternalSocket executes OpSortExternal on a socket fabric.  Each
-// worker spills to its own private in-memory store (run files are
-// rank-private temporaries, gone before the rank returns), so the
-// coordinator-side Ext.FS is unused in this mode and Spill sums the
-// per-rank metered records — equal to the other modes' shared-meter
-// totals, because the per-rank run traffic is disjoint.
-func sortExternalSocket(ctx context.Context, spec Spec) (*ExtSortResult, error) {
-	j, err := socketOutcomes(ctx, spec, nil, jobOf(spec, nil))
-	if err != nil {
-		return nil, err
-	}
-	p := spec.Procs
-	sorted := edge.NewList(spec.Edges.Len())
-	runsPerRank := make([]int, p)
-	res := &ExtSortResult{RunsPerRank: runsPerRank, Wire: &j.wire}
-	for r, o := range j.outcomes {
-		sorted.AppendList(edgesOf(o.EdgesU, o.EdgesV))
-		runsPerRank[r] = o.Runs
-		res.Spill.BytesRead += o.Spill.BytesRead
-		res.Spill.BytesWritten += o.Spill.BytesWritten
-		res.Spill.Opens += o.Spill.Opens
-		res.Spill.Creates += o.Spill.Creates
-	}
-	res.Sorted = sorted
-	res.Comm = j.comm
-	return res, nil
 }

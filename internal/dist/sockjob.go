@@ -231,6 +231,38 @@ func (w *wireBlock) state() *rankState {
 	}
 }
 
+// wireOutcomeOf flattens rank's outcome of an op program for the control
+// link; the caller adds the communication, timing and wire records.  Only
+// rank 0 ships the rank vector (all replicas are byte-identical), and only
+// kernel 2 alone ships its block (the coordinator assembles the matrix).
+func wireOutcomeOf(rank int, op Op, o rankOutcome) *wireOutcome {
+	out := &wireOutcome{Rank: rank, Iters: o.iters, Mass: o.mass, NNZ: o.nnz, Runs: o.runs, Spill: o.spill}
+	out.ErrKind, out.ErrMsg = errToKind(o.err)
+	if rank == 0 {
+		out.RankVec = o.rank
+	}
+	if o.edges != nil {
+		out.EdgesU, out.EdgesV = o.edges.U, o.edges.V
+	}
+	if op == OpBuildFiltered && o.st != nil {
+		out.Block = stateToWire(o.st)
+	}
+	return out
+}
+
+// outcome rebuilds the rank's program outcome on the coordinator (the
+// error travels separately, through outcomeErr).
+func (o *wireOutcome) outcome() rankOutcome {
+	out := rankOutcome{
+		rank: o.RankVec, iters: o.Iters, mass: o.Mass, nnz: o.NNZ,
+		edges: edgesOf(o.EdgesU, o.EdgesV), runs: o.Runs, spill: o.Spill,
+	}
+	if o.Block != nil {
+		out.st = o.Block.state()
+	}
+	return out
+}
+
 // outcomeErr reconstructs a worker error on the coordinator, preserving
 // errors.Is against ErrFaultInjected and the aborted sentinel.
 func (o *wireOutcome) outcomeErr() error {

@@ -4,11 +4,10 @@ package dist
 // fabric.  JoinFabric performs the handshake of DESIGN.md §13 — join
 // the coordinator, build the rank mesh — then serves jobs until the
 // coordinator closes the control link: each job runs the SAME rank
-// programs the goroutine runtime spawns (buildRank, iterateRank,
-// sortRank, sortExternalRank) over one long-lived sockFabric and
-// reports a wireOutcome, and the row block of the last run-matrix
-// operand stays resident between jobs.  Because the programs, the
-// collectives and the metering are shared, the socket mode's results
+// program the in-process launcher spawns (runRank) over one long-lived
+// sockFabric and reports a wireOutcome, and the row block of the last
+// run-matrix operand stays resident between jobs.  Because the program,
+// the collectives and the metering are shared, the socket mode's results
 // and CommStats equal the other modes' bit for bit by construction.
 //
 // Two ways into this file: the prrankd binary calls JoinFabric
@@ -337,93 +336,68 @@ func readJob(ctrl *fabric.Link, payload []byte, rank, p int) (workerJob, error) 
 // outcome, wall clock is reported, and every failure classifies into a
 // wire error kind.
 func runWorkerRank(ctx context.Context, f *sockFabric, ctrl *fabric.Link, rank int, job *wireJob, resident *rankState, acks <-chan string) *wireOutcome {
-	out := &wireOutcome{Rank: rank}
 	c := newRankComm(f, rank)
 	//prlint:allow determinism -- wall-clock feeds only the reported per-rank timing, never the kernel results
 	start := time.Now()
-	err := func() (err error) {
+	res := func() (res rankOutcome) {
 		defer func() {
 			if e := recover(); e != nil {
 				if _, down := e.(fabricDown); down {
-					err = errRunAborted
+					res = rankOutcome{err: errRunAborted}
 					return
 				}
 				panic(e)
 			}
 		}()
-		return workerProgram(ctx, c, ctrl, rank, job, resident, acks, out)
+		in, err := workerInput(ctx, ctrl, rank, job, resident, acks)
+		if err != nil {
+			return rankOutcome{err: err}
+		}
+		return runRank(ctx, c, in)
 	}()
-	out.ErrKind, out.ErrMsg = errToKind(err)
+	out := wireOutcomeOf(rank, Op(job.Op), res)
 	out.Comm = c.st
 	//prlint:allow determinism -- wall-clock feeds only the reported per-rank timing, never the kernel results
 	out.Seconds = time.Since(start).Seconds()
 	return out
 }
 
-// workerProgram dispatches the shared rank program of the job's op and
-// records its results on out.
-func workerProgram(ctx context.Context, c *rankComm, ctrl *fabric.Link, rank int, job *wireJob, resident *rankState, acks <-chan string, out *wireOutcome) error {
-	l := edgesOf(job.EdgesU, job.EdgesV)
-	switch Op(job.Op) {
-	case OpSort:
-		bucket := sortRank(c, l, job.Workers)
-		out.EdgesU, out.EdgesV = bucket.U, bucket.V
-		return nil
-
+// workerInput decodes a job into the rank program's input: the shared
+// fields verbatim, plus what cannot cross a process boundary rebuilt on
+// this side — a private spill store, the progress relay, the checkpoint
+// relay, and the resident operand.
+func workerInput(ctx context.Context, ctrl *fabric.Link, rank int, job *wireJob, resident *rankState, acks <-chan string) (*rankInput, error) {
+	in := &rankInput{
+		op: Op(job.Op), edges: edgesOf(job.EdgesU, job.EdgesV), n: job.N, st: resident,
+		workers: job.Workers, opt: job.Opt.options(),
+	}
+	switch in.op {
 	case OpSortExternal:
 		codec, err := codecByName(job.Ext.CodecName)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Each worker spills to its own private in-memory store; the run
 		// files are rank-private temporaries removed before the rank
 		// returns, so only the metered counters are observable.
-		fs := vfs.NewMetered(vfs.NewMem())
-		bucket, runs, err := sortExternalRank(c, l, fs, job.Ext.TmpPrefix, codec, job.Ext.RunEdges)
-		out.Runs = runs
-		out.Spill = fs.Stats()
-		if err != nil {
-			return err
+		in.ext = ExtSortConfig{FS: vfs.NewMem(), RunEdges: job.Ext.RunEdges, TmpPrefix: job.Ext.TmpPrefix, Codec: codec}
+	case OpRunMatrix:
+		if resident == nil || resident.blk.n != job.N {
+			return nil, fmt.Errorf("dist: run-matrix job for n = %d, but no such operand is resident", job.N)
 		}
-		out.EdgesU, out.EdgesV = bucket.U, bucket.V
-		return nil
-
-	case OpBuildFiltered:
-		st, mass, nnz := buildRank(c, l, job.N)
-		out.Block = stateToWire(st)
-		out.Mass, out.NNZ = mass, nnz
-		return nil
-
-	case OpRun, OpRunMatrix:
-		opt := job.Opt.options()
-		if job.ReportProgress && rank == 0 {
-			// Relay rank 0's per-iteration progress to the coordinator,
-			// which invokes the caller's (already resume-offset) hook.  A
-			// failed relay is ignored here: a dead control link is about
-			// to abort the run through the control reader anyway.
-			opt.Progress = func(it int) {
-				_ = ctrl.WriteControl(fabric.FrameProgress, rank, rank,
-					binary.LittleEndian.AppendUint64(nil, uint64(it)))
-			}
-		}
-		ck := workerCkpt(ctx, job, ctrl, rank, acks)
-		st, n := resident, job.N
-		if Op(job.Op) == OpRun {
-			st, out.Mass, out.NNZ = buildRank(c, l, n)
-		} else if st == nil || st.blk.n != n {
-			return fmt.Errorf("dist: run-matrix job for n = %d, but no such operand is resident", n)
-		}
-		rankVec, iters, err := iterateRank(ctx, c, st, n, opt, job.Workers, ck)
-		if err != nil {
-			return err
-		}
-		out.Iters = iters
-		if rank == 0 {
-			out.RankVec = rankVec
-		}
-		return nil
 	}
-	return fmt.Errorf("dist: unknown op %d in job", job.Op)
+	if job.ReportProgress && rank == 0 {
+		// Relay rank 0's per-iteration progress to the coordinator,
+		// which invokes the caller's (already resume-offset) hook.  A
+		// failed relay is ignored here: a dead control link is about
+		// to abort the run through the control reader anyway.
+		in.opt.Progress = func(it int) {
+			_ = ctrl.WriteControl(fabric.FrameProgress, rank, rank,
+				binary.LittleEndian.AppendUint64(nil, uint64(it)))
+		}
+	}
+	in.ck = workerCkpt(ctx, job, ctrl, rank, acks)
+	return in, nil
 }
 
 // workerCkpt builds the worker-side checkpoint/fault runtime: the same

@@ -15,18 +15,15 @@ package dist
 //   - the local sort is the same stable LSD radix sort the serial kernel
 //     uses, and bucket key ranges are disjoint.
 //
-// The schedule's sampling and splitter-selection steps live in the shared
-// helpers below; the simulated path (Sort, this file) and the goroutine
-// path (sortGoroutine, rank.go) both execute them, so the two produce the
-// same splitters, the same buckets, the same bytes and the same output.
+// This file holds the schedule's local steps — sampling, splitter
+// selection, bucket lookup; sortRank and splitterPhase (rank.go) are the
+// schedule itself, shared with the out-of-core sort.
 
 import (
-	"context"
-	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/edge"
-	"repro/internal/xsort"
 )
 
 // SamplesPerRank is the sample-sort oversampling factor: each processor
@@ -48,8 +45,7 @@ type SortResult struct {
 }
 
 // sampleChunk draws up to SamplesPerRank evenly spaced start-vertex keys
-// from the chunk [lo, hi) of the input — one rank's local sampling step,
-// shared by both runtimes.
+// from the chunk [lo, hi) of the input — one rank's local sampling step.
 func sampleChunk(l *edge.List, lo, hi int) []uint64 {
 	cnt := hi - lo
 	if cnt == 0 {
@@ -68,21 +64,20 @@ func sampleChunk(l *edge.List, lo, hi int) []uint64 {
 
 // chooseSplitters sorts the gathered sample in place and selects up to
 // p-1 strictly increasing splitters at even sample quantiles — the root's
-// selection step, shared by both runtimes.  The quantiles are taken over
-// the raw (frequency-weighted) sample, so skewed key distributions place
-// more splitters inside their hot ranges and the buckets balance by edge
-// count, which is what the oversampling exists for.  A quantile pick that
+// selection step.  The quantiles are taken over the raw (frequency-
+// weighted) sample, so skewed key distributions place more splitters
+// inside their hot ranges and the buckets balance by edge count, which is
+// what the oversampling exists for.  A quantile pick that
 // repeats an already-chosen splitter is skipped rather than emitted:
 // repeated splitters (tiny or duplicate-heavy samples repeat quantile
 // indices) would funnel nearly every edge into one bucket.  Fewer than
 // p-1 splitters is a valid destRank input — the trailing buckets receive
-// nothing — and both runtimes broadcast whatever length is chosen here,
-// so the schedules stay in lockstep.
+// nothing — and the root broadcasts whatever length is chosen here.
 func chooseSplitters(samples []uint64, p int) []uint64 {
 	if len(samples) == 0 {
 		return nil
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	slices.Sort(samples)
 	splitters := make([]uint64, 0, p-1)
 	for i := 1; i < p; i++ {
 		cand := samples[i*len(samples)/p]
@@ -92,87 +87,6 @@ func chooseSplitters(samples []uint64, p int) []uint64 {
 		splitters = append(splitters, cand)
 	}
 	return splitters
-}
-
-// gatherSamples draws every rank's evenly spaced sample keys and meters
-// the gather at rank 0 (personalized sends, metered as all-to-all
-// traffic) — the simulated counterpart of the goroutine ranks'
-// gatherKeys calls, shared by the in-memory and out-of-core sorts so
-// their sampling schedules cannot drift apart.
-func gatherSamples(c *comm, l *edge.List) []uint64 {
-	samples := make([]uint64, 0, c.p*SamplesPerRank)
-	for r := 0; r < c.p; r++ {
-		lo, hi := blockBounds(l.Len(), c.p, r)
-		keys := sampleChunk(l, lo, hi)
-		samples = append(samples, keys...)
-		if r != 0 {
-			c.st.AllToAllBytes += keyWireBytes * uint64(len(keys))
-		}
-	}
-	return samples
-}
-
-// Sort performs the distributed sample sort of l by start vertex over p
-// simulated processors.  The input is not modified.
-//
-// Deprecated: use Execute with OpSort.
-func Sort(l *edge.List, p int) (*SortResult, error) {
-	return SortCfg(Config{}, l, p)
-}
-
-// sortSim is the simulated execution of Sort's schedule under cfg.
-func sortSim(ctx context.Context, cfg Config, l *edge.List, p int) (*SortResult, error) {
-	if l == nil {
-		return nil, fmt.Errorf("dist: Sort of nil edge list")
-	}
-	if p < 1 {
-		return nil, fmt.Errorf("dist: Sort with p = %d, want >= 1", p)
-	}
-	m := l.Len()
-	if p == 1 || m == 0 {
-		out := l.Clone()
-		xsort.RadixByU(out)
-		return &SortResult{Sorted: out}, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c := &comm{p: p}
-
-	// Phases 1 and 2: samples are gathered at rank 0, which selects the
-	// splitters and broadcasts them.
-	splitters := c.broadcastKeys(chooseSplitters(gatherSamples(c, l), p))
-
-	// Phase 3: all-to-all exchange.  Scanning source chunks in rank order
-	// keeps each bucket in global input order, which is what makes the
-	// final concatenation a stable sort; partitionChunk preserves that
-	// order for every hybrid worker count.
-	buckets := make([]*edge.List, p)
-	for r := range buckets {
-		buckets[r] = edge.NewList(m / p)
-	}
-	for src := 0; src < p; src++ {
-		lo, hi := blockBounds(m, p, src)
-		for d, part := range partitionChunk(l, lo, hi, splitters, p, cfg.workers()) {
-			buckets[d].AppendList(part)
-			if d != src {
-				c.st.AllToAllBytes += edgeWireBytes * uint64(part.Len())
-			}
-		}
-	}
-
-	// Phase 4: local stable sorts, concatenated in rank order.  The
-	// exchange above and the bucket sorts below dominate the wall clock,
-	// so the boundary is a cancellation point.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := edge.NewList(m)
-	for _, b := range buckets {
-		xsort.RadixByU(b)
-		out.AppendList(b)
-	}
-	return &SortResult{Sorted: out, Comm: c.st}, nil
 }
 
 // destRank returns the bucket owning key u: rank i holds keys in

@@ -3,7 +3,7 @@ package dist
 // Out-of-core distributed sample sort (kernel 1 beyond RAM): the paper's
 // §IV requires kernel 1 to switch to an out-of-core algorithm when the
 // edge vectors exceed memory, and its §V analysis makes the distributed
-// sort the scaling bottleneck.  SortExternal combines the two regimes:
+// sort the scaling bottleneck.  OpSortExternal combines the two regimes:
 //
 //   - run formation: each rank scans its contiguous input chunk through a
 //     bounded buffer of RunEdges edges, stably radix-sorts each buffer
@@ -29,13 +29,12 @@ package dist
 // concatenated buckets form the same stable sort the serial radix kernel
 // produces.
 //
-// This file holds the shared schedule steps and the simulated execution;
-// rank.go executes the identical schedule on p concurrent goroutine ranks
-// (sortExternalRank), with storage failures agreed through an unmetered
-// control-plane barrier so no rank strands another inside a collective.
+// This file holds the schedule's local steps; sortExternalRank (rank.go)
+// is the schedule itself, with storage failures agreed through an
+// unmetered control-plane barrier so no rank strands another inside a
+// collective.
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -112,10 +111,9 @@ func extRunName(prefix string, codec fastio.Codec, rank, run int) string {
 
 // extSpillRuns forms one rank's sorted runs from the chunk [lo, hi) of l:
 // slices of at most runEdges edges, each stably radix-sorted in a bounded
-// buffer and spilled to fs — the run-formation step, shared by both
-// runtimes.  The input list is never mutated.  The returned names include
-// any file a failed spill may have partially created, so RemoveRuns over
-// them restores the FS.
+// buffer and spilled to fs — the run-formation step.  The input list is
+// never mutated.  The returned names include any file a failed spill may
+// have partially created, so RemoveRuns over them restores the FS.
 func extSpillRuns(fs vfs.FS, prefix string, codec fastio.Codec, l *edge.List, rank, lo, hi, runEdges int) ([]string, error) {
 	var names []string
 	n := runEdges
@@ -168,144 +166,4 @@ func extPartitionRun(fs vfs.FS, name string, codec fastio.Codec, splitters []uin
 			parts[destRank(splitters, buf.U[i])].Append(buf.U[i], buf.V[i])
 		}
 	}
-}
-
-// SortExternal performs the out-of-core distributed sample sort of l by
-// start vertex over p simulated processors, spilling per-rank sorted runs
-// to cfg.FS and merging per-bucket run segments.  The input is not
-// modified.
-//
-// Deprecated: use Execute with OpSortExternal.
-func SortExternal(l *edge.List, p int, cfg ExtSortConfig) (*ExtSortResult, error) {
-	return SortExternalMode(ExecSim, l, p, cfg)
-}
-
-// SortExternalMode executes the out-of-core distributed sample sort in
-// the given execution mode.
-//
-// Deprecated: use Execute with OpSortExternal.
-func SortExternalMode(mode ExecMode, l *edge.List, p int, cfg ExtSortConfig) (*ExtSortResult, error) {
-	out, err := Execute(context.Background(), Spec{
-		Config: Config{Mode: mode}, Op: OpSortExternal, Edges: l, Procs: p, Ext: cfg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.ExtSort, nil
-}
-
-// executeSortExternal dispatches the out-of-core distributed sample sort.
-// Validation, configuration defaulting, the empty-input result and the
-// spill metering live here, once, so the two modes cannot drift on the
-// input contract; both produce bit-for-bit identical output and identical
-// CommStats and Spill records.
-func executeSortExternal(ctx context.Context, spec Spec) (*ExtSortResult, error) {
-	l, p := spec.Edges, spec.Procs
-	if l == nil {
-		return nil, fmt.Errorf("dist: SortExternal of nil edge list")
-	}
-	if p < 1 {
-		return nil, fmt.Errorf("dist: SortExternal with p = %d, want >= 1", p)
-	}
-	cfg := spec.Ext.withDefaults()
-	if l.Len() == 0 {
-		return &ExtSortResult{Sorted: edge.NewList(0), RunsPerRank: make([]int, p)}, nil
-	}
-	if spec.Mode == ExecSocket {
-		// Each worker process meters its own private spill store; the
-		// coordinator sums the per-rank records instead of wrapping a
-		// shared meter (socket.go).
-		spec.Ext = cfg
-		res, err := sortExternalSocket(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		res.SpillCodec = cfg.Codec.Name()
-		return res, nil
-	}
-	meter := vfs.NewMetered(cfg.FS)
-	var res *ExtSortResult
-	var err error
-	switch spec.Mode {
-	case ExecSim:
-		res, err = sortExternalSim(ctx, l, p, cfg, meter)
-	case ExecGoroutine:
-		res, err = sortExternalGoroutine(ctx, l, p, cfg, meter)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Spill = meter.Stats()
-	res.SpillCodec = cfg.Codec.Name()
-	return res, nil
-}
-
-// sortExternalSim is the simulated execution of the out-of-core sort's
-// schedule; inputs were validated and defaulted by executeSortExternal.
-func sortExternalSim(ctx context.Context, l *edge.List, p int, cfg ExtSortConfig, fs vfs.FS) (res *ExtSortResult, err error) {
-	m := l.Len()
-	c := &comm{p: p}
-
-	// Phase 1: each rank forms its bounded sorted runs.  Whatever happens
-	// below, the spilled runs are gone when the sort returns.
-	names := make([][]string, p)
-	defer func() {
-		for _, ns := range names {
-			if rmErr := xsort.RemoveRuns(fs, ns); rmErr != nil && err == nil {
-				res, err = nil, rmErr
-			}
-		}
-	}()
-	runsPerRank := make([]int, p)
-	for r := 0; r < p; r++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		lo, hi := blockBounds(m, p, r)
-		ns, spillErr := extSpillRuns(fs, cfg.TmpPrefix, cfg.Codec, l, r, lo, hi, cfg.RunEdges)
-		names[r] = ns
-		if spillErr != nil {
-			return nil, spillErr
-		}
-		runsPerRank[r] = len(ns)
-	}
-
-	// Phase 2: samples are gathered at rank 0, which selects the
-	// splitters and broadcasts them — the identical steps the in-memory
-	// Sort executes, so buckets (and the all-to-all volume) match it
-	// exactly.
-	splitters := c.broadcastKeys(chooseSplitters(gatherSamples(c, l), p))
-
-	// Phase 3: stream every run back, split it at the splitters, and
-	// route the segments to their bucket owners.  Iterating sources in
-	// rank order and runs in run order delivers each bucket's segments in
-	// global input order — the stability invariant.
-	segs := make([][]*edge.List, p)
-	for src := 0; src < p; src++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for _, name := range names[src] {
-			parts, perr := extPartitionRun(fs, name, cfg.Codec, splitters, p)
-			if perr != nil {
-				return nil, perr
-			}
-			for d, part := range parts {
-				if part.Len() == 0 {
-					continue
-				}
-				segs[d] = append(segs[d], part)
-				if d != src {
-					c.st.AllToAllBytes += edgeWireBytes * uint64(part.Len())
-				}
-			}
-		}
-	}
-
-	// Phase 4: per-bucket k-way merges, concatenated in rank order.
-	out := edge.NewList(m)
-	for d := 0; d < p; d++ {
-		xsort.MergeLists(segs[d], out, false)
-	}
-	return &ExtSortResult{Sorted: out, Comm: c.st, RunsPerRank: runsPerRank}, nil
 }

@@ -81,7 +81,7 @@ func TestSortExternalEqualsSerialBitForBit(t *testing.T) {
 		for _, p := range procCounts {
 			// The in-memory distributed sort is the communication
 			// reference: spilling must not change what crosses the wire.
-			ref, err := dist.Sort(l, p)
+			ref, err := execSort(dist.Config{}, l, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestSortExternalEqualsSerialBitForBit(t *testing.T) {
 			for _, runEdges := range runEdgesChoices(m, p) {
 				for _, mode := range execModes {
 					fs := vfs.NewMem()
-					res, err := dist.SortExternalMode(mode, l, p, dist.ExtSortConfig{FS: fs, RunEdges: runEdges})
+					res, err := execSortExt(mode, l, p, dist.ExtSortConfig{FS: fs, RunEdges: runEdges})
 					if err != nil {
 						t.Fatalf("%s p=%d runEdges=%d %v: %v", name, p, runEdges, mode, err)
 					}
@@ -126,11 +126,11 @@ func TestSortExternalModesAgreeOnSpillAndRuns(t *testing.T) {
 	l, _ := kron(t, 8, 3)
 	for _, p := range procCounts {
 		for _, runEdges := range runEdgesChoices(l.Len(), p) {
-			sim, err := dist.SortExternal(l, p, dist.ExtSortConfig{RunEdges: runEdges})
+			sim, err := execSortExt(dist.ExecSim, l, p, dist.ExtSortConfig{RunEdges: runEdges})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gor, err := dist.SortExternalMode(dist.ExecGoroutine, l, p, dist.ExtSortConfig{RunEdges: runEdges})
+			gor, err := execSortExt(dist.ExecGoroutine, l, p, dist.ExtSortConfig{RunEdges: runEdges})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestSortExternalStorageFailureLeavesFSClean(t *testing.T) {
 		for _, mode := range execModes {
 			mem := vfs.NewMem()
 			fs := vfs.NewFaulty(mem, budget)
-			_, err := dist.SortExternalMode(mode, l, 4, dist.ExtSortConfig{FS: fs, RunEdges: 64})
+			_, err := execSortExt(mode, l, 4, dist.ExtSortConfig{FS: fs, RunEdges: 64})
 			if err == nil {
 				t.Fatalf("%s %v: injected storage failure not surfaced", stage, mode)
 			}
@@ -198,10 +198,10 @@ func TestSortExternalStorageFailureLeavesFSClean(t *testing.T) {
 
 func TestSortExternalRejectsBadInput(t *testing.T) {
 	for _, mode := range execModes {
-		if _, err := dist.SortExternalMode(mode, nil, 2, dist.ExtSortConfig{}); err == nil {
+		if _, err := execSortExt(mode, nil, 2, dist.ExtSortConfig{}); err == nil {
 			t.Errorf("%v: nil list accepted", mode)
 		}
-		if _, err := dist.SortExternalMode(mode, edge.NewList(0), 0, dist.ExtSortConfig{}); err == nil {
+		if _, err := execSortExt(mode, edge.NewList(0), 0, dist.ExtSortConfig{}); err == nil {
 			t.Errorf("%v: p = 0 accepted", mode)
 		}
 	}
@@ -218,7 +218,7 @@ func TestSortAdversarialBothModes(t *testing.T) {
 		for _, p := range procCounts {
 			var ref *dist.SortResult
 			for _, mode := range execModes {
-				res, err := dist.SortMode(mode, l, p)
+				res, err := execSort(dist.Config{Mode: mode}, l, p)
 				if err != nil {
 					t.Fatalf("%s p=%d %v: %v", name, p, mode, err)
 				}
@@ -242,7 +242,7 @@ func TestSortAdversarialBothModes(t *testing.T) {
 func TestSortExternalSpillCodec(t *testing.T) {
 	l, _ := kron(t, 8, 3)
 	for _, p := range []int{1, 3, 4} {
-		def, err := dist.SortExternal(l, p, dist.ExtSortConfig{RunEdges: 300})
+		def, err := execSortExt(dist.ExecSim, l, p, dist.ExtSortConfig{RunEdges: 300})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestSortExternalSpillCodec(t *testing.T) {
 			t.Errorf("p=%d: default spill codec %q, want bin", p, def.SpillCodec)
 		}
 		for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-			res, err := dist.SortExternalMode(mode, l, p, dist.ExtSortConfig{
+			res, err := execSortExt(mode, l, p, dist.ExtSortConfig{
 				RunEdges: 300, Codec: fastio.Packed{},
 			})
 			if err != nil {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"io"
 	"maps"
@@ -295,7 +296,7 @@ func TestCheckpointSaveAtomic(t *testing.T) {
 func TestPipelineCheckpointKillAndResume(t *testing.T) {
 	base := Config{Scale: 7, EdgeFactor: 8, Seed: 3, Variant: "distgo", KeepRank: true,
 		PageRank: pagerank.Options{Seed: 3, Iterations: 10}}
-	uninterrupted, err := Execute(base)
+	uninterrupted, err := ExecuteContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestPipelineCheckpointKillAndResume(t *testing.T) {
 			killSaves = append(killSaves, ev.Iteration)
 		}
 	}
-	if _, err := Execute(kill); !errors.Is(err, dist.ErrFaultInjected) {
+	if _, err := ExecuteContext(context.Background(), kill); !errors.Is(err, dist.ErrFaultInjected) {
 		t.Fatalf("killed run: err = %v, want ErrFaultInjected", err)
 	}
 	if len(killSaves) != 2 || killSaves[0] != 3 || killSaves[1] != 6 {
@@ -328,7 +329,7 @@ func TestPipelineCheckpointKillAndResume(t *testing.T) {
 			iterEvents = append(iterEvents, ev.Iteration)
 		}
 	}
-	res, err := Execute(resume)
+	res, err := ExecuteContext(context.Background(), resume)
 	if err != nil {
 		t.Fatal(err)
 	}

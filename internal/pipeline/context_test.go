@@ -39,7 +39,7 @@ func TestProgressIterationEventsOncePerIteration(t *testing.T) {
 				kernelEvents = append(kernelEvents, ev)
 			}
 		}
-		res, err := Execute(cfg)
+		res, err := ExecuteContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", variant, err)
 		}
@@ -63,7 +63,7 @@ func TestProgressComposesWithPageRankHook(t *testing.T) {
 			events++
 		}
 	}
-	res, err := Execute(cfg)
+	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +74,9 @@ func TestProgressComposesWithPageRankHook(t *testing.T) {
 
 // TestSourceHookFeedsKernel0 pins the cache seam: a Source-supplied list
 // must flow through the whole pipeline unchanged and be metered in
-// GenCache, for serial and distributed variants alike.
+// Cache.Edges, for serial and distributed variants alike.
 func TestSourceHookFeedsKernel0(t *testing.T) {
-	baseline, err := Execute(smallCfg("csr"))
+	baseline, err := ExecuteContext(context.Background(), smallCfg("csr"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +91,15 @@ func TestSourceHookFeedsKernel0(t *testing.T) {
 			calls++
 			return shared, true, nil
 		}
-		res, err := Execute(cfg)
+		res, err := ExecuteContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", variant, err)
 		}
 		if calls != 1 {
 			t.Fatalf("%s: Source called %d times", variant, calls)
 		}
-		if res.GenCache == nil || res.GenCache.Hits != 1 || res.GenCache.Misses != 0 {
-			t.Fatalf("%s: GenCache = %+v, want 1 hit", variant, res.GenCache)
+		if res.Cache == nil || res.Cache.Edges != (StageCacheStats{Hits: 1}) {
+			t.Fatalf("%s: Cache = %+v, want 1 edges-stage hit", variant, res.Cache)
 		}
 		if res.NNZ != baseline.NNZ {
 			t.Fatalf("%s: NNZ %d != baseline %d — sourced list diverged", variant, res.NNZ, baseline.NNZ)
@@ -117,12 +117,12 @@ func TestSourceBypassVariants(t *testing.T) {
 			t.Fatalf("%s: Source must not be consulted", variant)
 			return nil, false, nil
 		}
-		res, err := Execute(cfg)
+		res, err := ExecuteContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", variant, err)
 		}
-		if res.GenCache != nil {
-			t.Fatalf("%s: GenCache should stay nil on bypass, got %+v", variant, res.GenCache)
+		if res.Cache != nil {
+			t.Fatalf("%s: Cache should stay nil on bypass, got %+v", variant, res.Cache)
 		}
 	}
 }
@@ -137,7 +137,7 @@ func TestResultConfigDropsClosures(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Source = func(Config) (*edge.List, bool, error) { return shared, true, nil }
-	res, err := Execute(cfg)
+	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSourceErrorSurfaces(t *testing.T) {
 	cfg := smallCfg("csr")
 	boom := errors.New("generator down")
 	cfg.Source = func(Config) (*edge.List, bool, error) { return nil, false, boom }
-	if _, err := Execute(cfg); !errors.Is(err, boom) {
+	if _, err := ExecuteContext(context.Background(), cfg); !errors.Is(err, boom) {
 		t.Fatalf("want the source error, got %v", err)
 	}
 }

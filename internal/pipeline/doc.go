@@ -11,8 +11,8 @@
 // Multiple implementation variants register themselves in a registry; six
 // stand in for the paper's language implementations (C++, Python,
 // Python/Pandas, Matlab, Octave, Julia), and two more run the distributed-
-// memory pipeline of the paper's §V analysis — "dist" through the
-// single-threaded simulation and "distgo" through the concurrent
-// goroutine-rank runtime — each exercising the same kernel contracts
+// memory pipeline of the paper's §V analysis — "dist" with the ranks run
+// one at a time (the simulation) and "distgo" with the same ranks run
+// concurrently — each exercising the same kernel contracts
 // through a different code path (see DESIGN.md §1 and §5).
 package pipeline

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestSerialVariantsFormatInvariant(t *testing.T) {
 					Variant: variant, Format: format, KeepRank: true,
 					FS: vfs.NewMem(), RunEdges: 200,
 				}
-				res, err := Execute(cfg)
+				res, err := ExecuteContext(context.Background(), cfg)
 				if err != nil {
 					t.Fatalf("format %s: %v", format, err)
 				}
@@ -91,7 +92,7 @@ func TestDistFormatInvariant(t *testing.T) {
 							DistMode: mode, Workers: p, RunEdges: 150,
 							FS: vfs.NewMem(),
 						}
-						res, err := Execute(cfg)
+						res, err := ExecuteContext(context.Background(), cfg)
 						if err != nil {
 							t.Fatalf("format %s: %v", format, err)
 						}
@@ -135,7 +136,7 @@ func TestSpillAccountingByFormat(t *testing.T) {
 			Scale: 8, EdgeFactor: 8, Seed: 3, Variant: "extsort",
 			Format: format, RunEdges: 300, FS: vfs.NewMem(),
 		}
-		res, err := Execute(cfg)
+		res, err := ExecuteContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("format %s: %v", format, err)
 		}

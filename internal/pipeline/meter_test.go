@@ -1,11 +1,14 @@
 package pipeline
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestMeterIORecordsPerKernelTraffic(t *testing.T) {
 	cfg := smallCfg("csr")
 	cfg.MeterIO = true
-	res, err := Execute(cfg)
+	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func TestMeterIORecordsPerKernelTraffic(t *testing.T) {
 }
 
 func TestMeterIOOffByDefault(t *testing.T) {
-	res, err := Execute(smallCfg("csr"))
+	res, err := ExecuteContext(context.Background(), smallCfg("csr"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +59,7 @@ func TestMeterIOExtsortSeesSpillTraffic(t *testing.T) {
 	cfg := smallCfg("extsort")
 	cfg.MeterIO = true
 	cfg.RunEdges = 64 // force heavy spilling
-	res, err := Execute(cfg)
+	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestMeterIOExtsortSeesSpillTraffic(t *testing.T) {
 	// exceed the plain input size (csr's K1 read volume).
 	ref := smallCfg("csr")
 	ref.MeterIO = true
-	refRes, err := Execute(ref)
+	refRes, err := ExecuteContext(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ type Config struct {
 	// paper's "should the end vertices also be sorted?" open question.
 	SortEndVertices bool
 	// DistMode overrides the execution mode of the dist/distgo variants'
-	// runtime: "sim" (single-threaded simulation), "goroutine"
+	// runtime: "sim" (ranks run one at a time), "goroutine"
 	// (concurrent ranks with real message passing) or "socket" (worker
 	// processes over unix-domain sockets).  Empty keeps the selected
 	// variant's default.
@@ -124,7 +124,7 @@ type Config struct {
 	// Source, when non-nil, replaces the kernel-0 generator invocation:
 	// variants obtain the edge list from it instead of generating.  It
 	// reports whether the list came from a cache (metered in the
-	// Result's GenCache) and MUST return a list the caller treats as
+	// Result's Cache.Edges) and MUST return a list the caller treats as
 	// read-only — kernel 0 only writes it to storage, never mutates it,
 	// which is what lets the service layer share one list across
 	// concurrent runs.  The hook sees the defaulted Config.
@@ -290,20 +290,6 @@ type Event struct {
 	KernelResult *KernelResult
 }
 
-// GenCacheStats records a run's interaction with an external generator
-// cache (Config.Source): how many kernel-0 edge lists were served from
-// cache versus generated.  A single full-pipeline run scores exactly one
-// hit or one miss.
-//
-// Deprecated: the staged cache generalizes this to CacheStats; GenCache
-// remains as an alias of the edges stage.
-type GenCacheStats struct {
-	// Hits counts edge lists served from the cache.
-	Hits uint64
-	// Misses counts edge lists that had to be generated.
-	Misses uint64
-}
-
 // StageCacheStats records one staged-cache level's interaction for a
 // single run.  A run scores at most one hit or one miss per consulted
 // stage.
@@ -462,11 +448,6 @@ type Result struct {
 	// when a cache seam (Config.Source, SortedSource, MatrixSource)
 	// was actually consulted.
 	Cache *CacheStats
-	// GenCache mirrors Cache.Edges for callers of the original
-	// generator-cache seam; nil when the edges stage was not consulted.
-	//
-	// Deprecated: read Cache.Edges.
-	GenCache *GenCacheStats
 }
 
 // KernelResultFor returns the result for kernel k, or nil.
@@ -674,35 +655,20 @@ func VariantNames() []string {
 // ---------------------------------------------------------------------------
 // Execution
 
-// Execute runs the full four-kernel pipeline under cfg and returns timing
-// results for every kernel.
-//
-// Deprecated: use ExecuteContext so callers control cancellation (§8).
-func Execute(cfg Config) (*Result, error) {
-	return ExecuteContext(context.Background(), cfg)
-}
-
-// ExecuteContext runs the full four-kernel pipeline under cfg and ctx.
+// ExecuteContext runs the full four-kernel pipeline under cfg and ctx and
+// returns timing results for every kernel.
 func ExecuteContext(ctx context.Context, cfg Config) (*Result, error) {
 	return ExecuteKernelsContext(ctx, cfg, []Kernel{K0Generate, K1Sort, K2Filter, K3PageRank})
 }
 
-// ExecuteKernels runs the listed kernels in order.  Kernels may be run
-// independently as the paper allows, but each depends on its predecessor's
-// artifacts: running K2 without K1 in the same FS fails with a missing-file
-// error.
-//
-// Deprecated: use ExecuteKernelsContext so callers control cancellation (§8).
-func ExecuteKernels(cfg Config, kernels []Kernel) (*Result, error) {
-	return ExecuteKernelsContext(context.Background(), cfg, kernels)
-}
-
-// ExecuteKernelsContext runs the listed kernels in order under ctx:
-// cancellation aborts before the next kernel starts, and mid-kernel at
-// the kernels' own cancellation points — the K3 engines check between
-// iterations and the distributed runtime between its phases — returning
-// ctx's error.  A background context changes nothing: results are
-// bit-for-bit those of ExecuteKernels.
+// ExecuteKernelsContext runs the listed kernels in order under ctx.
+// Kernels may be run independently as the paper allows, but each depends
+// on its predecessor's artifacts: running K2 without K1 in the same FS
+// fails with a missing-file error.  Cancellation aborts before the next
+// kernel starts, and mid-kernel at the kernels' own cancellation points —
+// the K3 engines check between iterations and the distributed runtime
+// wherever a rank waits on a peer — returning ctx's error.  A background
+// context changes no result.
 func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (res *Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -921,15 +887,11 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 	res.Checkpoint = run.Checkpoint
 	res.Spill = run.Spill
 	res.Cache = run.Cache
-	if run.Cache != nil && run.Cache.Edges != (StageCacheStats{}) {
-		// Deprecated alias: the edges stage under its original name.
-		res.GenCache = &GenCacheStats{Hits: run.Cache.Edges.Hits, Misses: run.Cache.Edges.Misses}
-	}
 	return res, nil
 }
 
 // sourceEdges obtains kernel 0's edge list: from Cfg.Source when set —
-// metering the hit/miss in the run's GenCache record — else by invoking
+// metering the hit/miss in the run's Cache.Edges record — else by invoking
 // the configured generator.  Every variant's Kernel0 routes through it,
 // which is the single seam the service layer's shared generator cache
 // plugs into.  A sourced list is shared and read-only; callers only

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -80,7 +81,7 @@ func TestConfigDerived(t *testing.T) {
 func TestFullPipelineEveryVariant(t *testing.T) {
 	for _, name := range VariantNames() {
 		t.Run(name, func(t *testing.T) {
-			res, err := Execute(smallCfg(name))
+			res, err := ExecuteContext(context.Background(), smallCfg(name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +133,7 @@ func TestSerialVariantsAgreeExactly(t *testing.T) {
 	ranks := map[string][]float64{}
 	nnz := map[string]int{}
 	for _, name := range serialVariants {
-		res, err := Execute(smallCfg(name))
+		res, err := ExecuteContext(context.Background(), smallCfg(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -159,12 +160,12 @@ func TestKernelsRunIndependently(t *testing.T) {
 	cfg := smallCfg("csr")
 	cfg.FS = fs
 	for _, k := range []Kernel{K0Generate, K1Sort, K2Filter} {
-		if _, err := ExecuteKernels(cfg, []Kernel{k}); err != nil {
+		if _, err := ExecuteKernelsContext(context.Background(), cfg, []Kernel{k}); err != nil {
 			t.Fatalf("kernel %v standalone: %v", k, err)
 		}
 	}
 	// K3 alone needs K2's in-memory matrix, so run K2+K3 together.
-	res, err := ExecuteKernels(cfg, []Kernel{K2Filter, K3PageRank})
+	res, err := ExecuteKernelsContext(context.Background(), cfg, []Kernel{K2Filter, K3PageRank})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestKernelsRunIndependently(t *testing.T) {
 func TestKernel1WithoutKernel0Fails(t *testing.T) {
 	cfg := smallCfg("csr")
 	cfg.FS = vfs.NewMem()
-	if _, err := ExecuteKernels(cfg, []Kernel{K1Sort}); err == nil {
+	if _, err := ExecuteKernelsContext(context.Background(), cfg, []Kernel{K1Sort}); err == nil {
 		t.Error("K1 without K0 artifacts should fail")
 	}
 }
@@ -185,12 +186,12 @@ func TestSortedEndVerticesAblation(t *testing.T) {
 	for _, name := range []string{"csr", "coo", "extsort"} {
 		cfg := smallCfg(name)
 		cfg.SortEndVertices = true
-		res, err := Execute(cfg)
+		res, err := ExecuteContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		// Same matrix regardless of secondary sort order.
-		base, err := Execute(smallCfg(name))
+		base, err := ExecuteContext(context.Background(), smallCfg(name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +206,7 @@ func TestAlternativeGenerators(t *testing.T) {
 		for _, name := range []string{"csr", "extsort", "parallel"} {
 			cfg := smallCfg(name)
 			cfg.Generator = gen
-			res, err := Execute(cfg)
+			res, err := ExecuteContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", gen, name, err)
 			}
@@ -222,12 +223,12 @@ func TestRankMatchesEigenEndToEnd(t *testing.T) {
 		PageRank: pagerank.Options{Iterations: 150}}
 	fs := vfs.NewMem()
 	cfg.FS = fs
-	res, err := Execute(cfg)
+	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Rebuild the matrix exactly as K2 left it for the eigen check.
-	runRes, err := ExecuteKernels(cfg, []Kernel{K2Filter})
+	runRes, err := ExecuteKernelsContext(context.Background(), cfg, []Kernel{K2Filter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +357,11 @@ func TestExtsortSmallRunBuffer(t *testing.T) {
 	// Force many external runs; results must match the in-memory variant.
 	cfg := smallCfg("extsort")
 	cfg.RunEdges = 100 // 1024 edges → ~10 runs
-	res, err := Execute(cfg)
+	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Execute(smallCfg("csr"))
+	ref, err := ExecuteContext(context.Background(), smallCfg("csr"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestExtsortSmallRunBuffer(t *testing.T) {
 func TestParallelVariantInvariants(t *testing.T) {
 	cfg := smallCfg("parallel")
 	cfg.Workers = 3
-	res, err := Execute(cfg)
+	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +386,7 @@ func TestParallelVariantInvariants(t *testing.T) {
 		t.Errorf("parallel mass %v != M", res.MatrixMass)
 	}
 	// Deterministic for fixed worker count.
-	res2, err := Execute(cfg)
+	res2, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +405,7 @@ func TestDiskBackedPipeline(t *testing.T) {
 	}
 	cfg := smallCfg("csr")
 	cfg.FS = dir
-	res, err := Execute(cfg)
+	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +434,7 @@ func TestDiskBackedPipeline(t *testing.T) {
 func TestKeepRankFalseDropsVector(t *testing.T) {
 	cfg := smallCfg("csr")
 	cfg.KeepRank = false
-	res, err := Execute(cfg)
+	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func captureSorted(t *testing.T, variant string) *edge.List {
 			got = l
 		}}, nil
 	}
-	if _, err := Execute(cfg); err != nil {
+	if _, err := ExecuteContext(context.Background(), cfg); err != nil {
 		t.Fatalf("%s cold: %v", variant, err)
 	}
 	if got == nil {
@@ -53,7 +53,7 @@ func captureMatrix(t *testing.T, variant string) (*sparse.CSR, float64) {
 			gotM, gotMass = m, mass
 		}}, nil
 	}
-	if _, err := Execute(cfg); err != nil {
+	if _, err := ExecuteContext(context.Background(), cfg); err != nil {
 		t.Fatalf("%s cold: %v", variant, err)
 	}
 	if gotM == nil {
@@ -66,7 +66,7 @@ func captureMatrix(t *testing.T, variant string) (*sparse.CSR, float64) {
 // runs only kernels 2 and 3, meters one sorted hit, and reproduces the
 // cold run bit for bit.
 func TestSortedSourceHitSkipsK0K1(t *testing.T) {
-	cold, err := Execute(smallCfg("csr"))
+	cold, err := ExecuteContext(context.Background(), smallCfg("csr"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSortedSourceHitSkipsK0K1(t *testing.T) {
 	cfg.SortedSource = func(Config) (SortedLease, error) {
 		return SortedLease{List: shared, Hit: true}, nil
 	}
-	res, err := Execute(cfg)
+	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSortedSourceHitSkipsK0K1(t *testing.T) {
 // runs kernel 3 only, writes nothing to storage, and reproduces the
 // cold ranks bit for bit.
 func TestMatrixSourceHitIsK3Bound(t *testing.T) {
-	cold, err := Execute(smallCfg("csr"))
+	cold, err := ExecuteContext(context.Background(), smallCfg("csr"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMatrixSourceHitIsK3Bound(t *testing.T) {
 		sortedConsulted = true
 		return SortedLease{}, nil
 	}
-	res, err := Execute(cfg)
+	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestMatrixArtifactCanonicalAcrossVariants(t *testing.T) {
 	}
 	consumers := []string{"coo", "columnar", "graphblas", "extsort", "dist", "distgo", "distext"}
 	for _, variant := range consumers {
-		cold, err := Execute(smallCfg(variant))
+		cold, err := ExecuteContext(context.Background(), smallCfg(variant))
 		if err != nil {
 			t.Fatalf("%s cold: %v", variant, err)
 		}
@@ -163,7 +163,7 @@ func TestMatrixArtifactCanonicalAcrossVariants(t *testing.T) {
 		cfg.MatrixSource = func(Config) (MatrixLease, error) {
 			return MatrixLease{Matrix: ref, Mass: refMass, Hit: true}, nil
 		}
-		warm, err := Execute(cfg)
+		warm, err := ExecuteContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s warm: %v", variant, err)
 		}
@@ -177,7 +177,7 @@ func TestMatrixArtifactCanonicalAcrossVariants(t *testing.T) {
 func TestSortedArtifactCrossVariant(t *testing.T) {
 	shared := captureSorted(t, "csr")
 	for _, variant := range []string{"coo", "graphblas", "dist", "distgo"} {
-		cold, err := Execute(smallCfg(variant))
+		cold, err := ExecuteContext(context.Background(), smallCfg(variant))
 		if err != nil {
 			t.Fatalf("%s cold: %v", variant, err)
 		}
@@ -185,7 +185,7 @@ func TestSortedArtifactCrossVariant(t *testing.T) {
 		cfg.SortedSource = func(Config) (SortedLease, error) {
 			return SortedLease{List: shared, Hit: true}, nil
 		}
-		warm, err := Execute(cfg)
+		warm, err := ExecuteContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s warm: %v", variant, err)
 		}
@@ -215,7 +215,7 @@ func TestSortedSourceSeesEffectiveOrder(t *testing.T) {
 			saw = &scfg.SortEndVertices
 			return SortedLease{Fill: func(*edge.List, error) {}}, nil
 		}
-		if _, err := Execute(cfg); err != nil {
+		if _, err := ExecuteContext(context.Background(), cfg); err != nil {
 			t.Fatalf("%s: %v", tc.variant, err)
 		}
 		if saw == nil || *saw != tc.want {
@@ -247,7 +247,7 @@ func TestStageSourceBypassVariants(t *testing.T) {
 			matrixSeen = true
 			return MatrixLease{Fill: func(*sparse.CSR, float64, error) {}}, nil
 		}
-		if _, err := Execute(cfg); err != nil {
+		if _, err := ExecuteContext(context.Background(), cfg); err != nil {
 			t.Fatalf("%s: %v", tc.variant, err)
 		}
 		if matrixSeen != tc.wantMatrix {
@@ -310,7 +310,7 @@ func TestStageSourcesDroppedFromResultConfig(t *testing.T) {
 	cfg.MatrixSource = func(Config) (MatrixLease, error) {
 		return MatrixLease{Fill: func(*sparse.CSR, float64, error) {}}, nil
 	}
-	res, err := Execute(cfg)
+	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,12 +324,12 @@ func TestStageSourceErrorsSurface(t *testing.T) {
 	boom := errors.New("cache down")
 	cfg := smallCfg("csr")
 	cfg.MatrixSource = func(Config) (MatrixLease, error) { return MatrixLease{}, boom }
-	if _, err := Execute(cfg); !errors.Is(err, boom) {
+	if _, err := ExecuteContext(context.Background(), cfg); !errors.Is(err, boom) {
 		t.Fatalf("matrix source error lost: %v", err)
 	}
 	cfg = smallCfg("csr")
 	cfg.SortedSource = func(Config) (SortedLease, error) { return SortedLease{}, boom }
-	if _, err := Execute(cfg); !errors.Is(err, boom) {
+	if _, err := ExecuteContext(context.Background(), cfg); !errors.Is(err, boom) {
 		t.Fatalf("sorted source error lost: %v", err)
 	}
 }

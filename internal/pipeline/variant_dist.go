@@ -3,8 +3,8 @@ package pipeline
 // The dist variants run the pipeline through the distributed-memory
 // runtime of internal/dist: kernel 1 is the splitter-based sample sort,
 // kernels 2 and 3 use the 1D row-block decomposition with metered
-// collectives.  "dist" executes the single-threaded simulation, "distgo"
-// the concurrent goroutine-rank runtime (Config.DistMode overrides
+// collectives.  "dist" runs the ranks one at a time (the simulation),
+// "distgo" runs the same ranks concurrently (Config.DistMode overrides
 // either).  Results are identical to the serial variants — the sort
 // bit-for-bit, the matrix bit-for-bit, the rank vector to ~1e-12 — and
 // identical between the two modes bit-for-bit, which is exactly the

@@ -37,10 +37,10 @@ import (
 //
 // Eviction is LRU over ready entries across all stages, governed by
 // two optional bounds: a byte budget (artifacts charged at their real
-// Footprint) and a per-stage resident-entry cap (the deprecated
-// count-based configuration).  In-flight entries are not on the LRU
-// list and cannot be evicted; evicting a ready entry only drops cache
-// residency — runs already holding the artifact keep it alive.
+// Footprint) and a per-stage resident-entry cap (the default Service's
+// bound).  In-flight entries are not on the LRU list and cannot be
+// evicted; evicting a ready entry only drops cache residency — runs
+// already holding the artifact keep it alive.
 type artifactCache struct {
 	mu       sync.Mutex
 	stageCap int   // per-stage resident-entry cap; 0 = uncapped

@@ -185,23 +185,6 @@ func WithMaxConcurrent(n int) Option {
 	return func(s *Service) { s.sem = make(chan struct{}, n) }
 }
 
-// WithCacheCapacity bounds the staged artifact cache to n resident
-// entries per stage (LRU-evicted beyond that); 0 disables the cache
-// entirely, making every run compute all of its own artifacts.  The
-// default is 8 per stage.
-//
-// Deprecated: use WithCacheBudget, which bounds the cache by what
-// actually matters — resident bytes — instead of entry counts.
-func WithCacheCapacity(n int) Option {
-	return func(s *Service) {
-		if n <= 0 {
-			s.cache = nil
-		} else {
-			s.cache = newArtifactCache(n, 0)
-		}
-	}
-}
-
 // WithCacheBudget bounds the staged artifact cache to the given number
 // of resident bytes across all stages, with edge lists and matrices
 // charged at their real in-memory footprint and the least-recently-used
@@ -298,16 +281,10 @@ type Stats struct {
 	RunsStarted uint64
 	// RunsActive is the number of runs executing right now.
 	RunsActive int
-	// CacheHits and CacheMisses mirror CacheEdges' counters — the
-	// original generator-cache meters.  All cache counters stay zero
-	// with the cache disabled.
-	//
-	// Deprecated: read CacheEdges.
-	CacheHits   uint64
-	CacheMisses uint64
 	// CacheEntries is the number of artifacts currently resident across
 	// all stages, and CacheBytes their summed footprint — the quantity
-	// WithCacheBudget bounds.
+	// WithCacheBudget bounds.  All cache counters stay zero with the
+	// cache disabled.
 	CacheEntries int
 	CacheBytes   int64
 	// CacheEdges, CacheSorted and CacheMatrix are the per-stage
@@ -326,7 +303,6 @@ func (s *Service) Stats() Stats {
 		st.CacheEdges = s.cache.stageStats(stageEdges)
 		st.CacheSorted = s.cache.stageStats(stageSorted)
 		st.CacheMatrix = s.cache.stageStats(stageMatrix)
-		st.CacheHits, st.CacheMisses = st.CacheEdges.Hits, st.CacheEdges.Misses
 		st.CacheEntries = st.CacheEdges.Entries + st.CacheSorted.Entries + st.CacheMatrix.Entries
 		st.CacheBytes = st.CacheEdges.Bytes + st.CacheSorted.Bytes + st.CacheMatrix.Bytes
 	}

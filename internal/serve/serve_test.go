@@ -82,10 +82,9 @@ func TestSingleflightConcurrentRuns(t *testing.T) {
 		}
 		if res.Cache.Matrix.Hits == 1 {
 			warm++
-		} else if res.GenCache == nil || res.GenCache.Misses != 1 {
-			// The one cold run descended all the way to generation and
-			// must still populate the deprecated edges-stage alias.
-			t.Fatalf("cold run %d: GenCache alias = %+v, want 1 miss", i, res.GenCache)
+		} else if res.Cache.Edges.Misses != 1 {
+			// The one cold run descended all the way to generation.
+			t.Fatalf("cold run %d: edges stage = %+v, want 1 miss", i, res.Cache.Edges)
 		}
 	}
 	if warm != n-1 {
@@ -103,7 +102,7 @@ func TestRunMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := pipeline.Execute(runCfg(variant))
+		want, err := pipeline.ExecuteContext(context.Background(), runCfg(variant))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,21 +306,22 @@ func TestEdgesSingleflight(t *testing.T) {
 		}
 	}
 	st := svc.Stats()
-	if st.CacheMisses != 1 || st.CacheHits != n-1 {
-		t.Fatalf("want 1 miss / %d hits, got %d / %d", n-1, st.CacheMisses, st.CacheHits)
+	if st.CacheEdges.Misses != 1 || st.CacheEdges.Hits != n-1 {
+		t.Fatalf("want 1 miss / %d hits, got %d / %d", n-1, st.CacheEdges.Misses, st.CacheEdges.Hits)
 	}
 	// Normalized spellings share the entry.
 	if _, err := svc.Edges(context.Background(), serve.GraphKey{Generator: pipeline.GenKronecker, Scale: 8, EdgeFactor: 16, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if st := svc.Stats(); st.CacheMisses != 1 {
+	if st := svc.Stats(); st.CacheEdges.Misses != 1 {
 		t.Fatalf("normalized key missed the cache: %+v", st)
 	}
 }
 
-// TestCacheEviction pins the LRU bound.
+// TestCacheEviction pins the LRU bound: a one-byte budget keeps only the
+// newest artifact resident.
 func TestCacheEviction(t *testing.T) {
-	svc := serve.New(serve.WithCacheCapacity(1))
+	svc := serve.New(serve.WithCacheBudget(1))
 	defer svc.Close()
 	ctx := context.Background()
 	for _, seed := range []uint64{1, 2, 1} { // the third fetch re-generates: seed 1 was evicted
@@ -330,23 +330,23 @@ func TestCacheEviction(t *testing.T) {
 		}
 	}
 	st := svc.Stats()
-	if st.CacheMisses != 3 || st.CacheEntries != 1 {
+	if st.CacheEdges.Misses != 3 || st.CacheEntries != 1 {
 		t.Fatalf("want 3 misses with 1 resident entry, got %+v", st)
 	}
 }
 
-// TestCacheDisabled pins WithCacheCapacity(0): every run generates.
+// TestCacheDisabled pins WithCacheBudget(0): every run generates.
 func TestCacheDisabled(t *testing.T) {
-	svc := serve.New(serve.WithCacheCapacity(0))
+	svc := serve.New(serve.WithCacheBudget(0))
 	defer svc.Close()
 	res, err := svc.Run(context.Background(), runCfg("csr"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.GenCache != nil {
-		t.Fatalf("cache disabled: GenCache should be nil, got %+v", res.GenCache)
+	if res.Cache != nil {
+		t.Fatalf("cache disabled: Cache should be nil, got %+v", res.Cache)
 	}
-	if st := svc.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 || st.CacheEntries != 0 {
+	if st := svc.Stats(); st.CacheEdges != (serve.StageStats{}) || st.CacheEntries != 0 {
 		t.Fatalf("cache disabled: counters moved: %+v", st)
 	}
 }
