@@ -78,6 +78,11 @@
 //	prbench -scale 14 -variant distgo -rankworkers 4 -json
 //	prbench -scale 16 -cachesweep -json
 //
+// Profiles of the measured run(s) from the shipped binary (plain pipeline
+// runs only; `go tool pprof prbench cpu.prof`):
+//
+//	prbench -scale 16 -variant csr,extsort -cpuprofile cpu.prof -memprofile mem.prof
+//
 // Hardware-model predictions for the paper's platform:
 //
 //	prbench -scale 22 -predict
@@ -91,6 +96,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -141,6 +148,8 @@ func main() {
 		output      = flag.String("output", "table", "output format: table, csv, markdown")
 		jsonOut     = flag.Bool("json", false, "emit a machine-readable prbench/v3 JSON report (single pipeline runs and -cachesweep; schema in README)")
 		ascii       = flag.Bool("ascii", true, "sweep: also draw ASCII log-log plots")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the measured pipeline run(s) to this file (plain single- and multi-variant runs, in-process modes only)")
+		memProfile  = flag.String("memprofile", "", "write an allocation profile (pprof 'allocs') to this file after the measured run(s); same modes as -cpuprofile")
 	)
 	flag.Parse()
 
@@ -169,6 +178,17 @@ func main() {
 	}
 	if *ckptEvery > 0 && (*sweep || *formatSweep || *procSweep != "" || *procs > 0 || *predict || *jsonOut) {
 		fatal(fmt.Errorf("-checkpoint-every reports single pipeline runs; drop -sweep/-formatsweep/-procsweep/-procs/-predict/-json"))
+	}
+	if *cpuProfile != "" || *memProfile != "" {
+		// The profile brackets the plain pipeline run(s) at the end of
+		// main; the other modes interleave set-up with what they measure,
+		// and a socket run's ranks are other processes.
+		if *predict || *cacheSweep || *formatSweep || *procSweep != "" || *procs > 0 || *sweep || *ckptEvery > 0 {
+			fatal(fmt.Errorf("-cpuprofile/-memprofile profile plain pipeline runs; drop -predict/-cachesweep/-formatsweep/-procsweep/-procs/-sweep/-checkpoint-every"))
+		}
+		if *distMode == "socket" {
+			fatal(fmt.Errorf("-cpuprofile/-memprofile see only this process, and -distmode socket runs the ranks in others; use sim or goroutine"))
+		}
 	}
 	if *predict {
 		printPredictions(*scale, *output)
@@ -271,15 +291,24 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if len(variants) > 1 {
-		if err := runVariants(ctx, cfg, variants, ks, *output); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	res, err := svc.Run(ctx, cfg, core.WithKernels(ks...))
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
+	}
+	var res *core.Result
+	if len(variants) > 1 {
+		err = runVariants(ctx, cfg, variants, ks, *output)
+	} else {
+		res, err = svc.Run(ctx, cfg, core.WithKernels(ks...))
+	}
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
+	if err != nil {
+		fatal(err)
+	}
+	if res == nil {
+		return // runVariants printed its own table
 	}
 	if *jsonOut {
 		if err := printResultJSON(res, *cacheBudget); err != nil {
@@ -288,6 +317,43 @@ func main() {
 		return
 	}
 	printResult(res, *output)
+}
+
+// startProfiles begins the CPU profile named by cpu, if any, and returns
+// the function that ends it and then writes the allocation profile named
+// by mem, if any.  Empty names make both steps no-ops.
+func startProfiles(cpu, mem string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == "" {
+			return nil
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // the profile is as of the last completed collection
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // variantList expands a -variant value: "all" (or nothing) is every
@@ -306,23 +372,24 @@ func runVariants(ctx context.Context, cfg core.Config, variants []string, ks []c
 	t := results.NewTable(
 		fmt.Sprintf("PageRank pipeline: scale %d, N=%s, M=%s, each variant cold, edges/second",
 			cfg.Scale, pipeline.HumanCount(cfg.N()), pipeline.HumanCount(cfg.M())),
-		"variant", "K0 generate", "K1 sort", "K2 filter", "K3 pagerank", "seconds")
+		"variant", "K0 generate", "K1 sort", "K2 filter", "K3 pagerank", "seconds", "alloc B/edge")
 	for _, v := range variants {
 		cfg.Variant = v
 		res, err := core.RunOnce(ctx, cfg, ks...)
 		if err != nil {
 			return fmt.Errorf("variant %s: %w", v, err)
 		}
-		row, total := []string{v}, 0.0
+		row, total, alloc := []string{v}, 0.0, uint64(0)
 		for _, k := range []core.Kernel{core.K0Generate, core.K1Sort, core.K2Filter, core.K3PageRank} {
 			cell := "-"
 			if kr := res.KernelResultFor(k); kr != nil {
 				cell = fmt.Sprintf("%.4g", kr.EdgesPerSecond)
 				total += kr.Seconds
+				alloc += kr.AllocBytes
 			}
 			row = append(row, cell)
 		}
-		t.AddRow(append(row, fmt.Sprintf("%.4f", total))...)
+		t.AddRow(append(row, fmt.Sprintf("%.4f", total), fmt.Sprintf("%.1f", float64(alloc)/float64(cfg.M())))...)
 	}
 	emit(t, output)
 	return nil
@@ -393,6 +460,7 @@ type jsonKernel struct {
 	Edges          uint64  `json:"edges"`
 	EdgesPerSecond float64 `json:"edgesPerSecond"`
 	Allocs         uint64  `json:"allocs"`
+	AllocBytes     uint64  `json:"allocBytes"`
 }
 
 type jsonComm struct {
@@ -512,6 +580,7 @@ func printResultJSON(res *core.Result, cacheBudget int64) error {
 			Edges:          k.Edges,
 			EdgesPerSecond: k.EdgesPerSecond,
 			Allocs:         k.Allocs,
+			AllocBytes:     k.AllocBytes,
 		})
 	}
 	if res.Comm != nil {
@@ -534,12 +603,14 @@ func printResult(res *core.Result, format string) {
 		fmt.Sprintf("PageRank pipeline: scale %d, variant %s, N=%s, M=%s",
 			res.Config.Scale, res.Config.Variant,
 			pipeline.HumanCount(res.Config.N()), pipeline.HumanCount(res.Config.M())),
-		"kernel", "seconds", "edges", "edges/second")
+		"kernel", "seconds", "edges", "edges/second", "allocs", "alloc bytes")
 	for _, k := range res.Kernels {
 		t.AddRow(k.Kernel.String(),
 			fmt.Sprintf("%.4f", k.Seconds),
 			fmt.Sprintf("%d", k.Edges),
-			fmt.Sprintf("%.4g", k.EdgesPerSecond))
+			fmt.Sprintf("%.4g", k.EdgesPerSecond),
+			fmt.Sprintf("%d", k.Allocs),
+			fmt.Sprintf("%d", k.AllocBytes))
 	}
 	emit(t, format)
 	if res.NNZ > 0 {

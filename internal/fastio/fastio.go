@@ -584,20 +584,32 @@ func StripedBytes(fs vfs.FS, prefix string, codec Codec) (int64, error) {
 	return total, nil
 }
 
-// ReadStriped reads all stripes for prefix into a single edge list, in
+// ReadStriped reads all stripes for prefix into a single new edge list, in
 // stripe order.
 func ReadStriped(fs vfs.FS, prefix string, codec Codec) (*edge.List, error) {
+	return ReadStripedInto(fs, prefix, codec, nil)
+}
+
+// ReadStripedInto is ReadStriped decoding into dst's storage: dst is
+// truncated and refilled, and is regrown only if the stripes hold more
+// edges than it has room for, so a list of the right size is filled in
+// place.  A nil dst is a new list.  dst's previous contents are lost even
+// when the read fails.
+func ReadStripedInto(fs vfs.FS, prefix string, codec Codec, dst *edge.List) (*edge.List, error) {
 	names, err := StripeNames(fs, prefix, codec)
 	if err != nil {
 		return nil, err
 	}
-	l := edge.NewList(0)
+	if dst == nil {
+		dst = edge.NewList(0)
+	}
+	dst.Reset()
 	for _, name := range names {
-		if err := readOneStripe(fs, name, codec, l); err != nil {
+		if err := readOneStripe(fs, name, codec, dst); err != nil {
 			return nil, err
 		}
 	}
-	return l, nil
+	return dst, nil
 }
 
 func readOneStripe(fs vfs.FS, name string, codec Codec, l *edge.List) error {
@@ -613,10 +625,17 @@ func readOneStripe(fs vfs.FS, name string, codec Codec, l *edge.List) error {
 	src := codec.NewReader(r)
 	start := l.Len()
 	for {
-		if cap(l.U)-l.Len() < readChunkEdges {
+		// A batch is at most the room l has left, and l is regrown only
+		// once that is none: a list that already fits the stripe is filled
+		// in place, never reallocated for the sake of slack.
+		if l.Len() == min(cap(l.U), cap(l.V)) {
 			reserveStripe(l, l.Len()-start, src, size)
 		}
-		if _, err := ReadEdges(src, l, readChunkEdges); err != nil {
+		batch := min(cap(l.U), cap(l.V)) - l.Len()
+		if batch == 0 || batch > readChunkEdges {
+			batch = readChunkEdges
+		}
+		if _, err := ReadEdges(src, l, batch); err != nil {
 			if err == io.EOF {
 				return nil
 			}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
 	"repro/internal/vfs"
+	"repro/internal/xsort"
 )
 
 // Kernel identifies one pipeline stage.
@@ -417,6 +418,11 @@ type KernelResult struct {
 	// counter prbench -json records so allocation regressions in any
 	// kernel are visible between PRs.
 	Allocs uint64
+	// AllocBytes is the heap volume those allocations requested
+	// (MemStats.TotalAlloc delta): every byte of it is cleared or first
+	// touched once before the kernel writes it, which on the cold path is
+	// time no other counter names.
+	AllocBytes uint64
 	// IO holds the kernel's storage traffic when Config.MeterIO is set.
 	IO *vfs.IOStats
 }
@@ -499,10 +505,19 @@ type Run struct {
 	// 2's input when the sorted stage hit.  It is read-only; kernel-2
 	// implementations route through sortedEdges/sortedEdgesMutable.
 	SortedIn *edge.List
-	// SortedOut is the kernel-1 output a participating variant records
-	// so the runner can deposit it into the cache on a sorted-stage
-	// miss.  The recorded list must not be mutated by later kernels.
+	// SortedOut is the kernel-1 output a participating variant records:
+	// a list the run decoded or sorted into itself, never a shared one.
+	// The runner takes it when kernel 1 returns — into the cache on a
+	// sorted-stage miss, else as the run's spare list.
 	SortedOut *edge.List
+	// spare is an edge list this run owns — generated by its kernel 0,
+	// recorded by its kernel 1, or that kernel's sort list (aux) — and has
+	// finished reading: the next kernel decodes its input into it
+	// (readEdges) instead of allocating and first-touching a list of the
+	// same size, and the runner drops it when that kernel returns.  A list
+	// that came from Cfg.Source or SortedIn, or went to a cache fill, is
+	// shared with other runs and is never a spare (DESIGN.md §12).
+	spare, aux *edge.List
 	// ctx is the run's cancellation context; nil means background.
 	// Variants read it through Context().
 	ctx context.Context
@@ -840,13 +855,34 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 		// Discharge cache fill obligations as soon as the producing
 		// kernel completes, so concurrent same-key waiters unblock
 		// before this run's remaining kernels.
-		if k == K1Sort && sortedFill != nil {
-			if run.SortedOut != nil {
+		if k == K1Sort {
+			// The run's claim on kernel 1's lists ends here: its output
+			// goes to the cache, which then owns it, or becomes the spare
+			// kernel 2 decodes into — never both (DESIGN.md §12).
+			run.spare = nil
+			switch {
+			case sortedFill == nil:
+				run.spare = run.SortedOut
+			case run.SortedOut != nil:
 				sortedFill(run.SortedOut, nil)
-			} else {
+				run.spare = run.aux
+			default:
 				sortedFill(nil, fmt.Errorf("pipeline: variant %q produced no sorted artifact", cfg.Variant))
 			}
-			sortedFill = nil
+			sortedFill, run.SortedOut, run.aux = nil, nil, nil
+		}
+		if k == K2Filter {
+			// Dead lists are dropped at the kernel boundary, not kept to
+			// the end of the run and not left to liveness inside the
+			// kernel.  Peak RSS follows GC pacing: the fewer bytes a run
+			// allocates, the fewer cycles it triggers and the longer
+			// garbage overlaps what comes next, so a list reachable past
+			// its last reader now costs a cycle's worth of heap goal.  And
+			// a list that merely *may* be found — the collector that
+			// starts inside kernel 2 scans the interrupted frame
+			// conservatively, and a stale register kept this one alive in
+			// some runs and not in others — made peak RSS two-valued.
+			run.spare = nil
 		}
 		if k == K2Filter && matrixFill != nil {
 			if run.Matrix != nil {
@@ -860,7 +896,8 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 		secs := time.Since(start).Seconds()
 		var memAfter runtime.MemStats
 		runtime.ReadMemStats(&memAfter)
-		kr := KernelResult{Kernel: k, Seconds: secs, Edges: edges, Allocs: memAfter.Mallocs - memBefore.Mallocs}
+		kr := KernelResult{Kernel: k, Seconds: secs, Edges: edges,
+			Allocs: memAfter.Mallocs - memBefore.Mallocs, AllocBytes: memAfter.TotalAlloc - memBefore.TotalAlloc}
 		if secs > 0 {
 			kr.EdgesPerSecond = float64(edges) / secs
 		}
@@ -923,6 +960,44 @@ func sourceEdges(r *Run) (*edge.List, error) {
 	return gen.Generate()
 }
 
+// writeSourcedEdges is kernel 0 of every variant that materializes the
+// edge list: obtain it (sourceEdges) and write it to the "k0" stripes.  A
+// list the run generated itself then becomes its spare; a sourced one is
+// the cache's.
+func writeSourcedEdges(r *Run) error {
+	l, err := sourceEdges(r)
+	if err != nil {
+		return err
+	}
+	if err := fastio.WriteStriped(r.FS, "k0", r.Codec(), r.Cfg.NFiles, l); err != nil {
+		return err
+	}
+	if r.Cfg.Source == nil {
+		r.spare = l
+	}
+	return nil
+}
+
+// readEdges decodes the stripes of prefix ("k0" or "k1") into the run's
+// spare list, or — the first kernel of a kernel subset, or every list so
+// far went to the cache — into a new one, made once at the M edges a
+// run's files hold (up to 2^30).  The run keeps its reference to a spare
+// until the kernel returns (the runner drops it there).
+func readEdges(r *Run, prefix string) (*edge.List, error) {
+	dst := r.spare
+	if dst == nil {
+		dst = edge.NewList(int(min(r.Cfg.M(), 1<<30)))
+	}
+	return fastio.ReadStripedInto(r.FS, prefix, r.Codec(), dst)
+}
+
+// radixSort is kernel 1's sort in the radix variants.  The run keeps the
+// sort's auxiliary list, its own and as long as l: should l go to the
+// cache, it is what kernel 2 decodes into.
+func radixSort(r *Run, l *edge.List, byUV bool) {
+	r.aux = xsort.RadixInto(l, byUV, nil)
+}
+
 // fillAbortErr is the error an unfulfilled cache fill obligation is
 // discharged with when the run exits before the producing kernel
 // completed — the run's own error when it has one.
@@ -941,7 +1016,7 @@ func sortedEdges(r *Run) (*edge.List, error) {
 	if r.SortedIn != nil {
 		return r.SortedIn, nil
 	}
-	return fastio.ReadStriped(r.FS, "k1", r.Codec())
+	return readEdges(r, "k1")
 }
 
 // sortedEdgesMutable is sortedEdges for consumers that modify the list
@@ -952,7 +1027,7 @@ func sortedEdgesMutable(r *Run) (*edge.List, error) {
 	if r.SortedIn != nil {
 		return r.SortedIn.Clone(), nil
 	}
-	return fastio.ReadStriped(r.FS, "k1", r.Codec())
+	return readEdges(r, "k1")
 }
 
 // GenerateEdges invokes cfg's kernel-0 generator and returns the edge

@@ -13,6 +13,7 @@ import (
 	"repro/internal/edge"
 	"repro/internal/sparse"
 	"repro/internal/vfs"
+	"repro/internal/xsort"
 )
 
 // captureSorted runs variant cold with a miss-only SortedSource and
@@ -190,6 +191,30 @@ func TestSortedArtifactCrossVariant(t *testing.T) {
 			t.Fatalf("%s warm: %v", variant, err)
 		}
 		assertRanksEqual(t, variant+" sorted cross-variant", cold.Rank, warm.Rank)
+	}
+}
+
+// TestRecycledListsFilledListLeavesTheRun: with a SortedSource but no
+// Source, kernel 0's list is the run's own, kernel 1 decodes into it and
+// sorts it in place — and then deposits that very list.  From the deposit
+// on it is the cache's: kernel 2 must decode into another, which columnar's
+// kernel 2 (it filters its input in place) would otherwise show.
+func TestRecycledListsFilledListLeavesTheRun(t *testing.T) {
+	for _, variant := range []string{"csr", "columnar", "dist"} {
+		deposited := captureSorted(t, variant) // the whole run has finished
+		want, err := GenerateEdges(smallCfg(variant))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if variant == "columnar" {
+			xsort.RadixByUV(want)
+		} else {
+			xsort.RadixByU(want)
+		}
+		if !deposited.Equal(want) {
+			t.Errorf("%s: the deposited sorted list (%d edges) was written to after the deposit; want kernel 1's %d-edge output",
+				variant, deposited.Len(), want.Len())
+		}
 	}
 }
 

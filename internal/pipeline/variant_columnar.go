@@ -13,7 +13,6 @@ import (
 	"repro/internal/fastio"
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
-	"repro/internal/xsort"
 )
 
 func init() { Register(columnarVariant{}) }
@@ -30,11 +29,7 @@ func (columnarVariant) Description() string {
 
 // Kernel0 implements Variant.
 func (columnarVariant) Kernel0(r *Run) error {
-	l, err := sourceEdges(r)
-	if err != nil {
-		return err
-	}
-	return fastio.WriteStriped(r.FS, "k0", r.Codec(), r.Cfg.NFiles, l)
+	return writeSourcedEdges(r)
 }
 
 // Kernel1 implements Variant.  The columnar pipeline always sorts fully by
@@ -42,11 +37,11 @@ func (columnarVariant) Kernel0(r *Run) error {
 // kernel-1 contract holds, and the full order is what lets kernel 2 be one
 // linear scan.
 func (columnarVariant) Kernel1(r *Run) error {
-	l, err := fastio.ReadStriped(r.FS, "k0", r.Codec())
+	l, err := readEdges(r, "k0")
 	if err != nil {
 		return err
 	}
-	xsort.RadixByUV(l)
+	radixSort(r, l, true)
 	r.SortedOut = l
 	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
 }
@@ -107,6 +102,7 @@ func (columnarVariant) Kernel2(r *Run) error {
 	if err != nil {
 		return err
 	}
+	b.Reserve(l.Len())
 	for i := 0; i < l.Len(); i++ {
 		if err := b.Add(l.U[i], l.V[i]); err != nil {
 			return err

@@ -27,16 +27,12 @@ func (cooVariant) Description() string {
 
 // Kernel0 implements Variant.
 func (cooVariant) Kernel0(r *Run) error {
-	l, err := sourceEdges(r)
-	if err != nil {
-		return err
-	}
-	return fastio.WriteStriped(r.FS, "k0", r.Codec(), r.Cfg.NFiles, l)
+	return writeSourcedEdges(r)
 }
 
 // Kernel1 implements Variant.
 func (cooVariant) Kernel1(r *Run) error {
-	l, err := fastio.ReadStriped(r.FS, "k0", r.Codec())
+	l, err := readEdges(r, "k0")
 	if err != nil {
 		return err
 	}

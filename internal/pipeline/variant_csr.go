@@ -9,7 +9,6 @@ import (
 	"repro/internal/fastio"
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
-	"repro/internal/xsort"
 )
 
 func init() { Register(csrVariant{}) }
@@ -26,24 +25,16 @@ func (csrVariant) Description() string {
 
 // Kernel0 implements Variant.
 func (csrVariant) Kernel0(r *Run) error {
-	l, err := sourceEdges(r)
-	if err != nil {
-		return err
-	}
-	return fastio.WriteStriped(r.FS, "k0", r.Codec(), r.Cfg.NFiles, l)
+	return writeSourcedEdges(r)
 }
 
 // Kernel1 implements Variant.
 func (csrVariant) Kernel1(r *Run) error {
-	l, err := fastio.ReadStriped(r.FS, "k0", r.Codec())
+	l, err := readEdges(r, "k0")
 	if err != nil {
 		return err
 	}
-	if r.Cfg.SortEndVertices {
-		xsort.RadixByUV(l)
-	} else {
-		xsort.RadixByU(l)
-	}
+	radixSort(r, l, r.Cfg.SortEndVertices)
 	r.SortedOut = l
 	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/fastio"
 	"repro/internal/pagerank"
-	"repro/internal/xsort"
 )
 
 func init() {
@@ -76,16 +75,12 @@ func (v distVariant) distCfg(r *Run) dist.Config {
 
 // Kernel0 implements Variant.
 func (distVariant) Kernel0(r *Run) error {
-	l, err := sourceEdges(r)
-	if err != nil {
-		return err
-	}
-	return fastio.WriteStriped(r.FS, "k0", r.Codec(), r.Cfg.NFiles, l)
+	return writeSourcedEdges(r)
 }
 
 // Kernel1 implements Variant.
 func (v distVariant) Kernel1(r *Run) error {
-	l, err := fastio.ReadStriped(r.FS, "k0", r.Codec())
+	l, err := readEdges(r, "k0")
 	if err != nil {
 		return err
 	}
@@ -93,7 +88,7 @@ func (v distVariant) Kernel1(r *Run) error {
 		// The distributed sort keys on the start vertex only; the (u,v)
 		// ablation falls back to the serial radix path, as the parallel
 		// variant does.
-		xsort.RadixByUV(l)
+		radixSort(r, l, true)
 	} else {
 		out, err := dist.Execute(r.Context(), dist.Spec{
 			Config: v.distCfg(r), Op: dist.OpSort, Edges: l, Procs: v.procs(r),

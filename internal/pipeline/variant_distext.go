@@ -65,7 +65,7 @@ func (v distextVariant) Kernel1(r *Run) error {
 		}
 		return sink.Close()
 	}
-	l, err := fastio.ReadStriped(r.FS, "k0", r.Codec())
+	l, err := readEdges(r, "k0")
 	if err != nil {
 		return err
 	}

@@ -142,6 +142,11 @@ func (extsortVariant) Kernel2(r *Run) error {
 	if err != nil {
 		return err
 	}
+	// M bounds NNZ, so Col and Val are made once.  (Past the int range —
+	// a 32-bit build from scale 27 — no matrix fits anyway.)
+	if m := r.Cfg.M(); m <= uint64(^uint(0)>>1) {
+		b.Reserve(int(m))
+	}
 	// Stream in bounded batches through the bulk read path; the builder
 	// consumes each batch and the buffer resets, so memory stays O(batch).
 	edges := 0

@@ -45,9 +45,11 @@ func buildSorted(t testing.TB, l *edge.List, n int) *CSR {
 
 // TestFromSortedEdgesAllocs pins kernel 2's construction the way §7 pins
 // kernel 3's iteration: a constant number of allocations, whatever the
-// scale — two scratch arrays, RowPtr, Col, Val and the CSR header, each
-// made once at its final size.  (It was one closure and one reflection
-// swapper per row of 24+ entries: 13 813 allocations at scale 16.)
+// scale — two scratch arrays, the radix tier's scratch (one slice as long
+// as the longest row, not one per hub row), RowPtr, Col, Val and the CSR
+// header, each made once at its final size.  (It was one closure and one
+// reflection swapper per row of 24+ entries: 13 813 allocations at scale
+// 16.)
 func TestFromSortedEdgesAllocs(t *testing.T) {
 	var at [2]float64
 	for i, scale := range []int{8, 12} {
@@ -62,8 +64,8 @@ func TestFromSortedEdgesAllocs(t *testing.T) {
 			t.Errorf("scale %d: Col/Val capacity %d/%d for %d entries, want exact", scale, cap(a.Col), cap(a.Val), a.NNZ())
 		}
 	}
-	if at[1] > 8 || at[0] != at[1] {
-		t.Errorf("FromSortedEdges: %v allocations at scale 8, %v at scale 12; want equal and ≤ 8", at[0], at[1])
+	if at[1] != 7 || at[0] != at[1] {
+		t.Errorf("FromSortedEdges: %v allocations at scale 8, %v at scale 12; want 7 at both", at[0], at[1])
 	}
 }
 
@@ -84,6 +86,32 @@ func TestSortedBuilderAllocs(t *testing.T) {
 	if at[0] > 64 || at[1] > at[0]+extra {
 		t.Errorf("SortedBuilder: %v allocations for %d entries, %v for %d; want O(log nnz) (≤ %v + %.0f)",
 			at[0], nnz[0], at[1], nnz[1], at[0], extra)
+	}
+}
+
+// TestSortedBuilderReserve: a builder told the stream's length up front
+// fills the Col and Val it reserved — the arrays of the finished matrix
+// are the reserved ones, never a regrown copy — and builds the same matrix.
+func TestSortedBuilderReserve(t *testing.T) {
+	l := kroneckerSorted(t, 10)
+	want := buildSorted(t, l, 1<<10)
+	b, err := NewSortedBuilder(1 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Reserve(l.Len())
+	col, val := &b.cols[:1][0], &b.vals[:1][0]
+	for i := range l.U {
+		if err := b.Add(l.U[i], l.V[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := b.Finish()
+	if &a.Col[0] != col || &a.Val[0] != val {
+		t.Error("Col/Val were regrown despite Reserve")
+	}
+	if !slices.Equal(a.RowPtr, want.RowPtr) || !slices.Equal(a.Col, want.Col) || !slices.Equal(a.Val, want.Val) {
+		t.Error("reserved build differs from the unreserved one")
 	}
 }
 

@@ -180,12 +180,21 @@ func checkDim(n int) error {
 // buckets; cols is consumed as scratch.  The first pass sorts the buckets
 // and counts their distinct columns, so that Col and Val are allocated
 // once, at exactly NNZ entries: a matrix costs the same handful of
-// allocations whatever its size (the caller's two, and four here).
+// allocations whatever its size (the caller's two, and five here — the
+// radix tier's scratch is one slice as long as the longest row).
 func compressRows(n int, rowPtr []int64, cols []uint32) *CSR {
+	longest := int64(0)
+	for i := 0; i < n; i++ {
+		longest = max(longest, rowPtr[i+1]-rowPtr[i])
+	}
+	var scratch []uint32
+	if longest >= radixRowLen {
+		scratch = make([]uint32, longest)
+	}
 	distinct := make([]int64, n+1) // distinct[i+1]: row i, then the running sum
 	for i := 0; i < n; i++ {
 		row := cols[rowPtr[i]:rowPtr[i+1]]
-		sortUint32(row)
+		sortUint32(row, scratch)
 		d := int64(0)
 		for k, c := range row {
 			if k == 0 || c != row[k-1] {
@@ -218,11 +227,19 @@ func appendRuns(col []uint32, val []float64, row []uint32) ([]uint32, []float64)
 	return col, val
 }
 
-// sortUint32 sorts small uint32 slices; insertion sort below a threshold,
-// slices.Sort above it.  Row lengths in Kronecker graphs are mostly tiny
-// with a few huge hub rows, so both paths matter.
-func sortUint32(s []uint32) {
-	if len(s) < 24 {
+// radixRowLen is the row length from which sortUint32 radix-sorts: below
+// it the four 256-entry histograms cost more than pdqsort's comparisons.
+const radixRowLen = 192
+
+// sortUint32 sorts one row's columns in three tiers — insertion sort below
+// 24 entries, slices.Sort up to radixRowLen, an LSD byte-radix sort through
+// scratch (at least as long as s) above.  Row lengths in Kronecker graphs
+// are mostly tiny with a few huge hub rows, so every tier matters.  Plain
+// integers have one sorted order, so which tier ran cannot show in the
+// result.
+func sortUint32(s, scratch []uint32) {
+	switch {
+	case len(s) < 24:
 		for i := 1; i < len(s); i++ {
 			v := s[i]
 			j := i - 1
@@ -232,9 +249,43 @@ func sortUint32(s []uint32) {
 			}
 			s[j+1] = v
 		}
-		return
+	case len(s) < radixRowLen:
+		slices.Sort(s)
+	default:
+		radixUint32(s, scratch[:len(s)])
 	}
-	slices.Sort(s)
+}
+
+// radixUint32 sorts s by its bytes, least significant first, moving the
+// entries between s and scratch once per byte in which they differ.
+func radixUint32(s, scratch []uint32) {
+	var count [4][256]int
+	for _, v := range s {
+		count[0][v&0xFF]++
+		count[1][v>>8&0xFF]++
+		count[2][v>>16&0xFF]++
+		count[3][v>>24]++
+	}
+	src, dst := s, scratch
+	for p := range count {
+		c, shift := &count[p], uint(8*p)
+		if c[src[0]>>shift&0xFF] == len(s) {
+			continue // every entry has this byte: the pass would move nothing
+		}
+		sum := 0
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, v := range src {
+			b := v >> shift & 0xFF
+			dst[c[b]] = v
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &s[0] {
+		copy(s, src)
+	}
 }
 
 // FromTriplets builds a CSR from explicit (row, col, val) triplets,

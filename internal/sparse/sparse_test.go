@@ -1,7 +1,11 @@
 package sparse
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -409,21 +413,69 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
-func TestSortUint32Paths(t *testing.T) {
-	// Exercise both the insertion-sort and sort.Slice paths.
-	for _, n := range []int{0, 1, 5, 23, 24, 100} {
-		g := xrand.New(uint64(n))
-		s := make([]uint32, n)
-		for i := range s {
-			s[i] = uint32(g.Uint64n(50))
-		}
-		sortUint32(s)
-		for i := 1; i < n; i++ {
-			if s[i-1] > s[i] {
-				t.Fatalf("n=%d: not sorted at %d", n, i)
-			}
+// sortedCopy is the oracle: slices.Sort on a copy.
+func sortedCopy(s []uint32) []uint32 {
+	c := slices.Clone(s)
+	slices.Sort(c)
+	return c
+}
+
+// TestRadixRowsMatchSlicesSort holds all three tiers of sortUint32 —
+// insertion below 24 entries, slices.Sort below radixRowLen, byte radix
+// from there — to slices.Sort: lengths around both thresholds, rows whose
+// entries all agree in some bytes (passes the radix skips), values from
+// 2^24 up (so the third and fourth passes run), all-equal and descending
+// rows, and a scratch longer than the row.
+func TestRadixRowsMatchSlicesSort(t *testing.T) {
+	g := xrand.New(11)
+	check := func(name string, s []uint32) {
+		t.Helper()
+		want := sortedCopy(s)
+		sortUint32(s, make([]uint32, len(s)+3))
+		if !slices.Equal(s, want) {
+			t.Errorf("%s (%d entries): differs from slices.Sort", name, len(s))
 		}
 	}
+	for _, n := range []int{0, 1, 5, 23, 24, 100, radixRowLen - 1, radixRowLen, radixRowLen + 1, 1000, 70000} {
+		for _, bound := range []uint64{1, 50, 1 << 8, 1 << 16, 1<<24 + 5, 1 << 32} {
+			s := make([]uint32, n)
+			for i := range s {
+				s[i] = uint32(g.Uint64n(bound))
+			}
+			check(fmt.Sprintf("random below %d", bound), s)
+		}
+		desc := make([]uint32, n)
+		for i := range desc {
+			desc[i] = uint32(n-i) << 13 // spans bytes 1–3 at the larger n
+		}
+		check("descending", desc)
+		high := make([]uint32, n)
+		for i := range high {
+			high[i] = 0xAB000000 | uint32(g.Uint64n(300)) // bytes 2 and 3 constant
+		}
+		check("constant high bytes", high)
+	}
+}
+
+// FuzzSortUint32 feeds sortUint32 arbitrary rows (the input bytes, taken
+// four at a time), repeated to reach the radix tier.
+func FuzzSortUint32(f *testing.F) {
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF}, uint8(80))
+	f.Add(bytes.Repeat([]byte{9, 8, 7}, 400), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, repeat uint8) {
+		row := make([]uint32, 0, len(data)/4*int(repeat))
+		for r := 0; r < int(repeat); r++ {
+			for i := 0; i+4 <= len(data); i += 4 {
+				row = append(row, binary.LittleEndian.Uint32(data[i:])+uint32(r)*0x01010101)
+			}
+		}
+		want := sortedCopy(row)
+		sortUint32(row, make([]uint32, len(row)))
+		if !slices.Equal(row, want) {
+			t.Fatalf("%d entries: sortUint32 differs from slices.Sort", len(row))
+		}
+	})
 }
 
 func BenchmarkFromEdges(b *testing.B) {

@@ -12,7 +12,6 @@
 package vfs
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -57,18 +56,37 @@ var ErrNotExist = os.ErrNotExist
 // pattern of the parallel kernel-0 variant).
 type Mem struct {
 	mu    sync.Mutex
-	files map[string][]byte
+	files map[string]memFile
+}
+
+// memFile is a stored file: a list of chunks, each allocated once at its
+// final capacity and filled in place — written bytes are never copied to
+// a larger buffer.  A published file is immutable, so a reader's snapshot
+// of it needs no copy either.
+type memFile struct {
+	chunks [][]byte
+	size   int64
+}
+
+// chunkCap is the capacity of a file's k-th chunk, min(4 KiB·2^k, 1 MiB):
+// a checkpoint or spill file of a few hundred bytes holds 4 KiB, and a
+// large stripe wastes less than its last MiB.
+func chunkCap(k int) int {
+	if k >= 8 {
+		return 1 << 20
+	}
+	return 4096 << k
 }
 
 // NewMem returns an empty in-memory filesystem.
 func NewMem() *Mem {
-	return &Mem{files: make(map[string][]byte)}
+	return &Mem{files: make(map[string]memFile)}
 }
 
 type memWriter struct {
 	fs     *Mem
 	name   string
-	buf    bytes.Buffer
+	f      memFile
 	closed bool
 }
 
@@ -76,7 +94,19 @@ func (w *memWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("vfs: write to closed file %q", w.name)
 	}
-	return w.buf.Write(p)
+	for rest := p; len(rest) > 0; {
+		n := len(w.f.chunks)
+		if n == 0 || len(w.f.chunks[n-1]) == cap(w.f.chunks[n-1]) {
+			w.f.chunks = append(w.f.chunks, make([]byte, 0, chunkCap(n)))
+			n++
+		}
+		tail := &w.f.chunks[n-1]
+		k := min(len(rest), cap(*tail)-len(*tail))
+		*tail = append(*tail, rest[:k]...) // within capacity: never regrown
+		rest = rest[k:]
+	}
+	w.f.size += int64(len(p))
+	return len(p), nil
 }
 
 func (w *memWriter) Close() error {
@@ -86,7 +116,7 @@ func (w *memWriter) Close() error {
 	w.closed = true
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
-	w.fs.files[w.name] = w.buf.Bytes()
+	w.fs.files[w.name] = w.f
 	return nil
 }
 
@@ -100,15 +130,38 @@ func (m *Mem) Create(name string) (io.WriteCloser, error) {
 	return &memWriter{fs: m, name: name}, nil
 }
 
-// Open implements FS.
+// memReader reads a snapshot of a file's chunk list.
+type memReader struct {
+	chunks [][]byte
+	off    int // bytes of chunks[0] already read
+}
+
+func (r *memReader) Read(p []byte) (n int, err error) {
+	for n < len(p) && len(r.chunks) > 0 {
+		k := copy(p[n:], r.chunks[0][r.off:])
+		n, r.off = n+k, r.off+k
+		if r.off == len(r.chunks[0]) {
+			r.chunks, r.off = r.chunks[1:], 0
+		}
+	}
+	if n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+func (r *memReader) Close() error { return nil }
+
+// Open implements FS.  The reader holds the file as it was published:
+// re-creating or removing the name afterwards does not disturb it.
 func (m *Mem) Open(name string) (io.ReadCloser, error) {
 	m.mu.Lock()
-	data, ok := m.files[name]
+	f, ok := m.files[name]
 	m.mu.Unlock()
 	if !ok {
 		return nil, &os.PathError{Op: "open", Path: name, Err: ErrNotExist}
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	return &memReader{chunks: f.chunks}, nil
 }
 
 // Remove implements FS.
@@ -156,11 +209,11 @@ func (m *Mem) List() ([]string, error) {
 func (m *Mem) Size(name string) (int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	data, ok := m.files[name]
+	f, ok := m.files[name]
 	if !ok {
 		return 0, &os.PathError{Op: "stat", Path: name, Err: ErrNotExist}
 	}
-	return int64(len(data)), nil
+	return f.size, nil
 }
 
 // TotalBytes returns the sum of all file sizes, useful for asserting the
@@ -169,8 +222,8 @@ func (m *Mem) TotalBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var n int64
-	for _, d := range m.files {
-		n += int64(len(d))
+	for _, f := range m.files {
+		n += f.size
 	}
 	return n
 }

@@ -74,24 +74,29 @@ func significantBytes(max uint64) int {
 // RadixByU sorts the edges by start vertex with an LSD byte-radix sort.
 // It is stable and runs in O(passes · M) time with one auxiliary edge list;
 // passes is the number of significant bytes in the largest start vertex.
-func RadixByU(l *edge.List) {
-	radix(l, l.U, nil)
-}
+func RadixByU(l *edge.List) { RadixInto(l, false, nil) }
 
 // RadixByUV sorts the edges lexicographically by (U, V): a stable LSD pass
 // over V's bytes followed by stable passes over U's bytes.
-func RadixByUV(l *edge.List) {
-	radix(l, l.V, nil)
-	radix(l, l.U, nil)
+func RadixByUV(l *edge.List) { RadixInto(l, true, nil) }
+
+// RadixInto is RadixByU — with byUV, RadixByUV — through the auxiliary list
+// aux, which it returns: a caller that sorts again, or has another use for a
+// list of l's size, keeps it.  A nil or too small aux is replaced.
+func RadixInto(l *edge.List, byUV bool, aux *edge.List) *edge.List {
+	if byUV {
+		aux = radix(l, l.V, aux)
+	}
+	return radix(l, l.U, aux)
 }
 
 // radix performs a stable LSD radix sort of l ordered by the given key
-// slice (which must alias l.U or l.V).  scratch, if non-nil, supplies a
-// reusable buffer of the same length.
-func radix(l *edge.List, keys []uint64, scratch *edge.List) {
+// slice (which must alias l.U or l.V) through scratch, a list with room for
+// l's edges — replaced if it is nil or has none — and returns it.
+func radix(l *edge.List, keys []uint64, scratch *edge.List) *edge.List {
 	m := l.Len()
 	if m < 2 {
-		return
+		return scratch
 	}
 	var max uint64
 	for _, k := range keys {
@@ -100,10 +105,10 @@ func radix(l *edge.List, keys []uint64, scratch *edge.List) {
 		}
 	}
 	passes := significantBytes(max)
-	if scratch == nil || scratch.Len() < m {
+	if scratch == nil || cap(scratch.U) < m || cap(scratch.V) < m {
 		scratch = edge.Make(m)
 	}
-	src, dst := l, scratch
+	src, dst := l, &edge.List{U: scratch.U[:m], V: scratch.V[:m]}
 	srcKeys := keys
 	keyIsU := &keys[0] == &l.U[0]
 	var count [256]int
@@ -139,6 +144,7 @@ func radix(l *edge.List, keys []uint64, scratch *edge.List) {
 		copy(l.U, src.U)
 		copy(l.V, src.V)
 	}
+	return scratch
 }
 
 // ---------------------------------------------------------------------------

@@ -99,6 +99,39 @@ func TestRadixMatchesStdSort(t *testing.T) {
 	}
 }
 
+// TestRadixIntoAuxiliaryLists: whatever auxiliary list the caller lends —
+// none, an empty or short one (replaced), one of the right capacity but
+// zero length, a longer one full of other edges — the sorted list is the
+// one RadixByU/RadixByUV produce, and the list returned has room for the
+// edges, is not l, and is the lent one whenever that had the room.
+func TestRadixIntoAuxiliaryLists(t *testing.T) {
+	for _, byUV := range []bool{false, true} {
+		orig := randomList(21, 5000, 1<<18) // three key bytes: an odd pass count copies back
+		want := orig.Clone()
+		if byUV {
+			RadixByUV(want)
+		} else {
+			RadixByU(want)
+		}
+		for name, aux := range map[string]*edge.List{
+			"nil": nil, "empty": edge.NewList(0), "short": randomList(22, 100, 9),
+			"exact, zero length": edge.NewList(orig.Len()), "long": randomList(23, 7000, 9),
+		} {
+			l := orig.Clone()
+			got := RadixInto(l, byUV, aux)
+			if !l.Equal(want) {
+				t.Errorf("byUV=%v, %s aux: sorted list differs", byUV, name)
+			}
+			if got == nil || got == l || cap(got.U) < l.Len() || cap(got.V) < l.Len() {
+				t.Errorf("byUV=%v, %s aux: returned list cannot serve as an auxiliary again", byUV, name)
+			}
+			if aux != nil && cap(aux.U) >= l.Len() && got != aux {
+				t.Errorf("byUV=%v, %s aux: a list with room was replaced", byUV, name)
+			}
+		}
+	}
+}
+
 func TestRadixStability(t *testing.T) {
 	// Tag V with original index; equal-U edges must keep relative order.
 	l := edge.NewList(100)
