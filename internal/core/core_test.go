@@ -88,7 +88,11 @@ func TestWarmRunsShareOneTranspose(t *testing.T) {
 			t.Fatalf("%s cold: %v", variant, err)
 		}
 		matrix := svc.Stats().CacheMatrix.Bytes
-		transpose := int64(1<<cfg.Scale+1)*8 + int64(cold.NNZ)*12
+		// The ordered transpose lists all N rows (4 B each), points into
+		// the non-empty ones (8 B each, plus one) and holds every entry
+		// (12 B); the first hit fixes how many rows are non-empty.
+		n, nnz := int64(1)<<cfg.Scale, int64(cold.NNZ)
+		var transpose int64
 		for i := 1; i <= 3; i++ {
 			warm, err := svc.Run(ctx, cfg)
 			if err != nil {
@@ -98,6 +102,12 @@ func TestWarmRunsShareOneTranspose(t *testing.T) {
 				t.Fatalf("%s warm %d: Cache = %+v, want a matrix hit", variant, i, warm.Cache)
 			}
 			sameBits(t, fmt.Sprintf("%s warm %d vs cold", variant, i), cold.Rank, warm.Rank)
+			if i == 1 {
+				transpose = svc.Stats().CacheMatrix.Bytes - matrix
+				if transpose < 4*n+8+12*nnz || transpose > 12*n+8+12*nnz {
+					t.Fatalf("%s: first hit charged %d bytes for Aᵀ, want an ordered transpose of %d rows and %d entries", variant, transpose, n, nnz)
+				}
+			}
 			if got := svc.Stats().CacheMatrix.Bytes; got != matrix+transpose {
 				t.Fatalf("%s warm %d: %d resident matrix-stage bytes, want matrix %d + one shared transpose %d",
 					variant, i, got, matrix, transpose)

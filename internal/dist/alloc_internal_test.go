@@ -9,16 +9,18 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/kronecker"
 	"repro/internal/pagerank"
+	"repro/internal/sparse"
 )
 
-// testBlock builds rank r's filtered block of p from a small Kronecker
-// graph: kernel 2 on one rank (no peers, so no fabric traffic), split.
-func testBlock(t testing.TB, p, r int) (*rankState, int) {
+// testMatrix is the filtered, normalized matrix of a small Kronecker
+// graph, built by kernel 2 on one rank (no peers, so no fabric traffic).
+func testMatrix(t testing.TB) *sparse.CSR {
 	t.Helper()
 	cfg := kronecker.New(8, 3)
 	l, err := kronecker.Generate(cfg)
@@ -27,98 +29,148 @@ func testBlock(t testing.TB, p, r int) (*rankState, int) {
 	}
 	n := int(cfg.N())
 	st, _, _ := buildRank(newRankComm(newChanFabric(1, false), 0), l, n)
-	return splitMatrix(assemble([]*rankState{st}, n), p)[r], n
+	return assemble([]*rankState{st}, n)
+}
+
+// testBlock is rank r's row block of p of testMatrix.
+func testBlock(t testing.TB, p, r int) (*rankState, int) {
+	t.Helper()
+	a := testMatrix(t)
+	return splitMatrix(a, p)[r], a.N
+}
+
+// naiveScatter is the rank product the gather replaced — the row-major
+// scatter of the block, skipping zero r entries — kept as the oracle.
+func naiveScatter(b *block, out, r []float64) {
+	for i := range out {
+		out[i] = 0
+	}
+	for i := 0; i < b.rows(); i++ {
+		ri := r[b.lo+i]
+		if ri == 0 {
+			continue
+		}
+		for k := b.rowPtr[i]; k < b.rowPtr[i+1]; k++ {
+			out[b.col[k]] += float64(ri * b.val[k])
+		}
+	}
+}
+
+// sameFloatBits is bit equality, with every NaN equal to every NaN: which
+// operand's payload survives an add of two NaNs is the instruction
+// selector's choice, not part of the contract.
+func sameFloatBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// productOf runs one rank product over st with workers into a fresh,
+// stale-filled output.
+func productOf(st *rankState, workers int, r []float64) []float64 {
+	prod := newRankProduct(st.operand(), workers)
+	defer prod.close()
+	out := make([]float64, st.blk.n)
+	for i := range out {
+		out[i] = -1 // stale values must be overwritten
+	}
+	prod.vxm(out, r)
+	return out
 }
 
 func TestHybridStepZeroAllocs(t *testing.T) {
 	st, n := testBlock(t, 3, 1)
-	for _, w := range []int{2, 4} {
-		h := newHybridSpMV(st.blk, w)
+	op := st.operand()
+	for _, w := range []int{1, 2, 4} {
+		prod := newRankProduct(op, w)
 		out := make([]float64, n)
 		r := make([]float64, n)
 		for i := range r {
 			r[i] = 1 / float64(n)
 		}
-		h.vxm(out, r) // warm the team
-		if allocs := testing.AllocsPerRun(50, func() { h.vxm(out, r) }); allocs != 0 {
-			t.Errorf("w=%d: hybrid per-rank SpMV step allocates %.1f/op, want 0", w, allocs)
+		prod.vxm(out, r) // warm the team
+		if allocs := testing.AllocsPerRun(50, func() { prod.vxm(out, r) }); allocs != 0 {
+			t.Errorf("w=%d: per-rank product step allocates %.1f/op, want 0", w, allocs)
 		}
-		h.close()
+		prod.close()
 	}
 }
 
 func TestHybridMatchesSerialBlockVxM(t *testing.T) {
 	// The unit-level bit-equality behind the p×w property tests: the
-	// transposed-gather product must equal the serial scatter exactly.
+	// team's nnz-balanced split must equal the serial product exactly.
 	st, n := testBlock(t, 3, 1)
 	r := make([]float64, n)
 	for i := range r {
 		r[i] = float64(i%7) / 3
 	}
-	r[st.blk.lo] = 0 // exercise the zero-skip path
-	want := make([]float64, n)
-	st.blk.vxm(want, r)
+	want := productOf(st, 1, r)
 	for _, w := range []int{2, 3, 8} {
-		h := newHybridSpMV(st.blk, w)
-		got := make([]float64, n)
-		for i := range got {
-			got[i] = -1 // stale values must be overwritten or zeroed
-		}
-		h.vxm(got, r)
-		h.close()
+		got := productOf(st, w, r)
 		for j := range want {
-			if got[j] != want[j] {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 				t.Fatalf("w=%d: out[%d] = %v, serial %v", w, j, got[j], want[j])
 			}
 		}
 	}
 }
 
-// TestBlockVxMMatchesNaiveScatter holds block.vxm to the loop it
-// replaced, bit for bit: every rank's block of a filtered Kronecker
-// matrix and an empty block, with zero, negative-zero, infinite and NaN
-// entries in r.
+// TestBlockVxMMatchesNaiveScatter holds the rank product — the gather
+// over the block's ordered transpose — to the scatter it replaced, bit
+// for bit, for every rank of p ∈ {1,2,3,5,8} × workers {1,2,3}: with
+// zeros in r from a personalized teleport (the entries the scatter
+// skipped and the gather adds as ±0), with zero, negative-zero, infinite
+// and NaN entries, and on an empty block.
 func TestBlockVxMMatchesNaiveScatter(t *testing.T) {
-	naive := func(b *block, out, r []float64) {
-		for i := range out {
-			out[i] = 0
-		}
-		for i := 0; i < b.rows(); i++ {
-			ri := r[b.lo+i]
-			if ri == 0 {
-				continue
-			}
-			for k := b.rowPtr[i]; k < b.rowPtr[i+1]; k++ {
-				out[b.col[k]] += ri * b.val[k]
-			}
+	a := testMatrix(t)
+	n := a.N
+	v := make([]float64, n) // teleport to the even vertices only
+	for i := 0; i < n; i += 2 {
+		v[i] = 2 / float64(n)
+	}
+	res, err := pagerank.Scatter(a, pagerank.Options{Iterations: 2, Teleport: v, InitialRank: v, Policy: pagerank.DanglingTeleport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	personalized := res.Rank
+	zeros := 0
+	for _, x := range personalized {
+		if x == 0 {
+			zeros++
 		}
 	}
-	check := func(name string, b *block, r []float64) {
+	if zeros == 0 {
+		t.Fatal("the personalized rank vector has no zeros: the skip is not exercised")
+	}
+	special := make([]float64, n)
+	for i := range special {
+		special[i] = float64(i%7)/3 - 1 // zeros included
+	}
+	check := func(name string, st *rankState, workers int, r []float64) {
 		t.Helper()
-		want, got := make([]float64, b.n), make([]float64, b.n)
-		for i := range got {
-			got[i] = -1 // stale values must be zeroed
-		}
-		naive(b, want, r)
-		b.vxm(got, r)
+		want := make([]float64, st.blk.n)
+		naiveScatter(st.blk, want, r)
+		got := productOf(st, workers, r)
 		for j := range want {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("%s: out[%d] = %v, naive scatter %v", name, j, got[j], want[j])
+			if !sameFloatBits(got[j], want[j]) {
+				t.Fatalf("%s, w=%d: out[%d] = %v, naive scatter %v", name, workers, j, got[j], want[j])
 			}
 		}
 	}
-	for rank := 0; rank < 3; rank++ {
-		st, n := testBlock(t, 3, rank)
-		r := make([]float64, n)
-		for i := range r {
-			r[i] = float64(i%7)/3 - 1 // zeros included
+	for _, p := range []int{1, 2, 3, 5, 8} {
+		for rank, st := range splitMatrix(a, p) {
+			r := append([]float64(nil), special...)
+			if lo := st.blk.lo; st.blk.rows() >= 4 {
+				r[lo], r[lo+1], r[lo+2], r[lo+3] = math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()
+			}
+			name := fmt.Sprintf("p=%d rank %d", p, rank)
+			for _, w := range []int{1, 2, 3} {
+				check(name+" personalized", st, w, personalized)
+				check(name+" special values", st, w, r)
+			}
 		}
-		check("plain", st.blk, r)
-		lo := st.blk.lo
-		r[lo], r[lo+1], r[lo+2], r[lo+3] = math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()
-		check("special values", st.blk, r)
 	}
-	check("empty block", &block{lo: 5, hi: 5, n: 8, rowPtr: []int64{0}}, make([]float64, 8))
+	empty := &rankState{blk: &block{lo: 5, hi: 5, n: 8, rowPtr: []int64{0}}}
+	check("empty block", empty, 1, make([]float64, 8))
+	check("empty block", empty, 3, make([]float64, 8))
 }
 
 func TestCollectiveRoundTripZeroAllocs(t *testing.T) {

@@ -7,9 +7,10 @@ package dist
 // pointers, so p ranks together hold exactly n+p — the storage a real
 // distributed memory forces (DESIGN.md §5).
 //
-// Column indices still span the full [0, n) range: kernel 3's scatter
-// product writes into a full-length output vector, which is what the
-// replicated-rank-vector schedule of the paper's §V analysis assumes.
+// Column indices still span the full [0, n) range: kernel 3's block
+// product (the gather over the block's transpose, rankProduct) writes a
+// full-length output vector, which is what the replicated-rank-vector
+// schedule of the paper's §V analysis assumes.
 
 import (
 	"fmt"
@@ -203,30 +204,6 @@ func (b *block) scaleRows(dout []float64) {
 		inv := 1 / s
 		for k := b.rowPtr[i]; k < b.rowPtr[i+1]; k++ {
 			b.val[k] *= inv
-		}
-	}
-}
-
-// vxm computes out = r·A for the owned row block: the scatter product of
-// sparse.CSR.VxM restricted to [lo, hi).  out and r are full length; out
-// is zeroed first, and contributions scatter to arbitrary columns.  The
-// loop order matches the serial scatter engine's, so summing the p block
-// partials in rank order reproduces its floating-point association.
-// Each row is taken as col/val sub-slices, as sparse.MxVRange takes its
-// rows, so only the data-dependent out[col] is bounds-checked.
-func (b *block) vxm(out, r []float64) {
-	for i := range out {
-		out[i] = 0
-	}
-	rowPtr, col, val := b.rowPtr, b.col, b.val
-	for i, ri := range r[b.lo:b.hi] {
-		if ri == 0 {
-			continue
-		}
-		c, v := col[rowPtr[i]:rowPtr[i+1]], val[rowPtr[i]:rowPtr[i+1]]
-		v = v[:len(c)]
-		for k, ck := range c {
-			out[ck] += float64(ri * v[k]) // rounded before the add: no FMA (DESIGN.md §4)
 		}
 	}
 }

@@ -7,6 +7,8 @@ package dist_test
 // closed-form model exactly.
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -292,5 +294,28 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	if _, err := execRun(dist.Config{}, l, n, 2, pagerank.Options{Teleport: []float64{1}}); err == nil {
 		t.Error("short teleport vector accepted")
+	}
+}
+
+// TestRunMatrixRejectsNonFinite: an operand holding NaN or ±Inf is the
+// one input on which the ranks' gather and a zero-skipping scatter could
+// differ, so Execute refuses it before any rank starts, in every mode,
+// naming the entry.
+func TestRunMatrixRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		a, err := sparse.FromTriplets(4, []int{0, 2, 2, 3}, []int{1, 0, 3, 2}, []float64{1, 0.5, 0.5, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Val[2] = bad // row 2, column 3
+		for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine, dist.ExecSocket} {
+			_, err := dist.Execute(context.Background(), dist.Spec{
+				Config: dist.Config{Mode: mode}, Op: dist.OpRunMatrix, Matrix: a, Procs: 2,
+			})
+			var nf *dist.NonFiniteError
+			if !errors.As(err, &nf) || nf.Row != 2 || nf.Col != 3 || math.Float64bits(nf.Val) != math.Float64bits(bad) {
+				t.Fatalf("%v, value %v: %v, want a NonFiniteError at (2, 3)", mode, bad, err)
+			}
+		}
 	}
 }

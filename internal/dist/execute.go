@@ -9,6 +9,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/edge"
 	"repro/internal/pagerank"
@@ -152,6 +153,13 @@ func validate(spec *Spec) error {
 		if spec.Matrix == nil {
 			return fmt.Errorf("dist: %v of nil matrix", spec.Op)
 		}
+		// A resident operand of the same id was checked when it shipped.
+		resident := spec.Session != nil && spec.OperandID != "" && spec.OperandID == spec.Session.operand
+		if !resident {
+			if err := checkFinite(spec.Matrix); err != nil {
+				return err
+			}
+		}
 	default:
 		return fmt.Errorf("dist: unknown op %v", spec.Op)
 	}
@@ -171,6 +179,32 @@ func validate(spec *Spec) error {
 	}
 	if !kernel3 && spec.Fault != nil {
 		return fmt.Errorf("dist: fault injection applies to the kernel-3 ops, not %v", spec.Op)
+	}
+	return nil
+}
+
+// NonFiniteError is an OpRunMatrix operand holding a stored value that is
+// not a finite number.  The ranks' gather adds 0·A(i,j) for a zero rank
+// r[i] where a scatter would skip the row; the two agree bit for bit
+// exactly when every stored value is finite (DESIGN.md §5) — as kernel
+// 2's counts divided by out-degrees always are.
+type NonFiniteError struct {
+	Row, Col int
+	Val      float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("dist: run-matrix operand entry (%d, %d) is %v; stored values must be finite", e.Row, e.Col, e.Val)
+}
+
+// checkFinite returns a NonFiniteError for a's first non-finite stored
+// value, nil if there is none.
+func checkFinite(a *sparse.CSR) error {
+	for k, v := range a.Val {
+		if v-v != 0 { // NaN and ±Inf; v-v is exactly 0 for every finite v
+			row := sort.Search(a.N, func(i int) bool { return a.RowPtr[i+1] > int64(k) })
+			return &NonFiniteError{Row: row, Col: int(a.Col[k]), Val: v}
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -46,10 +47,28 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add(huge)
 	// Fabricated segment count.
 	f.Add(frame(FrameSegments, binary.LittleEndian.AppendUint32(nil, 1<<31)))
+	// A result vector going home (a normalized rank vector with a -0 and
+	// a subnormal), the same payload one byte short, and a frame from a
+	// version-2 build.
+	rank := make([]float64, 64)
+	for i := range rank {
+		rank[i] = 1 / float64(len(rank))
+	}
+	rank[3], rank[7] = math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	f.Add(frame(FrameVec, AppendVec(nil, rank)))
+	f.Add(frame(FrameVec, AppendVec(nil, rank)[:8*len(rank)-1]))
+	old := frame(FrameVec, AppendVec(nil, rank[:2]))
+	binary.LittleEndian.PutUint16(old[4:6], 2)
+	f.Add(old)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := ParseHeader(data, 1<<20)
 		if err != nil {
+			var ve *VersionError
+			if len(data) >= HeaderSize && string(data[:4]) == Magic &&
+				binary.LittleEndian.Uint16(data[4:6]) != Version && !errors.As(err, &ve) {
+				t.Fatalf("another build's header refused without a VersionError: %v", err)
+			}
 			return
 		}
 		if uint64(len(data))-HeaderSize < h.Len {

@@ -189,13 +189,26 @@ func (l *Link) writeFrame(h Header, data, control uint64) error {
 func (l *Link) begin() { l.wbuf = append(l.wbuf[:0], make([]byte, HeaderSize)...) }
 
 // WriteVec sends a FrameVec: data plane, 8 bytes per element.
-func (l *Link) WriteVec(src, dst int, v []float64) error {
+func (l *Link) WriteVec(src, dst int, v []float64) error { return l.writeVec(src, dst, v, true) }
+
+// WriteControlVec sends a FrameVec on the control plane: a worker's
+// result vector going home, which no collective meters.
+func (l *Link) WriteControlVec(src, dst int, v []float64) error {
+	return l.writeVec(src, dst, v, false)
+}
+
+// writeVec frames v, its payload counted as data or as control.
+func (l *Link) writeVec(src, dst int, v []float64, data bool) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.begin()
 	l.wbuf = AppendVec(l.wbuf, v)
 	n := uint64(len(l.wbuf) - HeaderSize)
-	return l.writeFrame(Header{Type: FrameVec, Src: src, Dst: dst, Len: n}, n, 0)
+	h := Header{Type: FrameVec, Src: src, Dst: dst, Len: n}
+	if data {
+		return l.writeFrame(h, n, 0)
+	}
+	return l.writeFrame(h, 0, n)
 }
 
 // WriteKeys sends a FrameKeys: data plane, 8 bytes per element.

@@ -44,11 +44,14 @@ const Magic = "PRFB"
 
 // Version is the wire-format version this package speaks.  Peers
 // exchange it in every frame header; a mismatch anywhere tears the
-// connection down (there is no downgrade path — both ends of a fabric
-// ship in the same binary in every supported deployment).  Version 2
-// added the block frames and made a worker serve jobs until the
-// coordinator hangs up; a version-1 worker would exit after one.
-const Version = 2
+// connection down with a VersionError (there is no downgrade path — both
+// ends of a fabric ship in the same binary in every supported
+// deployment).  Version 2 added the block frames and made a worker serve
+// jobs until the coordinator hangs up; a version-1 worker would exit
+// after one.  Version 3 sends rank 0's result vector home as a raw
+// FrameVec ahead of its outcome; a version-2 coordinator would reject
+// the frame.
+const Version = 3
 
 // HeaderSize is the fixed frame-header length in bytes.
 const HeaderSize = 24
@@ -166,6 +169,17 @@ func (t FrameType) String() string {
 // valid reports whether t is a defined frame type.
 func (t FrameType) valid() bool { return t >= FrameVec && t <= FrameBlock }
 
+// VersionError is a frame from a peer speaking another wire version: the
+// two ends were built from different sources.
+type VersionError struct {
+	// Peer is the version the frame's header carries.
+	Peer uint16
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("fabric: peer speaks wire version %d, this build speaks %d: coordinator and workers must be built from the same source", e.Peer, Version)
+}
+
 // Header is one decoded frame header.
 type Header struct {
 	Type FrameType
@@ -202,7 +216,7 @@ func ParseHeader(b []byte, maxLen int64) (Header, error) {
 		return Header{}, fmt.Errorf("fabric: bad magic %q, want %q", b[0:4], Magic)
 	}
 	if v := binary.LittleEndian.Uint16(b[4:6]); v != Version {
-		return Header{}, fmt.Errorf("fabric: wire version %d, this build speaks %d", v, Version)
+		return Header{}, &VersionError{Peer: v}
 	}
 	h := Header{
 		Type: FrameType(binary.LittleEndian.Uint16(b[6:8])),

@@ -345,6 +345,58 @@ func TestLinkWriteBlock(t *testing.T) {
 	}
 }
 
+// TestLinkWriteControlVec pins the result vector's way home: a FrameVec
+// whose bytes decode back bit for bit and count as control, so the
+// collectives' data ledger never sees it.
+func TestLinkWriteControlVec(t *testing.T) {
+	c1, c2 := net.Pipe()
+	var wst, rst Stats
+	w := NewLink(c1, -1, &wst)
+	r := NewLink(c2, -1, &rst)
+	defer w.Close()
+	defer r.Close()
+	vec := []float64{0.25, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1e300}
+	errc := make(chan error, 1)
+	go func() { errc <- w.WriteControlVec(0, 0, vec) }()
+	h, payload, err := r.ReadFrame()
+	if err != nil || h.Type != FrameVec {
+		t.Fatalf("frame: %+v, %v", h, err)
+	}
+	got := make([]float64, len(payload)/8)
+	if err := DecodeVec(payload, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range vec {
+		if math.Float64bits(got[i]) != math.Float64bits(vec[i]) {
+			t.Fatalf("element %d: %v, sent %v", i, got[i], vec[i])
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	want := Counters{ControlBytes: 8 * uint64(len(vec)), OverheadBytes: HeaderSize, Frames: 1}
+	if c := wst.Snapshot(); c != want {
+		t.Fatalf("writer counters %+v, want %+v", c, want)
+	}
+}
+
+// TestParseHeaderVersionMismatch: a frame from another build is refused
+// with a typed error that names both versions.
+func TestParseHeaderVersionMismatch(t *testing.T) {
+	var b [HeaderSize]byte
+	PutHeader(b[:], Header{Type: FrameJoin})
+	binary.LittleEndian.PutUint16(b[4:6], Version-1)
+	_, err := ParseHeader(b[:], 0)
+	var ve *VersionError
+	if !errors.As(err, &ve) || ve.Peer != Version-1 {
+		t.Fatalf("ParseHeader: %v, want a VersionError for version %d", err, Version-1)
+	}
+	want := "peer speaks wire version " + strconv.Itoa(Version-1) + ", this build speaks " + strconv.Itoa(Version)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not say %q", err, want)
+	}
+}
+
 func equal[T comparable](a, b []T) bool {
 	if len(a) != len(b) {
 		return false

@@ -11,18 +11,16 @@ package dist
 // Both properties come from the same trick: instead of giving each worker
 // a private full-length accumulator and merging partial sums (which would
 // re-associate the floating-point reduction every time Workers changes),
-// the rank transposes its block once into a compressed sparse column view
-// (blockCSC) and workers gather disjoint output ranges.  Each output
-// element is then computed by exactly one worker, by the exact addition
-// sequence of the serial scatter product — so there is nothing to reduce
-// and nothing that depends on the worker count.
+// the rank gathers over its block's transpose and workers own disjoint
+// output rows.  Each output element is then computed by exactly one
+// worker, by the one serial addition sequence — so there is nothing to
+// reduce and nothing that depends on the worker count.
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/edge"
-	"repro/internal/workteam"
+	"repro/internal/sparse"
 )
 
 // Config configures the distributed runtime beyond the processor count.
@@ -45,176 +43,45 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-// blockCSC is the transpose-once view of a rank's row block: the stored
-// entries regrouped by column, with empty columns elided so the index
-// costs O(nnz) — not the O(n) per rank the rectangular block layout
-// (block.go) exists to avoid.  Within a column, entries appear in
-// ascending local row order, which makes the gather of one column perform
-// the exact addition sequence the serial scatter (block.vxm) performs for
-// that output element.
-type blockCSC struct {
-	// lo is the owned global row offset: global row = lo + rowIdx.
-	lo int
-	// n is the global matrix dimension (the output length).
-	n int
-	// cols lists the present global columns, ascending.
-	cols []uint32
-	// colPtr delimits cols[i]'s entries: [colPtr[i], colPtr[i+1]).
-	colPtr []int64
-	// rowIdx and val hold each entry's local row and value.
-	rowIdx []uint32
-	val    []float64
+// rankProduct is one rank's kernel-3 block product out = r·A, where A is
+// the rank's row block: the gather over the block's length-ordered
+// transpose (sparse.Ordered), serial or on a persistent sparse.Team whose
+// workers own nnz-balanced position ranges.  Output element j is Aᵀ row
+// j's gather, its products added in ascending local row order — the
+// sequence the row-major scatter adds them in — so the partial is the
+// scatter's, bit for bit, whenever the block's values are finite
+// (DESIGN.md §5), for every worker count.
+type rankProduct struct {
+	op   *rankOperand
+	team *sparse.Team // nil for a serial rank
 }
 
-// csc builds the transposed view of the block.  One transient full-length
-// cursor array is used during construction; the result holds only
-// O(nnz)-sized storage.
-func (b *block) csc() *blockCSC {
-	nnz := len(b.col)
-	cursor := make([]int64, b.n)
-	for _, c := range b.col {
-		cursor[c]++
+// newRankProduct spawns the team when workers > 1; callers must close the
+// product when iteration ends.
+func newRankProduct(op *rankOperand, workers int) *rankProduct {
+	p := &rankProduct{op: op}
+	if workers > 1 {
+		p.team = op.at.NewTeam(workers)
 	}
-	ncols := 0
-	for _, cnt := range cursor {
-		if cnt > 0 {
-			ncols++
-		}
-	}
-	t := &blockCSC{
-		lo:     b.lo,
-		n:      b.n,
-		cols:   make([]uint32, ncols),
-		colPtr: make([]int64, ncols+1),
-		rowIdx: make([]uint32, nnz),
-		val:    make([]float64, nnz),
-	}
-	ci := 0
-	var w int64
-	for c := 0; c < b.n; c++ {
-		cnt := cursor[c]
-		if cnt == 0 {
-			continue
-		}
-		t.cols[ci] = uint32(c)
-		t.colPtr[ci] = w
-		cursor[c] = w // becomes the column's write cursor
-		w += cnt
-		ci++
-	}
-	t.colPtr[ci] = w
-	// Scatter row-major entries into their columns; scanning rows in
-	// ascending order leaves every column's entries in ascending local
-	// row order.
-	for i := 0; i < b.rows(); i++ {
-		for k := b.rowPtr[i]; k < b.rowPtr[i+1]; k++ {
-			c := b.col[k]
-			p := cursor[c]
-			t.rowIdx[p] = uint32(i)
-			t.val[p] = b.val[k]
-			cursor[c] = p + 1
-		}
-	}
-	return t
+	return p
 }
 
-// gatherRange computes out[jlo:jhi] of the block's partial product r·A:
-// zeroes for absent columns, and for each present column cols[clo:chi]
-// the gathered sum over its entries in ascending local row order,
-// skipping zero r entries exactly as block.vxm does.  The addition
-// sequence per output element is therefore identical to the serial
-// scatter's, which is what makes the hybrid product bit-for-bit equal to
-// the serial baseline for every worker partition.
-func (t *blockCSC) gatherRange(out, r []float64, jlo, jhi, clo, chi int) {
-	j := jlo
-	for ci := clo; ci < chi; ci++ {
-		c := int(t.cols[ci])
-		for ; j < c; j++ {
-			out[j] = 0
-		}
-		var s float64
-		for k := t.colPtr[ci]; k < t.colPtr[ci+1]; k++ {
-			ri := r[t.lo+int(t.rowIdx[k])]
-			if ri == 0 {
-				continue
-			}
-			s += float64(ri * t.val[k]) // rounded before the add: no FMA (DESIGN.md §4)
-		}
-		out[c] = s
-		j = c + 1
+// vxm computes the rank's partial product into the full-length out,
+// writing every element once; it allocates nothing.
+func (p *rankProduct) vxm(out, r []float64) {
+	x := r[p.op.lo:p.op.hi]
+	if p.team != nil {
+		p.team.MxV(out, x)
+		return
 	}
-	for ; j < jhi; j++ {
-		out[j] = 0
-	}
+	p.op.at.MxV(out, x)
 }
 
-// hybridSpMV is one rank's persistent intra-rank worker team for the
-// kernel-3 block product: a workteam.Team whose workers own disjoint,
-// entry-balanced output ranges fixed at construction, so a product is
-// one signal/join round and steady-state iterations allocate nothing.
-type hybridSpMV struct {
-	t *blockCSC
-	// jb and cb are the per-worker output and cols-index bounds
-	// (len workers+1): worker w owns out[jb[w]:jb[w+1]] and the present
-	// columns cols[cb[w]:cb[w+1]].
-	jb, cb []int
-	out, r []float64
-	team   *workteam.Team
-}
-
-// newHybridSpMV transposes the block and spawns the team; callers must
-// close it when iteration ends.  workers must be >= 2 (workers <= 1 stays
-// on the serial block.vxm path).
-func newHybridSpMV(blk *block, workers int) *hybridSpMV {
-	t := blk.csc()
-	h := &hybridSpMV{
-		t:  t,
-		jb: make([]int, workers+1),
-		cb: make([]int, workers+1),
+// close terminates the team's goroutines, if any.
+func (p *rankProduct) close() {
+	if p.team != nil {
+		p.team.Close()
 	}
-	// Entry-balanced split: worker w's columns start at the first present
-	// column holding entry index >= w·nnz/workers.  Boundaries are
-	// monotone, so ranges are disjoint and cover everything; a worker may
-	// legitimately own an empty range on tiny or degenerate blocks.
-	nnz := int64(len(t.val))
-	h.jb[workers] = t.n
-	h.cb[workers] = len(t.cols)
-	for w := 1; w < workers; w++ {
-		target := int64(w) * nnz / int64(workers)
-		ci := sort.Search(len(t.cols), func(i int) bool { return t.colPtr[i] >= target })
-		h.cb[w] = ci
-		if ci < len(t.cols) {
-			h.jb[w] = int(t.cols[ci])
-		} else {
-			h.jb[w] = t.n
-		}
-	}
-	h.team = workteam.New(workers, func(w int) {
-		h.t.gatherRange(h.out, h.r, h.jb[w], h.jb[w+1], h.cb[w], h.cb[w+1])
-	})
-	return h
-}
-
-// vxm computes the rank's partial product out = r·A across the team
-// (workteam.Run's happens-before edges keep the workers from racing the
-// caller on out/r).
-func (h *hybridSpMV) vxm(out, r []float64) {
-	h.out, h.r = out, r
-	h.team.Run()
-}
-
-// close terminates the worker goroutines; the team must not be used
-// afterwards.
-func (h *hybridSpMV) close() { h.team.Close() }
-
-// spmvOf builds the rank's step implementation: the hybrid team when
-// workers > 1 (close the returned team), the serial scatter otherwise.
-func spmvOf(st *rankState, workers int) (func(out, r []float64), *hybridSpMV) {
-	if workers <= 1 {
-		return st.blk.vxm, nil
-	}
-	h := newHybridSpMV(st.blk, workers)
-	return h.vxm, h
 }
 
 // partitionChunk splits the input chunk [lo, hi) into p destination

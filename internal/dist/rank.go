@@ -83,7 +83,7 @@ func ParseExecMode(s string) (ExecMode, error) {
 
 // rankOutcome is what one rank's program hands back to the driver.
 type rankOutcome struct {
-	// st is the rank's built state (kernel-2 programs only).
+	// st is the rank's built state (OpBuildFiltered only).
 	st *rankState
 	// rank is the final replicated rank vector; the driver reports rank
 	// 0's copy (all replicas are byte-identical).
@@ -127,8 +127,8 @@ type rankInput struct {
 	// the rank works on its blockBounds chunk of it.
 	edges *edge.List
 	n     int
-	// st is the rank's row block of the operand (OpRunMatrix).
-	st      *rankState
+	// k3 is the rank's kernel-3 operand (OpRunMatrix).
+	k3      *rankOperand
 	workers int
 	opt     pagerank.Options
 	// ext carries the out-of-core sort's resolved knobs; ext.FS is the
@@ -152,11 +152,14 @@ func runRank(ctx context.Context, c *rankComm, in *rankInput) rankOutcome {
 		st, mass, nnz := buildRank(c, in.edges, in.n)
 		return rankOutcome{st: st, mass: mass, nnz: nnz}
 	case OpRun, OpRunMatrix:
-		out := rankOutcome{st: in.st}
+		var out rankOutcome
+		k3 := in.k3
 		if in.op == OpRun {
-			out.st, out.mass, out.nnz = buildRank(c, in.edges, in.n)
+			var st *rankState
+			st, out.mass, out.nnz = buildRank(c, in.edges, in.n)
+			k3 = st.operand()
 		}
-		out.rank, out.iters, out.err = iterateRank(ctx, c, out.st, in.n, in.opt, in.workers, in.ck)
+		out.rank, out.iters, out.err = iterateRank(ctx, c, k3, in.n, in.opt, in.workers, in.ck)
 		return out
 	default:
 		return rankOutcome{err: fmt.Errorf("dist: unknown op %v", in.op)}
@@ -177,7 +180,7 @@ func launchRanks(ctx context.Context, spec Spec, ck *ckptRun) (*joined, error) {
 	return spawnRanks(ctx, spec.Procs, spec.Mode == ExecSim, func(c *rankComm) rankOutcome {
 		in := in
 		if states != nil {
-			in.st = states[c.rank]
+			in.k3 = states[c.rank].operand() // each rank transposes its own block
 		}
 		return runRank(ctx, c, &in)
 	})
@@ -337,9 +340,10 @@ func buildRank(c *rankComm, l *edge.List, n int) (*rankState, float64, int) {
 // dangling-mass hook all-reducing the owned dangling rows' mass.  Every
 // replica follows a byte-identical trajectory — the all-reduce hands all
 // ranks the root's rank-ordered sum — so rank 0's result is the global
-// result.  With workers > 1 the
-// local product runs on the rank's persistent hybrid team (spmvOf),
-// bit-for-bit invariantly; combined with the engine's preallocated
+// result.  The local product is the gather over the block's ordered
+// transpose (rankProduct); with workers > 1 it runs on the rank's
+// persistent team, bit-for-bit invariantly.  Combined with the engine's
+// preallocated
 // vectors and the fabric's pooled buffers, the steady-state iteration
 // performs no heap allocation on any rank.
 //
@@ -347,15 +351,15 @@ func buildRank(c *rankComm, l *edge.List, n int) (*rankState, float64, int) {
 // its iteration boundary.  The first rank to observe cancellation
 // returns ctx's error; spawnRanks' teardown then brings the fabric down
 // under any peer still blocked in that iteration's collective, so the
-// whole team unwinds promptly (DESIGN.md §8).  The hybrid team's close
-// is deferred and runs on every exit path, unwinding included.
+// whole team unwinds promptly (DESIGN.md §8).  The product's close is
+// deferred and runs on every exit path, unwinding included.
 //
 // The checkpoint runtime (ck, may be nil) installs the rank's
 // post-iteration hook: at every epoch boundary the rank writes its own
 // block chunk, agrees with its peers that all chunks landed, and rank 0
 // commits the epoch — plus the planned rank failure, if any
 // (checkpoint.go documents the protocol and the fault semantics).
-func iterateRank(ctx context.Context, c *rankComm, st *rankState, n int, opt pagerank.Options, workers int, ck *ckptRun) ([]float64, int, error) {
+func iterateRank(ctx context.Context, c *rankComm, k3 *rankOperand, n int, opt pagerank.Options, workers int, ck *ckptRun) ([]float64, int, error) {
 	if c.rank != 0 {
 		// Progress is a single-observer hook: the replicas step in
 		// lockstep, so rank 0 reports for the team.
@@ -370,22 +374,20 @@ func iterateRank(ctx context.Context, c *rankComm, st *rankState, n int, opt pag
 		}
 	}
 	opt.InitialRank = c.broadcastFloats(r0) // the engine copies, not aliases
-	spmv, h := spmvOf(st, workers)
-	if h != nil {
-		defer h.close()
-	}
+	prod := newRankProduct(k3, workers)
+	defer prod.close()
 	step := func(out, r []float64) {
-		spmv(out, r)
+		prod.vxm(out, r)
 		c.allReduceSum(out)
 	}
 	dangleMass := func(r []float64) float64 {
-		return c.allReduceScalar(danglingMassOf(st, r))
+		return c.allReduceScalar(danglingMassOf(k3, r))
 	}
 	e, err := pagerank.NewEngine(n, step, dangleMass, opt)
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err := e.RunContextAfter(ctx, ck.afterRank(c, st.blk.lo, st.blk.hi))
+	res, err := e.RunContextAfter(ctx, ck.afterRank(c, k3.lo, k3.hi))
 	if err != nil {
 		return nil, 0, err
 	}

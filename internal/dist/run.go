@@ -74,6 +74,26 @@ type rankState struct {
 	danglingRows []int
 }
 
+// rankOperand is what one rank's kernel 3 reads: the owned row range,
+// the row block's length-ordered transpose (whose columns are the block's
+// local rows, so a product gathers from r[lo:hi]) and the owned dangling
+// rows.  A socket worker keeps it resident in place of the row block.
+type rankOperand struct {
+	lo, hi       int
+	at           *sparse.Ordered
+	danglingRows []int
+}
+
+// operand builds the rank's kernel-3 operand from its row block; the
+// block is only read.
+func (st *rankState) operand() *rankOperand {
+	b := st.blk
+	return &rankOperand{
+		lo: b.lo, hi: b.hi, danglingRows: st.danglingRows,
+		at: sparse.TransposeOrdered(b.n, b.rowPtr, b.col, b.val),
+	}
+}
+
 // validateVertices checks that every endpoint of l is a vertex of an
 // n-vertex graph — Execute's precondition for the kernel-2 programs,
 // checked before any rank starts so a bad edge cannot fail one rank
@@ -161,9 +181,9 @@ func assemble(states []*rankState, n int) *sparse.CSR {
 
 // danglingMassOf sums the rank mass sitting on one rank's owned dangling
 // rows — the local contribution to the dangling-mass scalar all-reduce.
-func danglingMassOf(st *rankState, r []float64) float64 {
+func danglingMassOf(op *rankOperand, r []float64) float64 {
 	var s float64
-	for _, i := range st.danglingRows {
+	for _, i := range op.danglingRows {
 		s += r[i]
 	}
 	return s

@@ -179,6 +179,7 @@ type Session struct {
 type sessJob struct {
 	progress func(iteration int) // the caller's hook, fed by rank 0's progress frames
 	ck       *ckptRun
+	vec      []float64 // rank 0's result vector, arrived ahead of its outcome
 	outs     []*wireOutcome
 	errs     []error
 	pending  sync.WaitGroup
@@ -216,11 +217,13 @@ func OpenSession(ctx context.Context, p int, sk SocketSpec) (s *Session, err err
 			return nil, err
 		}
 	}
+	// Every failure below returns a nil session, so the teardown holds its
+	// own reference — as does the join timer, which may fire after it.
 	s = &Session{p: p}
+	sess := s
 	defer func() {
 		if err != nil {
-			s.Close()
-			s = nil
+			sess.Close()
 		}
 	}()
 	addr := sk.Addr
@@ -284,7 +287,7 @@ func OpenSession(ctx context.Context, p int, sk SocketSpec) (s *Session, err err
 	var timedOut atomic.Bool
 	abort := func() {
 		ln.Close()
-		s.teardown()
+		sess.teardown()
 	}
 	timer := time.AfterFunc(joinTimeout, func() {
 		timedOut.Store(true)
@@ -293,12 +296,19 @@ func OpenSession(ctx context.Context, p int, sk SocketSpec) (s *Session, err err
 	defer timer.Stop()
 	stopCtx := context.AfterFunc(ctx, abort)
 	defer stopCtx()
+	// A peer from another build is turned away like any stray, but the
+	// version it spoke is why a handshake that then times out failed.
+	var versionErr error
 	joinErr := func(stage string, err error) error {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
 		if timedOut.Load() {
-			return fmt.Errorf("dist: socket fabric %s timed out after %v (%d of %d workers joined)", stage, joinTimeout, len(s.ctrls), p)
+			msg := fmt.Sprintf("dist: socket fabric %s timed out after %v (%d of %d workers joined)", stage, joinTimeout, len(s.ctrls), p)
+			if versionErr != nil {
+				return fmt.Errorf("%s: %w", msg, versionErr)
+			}
+			return errors.New(msg)
 		}
 		return fmt.Errorf("dist: socket fabric %s: %w", stage, err)
 	}
@@ -311,6 +321,9 @@ func OpenSession(ctx context.Context, p int, sk SocketSpec) (s *Session, err err
 		c := fabric.NewLink(conn, sk.IOTimeout, &s.stats)
 		h, payload, err := c.ReadFrame()
 		if err != nil || h.Type != fabric.FrameJoin {
+			if errors.As(err, new(*fabric.VersionError)) {
+				versionErr = err
+			}
 			c.Close()
 			continue
 		}
@@ -453,8 +466,8 @@ func (s *Session) serve(r int, c *fabric.Link) {
 // coordinator's storage through the same ckpt calls the goroutine ranks
 // make, and the acks carry the write errors back into the workers'
 // agreeError barriers, so the epoch protocol, torn-epoch semantics
-// included, is the goroutine mode's verbatim — and the outcome frame is
-// returned decoded.
+// included, is the goroutine mode's verbatim — rank 0's raw result vector
+// is held for its outcome, and the outcome frame is returned decoded.
 func (j *sessJob) frame(rank int, c *fabric.Link, h fabric.Header, payload []byte) (*wireOutcome, error) {
 	ck := j.ck
 	ack := func(msg string) error {
@@ -492,6 +505,15 @@ func (j *sessJob) frame(rank int, c *fabric.Link, h fabric.Header, payload []byt
 			}
 		}
 		return nil, ack(msg)
+	case fabric.FrameVec:
+		if rank != 0 || j.vec != nil {
+			return nil, fmt.Errorf("dist: rank %d sent an unannounced result vector", rank)
+		}
+		j.vec = make([]float64, len(payload)/8)
+		if err := fabric.DecodeVec(payload, j.vec); err != nil {
+			return nil, fmt.Errorf("dist: rank %d result vector: %v", rank, err)
+		}
+		return nil, nil
 	case fabric.FrameOutcome:
 		out := new(wireOutcome)
 		if err := decodeGob(payload, out); err != nil {
@@ -499,6 +521,12 @@ func (j *sessJob) frame(rank int, c *fabric.Link, h fabric.Header, payload []byt
 		}
 		if out.Rank != rank {
 			return nil, fmt.Errorf("dist: rank %d reported outcome for rank %d", rank, out.Rank)
+		}
+		if rank == 0 {
+			out.rankVec, j.vec = j.vec, nil
+		}
+		if out.VecLen != len(out.rankVec) {
+			return nil, fmt.Errorf("dist: rank %d outcome announces a %d-element result vector, %d arrived", rank, out.VecLen, len(out.rankVec))
 		}
 		return out, nil
 	default:

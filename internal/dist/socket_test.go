@@ -15,7 +15,9 @@ package dist_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"net"
 	"os"
 	"runtime"
 	"strings"
@@ -23,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/dist/fabric"
 	"repro/internal/pagerank"
 	"repro/internal/vfs"
 )
@@ -438,4 +441,32 @@ func TestSocketWorkerKilledMidRun(t *testing.T) {
 		t.Fatalf("worker death took %v to surface", d)
 	}
 	waitForGoroutines(t, before)
+}
+
+// TestSocketJoinReportsWireVersion: a worker from another build is turned
+// away at its first frame, and the handshake that then times out says so
+// with the typed version error rather than only counting joins.
+func TestSocketJoinReportsWireVersion(t *testing.T) {
+	_, err := dist.OpenSession(context.Background(), 1, dist.SocketSpec{
+		External: true, FabricID: "version-test", JoinTimeout: 2 * time.Second,
+		OnListen: func(network, addr string) {
+			go func() {
+				conn, err := net.Dial(network, addr)
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				join := fabric.AppendJoin(nil, fabric.Join{FabricID: "version-test", MeshNetwork: network, MeshAddr: "x"})
+				frame := make([]byte, fabric.HeaderSize, fabric.HeaderSize+len(join))
+				fabric.PutHeader(frame, fabric.Header{Type: fabric.FrameJoin, Len: uint64(len(join))})
+				binary.LittleEndian.PutUint16(frame[4:6], fabric.Version-1)
+				_, _ = conn.Write(append(frame, join...))
+				_, _ = conn.Read(make([]byte, 1)) // hold the line until the coordinator drops it
+			}()
+		},
+	})
+	var ve *fabric.VersionError
+	if !errors.As(err, &ve) || ve.Peer != fabric.Version-1 {
+		t.Fatalf("OpenSession: %v, want a timed-out join naming wire version %d", err, fabric.Version-1)
+	}
 }

@@ -6,7 +6,8 @@ package dist
 // frames — the handshake has already proven both ends speak the same
 // wire version, and control traffic is unmetered (DESIGN.md §5), so the
 // job's full edge list mirrors the goroutine mode's closures capturing
-// the full input without touching CommStats.
+// the full input without touching CommStats.  Rank 0's final vector is
+// the exception: it goes home as a raw FrameVec ahead of the outcome.
 
 import (
 	"bytes"
@@ -187,10 +188,13 @@ type wireOutcome struct {
 	Seconds float64
 	Wire    WireStats
 
-	// RankVec is the final rank vector (rank 0 only; all replicas are
-	// byte-identical, so shipping one saves p-1 copies of control
-	// traffic).
-	RankVec []float64
+	// VecLen is the length of the final rank vector (rank 0 only; all
+	// replicas are byte-identical, so shipping one saves p-1 copies of
+	// control traffic).  The vector itself, rankVec on both sides,
+	// travels raw in a FrameVec just ahead of this outcome: gob would
+	// spend milliseconds encoding and decoding it on the critical path.
+	VecLen  int
+	rankVec []float64
 	Iters   int
 	Mass    float64
 	NNZ     int
@@ -239,7 +243,7 @@ func wireOutcomeOf(rank int, op Op, o rankOutcome) *wireOutcome {
 	out := &wireOutcome{Rank: rank, Iters: o.iters, Mass: o.mass, NNZ: o.nnz, Runs: o.runs, Spill: o.spill}
 	out.ErrKind, out.ErrMsg = errToKind(o.err)
 	if rank == 0 {
-		out.RankVec = o.rank
+		out.rankVec, out.VecLen = o.rank, len(o.rank)
 	}
 	if o.edges != nil {
 		out.EdgesU, out.EdgesV = o.edges.U, o.edges.V
@@ -254,7 +258,7 @@ func wireOutcomeOf(rank int, op Op, o rankOutcome) *wireOutcome {
 // error travels separately, through outcomeErr).
 func (o *wireOutcome) outcome() rankOutcome {
 	out := rankOutcome{
-		rank: o.RankVec, iters: o.Iters, mass: o.Mass, nnz: o.NNZ,
+		rank: o.rankVec, iters: o.Iters, mass: o.Mass, nnz: o.NNZ,
 		edges: edgesOf(o.EdgesU, o.EdgesV), runs: o.Runs, spill: o.Spill,
 	}
 	if o.Block != nil {

@@ -5,10 +5,11 @@ package dist
 // the coordinator, build the rank mesh — then serves jobs until the
 // coordinator closes the control link: each job runs the SAME rank
 // program the in-process launcher spawns (runRank) over one long-lived
-// sockFabric and reports a wireOutcome, and the row block of the last
-// run-matrix operand stays resident between jobs.  Because the program,
-// the collectives and the metering are shared, the socket mode's results
-// and CommStats equal the other modes' bit for bit by construction.
+// sockFabric and reports a wireOutcome, and the kernel-3 operand built
+// from the last run-matrix job's row block stays resident between jobs.
+// Because the program, the collectives and the metering are shared, the
+// socket mode's results and CommStats equal the other modes' bit for bit
+// by construction.
 //
 // Two ways into this file: the prrankd binary calls JoinFabric
 // explicitly, and the init hook below turns ANY dist-importing binary
@@ -239,11 +240,11 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 	// Serve jobs until the coordinator hangs up.  The operand of the last
 	// run-matrix job stays resident: a later job that ships none runs on
 	// it.
-	var resident *rankState
+	var resident *rankOperand
 	var reported fabric.Counters // a job's Wire is the mesh traffic since the last report; the first job's includes the mesh hellos
 	for wj := range jobs {
-		if wj.st != nil {
-			resident = wj.st
+		if wj.k3 != nil {
+			resident = wj.k3
 		}
 		out := runWorkerRank(wctx, f, ctrl, rank, wj.job, resident, acks)
 		if out.ErrKind != errKindNone {
@@ -253,7 +254,12 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 		}
 		now := meshStats.Snapshot()
 		out.Wire, reported = wireCounters(now.Sub(reported)), now
+		// Rank 0's final vector goes home raw, ahead of the outcome that
+		// announces its length.
 		buf, err := encodeGob(out)
+		if err == nil && out.VecLen > 0 {
+			err = ctrl.WriteControlVec(rank, rank, out.rankVec)
+		}
 		if err == nil {
 			err = ctrl.WriteControl(fabric.FrameOutcome, rank, rank, buf)
 		}
@@ -282,12 +288,14 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 // shipped one, the rank's new resident operand.
 type workerJob struct {
 	job *wireJob
-	st  *rankState
+	k3  *rankOperand
 }
 
 // readJob decodes a job frame and, when it announces an operand, reads
-// and validates the block frame behind it.  The arrays arrive from a
-// socket: nothing about them is trusted until checked.
+// and validates the block frame behind it and builds the kernel-3
+// operand from it, once per shipped block; the block itself is dropped.
+// The arrays arrive from a socket: nothing about them is trusted until
+// checked.
 func readJob(ctrl *fabric.Link, payload []byte, rank, p int) (workerJob, error) {
 	job := new(wireJob)
 	if err := decodeGob(payload, job); err != nil {
@@ -328,14 +336,14 @@ func readJob(ctrl *fabric.Link, payload []byte, rank, p int) (workerJob, error) 
 			st.danglingRows = append(st.danglingRows, lo+i)
 		}
 	}
-	return workerJob{job: job, st: st}, nil
+	return workerJob{job: job, k3: st.operand()}, nil
 }
 
 // runWorkerRank executes the rank program for one job, mirroring the
 // per-rank body of spawnRanks: the fabricDown panic becomes the aborted
 // outcome, wall clock is reported, and every failure classifies into a
 // wire error kind.
-func runWorkerRank(ctx context.Context, f *sockFabric, ctrl *fabric.Link, rank int, job *wireJob, resident *rankState, acks <-chan string) *wireOutcome {
+func runWorkerRank(ctx context.Context, f *sockFabric, ctrl *fabric.Link, rank int, job *wireJob, resident *rankOperand, acks <-chan string) *wireOutcome {
 	c := newRankComm(f, rank)
 	//prlint:allow determinism -- wall-clock feeds only the reported per-rank timing, never the kernel results
 	start := time.Now()
@@ -366,9 +374,9 @@ func runWorkerRank(ctx context.Context, f *sockFabric, ctrl *fabric.Link, rank i
 // fields verbatim, plus what cannot cross a process boundary rebuilt on
 // this side — a private spill store, the progress relay, the checkpoint
 // relay, and the resident operand.
-func workerInput(ctx context.Context, ctrl *fabric.Link, rank int, job *wireJob, resident *rankState, acks <-chan string) (*rankInput, error) {
+func workerInput(ctx context.Context, ctrl *fabric.Link, rank int, job *wireJob, resident *rankOperand, acks <-chan string) (*rankInput, error) {
 	in := &rankInput{
-		op: Op(job.Op), edges: edgesOf(job.EdgesU, job.EdgesV), n: job.N, st: resident,
+		op: Op(job.Op), edges: edgesOf(job.EdgesU, job.EdgesV), n: job.N, k3: resident,
 		workers: job.Workers, opt: job.Opt.options(),
 	}
 	switch in.op {
@@ -382,7 +390,7 @@ func workerInput(ctx context.Context, ctrl *fabric.Link, rank int, job *wireJob,
 		// returns, so only the metered counters are observable.
 		in.ext = ExtSortConfig{FS: vfs.NewMem(), RunEdges: job.Ext.RunEdges, TmpPrefix: job.Ext.TmpPrefix, Codec: codec}
 	case OpRunMatrix:
-		if resident == nil || resident.blk.n != job.N {
+		if resident == nil || resident.at.N() != job.N {
 			return nil, fmt.Errorf("dist: run-matrix job for n = %d, but no such operand is resident", job.N)
 		}
 	}

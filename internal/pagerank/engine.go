@@ -13,7 +13,6 @@ import (
 	"context"
 
 	"repro/internal/sparse"
-	"repro/internal/workteam"
 )
 
 // Engine holds the reusable state of the kernel-3 power iteration
@@ -233,67 +232,39 @@ func NewScatterEngine(a *sparse.CSR, opt Options) (*Engine, error) {
 	return newMaskedEngine(a.N, a.VxM, danglingMask(a), opt)
 }
 
-// NewGatherEngine transposes a once and builds a reusable engine over the
-// cache-friendlier gather product (the engine behind Gather).
+// NewGatherEngine builds A's length-ordered transpose once and a reusable
+// engine over the cache-friendlier gather product (the engine behind
+// Gather).
 func NewGatherEngine(a *sparse.CSR, opt Options) (*Engine, error) {
-	return NewGatherEngineWith(a, a.Transpose(), opt)
+	return NewGatherEngineWith(a, a.TransposeOrdered(), opt)
 }
 
 // NewGatherEngineWith is NewGatherEngine for a caller that already holds
-// at = a.Transpose() — the staged cache keeps one beside each resident
-// matrix — so repeated engines over one matrix transpose it once, not
-// once each.  The engine only reads at.
-func NewGatherEngineWith(a, at *sparse.CSR, opt Options) (*Engine, error) {
-	return newMaskedEngine(a.N, func(out, r []float64) { at.MxV(out, r) }, danglingMask(a), opt)
+// at = a.TransposeOrdered() — the staged cache keeps one beside each
+// resident matrix — so repeated engines over one matrix transpose it
+// once, not once each.  The engine only reads at.
+func NewGatherEngineWith(a *sparse.CSR, at *sparse.Ordered, opt Options) (*Engine, error) {
+	return newMaskedEngine(a.N, at.MxV, danglingMask(a), opt)
 }
 
 // ---------------------------------------------------------------------------
 // Parallel engine: transpose-once gather over a persistent worker team
 
-// mxvTeam is a persistent workteam.Team computing disjoint row ranges of
-// a gather product — spawned once, signalled per product, so a
-// steady-state product allocates nothing.  Each output row is written by
-// exactly one worker and rows are independent, so the result is
-// bit-for-bit the serial MxV for every worker count.
-type mxvTeam struct {
-	out, x []float64
-	team   *workteam.Team
-}
-
-// newMxVTeam spawns workers goroutines over the rows of at.  Callers must
-// close the team when done iterating or the goroutines leak.
-func newMxVTeam(at *sparse.CSR, workers int) *mxvTeam {
-	t := &mxvTeam{}
-	t.team = workteam.New(workers, func(w int) {
-		at.MxVRange(t.out, t.x, w*at.N/workers, (w+1)*at.N/workers)
-	})
-	return t
-}
-
-// mxv computes out = at·x across the team (workteam.Run's happens-before
-// edges keep the workers from racing the caller on out/x).
-func (t *mxvTeam) mxv(out, x []float64) {
-	t.out, t.x = out, x
-	t.team.Run()
-}
-
-// close terminates the worker goroutines.  The team must not be used
-// afterwards.
-func (t *mxvTeam) close() { t.team.Close() }
-
-// ParallelEngine is the row-partitioned parallel gather engine in reusable
-// form: the matrix is transposed once, a persistent worker team computes
-// the product, and the embedded Engine owns the iteration vectors — so
-// steady-state iterations perform zero heap allocations while using every
-// configured core.  Close must be called when done (Parallel does).
+// ParallelEngine is the parallel gather engine in reusable form: the
+// matrix is transposed once, a persistent sparse.Team computes the
+// product over nnz-balanced position ranges, and the embedded Engine owns
+// the iteration vectors — so steady-state iterations perform zero heap
+// allocations while using every configured core.  Every row is computed
+// by one worker with the serial loop, so the bits are Gather's for every
+// worker count.  Close must be called when done (Parallel does).
 type ParallelEngine struct {
 	eng  *Engine
-	team *mxvTeam
+	team *sparse.Team
 }
 
 // NewParallelEngine validates opt and builds the reusable parallel engine.
 // The worker count is Options.Workers (defaulted like Parallel); tiny
-// problems degenerate to the serial gather exactly as ParallelMxV does.
+// problems degenerate to the serial gather.
 func NewParallelEngine(a *sparse.CSR, opt Options) (*ParallelEngine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -301,13 +272,13 @@ func NewParallelEngine(a *sparse.CSR, opt Options) (*ParallelEngine, error) {
 	if err := opt.validateAgainstN(a.N); err != nil {
 		return nil, err
 	}
-	at := a.Transpose()
+	at := a.TransposeOrdered()
 	workers := workersOr(opt.Workers)
 	pe := &ParallelEngine{}
-	step := func(out, r []float64) { at.MxV(out, r) }
+	step := at.MxV
 	if workers >= 2 && a.N >= 2*workers {
-		pe.team = newMxVTeam(at, workers)
-		step = pe.team.mxv
+		pe.team = at.NewTeam(workers)
+		step = pe.team.MxV
 	}
 	eng, err := newMaskedEngine(a.N, step, danglingMask(a), opt)
 	if err != nil {
@@ -336,7 +307,7 @@ func (pe *ParallelEngine) RunContext(ctx context.Context) (*Result, error) {
 // afterwards.
 func (pe *ParallelEngine) Close() {
 	if pe.team != nil {
-		pe.team.close()
+		pe.team.Close()
 		pe.team = nil
 	}
 }

@@ -65,7 +65,7 @@ func TestEngineRunEqualsScatter(t *testing.T) {
 // that transpose for themselves, and leave the shared copy untouched.
 func TestGatherEngineWithSharedTranspose(t *testing.T) {
 	a := engineTestMatrix(t, 2, 1<<12, 1<<9)
-	at, pristine := a.Transpose(), a.Transpose()
+	at, pristine := a.TransposeOrdered(), a.TransposeOrdered()
 	opt := Options{Seed: 3, Dangling: true, Iterations: 7}
 	own, err := NewGatherEngine(a, opt)
 	if err != nil {
@@ -86,6 +86,11 @@ func TestGatherEngineWithSharedTranspose(t *testing.T) {
 	for k := range at.Val {
 		if at.Val[k] != pristine.Val[k] || at.Col[k] != pristine.Col[k] {
 			t.Fatalf("shared transpose modified at entry %d", k)
+		}
+	}
+	for p := range at.Rows {
+		if at.Rows[p] != pristine.Rows[p] {
+			t.Fatalf("shared transpose reordered at position %d", p)
 		}
 	}
 }
@@ -252,7 +257,7 @@ func TestEngineRanksGolden(t *testing.T) {
 // the engine's two rank vectors.
 func TestIgnorePolicyBuildsNoDanglingMask(t *testing.T) {
 	a := engineTestMatrix(t, 6, 1<<16, 1<<14)
-	at := a.Transpose()
+	at := a.TransposeOrdered()
 	vectors := uint64(2 * 8 * a.N)
 	constructed := func(opt Options) uint64 {
 		var before, after runtime.MemStats

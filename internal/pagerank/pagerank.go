@@ -245,8 +245,9 @@ func Scatter(a *sparse.CSR, opt Options) (*Result, error) {
 	return e.Run(), nil
 }
 
-// Gather runs PageRank with the gather engine: A is transposed once and
-// the product r·A becomes the cache-friendlier Aᵀ·r.
+// Gather runs PageRank with the gather engine: A is transposed once, rows
+// in order of length (sparse.Ordered), and the product r·A becomes the
+// cache-friendlier Aᵀ·r.
 func Gather(a *sparse.CSR, opt Options) (*Result, error) {
 	e, err := NewGatherEngine(a, opt)
 	if err != nil {
@@ -255,7 +256,7 @@ func Gather(a *sparse.CSR, opt Options) (*Result, error) {
 	return e.Run(), nil
 }
 
-// Parallel runs PageRank with the row-partitioned parallel gather engine:
+// Parallel runs PageRank with the nnz-balanced parallel gather engine:
 // a one-shot NewParallelEngine run.  The persistent worker team means the
 // 20-iteration benchmark spawns its goroutines once, not per step, and
 // iterations allocate nothing; results are bit-for-bit those of the

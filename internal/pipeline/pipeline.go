@@ -351,9 +351,10 @@ type MatrixLease struct {
 	// variants pass it to a lent fabric as the resident operand's name.
 	ID string
 	// Transposed, when non-nil (hits only), returns the artifact's
-	// transpose, built at most once per cached artifact and shared
-	// read-only like the matrix itself.
-	Transposed func() *sparse.CSR
+	// length-ordered transpose — kernel 3's gather operand — built at
+	// most once per cached artifact and shared read-only like the matrix
+	// itself.
+	Transposed func() *sparse.Ordered
 }
 
 // FabricLease is one FabricSource transaction: exclusive use of an open
@@ -481,7 +482,7 @@ type Run struct {
 	// this run's fill); MatrixT is a hit's Transposed.  Kernel-3
 	// implementations read the transpose through Transposed().
 	MatrixID string
-	MatrixT  func() *sparse.CSR
+	MatrixT  func() *sparse.Ordered
 	// GB optionally holds the graphblas variant's generic matrix between
 	// K2 and K3.
 	GB *graphblas.Matrix[float64]
@@ -531,13 +532,14 @@ func (r *Run) stageStats() *CacheStats {
 	return r.Cache
 }
 
-// Transposed returns Matrixᵀ for the gather engines: the staged cache's
-// shared copy on a matrix-stage hit, a fresh one otherwise.  Read-only.
-func (r *Run) Transposed() *sparse.CSR {
+// Transposed returns Matrixᵀ, length-ordered, for the gather engines: the
+// staged cache's shared copy on a matrix-stage hit, a fresh one
+// otherwise.  Read-only.
+func (r *Run) Transposed() *sparse.Ordered {
 	if r.MatrixT != nil {
 		return r.MatrixT()
 	}
-	return r.Matrix.Transpose()
+	return r.Matrix.TransposeOrdered()
 }
 
 // Context returns the run's cancellation context.  Variants thread it

@@ -81,7 +81,7 @@ type cacheKey struct {
 // matrixArtifact is the matrix stage's cached value: the filtered,
 // normalized matrix plus the pre-filter mass a warm Result reports,
 // the identity warm runs name it by, and — built on first gather use,
-// then shared like the matrix — its transpose.
+// then shared like the matrix — its length-ordered transpose.
 type matrixArtifact struct {
 	m    *sparse.CSR
 	mass float64
@@ -91,7 +91,7 @@ type matrixArtifact struct {
 	// (resident rank blocks) can tell.
 	id    string
 	tOnce sync.Once
-	t     *sparse.CSR
+	t     *sparse.Ordered
 }
 
 type cacheEntry struct {
@@ -297,9 +297,9 @@ func (c *artifactCache) matrixLease(ctx context.Context, key cacheKey) (pipeline
 	if hit {
 		art := val.(*matrixArtifact)
 		return pipeline.MatrixLease{Matrix: art.m, Mass: art.mass, Hit: true, ID: art.id,
-			Transposed: func() *sparse.CSR {
+			Transposed: func() *sparse.Ordered {
 				art.tOnce.Do(func() {
-					art.t = art.m.Transpose()
+					art.t = art.m.TransposeOrdered()
 					c.charge(key, art, art.t.Footprint())
 				})
 				return art.t

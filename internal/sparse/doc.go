@@ -11,6 +11,7 @@
 // values and uint32 column indices (dimension ≤ 2^32, far above feasible
 // benchmark scales), builders from edge lists in several sortedness states,
 // column/row reductions and scaling, transposition, dense conversion for
-// validation, and serial and parallel vector-matrix products in both
-// scatter (row-major) and gather (transposed) forms.
+// validation, the scatter (row-major) product, and the gather product
+// over a plain transpose or over the length-ordered one kernel 3 uses
+// (Ordered), serially or on a persistent worker team.
 package sparse

@@ -9,9 +9,26 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/edge"
 	"repro/internal/kronecker"
 	"repro/internal/xrand"
 )
+
+// randomCSR is the counting matrix of m uniformly random edges on n
+// vertices.
+func randomCSR(t testing.TB, seed uint64, m, n int) *CSR {
+	t.Helper()
+	g := xrand.New(seed)
+	l := edge.NewList(m)
+	for i := 0; i < m; i++ {
+		l.Append(g.Uint64n(uint64(n)), g.Uint64n(uint64(n)))
+	}
+	a, err := FromEdges(l, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
 
 // mxvGroup is the look-ahead group size of MxVRange; row lengths around
 // its multiples are where a grouped loop can go wrong.
@@ -144,7 +161,7 @@ func TestMxVRangeMatchesNaiveLoopBitForBit(t *testing.T) {
 // TestMxVRangeKroneckerTranspose holds the kernel to the oracle on the
 // matrix shape kernel 3 actually multiplies: the transpose of a
 // row-normalized scale-10 Kronecker adjacency matrix, power-law rows and
-// all, under every even split a worker team would use.
+// all, under even row splits.
 func TestMxVRangeKroneckerTranspose(t *testing.T) {
 	l, err := kronecker.Generate(kronecker.New(10, 3))
 	if err != nil {
@@ -169,7 +186,7 @@ func TestMxVRangeKroneckerTranspose(t *testing.T) {
 }
 
 func TestMxVRangeZeroAllocs(t *testing.T) {
-	a := scratchTestMatrix(t, 5, 20000, 1000).Transpose()
+	a := randomCSR(t, 5, 20000, 1000).Transpose()
 	x, out := make([]float64, a.N), make([]float64, a.N)
 	for i := range x {
 		x[i] = float64(i)
@@ -183,7 +200,7 @@ func TestMxVRangeZeroAllocs(t *testing.T) {
 }
 
 func BenchmarkMxV(b *testing.B) {
-	a := scratchTestMatrix(b, 1, 1<<20, 1<<16).Transpose()
+	a := randomCSR(b, 1, 1<<20, 1<<16).Transpose()
 	x, out := make([]float64, a.N), make([]float64, a.N)
 	for i := range x {
 		x[i] = 1

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/edge"
 )
@@ -524,24 +523,28 @@ func (a *CSR) MxV(out, x []float64) { a.MxVRange(out, x, 0, a.N) }
 // MxVRange computes the rows [lo, hi) of out = A·x — the gather product
 // restricted to a contiguous row range.  Each output element depends only
 // on its own row, so disjoint ranges may be computed concurrently with no
-// coordination and no effect on the result's bits; this is the primitive
-// the persistent worker teams of pagerank and dist partition over.
-//
-// This is the one gather loop (DESIGN.md §7).  Every row is a single
-// accumulator receiving its products in ascending-k order — that addition
-// sequence is the bit-for-bit contract.  Loading and multiplying a group
-// of entries before adding them changes which loads are in flight, not
-// the order of the adds; the float64 conversions keep the products from
-// being fused into the adds on FMA architectures (DESIGN.md §4).
+// coordination and no effect on the result's bits.  Kernel 3 multiplies
+// the length-ordered Ordered operand instead; this form remains for
+// callers that hold a plain transpose.
 func (a *CSR) MxVRange(out, x []float64, lo, hi int) {
-	if lo >= hi {
-		return
+	if lo < hi {
+		gather(out[lo:hi], nil, a.RowPtr[lo:hi+1], a.Col, a.Val, x)
 	}
-	rowPtr, col, val := a.RowPtr[lo:hi+1], a.Col, a.Val
-	out = out[lo:hi]
-	k := rowPtr[0]
-	for i := range out {
-		e := rowPtr[i+1]
+}
+
+// gather is the one gather loop in the tree (DESIGN.md §7), shared by
+// CSR.MxVRange and Ordered.MxVRange: for each row i that ptr delimits in
+// col/val, it writes the row's sum Σ_k val[k]·x[col[k]] to out[rows[i]],
+// or to out[i] when rows is nil.  Every row is a single accumulator
+// receiving its products in ascending-k order — that addition sequence
+// is the bit-for-bit contract.  Loading and multiplying a group of
+// entries before adding them changes which loads are in flight, not the
+// order of the adds; the float64 conversions keep the products from being
+// fused into the adds on FMA architectures (DESIGN.md §4).  The rows
+// branch is the same for a whole call, so it costs the predictor nothing.
+func gather(out []float64, rows []uint32, ptr []int64, col []uint32, val, x []float64) {
+	k := ptr[0]
+	for i, e := range ptr[1:] {
 		c, v := col[k:e], val[k:e]
 		k = e
 		var s float64
@@ -563,118 +566,10 @@ func (a *CSR) MxVRange(out, x []float64, lo, hi int) {
 		for j, cj := range c {
 			s += float64(v[j] * x[cj])
 		}
-		out[i] = s
-	}
-}
-
-// ParallelMxV computes out = A·x splitting rows across workers goroutines.
-// Row partitioning makes the gather product embarrassingly parallel, which
-// is why the paper's proposed decomposition stores row blocks per processor.
-func (a *CSR) ParallelMxV(out, x []float64, workers int) {
-	if workers < 2 || a.N < 2*workers {
-		a.MxV(out, x)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * a.N / workers
-		hi := (w + 1) * a.N / workers
-		wg.Add(1)
-		//prlint:allow determinism -- row-parallel MxV: workers write disjoint out[lo:hi] ranges and join on wg
-		go func(lo, hi int) {
-			defer wg.Done()
-			a.MxVRange(out, x, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// VxMScratch holds the per-worker private accumulators of ParallelVxMWith,
-// so repeated products reuse one workers·N float allocation instead of
-// churning it every call.  A scratch may be reused across matrices and
-// worker counts; Ensure grows it as needed.  The zero value is ready to
-// use.  A scratch must not be shared by concurrent products.
-type VxMScratch struct {
-	acc [][]float64
-}
-
-// Ensure grows the scratch to hold workers accumulators of length n.
-func (s *VxMScratch) Ensure(n, workers int) {
-	if len(s.acc) < workers {
-		acc := make([][]float64, workers)
-		copy(acc, s.acc)
-		s.acc = acc
-	}
-	for w := 0; w < workers; w++ {
-		if len(s.acc[w]) < n {
-			s.acc[w] = make([]float64, n)
-		}
-	}
-}
-
-// vxmPool recycles scratches for the one-shot ParallelVxM entry point, so
-// even callers without a scratch of their own stop allocating workers·N
-// floats per call in steady state.
-var vxmPool = sync.Pool{New: func() any { return new(VxMScratch) }}
-
-// ParallelVxM computes out = r·A with per-worker private accumulators that
-// are reduced at the end, avoiding write conflicts on out.  The
-// accumulators come from an internal pool, so repeated calls do not churn
-// workers·N temporary floats; callers iterating a fixed problem should
-// hold a VxMScratch and call ParallelVxMWith, and callers preferring
-// memory economy can transpose once and use ParallelMxV.
-func (a *CSR) ParallelVxM(out, r []float64, workers int) {
-	if workers < 2 || a.N < 2*workers {
-		a.VxM(out, r)
-		return
-	}
-	s := vxmPool.Get().(*VxMScratch)
-	a.ParallelVxMWith(out, r, workers, s)
-	vxmPool.Put(s)
-}
-
-// ParallelVxMWith is ParallelVxM backed by a caller-owned scratch.  The
-// per-worker partial accumulators are reduced into out in ascending worker
-// order, so the result is deterministic for a fixed worker count (workers
-// partition distinct row ranges, so the floating-point association — and
-// therefore the bits — depends on workers).
-func (a *CSR) ParallelVxMWith(out, r []float64, workers int, s *VxMScratch) {
-	if workers < 2 || a.N < 2*workers {
-		a.VxM(out, r)
-		return
-	}
-	s.Ensure(a.N, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * a.N / workers
-		hi := (w + 1) * a.N / workers
-		wg.Add(1)
-		//prlint:allow determinism -- per-worker accumulators are folded in fixed worker order after wg.Wait, so the FP sum is reproducible
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := s.acc[w][:a.N]
-			for i := range acc {
-				acc[i] = 0
-			}
-			for i := lo; i < hi; i++ {
-				ri := r[i]
-				if ri == 0 {
-					continue
-				}
-				for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-					acc[a.Col[k]] += float64(ri * a.Val[k])
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for i := range out {
-		out[i] = 0
-	}
-	for w := 0; w < workers; w++ {
-		acc := s.acc[w][:a.N]
-		for i, v := range acc {
-			out[i] += v
+		if rows != nil {
+			out[rows[i]] = s
+		} else {
+			out[i] = s
 		}
 	}
 }

@@ -329,40 +329,6 @@ func TestVxMAgainstDense(t *testing.T) {
 	}
 }
 
-func TestParallelProductsMatchSerial(t *testing.T) {
-	const n = 500
-	l := randomList(9, 8000, n)
-	a, _ := FromEdges(l, n)
-	g := xrand.New(10)
-	r := make([]float64, n)
-	for i := range r {
-		r[i] = g.Float64()
-	}
-	want := make([]float64, n)
-	a.VxM(want, r)
-	for _, workers := range []int{1, 2, 3, 8} {
-		got := make([]float64, n)
-		a.ParallelVxM(got, r, workers)
-		for j := range want {
-			if math.Abs(got[j]-want[j]) > 1e-9 {
-				t.Fatalf("ParallelVxM(workers=%d)[%d] = %v, want %v", workers, j, got[j], want[j])
-			}
-		}
-	}
-	at := a.Transpose()
-	wantG := make([]float64, n)
-	at.MxV(wantG, r)
-	for _, workers := range []int{1, 2, 5} {
-		got := make([]float64, n)
-		at.ParallelMxV(got, r, workers)
-		for j := range wantG {
-			if got[j] != wantG[j] {
-				t.Fatalf("ParallelMxV(workers=%d)[%d] = %v, want %v", workers, j, got[j], wantG[j])
-			}
-		}
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a, _ := FromTriplets(2, []int{0}, []int{1}, []float64{1})
 	b := a.Clone()
