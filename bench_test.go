@@ -14,7 +14,7 @@
 // column reads as millions of edges per second).
 //
 // Scales default to 12/14/16 so `go test -bench=.` completes in minutes;
-// cmd/prbench -sweep runs the paper's full 16–22 range.
+// `prreport -minscale 16 -maxscale 22` prints the paper's full range.
 package repro
 
 import (

@@ -1,4 +1,7 @@
-// Command prbench runs the PageRank pipeline benchmark.
+// Command prbench measures one configuration of the PageRank pipeline
+// benchmark.  The paper's evaluation — Table II, Figures 4–7, the model
+// predictions, the distributed mode cross-check, the out-of-core sort
+// check and the p × w scaling table — is cmd/prreport's.
 //
 // Single run (all four kernels, in-memory storage):
 //
@@ -9,41 +12,18 @@
 //
 //	prbench -scale 16 -variant all
 //
-// Reproduce the paper's figures (edges/second vs. number of edges for every
-// implementation variant, kernels 0-3):
+// A distributed pipeline run: -workers is the rank count of the dist
+// variants, -distmode overrides their execution mode (sim, goroutine or
+// socket) and -rankworkers adds hybrid intra-rank worker goroutines:
 //
-//	prbench -sweep -minscale 16 -maxscale 20
+//	prbench -scale 16 -variant distgo -workers 8 -rankworkers 2 -distmode socket
 //
-// Distributed run with communication accounting — simulated (default),
-// real goroutine ranks, or both cross-checked against each other:
+// Edge-file formats and out-of-core kernel 1: -format selects the on-disk
+// codec for the kernel files (tsv is the paper-faithful default) and
+// -runedges bounds the extsort/distext run buffer; -json reports the
+// encoded file footprint and the spill record:
 //
-//	prbench -scale 16 -procs 8
-//	prbench -scale 16 -procs 8 -distmode goroutine
-//	prbench -scale 16 -procs 8 -distmode both
-//
-// Out-of-core distributed kernel 1 (-runedges bounds each rank's run
-// buffer; it composes with -distmode, and with -variant distext|extsort
-// for pipeline runs):
-//
-//	prbench -scale 16 -procs 8 -runedges 65536
-//	prbench -scale 16 -procs 8 -runedges 65536 -distmode both
-//	prbench -scale 16 -variant distext -runedges 65536
-//
-// Wall-clock scaling of the goroutine-rank runtime across processor
-// counts, with the hardware model's predicted speedup alongside;
-// -rankworkers crosses in the hybrid intra-rank worker counts for a
-// p×w table (results are bit-for-bit invariant in both axes):
-//
-//	prbench -scale 16 -procsweep 1,2,4,8
-//	prbench -scale 16 -procsweep 1,2,4 -rankworkers 1,2,4
-//
-// Edge-file formats: -format selects the on-disk codec for the kernel
-// files (tsv is the paper-faithful default), and -formatsweep tabulates
-// kernel-1 edges/second per format — the Figure-7-style ablation showing
-// the sort going hardware-bound once text parsing leaves the loop:
-//
-//	prbench -scale 16 -variant extsort -format bin
-//	prbench -scale 16 -variant extsort -runedges 65536 -formatsweep
+//	prbench -scale 16 -variant extsort -format packed -runedges 65536 -json
 //
 // Checkpoint/restart of the distributed kernel 3 (-checkpoint-every
 // writes an epoch to storage every N iterations), with an optional
@@ -60,16 +40,13 @@
 // Staged-artifact-cache ablation: -cachesweep runs every variant cold
 // then warm against a fresh service and tabulates the wall-clock
 // speedup next to the warm run's per-stage hit/miss counters and the
-// cache's resident footprint; -cachebudget bounds the cache in bytes:
+// cache's resident footprint; -cachebudget bounds the cache in bytes.
+// With -distmode socket the dist variants' warm runs reuse the
+// service's resident workers:
 //
 //	prbench -scale 16 -cachesweep
 //	prbench -scale 16 -cachesweep -variant csr,dist -cachebudget 268435456
-//
-// With -distmode and -procs the sweep's dist variants run in that mode
-// on that many ranks — how a warm socket run on resident workers is
-// measured:
-//
-//	prbench -scale 16 -cachesweep -variant distgo -distmode socket -procs 2
+//	prbench -scale 16 -cachesweep -variant distgo -distmode socket -workers 2
 //
 // Machine-readable output for the perf trajectory (single pipeline runs
 // and -cachesweep; schema documented in the README, archived as
@@ -82,10 +59,6 @@
 // runs only; `go tool pprof prbench cpu.prof`):
 //
 //	prbench -scale 16 -variant csr,extsort -cpuprofile cpu.prof -memprofile mem.prof
-//
-// Hardware-model predictions for the paper's platform:
-//
-//	prbench -scale 22 -predict
 package main
 
 import (
@@ -94,6 +67,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -103,152 +77,67 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
-	"repro/internal/edge"
 	"repro/internal/fastio"
 	"repro/internal/pagerank"
-	"repro/internal/perfmodel"
 	"repro/internal/pipeline"
 	"repro/internal/results"
 	"repro/internal/vfs"
-	"repro/internal/xsort"
+)
+
+// The flags are package-level so the documentation test can look every
+// flag a doc names up in flag.CommandLine.
+var (
+	scale       = flag.Int("scale", 16, "Graph500 scale factor S (N = 2^S)")
+	edgeFactor  = flag.Int("edgefactor", 16, "average edges per vertex k")
+	seed        = flag.Uint64("seed", 1, "random seed")
+	nfiles      = flag.Int("nfiles", 1, "number of edge files (the paper's free parameter)")
+	variant     = flag.String("variant", "csr", "implementation variant; a comma-separated list or 'all' runs each in turn, cold, and tabulates per-kernel edges/s (-cachesweep takes lists too; -json and -checkpoint-every take one variant)")
+	generator   = flag.String("generator", "kronecker", "kernel-0 generator: kronecker, ppl, er")
+	workers     = flag.Int("workers", 0, "worker goroutines for parallel variants, rank count for the dist variants (0 = GOMAXPROCS, or 4 ranks)")
+	dir         = flag.String("dir", "", "storage directory (empty = in-memory)")
+	iterations  = flag.Int("iterations", 20, "kernel-3 PageRank iterations")
+	damping     = flag.Float64("damping", 0.85, "kernel-3 damping factor c")
+	dangling    = flag.Bool("dangling", false, "apply the dangling-node correction in kernel 3")
+	sortEnds    = flag.Bool("sortends", false, "kernel 1 sorts by (u,v) instead of u")
+	kernels     = flag.String("kernels", "0123", "kernels to run, e.g. 01 or 23")
+	runEdges    = flag.Int("runedges", 0, "out-of-core run-buffer size in edges (extsort/distext variants)")
+	distMode    = flag.String("distmode", "", "distributed execution of the dist variants: sim, goroutine or socket (empty = variant default)")
+	rankWorkers = flag.Int("rankworkers", 1, "hybrid intra-rank worker goroutines per rank (dist variants)")
+	format      = flag.String("format", "", "edge-file format: tsv, naivetsv, bin, packed (default: variant's)")
+	ckptEvery   = flag.Int("checkpoint-every", 0, "checkpoint the distributed kernel 3 every N iterations and report the overhead against an uncheckpointed baseline (dist variants)")
+	ckptDir     = flag.String("checkpoint-dir", "", "durable storage directory for -checkpoint-every epochs (empty = in-memory)")
+	injectFault = flag.String("inject-fault", "", `kill a rank mid-kernel-3 and resume: "RANK@ITER" fires after ITER completed iterations, "RANK@ITER@ckpt" fires during the epoch write (requires -checkpoint-every)`)
+	cacheSweep  = flag.Bool("cachesweep", false, "run each variant cold then warm against the staged artifact cache and tabulate the speedup, per-stage hit/miss counters and resident cache bytes")
+	cacheBudget = flag.Int64("cachebudget", 0, "staged-cache byte budget (0 = the default entry-capped cache); applies to single runs and -cachesweep")
+	output      = flag.String("output", "table", "output format: table, csv, markdown")
+	jsonOut     = flag.Bool("json", false, "emit a machine-readable prbench/v3 JSON report (single pipeline runs and -cachesweep; schema in README)")
+	cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the measured pipeline run(s) to this file (plain single- and multi-variant runs, in-process modes only)")
+	memProfile  = flag.String("memprofile", "", "write an allocation profile (pprof 'allocs') to this file after the measured run(s); same modes as -cpuprofile")
 )
 
 func main() {
-	var (
-		scale       = flag.Int("scale", 16, "Graph500 scale factor S (N = 2^S)")
-		edgeFactor  = flag.Int("edgefactor", 16, "average edges per vertex k")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		nfiles      = flag.Int("nfiles", 1, "number of edge files (the paper's free parameter)")
-		variant     = flag.String("variant", "csr", "implementation variant; a comma-separated list or 'all' runs each in turn, cold, and tabulates per-kernel edges/s (-sweep and -cachesweep take lists too; -json, -formatsweep and -checkpoint-every take one variant)")
-		generator   = flag.String("generator", "kronecker", "kernel-0 generator: kronecker, ppl, er")
-		workers     = flag.Int("workers", 0, "worker goroutines for parallel variants (0 = GOMAXPROCS)")
-		dir         = flag.String("dir", "", "storage directory (empty = in-memory)")
-		iterations  = flag.Int("iterations", 20, "kernel-3 PageRank iterations")
-		damping     = flag.Float64("damping", 0.85, "kernel-3 damping factor c")
-		dangling    = flag.Bool("dangling", false, "apply the dangling-node correction in kernel 3")
-		sortEnds    = flag.Bool("sortends", false, "kernel 1 sorts by (u,v) instead of u")
-		kernels     = flag.String("kernels", "0123", "kernels to run, e.g. 01 or 23")
-		sweep       = flag.Bool("sweep", false, "sweep scales and emit the paper's figures 4-7")
-		minScale    = flag.Int("minscale", 16, "sweep: smallest scale")
-		maxScale    = flag.Int("maxscale", 18, "sweep: largest scale")
-		procs       = flag.Int("procs", 0, "run the distributed pipeline on this many processors (ranks)")
-		runEdges    = flag.Int("runedges", 0, "out-of-core run-buffer size in edges (extsort/distext variants; with -procs runs the out-of-core distributed sort)")
-		distMode    = flag.String("distmode", "", "distributed execution: sim, goroutine or socket (empty = variant default); with -procs also 'both' (sim vs goroutine) or 'all' (every mode) to cross-check")
-		procSweep   = flag.String("procsweep", "", "comma-separated rank counts for a goroutine-mode wall-clock scaling table")
-		rankWorkers = flag.String("rankworkers", "1", "hybrid intra-rank worker goroutines per rank; a comma list crosses with -procsweep into a p×w table")
-		predict     = flag.Bool("predict", false, "print hardware-model predictions and exit")
-		format      = flag.String("format", "", "edge-file format: tsv, naivetsv, bin, packed (default: variant's)")
-		formatSweep = flag.Bool("formatsweep", false, "run the kernel-1 edge-file format ablation (K1 edges/s per format) and exit")
-		ckptEvery   = flag.Int("checkpoint-every", 0, "checkpoint the distributed kernel 3 every N iterations and report the overhead against an uncheckpointed baseline (dist variants)")
-		ckptDir     = flag.String("checkpoint-dir", "", "durable storage directory for -checkpoint-every epochs (empty = in-memory)")
-		injectFault = flag.String("inject-fault", "", `kill a rank mid-kernel-3 and resume: "RANK@ITER" fires after ITER completed iterations, "RANK@ITER@ckpt" fires during the epoch write (requires -checkpoint-every)`)
-		cacheSweep  = flag.Bool("cachesweep", false, "run each variant cold then warm against the staged artifact cache and tabulate the speedup, per-stage hit/miss counters and resident cache bytes")
-		cacheBudget = flag.Int64("cachebudget", 0, "staged-cache byte budget (0 = the default entry-capped cache); applies to single runs and -cachesweep")
-		output      = flag.String("output", "table", "output format: table, csv, markdown")
-		jsonOut     = flag.Bool("json", false, "emit a machine-readable prbench/v3 JSON report (single pipeline runs and -cachesweep; schema in README)")
-		ascii       = flag.Bool("ascii", true, "sweep: also draw ASCII log-log plots")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the measured pipeline run(s) to this file (plain single- and multi-variant runs, in-process modes only)")
-		memProfile  = flag.String("memprofile", "", "write an allocation profile (pprof 'allocs') to this file after the measured run(s); same modes as -cpuprofile")
-	)
 	flag.Parse()
 
-	// One long-lived Service backs every mode of the command: runs are
-	// admitted through it, Ctrl-C cancels them mid-kernel through ctx,
-	// and the sweeps share its generator cache so a graph is generated
-	// once per sweep, not once per table cell.
+	// Ctrl-C cancels a run mid-kernel through ctx.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	var svcOpts []core.ServiceOption
-	if *cacheBudget > 0 {
-		svcOpts = append(svcOpts, core.WithCacheBudget(*cacheBudget))
-	}
-	svc := core.NewService(svcOpts...)
-	defer svc.Close()
 
-	rw, err := parseIntList(*rankWorkers)
-	if err != nil {
-		fatal(fmt.Errorf("bad -rankworkers: %w", err))
-	}
-	if *jsonOut && (*predict || *procSweep != "" || *procs > 0 && !*cacheSweep) {
-		fatal(fmt.Errorf("-json reports single pipeline runs; drop -predict/-procsweep/-procs"))
-	}
 	if *injectFault != "" && *ckptEvery <= 0 {
 		fatal(fmt.Errorf("-inject-fault needs -checkpoint-every: without epochs there is nothing to resume from"))
 	}
-	if *ckptEvery > 0 && (*sweep || *formatSweep || *procSweep != "" || *procs > 0 || *predict || *jsonOut) {
-		fatal(fmt.Errorf("-checkpoint-every reports single pipeline runs; drop -sweep/-formatsweep/-procsweep/-procs/-predict/-json"))
+	if *ckptEvery > 0 && (*cacheSweep || *jsonOut) {
+		fatal(fmt.Errorf("-checkpoint-every reports single pipeline runs; drop -cachesweep/-json"))
 	}
 	if *cpuProfile != "" || *memProfile != "" {
 		// The profile brackets the plain pipeline run(s) at the end of
 		// main; the other modes interleave set-up with what they measure,
 		// and a socket run's ranks are other processes.
-		if *predict || *cacheSweep || *formatSweep || *procSweep != "" || *procs > 0 || *sweep || *ckptEvery > 0 {
-			fatal(fmt.Errorf("-cpuprofile/-memprofile profile plain pipeline runs; drop -predict/-cachesweep/-formatsweep/-procsweep/-procs/-sweep/-checkpoint-every"))
+		if *cacheSweep || *ckptEvery > 0 {
+			fatal(fmt.Errorf("-cpuprofile/-memprofile profile plain pipeline runs; drop -cachesweep/-checkpoint-every"))
 		}
 		if *distMode == "socket" {
 			fatal(fmt.Errorf("-cpuprofile/-memprofile see only this process, and -distmode socket runs the ranks in others; use sim or goroutine"))
 		}
-	}
-	if *predict {
-		printPredictions(*scale, *output)
-		return
-	}
-	if *cacheSweep {
-		if *sweep || *formatSweep || *procSweep != "" || *ckptEvery > 0 {
-			fatal(fmt.Errorf("-cachesweep is its own mode; drop -sweep/-formatsweep/-procsweep/-checkpoint-every"))
-		}
-		ranks := *workers // the dist variants' rank count is Config.Workers
-		if *procs > 0 {
-			ranks = *procs
-		}
-		// A bare -cachesweep ablates every variant; an explicit -variant
-		// narrows it.
-		variants := core.Variants()
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "variant" {
-				variants = variantList(*variant)
-			}
-		})
-		if err := runCacheSweep(ctx, *scale, *edgeFactor, *seed, *nfiles, variants, *cacheBudget, ranks, *distMode, *iterations, *damping, *dangling, *output, *jsonOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *formatSweep {
-		if err := runFormatSweep(ctx, svc, *scale, *edgeFactor, *seed, *nfiles, *variant, *runEdges, *iterations, *damping, *dangling, *output); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *procSweep != "" {
-		if err := runProcSweep(ctx, svc, *scale, *edgeFactor, *seed, *procSweep, rw, *iterations, *damping, *dangling, *output); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if len(rw) != 1 {
-		fatal(fmt.Errorf("-rankworkers accepts a list only with -procsweep"))
-	}
-	if *procs > 0 {
-		if err := runDistributed(ctx, svc, *scale, *edgeFactor, *seed, *procs, rw[0], *iterations, *damping, *dangling, *distMode, *runEdges); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *distMode == "both" || *distMode == "all" {
-		// "both"/"all" are the cross-check spellings of the direct -procs
-		// runner; a pipeline run executes one variant in one mode.
-		fatal(fmt.Errorf("-distmode %s requires -procs; use -distmode sim, goroutine or socket with -variant", *distMode))
-	}
-	if *sweep {
-		if *jsonOut {
-			fatal(fmt.Errorf("-json reports single pipeline runs; drop -sweep"))
-		}
-		if err := runSweep(ctx, *minScale, *maxScale, *edgeFactor, *seed, *variant, *output, *ascii); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	cfg := core.Config{
@@ -263,7 +152,7 @@ func main() {
 		RunEdges:        *runEdges,
 		SortEndVertices: *sortEnds,
 		DistMode:        *distMode,
-		RankWorkers:     rw[0],
+		RankWorkers:     *rankWorkers,
 		PageRank: pagerank.Options{
 			Iterations: *iterations,
 			Damping:    *damping,
@@ -277,6 +166,27 @@ func main() {
 		}
 		cfg.FS = fsys
 	}
+	if *cacheSweep {
+		// A bare -cachesweep ablates every variant; an explicit -variant
+		// narrows it.
+		variants := core.Variants()
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "variant" {
+				variants = variantList(*variant)
+			}
+		})
+		if err := runCacheSweep(ctx, cfg, variants, *cacheBudget, *output, *jsonOut); err != nil {
+			fatal(err)
+		}
+		return
+	}
+
+	var svcOpts []core.ServiceOption
+	if *cacheBudget > 0 {
+		svcOpts = append(svcOpts, core.WithCacheBudget(*cacheBudget))
+	}
+	svc := core.NewService(svcOpts...)
+	defer svc.Close()
 	variants := variantList(*variant)
 	if len(variants) > 1 && (*jsonOut || *ckptEvery > 0) {
 		fatal(fmt.Errorf("-json and -checkpoint-every report one variant's run; -variant %s names %d", *variant, len(variants)))
@@ -395,22 +305,24 @@ func runVariants(ctx context.Context, cfg core.Config, variants []string, ks []c
 	return nil
 }
 
-// parseIntList parses a comma-separated list of positive integers.
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad entry %q (want positive integers)", f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "prbench:", err)
 	os.Exit(1)
+}
+
+// sameBits reports whether two rank vectors are equal bit for bit: the
+// same length and the same float64 bits at every index, so −0 and +0
+// differ.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func parseKernels(s string) ([]core.Kernel, error) {
@@ -619,59 +531,6 @@ func printResult(res *core.Result, format string) {
 	}
 }
 
-func runSweep(ctx context.Context, minScale, maxScale, edgeFactor int, seed uint64, variant, format string, ascii bool) error {
-	if minScale > maxScale {
-		return fmt.Errorf("minscale %d > maxscale %d", minScale, maxScale)
-	}
-	// The figure sweep measures kernel 0 per variant, so its service
-	// runs with the generator cache disabled: a cached edge list would
-	// turn the reported K0 edges/second into a cache fetch.
-	svc := core.NewService(core.WithCacheBudget(0), core.WithMaxConcurrent(1))
-	defer svc.Close()
-	variants := variantList(variant)
-	figures := [4]*results.Figure{}
-	titles := [4]string{
-		"Figure 4. Kernel 0 (generate) measurements",
-		"Figure 5. Kernel 1 (sort) measurements",
-		"Figure 6. Kernel 2 (filter) measurements",
-		"Figure 7. Kernel 3 (PageRank) measurements",
-	}
-	for i := range figures {
-		figures[i] = &results.Figure{Title: titles[i], XLabel: "number of edges", YLabel: "edges per second"}
-	}
-	for _, v := range variants {
-		series := [4]results.Series{}
-		for k := range series {
-			series[k].Label = v
-		}
-		for s := minScale; s <= maxScale; s++ {
-			cfg := core.Config{Scale: s, EdgeFactor: edgeFactor, Seed: seed, Variant: v}
-			res, err := svc.Run(ctx, cfg)
-			if err != nil {
-				return fmt.Errorf("scale %d variant %s: %w", s, v, err)
-			}
-			m := float64(cfg.M())
-			for k, kr := range res.Kernels {
-				series[k].X = append(series[k].X, m)
-				series[k].Y = append(series[k].Y, kr.EdgesPerSecond)
-			}
-			fmt.Fprintf(os.Stderr, "done scale=%d variant=%s\n", s, v)
-		}
-		for k := range figures {
-			figures[k].Add(series[k])
-		}
-	}
-	for _, f := range figures {
-		fmt.Println(f.Title)
-		fmt.Print(f.CSV())
-		if ascii {
-			fmt.Print(f.ASCII(64, 16))
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
 // jsonCacheSweepRow is one variant's cold/warm measurement in the
 // -cachesweep -json report.  WarmCache is absent for variants that opt
 // out of every cache stage (parallel) — their warm run recomputes all
@@ -705,7 +564,8 @@ type jsonCacheSweep struct {
 // warm run's per-stage hit/miss counters and the cache's resident
 // footprint.  The warm ranks are cross-checked bit for bit against the
 // cold run's: the cache trades time, never output.
-func runCacheSweep(ctx context.Context, scale, edgeFactor int, seed uint64, nfiles int, variants []string, budget int64, workers int, distMode string, iterations int, damping float64, dangling bool, output string, jsonOut bool) error {
+func runCacheSweep(ctx context.Context, cfg core.Config, variants []string, budget int64, output string, jsonOut bool) error {
+	cfg.KeepRank = true
 	rows := make([]jsonCacheSweepRow, 0, len(variants))
 	for _, v := range variants {
 		opts := []core.ServiceOption{core.WithMaxConcurrent(1)}
@@ -713,11 +573,7 @@ func runCacheSweep(ctx context.Context, scale, edgeFactor int, seed uint64, nfil
 			opts = append(opts, core.WithCacheBudget(budget))
 		}
 		svc := core.NewService(opts...)
-		cfg := core.Config{
-			Scale: scale, EdgeFactor: edgeFactor, Seed: seed, NFiles: nfiles,
-			Variant: v, Workers: workers, DistMode: distMode, KeepRank: true,
-			PageRank: pagerank.Options{Iterations: iterations, Damping: damping, Dangling: dangling},
-		}
+		cfg.Variant = v
 		run := func(what string) (*core.Result, float64, error) {
 			start := time.Now()
 			res, err := svc.Run(ctx, cfg)
@@ -736,11 +592,9 @@ func runCacheSweep(ctx context.Context, scale, edgeFactor int, seed uint64, nfil
 			svc.Close()
 			return err
 		}
-		for i := range cold.Rank {
-			if cold.Rank[i] != warm.Rank[i] {
-				svc.Close()
-				return fmt.Errorf("%s: warm rank vector diverges from cold at %d", v, i)
-			}
+		if !sameBits(cold.Rank, warm.Rank) {
+			svc.Close()
+			return fmt.Errorf("%s: warm rank vector differs from cold", v)
 		}
 		st := svc.Stats()
 		rows = append(rows, jsonCacheSweepRow{
@@ -757,13 +611,13 @@ func runCacheSweep(ctx context.Context, scale, edgeFactor int, seed uint64, nfil
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(jsonCacheSweep{
-			Schema: "prbench/v3", Scale: scale, EdgeFactor: edgeFactor,
-			Seed: seed, Iterations: iterations, DistMode: distMode, Workers: workers,
+			Schema: "prbench/v3", Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor,
+			Seed: cfg.Seed, Iterations: cfg.PageRank.Iterations, DistMode: cfg.DistMode, Workers: cfg.Workers,
 			CacheBudget: budget, Sweep: rows,
 		})
 	}
 	t := results.NewTable(
-		fmt.Sprintf("Staged-cache cold/warm ablation: scale %d, %d iterations", scale, iterations),
+		fmt.Sprintf("Staged-cache cold/warm ablation: scale %d, %d iterations", cfg.Scale, cfg.PageRank.Iterations),
 		"variant", "cold s", "warm s", "speedup", "edges h/m", "sorted h/m", "matrix h/m", "cache MB")
 	for _, r := range rows {
 		eh, sh, mh := "-", "-", "-"
@@ -780,70 +634,6 @@ func runCacheSweep(ctx context.Context, scale, edgeFactor int, seed uint64, nfil
 	}
 	emit(t, output)
 	fmt.Println("cross-check: warm rank vectors bit-for-bit identical to cold")
-	return nil
-}
-
-// runFormatSweep is the edge-file format ablation: it runs the full
-// pipeline once per codec on the same graph, tabulates kernel-1
-// edges/second next to the encoded kernel-0 footprint and the spill
-// record, and asserts the final rank vector is bit-for-bit identical
-// across formats — the codecs are transport, never semantics.
-func runFormatSweep(ctx context.Context, svc *core.Service, scale, edgeFactor int, seed uint64, nfiles int, variant string, runEdges, iterations int, damping float64, dangling bool, output string) error {
-	if variant == "all" {
-		return fmt.Errorf("-formatsweep ablates one variant; pick one")
-	}
-	formats := []string{"tsv", "bin", "packed"}
-	t := results.NewTable(
-		fmt.Sprintf("Kernel-1 edge-file format ablation: scale %d, variant %s", scale, variant),
-		"format", "K1 seconds", "K1 edges/s", "k0 bytes/edge", "spill codec", "spill B/edge")
-	var baseRank []float64
-	m := float64(uint64(edgeFactor) << uint(scale))
-	for _, f := range formats {
-		cfg := core.Config{
-			Scale: scale, EdgeFactor: edgeFactor, Seed: seed, NFiles: nfiles,
-			Variant: variant, Format: f, RunEdges: runEdges, KeepRank: true,
-			PageRank: pagerank.Options{Iterations: iterations, Damping: damping, Dangling: dangling},
-		}
-		res, err := svc.Run(ctx, cfg)
-		if err != nil {
-			return fmt.Errorf("format %s: %w", f, err)
-		}
-		var k1 core.KernelResult
-		for _, k := range res.Kernels {
-			if k.Kernel == core.K1Sort {
-				k1 = k
-			}
-		}
-		codec, err := fastio.CodecByName(f)
-		if err != nil {
-			return err
-		}
-		k0Bytes, err := fastio.StripedBytes(res.Config.FS, "k0", codec)
-		if err != nil {
-			return fmt.Errorf("format %s: sizing k0 files: %w", f, err)
-		}
-		spillCodec, spillPerEdge := "-", "-"
-		if res.Spill != nil && res.Spill.BytesWritten > 0 {
-			spillCodec = res.Spill.Codec
-			spillPerEdge = fmt.Sprintf("%.2f", float64(res.Spill.BytesWritten)/m)
-		}
-		t.AddRow(f,
-			fmt.Sprintf("%.4f", k1.Seconds),
-			fmt.Sprintf("%.4g", k1.EdgesPerSecond),
-			fmt.Sprintf("%.2f", float64(k0Bytes)/m),
-			spillCodec, spillPerEdge)
-		if baseRank == nil {
-			baseRank = res.Rank
-		} else {
-			for i := range baseRank {
-				if baseRank[i] != res.Rank[i] {
-					return fmt.Errorf("format %s: rank vector diverges from %s at %d", f, formats[0], i)
-				}
-			}
-		}
-	}
-	emit(t, output)
-	fmt.Println("cross-check: final rank vectors bit-for-bit identical across formats")
 	return nil
 }
 
@@ -959,221 +749,9 @@ func runCheckpointed(ctx context.Context, svc *core.Service, cfg core.Config, ev
 	iost := meter.Stats()
 	fmt.Printf("  checkpoint storage: %d epoch(s) committed, %d bytes written, %d read back\n",
 		len(saved), iost.BytesWritten, iost.BytesRead)
-	if len(base.Rank) != len(res.Rank) {
-		return fmt.Errorf("cross-check failed: rank vector lengths differ")
-	}
-	for i := range base.Rank {
-		if base.Rank[i] != res.Rank[i] {
-			return fmt.Errorf("cross-check failed: rank vectors differ at %d after recovery", i)
-		}
+	if !sameBits(base.Rank, res.Rank) {
+		return fmt.Errorf("cross-check failed: rank vectors differ after recovery")
 	}
 	fmt.Println("  cross-check:        final ranks bit-for-bit equal to the uncheckpointed run")
 	return nil
-}
-
-func runDistributed(ctx context.Context, svc *core.Service, scale, edgeFactor int, seed uint64, procs, rankWorkers, iterations int, damping float64, dangling bool, mode string, runEdges int) error {
-	l, err := svc.Edges(ctx, core.GraphKey{Scale: scale, EdgeFactor: edgeFactor, Seed: seed})
-	if err != nil {
-		return err
-	}
-	n := 1 << uint(scale)
-	opt := pagerank.Options{Iterations: iterations, Damping: damping, Dangling: dangling, Seed: seed}
-	modes := []dist.ExecMode{}
-	switch mode {
-	case "both":
-		modes = append(modes, dist.ExecSim, dist.ExecGoroutine)
-	case "all":
-		modes = append(modes, dist.ExecSim, dist.ExecGoroutine, dist.ExecSocket)
-	default:
-		m, err := dist.ParseExecMode(mode)
-		if err != nil {
-			return err
-		}
-		modes = append(modes, m)
-	}
-	if runEdges > 0 {
-		if err := runExternalSort(ctx, l, procs, runEdges, modes); err != nil {
-			return err
-		}
-	}
-	var first *dist.Result
-	for _, m := range modes {
-		out, err := dist.Execute(ctx, dist.Spec{
-			Config: dist.Config{Mode: m, Workers: rankWorkers},
-			Op:     dist.OpRun, Edges: l, N: n, Procs: procs, PageRank: opt,
-		})
-		if err != nil {
-			return err
-		}
-		res := out.Run
-		fmt.Printf("distributed pipeline (%v): scale %d, %d ranks × %d workers\n", m, scale, procs, rankWorkers)
-		fmt.Printf("  filtered nonzeros:  %d\n", res.NNZ)
-		fmt.Printf("  all-reduce calls:   %d (%.3g MB)\n", res.Comm.AllReduceCalls, float64(res.Comm.AllReduceBytes)/1e6)
-		fmt.Printf("  broadcast calls:    %d (%.3g MB)\n", res.Comm.BroadcastCalls, float64(res.Comm.BroadcastBytes)/1e6)
-		predicted := dist.PredictedCommBytes(n, procs, res.Iterations, dangling)
-		fmt.Printf("  predicted comm:     %.3g MB\n", float64(predicted)/1e6)
-		if res.Wire != nil {
-			metered := res.Comm.AllToAllBytes + res.Comm.AllReduceBytes + res.Comm.BroadcastBytes
-			fmt.Printf("  socket wire:        %.3g MB payload over %d frames\n",
-				float64(res.Wire.DataBytes)/1e6, res.Wire.Frames)
-			if res.Wire.DataBytes != metered {
-				return fmt.Errorf("socket wire carried %d payload bytes but the collectives metered %d",
-					res.Wire.DataBytes, metered)
-			}
-			fmt.Println("  wire cross-check:   measured socket payload equals the metered comm bytes exactly")
-		}
-		if res.RankSeconds != nil {
-			slowest := 0.0
-			for _, s := range res.RankSeconds {
-				if s > slowest {
-					slowest = s
-				}
-			}
-			fmt.Printf("  slowest rank:       %.4fs (of %d concurrent ranks)\n", slowest, len(res.RankSeconds))
-		}
-		if first == nil {
-			first = res
-		} else {
-			if first.Comm != res.Comm {
-				return fmt.Errorf("mode cross-check failed: comm records differ: %+v vs %+v", first.Comm, res.Comm)
-			}
-			for i := range first.Rank {
-				if first.Rank[i] != res.Rank[i] {
-					return fmt.Errorf("mode cross-check failed: rank vectors differ at %d", i)
-				}
-			}
-			fmt.Printf("  cross-check:        %v agrees with %v bit-for-bit, bytes included\n", m, modes[0])
-		}
-	}
-	return nil
-}
-
-// runExternalSort runs the out-of-core distributed kernel 1 in each
-// requested mode, verifies the output against the serial stable radix
-// sort and the communication record against the in-memory distributed
-// sort, and reports spill statistics.
-func runExternalSort(ctx context.Context, l *edge.List, procs, runEdges int, modes []dist.ExecMode) error {
-	serial := l.Clone()
-	xsort.RadixByU(serial)
-	inMemOut, err := dist.Execute(ctx, dist.Spec{Op: dist.OpSort, Edges: l, Procs: procs})
-	if err != nil {
-		return err
-	}
-	inMem := inMemOut.Sort
-	for _, m := range modes {
-		extOut, err := dist.Execute(ctx, dist.Spec{
-			Config: dist.Config{Mode: m}, Op: dist.OpSortExternal,
-			Edges: l, Procs: procs, Ext: dist.ExtSortConfig{RunEdges: runEdges},
-		})
-		if err != nil {
-			return err
-		}
-		res := extOut.ExtSort
-		totalRuns := 0
-		for _, r := range res.RunsPerRank {
-			totalRuns += r
-		}
-		fmt.Printf("out-of-core distributed sort (%v): %d ranks, %d edges/run buffer\n", m, procs, runEdges)
-		fmt.Printf("  spilled runs:       %d (%.3g MB written, %.3g MB read back)\n",
-			totalRuns, float64(res.Spill.BytesWritten)/1e6, float64(res.Spill.BytesRead)/1e6)
-		fmt.Printf("  all-to-all bytes:   %d (in-memory sort: %d)\n", res.Comm.AllToAllBytes, inMem.Comm.AllToAllBytes)
-		if !res.Sorted.Equal(serial) {
-			return fmt.Errorf("out-of-core sort (%v) diverges from serial radix sort", m)
-		}
-		if res.Comm != inMem.Comm {
-			return fmt.Errorf("out-of-core sort (%v) comm %+v differs from in-memory %+v", m, res.Comm, inMem.Comm)
-		}
-		fmt.Println("  cross-check:        bit-for-bit equal to serial sort, bytes equal to in-memory sort")
-	}
-	return nil
-}
-
-// runProcSweep runs the goroutine-rank pipeline at each requested rank
-// count crossed with each hybrid intra-rank worker count, tabulating
-// wall-clock scaling next to the hardware model's predicted speedup and
-// asserting the byte identity at every (p, w) — the Workers axis must
-// change wall clock only, never a byte.  Every cell draws the input from
-// the service's generator cache, so the Kronecker graph is generated
-// once per sweep, not once per cell; the table footer reports the cache
-// counters as proof.
-func runProcSweep(ctx context.Context, svc *core.Service, scale, edgeFactor int, seed uint64, sweep string, workerCounts []int, iterations int, damping float64, dangling bool, format string) error {
-	ps, err := parseIntList(sweep)
-	if err != nil {
-		return fmt.Errorf("bad -procsweep: %w", err)
-	}
-	key := core.GraphKey{Scale: scale, EdgeFactor: edgeFactor, Seed: seed}
-	n := 1 << uint(scale)
-	h := perfmodel.PaperNode()
-	t := results.NewTable(
-		fmt.Sprintf("Goroutine-rank scaling: scale %d, %d iterations", scale, iterations),
-		"ranks", "workers", "slowest rank s", "speedup", "model speedup", "imbalance", "comm MB", "bytes=model")
-	base, modelBase := 0.0, 0.0
-	for _, p := range ps {
-		for _, rw := range workerCounts {
-			l, err := svc.Edges(ctx, key) // one generation, then cache hits
-			if err != nil {
-				return err
-			}
-			opt := pagerank.Options{Iterations: iterations, Damping: damping, Dangling: dangling, Seed: seed}
-			out, err := dist.Execute(ctx, dist.Spec{
-				Config: dist.Config{Mode: dist.ExecGoroutine, Workers: rw},
-				Op:     dist.OpRun, Edges: l, N: n, Procs: p, PageRank: opt,
-			})
-			if err != nil {
-				return err
-			}
-			res := out.Run
-			w := perfmodel.Workload{Scale: scale, EdgeFactor: edgeFactor, Iterations: iterations, RankWorkers: rw}
-			cmp, err := perfmodel.CompareRankElapsed(h, w, res.RankSeconds)
-			if err != nil {
-				return err
-			}
-			if base == 0 {
-				base = cmp.MeasuredSeconds
-				modelBase = perfmodel.ParallelKernel3(h, w, p).EdgesPerSecond
-			}
-			measured := res.Comm.AllReduceBytes + res.Comm.BroadcastBytes
-			exact := measured == dist.PredictedCommBytes(n, p, res.Iterations, dangling)
-			t.AddRow(fmt.Sprintf("%d", p),
-				fmt.Sprintf("%d", rw),
-				fmt.Sprintf("%.4f", cmp.MeasuredSeconds),
-				fmt.Sprintf("%.2f", base/cmp.MeasuredSeconds),
-				fmt.Sprintf("%.2f", perfmodel.ParallelKernel3(h, w, p).EdgesPerSecond/modelBase),
-				fmt.Sprintf("%.2f", cmp.Imbalance),
-				fmt.Sprintf("%.3g", float64(measured)/1e6),
-				fmt.Sprintf("%v", exact))
-			if !exact {
-				return fmt.Errorf("p=%d w=%d: measured channel bytes diverge from PredictedCommBytes", p, rw)
-			}
-		}
-	}
-	emit(t, format)
-	st := svc.Stats()
-	fmt.Printf("generator cache: %d hits, %d misses — the sweep's graph was generated once, not once per cell\n",
-		st.CacheEdges.Hits, st.CacheEdges.Misses)
-	return nil
-}
-
-func printPredictions(scale int, format string) {
-	h := perfmodel.PaperNode()
-	w := perfmodel.Workload{Scale: scale}
-	preds := perfmodel.All(h, w)
-	t := results.NewTable(
-		fmt.Sprintf("Hardware-model predictions (%s, scale %d)", h.Name, scale),
-		"kernel", "predicted seconds", "predicted edges/s", "bound")
-	for i, p := range preds {
-		t.AddRow(fmt.Sprintf("kernel%d", i),
-			fmt.Sprintf("%.3f", p.Seconds),
-			fmt.Sprintf("%.3g", p.EdgesPerSecond),
-			p.Bound)
-	}
-	emit(t, format)
-	pt := results.NewTable("Parallel kernel-3 model", "processors", "speedup", "bound")
-	for _, p := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		pred := perfmodel.ParallelKernel3(h, w, p)
-		pt.AddRow(fmt.Sprintf("%d", p),
-			fmt.Sprintf("%.2f", perfmodel.Speedup(h, w, p)),
-			pred.Bound)
-	}
-	emit(pt, format)
 }

@@ -1,6 +1,12 @@
 package main
 
 import (
+	"flag"
+	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -29,18 +35,6 @@ func TestParseKernels(t *testing.T) {
 	}
 }
 
-func TestParseIntList(t *testing.T) {
-	got, err := parseIntList("1,2, 8")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 8 {
-		t.Fatalf("parseIntList(1,2, 8) = %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "0", "-1", "a", "1,,2"} {
-		if _, err := parseIntList(bad); err == nil {
-			t.Errorf("parseIntList(%q) accepted", bad)
-		}
-	}
-}
-
 func TestVariantList(t *testing.T) {
 	all := core.Variants()
 	for _, v := range []string{"all", ""} {
@@ -54,4 +48,69 @@ func TestVariantList(t *testing.T) {
 	if got := variantList("csr,extsort"); len(got) != 2 || got[1] != "extsort" {
 		t.Errorf("variantList(csr,extsort) = %v", got)
 	}
+}
+
+func TestSameBits(t *testing.T) {
+	v := []float64{0.25, 1e-300, 3}
+	flipped := []float64{0.25, math.Float64frombits(math.Float64bits(1e-300) ^ 1), 3}
+	for _, c := range []struct {
+		name string
+		a, b []float64
+		want bool
+	}{
+		{"equal", v, []float64{0.25, 1e-300, 3}, true},
+		{"both empty", nil, []float64{}, true},
+		{"first longer", append(v[:3:3], 0), v, false},
+		{"second longer", v, append(v[:3:3], 0), false},
+		{"one bit", v, flipped, false},
+		{"-0 vs +0", []float64{math.Copysign(0, -1)}, []float64{0}, false},
+	} {
+		if got := sameBits(c.a, c.b); got != c.want {
+			t.Errorf("%s: sameBits = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestDocsNameOnlyDefinedFlags: every prbench command line in the docs and
+// CI names only flags prbench defines, so a deleted flag cannot live on
+// in a doc.
+func TestDocsNameOnlyDefinedFlags(t *testing.T) {
+	uses := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "examples/README.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cmd := range docCommands(string(b), "prbench") {
+			for _, field := range strings.Fields(cmd) {
+				if !strings.HasPrefix(field, "-") {
+					continue
+				}
+				name, _, _ := strings.Cut(strings.TrimLeft(field, "-"), "=")
+				uses++
+				if flag.CommandLine.Lookup(name) == nil {
+					t.Errorf("%s: %q names -%s, which prbench does not define", doc, cmd, name)
+				}
+			}
+		}
+	}
+	if uses < 10 {
+		t.Fatalf("found only %d flags in the docs' prbench command lines; the scan is broken", uses)
+	}
+}
+
+// docCommands returns the argument lists of the commands named cmd in a
+// doc: each `go run ./cmd/<cmd> …` up to the end of its line or a shell
+// operator, and each inline code span holding a whole `<cmd> -…` command.
+func docCommands(doc, cmd string) []string {
+	var out []string
+	for _, re := range []*regexp.Regexp{
+		regexp.MustCompile(`go run \./cmd/` + cmd + `\b([^\n#>|;&` + "`" + `]*)`),
+		regexp.MustCompile("`(?:go run \\./cmd/)?" + cmd + `(\s+-[^` + "`" + `]*)` + "`"),
+	} {
+		for _, m := range re.FindAllStringSubmatch(doc, -1) {
+			out = append(out, m[1])
+		}
+	}
+	return out
 }

@@ -1,5 +1,6 @@
-// Package ckpt defines the on-storage checkpoint format shared by the
-// serial pipeline and the distributed K3 runtime (DESIGN.md §10).
+// Package ckpt defines the on-storage checkpoint format of the
+// distributed K3 runtime (DESIGN.md §10).  The serial pipeline's
+// checkpoint (pipeline.Save) is a separate format.
 //
 // A checkpoint is a sequence of *epochs*.  An epoch captures the global
 // rank vector after a fixed number of completed K3 iterations as p

@@ -1,7 +1,6 @@
 // Package core is the top-level public API of the PageRank pipeline
-// benchmark: a thin facade over the serve, pipeline, pagerank, dist and
-// perfmodel packages that exposes everything a benchmark user needs from
-// one import.
+// benchmark: a thin facade over the serve, pipeline and dist packages
+// that exposes everything a benchmark user needs from one import.
 //
 // Quick start — construct one long-lived Service and run pipelines
 // through it:
@@ -38,9 +37,6 @@ import (
 	"context"
 
 	"repro/internal/dist"
-	"repro/internal/fastio"
-	"repro/internal/pagerank"
-	"repro/internal/perfmodel"
 	"repro/internal/pipeline"
 	"repro/internal/serve"
 	"repro/internal/vfs"
@@ -65,16 +61,6 @@ const (
 	K2Filter   = pipeline.K2Filter
 	K3PageRank = pipeline.K3PageRank
 )
-
-// Generator kinds for Config.Generator.
-const (
-	GenKronecker = pipeline.GenKronecker
-	GenPPL       = pipeline.GenPPL
-	GenER        = pipeline.GenER
-)
-
-// PageRankOptions configures kernel 3.  See pagerank.Options.
-type PageRankOptions = pagerank.Options
 
 // ---------------------------------------------------------------------------
 // The Service session API (internal/serve; DESIGN.md §8)
@@ -197,17 +183,6 @@ func RunOnce(ctx context.Context, cfg Config, ks ...Kernel) (*Result, error) {
 // Variants lists the registered implementation variants.
 func Variants() []string { return pipeline.VariantNames() }
 
-// Formats lists the registered edge-file codec names accepted by
-// Config.Format ("tsv", "naivetsv", "bin", "packed").
-func Formats() []string { return fastio.CodecNames() }
-
-// DefaultFormat reports the edge-file format a variant uses when
-// Config.Format is empty (the paper-faithful text default).
-func DefaultFormat(variant string) string { return pipeline.DefaultFormat(variant) }
-
-// NewMemFS returns an in-memory storage backend for Config.FS.
-func NewMemFS() *vfs.Mem { return vfs.NewMem() }
-
 // NewDirFS returns a directory-rooted storage backend for Config.FS.
 func NewDirFS(root string) (*vfs.Dir, error) { return vfs.NewDir(root) }
 
@@ -218,25 +193,3 @@ func SizeTable(scales []int, edgeFactor, bytesPerEdge int) []pipeline.SizeRow {
 
 // PaperScales are the scales of the paper's evaluation (16–22).
 var PaperScales = pipeline.PaperScales
-
-// ExecMode selects how the distributed runtime executes its ranks: one
-// at a time (the simulation), as concurrent goroutines, or as worker
-// processes over real sockets.
-type ExecMode = dist.ExecMode
-
-// The distributed execution modes.
-const (
-	ExecSim       = dist.ExecSim
-	ExecGoroutine = dist.ExecGoroutine
-	ExecSocket    = dist.ExecSocket
-)
-
-// DistConfig is the distributed runtime's full configuration: execution
-// mode plus the hybrid intra-rank worker count.  See dist.Config.
-type DistConfig = dist.Config
-
-// PredictKernels returns the hardware-model predictions for all four
-// kernels on the paper's test platform.
-func PredictKernels(scale int) [4]perfmodel.Prediction {
-	return perfmodel.All(perfmodel.PaperNode(), perfmodel.Workload{Scale: scale})
-}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/vfs"
 )
 
 func TestRunFacade(t *testing.T) {
@@ -20,7 +22,7 @@ func TestRunFacade(t *testing.T) {
 }
 
 func TestRunKernelsFacade(t *testing.T) {
-	fs := NewMemFS()
+	fs := vfs.NewMem()
 	cfg := Config{Scale: 6, Seed: 2, FS: fs}
 	if _, err := RunOnce(context.Background(), cfg, K0Generate, K1Sort); err != nil {
 		t.Fatal(err)
@@ -42,15 +44,6 @@ func TestSizeTableFacade(t *testing.T) {
 	rows := SizeTable(PaperScales, 0, 0)
 	if len(rows) != 7 || rows[0].Scale != 16 {
 		t.Errorf("size table = %+v", rows)
-	}
-}
-
-func TestPredictKernelsFacade(t *testing.T) {
-	preds := PredictKernels(20)
-	for i, p := range preds {
-		if p.EdgesPerSecond <= 0 {
-			t.Errorf("kernel %d prediction %v", i, p)
-		}
 	}
 }
 

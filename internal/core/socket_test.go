@@ -17,6 +17,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/pagerank"
 )
 
 func socketCfg(procs int) Config {
@@ -203,7 +205,7 @@ func TestSocketServiceFailuresDiscardTheFabric(t *testing.T) {
 	svc := NewService()
 	defer svc.Close()
 	cfg := socketCfg(p)
-	cfg.PageRank = PageRankOptions{Seed: 11, Iterations: 10}
+	cfg.PageRank = pagerank.Options{Seed: 11, Iterations: 10}
 	uninterrupted, err := svc.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
