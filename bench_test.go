@@ -1,20 +1,11 @@
-// Package repro's root benchmark harness regenerates every table and
-// figure of the paper's evaluation section:
-//
-//	BenchmarkTableISLOC       — Table I,  source lines of code per variant
-//	BenchmarkTableIIRunSizes  — Table II, benchmark run sizes
-//	BenchmarkFigure4Kernel0   — Figure 4, K0 edges/s vs edges, per variant
-//	BenchmarkFigure5Kernel1   — Figure 5, K1 edges/s vs edges, per variant
-//	BenchmarkFigure6Kernel2   — Figure 6, K2 edges/s vs edges, per variant
-//	BenchmarkFigure7Kernel3   — Figure 7, K3 edges/s vs edges, per variant
-//
-// plus BenchmarkAblation* for the design alternatives the paper's §V
-// leaves open.  Every figure bench reports the paper's metric as the
-// custom unit "edges/s" (and sets bytes = edges so the standard MB/s
-// column reads as millions of edges per second).
-//
-// Scales default to 12/14/16 so `go test -bench=.` completes in minutes;
-// `prreport -minscale 16 -maxscale 22` prints the paper's full range.
+// Package repro's root benchmark harness times the design alternatives
+// the paper's §V leaves open (BenchmarkAblation*), the warm service run
+// and the kernel-3 model against measurement.  Benches report the paper's
+// metric as the custom unit "edges/s" (and set bytes = edges so the
+// standard MB/s column reads as millions of edges per second).  The
+// paper's evaluation itself — Table II and Figures 4–7 — is prreport's:
+// `go run ./cmd/prreport -minscale 16 -maxscale 22` prints the full range,
+// and `go run ./cmd/sloc` prints Table I.
 package repro
 
 import (
@@ -36,9 +27,6 @@ import (
 	"repro/internal/xrand"
 	"repro/internal/xsort"
 )
-
-// benchScales are the sweep points for the figure benchmarks.
-var benchScales = []int{12, 14, 16}
 
 func benchCfg(variant string, scale int) pipeline.Config {
 	return pipeline.Config{Scale: scale, Seed: 1, Variant: variant}
@@ -76,107 +64,11 @@ func BenchmarkTableISLOC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n = len(pipeline.VariantNames())
 	}
-	if n != 9 {
-		b.Fatalf("expected 9 variants, have %d", n)
+	if n != 8 {
+		b.Fatalf("expected 8 variants, have %d", n)
 	}
 	b.ReportMetric(float64(n), "variants")
 	// The actual table: go run ./cmd/sloc
-}
-
-// ---------------------------------------------------------------------------
-// Table II
-
-func BenchmarkTableIIRunSizes(b *testing.B) {
-	var rows []pipeline.SizeRow
-	for i := 0; i < b.N; i++ {
-		rows = pipeline.SizeTable(pipeline.PaperScales, 0, 0)
-	}
-	if len(rows) != 7 || pipeline.HumanBytes(rows[6].MemoryBytes) != "1.6GB" {
-		b.Fatal("Table II does not reproduce the paper's published values")
-	}
-	b.ReportMetric(float64(len(rows)), "rows")
-}
-
-// ---------------------------------------------------------------------------
-// Figures 4-7: per-kernel, per-variant, per-scale sweeps
-
-func BenchmarkFigure4Kernel0(b *testing.B) {
-	for _, v := range pipeline.VariantNames() {
-		for _, s := range benchScales {
-			b.Run(fmt.Sprintf("%s/scale%d", v, s), func(b *testing.B) {
-				cfg := prepare(b, benchCfg(v, s), nil)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := pipeline.ExecuteKernelsContext(context.Background(), cfg, []pipeline.Kernel{pipeline.K0Generate}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reportEdges(b, cfg.M())
-			})
-		}
-	}
-}
-
-func BenchmarkFigure5Kernel1(b *testing.B) {
-	for _, v := range pipeline.VariantNames() {
-		for _, s := range benchScales {
-			b.Run(fmt.Sprintf("%s/scale%d", v, s), func(b *testing.B) {
-				cfg := prepare(b, benchCfg(v, s), []pipeline.Kernel{pipeline.K0Generate})
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := pipeline.ExecuteKernelsContext(context.Background(), cfg, []pipeline.Kernel{pipeline.K1Sort}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reportEdges(b, cfg.M())
-			})
-		}
-	}
-}
-
-func BenchmarkFigure6Kernel2(b *testing.B) {
-	for _, v := range pipeline.VariantNames() {
-		for _, s := range benchScales {
-			b.Run(fmt.Sprintf("%s/scale%d", v, s), func(b *testing.B) {
-				cfg := prepare(b, benchCfg(v, s), []pipeline.Kernel{pipeline.K0Generate, pipeline.K1Sort})
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := pipeline.ExecuteKernelsContext(context.Background(), cfg, []pipeline.Kernel{pipeline.K2Filter}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reportEdges(b, cfg.M())
-			})
-		}
-	}
-}
-
-func BenchmarkFigure7Kernel3(b *testing.B) {
-	for _, v := range pipeline.VariantNames() {
-		for _, s := range benchScales {
-			b.Run(fmt.Sprintf("%s/scale%d", v, s), func(b *testing.B) {
-				cfg := prepare(b, benchCfg(v, s), []pipeline.Kernel{pipeline.K0Generate, pipeline.K1Sort})
-				// Kernel 3 requires kernel 2's in-memory matrix; build it
-				// once outside the timer, then time K3 alone via the
-				// variant interface.
-				variant, err := pipeline.Lookup(v)
-				if err != nil {
-					b.Fatal(err)
-				}
-				run := &pipeline.Run{Cfg: cfg, FS: cfg.FS}
-				if err := variant.Kernel2(run); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := variant.Kernel3(run); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reportEdges(b, 20*cfg.M())
-			})
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -446,8 +338,8 @@ func BenchmarkAblationHybridRankWorkers(b *testing.B) {
 // Warm Service runs against the staged artifact cache: one cold run
 // deposits the kernel-2 matrix, then every timed iteration is a pure
 // kernel-3 run served from the cache.  Compare against
-// BenchmarkFigure7Kernel3 csr/scale14 — the warm run should track it,
-// the cache fetch adding only noise.
+// BenchmarkPerfModelKernel3VsMeasured (csr, scale 14) — the warm run
+// should track it, the cache fetch adding only noise.
 func BenchmarkServiceWarmRun(b *testing.B) {
 	const scale = 14
 	svc := core.NewService(core.WithMaxConcurrent(1))

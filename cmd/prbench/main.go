@@ -20,10 +20,12 @@
 //
 // Edge-file formats and out-of-core kernel 1: -format selects the on-disk
 // codec for the kernel files (tsv is the paper-faithful default) and
-// -runedges bounds the extsort/distext run buffer; -json reports the
-// encoded file footprint and the spill record:
+// -runedges bounds extsort's run buffer, or takes the dist variants'
+// sort out of core with that per-rank buffer; -json reports the encoded
+// file footprint and the spill record:
 //
 //	prbench -scale 16 -variant extsort -format packed -runedges 65536 -json
+//	prbench -scale 14 -variant dist -workers 8 -runedges 65536
 //
 // Checkpoint/restart of the distributed kernel 3 (-checkpoint-every
 // writes an epoch to storage every N iterations), with an optional
@@ -100,7 +102,7 @@ var (
 	dangling    = flag.Bool("dangling", false, "apply the dangling-node correction in kernel 3")
 	sortEnds    = flag.Bool("sortends", false, "kernel 1 sorts by (u,v) instead of u")
 	kernels     = flag.String("kernels", "0123", "kernels to run, e.g. 01 or 23")
-	runEdges    = flag.Int("runedges", 0, "out-of-core run-buffer size in edges (extsort/distext variants)")
+	runEdges    = flag.Int("runedges", 0, "out-of-core run-buffer size in edges: extsort's (0 = M/4), or the dist variants' per rank (0 = sort in memory)")
 	distMode    = flag.String("distmode", "", "distributed execution of the dist variants: sim, goroutine or socket (empty = variant default)")
 	rankWorkers = flag.Int("rankworkers", 1, "hybrid intra-rank worker goroutines per rank (dist variants)")
 	format      = flag.String("format", "", "edge-file format: tsv, naivetsv, bin, packed (default: variant's)")

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,30 +73,44 @@ func TestSameBits(t *testing.T) {
 }
 
 // TestDocsNameOnlyDefinedFlags: every prbench command line in the docs and
-// CI names only flags prbench defines, so a deleted flag cannot live on
-// in a doc.
+// CI names only flags prbench defines, and its -variant list only
+// registered variants, so a deleted flag or variant cannot live on in a
+// doc.
 func TestDocsNameOnlyDefinedFlags(t *testing.T) {
-	uses := 0
+	uses, variants := 0, 0
 	for _, doc := range []string{"README.md", "DESIGN.md", "examples/README.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"} {
 		b, err := os.ReadFile(filepath.Join("..", "..", doc))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, cmd := range docCommands(string(b), "prbench") {
-			for _, field := range strings.Fields(cmd) {
+			fields := strings.Fields(cmd)
+			for i, field := range fields {
 				if !strings.HasPrefix(field, "-") {
 					continue
 				}
-				name, _, _ := strings.Cut(strings.TrimLeft(field, "-"), "=")
+				name, value, hasValue := strings.Cut(strings.TrimLeft(field, "-"), "=")
 				uses++
 				if flag.CommandLine.Lookup(name) == nil {
 					t.Errorf("%s: %q names -%s, which prbench does not define", doc, cmd, name)
 				}
+				if name != "variant" {
+					continue
+				}
+				if !hasValue && i+1 < len(fields) {
+					value = fields[i+1]
+				}
+				for _, v := range strings.Split(value, ",") {
+					variants++
+					if v != "all" && !slices.Contains(core.Variants(), v) {
+						t.Errorf("%s: %q names variant %q, which is not registered (have %v)", doc, cmd, v, core.Variants())
+					}
+				}
 			}
 		}
 	}
-	if uses < 10 {
-		t.Fatalf("found only %d flags in the docs' prbench command lines; the scan is broken", uses)
+	if uses < 10 || variants < 5 {
+		t.Fatalf("found only %d flags and %d variants in the docs' prbench command lines; the scan is broken", uses, variants)
 	}
 }
 

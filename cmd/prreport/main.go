@@ -221,13 +221,13 @@ func outOfCore(l *edge.List, procs int) {
 	runEdges := l.Len()/(3*procs) + 1 // force ~3 spilled runs per rank
 	for _, mode := range modes {
 		out, err := dist.Execute(context.Background(), dist.Spec{
-			Config: dist.Config{Mode: mode}, Op: dist.OpSortExternal,
+			Config: dist.Config{Mode: mode}, Op: dist.OpSort,
 			Edges: l, Procs: procs, Ext: dist.ExtSortConfig{RunEdges: runEdges},
 		})
 		if err != nil {
 			fatal(fmt.Errorf("%v: %w", mode, err))
 		}
-		res := out.ExtSort
+		res := out.Sort
 		if !res.Sorted.Equal(serial) {
 			fatal(fmt.Errorf("out-of-core sort (%v) diverges from the serial radix sort", mode))
 		}

@@ -1,22 +1,24 @@
 // Checkpointrestart: the paper's Figure 2 lists create / stop / checkpoint
 // / restart among the administrative operations big-data systems must
-// support.  This example runs kernels 0-2, starts the 20-iteration
-// PageRank, stops it after 7 iterations, checkpoints the state to disk,
-// "restarts the system" (reloads everything from storage), resumes the
-// remaining 13 iterations, and proves the result is bit-identical to an
-// uninterrupted run.
+// support.  This example runs the distributed pipeline through a Service
+// that checkpoints kernel 3 to a directory every 7 iterations, stops the
+// 20-iteration PageRank with a rank failure right after the epoch at
+// iteration 7 is committed, then "restarts the system": a fresh Service on
+// the same directory resumes the run under the same key from that epoch,
+// and the result is checked bit for bit against an uninterrupted run.
 //
 //	go run ./examples/checkpointrestart
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
-	"repro/internal/pagerank"
-	"repro/internal/pipeline"
-	"repro/internal/vfs"
+	"repro/internal/core"
 )
 
 func main() {
@@ -25,84 +27,55 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	fsys, err := vfs.NewDir(dir)
+	store, err := core.NewDirFS(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
+	cfg := core.Config{Scale: 12, Seed: 4, Variant: "dist", KeepRank: true,
+		Checkpoint: core.CheckpointSpec{Every: 7}}
 
-	// Kernels 0-2 produce the matrix.
-	cfg := pipeline.Config{Scale: 12, Seed: 4, Variant: "csr", FS: fsys}
-	variant, err := pipeline.Lookup("csr")
-	if err != nil {
-		log.Fatal(err)
-	}
-	run := &pipeline.Run{Cfg: mustDefaults(cfg), FS: fsys}
-	for _, step := range []func(*pipeline.Run) error{variant.Kernel0, variant.Kernel1, variant.Kernel2} {
-		if err := step(run); err != nil {
-			log.Fatal(err)
+	// First process: rank 1 fails at the boundary after iteration 7, once
+	// that epoch is on disk.
+	stopped := cfg
+	stopped.Fault = &core.FaultPlan{KillRank: 1, AtIteration: 7}
+	svc := core.NewService(core.WithCheckpointStorage(store))
+	_, err = svc.Run(ctx, stopped, core.WithResumeKey("run42"), core.WithProgress(func(ev core.PipelineEvent) {
+		if ev.Kind == core.EventPipelineCheckpointSaved {
+			fmt.Printf("epoch committed after iteration %d\n", ev.Iteration)
 		}
+	}))
+	svc.Close()
+	if !errors.Is(err, core.ErrFaultInjected) {
+		log.Fatalf("stopped run: err = %v, want the injected failure", err)
 	}
-	fmt.Printf("kernels 0-2 complete: %d nonzeros in the filtered matrix\n", run.Matrix.NNZ())
+	fmt.Println("run stopped by the injected rank failure")
 
-	// Start kernel 3, stop after 7 of 20 iterations.
-	const stopAt, total = 7, 20
-	partial, err := pagerank.Gather(run.Matrix, pagerank.Options{Seed: 4, Iterations: stopAt})
+	// "Restart": a fresh Service on the same directory continues the key.
+	svc = core.NewService(core.WithCheckpointStorage(store))
+	defer svc.Close()
+	resumed, err := svc.Run(ctx, cfg, core.WithResumeKey("run42"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	cp := &pipeline.Checkpoint{
-		Matrix:              run.Matrix,
-		Rank:                partial.Rank,
-		CompletedIterations: stopAt,
-		Damping:             pagerank.DefaultDamping,
+	if ck := resumed.Checkpoint; ck == nil || !ck.Resumed || ck.ResumedFrom != 7 {
+		log.Fatalf("restarted run did not resume from the epoch at 7: %+v", ck)
 	}
-	if err := pipeline.Save(fsys, "checkpoints/run42", cp); err != nil {
-		log.Fatal(err)
-	}
-	sz, _ := fsys.Size("checkpoints/run42.matrix")
-	fmt.Printf("stopped after %d iterations; checkpoint written (%d-byte matrix file)\n", stopAt, sz)
+	fmt.Printf("fresh service resumed from the epoch at %d and ran to %d iterations\n",
+		resumed.Checkpoint.ResumedFrom, resumed.RankIterations)
 
-	// "Restart": load from storage and resume.
-	loaded, err := pipeline.Load(fsys, "checkpoints/run42")
+	// Ground truth: an uninterrupted run, no checkpoints.
+	full, err := core.RunOnce(ctx, core.Config{Scale: 12, Seed: 4, Variant: "dist", KeepRank: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	resumed, err := pipeline.Resume(loaded, total, pagerank.Options{Seed: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("resumed to %d total iterations\n", resumed.Iterations)
-
-	// Ground truth: uninterrupted run.
-	full, err := pagerank.Gather(run.Matrix, pagerank.Options{Seed: 4, Iterations: total})
-	if err != nil {
-		log.Fatal(err)
+	if len(full.Rank) != len(resumed.Rank) {
+		log.Fatalf("rank lengths %d vs %d", len(resumed.Rank), len(full.Rank))
 	}
 	for i := range full.Rank {
-		if full.Rank[i] != resumed.Rank[i] {
+		if math.Float64bits(full.Rank[i]) != math.Float64bits(resumed.Rank[i]) {
 			log.Fatalf("resumed run diverged at vertex %d: %v vs %v", i, resumed.Rank[i], full.Rank[i])
 		}
 	}
-	fmt.Println("resumed result is bit-identical to the uninterrupted 20-iteration run.")
-}
-
-// mustDefaults applies the config defaults (validation already done by the
-// caller's construction).
-func mustDefaults(cfg pipeline.Config) pipeline.Config {
-	if err := cfg.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	// Validate fills nothing; Run/ExecuteKernels normally default the
-	// config.  For direct variant driving we only need FS and the sizes,
-	// which are already set; Variant/NFiles defaults:
-	if cfg.NFiles == 0 {
-		cfg.NFiles = 1
-	}
-	if cfg.EdgeFactor == 0 {
-		cfg.EdgeFactor = 16
-	}
-	if cfg.Generator == "" {
-		cfg.Generator = pipeline.GenKronecker
-	}
-	return cfg
+	fmt.Println("resumed rank vector is bit-identical to the uninterrupted 20-iteration run.")
 }

@@ -3,10 +3,10 @@
 //
 // Four scenes:
 //
-//  1. Fan-in: eight concurrent runs of the same graph through different
+//  1. Fan-in: seven concurrent runs of the same graph through different
 //     variants.  The service's staged artifact cache singleflights the
-//     shared kernel-2 matrix: one run computes it, the other seven join
-//     the in-flight fill (1 miss, 7 hits) while the admission queue
+//     shared kernel-2 matrix: one run computes it, the other six join
+//     the in-flight fill (1 miss, 6 hits) while the admission queue
 //     caps how many execute at a time.
 //
 //  2. Warm run: the same configuration again is served straight from
@@ -40,13 +40,13 @@ func main() {
 	svc := core.NewService(core.WithMaxConcurrent(4))
 	defer svc.Close()
 
-	// --- Scene 1: eight concurrent runs, one computed matrix. ---------
+	// --- Scene 1: seven concurrent runs, one computed matrix. ---------
 	// ("parallel" is absent by design: it generates with per-worker jump
 	// streams — a different edge multiset per worker count — so it opts
 	// out of every cache stage.  extsort streams kernel 0 in bounded
 	// memory, skipping the list stages, but shares the canonical
 	// kernel-2 matrix like everyone else.)
-	variants := []string{"csr", "coo", "columnar", "distext", "graphblas", "dist", "distgo", "extsort"}
+	variants := []string{"csr", "coo", "columnar", "graphblas", "dist", "distgo", "extsort"}
 	results := make([]*core.Result, len(variants))
 	var wg sync.WaitGroup
 	for i, v := range variants {

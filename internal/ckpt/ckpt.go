@@ -1,6 +1,6 @@
-// Package ckpt defines the on-storage checkpoint format of the
-// distributed K3 runtime (DESIGN.md §10).  The serial pipeline's
-// checkpoint (pipeline.Save) is a separate format.
+// Package ckpt defines the repository's one on-storage checkpoint format:
+// the epochs of the distributed K3 runtime (DESIGN.md §10), which every
+// checkpointed or resume-keyed run writes.
 //
 // A checkpoint is a sequence of *epochs*.  An epoch captures the global
 // rank vector after a fixed number of completed K3 iterations as p

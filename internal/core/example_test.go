@@ -69,8 +69,9 @@ func ExampleSizeTable() {
 }
 
 // ExampleVariants lists the implementation variants: the six serial
-// analogues of the paper's language implementations plus the three
-// distributed regimes (simulated, goroutine ranks, out-of-core).
+// analogues of the paper's language implementations plus the
+// distributed pipeline under its two default execution modes (simulated
+// and goroutine ranks; Config.RunEdges takes either out of core).
 func ExampleVariants() {
 	for _, v := range core.Variants() {
 		fmt.Println(v)
@@ -80,7 +81,6 @@ func ExampleVariants() {
 	// coo
 	// csr
 	// dist
-	// distext
 	// distgo
 	// extsort
 	// graphblas

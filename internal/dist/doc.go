@@ -40,11 +40,11 @@
 // output, and kernel 3 matches the serial engines to ~1e-12 (floating-
 // point sums re-associate across rank boundaries, the only deviation).
 //
-// Kernel 1 additionally has an out-of-core regime (OpSortExternal;
-// DESIGN.md §6) for the paper's "edge vectors exceed
-// RAM" case: each rank spills bounded sorted runs to a vfs.FS, the runs
-// are routed through the same metered all-to-all as sorted segments, and
-// per-bucket k-way merges reproduce the serial sort bit for bit for every
-// p and every run-buffer size, with the storage round trip metered
-// separately in ExtSortResult.Spill.
+// Kernel 1 goes out of core (OpSort with Spec.Ext.RunEdges > 0; DESIGN.md
+// §6) for the paper's "edge vectors exceed RAM" case: each rank spills
+// bounded sorted runs to a vfs.FS, the runs are routed through the same
+// metered all-to-all as sorted segments, and per-bucket k-way merges
+// reproduce the serial sort bit for bit for every p and every run-buffer
+// size, with the storage round trip metered separately in
+// SortResult.Spill.
 package dist

@@ -2,9 +2,10 @@ package dist
 
 // Execute is the distributed runtime's single entry point: every program
 // the package runs — the kernel-2/3 pipeline, kernel 3 alone, kernel 2
-// alone, and the two kernel-1 sorts — is one Op of one Spec, executed in
-// any mode under one context: validate the Spec, launch its ranks
-// (in-process or over sockets), assemble the Op's result.
+// alone, and the kernel-1 sort in or out of core — is one Op of one
+// Spec, executed in any mode under one context: validate the Spec,
+// launch its ranks (in-process or over sockets), assemble the Op's
+// result.
 
 import (
 	"context"
@@ -30,12 +31,9 @@ const (
 	// OpBuildFiltered is the kernel 2 alone: build, filter and assemble
 	// the global matrix (fills Outcome.Build).
 	OpBuildFiltered
-	// OpSort is the in-memory distributed sample sort, kernel 1 (fills
-	// Outcome.Sort).
+	// OpSort is the distributed sample sort, kernel 1: in memory, or out
+	// of core when Spec.Ext.RunEdges > 0 (fills Outcome.Sort).
 	OpSort
-	// OpSortExternal is the out-of-core distributed sample sort, kernel 1
-	// beyond RAM (fills Outcome.ExtSort).
-	OpSortExternal
 )
 
 // String implements fmt.Stringer.
@@ -49,8 +47,6 @@ func (o Op) String() string {
 		return "build-filtered"
 	case OpSort:
 		return "sort"
-	case OpSortExternal:
-		return "sort-external"
 	default:
 		return fmt.Sprintf("op?(%d)", int(o))
 	}
@@ -64,9 +60,9 @@ type Spec struct {
 	// Config is the runtime configuration: execution mode plus hybrid
 	// intra-rank workers.  Results are bit-for-bit invariant in both.
 	// Mode applies to every op; Workers parallelizes the kernel-3 block
-	// product (OpRun, OpRunMatrix) and the kernel-1 bucket partitioning
-	// (OpSort) — OpBuildFiltered and OpSortExternal have no intra-rank
-	// worker stage and ignore it.
+	// product (OpRun, OpRunMatrix) and the in-memory kernel-1 bucket
+	// partitioning (OpSort) — OpBuildFiltered and the out-of-core sort
+	// have no intra-rank worker stage and ignore it.
 	Config
 	// Op selects the program.
 	Op Op
@@ -82,7 +78,7 @@ type Spec struct {
 	Matrix *sparse.CSR
 	// PageRank carries the kernel-3 options (OpRun and OpRunMatrix).
 	PageRank pagerank.Options
-	// Ext carries the out-of-core sort's knobs (OpSortExternal).
+	// Ext carries OpSort's out-of-core knobs; Ext.RunEdges > 0 spills.
 	Ext ExtSortConfig
 	// Checkpoint configures epoch checkpoint/restart of the kernel-3
 	// iteration (OpRun and OpRunMatrix; see CheckpointSpec).  The zero
@@ -118,8 +114,6 @@ type Outcome struct {
 	Build *BuildResult
 	// Sort is OpSort's result.
 	Sort *SortResult
-	// ExtSort is OpSortExternal's result.
-	ExtSort *ExtSortResult
 }
 
 // specN resolves the global vertex count of a kernel-3 spec: the
@@ -145,7 +139,7 @@ func validate(spec *Spec) error {
 	}
 	kernel3 := spec.Op == OpRun || spec.Op == OpRunMatrix
 	switch spec.Op {
-	case OpRun, OpBuildFiltered, OpSort, OpSortExternal:
+	case OpRun, OpBuildFiltered, OpSort:
 		if spec.Edges == nil {
 			return fmt.Errorf("dist: %v of nil edge list", spec.Op)
 		}
@@ -165,6 +159,9 @@ func validate(spec *Spec) error {
 	}
 	if spec.Procs < 1 {
 		return fmt.Errorf("dist: %v with p = %d, want >= 1", spec.Op, spec.Procs)
+	}
+	if spec.Ext.RunEdges < 0 {
+		return fmt.Errorf("dist: %v with Ext.RunEdges = %d, want >= 0", spec.Op, spec.Ext.RunEdges)
 	}
 	if spec.Op == OpRun || spec.Op == OpBuildFiltered {
 		if spec.N < 1 {
@@ -223,17 +220,20 @@ func Execute(ctx context.Context, spec Spec) (*Outcome, error) {
 	if err := validate(&spec); err != nil {
 		return nil, err
 	}
-	// Inputs no rank needs to see: one processor or no edges sort without
-	// communicating, and an empty out-of-core sort spills nothing.
-	switch {
-	case spec.Op == OpSort && (spec.Procs == 1 || spec.Edges.Len() == 0):
-		out := spec.Edges.Clone()
-		xsort.RadixByU(out)
-		return &Outcome{Sort: &SortResult{Sorted: out}}, nil
-	case spec.Op == OpSortExternal && spec.Edges.Len() == 0:
-		return &Outcome{ExtSort: &ExtSortResult{Sorted: edge.NewList(0), RunsPerRank: make([]int, spec.Procs)}}, nil
-	case spec.Op == OpSortExternal:
-		spec.Ext = spec.Ext.withDefaults()
+	// Inputs no rank needs to see: one processor or no edges sort in
+	// memory without communicating, and an empty out-of-core sort spills
+	// nothing.  One processor out of core still spills.
+	if spec.Op == OpSort {
+		switch ext := spec.Ext.outOfCore(); {
+		case ext && spec.Edges.Len() == 0:
+			return &Outcome{Sort: &SortResult{Sorted: edge.NewList(0), RunsPerRank: make([]int, spec.Procs)}}, nil
+		case ext:
+			spec.Ext = spec.Ext.withDefaults()
+		case spec.Procs == 1 || spec.Edges.Len() == 0:
+			out := spec.Edges.Clone()
+			xsort.RadixByU(out)
+			return &Outcome{Sort: &SortResult{Sorted: out}}, nil
+		}
 	}
 	ck, done, err := prepareCheckpoint(&spec, specN(spec))
 	if err != nil {
@@ -286,23 +286,19 @@ func assembleOutcome(spec Spec, ck *ckptRun, j *joined) (*Outcome, error) {
 			Matrix: assemble(states, spec.N), Mass: first.mass, NNZ: first.nnz, Comm: j.comm, Wire: j.wire,
 		}}, nil
 	}
-	sorted := edge.NewList(spec.Edges.Len())
+	res := &SortResult{Sorted: edge.NewList(spec.Edges.Len()), Comm: j.comm, Wire: j.wire}
 	for _, o := range j.outcomes {
-		sorted.AppendList(o.edges)
+		res.Sorted.AppendList(o.edges)
 	}
-	if spec.Op == OpSort {
-		return &Outcome{Sort: &SortResult{Sorted: sorted, Comm: j.comm, Wire: j.wire}}, nil
+	if spec.Ext.outOfCore() {
+		res.RunsPerRank, res.SpillCodec = make([]int, len(j.outcomes)), spec.Ext.Codec.Name()
+		for r, o := range j.outcomes {
+			res.RunsPerRank[r] = o.runs
+			res.Spill.BytesRead += o.spill.BytesRead
+			res.Spill.BytesWritten += o.spill.BytesWritten
+			res.Spill.Opens += o.spill.Opens
+			res.Spill.Creates += o.spill.Creates
+		}
 	}
-	res := &ExtSortResult{
-		Sorted: sorted, Comm: j.comm, RunsPerRank: make([]int, len(j.outcomes)),
-		SpillCodec: spec.Ext.Codec.Name(), Wire: j.wire,
-	}
-	for r, o := range j.outcomes {
-		res.RunsPerRank[r] = o.runs
-		res.Spill.BytesRead += o.spill.BytesRead
-		res.Spill.BytesWritten += o.spill.BytesWritten
-		res.Spill.Opens += o.spill.Opens
-		res.Spill.Creates += o.spill.Creates
-	}
-	return &Outcome{ExtSort: res}, nil
+	return &Outcome{Sort: res}, nil
 }

@@ -95,12 +95,13 @@ func execSort(cfg dist.Config, l *edge.List, p int) (*dist.SortResult, error) {
 	return out.Sort, nil
 }
 
-func execSortExt(mode dist.ExecMode, l *edge.List, p int, ext dist.ExtSortConfig) (*dist.ExtSortResult, error) {
-	out, err := dist.Execute(context.Background(), dist.Spec{Config: dist.Config{Mode: mode}, Op: dist.OpSortExternal, Edges: l, Procs: p, Ext: ext})
+// execSortExt runs OpSort with ext, out of core for a positive RunEdges.
+func execSortExt(mode dist.ExecMode, l *edge.List, p int, ext dist.ExtSortConfig) (*dist.SortResult, error) {
+	out, err := dist.Execute(context.Background(), dist.Spec{Config: dist.Config{Mode: mode}, Op: dist.OpSort, Edges: l, Procs: p, Ext: ext})
 	if err != nil {
 		return nil, err
 	}
-	return out.ExtSort, nil
+	return out.Sort, nil
 }
 
 // TestExecuteCancelMidKernel3 pins prompt cancellation: a context
@@ -198,7 +199,7 @@ func TestFailedRunLeaksNoGoroutines(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			faulty := vfs.NewFaulty(vfs.NewMem(), 1024) // fail after 1 KiB of I/O
 			_, err := dist.Execute(context.Background(), dist.Spec{
-				Config: dist.Config{Mode: mode}, Op: dist.OpSortExternal,
+				Config: dist.Config{Mode: mode}, Op: dist.OpSort,
 				Edges: l, Procs: 4, Ext: dist.ExtSortConfig{FS: faulty, RunEdges: 64},
 			})
 			if err == nil {

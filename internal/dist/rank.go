@@ -97,7 +97,7 @@ type rankOutcome struct {
 	// edges is the rank's sorted bucket (sort programs only).
 	edges *edge.List
 	// runs is the rank's spilled-run count and spill its run-file traffic
-	// (out-of-core sort program only).
+	// (out-of-core sort only).
 	runs  int
 	spill vfs.IOStats
 	// err is a per-rank failure; the schedule guarantees option errors
@@ -131,8 +131,8 @@ type rankInput struct {
 	k3      *rankOperand
 	workers int
 	opt     pagerank.Options
-	// ext carries the out-of-core sort's resolved knobs; ext.FS is the
-	// store this rank spills to.
+	// ext carries the sort's out-of-core knobs, resolved when it spills;
+	// ext.FS is the store this rank spills to.
 	ext ExtSortConfig
 	ck  *ckptRun
 }
@@ -141,8 +141,9 @@ type rankInput struct {
 func runRank(ctx context.Context, c *rankComm, in *rankInput) rankOutcome {
 	switch in.op {
 	case OpSort:
-		return rankOutcome{edges: sortRank(c, in.edges, in.workers)}
-	case OpSortExternal:
+		if !in.ext.outOfCore() {
+			return rankOutcome{edges: sortRank(c, in.edges, in.workers)}
+		}
 		// Run files are rank-private, so per-rank meters sum to the
 		// sort's whole spill record.
 		fs := vfs.NewMetered(in.ext.FS)

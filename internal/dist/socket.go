@@ -113,7 +113,7 @@ func jobOf(spec Spec, ck *ckptRun) *wireJob {
 	if spec.Edges != nil {
 		job.EdgesU, job.EdgesV = spec.Edges.U, spec.Edges.V
 	}
-	if spec.Op == OpSortExternal {
+	if spec.Op == OpSort && spec.Ext.outOfCore() {
 		job.Ext = wireExt{
 			RunEdges:  spec.Ext.RunEdges,
 			TmpPrefix: spec.Ext.TmpPrefix,

@@ -28,6 +28,7 @@ import (
 	"repro/internal/dist/fabric"
 	"repro/internal/pagerank"
 	"repro/internal/vfs"
+	"repro/internal/xsort"
 )
 
 // socketSpec is a Spec with the socket mode selected and self-spawned
@@ -170,43 +171,53 @@ func TestSocketBuildFilteredMatchesOtherModes(t *testing.T) {
 }
 
 // TestSocketSortExternalMatchesOtherModes pins the out-of-core kernel 1:
-// sorted bits, CommStats, per-rank run counts and summed spill traffic
-// equal the other modes', even though each socket worker spills to its
-// own private store.
+// sorted bits equal the serial radix sort, CommStats equal the in-memory
+// sort's, and per-rank run counts and summed spill traffic equal the
+// simulation's, even though each socket worker spills to its own private
+// store — at every p and two run budgets.
 func TestSocketSortExternalMatchesOtherModes(t *testing.T) {
 	l, _ := executeGraph(t, 6)
-	ext := dist.ExtSortConfig{RunEdges: 64}
-	for _, p := range []int{1, 3, 5} {
-		want, err := dist.Execute(context.Background(), dist.Spec{
-			Op: dist.OpSortExternal, Edges: l, Procs: p, Ext: ext,
-		})
+	serial := l.Clone()
+	xsort.RadixByU(serial)
+	for _, p := range []int{1, 2, 3, 5} {
+		inMem, err := dist.Execute(context.Background(), dist.Spec{Op: dist.OpSort, Edges: l, Procs: p})
 		if err != nil {
-			t.Fatalf("p=%d sim: %v", p, err)
+			t.Fatalf("p=%d in memory: %v", p, err)
 		}
-		spec := socketSpec(dist.OpSortExternal, p)
-		spec.Edges, spec.Ext = l, ext
-		out, err := dist.Execute(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("p=%d socket: %v", p, err)
-		}
-		if !out.ExtSort.Sorted.Equal(want.ExtSort.Sorted) {
-			t.Fatalf("p=%d: socket external sort differs from the simulation", p)
-		}
-		if out.ExtSort.Comm != want.ExtSort.Comm {
-			t.Fatalf("p=%d: CommStats %+v != sim %+v", p, out.ExtSort.Comm, want.ExtSort.Comm)
-		}
-		for r := 0; r < p; r++ {
-			if out.ExtSort.RunsPerRank[r] != want.ExtSort.RunsPerRank[r] {
-				t.Fatalf("p=%d rank %d: %d runs, sim %d", p, r, out.ExtSort.RunsPerRank[r], want.ExtSort.RunsPerRank[r])
+		for _, runEdges := range []int{64, l.Len()/p + 1} {
+			ext := dist.ExtSortConfig{RunEdges: runEdges}
+			want, err := dist.Execute(context.Background(), dist.Spec{
+				Op: dist.OpSort, Edges: l, Procs: p, Ext: ext,
+			})
+			if err != nil {
+				t.Fatalf("p=%d runEdges=%d sim: %v", p, runEdges, err)
 			}
+			spec := socketSpec(dist.OpSort, p)
+			spec.Edges, spec.Ext = l, ext
+			out, err := dist.Execute(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("p=%d runEdges=%d socket: %v", p, runEdges, err)
+			}
+			got, sim := out.Sort, want.Sort
+			if !got.Sorted.Equal(serial) {
+				t.Fatalf("p=%d runEdges=%d: socket external sort differs from the serial radix sort", p, runEdges)
+			}
+			if got.Comm != inMem.Sort.Comm {
+				t.Fatalf("p=%d runEdges=%d: CommStats %+v != in-memory sort %+v", p, runEdges, got.Comm, inMem.Sort.Comm)
+			}
+			for r := 0; r < p; r++ {
+				if got.RunsPerRank[r] != sim.RunsPerRank[r] {
+					t.Fatalf("p=%d runEdges=%d rank %d: %d runs, sim %d", p, runEdges, r, got.RunsPerRank[r], sim.RunsPerRank[r])
+				}
+			}
+			if got.Spill != sim.Spill {
+				t.Fatalf("p=%d runEdges=%d: socket spill %+v != sim %+v", p, runEdges, got.Spill, sim.Spill)
+			}
+			if got.SpillCodec != sim.SpillCodec {
+				t.Fatalf("p=%d runEdges=%d: spill codec %q != %q", p, runEdges, got.SpillCodec, sim.SpillCodec)
+			}
+			checkWire(t, "ext sort", got.Wire, got.Comm)
 		}
-		if out.ExtSort.Spill != want.ExtSort.Spill {
-			t.Fatalf("p=%d: socket spill %+v != sim %+v", p, out.ExtSort.Spill, want.ExtSort.Spill)
-		}
-		if out.ExtSort.SpillCodec != want.ExtSort.SpillCodec {
-			t.Fatalf("p=%d: spill codec %q != %q", p, out.ExtSort.SpillCodec, want.ExtSort.SpillCodec)
-		}
-		checkWire(t, "ext sort", out.ExtSort.Wire, out.ExtSort.Comm)
 	}
 }
 

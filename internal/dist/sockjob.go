@@ -82,7 +82,8 @@ type wireJob struct {
 	// frames back to the coordinator.
 	ReportProgress bool
 
-	// Ext carries the out-of-core sort's knobs.
+	// Ext carries the sort's out-of-core knobs (zero for an in-memory
+	// sort).
 	Ext wireExt
 
 	// Ckpt configures the worker-side checkpoint hook; chunk and commit
@@ -202,7 +203,7 @@ type wireOutcome struct {
 	// Block is the rank's built block state (build-filtered only).
 	Block *wireBlock
 
-	// EdgesU/EdgesV is the rank's sorted bucket (sort ops only).
+	// EdgesU/EdgesV is the rank's sorted bucket (sort only).
 	EdgesU, EdgesV []uint64
 	// Runs is the rank's spilled-run count (out-of-core sort only).
 	Runs int

@@ -379,8 +379,8 @@ func workerInput(ctx context.Context, ctrl *fabric.Link, rank int, job *wireJob,
 		op: Op(job.Op), edges: edgesOf(job.EdgesU, job.EdgesV), n: job.N, k3: resident,
 		workers: job.Workers, opt: job.Opt.options(),
 	}
-	switch in.op {
-	case OpSortExternal:
+	switch {
+	case in.op == OpSort && job.Ext.RunEdges > 0:
 		codec, err := codecByName(job.Ext.CodecName)
 		if err != nil {
 			return nil, err
@@ -389,7 +389,7 @@ func workerInput(ctx context.Context, ctrl *fabric.Link, rank int, job *wireJob,
 		// files are rank-private temporaries removed before the rank
 		// returns, so only the metered counters are observable.
 		in.ext = ExtSortConfig{FS: vfs.NewMem(), RunEdges: job.Ext.RunEdges, TmpPrefix: job.Ext.TmpPrefix, Codec: codec}
-	case OpRunMatrix:
+	case in.op == OpRunMatrix:
 		if resident == nil || resident.at.N() != job.N {
 			return nil, fmt.Errorf("dist: run-matrix job for n = %d, but no such operand is resident", job.N)
 		}

@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"repro/internal/edge"
+	"repro/internal/vfs"
 )
 
 // SamplesPerRank is the sample-sort oversampling factor: each processor
@@ -35,11 +36,25 @@ const SamplesPerRank = 24
 // SortResult is the outcome of a distributed sort.
 type SortResult struct {
 	// Sorted is the globally sorted edge list (concatenated bucket
-	// outputs), bit-for-bit equal to xsort.RadixByU of the input.
+	// outputs), bit-for-bit equal to xsort.RadixByU of the input for
+	// every p and every run budget.
 	Sorted *edge.List
 	// Comm records the sample gather, splitter broadcast and all-to-all
-	// edge exchange.
+	// edge exchange — the same record in and out of core, because
+	// splitters and chunk bounds are identical and spilling moves no
+	// extra bytes over the wire.
 	Comm CommStats
+	// RunsPerRank is the number of sorted runs each rank spilled,
+	// ceil(chunk/RunEdges) per rank (out of core only, else nil).
+	RunsPerRank []int
+	// Spill is the storage traffic of the run spill and read-back, the
+	// I/O volume perfmodel.ParallelKernel1's out-of-core term prices.
+	// With the default Binary spill codec BytesWritten is exactly
+	// 16·edges; Packed runs measure smaller.
+	Spill vfs.IOStats
+	// SpillCodec names the codec that encoded the run files (out of core
+	// only).
+	SpillCodec string
 	// Wire is the measured socket traffic (ExecSocket only, else nil).
 	Wire *WireStats
 }

@@ -3,7 +3,8 @@ package dist
 // Out-of-core distributed sample sort (kernel 1 beyond RAM): the paper's
 // §IV requires kernel 1 to switch to an out-of-core algorithm when the
 // edge vectors exceed memory, and its §V analysis makes the distributed
-// sort the scaling bottleneck.  OpSortExternal combines the two regimes:
+// sort the scaling bottleneck.  OpSort with a positive Ext.RunEdges
+// combines the two regimes:
 //
 //   - run formation: each rank scans its contiguous input chunk through a
 //     bounded buffer of RunEdges edges, stably radix-sorts each buffer
@@ -44,14 +45,15 @@ import (
 	"repro/internal/xsort"
 )
 
-// ExtSortConfig parameterizes the out-of-core distributed sort.
+// ExtSortConfig parameterizes OpSort's out-of-core regime.  The zero
+// value keeps the sort in memory.
 type ExtSortConfig struct {
 	// FS receives the spilled run files; nil selects a private in-memory
 	// store (useful for tests; a real deployment points this at disk).
 	FS vfs.FS
 	// RunEdges bounds the per-rank in-memory buffer, modeling each
 	// processor's RAM: RunEdges·16 bytes is the run-formation working set.
-	// Zero or negative selects xsort.DefaultRunEdges.
+	// A positive value sorts out of core; zero sorts in memory.
 	RunEdges int
 	// TmpPrefix names the run files; empty selects "tmp/distsort".  Runs
 	// are removed on completion, success and failure alike.
@@ -63,12 +65,12 @@ type ExtSortConfig struct {
 	Codec fastio.Codec
 }
 
+// outOfCore reports whether the sort spills.
+func (cfg ExtSortConfig) outOfCore() bool { return cfg.RunEdges > 0 }
+
 func (cfg ExtSortConfig) withDefaults() ExtSortConfig {
 	if cfg.FS == nil {
 		cfg.FS = vfs.NewMem()
-	}
-	if cfg.RunEdges <= 0 {
-		cfg.RunEdges = xsort.DefaultRunEdges
 	}
 	if cfg.TmpPrefix == "" {
 		cfg.TmpPrefix = "tmp/distsort"
@@ -77,31 +79,6 @@ func (cfg ExtSortConfig) withDefaults() ExtSortConfig {
 		cfg.Codec = fastio.Binary{}
 	}
 	return cfg
-}
-
-// ExtSortResult is the outcome of an out-of-core distributed sort.
-type ExtSortResult struct {
-	// Sorted is the globally sorted edge list, bit-for-bit equal to
-	// xsort.RadixByU of the input (and to Sort's output) for every p and
-	// every RunEdges.
-	Sorted *edge.List
-	// Comm records the sample gather, splitter broadcast and segment
-	// all-to-all — equal to the in-memory Sort's record for the same
-	// input, because splitters and chunk bounds are identical and spilling
-	// moves no extra bytes over the wire.
-	Comm CommStats
-	// RunsPerRank is the number of sorted runs each rank spilled,
-	// ceil(chunk/RunEdges) per rank.
-	RunsPerRank []int
-	// Spill is the storage traffic of the run spill and read-back, the
-	// I/O volume perfmodel.ParallelKernel1's out-of-core term prices.
-	// With the default Binary spill codec BytesWritten is exactly
-	// 16·edges; Packed runs measure smaller.
-	Spill vfs.IOStats
-	// SpillCodec names the codec that encoded the run files.
-	SpillCodec string
-	// Wire is the measured socket traffic (ExecSocket only, else nil).
-	Wire *WireStats
 }
 
 // extRunName names rank r's run file number run under prefix.

@@ -198,12 +198,49 @@ func TestSortExternalStorageFailureLeavesFSClean(t *testing.T) {
 
 func TestSortExternalRejectsBadInput(t *testing.T) {
 	for _, mode := range execModes {
-		if _, err := execSortExt(mode, nil, 2, dist.ExtSortConfig{}); err == nil {
+		if _, err := execSortExt(mode, nil, 2, dist.ExtSortConfig{RunEdges: 64}); err == nil {
 			t.Errorf("%v: nil list accepted", mode)
 		}
-		if _, err := execSortExt(mode, edge.NewList(0), 0, dist.ExtSortConfig{}); err == nil {
+		if _, err := execSortExt(mode, edge.NewList(0), 0, dist.ExtSortConfig{RunEdges: 64}); err == nil {
 			t.Errorf("%v: p = 0 accepted", mode)
 		}
+		// A negative budget is neither regime: rejected, not read as
+		// "in memory" or as a default.
+		if _, err := execSortExt(mode, edge.NewList(0), 2, dist.ExtSortConfig{RunEdges: -1}); err == nil {
+			t.Errorf("%v: negative run budget accepted", mode)
+		}
+	}
+}
+
+// TestSortTrivialInputs pins the small-input shortcuts of the one sort
+// op: in memory, one processor or no edges sort locally and communicate
+// nothing; out of core, no edges spill nothing while one processor still
+// spills its runs.
+func TestSortTrivialInputs(t *testing.T) {
+	l, _ := kron(t, 6, 2)
+	want := l.Clone()
+	xsort.RadixByU(want)
+	inMem, err := execSort(dist.Config{}, l, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inMem.Sorted.Equal(want) || inMem.RunsPerRank != nil || inMem.Spill != (vfs.IOStats{}) {
+		t.Fatalf("in-memory p=1: %+v", inMem)
+	}
+	empty, err := execSortExt(dist.ExecSim, edge.NewList(0), 3, dist.ExtSortConfig{RunEdges: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.Sorted.Len() != 0 || len(empty.RunsPerRank) != 3 || empty.Spill != (vfs.IOStats{}) {
+		t.Fatalf("out-of-core m=0: %+v", empty)
+	}
+	one, err := execSortExt(dist.ExecSim, l, 1, dist.ExtSortConfig{RunEdges: l.Len()/3 + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !one.Sorted.Equal(want) || len(one.RunsPerRank) != 1 || one.RunsPerRank[0] != 3 ||
+		one.Spill.BytesWritten != int64(16*l.Len()) || one.Comm != (dist.CommStats{}) {
+		t.Fatalf("out-of-core p=1: runs %v spill %+v comm %+v", one.RunsPerRank, one.Spill, one.Comm)
 	}
 }
 

@@ -86,9 +86,9 @@ type Workload struct {
 	// also empty); set it explicitly to override the codec estimate.
 	BytesPerEdgeText float64
 	// RunEdges, when positive, selects the out-of-core kernel-1 regime
-	// (dist.SortExternal): each node's run buffer holds RunEdges edges and
-	// the sort round-trips its chunk through storage as sorted binary
-	// runs.  Zero models the in-memory kernel 1.
+	// (dist.OpSort with Ext.RunEdges > 0): each node's run buffer holds
+	// RunEdges edges and the sort round-trips its chunk through storage
+	// as sorted binary runs.  Zero models the in-memory kernel 1.
 	RunEdges int
 	// SpillBytesPerEdge is the encoded size of one spilled edge in the
 	// out-of-core regime.  Zero models the 16-byte fixed-width binary
@@ -259,7 +259,7 @@ func All(h Hardware, w Workload) [4]Prediction {
 // the per-node compute time further divides by min(RankWorkers, Cores),
 // while the per-node memory time does not (a node's workers share its
 // bandwidth) — so intra-rank workers help exactly until the SpMV goes
-// bandwidth-bound, which is what the prbench p×w scaling table measures.
+// bandwidth-bound, which is what prreport's p × w scaling table measures.
 func ParallelKernel3(h Hardware, w Workload, p int) Prediction {
 	w = w.withDefaults()
 	if p < 1 {
@@ -283,7 +283,7 @@ func ParallelKernel3(h Hardware, w Workload, p int) Prediction {
 	return prediction(iters*m, times)
 }
 
-// ParallelKernel1 models the distributed sample sort of dist.Sort on p
+// ParallelKernel1 models the distributed sample sort (dist.OpSort) on p
 // nodes, mirroring its metered communication schedule phase for phase:
 // per-node storage and radix work divide by p; the all-to-all exchange
 // routes each node's M/p edges, of which an expected (p-1)/p fraction are
@@ -291,15 +291,15 @@ func ParallelKernel3(h Hardware, w Workload, p int) Prediction {
 // NetBandwidth; and the splitter exchange — a gather of
 // dist.SamplesPerRank keys per node followed by a broadcast of p-1
 // splitters — adds its 8-bytes-per-key volume plus two log2(p)-depth
-// collective latencies.  dist.Sort's SortResult.Comm measures the same
+// collective latencies.  dist.SortResult.Comm measures the same
 // quantities, so model and measurement share their terms.
 //
 // A positive Workload.RunEdges switches the model to the out-of-core sort
-// (dist.SortExternal): run formation spills each node's M/p-edge chunk to
-// storage as SpillBytesPerEdge-byte records (16-byte fixed-width binary
-// by default) and the pre-exchange partition streams it back, adding one
-// storage write and one storage read of the chunk —
-// the spill/merge I/O term dist's ExtSortResult.Spill measures (the k-way
+// (the same op with a positive Ext.RunEdges): run formation spills each
+// node's M/p-edge chunk to storage as SpillBytesPerEdge-byte records
+// (16-byte fixed-width binary by default) and the pre-exchange partition
+// streams it back, adding one storage write and one storage read of the
+// chunk — the spill/merge I/O term dist.SortResult.Spill measures (the k-way
 // merge itself reads the already-exchanged segments from memory, so it
 // adds no further storage traffic).
 //

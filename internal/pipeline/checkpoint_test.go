@@ -1,6 +1,12 @@
 package pipeline
 
+// The pipeline's one checkpoint format is the distributed kernel 3's
+// epoch checkpoint (internal/ckpt, DESIGN.md §10): a Config.Checkpoint run
+// writes it and a resuming run reads it.  These tests drive it through
+// whole pipelines.
+
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -10,227 +16,290 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/dist"
 	"repro/internal/pagerank"
-	"repro/internal/sparse"
 	"repro/internal/vfs"
 	"repro/internal/xrand"
 )
 
-// k2Matrix builds a filtered matrix through the csr variant for the tests.
-func k2Matrix(t *testing.T, cfg Config) *sparse.CSR {
+// ckptCfg is a small dist pipeline of iters kernel-3 iterations on four
+// simulated ranks.
+func ckptCfg(iters int) Config {
+	return Config{Scale: 7, EdgeFactor: 8, Seed: 9, Variant: "dist", KeepRank: true,
+		PageRank: pagerank.Options{Seed: 9, Iterations: iters}}
+}
+
+func mustRun(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	cfg = cfg.withDefaults()
-	v, err := Lookup("csr")
+	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := &Run{Cfg: cfg, FS: cfg.FS}
-	for _, step := range []func(*Run) error{v.Kernel0, v.Kernel1, v.Kernel2} {
-		if err := step(run); err != nil {
+	return res
+}
+
+// killAfter runs cfg with an epoch every `every` iterations into fs and a
+// rank failure at iteration k (after the epoch there, if any, commits).
+func killAfter(t *testing.T, cfg Config, fs vfs.FS, every, k int) {
+	t.Helper()
+	cfg.Checkpoint = dist.CheckpointSpec{FS: fs, Every: every}
+	cfg.Fault = &dist.FaultPlan{KillRank: 1, AtIteration: k}
+	if _, err := ExecuteContext(context.Background(), cfg); !errors.Is(err, dist.ErrFaultInjected) {
+		t.Fatalf("killed run: err = %v, want ErrFaultInjected", err)
+	}
+}
+
+// resumeFrom reruns cfg from fs's newest complete epoch.
+func resumeFrom(cfg Config, fs vfs.FS, every int) (*Result, error) {
+	cfg.Checkpoint = dist.CheckpointSpec{FS: fs, Every: every, Resume: true}
+	return ExecuteContext(context.Background(), cfg)
+}
+
+// sameBits fails unless got is want bit for bit.
+func sameBits(t *testing.T, what string, want, got []float64) {
+	t.Helper()
+	if len(want) == 0 || len(want) != len(got) {
+		t.Fatalf("%s: rank lengths %d vs %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("%s: rank[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestCheckpointRoundTrip: the epoch a run commits holds that run's rank
+// vector bit for bit, with its iteration count and damping.
+func TestCheckpointRoundTrip(t *testing.T) {
+	fs := vfs.NewMem()
+	cfg := ckptCfg(8)
+	cfg.Checkpoint = dist.CheckpointSpec{FS: fs, Every: 4}
+	res := mustRun(t, cfg)
+	if res.Checkpoint == nil || res.Checkpoint.EpochsWritten != 2 || res.Checkpoint.LastEpoch != 8 {
+		t.Fatalf("checkpoint record %+v, want epochs 4 and 8", res.Checkpoint)
+	}
+	loaded, err := ckpt.Latest(fs, "ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Epoch != 8 || loaded.Damping != pagerank.DefaultDamping || loaded.Procs != 4 {
+		t.Fatalf("loaded epoch %d damping %v procs %d", loaded.Epoch, loaded.Damping, loaded.Procs)
+	}
+	sameBits(t, "epoch 8", res.Rank, loaded.Rank)
+}
+
+// TestCheckpointResumeMatchesUninterrupted: killed at iteration 8 and
+// resumed, the pipeline lands on the uninterrupted run's bits, with
+// kernel 1 in memory and out of core.
+func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
+	for _, runEdges := range []int{0, int(ckptCfg(20).M() / 8)} {
+		cfg := ckptCfg(20)
+		cfg.RunEdges = runEdges
+		full := mustRun(t, cfg)
+		fs := vfs.NewMem()
+		killAfter(t, cfg, fs, 4, 8)
+		res, err := resumeFrom(cfg, fs, 4)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	return run.Matrix
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 7, EdgeFactor: 8, Seed: 6})
-	partial, err := pagerank.Gather(a, pagerank.Options{Seed: 6, Iterations: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := vfs.NewMem()
-	cp := &Checkpoint{Matrix: a, Rank: partial.Rank, CompletedIterations: 8, Damping: 0.85}
-	if err := Save(fs, "ck/run1", cp); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(fs, "ck/run1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.CompletedIterations != 8 || loaded.Damping != 0.85 {
-		t.Errorf("metadata: %+v", loaded)
-	}
-	if loaded.Matrix.NNZ() != a.NNZ() {
-		t.Error("matrix changed")
-	}
-	for i := range partial.Rank {
-		if loaded.Rank[i] != partial.Rank[i] {
-			t.Fatal("rank vector changed")
+		if res.Checkpoint == nil || res.Checkpoint.ResumedFrom != 8 || res.RankIterations != 20 {
+			t.Fatalf("runEdges %d: record %+v, %d iterations", runEdges, res.Checkpoint, res.RankIterations)
 		}
+		sameBits(t, "resumed", full.Rank, res.Rank)
 	}
 }
 
-func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 7, EdgeFactor: 8, Seed: 9})
-	// Uninterrupted 20 iterations.
-	full, err := pagerank.Gather(a, pagerank.Options{Seed: 9, Iterations: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 8 iterations, checkpoint through storage, resume to 20.
-	partial, err := pagerank.Gather(a, pagerank.Options{Seed: 9, Iterations: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := vfs.NewMem()
-	if err := Save(fs, "ck", &Checkpoint{Matrix: a, Rank: partial.Rank, CompletedIterations: 8, Damping: 0.85}); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(fs, "ck")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Resume(loaded, 20, pagerank.Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Iterations != 20 {
-		t.Errorf("resumed total iterations %d", resumed.Iterations)
-	}
-	for i := range full.Rank {
-		if full.Rank[i] != resumed.Rank[i] {
-			t.Fatalf("resume diverges at %d: %v vs %v", i, resumed.Rank[i], full.Rank[i])
-		}
-	}
-}
-
+// TestCheckpointResumeAlreadyComplete: resuming a run whose newest epoch
+// already covers the requested iterations returns that epoch and writes
+// nothing more.
 func TestCheckpointResumeAlreadyComplete(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 4, Seed: 1})
-	r := pagerank.InitVector(a.N, 1)
-	cp := &Checkpoint{Matrix: a, Rank: r, CompletedIterations: 20, Damping: 0.85}
-	res, err := Resume(cp, 20, pagerank.Options{})
+	fs := vfs.NewMem()
+	cfg := ckptCfg(8)
+	cfg.Checkpoint = dist.CheckpointSpec{FS: fs, Every: 4}
+	first := mustRun(t, cfg)
+	res, err := resumeFrom(ckptCfg(8), fs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations != 20 || &res.Rank[0] != &r[0] {
-		t.Error("already-complete resume should return the checkpoint state")
+	if res.Checkpoint == nil || res.Checkpoint.ResumedFrom != 8 || res.Checkpoint.EpochsWritten != 0 || res.RankIterations != 8 {
+		t.Fatalf("record %+v, %d iterations", res.Checkpoint, res.RankIterations)
 	}
+	sameBits(t, "already complete", first.Rank, res.Rank)
 }
 
+// TestCheckpointResumeDampingMismatch: epochs of one damping never seed a
+// run of another.
 func TestCheckpointResumeDampingMismatch(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 4, Seed: 2})
-	cp := &Checkpoint{Matrix: a, Rank: pagerank.InitVector(a.N, 1), CompletedIterations: 5, Damping: 0.85}
-	if _, err := Resume(cp, 20, pagerank.Options{Damping: 0.9}); err == nil {
-		t.Error("damping mismatch accepted")
+	fs := vfs.NewMem()
+	killAfter(t, ckptCfg(10), fs, 5, 5)
+	cfg := ckptCfg(10)
+	cfg.PageRank.Damping = 0.9
+	if _, err := resumeFrom(cfg, fs, 5); err == nil || !strings.Contains(err.Error(), "damping") {
+		t.Fatalf("damping mismatch: err = %v", err)
 	}
 }
 
+// TestCheckpointSaveRejectsMalformed: a malformed fault plan fails the
+// run before kernel 3 writes anything to checkpoint storage.
 func TestCheckpointSaveRejectsMalformed(t *testing.T) {
-	fs := vfs.NewMem()
-	if err := Save(fs, "bad", &Checkpoint{}); err == nil {
-		t.Error("nil matrix accepted")
-	}
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 4, Seed: 3})
-	if err := Save(fs, "bad", &Checkpoint{Matrix: a, Rank: []float64{1}}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestCheckpointLoadDetectsCorruption(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 4, Seed: 4})
-	fs := vfs.NewMem()
-	cp := &Checkpoint{Matrix: a, Rank: pagerank.InitVector(a.N, 1), CompletedIterations: 3, Damping: 0.85}
-	if err := Save(fs, "c", cp); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the state file.
-	r, _ := fs.Open("c.state")
-	data := make([]byte, 0)
-	buf := make([]byte, 4096)
-	for {
-		n, err := r.Read(buf)
-		data = append(data, buf[:n]...)
-		if err != nil {
-			break
+	for name, f := range map[string]dist.FaultPlan{
+		"iteration-zero":     {KillRank: 1},
+		"beyond-run":         {KillRank: 1, AtIteration: 11},
+		"rank-out-of-range":  {KillRank: 4, AtIteration: 3},
+		"off-epoch-boundary": {KillRank: 1, AtIteration: 3, DuringCheckpoint: true},
+	} {
+		fs := vfs.NewMem()
+		cfg := ckptCfg(10)
+		cfg.Checkpoint = dist.CheckpointSpec{FS: fs, Every: 5}
+		cfg.Fault = &f
+		if _, err := ExecuteContext(context.Background(), cfg); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if names, _ := fs.List(); len(names) != 0 {
+			t.Fatalf("%s: rejected run wrote %v", name, names)
 		}
 	}
-	r.Close()
-	data[len(data)/2] ^= 0xFF
-	w, _ := fs.Create("c.state")
-	w.Write(data)
-	w.Close()
-	if _, err := Load(fs, "c"); err == nil {
-		t.Error("corrupted state accepted")
-	}
-	// Missing files.
-	if _, err := Load(fs, "absent"); err == nil {
-		t.Error("missing checkpoint accepted")
-	}
 }
 
-func TestCheckpointResumeFromRandomMidpoints(t *testing.T) {
-	// Property: for any split k, run(k) + resume(20-k) == run(20).
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 8, Seed: 12})
-	full, err := pagerank.Gather(a, pagerank.Options{Seed: 12, Iterations: 20})
+// TestCheckpointLoadDetectsCorruption: a flipped byte in the newest
+// epoch tears it; resume falls back to the previous epoch and still lands
+// on the uninterrupted bits.  An empty store is a fresh start.
+func TestCheckpointLoadDetectsCorruption(t *testing.T) {
+	full := mustRun(t, ckptCfg(12))
+	fs := vfs.NewMem()
+	killAfter(t, ckptCfg(12), fs, 4, 8)
+	name := ckpt.ChunkName("ckpt", 8, 1)
+	data := readAll(t, fs, name)
+	data[len(data)/2] ^= 0xFF
+	writeAll(t, fs, name, data)
+	res, err := resumeFrom(ckptCfg(12), fs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ck := res.Checkpoint; ck == nil || ck.ResumedFrom != 4 || ck.TornSkipped != 1 {
+		t.Fatalf("record %+v, want resumed from 4 past one torn epoch", ck)
+	}
+	sameBits(t, "resumed past corruption", full.Rank, res.Rank)
+
+	fresh, err := resumeFrom(ckptCfg(12), vfs.NewMem(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Checkpoint == nil || fresh.Checkpoint.Resumed {
+		t.Fatalf("empty store resumed: %+v", fresh.Checkpoint)
+	}
+	sameBits(t, "fresh start", full.Rank, fresh.Rank)
+}
+
+// TestCheckpointResumeFromRandomMidpoints: for any kill point k, run(k) +
+// resume(20-k) == run(20), bit for bit.
+func TestCheckpointResumeFromRandomMidpoints(t *testing.T) {
+	full := mustRun(t, ckptCfg(20))
 	g := xrand.New(5)
 	for trial := 0; trial < 5; trial++ {
 		k := 1 + g.Intn(19)
-		partial, err := pagerank.Gather(a, pagerank.Options{Seed: 12, Iterations: k})
+		fs := vfs.NewMem()
+		killAfter(t, ckptCfg(20), fs, k, k)
+		res, err := resumeFrom(ckptCfg(20), fs, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp := &Checkpoint{Matrix: a, Rank: partial.Rank, CompletedIterations: k, Damping: 0.85}
-		resumed, err := Resume(cp, 20, pagerank.Options{Seed: 12})
-		if err != nil {
-			t.Fatal(err)
+		if res.Checkpoint == nil || res.Checkpoint.ResumedFrom != int64(k) {
+			t.Fatalf("split at %d: record %+v", k, res.Checkpoint)
 		}
-		for i := range full.Rank {
-			if math.Abs(full.Rank[i]-resumed.Rank[i]) > 1e-15 {
-				t.Fatalf("split at %d diverges at component %d", k, i)
-			}
-		}
+		sameBits(t, "random midpoint", full.Rank, res.Rank)
 	}
 }
 
-// TestCheckpointLoadRejectsTruncation cuts the state file at every
-// region boundary and inside each region: Load must fail with an error
-// naming the truncated section, never a bare unexpected-EOF and never a
-// zero-filled vector silently accepted.
+// TestCheckpointLoadRejectsTruncation cuts the newest epoch's chunk at
+// every region boundary and inside each region: loading it fails with an
+// error naming the truncated section, and a resume skips the epoch rather
+// than accept a zero-filled vector.
 func TestCheckpointLoadRejectsTruncation(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 4, Seed: 4})
-	fs := vfs.NewMem()
-	cp := &Checkpoint{Matrix: a, Rank: pagerank.InitVector(a.N, 1), CompletedIterations: 3, Damping: 0.85}
-	if err := Save(fs, "c", cp); err != nil {
+	full := mustRun(t, ckptCfg(12))
+	// killed returns a store holding epochs 4 and 8 of a killed run; a
+	// resume writes newer epochs, so each cut gets its own.
+	killed := func() vfs.FS {
+		fs := vfs.NewMem()
+		killAfter(t, ckptCfg(12), fs, 4, 8)
+		return fs
+	}
+	fs := killed()
+	name := ckpt.ChunkName("ckpt", 8, 1)
+	whole := readAll(t, fs, name)
+	c, err := ckpt.Decode(bytes.NewReader(whole))
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := readAll(t, fs, "c.state")
-	const header = 4 + 8 + 8 + 8
+	header := len(whole) - 4 - 8*len(c.Data)
 	cuts := map[string]int{
 		"empty":            0,
 		"mid-magic":        2,
 		"mid-header":       header - 3,
 		"header-only":      header,
-		"mid-rank-vector":  header + len(cp.Rank)*4,
-		"missing-checksum": len(full) - 4,
-		"mid-checksum":     len(full) - 2,
+		"mid-rank-vector":  header + len(c.Data)*4,
+		"missing-checksum": len(whole) - 4,
+		"mid-checksum":     len(whole) - 2,
 	}
-	for _, name := range slices.Sorted(maps.Keys(cuts)) {
-		cut := cuts[name]
-		t.Run(name, func(t *testing.T) {
-			w, _ := fs.Create("c.state")
-			w.Write(full[:cut])
-			w.Close()
-			_, err := Load(fs, "c")
-			if err == nil {
-				t.Fatal("truncated state accepted")
+	for _, cut := range slices.Sorted(maps.Keys(cuts)) {
+		t.Run(cut, func(t *testing.T) {
+			fs := killed()
+			writeAll(t, fs, name, whole[:cuts[cut]])
+			if _, err := ckpt.Load(fs, "ckpt", 8); err == nil || !strings.Contains(err.Error(), "truncated") {
+				t.Fatalf("undiagnostic load of a chunk cut at %d: %v", cuts[cut], err)
 			}
-			if !strings.Contains(err.Error(), "truncated") && !strings.Contains(err.Error(), "magic") {
-				t.Fatalf("undiagnostic error for cut at %d: %v", cut, err)
+			res, err := resumeFrom(ckptCfg(12), fs, 4)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if ck := res.Checkpoint; ck == nil || ck.ResumedFrom != 4 || ck.TornSkipped != 1 {
+				t.Fatalf("record %+v, want resumed from 4 past one torn epoch", ck)
+			}
+			sameBits(t, "resumed past truncation", full.Rank, res.Rank)
 		})
 	}
 	// Trailing garbage is torn in the other direction; reject it too.
-	w, _ := fs.Create("c.state")
-	w.Write(append(append([]byte{}, full...), 0))
-	w.Close()
-	if _, err := Load(fs, "c"); err == nil || !strings.Contains(err.Error(), "trailing") {
+	writeAll(t, fs, name, append(slices.Clone(whole), 0))
+	if _, err := ckpt.Load(fs, "ckpt", 8); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("trailing garbage: %v", err)
 	}
+}
+
+// TestCheckpointSaveAtomic pins the two-phase epoch write: no temp file
+// survives a successful run, and a run whose storage fails mid-write
+// leaves the previous epoch loadable and unchanged.
+func TestCheckpointSaveAtomic(t *testing.T) {
+	mem := vfs.NewMem()
+	cfg := ckptCfg(4)
+	cfg.Checkpoint = dist.CheckpointSpec{FS: mem, Every: 4}
+	first := mustRun(t, cfg)
+	names, err := mem.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if strings.HasSuffix(name, ".tmp") {
+			t.Fatalf("temp file %q survived the run", name)
+		}
+	}
+
+	// A second run of another vector over the same epoch numbers dies
+	// inside its first chunk's payload.
+	cfg = ckptCfg(8)
+	cfg.PageRank.Seed = 10
+	cfg.Checkpoint = dist.CheckpointSpec{FS: vfs.NewFaulty(mem, 100).PartialWrites(), Every: 4}
+	if _, err := ExecuteContext(context.Background(), cfg); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("failed write: err = %v, want the injected storage failure", err)
+	}
+	loaded, err := ckpt.Latest(mem, "ckpt")
+	if err != nil {
+		t.Fatalf("previous epoch unloadable after a failed write: %v", err)
+	}
+	if loaded.Epoch != 4 || loaded.Torn != 0 {
+		t.Fatalf("loaded epoch %d (%d torn), want the first run's 4", loaded.Epoch, loaded.Torn)
+	}
+	sameBits(t, "previous epoch", first.Rank, loaded.Rank)
 }
 
 func readAll(t *testing.T, fs vfs.FS, name string) []byte {
@@ -247,44 +316,17 @@ func readAll(t *testing.T, fs vfs.FS, name string) []byte {
 	return b
 }
 
-// TestCheckpointSaveAtomic pins the two-phase save: no temp files
-// survive a successful Save, and a Save that dies mid-write — injected
-// storage failure — leaves the previous checkpoint fully loadable.
-func TestCheckpointSaveAtomic(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 4, Seed: 4})
-	mem := vfs.NewMem()
-	cp := &Checkpoint{Matrix: a, Rank: pagerank.InitVector(a.N, 1), CompletedIterations: 3, Damping: 0.85}
-	if err := Save(mem, "c", cp); err != nil {
-		t.Fatal(err)
-	}
-	names, err := mem.List()
+func writeAll(t *testing.T, fs vfs.FS, name string, b []byte) {
+	t.Helper()
+	w, err := fs.Create(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range names {
-		if strings.HasSuffix(name, ".tmp") {
-			t.Fatalf("temp file %q survived Save", name)
-		}
+	if _, err := w.Write(b); err != nil {
+		t.Fatal(err)
 	}
-	before := readAll(t, mem, "c.state")
-
-	// A second Save with different content dies mid-write: budget covers
-	// the matrix but runs out inside the state payload.
-	cp2 := &Checkpoint{Matrix: a, Rank: pagerank.InitVector(a.N, 2), CompletedIterations: 7, Damping: 0.85}
-	msize, _ := mem.Size("c.matrix")
-	faulty := vfs.NewFaulty(mem, msize+64).PartialWrites()
-	if err := Save(faulty, "c", cp2); err == nil {
-		t.Fatal("failed save reported success")
-	}
-	if got := readAll(t, mem, "c.state"); string(got) != string(before) {
-		t.Fatal("failed save clobbered the previous state file")
-	}
-	loaded, err := Load(mem, "c")
-	if err != nil {
-		t.Fatalf("previous checkpoint unloadable after failed save: %v", err)
-	}
-	if loaded.CompletedIterations != 3 {
-		t.Fatalf("loaded iterations %d, want the previous save's 3", loaded.CompletedIterations)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -355,7 +397,7 @@ func TestPipelineCheckpointKillAndResume(t *testing.T) {
 
 // TestPipelineCheckpointRejectsSerialVariant pins validation: the
 // checkpoint/fault knobs belong to the variants with a distributed
-// kernel 3.
+// kernel 3, with kernel 1 in memory or out of core.
 func TestPipelineCheckpointRejectsSerialVariant(t *testing.T) {
 	cfg := Config{Scale: 6, Variant: "csr", Checkpoint: dist.CheckpointSpec{FS: vfs.NewMem()}}
 	if err := cfg.Validate(); err == nil {
@@ -366,9 +408,10 @@ func TestPipelineCheckpointRejectsSerialVariant(t *testing.T) {
 		t.Fatal("serial variant accepted a fault plan")
 	}
 	for _, v := range []string{"dist", "distgo", "distext"} {
-		cfg = Config{Scale: 6, Variant: v, Checkpoint: dist.CheckpointSpec{FS: vfs.NewMem()}}
+		cfg = smallCfg(v)
+		cfg.Checkpoint = dist.CheckpointSpec{FS: vfs.NewMem()}
 		if err := cfg.Validate(); err != nil {
-			t.Fatalf("variant %s rejected a checkpoint spec: %v", v, err)
+			t.Fatalf("%s rejected a checkpoint spec: %v", v, err)
 		}
 	}
 }

@@ -76,8 +76,8 @@ func TestSerialVariantsFormatInvariant(t *testing.T) {
 
 // TestDistFormatInvariant is the acceptance property: ranks and the
 // communication record bit-for-bit identical across tsv/bin/packed for
-// p ∈ {1,2,3,5,8} in both distributed exec modes, on both the in-memory
-// and the out-of-core distributed variants.
+// p ∈ {1,2,3,5,8} in both distributed exec modes, with kernel 1 in memory
+// (dist) and out of core (distext, see smallCfg).
 func TestDistFormatInvariant(t *testing.T) {
 	for _, variant := range []string{"dist", "distext"} {
 		for _, mode := range []string{"sim", "goroutine"} {
@@ -86,15 +86,15 @@ func TestDistFormatInvariant(t *testing.T) {
 					var base *Result
 					var baseFormat string
 					for _, format := range []string{"tsv", "bin", "packed"} {
-						cfg := Config{
-							Scale: 7, EdgeFactor: 8, Seed: 3, NFiles: 2,
-							Variant: variant, Format: format, KeepRank: true,
-							DistMode: mode, Workers: p, RunEdges: 150,
-							FS: vfs.NewMem(),
-						}
+						cfg := smallCfg(variant)
+						cfg.Seed, cfg.NFiles, cfg.Format = 3, 2, format
+						cfg.DistMode, cfg.Workers, cfg.FS = mode, p, vfs.NewMem()
 						res, err := ExecuteContext(context.Background(), cfg)
 						if err != nil {
 							t.Fatalf("format %s: %v", format, err)
+						}
+						if (res.Spill != nil) != (variant == "distext") {
+							t.Fatalf("format %s: spill record %+v", format, res.Spill)
 						}
 						if base == nil {
 							base, baseFormat = res, format
@@ -111,13 +111,8 @@ func TestDistFormatInvariant(t *testing.T) {
 						if res.Comm != nil && *res.Comm != *base.Comm {
 							t.Fatalf("format %s: comm %+v diverges from %s %+v", format, *res.Comm, baseFormat, *base.Comm)
 						}
-						if variant == "distext" {
-							if res.Spill == nil || base.Spill == nil {
-								t.Fatal("distext run reported no spill record")
-							}
-							if res.Spill.Runs != base.Spill.Runs {
-								t.Fatalf("format %s: %d spill runs, %s had %d", format, res.Spill.Runs, baseFormat, base.Spill.Runs)
-							}
+						if variant == "distext" && res.Spill.Runs != base.Spill.Runs {
+							t.Fatalf("format %s: %d spill runs, %s had %d", format, res.Spill.Runs, baseFormat, base.Spill.Runs)
 						}
 					}
 				})

@@ -85,9 +85,10 @@ type Config struct {
 	Generator GeneratorKind
 	// Workers bounds goroutines in parallel variants; <= 0 means default.
 	Workers int
-	// RunEdges is the out-of-core variants' in-memory run size in edges —
-	// extsort's external-merge buffer and distext's per-rank run buffer.
-	// Zero selects each variant's default.
+	// RunEdges is kernel 1's in-memory run size in edges: extsort's
+	// external-merge buffer (zero selects M/4) and, when positive, the
+	// dist variants' per-rank run buffer, which takes their sort out of
+	// core (zero keeps it in memory).  Negative is invalid.
 	RunEdges int
 	// SortEndVertices makes K1 sort by (u, v) instead of u only — the
 	// paper's "should the end vertices also be sorted?" open question.
@@ -106,7 +107,7 @@ type Config struct {
 	// Checkpoint configures epoch checkpoint/restart of the distributed
 	// kernel 3 (dist.CheckpointSpec semantics: FS enables it, Resume
 	// restarts from the newest complete epoch).  Only the variants with a
-	// distributed kernel 3 — dist, distgo, distext — accept it.  The
+	// distributed kernel 3 — dist and distgo — accept it.  The
 	// spec's OnCommit/OnResume hooks compose with Progress: the runner
 	// also emits EventCheckpointSaved/EventCheckpointRestored.
 	Checkpoint dist.CheckpointSpec
@@ -193,6 +194,9 @@ func (c Config) Validate() error {
 	}
 	if cc.NFiles < 1 {
 		return fmt.Errorf("pipeline: NFiles %d, want >= 1", cc.NFiles)
+	}
+	if cc.RunEdges < 0 {
+		return fmt.Errorf("pipeline: RunEdges %d, want >= 0", cc.RunEdges)
 	}
 	if _, ok := registry[cc.Variant]; !ok {
 		return fmt.Errorf("pipeline: unknown variant %q (have %v)", cc.Variant, VariantNames())
@@ -448,8 +452,8 @@ type Result struct {
 	// Checkpoint is the distributed kernel 3's checkpoint/restart record
 	// (checkpointed or resumed dist-variant runs only; nil otherwise).
 	Checkpoint *dist.CheckpointStats
-	// Spill is the out-of-core kernel 1's run-file record (extsort and
-	// distext variants only; nil otherwise).
+	// Spill is the out-of-core kernel 1's run-file record (extsort, and
+	// the dist variants with a positive RunEdges; nil otherwise).
 	Spill *SpillStats
 	// Cache is the run's per-stage staged-cache record — non-nil only
 	// when a cache seam (Config.Source, SortedSource, MatrixSource)
@@ -496,8 +500,8 @@ type Run struct {
 	// Checkpoint receives the distributed kernel 3's checkpoint/restart
 	// record when Cfg.Checkpoint or Cfg.Fault is in play.
 	Checkpoint *dist.CheckpointStats
-	// Spill records the out-of-core kernel 1's run-file traffic (extsort
-	// and distext variants; nil for in-memory sorts).
+	// Spill records the out-of-core kernel 1's run-file traffic (nil for
+	// in-memory sorts).
 	Spill *SpillStats
 	// Cache records the staged-cache interaction when any of the cache
 	// seams is set (filled by the runner and sourceEdges).
@@ -544,7 +548,7 @@ func (r *Run) Transposed() *sparse.Ordered {
 
 // Context returns the run's cancellation context.  Variants thread it
 // into the distributed runtime and the kernel-3 engines; a Run built
-// without one (the legacy composition path, e.g. the checkpoint example)
+// without one (a mix-and-match composition driving the kernels directly)
 // gets context.Background.
 func (r *Run) Context() context.Context {
 	if r.ctx == nil {

@@ -11,13 +11,23 @@ import (
 	"repro/internal/vfs"
 )
 
-// smallCfg returns a quick configuration for variant v.
+// smallCfg returns a quick configuration for variant v.  The label
+// "distext" names the out-of-core distributed configuration: the dist
+// variant with kernel 1 spilling M/8-edge runs.
 func smallCfg(v string) Config {
-	return Config{Scale: 7, EdgeFactor: 8, Seed: 42, NFiles: 3, Variant: v, KeepRank: true}
+	cfg := Config{Scale: 7, EdgeFactor: 8, Seed: 42, NFiles: 3, Variant: v, KeepRank: true}
+	if v == "distext" {
+		cfg.Variant, cfg.RunEdges = "dist", int(cfg.M()/8)
+	}
+	return cfg
 }
 
+// sweepLabels is every registered variant plus the out-of-core
+// distributed configuration ("distext", see smallCfg).
+func sweepLabels() []string { return append(VariantNames(), "distext") }
+
 func TestVariantRegistryComplete(t *testing.T) {
-	want := []string{"columnar", "coo", "csr", "dist", "distext", "distgo", "extsort", "graphblas", "parallel"}
+	want := []string{"columnar", "coo", "csr", "dist", "distgo", "extsort", "graphblas", "parallel"}
 	got := VariantNames()
 	if len(got) != len(want) {
 		t.Fatalf("variants = %v, want %v", got, want)
@@ -57,6 +67,10 @@ func TestConfigValidate(t *testing.T) {
 		{Scale: 8, Variant: "nope"},
 		{Scale: 8, Generator: "mystery"},
 		{Scale: 8, PageRank: pagerank.Options{Damping: 7}},
+		// A negative run budget would silently pick the dist variants'
+		// in-memory sort (and extsort's default): neither reads it.
+		{Scale: 8, Variant: "dist", RunEdges: -1},
+		{Scale: 8, Variant: "extsort", RunEdges: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -79,7 +93,7 @@ func TestConfigDerived(t *testing.T) {
 }
 
 func TestFullPipelineEveryVariant(t *testing.T) {
-	for _, name := range VariantNames() {
+	for _, name := range sweepLabels() {
 		t.Run(name, func(t *testing.T) {
 			res, err := ExecuteContext(context.Background(), smallCfg(name))
 			if err != nil {
@@ -183,7 +197,7 @@ func TestKernel1WithoutKernel0Fails(t *testing.T) {
 }
 
 func TestSortedEndVerticesAblation(t *testing.T) {
-	for _, name := range []string{"csr", "coo", "extsort"} {
+	for _, name := range []string{"csr", "coo", "extsort", "dist", "distext"} {
 		cfg := smallCfg(name)
 		cfg.SortEndVertices = true
 		res, err := ExecuteContext(context.Background(), cfg)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestValidateAllVariantsPass(t *testing.T) {
-	for _, name := range VariantNames() {
+	for _, name := range sweepLabels() {
 		t.Run(name, func(t *testing.T) {
 			cfg := smallCfg(name)
 			rep, err := Validate(cfg)

@@ -5,11 +5,16 @@ package pipeline
 // kernels 2 and 3 use the 1D row-block decomposition with metered
 // collectives.  "dist" runs the ranks one at a time (the simulation),
 // "distgo" runs the same ranks concurrently (Config.DistMode overrides
-// either).  Results are identical to the serial variants — the sort
-// bit-for-bit, the matrix bit-for-bit, the rank vector to ~1e-12 — and
-// identical between the two modes bit-for-bit, which is exactly the
-// property the paper's §V analysis assumes when it prices the parallel
-// pipeline by communication volume alone (DESIGN.md §5).
+// either).  A positive Config.RunEdges takes kernel 1 out of core: each
+// rank spills sorted runs of at most RunEdges edges to the pipeline's
+// storage and merges its bucket from them (DESIGN.md §6) — the
+// composition the paper's §IV out-of-core requirement and §V parallel
+// analysis jointly demand.  Results are identical to the serial variants
+// — the sort bit-for-bit, the matrix bit-for-bit, the rank vector to
+// ~1e-12 — and identical between the modes and in or out of core
+// bit-for-bit, which is exactly the property the paper's §V analysis
+// assumes when it prices the parallel pipeline by communication volume
+// alone (DESIGN.md §5).
 
 import (
 	"repro/internal/dist"
@@ -40,7 +45,7 @@ func (v distVariant) Description() string {
 	if v.mode == dist.ExecGoroutine {
 		return "goroutine distributed memory: p concurrent ranks exchanging real channel messages, byte counts equal to the simulation and the §V closed form"
 	}
-	return "simulated distributed memory: sample sort, row-block matrix, all-reduce PageRank with exact communication accounting (the paper's §V parallel analysis)"
+	return "simulated distributed memory: sample sort (out of core with -runedges), row-block matrix, all-reduce PageRank with exact communication accounting (the paper's §V parallel analysis)"
 }
 
 // procs is the processor (rank) count: Config.Workers when set, else a
@@ -78,26 +83,42 @@ func (distVariant) Kernel0(r *Run) error {
 	return writeSourcedEdges(r)
 }
 
-// Kernel1 implements Variant.
+// Kernel1 implements Variant.  The distributed sort keys on the start
+// vertex only; the (u, v) ablation falls back to a serial sort under the
+// same memory bound — the radix sort in memory, the external merge sort
+// out of core.  The external one streams and records no sorted artifact:
+// a sorted-stage miss under it deposits a delivered-not-cached failure,
+// which concurrent waiters retry past, and the matrix stage still serves
+// warm runs.
 func (v distVariant) Kernel1(r *Run) error {
+	ext := r.Cfg.RunEdges > 0
+	if r.Cfg.SortEndVertices && ext {
+		return externalSort(r, r.Cfg.RunEdges, true)
+	}
 	l, err := readEdges(r, "k0")
 	if err != nil {
 		return err
 	}
 	if r.Cfg.SortEndVertices {
-		// The distributed sort keys on the start vertex only; the (u,v)
-		// ablation falls back to the serial radix path, as the parallel
-		// variant does.
 		radixSort(r, l, true)
 	} else {
-		out, err := dist.Execute(r.Context(), dist.Spec{
-			Config: v.distCfg(r), Op: dist.OpSort, Edges: l, Procs: v.procs(r),
-		})
+		spec := dist.Spec{Config: v.distCfg(r), Op: dist.OpSort, Edges: l, Procs: v.procs(r)}
+		if ext {
+			spec.Ext = dist.ExtSortConfig{FS: r.FS, RunEdges: r.Cfg.RunEdges, Codec: r.SpillCodec()}
+		}
+		out, err := dist.Execute(r.Context(), spec)
 		if err != nil {
 			return err
 		}
-		r.AddComm(out.Sort.Comm)
-		l = out.Sort.Sorted
+		res := out.Sort
+		r.AddComm(res.Comm)
+		if ext {
+			r.Spill = &SpillStats{Codec: res.SpillCodec, BytesWritten: res.Spill.BytesWritten, BytesRead: res.Spill.BytesRead}
+			for _, n := range res.RunsPerRank {
+				r.Spill.Runs += n
+			}
+		}
+		l = res.Sorted
 	}
 	r.SortedOut = l
 	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)

@@ -101,6 +101,14 @@ func (extsortVariant) Kernel0(r *Run) error {
 
 // Kernel1 implements Variant.
 func (v extsortVariant) Kernel1(r *Run) error {
+	return externalSort(r, v.runEdges(r), r.Cfg.SortEndVertices)
+}
+
+// externalSort is the serial out-of-core kernel 1: stream the k0 stripes
+// through xsort.External with a runEdges-edge buffer into the k1 stripes,
+// recording the spill.  It is extsort's kernel 1 and the dist variants'
+// (u, v) fallback when they sort out of core.
+func externalSort(r *Run, runEdges int, byUV bool) error {
 	src, err := fastio.NewStripedSource(r.FS, "k0", r.Codec())
 	if err != nil {
 		return err
@@ -113,8 +121,8 @@ func (v extsortVariant) Kernel1(r *Run) error {
 	stats, err := xsort.External(src, sink, xsort.ExternalConfig{
 		FS:        r.FS,
 		TmpPrefix: "tmp/extsort",
-		RunEdges:  v.runEdges(r),
-		ByUV:      r.Cfg.SortEndVertices,
+		RunEdges:  runEdges,
+		ByUV:      byUV,
 		Codec:     r.SpillCodec(),
 	})
 	if err != nil {

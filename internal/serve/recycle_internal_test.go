@@ -149,6 +149,9 @@ func TestRecycledListsKernelSubsets(t *testing.T) {
 			defer svc.Close()
 			fs := vfs.NewMem()
 			cfg := pipeline.Config{Scale: 9, Seed: 3, Variant: variant, FS: fs, NFiles: 2, KeepRank: true}
+			if variant == "distext" { // dist with kernel 1 out of core
+				cfg.Variant, cfg.RunEdges = "dist", int(cfg.M()/8)
+			}
 			codec, err := fastio.CodecByName(pipeline.FormatName(cfg))
 			if err != nil {
 				t.Fatal(err)

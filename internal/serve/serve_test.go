@@ -23,7 +23,13 @@ import (
 )
 
 func runCfg(variant string) pipeline.Config {
-	return pipeline.Config{Scale: 8, EdgeFactor: 8, Seed: 11, Variant: variant, KeepRank: true}
+	cfg := pipeline.Config{Scale: 8, EdgeFactor: 8, Seed: 11, Variant: variant, KeepRank: true}
+	if variant == "distext" {
+		// The out-of-core distributed configuration: dist with kernel 1
+		// spilling M/8-edge runs.
+		cfg.Variant, cfg.RunEdges = "dist", int(cfg.M()/8)
+	}
+	return cfg
 }
 
 // TestSingleflightConcurrentRuns is the cache property test: N
