@@ -4,10 +4,11 @@
 // counts, so the kernel packages must not consult any
 // nondeterministically ordered or time-varying source.
 //
-// Inside the kernel packages (dist, pagerank, sparse, xsort, ckpt, and
-// serve — whose staged artifact cache hands one computed artifact to
-// many runs, so any nondeterminism there fans out), non-test code may
-// not:
+// Inside the kernel packages (dist, pagerank, sparse, xsort, ckpt,
+// fastio — whose striped streams carry every out-of-core edge, so their
+// order is the files' bytes — and serve, whose staged artifact cache
+// hands one computed artifact to many runs, so any nondeterminism there
+// fans out), non-test code may not:
 //
 //   - range over a map (iteration order feeds results in nondeterministic
 //     order);
@@ -36,7 +37,7 @@ import (
 // kernelPkgs are the package names under the reproducibility contract.
 var kernelPkgs = map[string]bool{
 	"dist": true, "pagerank": true, "sparse": true, "xsort": true, "ckpt": true,
-	"serve": true,
+	"fastio": true, "serve": true,
 }
 
 // Analyzer is the determinism checker.

@@ -167,32 +167,6 @@ func (b *binReader) ReadEdges(l *edge.List, max int) (int, error) {
 	return total, nil
 }
 
-// ReadEdges implements BulkEdgeSource, delegating to the current stripe's
-// bulk path and rolling to the next stripe at each boundary.
-func (s *StripedSource) ReadEdges(l *edge.List, max int) (int, error) {
-	for {
-		if s.src == nil {
-			if s.next >= len(s.names) {
-				return 0, io.EOF
-			}
-			r, err := s.fs.Open(s.names[s.next])
-			if err != nil {
-				return 0, err
-			}
-			s.cur = r
-			s.src = s.codec.NewReader(r)
-			s.next++
-		}
-		n, err := ReadEdges(s.src, l, max)
-		if err == io.EOF {
-			s.cur.Close()
-			s.cur, s.src = nil, nil
-			continue
-		}
-		return n, err
-	}
-}
-
 // ReadEdges implements BulkEdgeSource: one slice copy per call.
 func (s *ListSource) ReadEdges(l *edge.List, max int) (int, error) {
 	rem := s.l.Len() - s.i

@@ -19,7 +19,8 @@
 //   - codec resolution by name (CodecByName) and by on-disk content
 //     (Detect, DetectStriped);
 //   - striped writing and reading of edge lists across N files of a
-//     vfs.FS, plus a streaming reader for out-of-core kernels.
+//     vfs.FS, plus a streaming source and sink for out-of-core kernels
+//     that decode ahead of and encode behind their callers.
 package fastio
 
 import (
@@ -664,13 +665,13 @@ func reserveStripe(l *edge.List, n int, src EdgeSource, size int64) {
 // StripedSource is an EdgeSource that streams edges from a set of stripe
 // files in order, opening each file lazily.  It is the input path of the
 // out-of-core kernels, which must not materialize the whole edge list.
+// The files are decoded a few batches ahead of the caller on one helper
+// goroutine (overlap.go); a decode error is `fastio: <file>: <cause>` and
+// ends the stream.  Close stops the helper: a caller that stops reading
+// before io.EOF or an error must call it.
 type StripedSource struct {
-	fs    vfs.FS
-	codec Codec
-	names []string
-	next  int
-	cur   io.ReadCloser
-	src   EdgeSource
+	readAhead
+	in stripeReader
 }
 
 // NewStripedSource returns a StripedSource over the stripes of prefix.
@@ -679,42 +680,69 @@ func NewStripedSource(fs vfs.FS, prefix string, codec Codec) (*StripedSource, er
 	if err != nil {
 		return nil, err
 	}
-	return &StripedSource{fs: fs, codec: codec, names: names}, nil
+	return NewFileSource(fs, codec, names...), nil
 }
 
-// ReadEdge implements EdgeSource.
-func (s *StripedSource) ReadEdge() (uint64, uint64, error) {
+// NewFileSource returns a StripedSource over the named files, read in the
+// given order: a stripe set, or one spilled run of an external sort.
+func NewFileSource(fs vfs.FS, codec Codec, names ...string) *StripedSource {
+	s := &StripedSource{in: stripeReader{fs: fs, codec: codec, names: names}}
+	s.fill = s.in.readEdges
+	return s
+}
+
+// Close stops the read-ahead and releases the currently open file, if any.
+func (s *StripedSource) Close() error {
+	s.halt()
+	return s.in.close()
+}
+
+// stripeReader decodes a list of files one after the other on the calling
+// goroutine: the stream a StripedSource reads ahead.
+type stripeReader struct {
+	fs    vfs.FS
+	codec Codec
+	names []string
+	next  int // index of the next file to open
+	cur   io.ReadCloser
+	src   EdgeSource
+}
+
+// readEdges follows the ReadEdges contract, rolling to the next file at
+// each end of file.
+func (s *stripeReader) readEdges(l *edge.List, max int) (int, error) {
 	for {
 		if s.src == nil {
 			if s.next >= len(s.names) {
-				return 0, 0, io.EOF
+				return 0, io.EOF
 			}
 			r, err := s.fs.Open(s.names[s.next])
 			if err != nil {
-				return 0, 0, err
+				return 0, fmt.Errorf("fastio: %s: %w", s.names[s.next], err)
 			}
 			s.cur = r
 			s.src = s.codec.NewReader(r)
 			s.next++
 		}
-		u, v, err := s.src.ReadEdge()
+		n, err := ReadEdges(s.src, l, max)
 		if err == io.EOF {
-			s.cur.Close()
-			s.cur, s.src = nil, nil
+			s.close()
 			continue
 		}
-		return u, v, err
+		if err != nil {
+			err = fmt.Errorf("fastio: %s: %w", s.names[s.next-1], err)
+		}
+		return n, err
 	}
 }
 
-// Close releases the currently open stripe, if any.
-func (s *StripedSource) Close() error {
-	if s.cur != nil {
-		err := s.cur.Close()
-		s.cur, s.src = nil, nil
-		return err
+func (s *stripeReader) close() error {
+	if s.cur == nil {
+		return nil
 	}
-	return nil
+	err := s.cur.Close()
+	s.cur, s.src = nil, nil
+	return err
 }
 
 // CountEdges streams src to completion and returns the number of edges.

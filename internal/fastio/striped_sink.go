@@ -12,19 +12,14 @@ import (
 // number of stripe files without knowing the total edge count in advance —
 // the out-of-core counterpart of WriteStriped.  Edges are written to stripe
 // i until edgesPerStripe records accumulate, then the sink rolls to stripe
-// i+1; the final stripe absorbs any overflow.  Close flushes and closes the
-// current stripe.
+// i+1; the final stripe absorbs any overflow.  Edges are encoded and
+// written behind the caller on one helper goroutine (overlap.go): a write
+// error — `fastio: <stripe>: <cause>` — surfaces at a later write, at
+// Flush or at Close, which wait for every edge written before them.  Close
+// flushes and closes the current stripe and stops the helper.
 type StripedSink struct {
-	fs             vfs.FS
-	prefix         string
-	codec          Codec
-	nfiles         int
-	edgesPerStripe int64
-
-	stripe  int
-	written int64
-	cur     io.WriteCloser
-	sink    EdgeSink
+	writeBehind
+	out stripeWriter
 }
 
 // NewStripedSink returns a StripedSink writing nfiles stripes under prefix.
@@ -38,31 +33,42 @@ func NewStripedSink(fs vfs.FS, prefix string, codec Codec, nfiles int, expectedE
 	if per < 1 {
 		per = 1
 	}
-	return &StripedSink{fs: fs, prefix: prefix, codec: codec, nfiles: nfiles, edgesPerStripe: per}, nil
+	s := &StripedSink{out: stripeWriter{fs: fs, prefix: prefix, codec: codec, nfiles: nfiles, edgesPerStripe: per}}
+	s.drain, s.flush = s.out.writeEdges, s.out.flush
+	return s, nil
 }
 
-// WriteEdge implements EdgeSink.
-func (s *StripedSink) WriteEdge(u, v uint64) error {
-	if s.sink == nil {
-		if err := s.openNext(); err != nil {
-			return err
-		}
+// Close finishes the sink, closing any open stripe.  A sink that received
+// no edges at all still produces one empty stripe so readers find the
+// prefix.
+func (s *StripedSink) Close() error {
+	err := s.finish()
+	if cerr := s.out.close(); err == nil {
+		err = cerr
 	}
-	if err := s.sink.WriteEdge(u, v); err != nil {
-		return err
-	}
-	s.written++
-	if s.written >= s.edgesPerStripe && s.stripe < s.nfiles {
-		return s.closeCurrent()
-	}
-	return nil
+	return err
 }
 
-// WriteEdges implements BulkEdgeSink, carving the batch along the same
-// stripe boundaries the per-edge path would produce and forwarding each
-// piece through the inner codec's bulk path.
-func (s *StripedSink) WriteEdges(l *edge.List, lo, hi int) error {
-	for lo < hi {
+// stripeWriter is the stream a StripedSink writes behind: it encodes
+// batches into the stripes on the calling goroutine.
+type stripeWriter struct {
+	fs             vfs.FS
+	prefix         string
+	codec          Codec
+	nfiles         int
+	edgesPerStripe int64
+
+	stripe  int // stripes opened so far
+	written int64
+	name    string
+	cur     io.WriteCloser
+	sink    EdgeSink
+}
+
+// writeEdges writes l, carving it along the stripe quotas and forwarding
+// each piece through the codec's bulk path.
+func (s *stripeWriter) writeEdges(l *edge.List) error {
+	for lo, hi := 0, l.Len(); lo < hi; {
 		if s.sink == nil {
 			if err := s.openNext(); err != nil {
 				return err
@@ -75,7 +81,7 @@ func (s *StripedSink) WriteEdges(l *edge.List, lo, hi int) error {
 			}
 		}
 		if err := WriteEdges(s.sink, l, lo, lo+n); err != nil {
-			return err
+			return s.fail(err)
 		}
 		s.written += int64(n)
 		lo += n
@@ -88,10 +94,16 @@ func (s *StripedSink) WriteEdges(l *edge.List, lo, hi int) error {
 	return nil
 }
 
-func (s *StripedSink) openNext() error {
-	w, err := s.fs.Create(StripeName(s.prefix, s.codec, s.stripe))
+// fail names the current stripe in err.
+func (s *stripeWriter) fail(err error) error {
+	return fmt.Errorf("fastio: %s: %w", s.name, err)
+}
+
+func (s *stripeWriter) openNext() error {
+	s.name = StripeName(s.prefix, s.codec, s.stripe)
+	w, err := s.fs.Create(s.name)
 	if err != nil {
-		return err
+		return s.fail(err)
 	}
 	s.cur = w
 	s.sink = s.codec.NewWriter(w)
@@ -100,32 +112,36 @@ func (s *StripedSink) openNext() error {
 	return nil
 }
 
-func (s *StripedSink) closeCurrent() error {
+func (s *stripeWriter) closeCurrent() error {
 	if s.sink == nil {
 		return nil
 	}
 	if err := s.sink.Flush(); err != nil {
 		s.cur.Close()
-		return err
+		s.cur, s.sink = nil, nil
+		return s.fail(err)
 	}
 	err := s.cur.Close()
 	s.cur, s.sink = nil, nil
-	return err
+	if err != nil {
+		return s.fail(err)
+	}
+	return nil
 }
 
-// Flush implements EdgeSink; it flushes the current stripe's buffer but
-// keeps the stripe open for further edges.
-func (s *StripedSink) Flush() error {
+// flush flushes the current stripe's buffer but keeps the stripe open for
+// further edges.
+func (s *stripeWriter) flush() error {
 	if s.sink == nil {
 		return nil
 	}
-	return s.sink.Flush()
+	if err := s.sink.Flush(); err != nil {
+		return s.fail(err)
+	}
+	return nil
 }
 
-// Close finishes the sink, closing any open stripe.  A sink that received
-// no edges at all still produces one empty stripe so readers find the
-// prefix.
-func (s *StripedSink) Close() error {
+func (s *stripeWriter) close() error {
 	if s.sink == nil && s.stripe == 0 {
 		if err := s.openNext(); err != nil {
 			return err

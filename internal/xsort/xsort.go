@@ -14,11 +14,11 @@
 //     labels (the optimized implementation, used by the csr variant);
 //   - Merge-based parallel sort (the parallel variant);
 //   - External: an out-of-core external merge sort that spills fixed-size
-//     sorted runs to a vfs.FS and k-way merges them (the extsort variant).
+//     sorted runs to a vfs.FS and k-way merges them through a loser tree
+//     (the extsort variant).
 package xsort
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"io"
@@ -272,13 +272,23 @@ const DefaultRunEdges = 1 << 20
 // step of the external sorters, exported because the distributed
 // out-of-core kernel 1 forms per-rank runs the same way.  Sorted runs are
 // the Packed codec's best case; the fixed-width Binary codec gives exact
-// 16 B/edge spill accounting.
+// 16 B/edge spill accounting.  A failure names the run's file.
 func SpillRun(fs vfs.FS, name string, codec fastio.Codec, buf *edge.List, byUV bool) error {
-	if byUV {
-		RadixByUV(buf)
-	} else {
-		RadixByU(buf)
+	_, err := spillRun(fs, name, codec, buf, byUV, nil)
+	return err
+}
+
+// spillRun is SpillRun sorting through the auxiliary list aux, which it
+// returns for the next run (RadixInto).
+func spillRun(fs vfs.FS, name string, codec fastio.Codec, buf *edge.List, byUV bool, aux *edge.List) (*edge.List, error) {
+	aux = RadixInto(buf, byUV, aux)
+	if err := writeRun(fs, name, codec, buf); err != nil {
+		return aux, fmt.Errorf("xsort: %s: %w", name, err)
 	}
+	return aux, nil
+}
+
+func writeRun(fs vfs.FS, name string, codec fastio.Codec, buf *edge.List) error {
 	w, err := fs.Create(name)
 	if err != nil {
 		return err
@@ -295,28 +305,22 @@ func SpillRun(fs vfs.FS, name string, codec fastio.Codec, buf *edge.List, byUV b
 	return w.Close()
 }
 
-// OpenRuns opens the named run files on fs for merging, returning one
-// streaming source per name (in the given order, decoding with the given
-// codec) and a close-all function.  On error the already-opened files are
-// closed before return.
-func OpenRuns(fs vfs.FS, codec fastio.Codec, names []string) ([]fastio.EdgeSource, func(), error) {
+// OpenRuns returns one streaming source per named run file on fs, in the
+// given order and decoding with the given codec, and a function that
+// closes them all.  Each run is opened on its first read and decoded ahead
+// of the merge (fastio.NewFileSource); a failure names the run's file.
+func OpenRuns(fs vfs.FS, codec fastio.Codec, names []string) ([]fastio.EdgeSource, func()) {
+	runs := make([]*fastio.StripedSource, len(names))
 	sources := make([]fastio.EdgeSource, len(names))
-	closers := make([]io.Closer, 0, len(names))
-	closeAll := func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}
 	for i, name := range names {
-		r, err := fs.Open(name)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		closers = append(closers, r)
-		sources[i] = codec.NewReader(r)
+		runs[i] = fastio.NewFileSource(fs, codec, name)
+		sources[i] = runs[i]
 	}
-	return sources, closeAll, nil
+	return sources, func() {
+		for _, r := range runs {
+			r.Close()
+		}
+	}
 }
 
 // RemoveRuns deletes the named run files, keeping the first failure; files
@@ -351,10 +355,12 @@ type ExternalStats struct {
 }
 
 // External sorts the edge stream src into dst using at most
-// cfg.RunEdges·16 bytes of in-memory edge storage, spilling sorted runs to
-// cfg.FS in cfg.Codec (Binary by default) and k-way merging them with a
-// heap.  Run files are removed before return on success and failure alike,
-// so an aborted sort leaves no stripes behind.
+// cfg.RunEdges·16 bytes of in-memory edge storage (plus the merge's
+// read-ahead batches, a few per run), spilling sorted runs to cfg.FS in
+// cfg.Codec (Binary by default) and k-way merging them with a loser tree
+// over batched, read-ahead run readers.  Run files are removed before
+// return on success and failure alike, so an aborted sort leaves no
+// stripes behind.
 func External(src fastio.EdgeSource, dst fastio.EdgeSink, cfg ExternalConfig) (stats ExternalStats, err error) {
 	if cfg.FS == nil {
 		return stats, fmt.Errorf("xsort: ExternalConfig.FS is nil")
@@ -379,6 +385,7 @@ func External(src fastio.EdgeSource, dst fastio.EdgeSink, cfg ExternalConfig) (s
 	// Phase 1: produce sorted runs.  Whatever happens below, the spilled
 	// stripes are gone when External returns.
 	buf := edge.NewList(cfg.RunEdges)
+	var aux *edge.List // the radix sort's, kept from run to run
 	var runNames []string
 	defer func() {
 		if rmErr := RemoveRuns(cfg.FS, runNames); rmErr != nil && err == nil {
@@ -393,7 +400,8 @@ func External(src fastio.EdgeSource, dst fastio.EdgeSink, cfg ExternalConfig) (s
 		// Track the name before writing: a failed spill may still have
 		// created the file, and the deferred cleanup must catch it.
 		runNames = append(runNames, name)
-		if err := SpillRun(cfg.FS, name, cfg.Codec, buf, cfg.ByUV); err != nil {
+		var err error
+		if aux, err = spillRun(cfg.FS, name, cfg.Codec, buf, cfg.ByUV, aux); err != nil {
 			return err
 		}
 		buf.Reset()
@@ -443,43 +451,8 @@ func External(src fastio.EdgeSource, dst fastio.EdgeSink, cfg ExternalConfig) (s
 	return stats, nil
 }
 
-// mergeEntry is one head-of-run element in the merge heap.
-type mergeEntry struct {
-	u, v uint64
-	run  int // index of the source run, used as a stable tiebreaker
-}
-
-type mergeHeap struct {
-	items []mergeEntry
-	byUV  bool
-}
-
-func (h *mergeHeap) Len() int { return len(h.items) }
-func (h *mergeHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if a.u != b.u {
-		return a.u < b.u
-	}
-	if h.byUV && a.v != b.v {
-		return a.v < b.v
-	}
-	return a.run < b.run
-}
-func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(mergeEntry)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
-}
-
 func mergeSpilledRuns(cfg ExternalConfig, runNames []string, dst fastio.EdgeSink) error {
-	sources, closeAll, err := OpenRuns(cfg.FS, cfg.Codec, runNames)
-	if err != nil {
-		return err
-	}
+	sources, closeAll := OpenRuns(cfg.FS, cfg.Codec, runNames)
 	defer closeAll()
 	return MergeSources(sources, dst, cfg.ByUV)
 }
@@ -488,22 +461,19 @@ func mergeSpilledRuns(cfg ExternalConfig, runNames []string, dst fastio.EdgeSink
 // stream to dst.  Ties break by list index, so merging stably-sorted lists
 // in a deterministic order is stable — the per-bucket merge step of the
 // distributed out-of-core sort, where each list is one spilled-run segment
-// and list order is (source rank, run) order.  It is MergeSources over
-// list-backed streams, so the two merges share one heap and one tie rule.
+// and list order is (source rank, run) order.  It runs MergeSources's
+// loser tree directly over the resident lists, so the two merges share one
+// order and one tie rule.
 func MergeLists(lists []*edge.List, dst *edge.List, byUV bool) {
-	switch len(lists) {
-	case 0:
-		return
-	case 1:
-		dst.AppendList(lists[0])
-		return
-	}
-	sources := make([]fastio.EdgeSource, len(lists))
+	cs := make([]cursor, len(lists))
+	total := 0
 	for i, l := range lists {
-		sources[i] = fastio.NewListSource(l)
+		cs[i] = cursor{u: l.U, v: l.V, i: -1}
+		total += l.Len()
 	}
-	if err := MergeSources(sources, fastio.NewListSink(dst), byUV); err != nil {
-		// Unreachable: list sources and sinks never fail.
+	dst.Grow(total)
+	if err := merge(cs, byUV, dst, nil); err != nil {
+		// Unreachable: resident cursors have no source to fail.
 		panic(err)
 	}
 }
@@ -516,34 +486,134 @@ func MergeLists(lists []*edge.List, dst *edge.List, byUV bool) {
 // settings.  Sources that are not actually sorted produce merged output
 // that is not sorted either; callers own that precondition.  MergeLists is
 // the in-memory counterpart for segments already resident as edge lists.
+// Sources are read, and dst written, mergeBatch edges at a time.
 func MergeSources(sources []fastio.EdgeSource, dst fastio.EdgeSink, byUV bool) error {
-	h := &mergeHeap{byUV: byUV}
+	cs := make([]cursor, len(sources))
 	for i, src := range sources {
-		u, v, err := src.ReadEdge()
-		if err == io.EOF {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		h.items = append(h.items, mergeEntry{u, v, i})
+		cs[i] = cursor{src: src, i: -1}
 	}
-	heap.Init(h)
-	for h.Len() > 0 {
-		top := h.items[0]
-		if err := dst.WriteEdge(top.u, top.v); err != nil {
-			return err
-		}
-		u, v, err := sources[top.run].ReadEdge()
-		if err == io.EOF {
-			heap.Pop(h)
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		h.items[0] = mergeEntry{u, v, top.run}
-		heap.Fix(h, 0)
+	err := merge(cs, byUV, edge.NewList(mergeBatch), func(out *edge.List) error {
+		return fastio.WriteEdges(dst, out, 0, out.Len())
+	})
+	if err != nil {
+		return err
 	}
 	return dst.Flush()
+}
+
+// mergeBatch is the edges a merge cursor reads from its source at a time,
+// and the merged edges MergeSources hands its sink at a time.  Every run
+// holds a window this long, so it is kept to 8 KiB: one call per 512 edges
+// is already noise next to the per-edge work.
+const mergeBatch = 512
+
+// cursor is one sorted input of a merge: a window of its edges, u[i] and
+// v[i] being the head, refilled from src when it runs out.
+type cursor struct {
+	u, v   []uint64
+	i      int
+	hu, hv uint64            // the head, cached for the tree's matches
+	done   bool              // no edges left
+	src    fastio.EdgeSource // nil: the window is the whole input
+	buf    edge.List         // the window's storage when src is set
+}
+
+// advance moves the head to the next edge, refilling the window from src
+// when it runs out; the cursor is done when there is no next edge.
+func (c *cursor) advance() error {
+	c.i++
+	if c.i == len(c.u) {
+		c.u, c.v, c.i = nil, nil, 0
+		for c.src != nil && len(c.u) == 0 {
+			c.buf.Reset()
+			if _, err := fastio.ReadEdges(c.src, &c.buf, mergeBatch); err == io.EOF {
+				break
+			} else if err != nil {
+				return err
+			}
+			c.u, c.v = c.buf.U, c.buf.V
+		}
+		if len(c.u) == 0 {
+			c.done = true
+			return nil
+		}
+	}
+	c.hu, c.hv = c.u[c.i], c.v[c.i]
+	return nil
+}
+
+// merge appends the edges of cs to out in (u[, v], cursor index) order
+// through a loser tree: node[0] is the cursor whose head goes next, and
+// each internal node n ∈ [1, k) holds the loser of the match played there,
+// the k cursors being the leaves k…2k−1.  A cursor that advances replays
+// only the matches on its own path to the root.  When emit is set it
+// receives out each time out holds mergeBatch edges, and once at the end;
+// out is reset after each call.
+func merge(cs []cursor, byUV bool, out *edge.List, emit func(*edge.List) error) error {
+	k := len(cs)
+	// less orders two cursors' heads; a done cursor follows every live one.
+	less := func(a, b int) bool {
+		x, y := &cs[a], &cs[b]
+		switch {
+		case x.done || y.done:
+			return !x.done
+		case x.hu != y.hu:
+			return x.hu < y.hu
+		case byUV && x.hv != y.hv:
+			return x.hv < y.hv
+		}
+		return a < b
+	}
+	// The first match at each node waits there for the second; its winner
+	// plays on up, so every node ends up holding one loser.
+	node := make([]int, max(k, 1))
+	for n := range node {
+		node[n] = -1
+	}
+	for i := range cs {
+		if err := cs[i].advance(); err != nil {
+			return err
+		}
+		w, n := i, (i+k)/2
+		for ; n > 0; n /= 2 {
+			if node[n] < 0 {
+				node[n] = w
+				break
+			}
+			if less(node[n], w) {
+				node[n], w = w, node[n]
+			}
+		}
+		if n == 0 {
+			node[0] = w
+		}
+	}
+	for k > 0 {
+		w := node[0]
+		c := &cs[w]
+		if c.done {
+			break
+		}
+		out.U = append(out.U, c.hu)
+		out.V = append(out.V, c.hv)
+		if emit != nil && out.Len() == mergeBatch {
+			if err := emit(out); err != nil {
+				return err
+			}
+			out.Reset()
+		}
+		if err := c.advance(); err != nil {
+			return err
+		}
+		for n := (w + k) / 2; n > 0; n /= 2 {
+			if less(node[n], w) {
+				node[n], w = w, node[n]
+			}
+		}
+		node[0] = w
+	}
+	if emit != nil && out.Len() > 0 {
+		return emit(out)
+	}
+	return nil
 }

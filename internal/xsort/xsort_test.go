@@ -1,8 +1,11 @@
 package xsort
 
 import (
+	"bytes"
+	"io"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -300,6 +303,43 @@ func TestExternalFailureLeavesNoRunFiles(t *testing.T) {
 	}
 }
 
+// tearFS flips the continuation bit of the named file's last byte as the
+// file is opened, so its last varint runs past the end of its block.
+type tearFS struct {
+	vfs.FS
+	name string
+}
+
+func (f *tearFS) Open(name string) (io.ReadCloser, error) {
+	r, err := f.FS.Open(name)
+	if err != nil || name != f.name {
+		return r, err
+	}
+	data, err := io.ReadAll(r)
+	r.Close()
+	if err != nil {
+		return nil, err
+	}
+	data[len(data)-1] ^= 0x80
+	return io.NopCloser(bytes.NewReader(data)), nil
+}
+
+// TestExternalCorruptRunNamed: a spilled run that no longer decodes fails
+// the merge with an error that names the run's file.
+func TestExternalCorruptRunNamed(t *testing.T) {
+	const bad = "tmp/run-0002.packed"
+	mem := vfs.NewMem()
+	_, err := External(fastio.NewListSource(randomList(14, 5000, 1<<20)), fastio.NewListSink(edge.NewList(0)), ExternalConfig{
+		FS: &tearFS{FS: mem, name: bad}, RunEdges: 1000, TmpPrefix: "tmp/run", Codec: fastio.Packed{},
+	})
+	if err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("merge over a corrupt run: err = %v, want it to name %s", err, bad)
+	}
+	if names, _ := mem.List(); len(names) != 0 {
+		t.Errorf("failed merge left %v", names)
+	}
+}
+
 func TestSpillRunAndOpenRunsRoundTrip(t *testing.T) {
 	fs := vfs.NewMem()
 	a := randomList(12, 300, 1<<10)
@@ -316,10 +356,7 @@ func TestSpillRunAndOpenRunsRoundTrip(t *testing.T) {
 		fastio.StripeName("runs", fastio.Binary{}, 0),
 		fastio.StripeName("runs", fastio.Binary{}, 1),
 	}
-	sources, closeAll, err := OpenRuns(fs, fastio.Binary{}, names)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sources, closeAll := OpenRuns(fs, fastio.Binary{}, names)
 	defer closeAll()
 	merged := edge.NewList(0)
 	if err := MergeSources(sources, fastio.NewListSink(merged), false); err != nil {
