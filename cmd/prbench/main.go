@@ -39,10 +39,10 @@
 //	prbench -scale 14 -variant distgo -checkpoint-every 3 -inject-fault 1@7
 //	prbench -scale 14 -variant distgo -checkpoint-every 3 -inject-fault 1@6@ckpt
 //
-// Staged-artifact-cache ablation: -cachesweep runs every variant cold
-// then warm against a fresh service and tabulates the wall-clock
-// speedup next to the warm run's per-stage hit/miss counters and the
-// cache's resident footprint; -cachebudget bounds the cache in bytes.
+// Matrix-cache ablation: -cachesweep runs every variant cold then warm
+// against a fresh service and tabulates the wall-clock speedup next to
+// the warm run's matrix hit/miss counters and the cache's resident
+// footprint; -cachebudget bounds the cache in bytes.
 // With -distmode socket the dist variants' warm runs reuse the
 // service's resident workers:
 //
@@ -109,8 +109,8 @@ var (
 	ckptEvery   = flag.Int("checkpoint-every", 0, "checkpoint the distributed kernel 3 every N iterations and report the overhead against an uncheckpointed baseline (dist variants)")
 	ckptDir     = flag.String("checkpoint-dir", "", "durable storage directory for -checkpoint-every epochs (empty = in-memory)")
 	injectFault = flag.String("inject-fault", "", `kill a rank mid-kernel-3 and resume: "RANK@ITER" fires after ITER completed iterations, "RANK@ITER@ckpt" fires during the epoch write (requires -checkpoint-every)`)
-	cacheSweep  = flag.Bool("cachesweep", false, "run each variant cold then warm against the staged artifact cache and tabulate the speedup, per-stage hit/miss counters and resident cache bytes")
-	cacheBudget = flag.Int64("cachebudget", 0, "staged-cache byte budget (0 = the default entry-capped cache); applies to single runs and -cachesweep")
+	cacheSweep  = flag.Bool("cachesweep", false, "run each variant cold then warm against the matrix cache and tabulate the speedup, matrix hit/miss counters and resident cache bytes")
+	cacheBudget = flag.Int64("cachebudget", 0, "matrix-cache byte budget (0 = the default entry-capped cache); applies to single runs and -cachesweep")
 	output      = flag.String("output", "table", "output format: table, csv, markdown")
 	jsonOut     = flag.Bool("json", false, "emit a machine-readable prbench/v3 JSON report (single pipeline runs and -cachesweep; schema in README)")
 	cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the measured pipeline run(s) to this file (plain single- and multi-variant runs, in-process modes only)")
@@ -364,10 +364,10 @@ func emit(t *results.Table, format string) {
 // pipeline run, the per-kernel rows of the table plus the allocation and
 // communication counters that seed the BENCH_*.json perf trajectory.
 // v2 added the edge-file format, the encoded kernel-0/kernel-1 file
-// footprints, and the out-of-core spill record.  v3 adds the staged
-// artifact cache: the run's per-stage hit/miss record, the configured
-// byte budget, and the -cachesweep report (a second object shape under
-// the same schema string, distinguished by its "cacheSweep" array).
+// footprints, and the out-of-core spill record.  v3 adds the matrix
+// cache: the run's hit/miss record, the configured byte budget, and the
+// -cachesweep report (a second object shape under the same schema
+// string, distinguished by its "cacheSweep" array).
 type jsonKernel struct {
 	Kernel         string  `json:"kernel"`
 	Seconds        float64 `json:"seconds"`
@@ -398,12 +398,8 @@ type jsonCacheStage struct {
 	Misses uint64 `json:"misses"`
 }
 
-// jsonCacheStats is a run's per-stage staged-cache record.  A hit at a
-// deeper stage short-circuits the shallower ones, so a warm run shows a
-// matrix hit and zeros elsewhere.
+// jsonCacheStats is a run's matrix-cache record.
 type jsonCacheStats struct {
-	Edges  jsonCacheStage `json:"edges"`
-	Sorted jsonCacheStage `json:"sorted"`
 	Matrix jsonCacheStage `json:"matrix"`
 }
 
@@ -411,11 +407,7 @@ func newJSONCacheStats(c *core.CacheStats) *jsonCacheStats {
 	if c == nil {
 		return nil
 	}
-	return &jsonCacheStats{
-		Edges:  jsonCacheStage{Hits: c.Edges.Hits, Misses: c.Edges.Misses},
-		Sorted: jsonCacheStage{Hits: c.Sorted.Hits, Misses: c.Sorted.Misses},
-		Matrix: jsonCacheStage{Hits: c.Matrix.Hits, Misses: c.Matrix.Misses},
-	}
+	return &jsonCacheStats{Matrix: jsonCacheStage{Hits: c.Matrix.Hits, Misses: c.Matrix.Misses}}
 }
 
 type jsonReport struct {
@@ -535,8 +527,8 @@ func printResult(res *core.Result, format string) {
 
 // jsonCacheSweepRow is one variant's cold/warm measurement in the
 // -cachesweep -json report.  WarmCache is absent for variants that opt
-// out of every cache stage (parallel) — their warm run recomputes all
-// four kernels.
+// out of the cache (parallel) — their warm run recomputes all four
+// kernels.
 type jsonCacheSweepRow struct {
 	Variant         string          `json:"variant"`
 	ColdSeconds     float64         `json:"coldSeconds"`
@@ -560,11 +552,10 @@ type jsonCacheSweep struct {
 	Sweep       []jsonCacheSweepRow `json:"cacheSweep"`
 }
 
-// runCacheSweep is the staged-artifact-cache ablation: each variant runs
-// the same configuration twice against its own fresh service — cold,
-// then warm — and the table reports the wall-clock speedup next to the
-// warm run's per-stage hit/miss counters and the cache's resident
-// footprint.  The warm ranks are cross-checked bit for bit against the
+// runCacheSweep is the matrix-cache ablation: each variant runs the same
+// configuration twice against its own fresh service — cold, then warm —
+// and the table reports the wall-clock speedup next to the warm run's
+// matrix hit/miss counters and the cache's resident footprint.  The warm ranks are cross-checked bit for bit against the
 // cold run's: the cache trades time, never output.
 func runCacheSweep(ctx context.Context, cfg core.Config, variants []string, budget int64, output string, jsonOut bool) error {
 	cfg.KeepRank = true
@@ -619,19 +610,18 @@ func runCacheSweep(ctx context.Context, cfg core.Config, variants []string, budg
 		})
 	}
 	t := results.NewTable(
-		fmt.Sprintf("Staged-cache cold/warm ablation: scale %d, %d iterations", cfg.Scale, cfg.PageRank.Iterations),
-		"variant", "cold s", "warm s", "speedup", "edges h/m", "sorted h/m", "matrix h/m", "cache MB")
+		fmt.Sprintf("Matrix-cache cold/warm ablation: scale %d, %d iterations", cfg.Scale, cfg.PageRank.Iterations),
+		"variant", "cold s", "warm s", "speedup", "matrix h/m", "cache MB")
 	for _, r := range rows {
-		eh, sh, mh := "-", "-", "-"
+		mh := "-"
 		if r.WarmCache != nil {
-			hm := func(s jsonCacheStage) string { return fmt.Sprintf("%d/%d", s.Hits, s.Misses) }
-			eh, sh, mh = hm(r.WarmCache.Edges), hm(r.WarmCache.Sorted), hm(r.WarmCache.Matrix)
+			mh = fmt.Sprintf("%d/%d", r.WarmCache.Matrix.Hits, r.WarmCache.Matrix.Misses)
 		}
 		t.AddRow(r.Variant,
 			fmt.Sprintf("%.4f", r.ColdSeconds),
 			fmt.Sprintf("%.4f", r.WarmSeconds),
 			fmt.Sprintf("%.2fx", r.Speedup),
-			eh, sh, mh,
+			mh,
 			fmt.Sprintf("%.2f", float64(r.ResidentBytes)/1e6))
 	}
 	emit(t, output)

@@ -57,7 +57,7 @@ func main() {
 	// Ground truth: the fully in-memory optimized variant on the same
 	// seed must produce the identical matrix and (up to FP reassociation)
 	// the same ranks.  The extsort run above deposited its kernel-2
-	// matrix in the service's staged cache, so a csr run through svc
+	// matrix in the service's matrix cache, so a csr run through svc
 	// would be served that very artifact — validating it against itself.
 	// RunOnce uses a throwaway service: genuinely independent.
 	ref, err := core.RunOnce(ctx, core.Config{

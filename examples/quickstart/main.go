@@ -17,7 +17,7 @@ import (
 
 func main() {
 	// One long-lived Service fronts every run: it bounds concurrency,
-	// owns the shared generator cache, and threads ctx down to the
+	// owns the shared matrix cache, and threads ctx down to the
 	// kernels so Ctrl-C-style cancellation aborts mid-run.
 	ctx := context.Background()
 	svc := core.NewService()
@@ -50,9 +50,9 @@ func main() {
 
 	// The same pipeline through every registered implementation variant.
 	// All the scale-12 runs share one (scale 12, seed 1) graph through
-	// the service's staged artifact cache: the first run computes and
-	// deposits the kernel-2 matrix, and every later participant starts
-	// straight at kernel 3 — res.Cache says which stage each run hit.
+	// the service's matrix cache: the first run computes and deposits the
+	// kernel-2 matrix, and every later participant starts straight at
+	// kernel 3 — res.Cache says whether a run hit.
 	// The parallel variant opts out (its generator draws a different
 	// edge multiset per worker count) and recomputes everything.
 	fmt.Println("\nkernel-3 rate by implementation variant:")
@@ -68,18 +68,12 @@ func main() {
 			from = "cache opt-out, recomputed"
 		case vres.Cache.Matrix.Hits > 0:
 			from = "cached K2 matrix"
-		case vres.Cache.Sorted.Hits > 0:
-			from = "cached K1 sorted edges"
-		case vres.Cache.Edges.Hits > 0:
-			from = "cached K0 edges"
 		}
 		fmt.Printf("  %-10s %.4g edges/s (%s)\n", v, k3.EdgesPerSecond, from)
 	}
 	st := svc.Stats()
-	fmt.Printf("\nservice totals: %d runs; cache hits/misses: edges %d/%d, sorted %d/%d, matrix %d/%d (%d bytes resident)\n",
+	fmt.Printf("\nservice totals: %d runs; matrix cache hits/misses %d/%d (%d bytes resident)\n",
 		st.RunsStarted,
-		st.CacheEdges.Hits, st.CacheEdges.Misses,
-		st.CacheSorted.Hits, st.CacheSorted.Misses,
 		st.CacheMatrix.Hits, st.CacheMatrix.Misses,
 		st.CacheBytes)
 }

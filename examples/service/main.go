@@ -4,7 +4,7 @@
 // Four scenes:
 //
 //  1. Fan-in: seven concurrent runs of the same graph through different
-//     variants.  The service's staged artifact cache singleflights the
+//     variants.  The service's matrix cache singleflights the
 //     shared kernel-2 matrix: one run computes it, the other six join
 //     the in-flight fill (1 miss, 6 hits) while the admission queue
 //     caps how many execute at a time.
@@ -43,9 +43,8 @@ func main() {
 	// --- Scene 1: seven concurrent runs, one computed matrix. ---------
 	// ("parallel" is absent by design: it generates with per-worker jump
 	// streams — a different edge multiset per worker count — so it opts
-	// out of every cache stage.  extsort streams kernel 0 in bounded
-	// memory, skipping the list stages, but shares the canonical
-	// kernel-2 matrix like everyone else.)
+	// out of the cache.  extsort streams kernels 0-2 in bounded memory
+	// but shares the canonical kernel-2 matrix like everyone else.)
 	variants := []string{"csr", "coo", "columnar", "graphblas", "dist", "distgo", "extsort"}
 	results := make([]*core.Result, len(variants))
 	var wg sync.WaitGroup
@@ -67,7 +66,7 @@ func main() {
 		fmt.Printf("  %-10s nnz=%d  %.4g edges/s\n", v, results[i].NNZ, k3.EdgesPerSecond)
 	}
 	st := svc.Stats()
-	fmt.Printf("staged cache after the batch: matrix %d miss / %d hits — kernels 0-2 ran once for all %d runs (%d bytes resident)\n\n",
+	fmt.Printf("matrix cache after the batch: matrix %d miss / %d hits — kernels 0-2 ran once for all %d runs (%d bytes resident)\n\n",
 		st.CacheMatrix.Misses, st.CacheMatrix.Hits, len(variants), st.CacheBytes)
 
 	// --- Scene 2: a warm run is kernel-3-bound. -----------------------

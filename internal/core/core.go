@@ -15,9 +15,8 @@
 //
 // The Service is the context-aware session API (DESIGN.md §8, §12): it
 // bounds concurrent runs and memoizes each distinct (generator, scale,
-// edgeFactor, seed) graph's staged artifacts — the raw edge list, the
-// kernel-1 sorted list and the kernel-2 filtered, normalized matrix —
-// computing each exactly once however many concurrent runs ask for it,
+// edgeFactor, seed) graph's kernel-2 filtered, normalized matrix —
+// computing it exactly once however many concurrent runs ask for it —
 // so a warm svc.Run executes kernel 3 only.  It streams per-kernel,
 // per-iteration and cache-hit/miss progress (svc.RunStream) and aborts
 // mid-kernel on context cancellation.  RunOnce is the one-shot for
@@ -66,8 +65,8 @@ const (
 // The Service session API (internal/serve; DESIGN.md §8)
 
 // Service is the long-lived run coordinator: bounded concurrent runs, a
-// shared singleflight generator cache, context cancellation and
-// streaming progress.  See serve.Service.
+// shared singleflight matrix cache, context cancellation and streaming
+// progress.  See serve.Service.
 type Service = serve.Service
 
 // ServiceOption configures NewService.
@@ -76,20 +75,20 @@ type ServiceOption = serve.Option
 // RunOption configures one Service.Run or Service.RunStream call.
 type RunOption = serve.RunOption
 
-// GraphKey is the staged artifact cache's graph identity: two runs
-// agreeing on its fields draw from the same cached artifacts.
+// GraphKey is the matrix cache's graph identity: two runs agreeing on
+// its fields share one cached matrix.
 type GraphKey = serve.GraphKey
 
 // ServiceStats is a snapshot of a Service's run and cache counters.
 type ServiceStats = serve.Stats
 
-// StageStats is one staged-cache level's counters within ServiceStats.
+// StageStats is the matrix cache's counters within ServiceStats.
 type StageStats = serve.StageStats
 
-// CacheStats is a run's per-stage cache record (Result.Cache).
+// CacheStats is a run's cache record (Result.Cache).
 type CacheStats = pipeline.CacheStats
 
-// StageCacheStats is one stage's hit/miss record within CacheStats.
+// StageCacheStats is the matrix's hit/miss record within CacheStats.
 type StageCacheStats = pipeline.StageCacheStats
 
 // Event is one observation of a streaming run (Service.RunStream).
@@ -109,15 +108,15 @@ const (
 )
 
 // NewService constructs the long-lived Service.  The default admits
-// GOMAXPROCS concurrent runs and caches up to 8 generated graphs.
+// GOMAXPROCS concurrent runs and caches up to 8 kernel-2 matrices.
 func NewService(opts ...ServiceOption) *Service { return serve.New(opts...) }
 
 // WithMaxConcurrent bounds the Service's concurrently executing runs.
 func WithMaxConcurrent(n int) ServiceOption { return serve.WithMaxConcurrent(n) }
 
-// WithCacheBudget bounds the Service's staged artifact cache to the
-// given number of resident bytes across all stages, LRU-evicted with
-// artifacts charged at their real footprint (<= 0 disables it).
+// WithCacheBudget bounds the Service's matrix cache to the given number
+// of resident bytes, LRU-evicted with matrices charged at their real
+// footprint (<= 0 disables it).
 func WithCacheBudget(bytes int64) ServiceOption { return serve.WithCacheBudget(bytes) }
 
 // WithKernels restricts a Service run to the listed kernels.

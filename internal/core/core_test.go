@@ -67,10 +67,10 @@ func TestConfigDistModeValidated(t *testing.T) {
 	}
 }
 
-// TestWarmRunsShareOneTranspose: the gather variants that take part in
-// the matrix stage read Aᵀ from the staged cache, so warm runs of one
-// matrix transpose it once — the first hit builds and charges the shared
-// copy, later hits add nothing — and never once per run.
+// TestWarmRunsShareOneTranspose: the gather variants read Aᵀ from the
+// matrix cache, so the runs of one matrix transpose it once — the cold
+// run that fills the entry builds and charges the shared copy, warm hits
+// add nothing — and never once per run.
 func TestWarmRunsShareOneTranspose(t *testing.T) {
 	for _, variant := range []string{"csr", "extsort"} {
 		svc := NewService()
@@ -80,12 +80,15 @@ func TestWarmRunsShareOneTranspose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s cold: %v", variant, err)
 		}
-		matrix := svc.Stats().CacheMatrix.Bytes
+		resident := svc.Stats().CacheMatrix.Bytes
 		// The ordered transpose lists all N rows (4 B each), points into
 		// the non-empty ones (8 B each, plus one) and holds every entry
-		// (12 B); the first hit fixes how many rows are non-empty.
+		// (12 B); the matrix holds N+1 row pointers (8 B) and every entry
+		// (12 B) at least.
 		n, nnz := int64(1)<<cfg.Scale, int64(cold.NNZ)
-		var transpose int64
+		if least := 4*n + 8 + 12*nnz + 8*(n+1) + 12*nnz; resident < least {
+			t.Fatalf("%s: %d resident bytes after the cold run, want the matrix and its transpose (>= %d)", variant, resident, least)
+		}
 		for i := 1; i <= 3; i++ {
 			warm, err := svc.Run(ctx, cfg)
 			if err != nil {
@@ -95,17 +98,45 @@ func TestWarmRunsShareOneTranspose(t *testing.T) {
 				t.Fatalf("%s warm %d: Cache = %+v, want a matrix hit", variant, i, warm.Cache)
 			}
 			sameBits(t, fmt.Sprintf("%s warm %d vs cold", variant, i), cold.Rank, warm.Rank)
-			if i == 1 {
-				transpose = svc.Stats().CacheMatrix.Bytes - matrix
-				if transpose < 4*n+8+12*nnz || transpose > 12*n+8+12*nnz {
-					t.Fatalf("%s: first hit charged %d bytes for Aᵀ, want an ordered transpose of %d rows and %d entries", variant, transpose, n, nnz)
-				}
-			}
-			if got := svc.Stats().CacheMatrix.Bytes; got != matrix+transpose {
-				t.Fatalf("%s warm %d: %d resident matrix-stage bytes, want matrix %d + one shared transpose %d",
-					variant, i, got, matrix, transpose)
+			if got := svc.Stats().CacheMatrix.Bytes; got != resident {
+				t.Fatalf("%s warm %d: %d resident bytes, want the cold run's %d", variant, i, got, resident)
 			}
 		}
 		svc.Close()
+	}
+}
+
+// TestColdServiceRunAllocatesLikeRunOnce: the cache holds the matrix
+// alone, so a cold run behind a caching Service recycles its edge lists
+// exactly as RunOnce does, and allocates the same bytes within 5 %.
+func TestColdServiceRunAllocatesLikeRunOnce(t *testing.T) {
+	cfg := Config{Scale: 14, Seed: 1, Variant: "csr", KeepRank: true}
+	ctx := context.Background()
+	allocated := func(res *Result) (sum uint64) {
+		for _, k := range res.Kernels {
+			sum += k.AllocBytes
+		}
+		return sum
+	}
+	if _, err := RunOnce(ctx, cfg); err != nil { // lazy set-up is not the run's
+		t.Fatal(err)
+	}
+	once, err := RunOnce(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService()
+	defer svc.Close()
+	cached, err := svc.Run(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached.Cache == nil || cached.Cache.Matrix.Misses != 1 {
+		t.Fatalf("service run: cache record %+v, want a matrix miss", cached.Cache)
+	}
+	a, b := float64(allocated(once)), float64(allocated(cached))
+	if b > 1.05*a || b < 0.95*a {
+		t.Fatalf("cold run allocated %.1f B/edge behind a caching Service, %.1f through RunOnce",
+			b/float64(cfg.M()), a/float64(cfg.M()))
 	}
 }

@@ -99,7 +99,7 @@ type Spec struct {
 	Session *Session
 	// OperandID names Matrix to a Session (OpRunMatrix): workers that
 	// still hold the row blocks of the same id from an earlier job are
-	// sent none.  It must change whenever the matrix does — the staged
+	// sent none.  It must change whenever the matrix does — the matrix
 	// cache's key plus fill generation, not a pointer.  Empty always
 	// ships.
 	OperandID string

@@ -77,13 +77,6 @@ func (l *List) Clone() *List {
 	return c
 }
 
-// Footprint returns the list's in-memory size in bytes — the two vertex
-// arrays at their allocated capacity.  The service layer's staged
-// artifact cache charges resident edge lists at this cost.
-func (l *List) Footprint() int64 {
-	return int64(cap(l.U))*8 + int64(cap(l.V))*8
-}
-
 // Slice returns a view of edges [lo, hi).  The view shares storage with l.
 func (l *List) Slice(lo, hi int) *List {
 	return &List{U: l.U[lo:hi:hi], V: l.V[lo:hi:hi]}

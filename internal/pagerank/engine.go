@@ -240,7 +240,7 @@ func NewGatherEngine(a *sparse.CSR, opt Options) (*Engine, error) {
 }
 
 // NewGatherEngineWith is NewGatherEngine for a caller that already holds
-// at = a.TransposeOrdered() — the staged cache keeps one beside each
+// at = a.TransposeOrdered() — the matrix cache keeps one beside each
 // resident matrix — so repeated engines over one matrix transpose it
 // once, not once each.  The engine only reads at.
 func NewGatherEngineWith(a *sparse.CSR, at *sparse.Ordered, opt Options) (*Engine, error) {

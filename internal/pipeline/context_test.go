@@ -3,14 +3,13 @@ package pipeline
 // Tests for the context/session plumbing the API redesign added to the
 // pipeline: cancellation via ExecuteKernelsContext, the Progress event
 // stream (including the rank-0-only iteration reporting of the
-// goroutine-rank variants), and the kernel-0 Source hook's metering.
+// goroutine-rank variants), and the closures a Result must not keep.
 
 import (
 	"context"
 	"errors"
 	"testing"
 
-	"repro/internal/edge"
 	"repro/internal/pagerank"
 )
 
@@ -72,87 +71,34 @@ func TestProgressComposesWithPageRankHook(t *testing.T) {
 	}
 }
 
-// TestSourceHookFeedsKernel0 pins the cache seam: a Source-supplied list
-// must flow through the whole pipeline unchanged and be metered in
-// Cache.Edges, for serial and distributed variants alike.
-func TestSourceHookFeedsKernel0(t *testing.T) {
-	baseline, err := ExecuteContext(context.Background(), smallCfg("csr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := GenerateEdges(smallCfg("csr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, variant := range []string{"csr", "coo", "columnar", "graphblas", "dist", "distgo", "distext"} {
-		calls := 0
-		cfg := smallCfg(variant)
-		cfg.Source = func(Config) (*edge.List, bool, error) {
-			calls++
-			return shared, true, nil
-		}
-		res, err := ExecuteContext(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", variant, err)
-		}
-		if calls != 1 {
-			t.Fatalf("%s: Source called %d times", variant, calls)
-		}
-		if res.Cache == nil || res.Cache.Edges != (StageCacheStats{Hits: 1}) {
-			t.Fatalf("%s: Cache = %+v, want 1 edges-stage hit", variant, res.Cache)
-		}
-		if res.NNZ != baseline.NNZ {
-			t.Fatalf("%s: NNZ %d != baseline %d — sourced list diverged", variant, res.NNZ, baseline.NNZ)
-		}
-	}
-}
-
-// TestSourceBypassVariants pins the two deliberate cache bypasses: the
-// parallel variant's jump-stream generator and the extsort variant's
-// streaming (bounded-memory) kernel 0 must ignore Cfg.Source.
-func TestSourceBypassVariants(t *testing.T) {
-	for _, variant := range []string{"parallel", "extsort"} {
-		cfg := smallCfg(variant)
-		cfg.Source = func(Config) (*edge.List, bool, error) {
-			t.Fatalf("%s: Source must not be consulted", variant)
-			return nil, false, nil
-		}
-		res, err := ExecuteContext(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", variant, err)
-		}
-		if res.Cache != nil {
-			t.Fatalf("%s: Cache should stay nil on bypass, got %+v", variant, res.Cache)
-		}
-	}
-}
-
 // TestResultConfigDropsClosures pins that the echoed Config does not
-// retain the run's Source/Progress closures.
+// retain the run's Progress and checkpoint-hook closures.
 func TestResultConfigDropsClosures(t *testing.T) {
 	cfg := smallCfg("csr")
 	cfg.Progress = func(Event) {}
-	shared, err := GenerateEdges(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Source = func(Config) (*edge.List, bool, error) { return shared, true, nil }
+	cfg.Checkpoint.OnCommit = func(int64) {}
 	res, err := ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Config.Source != nil || res.Config.Progress != nil {
+	if res.Config.Progress != nil || res.Config.Checkpoint.OnCommit != nil {
 		t.Fatal("Result.Config retains the run's closures")
 	}
 }
 
-// TestSourceErrorSurfaces pins the failure path.
+// TestSourceErrorSurfaces pins the fabric seam's failure path: a
+// socket-mode kernel 3 whose FabricSource fails returns that error.
 func TestSourceErrorSurfaces(t *testing.T) {
-	cfg := smallCfg("csr")
-	boom := errors.New("generator down")
-	cfg.Source = func(Config) (*edge.List, bool, error) { return nil, false, boom }
+	m, mass := captureMatrix(t, "dist")
+	cfg := smallCfg("dist")
+	cfg.DistMode = "socket"
+	cfg.MatrixSource = func(Config) (MatrixLease, error) {
+		return MatrixLease{Matrix: m, Mass: mass, Hit: true}, nil
+	}
+	boom := errors.New("fabric down")
+	cfg.FabricSource = func(int) (FabricLease, error) { return FabricLease{}, boom }
 	if _, err := ExecuteContext(context.Background(), cfg); !errors.Is(err, boom) {
-		t.Fatalf("want the source error, got %v", err)
+		t.Fatalf("want the fabric source error, got %v", err)
 	}
 }
 

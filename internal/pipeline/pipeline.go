@@ -16,7 +16,6 @@ import (
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
 	"repro/internal/vfs"
-	"repro/internal/xsort"
 )
 
 // Kernel identifies one pipeline stage.
@@ -28,7 +27,6 @@ const (
 	K1Sort
 	K2Filter
 	K3PageRank
-	numKernels
 )
 
 // String implements fmt.Stringer.
@@ -123,38 +121,23 @@ type Config struct {
 	// MeterIO wraps the storage in a byte-counting layer and records each
 	// kernel's read/write volume in its KernelResult.
 	MeterIO bool
-	// Source, when non-nil, replaces the kernel-0 generator invocation:
-	// variants obtain the edge list from it instead of generating.  It
-	// reports whether the list came from a cache (metered in the
-	// Result's Cache.Edges) and MUST return a list the caller treats as
-	// read-only — kernel 0 only writes it to storage, never mutates it,
-	// which is what lets the service layer share one list across
-	// concurrent runs.  The hook sees the defaulted Config.
-	Source func(Config) (*edge.List, bool, error)
-	// SortedSource, when non-nil, lets the run exchange the kernel-1
-	// sorted edge list with an external staged cache.  The runner
-	// consults it once before the kernels start (when both K1 and K2
-	// are scheduled and the variant participates — see CacheTraits): a
-	// hit skips kernels 0 and 1 entirely and kernel 2 consumes the
-	// shared read-only list; a miss obligates the run to deposit its
-	// own kernel-1 output through the lease's Fill.  The hook sees the
-	// defaulted Config with SortEndVertices reflecting the variant's
-	// effective kernel-1 order (the columnar variant always sorts by
-	// (u, v)).  Interactions are metered in the Result's Cache record.
-	SortedSource func(Config) (SortedLease, error)
-	// MatrixSource is SortedSource's kernel-2 analogue: the deepest
-	// cache level, holding the filtered, normalized matrix.  A hit
-	// skips kernels 0–2 — a warm full-pipeline run performs only
-	// kernel 3 (the dist variants row-block the cached matrix across
-	// their ranks instead of recomputing it).  The kernel-2 matrix is
-	// canonical — column-sorted rows, duplicate edges accumulated —
-	// so it is bit-identical across all variants and safe to exchange
-	// between them.
+	// MatrixSource, when non-nil, lets the run exchange the kernel-2
+	// filtered, normalized matrix with an external cache.  The runner
+	// consults it once before the kernels start (when K2 is scheduled and
+	// the variant participates — see CacheTraits): a hit skips kernels
+	// 0–2 — a warm full-pipeline run performs only kernel 3 (the dist
+	// variants row-block the cached matrix across their ranks instead of
+	// recomputing it); a miss obligates the run to deposit its own
+	// kernel-2 output through the lease's Fill.  The kernel-2 matrix is
+	// canonical — column-sorted rows, duplicate edges accumulated — so it
+	// is bit-identical across all variants and safe to exchange between
+	// them.  The hook sees the defaulted Config; interactions are metered
+	// in the Result's Cache record.
 	MatrixSource func(Config) (MatrixLease, error)
 	// FabricSource, when non-nil, lends the dist variants' socket-mode
 	// kernel 3 an open worker fabric of procs ranks in place of one
 	// spawned and torn down inside the kernel.  Together with a
-	// matrix-stage hit's MatrixLease.ID it makes a warm socket run the
+	// matrix hit's MatrixLease.ID it makes a warm socket run the
 	// iteration's collectives and nothing else: the lender keeps the
 	// workers, and the row blocks they hold, alive between runs.  The
 	// call may wait for another run to return the fabric.
@@ -248,16 +231,14 @@ const (
 	// complete epoch before iterating, carrying the epoch's completed-
 	// iteration count in Iteration.
 	EventCheckpointRestored
-	// EventCacheHit fires when an external staged-cache source
-	// (Config.Source / SortedSource / MatrixSource) serves an artifact.
-	// Kernel identifies the artifact's producing stage (K0Generate for
-	// the raw edge list, K1Sort for the sorted list, K2Filter for the
-	// filtered matrix); the producing kernels are skipped, so they emit
-	// no start/end events of their own.
+	// EventCacheHit fires when Config.MatrixSource serves the kernel-2
+	// matrix.  Kernel is K2Filter, the artifact's producing kernel;
+	// kernels 0–2 are skipped, so they emit no start/end events of their
+	// own.
 	EventCacheHit
-	// EventCacheMiss fires when a staged-cache source was consulted but
-	// held no resident artifact: this run computes the artifact and
-	// deposits it.  Kernel identifies the artifact's producing stage.
+	// EventCacheMiss fires when MatrixSource was consulted but held no
+	// resident matrix: this run computes it and deposits it.  Kernel is
+	// K2Filter.
 	EventCacheMiss
 )
 
@@ -295,9 +276,8 @@ type Event struct {
 	KernelResult *KernelResult
 }
 
-// StageCacheStats records one staged-cache level's interaction for a
-// single run.  A run scores at most one hit or one miss per consulted
-// stage.
+// StageCacheStats records a run's interaction with one cached artifact:
+// at most one hit or one miss.
 type StageCacheStats struct {
 	// Hits counts artifacts served from the cache.
 	Hits uint64
@@ -305,40 +285,21 @@ type StageCacheStats struct {
 	Misses uint64
 }
 
-// CacheStats records a run's per-stage interaction with an external
-// staged artifact cache (Config.Source, SortedSource, MatrixSource).
-// A hit at a deeper stage short-circuits the shallower ones: a run that
-// hit the matrix stage never consulted the sorted or edges stages, so
-// their counters stay zero.
+// CacheStats records a run's interaction with an external artifact
+// cache (Config.MatrixSource).
 type CacheStats struct {
-	// Edges is the raw kernel-0 edge-list stage (Config.Source).
-	Edges StageCacheStats
-	// Sorted is the kernel-1 sorted edge-list stage (SortedSource).
-	Sorted StageCacheStats
-	// Matrix is the kernel-2 filtered-matrix stage (MatrixSource).
+	// Matrix is the kernel-2 filtered matrix (MatrixSource).
 	Matrix StageCacheStats
 }
 
-// SortedLease is one SortedSource transaction.  On a hit, List carries
-// the shared kernel-1 artifact — read-only, like a sourced kernel-0
-// list; mutating consumers must copy.  On a miss, Fill is non-nil and
-// the runner MUST invoke it exactly once: with the run's own kernel-1
-// output on success, or with the failure (a cancelled or failed fill
-// is delivered to concurrent waiters and never cached, so the key is
-// not poisoned).
-type SortedLease struct {
-	// List is the cached sorted edge list (hits only).
-	List *edge.List
-	// Hit reports whether List was served from the cache.
-	Hit bool
-	// Fill deposits the artifact or the failure (misses only).
-	Fill func(l *edge.List, err error)
-}
-
-// MatrixLease is one MatrixSource transaction, with the same hit/fill
-// contract as SortedLease.  Mass carries the pre-filter matrix mass
-// (Result.MatrixMass) alongside the matrix so a warm run's Result is
-// complete without re-deriving it.
+// MatrixLease is one MatrixSource transaction.  On a hit, Matrix carries
+// the shared kernel-2 artifact, read-only.  On a miss, Fill is non-nil
+// and the runner MUST invoke it exactly once: with the run's own kernel-2
+// output on success, or with the failure (a cancelled or failed fill is
+// delivered to concurrent waiters and never cached, so the key is not
+// poisoned).  Mass carries the pre-filter matrix mass (Result.MatrixMass)
+// alongside the matrix so a warm run's Result is complete without
+// re-deriving it.
 type MatrixLease struct {
 	// Matrix is the cached filtered, normalized matrix (hits only).
 	Matrix *sparse.CSR
@@ -354,10 +315,11 @@ type MatrixLease struct {
 	// the same matrix bits, and a refilled key gets a new one.  The dist
 	// variants pass it to a lent fabric as the resident operand's name.
 	ID string
-	// Transposed, when non-nil (hits only), returns the artifact's
-	// length-ordered transpose — kernel 3's gather operand — built at
-	// most once per cached artifact and shared read-only like the matrix
-	// itself.
+	// Transposed, when non-nil, returns the artifact's length-ordered
+	// transpose — kernel 3's gather operand — built at most once per
+	// cached artifact and shared read-only like the matrix itself.  On a
+	// miss it is the transpose of the matrix Fill deposits, and the
+	// runner calls it only after a successful Fill.
 	Transposed func() *sparse.Ordered
 }
 
@@ -372,25 +334,15 @@ type FabricLease struct {
 	Release func(err error)
 }
 
-// CacheTraits declares a variant's staged-cache participation.  A
-// variant that does not implement the optional interface
+// CacheTraits declares a variant's cache participation.  A variant that
+// does not implement the optional interface
 //
 //	interface{ CacheTraits() CacheTraits }
 //
-// participates fully with the default kernel-1 order.  The extsort
-// variant opts out of the list stages (its kernel 0 streams in bounded
-// memory; no resident list exists to exchange) but shares the
-// canonical kernel-2 matrix; the parallel variant opts out of every
-// stage — its jump-stream generation draws a different edge multiset
-// per worker count, so its artifacts do not have GraphKey's identity.
+// exchanges its kernel-2 matrix.  The parallel variant opts out: its
+// jump-stream generation draws a different edge multiset per worker
+// count, so its matrix does not have the cache key's identity.
 type CacheTraits struct {
-	// SortedArtifact reports kernels 1 and 2 exchange the sorted edge
-	// list with Config.SortedSource.
-	SortedArtifact bool
-	// SortsByUV reports kernel 1 always produces the full (u, v) order
-	// regardless of Config.SortEndVertices (the columnar variant), so
-	// its sorted artifact is keyed accordingly.
-	SortsByUV bool
 	// MatrixArtifact reports kernel 2's output can be exchanged with
 	// Config.MatrixSource.
 	MatrixArtifact bool
@@ -399,13 +351,13 @@ type CacheTraits struct {
 // cacheTraitser is the optional Variant interface declaring traits.
 type cacheTraitser interface{ CacheTraits() CacheTraits }
 
-// traitsOf resolves a variant's cache traits, defaulting to full
+// traitsOf resolves a variant's cache traits, defaulting to
 // participation.
 func traitsOf(v Variant) CacheTraits {
 	if t, ok := v.(cacheTraitser); ok {
 		return t.CacheTraits()
 	}
-	return CacheTraits{SortedArtifact: true, MatrixArtifact: true}
+	return CacheTraits{MatrixArtifact: true}
 }
 
 // KernelResult is the timing record for one kernel.
@@ -455,9 +407,8 @@ type Result struct {
 	// Spill is the out-of-core kernel 1's run-file record (extsort, and
 	// the dist variants with a positive RunEdges; nil otherwise).
 	Spill *SpillStats
-	// Cache is the run's per-stage staged-cache record — non-nil only
-	// when a cache seam (Config.Source, SortedSource, MatrixSource)
-	// was actually consulted.
+	// Cache is the run's cache record — non-nil only when
+	// Config.MatrixSource was actually consulted.
 	Cache *CacheStats
 }
 
@@ -481,10 +432,10 @@ type Run struct {
 	// end of K2 (all variants converge to CSR for cross-validation; the
 	// graphblas variant also keeps its generic form internally).
 	Matrix *sparse.CSR
-	// MatrixID is the staged cache's MatrixLease.ID of Matrix, set once
-	// Matrix is the cached artifact (served by a hit, or deposited by
-	// this run's fill); MatrixT is a hit's Transposed.  Kernel-3
-	// implementations read the transpose through Transposed().
+	// MatrixID and MatrixT are the cache's MatrixLease.ID and Transposed
+	// of Matrix, set once Matrix is the cached artifact (served by a hit,
+	// or deposited by this run's fill).  Kernel-3 implementations read
+	// the transpose through Transposed().
 	MatrixID string
 	MatrixT  func() *sparse.Ordered
 	// GB optionally holds the graphblas variant's generic matrix between
@@ -503,41 +454,22 @@ type Run struct {
 	// Spill records the out-of-core kernel 1's run-file traffic (nil for
 	// in-memory sorts).
 	Spill *SpillStats
-	// Cache records the staged-cache interaction when any of the cache
-	// seams is set (filled by the runner and sourceEdges).
+	// Cache records the cache interaction when Cfg.MatrixSource is set
+	// (filled by the runner).
 	Cache *CacheStats
-	// SortedIn is the cache-shared kernel-1 artifact serving as kernel
-	// 2's input when the sorted stage hit.  It is read-only; kernel-2
-	// implementations route through sortedEdges/sortedEdgesMutable.
-	SortedIn *edge.List
-	// SortedOut is the kernel-1 output a participating variant records:
-	// a list the run decoded or sorted into itself, never a shared one.
-	// The runner takes it when kernel 1 returns — into the cache on a
-	// sorted-stage miss, else as the run's spare list.
-	SortedOut *edge.List
-	// spare is an edge list this run owns — generated by its kernel 0,
-	// recorded by its kernel 1, or that kernel's sort list (aux) — and has
-	// finished reading: the next kernel decodes its input into it
-	// (readEdges) instead of allocating and first-touching a list of the
-	// same size, and the runner drops it when that kernel returns.  A list
-	// that came from Cfg.Source or SortedIn, or went to a cache fill, is
-	// shared with other runs and is never a spare (DESIGN.md §12).
-	spare, aux *edge.List
+	// spare is the edge list the last kernel generated or decoded into:
+	// the next kernel decodes its input into it (readEdges) instead of
+	// allocating and first-touching a list of the same size, and the
+	// runner drops it when kernel 2 returns.  No list a run holds is ever
+	// shared, so the spare is always the run's own (DESIGN.md §12).
+	spare *edge.List
 	// ctx is the run's cancellation context; nil means background.
 	// Variants read it through Context().
 	ctx context.Context
 }
 
-// stageStats returns the run's cache record, allocating it on first use.
-func (r *Run) stageStats() *CacheStats {
-	if r.Cache == nil {
-		r.Cache = &CacheStats{}
-	}
-	return r.Cache
-}
-
 // Transposed returns Matrixᵀ, length-ordered, for the gather engines: the
-// staged cache's shared copy on a matrix-stage hit, a fresh one
+// cache's shared copy when Matrix is the cached artifact, a fresh one
 // otherwise.  Read-only.
 func (r *Run) Transposed() *sparse.Ordered {
 	if r.MatrixT != nil {
@@ -710,43 +642,20 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 		}
 		return false
 	}
-	// Staged-cache negotiation happens up front, deepest stage first
-	// (matrix, then sorted; the edges stage is consulted inside kernel 0
-	// by sourceEdges).  A hit marks the artifact's producing kernels
-	// skipped; a miss leaves this run a fill obligation it discharges
-	// when the producing kernel completes — or with the run's error,
-	// which concurrent waiters receive and retry past, so a cancelled
-	// fill never poisons the key.  The uniform matrix→sorted→edges
-	// acquisition order is what keeps concurrent same-key runs free of
-	// wait cycles: a run waiting to join stage s holds obligations only
-	// for stages consulted before s, and the filler it waits on can
-	// itself only be waiting at a stage consulted after s.
-	traits := traitsOf(v)
-	var skip [numKernels]bool
-	var sortedFill func(*edge.List, error)
-	var matrixFill func(*sparse.CSR, float64, error)
-	var matrixFillID string
+	// Cache negotiation happens up front.  A hit skips kernels 0–2; a
+	// miss leaves this run a fill obligation it discharges when kernel 2
+	// completes — or with the run's error, which concurrent waiters
+	// receive and retry past, so a cancelled fill never poisons the key.
+	var hit bool
+	var miss MatrixLease
 	defer func() {
-		// Discharge unfulfilled obligations on every exit path so
+		// Discharge an unfulfilled obligation on every exit path so
 		// waiters are never stranded.
-		if matrixFill != nil {
-			matrixFill(nil, 0, fillAbortErr(err))
-		}
-		if sortedFill != nil {
-			sortedFill(nil, fillAbortErr(err))
+		if miss.Fill != nil {
+			miss.Fill(nil, 0, fillAbortErr(err))
 		}
 	}()
-	emitCache := func(k Kernel, hit bool) {
-		if cfg.Progress == nil {
-			return
-		}
-		kind := EventCacheMiss
-		if hit {
-			kind = EventCacheHit
-		}
-		cfg.Progress(Event{Kind: kind, Kernel: k})
-	}
-	if cfg.MatrixSource != nil && traits.MatrixArtifact && scheduled(K2Filter) {
+	if cfg.MatrixSource != nil && traitsOf(v).MatrixArtifact && scheduled(K2Filter) {
 		lease, lerr := cfg.MatrixSource(cfg)
 		if lerr != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -754,38 +663,21 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 			}
 			return nil, fmt.Errorf("pipeline: matrix source: %w", lerr)
 		}
-		if lease.Hit {
-			run.stageStats().Matrix.Hits++
+		run.Cache = &CacheStats{}
+		kind := EventCacheMiss
+		if hit = lease.Hit; hit {
+			run.Cache.Matrix.Hits++
 			run.Matrix = lease.Matrix
 			run.MatrixMass = lease.Mass
 			run.MatrixID, run.MatrixT = lease.ID, lease.Transposed
-			skip[K0Generate], skip[K1Sort], skip[K2Filter] = true, true, true
+			kind = EventCacheHit
 		} else {
-			run.stageStats().Matrix.Misses++
-			matrixFill, matrixFillID = lease.Fill, lease.ID
+			run.Cache.Matrix.Misses++
+			miss = lease
 		}
-		emitCache(K2Filter, lease.Hit)
-	}
-	if !skip[K1Sort] && cfg.SortedSource != nil && traits.SortedArtifact &&
-		scheduled(K1Sort) && scheduled(K2Filter) {
-		scfg := cfg
-		scfg.SortEndVertices = cfg.SortEndVertices || traits.SortsByUV
-		lease, lerr := cfg.SortedSource(scfg)
-		if lerr != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return nil, fmt.Errorf("pipeline: sorted source: %w", lerr)
+		if cfg.Progress != nil {
+			cfg.Progress(Event{Kind: kind, Kernel: K2Filter})
 		}
-		if lease.Hit {
-			run.stageStats().Sorted.Hits++
-			run.SortedIn = lease.List
-			skip[K0Generate], skip[K1Sort] = true, true
-		} else {
-			run.stageStats().Sorted.Misses++
-			sortedFill = lease.Fill
-		}
-		emitCache(K1Sort, lease.Hit)
 	}
 	if cfg.Progress != nil {
 		// The kernel-3 engines' per-iteration hook feeds the same
@@ -802,12 +694,10 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 		}
 	}
 	// The Result echoes the defaulted configuration minus the run's
-	// closures: Source and Progress are plumbing inputs that capture the
-	// caller's context and cache — retaining them in every Result would
-	// keep those alive for the Result's lifetime.
+	// closures: the sources and Progress are plumbing inputs that capture
+	// the caller's context and cache — retaining them in every Result
+	// would keep those alive for the Result's lifetime.
 	resCfg := cfg
-	resCfg.Source = nil
-	resCfg.SortedSource = nil
 	resCfg.MatrixSource = nil
 	resCfg.FabricSource = nil
 	resCfg.Progress = nil
@@ -819,9 +709,9 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if k >= 0 && k < numKernels && skip[k] {
-			// Served by a deeper cache stage: the artifact this kernel
-			// would produce (and its storage writes) already exist.
+		if hit && k >= K0Generate && k <= K2Filter {
+			// Served by the cache: the matrix this kernel leads to (and
+			// its storage writes) already exist.
 			continue
 		}
 		var fn func(*Run) error
@@ -858,25 +748,6 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 			}
 			return nil, fmt.Errorf("pipeline: %v (%s): %w", k, cfg.Variant, err)
 		}
-		// Discharge cache fill obligations as soon as the producing
-		// kernel completes, so concurrent same-key waiters unblock
-		// before this run's remaining kernels.
-		if k == K1Sort {
-			// The run's claim on kernel 1's lists ends here: its output
-			// goes to the cache, which then owns it, or becomes the spare
-			// kernel 2 decodes into — never both (DESIGN.md §12).
-			run.spare = nil
-			switch {
-			case sortedFill == nil:
-				run.spare = run.SortedOut
-			case run.SortedOut != nil:
-				sortedFill(run.SortedOut, nil)
-				run.spare = run.aux
-			default:
-				sortedFill(nil, fmt.Errorf("pipeline: variant %q produced no sorted artifact", cfg.Variant))
-			}
-			sortedFill, run.SortedOut, run.aux = nil, nil, nil
-		}
 		if k == K2Filter {
 			// Dead lists are dropped at the kernel boundary, not kept to
 			// the end of the run and not left to liveness inside the
@@ -889,15 +760,17 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 			// conservatively, and a stale register kept this one alive in
 			// some runs and not in others — made peak RSS two-valued.
 			run.spare = nil
-		}
-		if k == K2Filter && matrixFill != nil {
-			if run.Matrix != nil {
-				matrixFill(run.Matrix, run.MatrixMass, nil)
-				run.MatrixID = matrixFillID
-			} else {
-				matrixFill(nil, 0, fmt.Errorf("pipeline: variant %q produced no matrix artifact", cfg.Variant))
+			// Discharge the fill as soon as kernel 2 completes, so
+			// concurrent same-key waiters unblock before kernel 3.
+			switch {
+			case miss.Fill == nil:
+			case run.Matrix != nil:
+				miss.Fill(run.Matrix, run.MatrixMass, nil)
+				run.MatrixID, run.MatrixT = miss.ID, miss.Transposed
+			default:
+				miss.Fill(nil, 0, fmt.Errorf("pipeline: variant %q produced no matrix artifact", cfg.Variant))
 			}
-			matrixFill = nil
+			miss.Fill = nil
 		}
 		secs := time.Since(start).Seconds()
 		var memAfter runtime.MemStats
@@ -933,75 +806,41 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 	return res, nil
 }
 
-// sourceEdges obtains kernel 0's edge list: from Cfg.Source when set —
-// metering the hit/miss in the run's Cache.Edges record — else by invoking
-// the configured generator.  Every variant's Kernel0 routes through it,
-// which is the single seam the service layer's shared generator cache
-// plugs into.  A sourced list is shared and read-only; callers only
-// write it to storage.
-func sourceEdges(r *Run) (*edge.List, error) {
-	if r.Cfg.Source != nil {
-		l, hit, err := r.Cfg.Source(r.Cfg)
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			r.stageStats().Edges.Hits++
-		} else {
-			r.stageStats().Edges.Misses++
-		}
-		if r.Cfg.Progress != nil {
-			kind := EventCacheMiss
-			if hit {
-				kind = EventCacheHit
-			}
-			r.Cfg.Progress(Event{Kind: kind, Kernel: K0Generate})
-		}
-		return l, nil
-	}
+// generateEdges is kernel 0 of every variant that materializes the edge
+// list: generate it, write it to the "k0" stripes, and keep it as the
+// run's spare.
+func generateEdges(r *Run) error {
 	gen, err := generate(r.Cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return gen.Generate()
-}
-
-// writeSourcedEdges is kernel 0 of every variant that materializes the
-// edge list: obtain it (sourceEdges) and write it to the "k0" stripes.  A
-// list the run generated itself then becomes its spare; a sourced one is
-// the cache's.
-func writeSourcedEdges(r *Run) error {
-	l, err := sourceEdges(r)
+	l, err := gen.Generate()
 	if err != nil {
 		return err
 	}
 	if err := fastio.WriteStriped(r.FS, "k0", r.Codec(), r.Cfg.NFiles, l); err != nil {
 		return err
 	}
-	if r.Cfg.Source == nil {
-		r.spare = l
-	}
+	r.spare = l
 	return nil
 }
 
 // readEdges decodes the stripes of prefix ("k0" or "k1") into the run's
-// spare list, or — the first kernel of a kernel subset, or every list so
-// far went to the cache — into a new one, made once at the M edges a
-// run's files hold (up to 2^30).  The run keeps its reference to a spare
-// until the kernel returns (the runner drops it there).
+// spare list, or — the first kernel of a kernel subset — into a new one,
+// made once at the M edges a run's files hold (up to 2^30).  The list it
+// returns is the run's spare from then on, so the next kernel decodes
+// into it in turn.
 func readEdges(r *Run, prefix string) (*edge.List, error) {
 	dst := r.spare
 	if dst == nil {
 		dst = edge.NewList(int(min(r.Cfg.M(), 1<<30)))
 	}
-	return fastio.ReadStripedInto(r.FS, prefix, r.Codec(), dst)
-}
-
-// radixSort is kernel 1's sort in the radix variants.  The run keeps the
-// sort's auxiliary list, its own and as long as l: should l go to the
-// cache, it is what kernel 2 decodes into.
-func radixSort(r *Run, l *edge.List, byUV bool) {
-	r.aux = xsort.RadixInto(l, byUV, nil)
+	l, err := fastio.ReadStripedInto(r.FS, prefix, r.Codec(), dst)
+	if err != nil {
+		return nil, err
+	}
+	r.spare = l
+	return l, nil
 }
 
 // fillAbortErr is the error an unfulfilled cache fill obligation is
@@ -1012,40 +851,6 @@ func fillAbortErr(err error) error {
 		return err
 	}
 	return fmt.Errorf("pipeline: run ended before the cached artifact was produced")
-}
-
-// sortedEdges obtains kernel 2's input: the cache-shared kernel-1
-// artifact when the sorted stage hit (Run.SortedIn), else the k1 edge
-// files.  A shared list is read-only; kernel-2 implementations that
-// mutate their input route through sortedEdgesMutable instead.
-func sortedEdges(r *Run) (*edge.List, error) {
-	if r.SortedIn != nil {
-		return r.SortedIn, nil
-	}
-	return readEdges(r, "k1")
-}
-
-// sortedEdgesMutable is sortedEdges for consumers that modify the list
-// in place (the columnar kernel 2 filters its columns destructively):
-// a cache-shared artifact is deep-copied so the resident copy stays
-// pristine for other runs.
-func sortedEdgesMutable(r *Run) (*edge.List, error) {
-	if r.SortedIn != nil {
-		return r.SortedIn.Clone(), nil
-	}
-	return readEdges(r, "k1")
-}
-
-// GenerateEdges invokes cfg's kernel-0 generator and returns the edge
-// list without touching storage — the pure generation step the service
-// layer's shared cache wraps.  Only Generator, Scale, EdgeFactor and Seed
-// matter; the output is deterministic in them.
-func GenerateEdges(cfg Config) (*edge.List, error) {
-	gen, err := generate(cfg.withDefaults())
-	if err != nil {
-		return nil, err
-	}
-	return gen.Generate()
 }
 
 // generate dispatches to the configured K0 generator, shared by variants.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fastio"
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
+	"repro/internal/xsort"
 )
 
 func init() { Register(columnarVariant{}) }
@@ -29,7 +30,7 @@ func (columnarVariant) Description() string {
 
 // Kernel0 implements Variant.
 func (columnarVariant) Kernel0(r *Run) error {
-	return writeSourcedEdges(r)
+	return generateEdges(r)
 }
 
 // Kernel1 implements Variant.  The columnar pipeline always sorts fully by
@@ -41,24 +42,14 @@ func (columnarVariant) Kernel1(r *Run) error {
 	if err != nil {
 		return err
 	}
-	radixSort(r, l, true)
-	r.SortedOut = l
+	xsort.RadixByUV(l)
 	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
 }
 
-// CacheTraits implements the optional staged-cache interface: this
-// variant's kernel 1 always sorts by (u, v), so its sorted artifact is
-// keyed as a (u, v)-ordered list and is exchangeable with the other
-// variants' SortEndVertices runs.
-func (columnarVariant) CacheTraits() CacheTraits {
-	return CacheTraits{SortedArtifact: true, SortsByUV: true, MatrixArtifact: true}
-}
-
 // Kernel2 implements Variant.  The column filter below rewrites the
-// list in place, so a cache-shared sorted artifact is deep-copied
-// first (sortedEdgesMutable) to keep the resident copy pristine.
+// list in place; the list is the run's own.
 func (columnarVariant) Kernel2(r *Run) error {
-	l, err := sortedEdgesMutable(r)
+	l, err := readEdges(r, "k1")
 	if err != nil {
 		return err
 	}

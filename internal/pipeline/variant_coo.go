@@ -27,7 +27,7 @@ func (cooVariant) Description() string {
 
 // Kernel0 implements Variant.
 func (cooVariant) Kernel0(r *Run) error {
-	return writeSourcedEdges(r)
+	return generateEdges(r)
 }
 
 // Kernel1 implements Variant.
@@ -41,13 +41,12 @@ func (cooVariant) Kernel1(r *Run) error {
 	} else {
 		xsort.ByUStable(l)
 	}
-	r.SortedOut = l
 	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
 }
 
 // Kernel2 implements Variant.
 func (cooVariant) Kernel2(r *Run) error {
-	l, err := sortedEdges(r)
+	l, err := readEdges(r, "k1")
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fastio"
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
+	"repro/internal/xsort"
 )
 
 func init() { Register(csrVariant{}) }
@@ -25,7 +26,7 @@ func (csrVariant) Description() string {
 
 // Kernel0 implements Variant.
 func (csrVariant) Kernel0(r *Run) error {
-	return writeSourcedEdges(r)
+	return generateEdges(r)
 }
 
 // Kernel1 implements Variant.
@@ -34,14 +35,13 @@ func (csrVariant) Kernel1(r *Run) error {
 	if err != nil {
 		return err
 	}
-	radixSort(r, l, r.Cfg.SortEndVertices)
-	r.SortedOut = l
+	xsort.RadixInto(l, r.Cfg.SortEndVertices, nil)
 	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
 }
 
 // Kernel2 implements Variant.
 func (csrVariant) Kernel2(r *Run) error {
-	l, err := sortedEdges(r)
+	l, err := readEdges(r, "k1")
 	if err != nil {
 		return err
 	}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/fastio"
 	"repro/internal/pagerank"
+	"repro/internal/xsort"
 )
 
 func init() {
@@ -80,16 +81,13 @@ func (v distVariant) distCfg(r *Run) dist.Config {
 
 // Kernel0 implements Variant.
 func (distVariant) Kernel0(r *Run) error {
-	return writeSourcedEdges(r)
+	return generateEdges(r)
 }
 
 // Kernel1 implements Variant.  The distributed sort keys on the start
 // vertex only; the (u, v) ablation falls back to a serial sort under the
 // same memory bound — the radix sort in memory, the external merge sort
-// out of core.  The external one streams and records no sorted artifact:
-// a sorted-stage miss under it deposits a delivered-not-cached failure,
-// which concurrent waiters retry past, and the matrix stage still serves
-// warm runs.
+// out of core.
 func (v distVariant) Kernel1(r *Run) error {
 	ext := r.Cfg.RunEdges > 0
 	if r.Cfg.SortEndVertices && ext {
@@ -100,7 +98,7 @@ func (v distVariant) Kernel1(r *Run) error {
 		return err
 	}
 	if r.Cfg.SortEndVertices {
-		radixSort(r, l, true)
+		xsort.RadixByUV(l)
 	} else {
 		spec := dist.Spec{Config: v.distCfg(r), Op: dist.OpSort, Edges: l, Procs: v.procs(r)}
 		if ext {
@@ -120,16 +118,12 @@ func (v distVariant) Kernel1(r *Run) error {
 		}
 		l = res.Sorted
 	}
-	r.SortedOut = l
 	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
 }
 
-// Kernel2 implements Variant.  On a sorted-stage cache hit the shared
-// list feeds OpBuildFiltered directly — dist.Spec.Edges is documented
-// never-modified, so sharing is safe; the runtime scatters (broadcasts)
-// the list's row blocks to the ranks exactly as for a cold run.
+// Kernel2 implements Variant.
 func (v distVariant) Kernel2(r *Run) error {
-	l, err := sortedEdges(r)
+	l, err := readEdges(r, "k1")
 	if err != nil {
 		return err
 	}

@@ -31,16 +31,6 @@ func (extsortVariant) Description() string {
 	return "out-of-core: streamed generation, external merge sort with bounded memory, streaming matrix build (the paper's out-of-memory regime)"
 }
 
-// CacheTraits implements the optional staged-cache interface: the list
-// stages are bypassed for the same reason Kernel0 bypasses Cfg.Source —
-// kernels 0–2 stream in bounded memory and never materialize an edge
-// list, so there is no sorted artifact to deposit and consuming one
-// would un-out-of-core the variant.  The kernel-2 matrix is resident
-// for kernel 3 regardless, so the matrix stage is shared.
-func (extsortVariant) CacheTraits() CacheTraits {
-	return CacheTraits{MatrixArtifact: true}
-}
-
 func (extsortVariant) runEdges(r *Run) int {
 	if r.Cfg.RunEdges > 0 {
 		return r.Cfg.RunEdges
@@ -61,11 +51,9 @@ func (extsortVariant) runEdges(r *Run) int {
 	return int(quarter)
 }
 
-// Kernel0 implements Variant.  This kernel does NOT consume Cfg.Source:
-// the variant exists for graphs whose edge vectors exceed RAM, so its
-// Kronecker path streams edges straight to the sink in bounded memory —
-// drawing from the service's cache would materialize (and then pin) the
-// full edge list, silently un-out-of-coring the out-of-core variant.
+// Kernel0 implements Variant.  The variant exists for graphs whose edge
+// vectors exceed RAM, so its Kronecker path streams edges straight to the
+// sink in bounded memory, never materializing the edge list.
 func (extsortVariant) Kernel0(r *Run) error {
 	sink, err := fastio.NewStripedSink(r.FS, "k0", r.Codec(), r.Cfg.NFiles, int64(r.Cfg.M()))
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/graphblas"
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
+	"repro/internal/xsort"
 )
 
 func init() { Register(graphblasVariant{}) }
@@ -29,7 +30,7 @@ func (graphblasVariant) Description() string {
 
 // Kernel0 implements Variant.
 func (graphblasVariant) Kernel0(r *Run) error {
-	return writeSourcedEdges(r)
+	return generateEdges(r)
 }
 
 // Kernel1 implements Variant.
@@ -38,8 +39,7 @@ func (graphblasVariant) Kernel1(r *Run) error {
 	if err != nil {
 		return err
 	}
-	radixSort(r, l, r.Cfg.SortEndVertices)
-	r.SortedOut = l
+	xsort.RadixInto(l, r.Cfg.SortEndVertices, nil)
 	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
 }
 
@@ -51,7 +51,7 @@ func (graphblasVariant) Kernel1(r *Run) error {
 //	dout = GrB_reduce(A, +, rows)            // out-degree
 //	A    = GrB_apply(A, v / dout[i])         // row normalization
 func (graphblasVariant) Kernel2(r *Run) error {
-	l, err := sortedEdges(r)
+	l, err := readEdges(r, "k1")
 	if err != nil {
 		return err
 	}
@@ -71,7 +71,7 @@ func (graphblasVariant) Kernel2(r *Run) error {
 	// Normalize by multiplying with the reciprocal, exactly like
 	// sparse.ScaleRows: v/dout and v*(1/dout) round differently in the
 	// last ulp, and the kernel-2 matrix must be bit-identical across
-	// variants — it is the staged cache's exchange currency.
+	// variants — it is the matrix cache's exchange currency.
 	filtered.Apply(func(i, j int, v float64) float64 {
 		if dout[i] == 0 {
 			return v

@@ -34,14 +34,13 @@ func (parallelVariant) Description() string {
 	return "goroutine-parallel generation, striped I/O, merge sort and row-partitioned PageRank on a persistent worker team (the paper's parallel decomposition, allocation-free in steady state)"
 }
 
-// CacheTraits implements the optional staged-cache interface: this
-// variant participates in no stage.  Its per-worker jump streams draw
-// a different edge multiset than the serial generator — and a
-// different one per worker count (kronecker.GenerateParallel is
-// deterministic only for a fixed (cfg, workers)) — so none of its
-// artifacts, the kernel-2 matrix included, have the identity GraphKey
-// captures.  Serving a serial artifact here (or depositing this
-// variant's) would silently change documented output.
+// CacheTraits implements the optional cache interface: this variant
+// exchanges no matrix.  Its per-worker jump streams draw a different
+// edge multiset than the serial generator — and a different one per
+// worker count (kronecker.GenerateParallel is deterministic only for a
+// fixed (cfg, workers)) — so its kernel-2 matrix does not have the
+// identity the cache key captures.  Serving a serial artifact here (or
+// depositing this variant's) would silently change documented output.
 func (parallelVariant) CacheTraits() CacheTraits {
 	return CacheTraits{}
 }
@@ -56,10 +55,6 @@ func (parallelVariant) workers(r *Run) int {
 // Kernel0 implements Variant.  For the Kronecker generator, workers draw
 // from independent jump-derived streams without communication, exactly the
 // scalability property the paper highlights in the Graph500 generator.
-// Because those streams produce a (deliberately) different edge order
-// than the serial generator, this kernel does NOT consume Cfg.Source:
-// the service's shared cache holds the serial generation, and serving it
-// here would silently change this variant's documented output.
 func (v parallelVariant) Kernel0(r *Run) error {
 	var l *edge.List
 	var err error

@@ -1,22 +1,23 @@
 package serve
 
-// The ownership rule of a run's recycled edge lists (DESIGN.md §12), from
-// the cache's side: a run decodes kernel 1's and kernel 2's input into a
-// list it generated or decoded itself, and never into one the cache
-// holds — whatever subset of kernels it executes, and whichever of the
-// stages hit.
+// The recycling rule of a run's edge lists (DESIGN.md §12), from the
+// cache's side: a run decodes kernel 1's and kernel 2's input into the
+// list the previous kernel left, or a new one — whatever subset of
+// kernels it executes, and whether or not the matrix hit — and the
+// cache, which holds the matrix alone, is never written through them.
 
 import (
 	"context"
 	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/edge"
 	"repro/internal/fastio"
 	"repro/internal/pipeline"
+	"repro/internal/sparse"
 	"repro/internal/vfs"
-	"repro/internal/xsort"
 )
 
 func hashList(l *edge.List) uint64 {
@@ -31,15 +32,18 @@ func hashList(l *edge.List) uint64 {
 	return h.Sum64()
 }
 
-// residentList returns the list the cache holds under key, or nil — read
-// straight from the entry, so that looking does not count as a hit.
-func residentList(c *artifactCache, key cacheKey) *edge.List {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok && e.elem != nil {
-		return e.val.(*edge.List)
+func hashMatrix(m *sparse.CSR) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, x := range m.RowPtr {
+		binary.LittleEndian.PutUint64(b[:], uint64(x))
+		h.Write(b[:])
 	}
-	return nil
+	for i, c := range m.Col {
+		binary.LittleEndian.PutUint64(b[:], uint64(c)<<32^math.Float64bits(m.Val[i]))
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }
 
 func TestRecycledListsNeverAliasCache(t *testing.T) {
@@ -52,24 +56,10 @@ func TestRecycledListsNeverAliasCache(t *testing.T) {
 			// One store for every run, so a kernel subset finds the files
 			// its predecessors wrote.
 			cfg := pipeline.Config{Scale: 10, EdgeFactor: 16, Seed: 7, Variant: variant, FS: vfs.NewMem(), KeepRank: true}
-			byUV := variant == "columnar"
+			key := GraphKey{Generator: pipeline.GenKronecker, Scale: 10, EdgeFactor: 16, Seed: 7}
 
-			// What the cache must hold, computed without it.
-			ref, err := pipeline.GenerateEdges(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantEdges := hashList(ref)
-			if byUV {
-				xsort.RadixByUV(ref)
-			} else {
-				xsort.RadixByU(ref)
-			}
-			wantSorted := hashList(ref)
-
-			edgesKey := cacheKey{stage: stageEdges, graph: keyOf(cfg)}
-			sortedKey := cacheKey{stage: stageSorted, graph: keyOf(cfg), byUV: byUV}
-			var edges, sorted *edge.List // the resident artifacts, once seen
+			var matrix *sparse.CSR // the resident artifact, once seen
+			var matrixHash uint64
 			var rank []float64
 			step := func(name string, ks ...pipeline.Kernel) *pipeline.Result {
 				t.Helper()
@@ -77,20 +67,15 @@ func TestRecycledListsNeverAliasCache(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if l := residentList(svc.cache, edgesKey); l != nil {
-					if edges != nil && l != edges {
-						t.Fatalf("%s: the resident edge list was replaced", name)
+				if art := residentArtifact(svc.cache, key); art != nil {
+					if matrix == nil {
+						matrix, matrixHash = art.m, hashMatrix(art.m)
 					}
-					if edges = l; hashList(l) != wantEdges {
-						t.Fatalf("%s: the resident edge list changed under the run", name)
+					if art.m != matrix {
+						t.Fatalf("%s: the resident matrix was replaced", name)
 					}
-				}
-				if l := residentList(svc.cache, sortedKey); l != nil {
-					if sorted != nil && l != sorted {
-						t.Fatalf("%s: the resident sorted list was replaced", name)
-					}
-					if sorted = l; hashList(l) != wantSorted {
-						t.Fatalf("%s: the resident sorted list changed under the run", name)
+					if hashMatrix(art.m) != matrixHash {
+						t.Fatalf("%s: the resident matrix changed under the run", name)
 					}
 				}
 				if res.Rank != nil {
@@ -106,33 +91,20 @@ func TestRecycledListsNeverAliasCache(t *testing.T) {
 				return res
 			}
 
-			step("K0 cold", pipeline.K0Generate) // the cache generates; kernel 0 only writes
-			if edges == nil {
-				t.Fatal("kernel 0 left no resident edge list")
-			}
-			step("K0+K1", pipeline.K0Generate, pipeline.K1Sort) // a sourced list must not become K1's decode target
+			step("K0", pipeline.K0Generate)
+			step("K0+K1", pipeline.K0Generate, pipeline.K1Sort)
 			step("K1 alone", pipeline.K1Sort)
-			cold := step("cold", all...) // K1's list goes to the cache; K2 must decode into another
-			if sorted == nil || cold.Cache.Sorted.Misses != 1 || cold.Cache.Matrix.Misses != 1 {
-				t.Fatalf("cold run: cache record %+v, resident sorted list %v", cold.Cache, sorted != nil)
+			if svc.Stats().CacheEntries != 0 {
+				t.Fatal("a run without kernel 2 left a cache entry")
+			}
+			cold := step("cold", all...)
+			if matrix == nil || cold.Cache.Matrix.Misses != 1 {
+				t.Fatalf("cold run: cache record %+v, resident matrix %v", cold.Cache, matrix != nil)
 			}
 			if warm := step("warm", all...); warm.Cache.Matrix.Hits != 1 {
 				t.Fatalf("warm run: cache record %+v", warm.Cache)
 			}
 			step("K1+K2 warm", pipeline.K1Sort, pipeline.K2Filter)
-
-			// Without the matrix the sorted stage hits: kernel 2 consumes the
-			// shared list itself (columnar's in-place filter, a copy of it).
-			svc.cache.mu.Lock()
-			st := stageMatrix
-			evicted := svc.cache.evictOldestLocked(nil, &st)
-			svc.cache.mu.Unlock()
-			if !evicted {
-				t.Fatal("no resident matrix to evict")
-			}
-			if res := step("sorted hit", all...); res.Cache.Sorted.Hits != 1 {
-				t.Fatalf("sorted-hit run: cache record %+v", res.Cache)
-			}
 		})
 	}
 }

@@ -1,16 +1,15 @@
 // Package serve is the pipeline's service layer: a long-lived Service
 // that runs many benchmark pipelines concurrently under one roof — a
-// bounded run-admission queue, a shared singleflight staged artifact
-// cache keyed by graph identity, context cancellation end to end, and
-// a streaming progress API.  It is the batch/streaming ingestion path
-// of the roadmap's production-scale goal: where the one-shot
-// entrypoints recompute everything for every run, a Service computes
-// each distinct artifact — the kernel-0 edge list, the kernel-1 sorted
-// list, the kernel-2 filtered matrix — exactly once and shares it
-// read-only across every run that needs it, so warm runs are K3-bound.
+// bounded run-admission queue, a shared singleflight matrix cache keyed
+// by graph identity, context cancellation end to end, and a streaming
+// progress API.  It is the batch/streaming ingestion path of the
+// roadmap's production-scale goal: where the one-shot entrypoints
+// recompute everything for every run, a Service computes each distinct
+// graph's kernel-2 filtered matrix exactly once and shares it read-only
+// across every run that needs it, so warm runs are K3-bound.
 //
 // core.NewService is the public constructor; DESIGN.md §8 specifies
-// the lifecycle and §12 the staged cache contract.
+// the lifecycle and §12 the cache contract.
 package serve
 
 import (
@@ -20,14 +19,14 @@ import (
 	"sync"
 
 	"repro/internal/dist"
-	"repro/internal/edge"
 	"repro/internal/pipeline"
 	"repro/internal/vfs"
 )
 
-// GraphKey is the identity of a generated graph — the generator cache's
-// key.  Two runs whose configurations agree on these four fields draw
-// from the same kernel-0 edge list.
+// GraphKey is the identity of a generated graph — the matrix cache's
+// key.  Two runs whose configurations agree on these four fields share
+// one kernel-2 matrix: it is canonical across variants, sort order and
+// edge-file format, so nothing else participates.
 type GraphKey struct {
 	// Generator is the kernel-0 generator kind (empty means Kronecker).
 	Generator pipeline.GeneratorKind
@@ -39,41 +38,16 @@ type GraphKey struct {
 	Seed uint64
 }
 
-// normalize applies the pipeline's defaulting so spellings of the same
-// graph ("" vs GenKronecker, 0 vs 16) share one cache entry.
-func (k GraphKey) normalize() GraphKey {
-	if k.Generator == "" {
-		k.Generator = pipeline.GenKronecker
-	}
-	if k.EdgeFactor == 0 {
-		k.EdgeFactor = 16
-	}
-	return k
-}
-
-// keyOf derives the cache key from a defaulted pipeline configuration.
+// keyOf derives the cache key from a defaulted pipeline configuration
+// (MatrixSource sees one), so spellings of the same graph ("" vs
+// GenKronecker, 0 vs 16) share one entry.
 func keyOf(cfg pipeline.Config) GraphKey {
 	return GraphKey{
 		Generator:  cfg.Generator,
 		Scale:      cfg.Scale,
 		EdgeFactor: cfg.EdgeFactor,
 		Seed:       cfg.Seed,
-	}.normalize()
-}
-
-// sortedKeyOf derives the sorted stage's key.  The runner presents the
-// effective kernel-1 order in SortEndVertices (the columnar variant
-// always sorts by (u, v)), so runs that produce the same list order
-// share one entry regardless of variant.
-func sortedKeyOf(cfg pipeline.Config) cacheKey {
-	return cacheKey{stage: stageSorted, graph: keyOf(cfg), byUV: cfg.SortEndVertices}
-}
-
-// matrixKeyOf derives the matrix stage's key: graph identity × filter
-// rule.  The kernel-2 matrix is canonical across variants, sort order
-// and edge-file format, so nothing else participates.
-func matrixKeyOf(cfg pipeline.Config) cacheKey {
-	return cacheKey{stage: stageMatrix, graph: keyOf(cfg), filter: defaultFilterRule}
+	}
 }
 
 // Service is the long-lived run coordinator.  Construct it once with
@@ -185,13 +159,13 @@ func WithMaxConcurrent(n int) Option {
 	return func(s *Service) { s.sem = make(chan struct{}, n) }
 }
 
-// WithCacheBudget bounds the staged artifact cache to the given number
-// of resident bytes across all stages, with edge lists and matrices
-// charged at their real in-memory footprint and the least-recently-used
-// artifact evicted first.  The most recently deposited artifact is
-// never evicted, so a single artifact larger than the budget stays
-// resident until the next deposit displaces it.  A budget <= 0 disables
-// the cache entirely.
+// WithCacheBudget bounds the matrix cache to the given number of
+// resident bytes, with each matrix (and its transpose, once built)
+// charged at its real in-memory footprint and the least-recently-used
+// matrix evicted first.  The most recently deposited matrix is never
+// evicted, so a single matrix larger than the budget stays resident
+// until the next deposit displaces it.  A budget <= 0 disables the
+// cache entirely.
 func WithCacheBudget(bytes int64) Option {
 	return func(s *Service) {
 		if bytes <= 0 {
@@ -224,7 +198,7 @@ func (s *Service) checkpointFS() vfs.FS {
 }
 
 // New constructs a Service.  The zero-option Service admits GOMAXPROCS
-// concurrent runs and caches up to 8 generated graphs.
+// concurrent runs and caches up to 8 kernel-2 matrices.
 func New(opts ...Option) *Service {
 	s := &Service{
 		sem:    make(chan struct{}, runtime.GOMAXPROCS(0)),
@@ -265,9 +239,9 @@ func (s *Service) isClosed() bool {
 	}
 }
 
-// StageStats is one staged-cache level's cumulative counters: a miss
-// computed an artifact, a hit shared one (resident or joined in
-// flight), Entries/Bytes are the currently resident footprint.
+// StageStats is the matrix cache's cumulative counters: a miss computed
+// a matrix, a hit shared one (resident or joined in flight),
+// Entries/Bytes are the currently resident footprint.
 type StageStats struct {
 	Hits    uint64
 	Misses  uint64
@@ -281,18 +255,13 @@ type Stats struct {
 	RunsStarted uint64
 	// RunsActive is the number of runs executing right now.
 	RunsActive int
-	// CacheEntries is the number of artifacts currently resident across
-	// all stages, and CacheBytes their summed footprint — the quantity
-	// WithCacheBudget bounds.  All cache counters stay zero with the
-	// cache disabled.
+	// CacheEntries is the number of matrices currently resident, and
+	// CacheBytes their summed footprint with their transposes — the
+	// quantity WithCacheBudget bounds.  All cache counters stay zero with
+	// the cache disabled.
 	CacheEntries int
 	CacheBytes   int64
-	// CacheEdges, CacheSorted and CacheMatrix are the per-stage
-	// counters of the staged artifact cache: the raw kernel-0 edge
-	// list, the kernel-1 sorted list, and the kernel-2 filtered,
-	// normalized matrix.
-	CacheEdges  StageStats
-	CacheSorted StageStats
+	// CacheMatrix is the matrix cache's counters.
 	CacheMatrix StageStats
 }
 
@@ -300,41 +269,14 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	var st Stats
 	if s.cache != nil {
-		st.CacheEdges = s.cache.stageStats(stageEdges)
-		st.CacheSorted = s.cache.stageStats(stageSorted)
-		st.CacheMatrix = s.cache.stageStats(stageMatrix)
-		st.CacheEntries = st.CacheEdges.Entries + st.CacheSorted.Entries + st.CacheMatrix.Entries
-		st.CacheBytes = st.CacheEdges.Bytes + st.CacheSorted.Bytes + st.CacheMatrix.Bytes
+		st.CacheMatrix = s.cache.stats()
+		st.CacheEntries, st.CacheBytes = st.CacheMatrix.Entries, st.CacheMatrix.Bytes
 	}
 	s.mu.Lock()
 	st.RunsStarted = s.started
 	st.RunsActive = s.active
 	s.mu.Unlock()
 	return st
-}
-
-// Edges returns the generated edge list for key, serving it from the
-// shared cache (generating at most once per key, however many callers
-// arrive concurrently).  The returned list is shared and MUST be treated
-// as read-only; every dist.Execute op and every kernel honors that.
-func (s *Service) Edges(ctx context.Context, key GraphKey) (*edge.List, error) {
-	key = key.normalize()
-	cfg := pipeline.Config{
-		Generator:  key.Generator,
-		Scale:      key.Scale,
-		EdgeFactor: key.EdgeFactor,
-		Seed:       key.Seed,
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.cache == nil {
-		return pipeline.GenerateEdges(cfg)
-	}
-	l, _, err := s.cache.edges(ctx, key, func() (*edge.List, error) {
-		return pipeline.GenerateEdges(cfg)
-	})
-	return l, err
 }
 
 // runSettings collects the per-run options.
@@ -382,15 +324,14 @@ func WithResumeKey(key string) RunOption {
 }
 
 // Run executes one pipeline under the service: the call is admitted
-// through the bounded run queue (waiting respects ctx), the kernels
-// draw from the shared staged artifact cache at the deepest resident
-// stage — a warm run skips K0–K2 outright and is K3-bound — and ctx
-// cancellation aborts the run mid-kernel (through the kernel-3
-// engines' per-iteration checks and the distributed runtime's teardown
-// plane) with ctx's error.  The Result's Cache field records the
-// per-stage hit/miss interaction.  Results are bit-for-bit those of
-// the one-shot core.Run for the same Config: caching changes who
-// computes an artifact, never what is computed.
+// through the bounded run queue (waiting respects ctx), the run draws
+// the kernel-2 matrix from the shared cache — a warm run skips K0–K2
+// outright and is K3-bound — and ctx cancellation aborts the run
+// mid-kernel (through the kernel-3 engines' per-iteration checks and the
+// distributed runtime's teardown plane) with ctx's error.  The Result's
+// Cache field records the hit/miss interaction.  Results are bit-for-bit
+// those of the one-shot core.RunOnce for the same Config: caching
+// changes who computes the matrix, never what is computed.
 func (s *Service) Run(ctx context.Context, cfg pipeline.Config, opts ...RunOption) (*pipeline.Result, error) {
 	rs := runSettings{kernels: []pipeline.Kernel{
 		pipeline.K0Generate, pipeline.K1Sort, pipeline.K2Filter, pipeline.K3PageRank,
@@ -414,28 +355,11 @@ func (s *Service) Run(ctx context.Context, cfg pipeline.Config, opts ...RunOptio
 		}
 		cfg.Checkpoint.Resume = true
 	}
-	if s.cache != nil {
-		// The three staged-cache seams, deepest stage checked first by
-		// the runner: a matrix hit makes the run K3-bound, a sorted hit
-		// skips K0–K1, an edges hit skips generation.  Each closure
-		// captures ctx so waiting to join an in-flight fill respects
-		// this run's cancellation.
-		if cfg.Source == nil {
-			cfg.Source = func(dcfg pipeline.Config) (*edge.List, bool, error) {
-				return s.cache.edges(ctx, keyOf(dcfg), func() (*edge.List, error) {
-					return pipeline.GenerateEdges(dcfg)
-				})
-			}
-		}
-		if cfg.SortedSource == nil {
-			cfg.SortedSource = func(dcfg pipeline.Config) (pipeline.SortedLease, error) {
-				return s.cache.sortedLease(ctx, sortedKeyOf(dcfg))
-			}
-		}
-		if cfg.MatrixSource == nil {
-			cfg.MatrixSource = func(dcfg pipeline.Config) (pipeline.MatrixLease, error) {
-				return s.cache.matrixLease(ctx, matrixKeyOf(dcfg))
-			}
+	if s.cache != nil && cfg.MatrixSource == nil {
+		// The closure captures ctx so waiting to join an in-flight fill
+		// respects this run's cancellation.
+		cfg.MatrixSource = func(dcfg pipeline.Config) (pipeline.MatrixLease, error) {
+			return s.cache.matrixLease(ctx, keyOf(dcfg))
 		}
 	}
 	if cfg.FabricSource == nil {

@@ -1,8 +1,8 @@
 package serve_test
 
 // The service layer's contract tests: the singleflight property (N
-// concurrent same-graph runs generate kernel 0 exactly once and agree
-// bit for bit), prompt cancellation mid-kernel-3 in both distributed
+// concurrent same-graph runs build the kernel-2 matrix exactly once and
+// agree bit for bit), prompt cancellation mid-kernel-3 in both distributed
 // execution modes with no goroutine leaks, the bounded admission queue,
 // and the streaming event protocol.
 
@@ -34,10 +34,8 @@ func runCfg(variant string) pipeline.Config {
 
 // TestSingleflightConcurrentRuns is the cache property test: N
 // concurrent runs of the same (generator, scale, edgeFactor, seed)
-// share every staged artifact — the deepest stage, the kernel-2
-// matrix, is computed exactly once (one miss, N-1 hits), the shallower
-// stages are only ever touched by the one cold run — and all N return
-// bit-identical results.
+// share the kernel-2 matrix — computed exactly once (one miss, N-1
+// hits) — and all N return bit-identical results.
 func TestSingleflightConcurrentRuns(t *testing.T) {
 	const n = 8
 	svc := serve.New(serve.WithMaxConcurrent(n))
@@ -63,12 +61,6 @@ func TestSingleflightConcurrentRuns(t *testing.T) {
 		t.Fatalf("want exactly 1 matrix build (%d hits), got %d misses / %d hits",
 			n-1, st.CacheMatrix.Misses, st.CacheMatrix.Hits)
 	}
-	if st.CacheSorted.Misses != 1 || st.CacheSorted.Hits != 0 {
-		t.Fatalf("sorted stage: want 1 miss / 0 hits (only the cold run descends), got %+v", st.CacheSorted)
-	}
-	if st.CacheEdges.Misses != 1 || st.CacheEdges.Hits != 0 {
-		t.Fatalf("edges stage: want 1 miss / 0 hits (only the cold run descends), got %+v", st.CacheEdges)
-	}
 	ref := results[0]
 	warm := 0
 	for i, res := range results {
@@ -88,9 +80,6 @@ func TestSingleflightConcurrentRuns(t *testing.T) {
 		}
 		if res.Cache.Matrix.Hits == 1 {
 			warm++
-		} else if res.Cache.Edges.Misses != 1 {
-			// The one cold run descended all the way to generation.
-			t.Fatalf("cold run %d: edges stage = %+v, want 1 miss", i, res.Cache.Edges)
 		}
 	}
 	if warm != n-1 {
@@ -284,59 +273,50 @@ func TestClosedService(t *testing.T) {
 	}
 }
 
-// TestEdgesSingleflight pins the direct cache API: concurrent Edges of
-// one key share one generation and one backing list.
-func TestEdgesSingleflight(t *testing.T) {
-	svc := serve.New()
-	defer svc.Close()
-	key := serve.GraphKey{Scale: 8, Seed: 3}
+// TestMatrixSingleflightAcrossSpellings pins the cache key: concurrent
+// runs that spell one graph differently ("" vs kronecker, 0 vs 16 edges
+// per vertex) and write different edge-file formats share one matrix.
+func TestMatrixSingleflightAcrossSpellings(t *testing.T) {
 	const n = 6
-	lists := make([]any, n)
+	svc := serve.New(serve.WithMaxConcurrent(n))
+	defer svc.Close()
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
+		cfg := pipeline.Config{Scale: 8, Seed: 3, Variant: "csr"}
+		if i%2 == 1 {
+			cfg.Generator, cfg.EdgeFactor, cfg.Format = pipeline.GenKronecker, 16, "packed"
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			l, err := svc.Edges(context.Background(), key)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			lists[i] = l
+			_, errs[i] = svc.Run(context.Background(), cfg)
 		}(i)
 	}
 	wg.Wait()
-	for i := 1; i < n; i++ {
-		if lists[i] != lists[0] {
-			t.Fatal("concurrent Edges returned distinct lists — generation was not shared")
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	st := svc.Stats()
-	if st.CacheEdges.Misses != 1 || st.CacheEdges.Hits != n-1 {
-		t.Fatalf("want 1 miss / %d hits, got %d / %d", n-1, st.CacheEdges.Misses, st.CacheEdges.Hits)
-	}
-	// Normalized spellings share the entry.
-	if _, err := svc.Edges(context.Background(), serve.GraphKey{Generator: pipeline.GenKronecker, Scale: 8, EdgeFactor: 16, Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if st := svc.Stats(); st.CacheEdges.Misses != 1 {
-		t.Fatalf("normalized key missed the cache: %+v", st)
+	if st := svc.Stats(); st.CacheMatrix.Misses != 1 || st.CacheMatrix.Hits != n-1 || st.CacheEntries != 1 {
+		t.Fatalf("want 1 miss / %d hits / 1 entry, got %+v", n-1, st)
 	}
 }
 
 // TestCacheEviction pins the LRU bound: a one-byte budget keeps only the
-// newest artifact resident.
+// newest matrix resident.
 func TestCacheEviction(t *testing.T) {
 	svc := serve.New(serve.WithCacheBudget(1))
 	defer svc.Close()
 	ctx := context.Background()
-	for _, seed := range []uint64{1, 2, 1} { // the third fetch re-generates: seed 1 was evicted
-		if _, err := svc.Edges(ctx, serve.GraphKey{Scale: 7, Seed: seed}); err != nil {
+	for _, seed := range []uint64{1, 2, 1} { // the third run recomputes: seed 1 was evicted
+		if _, err := svc.Run(ctx, pipeline.Config{Scale: 7, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := svc.Stats()
-	if st.CacheEdges.Misses != 3 || st.CacheEntries != 1 {
+	if st.CacheMatrix.Misses != 3 || st.CacheMatrix.Hits != 0 || st.CacheEntries != 1 {
 		t.Fatalf("want 3 misses with 1 resident entry, got %+v", st)
 	}
 }
@@ -352,7 +332,7 @@ func TestCacheDisabled(t *testing.T) {
 	if res.Cache != nil {
 		t.Fatalf("cache disabled: Cache should be nil, got %+v", res.Cache)
 	}
-	if st := svc.Stats(); st.CacheEdges != (serve.StageStats{}) || st.CacheEntries != 0 {
+	if st := svc.Stats(); st.CacheMatrix != (serve.StageStats{}) || st.CacheEntries != 0 {
 		t.Fatalf("cache disabled: counters moved: %+v", st)
 	}
 }

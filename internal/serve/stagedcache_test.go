@@ -1,10 +1,10 @@
 package serve_test
 
-// The staged artifact cache's service-level contract tests: the
-// mixed-stage singleflight property (a pre-warmed shallow stage under a
-// cold deep stage), the warm-vs-cold bit-for-bit sweep across every
-// variant, processor count and execution mode, and the cancellation-
-// mid-fill no-poisoning guarantee.
+// The matrix cache's service-level contract tests: the mixed-variant
+// singleflight property (one filler serves every variant), the
+// warm-vs-cold bit-for-bit sweep across every variant, processor count
+// and execution mode, and the cancellation-mid-fill no-poisoning
+// guarantee.
 
 import (
 	"context"
@@ -30,49 +30,43 @@ func assertBitEqualRanks(t *testing.T, what string, want, got []float64) {
 	}
 }
 
-// TestMixedStageSingleflightWarmEdges pins the mixed-depth property:
-// with the edges stage pre-warmed (via Edges) but the sorted and matrix
-// stages cold, N concurrent runs elect exactly one filler — it scores
-// the lone sorted and matrix misses plus an edges hit, the other N-1
-// join the in-flight matrix fill, and everyone agrees bit for bit.
-func TestMixedStageSingleflightWarmEdges(t *testing.T) {
-	const n = 6
+// TestMixedVariantSingleflight pins the cache's exchange across
+// variants: N concurrent runs of one graph through different variants
+// elect exactly one filler, the other N-1 join its in-flight matrix
+// fill, and every run reproduces its own variant's cold ranks bit for
+// bit — the matrix is canonical, so whoever fills it, it is the same.
+func TestMixedVariantSingleflight(t *testing.T) {
+	variants := []string{"csr", "coo", "columnar", "graphblas", "extsort", "dist"}
+	n := len(variants)
 	svc := serve.New(serve.WithMaxConcurrent(n))
 	defer svc.Close()
 	ctx := context.Background()
-	cfg := runCfg("csr")
-	if _, err := svc.Edges(ctx, serve.GraphKey{Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed}); err != nil {
-		t.Fatal(err)
-	}
 	results := make([]*pipeline.Result, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i, v := range variants {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, v string) {
 			defer wg.Done()
-			results[i], errs[i] = svc.Run(ctx, cfg)
-		}(i)
+			results[i], errs[i] = svc.Run(ctx, runCfg(v))
+		}(i, v)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
+			t.Fatalf("%s: %v", variants[i], err)
 		}
 	}
 	st := svc.Stats()
-	if st.CacheMatrix.Misses != 1 || st.CacheMatrix.Hits != n-1 {
-		t.Fatalf("matrix stage = %+v, want 1 miss / %d hits", st.CacheMatrix, n-1)
+	if st.CacheMatrix.Misses != 1 || st.CacheMatrix.Hits != uint64(n-1) {
+		t.Fatalf("matrix cache = %+v, want 1 miss / %d hits", st.CacheMatrix, n-1)
 	}
-	if st.CacheSorted.Misses != 1 || st.CacheSorted.Hits != 0 {
-		t.Fatalf("sorted stage = %+v, want exactly 1 miss", st.CacheSorted)
-	}
-	// Edges: the Edges() pre-warm missed; the lone filler run hit.
-	if st.CacheEdges.Misses != 1 || st.CacheEdges.Hits != 1 {
-		t.Fatalf("edges stage = %+v, want 1 miss / 1 hit", st.CacheEdges)
-	}
-	for i := 1; i < n; i++ {
-		assertBitEqualRanks(t, "mixed-stage run", results[0].Rank, results[i].Rank)
+	for i, v := range variants {
+		cold, err := pipeline.ExecuteContext(ctx, runCfg(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitEqualRanks(t, v+" mixed-variant run", cold.Rank, results[i].Rank)
 	}
 }
 
@@ -249,7 +243,7 @@ func TestCancelMidFillDoesNotPoisonSingleflight(t *testing.T) {
 		}))
 		aDone <- err
 	}()
-	<-reachedMiss // A holds the in-flight matrix (and soon sorted) fill
+	<-reachedMiss // A holds the in-flight matrix fill
 
 	bDone := make(chan struct{})
 	var bRes *pipeline.Result
@@ -259,7 +253,7 @@ func TestCancelMidFillDoesNotPoisonSingleflight(t *testing.T) {
 		bRes, bErr = svc.Run(context.Background(), cfg)
 	}()
 
-	cancel()       // A's ctx dies while its fills are in flight
+	cancel()       // A's ctx dies while its fill is in flight
 	close(release) // let A's progress hook return; A aborts at the next check
 	if err := <-aDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("run A: want context.Canceled, got %v", err)

@@ -37,13 +37,11 @@ const (
 	// complete epoch before iterating; Iteration carries the epoch's
 	// completed-iteration count.
 	EventCheckpointRestored
-	// EventCacheHit fires when the staged artifact cache serves an
-	// artifact; Kernel identifies the producing stage (K0Generate =
-	// edges, K1Sort = sorted list, K2Filter = matrix), whose kernels
-	// are skipped.
+	// EventCacheHit fires when the matrix cache serves the kernel-2
+	// matrix; Kernel is K2Filter, and kernels 0–2 are skipped.
 	EventCacheHit
-	// EventCacheMiss fires when a consulted cache stage held no
-	// artifact; this run computes and deposits it.
+	// EventCacheMiss fires when the consulted cache held no matrix;
+	// this run computes and deposits it.
 	EventCacheMiss
 )
 

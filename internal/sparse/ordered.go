@@ -84,7 +84,7 @@ func TransposeOrdered(n int, rowPtr []int64, col []uint32, val []float64) *Order
 func (t *Ordered) N() int { return len(t.Rows) }
 
 // Footprint returns the operand's in-memory size in bytes, its four
-// arrays at their allocated capacity (the staged cache's charge).
+// arrays at their allocated capacity (the matrix cache's charge).
 func (t *Ordered) Footprint() int64 {
 	return int64(cap(t.Rows))*4 + int64(cap(t.Ptr))*8 + int64(cap(t.Col))*4 + int64(cap(t.Val))*8
 }

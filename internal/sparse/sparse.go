@@ -30,8 +30,8 @@ type CSR struct {
 func (a *CSR) NNZ() int { return len(a.Col) }
 
 // Footprint returns the matrix's in-memory size in bytes — the three
-// CSR arrays at their allocated capacity.  The service layer's staged
-// artifact cache charges resident matrices at this cost.
+// CSR arrays at their allocated capacity.  The service layer's matrix
+// cache charges resident matrices at this cost.
 func (a *CSR) Footprint() int64 {
 	return int64(cap(a.RowPtr))*8 + int64(cap(a.Col))*4 + int64(cap(a.Val))*8
 }
