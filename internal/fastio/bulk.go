@@ -90,30 +90,91 @@ func ReadEdges(s EdgeSource, l *edge.List, max int) (int, error) {
 // Native bulk implementations
 
 // WriteEdges implements BulkEdgeSink: the per-edge formatting loop runs
-// without interface dispatch between edges.
+// without interface dispatch between edges, and with the buffer and its
+// fill level in locals between flushes.
 func (t *TSVWriter) WriteEdges(l *edge.List, lo, hi int) error {
 	us, vs := l.U[lo:hi], l.V[lo:hi]
+	vs = vs[:len(us)]
+	b, n := t.buf[:t.max], len(t.buf)
 	for i, u := range us {
-		if err := t.WriteEdge(u, vs[i]); err != nil {
-			return err
+		n = putRecord(b, n, u, vs[i])
+		if n >= t.max-maxRecord {
+			t.buf = b[:n]
+			if err := t.Flush(); err != nil {
+				return err
+			}
+			n = 0
 		}
 	}
+	t.buf = b[:n]
 	return nil
 }
 
-// ReadEdges implements BulkEdgeSource.
+// ReadEdges implements BulkEdgeSource.  Records decode straight into l's
+// spare capacity (words); only when l has none left does a record go
+// through ReadEdge and l.Append, which grows l exactly as appending edge
+// by edge would.
 func (t *TSVReader) ReadEdges(l *edge.List, max int) (int, error) {
-	for n := 0; n < max; n++ {
-		u, v, err := t.ReadEdge()
+	n := 0
+	for n < max {
+		var got int
+		var err error
+		if lo, room := len(l.U), min(cap(l.U), cap(l.V))-len(l.U); room > 0 {
+			hi := lo + min(room, max-n)
+			got, err = t.words(l.U[lo:hi], l.V[lo:hi])
+			l.U, l.V = l.U[:lo+got], l.V[:lo+got]
+		} else {
+			var u, v uint64
+			if u, v, err = t.ReadEdge(); err == nil {
+				l.Append(u, v)
+				got = 1
+			}
+		}
+		n += got
 		if err == io.EOF && n > 0 {
 			return n, nil
 		}
 		if err != nil {
 			return n, err
 		}
-		l.Append(u, v)
 	}
-	return max, nil
+	return n, nil
+}
+
+// words decodes records into us and vs (of equal length) until they are
+// full, returning the number decoded.  A record whose fields are each 1–8
+// digits, the first ending in a tab and the second in a newline, decodes a
+// word at a time; every other record — longer or empty fields, a \r, any
+// other byte, or a record the buffer's data ends in — goes to ReadEdge from
+// its first byte, and its error, io.EOF included, ends the batch.  The
+// buffer's end-of-data byte is a non-digit and wordSlack bytes follow it,
+// so a field load never leaves the buffer and a field that reaches the end
+// of the data never passes for a whole one.
+func (t *TSVReader) words(us, vs []uint64) (int, error) {
+	vs = vs[:len(us)]
+	buf, pos, line := t.buf, t.pos, t.line
+	for i := range us {
+		x := binary.LittleEndian.Uint64(buf[pos:])
+		j := pos + digitRun(x)
+		if j > pos && buf[j] == '\t' {
+			y := binary.LittleEndian.Uint64(buf[j+1:])
+			k := j + 1 + digitRun(y)
+			if k > j+1 && buf[k] == '\n' {
+				us[i], vs[i] = parseDigits(x, j-pos), parseDigits(y, k-j-1)
+				pos = k + 1
+				continue
+			}
+		}
+		t.pos, t.line = pos, line+i
+		u, v, err := t.ReadEdge()
+		if err != nil {
+			return i, err
+		}
+		us[i], vs[i] = u, v
+		pos = t.pos
+	}
+	t.pos, t.line = pos, line+len(us)
+	return len(us), nil
 }
 
 // WriteEdges implements BulkEdgeSink.

@@ -6,7 +6,7 @@
 // an implementer-chosen number of files on non-volatile storage.  This
 // package provides:
 //
-//   - allocation-free decimal integer formatting and parsing;
+//   - allocation-free decimal integer formatting;
 //   - four interchangeable codecs: TSV (the paper's format, hand-optimized),
 //     NaiveTSV (the same format via strconv/bufio, standing in for the
 //     paper's interpreted-language implementations), Binary (16-byte
@@ -71,10 +71,41 @@ const digitPairs = "00010203040506070809" +
 var moreDigits = [maxDigits]uint64{0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
-// putUint writes the decimal form of v into b at offset i, two digits per
-// step from the low end, and returns the offset past it.  b must have
-// room for the digits (at most maxDigits).
+// putUint writes the decimal form of v into b at offset i and returns the
+// offset past it.  b must have room for maxDigits bytes from i, even when v
+// takes fewer: a value below 10⁸ is stored as one word of eight bytes
+// (shortDigits), of which the bytes past its last digit are left for
+// whatever is written next.
 func putUint(b []byte, i int, v uint64) int {
+	if v >= 1e8 {
+		return putLong(b, i, v)
+	}
+	w, d := shortDigits(v)
+	binary.LittleEndian.PutUint64(b[i:], w)
+	return i + d
+}
+
+// shortDigits returns the decimal form of v < 10⁸ as the bytes of a
+// little-endian word, first digit lowest, and its digit count d.  v is
+// split into lanes of 4+4 digits (32 bits each), each lane into 2+2
+// (16 bits), each of those into 1+1 (8 bits), which leaves the eight
+// zero-padded digits in byte order; every division by 100 or 10 is a
+// multiply-shift that is exact below the lane's bound.  Then the 8−d
+// leading zeros are shifted out (the last digit always stays) and '0' is
+// added to each byte.
+func shortDigits(v uint64) (w uint64, d int) {
+	x := v/10000 | v%10000<<32
+	q := x * 5243 >> 19 & 0x0000007f_0000007f // x/100 for x < 43699
+	x = q | (x-q*100)<<16
+	q = x * 103 >> 10 & 0x000f_000f_000f_000f // x/10 for x < 179
+	x = q | (x-q*10)<<8
+	z := bits.TrailingZeros64(x|1<<56) >> 3
+	return (x | 0x30303030_30303030) >> (8 * z & 63), 8 - z
+}
+
+// putLong is putUint for any v: two digits per step from the low end, the
+// digit count from bits.Len64.
+func putLong(b []byte, i int, v uint64) int {
 	// 1233/4096 ≈ log10(2): d is the digit count of v or one less.
 	d := bits.Len64(v) * 1233 >> 12
 	if v >= moreDigits[d] {
@@ -96,36 +127,35 @@ func putUint(b []byte, i int, v uint64) int {
 	return end
 }
 
-// ErrSyntax is returned by ParseUint for malformed input.
+// digitRun returns how many of x's bytes, in little-endian order, are ASCII
+// digits before the first that is not: 8 when all are.  A byte c is a digit
+// when c^'0' < 10, i.e. when adding 0x76 leaves its top bit clear and the
+// top bit was clear to begin with.  A carry out of a non-digit byte can
+// only corrupt the bytes above it, never the first non-digit's own flag.
+func digitRun(x uint64) int {
+	y := x ^ 0x30303030_30303030
+	return bits.TrailingZeros64((y+0x76767676_76767676|y)&0x80808080_80808080) >> 3
+}
+
+// parseDigits returns the value of the first k (1 ≤ k ≤ 8) bytes of x,
+// ASCII digits in little-endian order.  Shifting the field to the top of
+// the word pads it with leading zeros to eight digits, which three
+// multiply-shifts then combine 1+1 → 2, 2+2 → 4 and 4+4 → 8 digits at a
+// time: each lane takes 10, 100 or 10⁴ times its lower neighbour plus
+// itself, and no lane sum overflows its width.
+func parseDigits(x uint64, k int) uint64 {
+	x = (x & 0x0f0f0f0f_0f0f0f0f) << (uint(64-8*k) & 63) // & 63: a no-op that spares a range check
+	x = x * (10<<8 + 1) >> 8 & 0x00ff00ff_00ff00ff
+	x = x * (100<<16 + 1) >> 16 & 0x0000ffff_0000ffff
+	return x * (10000<<32 + 1) >> 32
+}
+
+// ErrSyntax is the cause of a TSVReader error on a malformed record.
 var ErrSyntax = errors.New("fastio: invalid unsigned integer")
 
-// ErrRange is returned by ParseUint when the value overflows uint64.
+// ErrRange is the cause of a TSVReader error on a field that overflows
+// uint64.
 var ErrRange = errors.New("fastio: unsigned integer out of range")
-
-// ParseUint parses b as an unsigned decimal integer.  Unlike
-// strconv.ParseUint it operates on []byte without allocation.
-func ParseUint(b []byte) (uint64, error) {
-	if len(b) == 0 {
-		return 0, ErrSyntax
-	}
-	const cutoff = (1<<64-1)/10 + 1
-	var n uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, ErrSyntax
-		}
-		if n >= cutoff {
-			return 0, ErrRange
-		}
-		n = n * 10
-		d := uint64(c - '0')
-		if n+d < n {
-			return 0, ErrRange
-		}
-		n += d
-	}
-	return n, nil
-}
 
 // ---------------------------------------------------------------------------
 // Codec interfaces
@@ -211,16 +241,31 @@ const maxRecord = 2*maxDigits + 2
 // WriteEdge implements EdgeSink.  The buffer always has room for one more
 // record, so the record is formatted in place.
 func (t *TSVWriter) WriteEdge(u, v uint64) error {
-	b := t.buf[:t.max]
-	n := putUint(b, len(t.buf), u)
-	b[n] = '\t'
-	n = putUint(b, n+1, v)
-	b[n] = '\n'
-	t.buf = b[:n+1]
+	t.buf = t.buf[:putRecord(t.buf[:t.max], len(t.buf), u, v)]
 	if len(t.buf) >= t.max-maxRecord {
 		return t.Flush()
 	}
 	return nil
+}
+
+// putRecord writes the record "u\tv\n" into b at offset i and returns the
+// offset past it.  b must have room for maxRecord bytes from i.
+func putRecord(b []byte, i int, u, v uint64) int {
+	if u|v < 1e8 { // both below 10⁸: two word stores
+		x, n := shortDigits(u)
+		y, m := shortDigits(v)
+		binary.LittleEndian.PutUint64(b[i:], x)
+		i += n
+		b[i] = '\t'
+		binary.LittleEndian.PutUint64(b[i+1:], y)
+		i += 1 + m
+	} else {
+		i = putUint(b, i, u)
+		b[i] = '\t'
+		i = putUint(b, i+1, v)
+	}
+	b[i] = '\n'
+	return i + 1
 }
 
 // Flush implements EdgeSink.
@@ -241,26 +286,31 @@ func (t *TSVWriter) Flush() error {
 // carries the line number like every parse error.
 type TSVReader struct {
 	r        io.Reader
-	buf      []byte // one byte longer than a refill: buf[end] is a non-digit
+	buf      []byte // a refill, then a non-digit at buf[end], then wordSlack bytes
 	pos, end int    // buf[pos:end] is read but not yet decoded
 	off      int64  // input bytes that came before buf[0]
 	line     int
 	err      error // what r ended with, io.EOF included; reported once buf drains
 }
 
+// wordSlack is the room past a TSVReader's end-of-data byte that lets
+// ReadEdges load any field that starts at or before it as one 8-byte word.
+const wordSlack = 8
+
 // NewTSVReader returns a TSVReader with the given buffer size.
 func NewTSVReader(r io.Reader, bufSize int) *TSVReader {
 	if bufSize < 16 {
 		bufSize = 16
 	}
-	return &TSVReader{r: r, buf: make([]byte, bufSize+1)}
+	return &TSVReader{r: r, buf: make([]byte, bufSize+1+wordSlack)}
 }
 
 // InputOffset returns the number of input bytes the edges decoded so far
 // occupied.
 func (t *TSVReader) InputOffset() int64 { return t.off + int64(t.pos) }
 
-// ReadEdge implements EdgeSource.
+// ReadEdge implements EdgeSource.  It is the byte scanner that defines the
+// format; ReadEdges hands it every record its word path does not take.
 func (t *TSVReader) ReadEdge() (uint64, uint64, error) {
 	t.line++
 	u, v, err := t.record()
@@ -280,7 +330,7 @@ func (t *TSVReader) refill() bool {
 			t.err = io.ErrNoProgress
 			break
 		}
-		t.end, t.err = t.r.Read(t.buf[:len(t.buf)-1])
+		t.end, t.err = t.r.Read(t.buf[:len(t.buf)-1-wordSlack])
 	}
 	t.buf[t.end] = 0 // stops the digit loop at the end of the data
 	return t.end > 0

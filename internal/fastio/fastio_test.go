@@ -2,6 +2,7 @@ package fastio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -16,8 +17,16 @@ import (
 	"repro/internal/xrand"
 )
 
+// powersOf10 is 10ᵏ for k = 1…19: with 10ᵏ−1, the values on each side of
+// every change in digit count.
+var powersOf10 = []uint64{1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
 func TestAppendUintMatchesStrconv(t *testing.T) {
 	cases := []uint64{0, 1, 9, 10, 99, 100, 12345, math.MaxUint64, math.MaxUint64 - 1}
+	for _, p := range powersOf10 { // each side of every digit count: the one-word formatter stops at 10⁸
+		cases = append(cases, p-1, p)
+	}
 	for _, v := range cases {
 		got := string(AppendUint(nil, v))
 		want := strconv.FormatUint(v, 10)
@@ -40,27 +49,6 @@ func TestAppendUintAppends(t *testing.T) {
 	got := string(AppendUint([]byte("x="), 42))
 	if got != "x=42" {
 		t.Errorf("AppendUint with prefix = %q", got)
-	}
-}
-
-func TestParseUintRoundTrip(t *testing.T) {
-	err := quick.Check(func(v uint64) bool {
-		n, err := ParseUint(AppendUint(nil, v))
-		return err == nil && n == v
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestParseUintErrors(t *testing.T) {
-	for _, bad := range []string{"", "x", "1x", "-1", " 1", "18446744073709551616", "99999999999999999999"} {
-		if _, err := ParseUint([]byte(bad)); err == nil {
-			t.Errorf("ParseUint(%q) succeeded, want error", bad)
-		}
-	}
-	if n, err := ParseUint([]byte("18446744073709551615")); err != nil || n != math.MaxUint64 {
-		t.Errorf("ParseUint(max) = %d, %v", n, err)
 	}
 }
 
@@ -277,6 +265,66 @@ func TestBinaryReaderTruncated(t *testing.T) {
 	}
 }
 
+// FuzzBinaryDecode feeds arbitrary bytes to the bin codec as one stripe,
+// through ReadStriped and through a StripedSource.  Neither may panic; the
+// source delivers exactly the len/16 whole records, as little-endian
+// words, and ReadStriped returns the same list when the input is whole
+// records; a trailing partial record is a truncation error that names the
+// stripe; and ReadStriped's list has room for no more than twice the edges
+// the input holds.
+func FuzzBinaryDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(make([]byte, 16))
+	f.Add(make([]byte, 20))
+	f.Add(bytes.Repeat([]byte{0xff}, 5*16+15))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want := edge.NewList(0)
+		for i := 0; i+16 <= len(data); i += 16 {
+			want.Append(binary.LittleEndian.Uint64(data[i:]), binary.LittleEndian.Uint64(data[i+8:]))
+		}
+		check := func(path string, err error) {
+			t.Helper()
+			if len(data)%16 == 0 {
+				if err != nil {
+					t.Fatalf("%s of %d bytes: %v", path, len(data), err)
+				}
+			} else if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "f-0000.bin") {
+				t.Fatalf("%s of %d bytes: error %v, want a truncation that names the stripe", path, len(data), err)
+			}
+		}
+		fs := vfs.NewMem()
+		w, _ := fs.Create(StripeName("f", Binary{}, 0))
+		w.Write(data)
+		w.Close()
+
+		l, err := ReadStriped(fs, "f", Binary{})
+		check("ReadStriped", err)
+		if err == nil && !l.Equal(want) {
+			t.Fatalf("ReadStriped: %d edges, want %d", l.Len(), want.Len())
+		}
+		if err == nil && cap(l.U) > 2*want.Len()+16 {
+			t.Fatalf("ReadStriped holds room for %d edges after %d input bytes", cap(l.U), len(data))
+		}
+
+		src, err := NewStripedSource(fs, "f", Binary{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		got := edge.NewList(0)
+		for err == nil {
+			_, err = ReadEdges(src, got, 1000)
+		}
+		if err == io.EOF {
+			err = nil
+		}
+		check("StripedSource", err)
+		if !got.Equal(want) {
+			t.Fatalf("StripedSource: %d edges, want %d", got.Len(), want.Len())
+		}
+	})
+}
+
 func TestBytesPerEdge(t *testing.T) {
 	if got := (Binary{}).BytesPerEdge(1 << 20); got != 16 {
 		t.Errorf("Binary BytesPerEdge = %v", got)
@@ -426,40 +474,6 @@ func TestStripeNameOrdering(t *testing.T) {
 	b := StripeName("p", TSV{}, 10)
 	if !(a < b) {
 		t.Errorf("stripe names out of order: %q >= %q", a, b)
-	}
-}
-
-func BenchmarkTSVWrite(b *testing.B) {
-	l := randomList(1, 10000)
-	b.SetBytes(int64(l.Len()))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w := TSV{}.NewWriter(io.Discard)
-		for j := 0; j < l.Len(); j++ {
-			w.WriteEdge(l.U[j], l.V[j])
-		}
-		w.Flush()
-	}
-}
-
-func BenchmarkTSVRead(b *testing.B) {
-	l := randomList(1, 10000)
-	var buf bytes.Buffer
-	w := TSV{}.NewWriter(&buf)
-	for j := 0; j < l.Len(); j++ {
-		w.WriteEdge(l.U[j], l.V[j])
-	}
-	w.Flush()
-	data := buf.Bytes()
-	b.SetBytes(int64(l.Len()))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := TSV{}.NewReader(bytes.NewReader(data))
-		for {
-			if _, _, err := r.ReadEdge(); err == io.EOF {
-				break
-			}
-		}
 	}
 }
 

@@ -19,7 +19,12 @@ func decodeTSV(r io.Reader, bufSize int) (*edge.List, string) {
 	l := edge.NewList(0)
 	src := NewTSVReader(r, bufSize)
 	for {
-		if _, err := src.ReadEdges(l, 7); err == io.EOF {
+		before := l.Len()
+		n, err := src.ReadEdges(l, 7)
+		if n > 7 || l.Len() != before+n {
+			return l, fmt.Sprintf("ReadEdges(7) returned %d and appended %d", n, l.Len()-before)
+		}
+		if err == io.EOF {
 			return l, ""
 		} else if err != nil {
 			return l, err.Error()
@@ -27,12 +32,34 @@ func decodeTSV(r io.Reader, bufSize int) (*edge.List, string) {
 	}
 }
 
+// scanTSV is decodeTSV through ReadEdge alone, i.e. through the byte
+// scanner that defines the codec.
+func scanTSV(r io.Reader, bufSize int) (*edge.List, string) {
+	l := edge.NewList(0)
+	src := NewTSVReader(r, bufSize)
+	for {
+		u, v, err := src.ReadEdge()
+		if err == io.EOF {
+			return l, ""
+		} else if err != nil {
+			return l, err.Error()
+		}
+		l.Append(u, v)
+	}
+}
+
 // TestTSVReaderBufferEdges moves the refill boundary across every byte of
 // records, CRLFs, 20-digit fields and malformed lines: whatever the buffer
-// size and however short the reads, the decoder must produce the edges and
-// the error text (line number included) it produces from one big buffer.
+// size and however short the reads, ReadEdges must produce the edges and
+// the error text (line number included) that ReadEdge's byte scanner
+// produces from one big buffer.  The records around eight digits per field
+// are the edges of ReadEdges' word-at-a-time path, so it meets each of
+// them, and each malformed record, at every offset in the buffer and in
+// the word, and in batches of 7 that end anywhere.
 func TestTSVReaderBufferEdges(t *testing.T) {
 	const max = "18446744073709551615"
+	// 16 bytes each: a newline, then a tab, as the last byte of a 16-byte refill.
+	const nlLast, tabLast = "1234567\t1234567\n", "123456789012345\t"
 	var good strings.Builder
 	for i := 0; i < 40; i++ {
 		fmt.Fprintf(&good, "%d\t%d\n", i*i*i*977, uint64(i)<<uint(i))
@@ -40,8 +67,14 @@ func TestTSVReaderBufferEdges(t *testing.T) {
 		fmt.Fprintf(&good, "%d\t%s\n", i, max)
 		fmt.Fprintf(&good, "%s\t%s\r\n", max, max)
 		fmt.Fprintf(&good, "%0*d\t%d\n", 30+i, i, i) // zero-padded past any record bound
+		// 7, 8 and 9 digits; 8 zero-padded; the terminator as the 9th byte.
+		fmt.Fprintf(&good, "%07d\t%08d\n%09d\t%07d\n", 1000000+i, 10000000+i, 100000000+i, i)
+		fmt.Fprintf(&good, "%08d\t%08d\n", i, 99999999-i)
+		fmt.Fprintf(&good, "%d\t%d\n%d\t%d\n", 1234, 100+i, 10000000+i, i%10)
 	}
-	inputs := []string{good.String(), good.String() + "7\t8", good.String() + "7\t8\r\n"}
+	goods := []string{good.String(), good.String() + "7\t8", good.String() + "7\t8\r\n",
+		nlLast + good.String(), tabLast + "1\n" + good.String(), good.String() + "12345678\t87654321"}
+	inputs := goods
 	for _, c := range tsvErrorCases {
 		inputs = append(inputs, good.String()+c.input)
 	}
@@ -50,7 +83,15 @@ func TestTSVReaderBufferEdges(t *testing.T) {
 		good.String()+"1\t"+max+"\r",  // CR, then the end
 		good.String()+"1\t"+max+"\rx", // CR, then not LF
 		good.String()+"1\t2\n"+max,    // cut after 20 digits of u
-		good.String()+"1\t2\n"+max+"\t")
+		good.String()+"1\t2\n"+max+"\t",
+		good.String()+"12345678\t\n",         // 8 digits, then an empty field
+		good.String()+"12345678\t12345678\r", // 8 digits, CR, then the end
+		good.String()+"1234567\t12345678\t\n",
+		good.String()+"123456789\t1x\n",
+		good.String()+"1\t2\t3\n",
+		nlLast+"12345678",
+		tabLast+"\n",
+		tabLast)
 
 	var sizes []int
 	for s := 16; s <= 128; s++ {
@@ -60,11 +101,11 @@ func TestTSVReaderBufferEdges(t *testing.T) {
 		sizes = append(sizes, s)
 	}
 	for i, in := range inputs {
-		want, wantErr := decodeTSV(strings.NewReader(in), len(in)+1)
-		if i < 3 && wantErr != "" {
+		want, wantErr := scanTSV(strings.NewReader(in), len(in)+1)
+		if i < len(goods) && wantErr != "" {
 			t.Fatalf("input %d: reference decode failed: %s", i, wantErr)
 		}
-		if i >= 3 && !strings.HasPrefix(wantErr, "fastio: line ") {
+		if i >= len(goods) && !strings.HasPrefix(wantErr, "fastio: line ") {
 			t.Fatalf("input %d: reference decode ended with %q, want a positioned error", i, wantErr)
 		}
 		for _, size := range sizes {
@@ -117,6 +158,9 @@ func FuzzTSVDecode(f *testing.F) {
 	f.Add([]byte(strings.Repeat("65535\t4096\n", 2000)), uint64(100), uint64(12345678901234567890))
 	for _, c := range tsvErrorCases {
 		f.Add([]byte(c.input), uint64(len(c.input)), uint64(c.line))
+	}
+	for _, p := range powersOf10 { // each side of every digit count
+		f.Add([]byte(fmt.Sprintf("%d\t%d\n%d\t%d\n", p-1, p, p, p-1)), p-1, p)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, u, v uint64) {
 		var fast, naive bytes.Buffer
