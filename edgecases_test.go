@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/edge"
 	"repro/internal/fastio"
+	"repro/internal/fastio/fastiotest"
 	"repro/internal/kronecker"
 	"repro/internal/pipeline"
 	"repro/internal/sparse"
@@ -58,7 +59,7 @@ func TestEdgeCaseExternalSortRunOfOne(t *testing.T) {
 		l.Append(63-i, i)
 	}
 	out := edge.NewList(0)
-	stats, err := xsort.External(fastio.NewListSource(l), fastio.NewListSink(out),
+	stats, err := xsort.External(fastiotest.NewListSource(l), fastiotest.NewListSink(out),
 		xsort.ExternalConfig{FS: vfs.NewMem(), RunEdges: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -84,14 +85,10 @@ func TestEdgeCaseTSVReaderNeverPanicsOnGarbage(t *testing.T) {
 	// Property: arbitrary bytes either parse or error; no panics, no
 	// infinite loops.
 	err := quick.Check(func(data []byte) bool {
-		r := fastio.TSV{}.NewReader(strings.NewReader(string(data)))
+		r, l := fastio.TSV{}.NewReader(strings.NewReader(string(data))), edge.NewList(0)
 		for i := 0; i < len(data)+2; i++ {
-			_, _, err := r.ReadEdge()
-			if err == io.EOF {
-				return true
-			}
-			if err != nil {
-				return true // parse error is a valid outcome
+			if _, err := r.ReadEdges(l, 1); err != nil {
+				return true // io.EOF, or a parse error: both valid outcomes
 			}
 		}
 		return true // parsed everything as edges — also fine
@@ -103,10 +100,9 @@ func TestEdgeCaseTSVReaderNeverPanicsOnGarbage(t *testing.T) {
 
 func TestEdgeCaseNaiveTSVReaderGarbage(t *testing.T) {
 	err := quick.Check(func(data []byte) bool {
-		r := fastio.NaiveTSV{}.NewReader(strings.NewReader(string(data)))
+		r, l := fastio.NaiveTSV{}.NewReader(strings.NewReader(string(data))), edge.NewList(0)
 		for i := 0; i < len(data)+2; i++ {
-			_, _, err := r.ReadEdge()
-			if err != nil {
+			if _, err := r.ReadEdges(l, 1); err != nil {
 				return true
 			}
 		}
@@ -191,9 +187,12 @@ func TestEdgeCaseStripedSourceAcrossManyEmptyStripes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	n, err := fastio.CountEdges(src)
-	if err != nil || n != 2 {
-		t.Errorf("streamed %d edges, %v", n, err)
+	got := edge.NewList(0)
+	for err == nil {
+		_, err = fastio.ReadEdges(src, got, 1)
+	}
+	if err != io.EOF || !got.Equal(l) {
+		t.Errorf("streamed %d edges, %v", got.Len(), err)
 	}
 }
 

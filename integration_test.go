@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fastio"
+	"repro/internal/fastio/fastiotest"
 	"repro/internal/kronecker"
 	"repro/internal/pagerank"
 	"repro/internal/pipeline"
@@ -203,7 +204,7 @@ func TestIntegrationExternalAndDistSortAgreeWithSerial(t *testing.T) {
 	distRes := distOut.Sort
 	extOut := serial.Clone()
 	extOut.Reset()
-	_, err = xsort.External(fastio.NewListSource(l), fastio.NewListSink(extOut),
+	_, err = xsort.External(fastiotest.NewListSource(l), fastiotest.NewListSink(extOut),
 		xsort.ExternalConfig{FS: vfs.NewMem(), RunEdges: 500})
 	if err != nil {
 		t.Fatal(err)

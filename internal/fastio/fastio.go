@@ -13,9 +13,8 @@
 //     little-endian records, used by the text-vs-binary ablation), and
 //     Packed (block-structured varint + delta encoding that exploits the
 //     sortedness kernel 1 produces);
-//   - batched WriteEdges/ReadEdges paths that move edges in bulk through
-//     codecs that support it (BulkEdgeSink/BulkEdgeSource) and fall back
-//     to the per-edge interface otherwise;
+//   - one batch interface for every codec (EdgeSink, EdgeSource) and its
+//     checked entry points WriteEdges/ReadEdges;
 //   - codec resolution by name (CodecByName) and by on-disk content
 //     (Detect, DetectStriped);
 //   - striped writing and reading of edge lists across N files of a
@@ -25,6 +24,7 @@ package fastio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -160,16 +160,47 @@ var ErrRange = errors.New("fastio: unsigned integer out of range")
 // ---------------------------------------------------------------------------
 // Codec interfaces
 
-// EdgeSink consumes a stream of edges.  Implementations buffer internally;
-// callers must Flush before closing the underlying writer.
+// EdgeSink consumes a stream of edges a batch at a time.  WriteEdges
+// appends edges l[lo:hi) to the stream; the range must be valid (callers go
+// through the package-level WriteEdges, which checks).  Implementations
+// buffer internally: Flush is a barrier after which every edge written
+// before it has reached the underlying writer, and callers must Flush
+// before closing it.
 type EdgeSink interface {
-	WriteEdge(u, v uint64) error
+	WriteEdges(l *edge.List, lo, hi int) error
 	Flush() error
 }
 
-// EdgeSource produces a stream of edges, returning io.EOF after the last.
+// EdgeSource produces a stream of edges a batch at a time.  ReadEdges
+// appends up to max ≥ 1 edges to l, decoding into l's spare capacity and
+// growing l only when it has none, and returns the number appended.  A
+// short count with a nil error is legal (a block or stripe boundary, say);
+// (0, io.EOF) means end of stream, and the call repeats it thereafter.
 type EdgeSource interface {
-	ReadEdge() (u, v uint64, err error)
+	ReadEdges(l *edge.List, max int) (int, error)
+}
+
+// readChunkEdges is the batch size used by the streaming read loops: large
+// enough to amortize the per-call overhead, small enough that scratch
+// buffers stay cache- and allocation-friendly.
+const readChunkEdges = 16 << 10
+
+// WriteEdges writes edges l[lo:hi) to s, after checking the range.
+func WriteEdges(s EdgeSink, l *edge.List, lo, hi int) error {
+	if lo < 0 || hi > l.Len() || lo > hi {
+		return fmt.Errorf("fastio: WriteEdges range [%d:%d) out of bounds for %d edges", lo, hi, l.Len())
+	}
+	return s.WriteEdges(l, lo, hi)
+}
+
+// ReadEdges appends up to max edges from s to l, returning the number
+// appended, under the EdgeSource contract: callers loop until io.EOF rather
+// than until a short read.  A max ≤ 0 reads nothing and returns (0, nil).
+func ReadEdges(s EdgeSource, l *edge.List, max int) (int, error) {
+	if max <= 0 {
+		return 0, nil
+	}
+	return s.ReadEdges(l, max)
 }
 
 // Codec bundles matching reader and writer constructors for one on-disk
@@ -238,13 +269,24 @@ func NewTSVWriter(w io.Writer, bufSize int) *TSVWriter {
 // maxRecord is the longest record: two maxDigits fields, a tab, a newline.
 const maxRecord = 2*maxDigits + 2
 
-// WriteEdge implements EdgeSink.  The buffer always has room for one more
-// record, so the record is formatted in place.
-func (t *TSVWriter) WriteEdge(u, v uint64) error {
-	t.buf = t.buf[:putRecord(t.buf[:t.max], len(t.buf), u, v)]
-	if len(t.buf) >= t.max-maxRecord {
-		return t.Flush()
+// WriteEdges implements EdgeSink.  The buffer always has room for one more
+// record, so each record is formatted in place, with the buffer and its
+// fill level in locals between flushes.
+func (t *TSVWriter) WriteEdges(l *edge.List, lo, hi int) error {
+	us, vs := l.U[lo:hi], l.V[lo:hi]
+	vs = vs[:len(us)]
+	b, n := t.buf[:t.max], len(t.buf)
+	for i, u := range us {
+		n = putRecord(b, n, u, vs[i])
+		if n >= t.max-maxRecord {
+			t.buf = b[:n]
+			if err := t.Flush(); err != nil {
+				return err
+			}
+			n = 0
+		}
 	}
+	t.buf = b[:n]
 	return nil
 }
 
@@ -309,9 +351,76 @@ func NewTSVReader(r io.Reader, bufSize int) *TSVReader {
 // occupied.
 func (t *TSVReader) InputOffset() int64 { return t.off + int64(t.pos) }
 
-// ReadEdge implements EdgeSource.  It is the byte scanner that defines the
-// format; ReadEdges hands it every record its word path does not take.
-func (t *TSVReader) ReadEdge() (uint64, uint64, error) {
+// ReadEdges implements EdgeSource.  Records decode straight into l's spare
+// capacity (words); only when l has none left does a record go through
+// readEdge and l.Append, which grows l exactly as appending edge by edge
+// would.
+func (t *TSVReader) ReadEdges(l *edge.List, max int) (int, error) {
+	n := 0
+	for n < max {
+		var got int
+		var err error
+		if lo, room := len(l.U), min(cap(l.U), cap(l.V))-len(l.U); room > 0 {
+			hi := lo + min(room, max-n)
+			got, err = t.words(l.U[lo:hi], l.V[lo:hi])
+			l.U, l.V = l.U[:lo+got], l.V[:lo+got]
+		} else {
+			var u, v uint64
+			if u, v, err = t.readEdge(); err == nil {
+				l.Append(u, v)
+				got = 1
+			}
+		}
+		n += got
+		if err == io.EOF && n > 0 {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// words decodes records into us and vs (of equal length) until they are
+// full, returning the number decoded.  A record whose fields are each 1–8
+// digits, the first ending in a tab and the second in a newline, decodes a
+// word at a time; every other record — longer or empty fields, a \r, any
+// other byte, or a record the buffer's data ends in — goes to readEdge from
+// its first byte, and its error, io.EOF included, ends the batch.  The
+// buffer's end-of-data byte is a non-digit and wordSlack bytes follow it,
+// so a field load never leaves the buffer and a field that reaches the end
+// of the data never passes for a whole one.
+func (t *TSVReader) words(us, vs []uint64) (int, error) {
+	vs = vs[:len(us)]
+	buf, pos, line := t.buf, t.pos, t.line
+	for i := range us {
+		x := binary.LittleEndian.Uint64(buf[pos:])
+		j := pos + digitRun(x)
+		if j > pos && buf[j] == '\t' {
+			y := binary.LittleEndian.Uint64(buf[j+1:])
+			k := j + 1 + digitRun(y)
+			if k > j+1 && buf[k] == '\n' {
+				us[i], vs[i] = parseDigits(x, j-pos), parseDigits(y, k-j-1)
+				pos = k + 1
+				continue
+			}
+		}
+		t.pos, t.line = pos, line+i
+		u, v, err := t.readEdge()
+		if err != nil {
+			return i, err
+		}
+		us[i], vs[i] = u, v
+		pos = t.pos
+	}
+	t.pos, t.line = pos, line+len(us)
+	return len(us), nil
+}
+
+// readEdge decodes the next record.  It is the byte scanner that defines
+// the format; ReadEdges hands it every record its word path does not take.
+func (t *TSVReader) readEdge() (uint64, uint64, error) {
 	t.line++
 	u, v, err := t.record()
 	if err != nil && err != io.EOF {
@@ -337,7 +446,7 @@ func (t *TSVReader) refill() bool {
 }
 
 // record decodes one record.  io.EOF means the input ended cleanly before
-// the record's first byte; every other error is bare, for ReadEdge to
+// the record's first byte; every other error is bare, for readEdge to
 // position.
 func (t *TSVReader) record() (u, v uint64, err error) {
 	const cutoff = (1<<64-1)/10 + 1
@@ -442,9 +551,14 @@ type naiveWriter struct {
 	w *bufio.Writer
 }
 
-func (n *naiveWriter) WriteEdge(u, v uint64) error {
-	_, err := fmt.Fprintf(n.w, "%d\t%d\n", u, v)
-	return err
+// WriteEdges implements EdgeSink, one fmt.Fprintf per edge.
+func (n *naiveWriter) WriteEdges(l *edge.List, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		if _, err := fmt.Fprintf(n.w, "%d\t%d\n", l.U[i], l.V[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (n *naiveWriter) Flush() error { return n.w.Flush() }
@@ -454,34 +568,36 @@ type naiveReader struct {
 	line int
 }
 
-func (n *naiveReader) ReadEdge() (uint64, uint64, error) {
-	if !n.s.Scan() {
-		if err := n.s.Err(); err != nil {
-			return 0, 0, err
+// ReadEdges implements EdgeSource, one Scan and two strconv.ParseUint
+// calls per edge.
+func (n *naiveReader) ReadEdges(l *edge.List, max int) (int, error) {
+	for got := 0; got < max; got++ {
+		if !n.s.Scan() {
+			if err := n.s.Err(); err != nil {
+				return got, err
+			}
+			if got > 0 {
+				return got, nil
+			}
+			return 0, io.EOF
 		}
-		return 0, 0, io.EOF
-	}
-	n.line++
-	text := n.s.Text()
-	tab := -1
-	for i := 0; i < len(text); i++ {
-		if text[i] == '\t' {
-			tab = i
-			break
+		n.line++
+		text := n.s.Bytes()
+		tab := bytes.IndexByte(text, '\t')
+		if tab < 0 {
+			return got, fmt.Errorf("fastio: line %d: missing tab", n.line)
 		}
+		u, err := strconv.ParseUint(string(text[:tab]), 10, 64)
+		if err != nil {
+			return got, fmt.Errorf("fastio: line %d: %w", n.line, err)
+		}
+		v, err := strconv.ParseUint(string(text[tab+1:]), 10, 64)
+		if err != nil {
+			return got, fmt.Errorf("fastio: line %d: %w", n.line, err)
+		}
+		l.Append(u, v)
 	}
-	if tab < 0 {
-		return 0, 0, fmt.Errorf("fastio: line %d: missing tab", n.line)
-	}
-	u, err := strconv.ParseUint(text[:tab], 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("fastio: line %d: %w", n.line, err)
-	}
-	v, err := strconv.ParseUint(text[tab+1:], 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("fastio: line %d: %w", n.line, err)
-	}
-	return u, v, nil
+	return max, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -514,11 +630,17 @@ type binWriter struct {
 	buf []byte
 }
 
-func (b *binWriter) WriteEdge(u, v uint64) error {
-	b.buf = binary.LittleEndian.AppendUint64(b.buf, u)
-	b.buf = binary.LittleEndian.AppendUint64(b.buf, v)
-	if len(b.buf) >= cap(b.buf)-16 {
-		return b.Flush()
+// WriteEdges implements EdgeSink.
+func (b *binWriter) WriteEdges(l *edge.List, lo, hi int) error {
+	us, vs := l.U, l.V
+	for i := lo; i < hi; i++ {
+		b.buf = binary.LittleEndian.AppendUint64(b.buf, us[i])
+		b.buf = binary.LittleEndian.AppendUint64(b.buf, vs[i])
+		if len(b.buf) >= cap(b.buf)-16 {
+			if err := b.Flush(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -533,19 +655,42 @@ func (b *binWriter) Flush() error {
 }
 
 type binReader struct {
-	r   *bufio.Reader
-	rec [16]byte
-	blk []byte // bulk scratch, allocated on first ReadEdges
+	r *bufio.Reader
 }
 
-func (b *binReader) ReadEdge() (uint64, uint64, error) {
-	if _, err := io.ReadFull(b.r, b.rec[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return 0, 0, fmt.Errorf("fastio: truncated binary edge record: %w", err)
+// ReadEdges implements EdgeSource.  Whole records decode straight out of
+// the reader's buffer, a buffer at most at a time, by index into l's spare
+// capacity; only the records that do not fit are appended.
+func (b *binReader) ReadEdges(l *edge.List, max int) (int, error) {
+	total := 0
+	for total < max {
+		buf, err := b.r.Peek(16 * min(max-total, DefaultBufSize/16))
+		full := len(buf) / 16
+		n := l.Len()
+		k := min(full, min(cap(l.U), cap(l.V))-n)
+		us, vs := l.U[n:n+k], l.V[n:n+k]
+		for i := range us {
+			us[i], vs[i] = binary.LittleEndian.Uint64(buf[16*i:]), binary.LittleEndian.Uint64(buf[16*i+8:])
 		}
-		return 0, 0, err
+		l.U, l.V = l.U[:n+k], l.V[:n+k]
+		for i := k; i < full; i++ {
+			l.Append(binary.LittleEndian.Uint64(buf[16*i:]), binary.LittleEndian.Uint64(buf[16*i+8:]))
+		}
+		b.r.Discard(16 * full) // peeked bytes: cannot fail
+		total += full
+		switch {
+		case err == nil:
+		case err != io.EOF:
+			return total, err
+		case len(buf)%16 != 0:
+			return total, fmt.Errorf("fastio: truncated binary edge record: %w", io.ErrUnexpectedEOF)
+		case total == 0:
+			return 0, io.EOF
+		default:
+			return total, nil
+		}
 	}
-	return binary.LittleEndian.Uint64(b.rec[0:8]), binary.LittleEndian.Uint64(b.rec[8:16]), nil
+	return total, nil
 }
 
 // Interface conformance checks.
@@ -794,54 +939,3 @@ func (s *stripeReader) close() error {
 	s.cur, s.src = nil, nil
 	return err
 }
-
-// CountEdges streams src to completion and returns the number of edges.
-func CountEdges(src EdgeSource) (int, error) {
-	n := 0
-	for {
-		_, _, err := src.ReadEdge()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		n++
-	}
-}
-
-// ListSource adapts an in-memory edge.List to the EdgeSource interface.
-type ListSource struct {
-	l *edge.List
-	i int
-}
-
-// NewListSource returns an EdgeSource reading from l.
-func NewListSource(l *edge.List) *ListSource { return &ListSource{l: l} }
-
-// ReadEdge implements EdgeSource.
-func (s *ListSource) ReadEdge() (uint64, uint64, error) {
-	if s.i >= s.l.Len() {
-		return 0, 0, io.EOF
-	}
-	u, v := s.l.At(s.i)
-	s.i++
-	return u, v, nil
-}
-
-// ListSink adapts an edge.List to the EdgeSink interface.
-type ListSink struct {
-	L *edge.List
-}
-
-// NewListSink returns an EdgeSink appending to l.
-func NewListSink(l *edge.List) *ListSink { return &ListSink{L: l} }
-
-// WriteEdge implements EdgeSink.
-func (s *ListSink) WriteEdge(u, v uint64) error {
-	s.L.Append(u, v)
-	return nil
-}
-
-// Flush implements EdgeSink.
-func (s *ListSink) Flush() error { return nil }

@@ -2,7 +2,6 @@ package fastio
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -72,27 +71,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	l.Append(math.MaxUint64, math.MaxUint64)
 	for _, c := range allCodecs {
 		t.Run(c.Name(), func(t *testing.T) {
-			var buf bytes.Buffer
-			w := c.NewWriter(&buf)
-			for i := 0; i < l.Len(); i++ {
-				if err := w.WriteEdge(l.U[i], l.V[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Flush(); err != nil {
+			got, err := drain(t, c.NewReader(bytes.NewReader(encode(t, c, l, l.Len()))), 4096)
+			if err != nil {
 				t.Fatal(err)
-			}
-			r := c.NewReader(&buf)
-			got := edge.NewList(l.Len())
-			for {
-				u, v, err := r.ReadEdge()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				got.Append(u, v)
 			}
 			if !got.Equal(l) {
 				t.Errorf("round trip lost or reordered edges: %d vs %d", got.Len(), l.Len())
@@ -102,28 +83,18 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestTSVWireFormat(t *testing.T) {
-	var buf bytes.Buffer
-	w := TSV{}.NewWriter(&buf)
-	w.WriteEdge(3, 14)
-	w.WriteEdge(15, 92)
-	w.Flush()
+	l := edge.NewList(2)
+	l.Append(3, 14)
+	l.Append(15, 92)
 	want := "3\t14\n15\t92\n"
-	if buf.String() != want {
-		t.Errorf("TSV encoding = %q, want %q", buf.String(), want)
+	if got := string(encode(t, TSV{}, l, 1)); got != want {
+		t.Errorf("TSV encoding = %q, want %q", got, want)
 	}
 }
 
 func TestNaiveAndFastTSVIdenticalOutput(t *testing.T) {
 	l := randomList(7, 500)
-	var fast, naive bytes.Buffer
-	fw, nw := TSV{}.NewWriter(&fast), NaiveTSV{}.NewWriter(&naive)
-	for i := 0; i < l.Len(); i++ {
-		fw.WriteEdge(l.U[i], l.V[i])
-		nw.WriteEdge(l.U[i], l.V[i])
-	}
-	fw.Flush()
-	nw.Flush()
-	if fast.String() != naive.String() {
+	if !bytes.Equal(encode(t, TSV{}, l, l.Len()), encode(t, NaiveTSV{}, l, l.Len())) {
 		t.Error("optimized and naive TSV writers disagree on the wire format")
 	}
 }
@@ -131,21 +102,12 @@ func TestNaiveAndFastTSVIdenticalOutput(t *testing.T) {
 func TestTSVReaderCrossParsesNaiveOutput(t *testing.T) {
 	// Differential test: each TSV reader must parse the other writer's bytes.
 	l := randomList(8, 300)
-	var buf bytes.Buffer
-	w := NaiveTSV{}.NewWriter(&buf)
-	for i := 0; i < l.Len(); i++ {
-		w.WriteEdge(l.U[i], l.V[i])
+	got, err := drain(t, TSV{}.NewReader(bytes.NewReader(encode(t, NaiveTSV{}, l, l.Len()))), 64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	w.Flush()
-	r := TSV{}.NewReader(&buf)
-	for i := 0; i < l.Len(); i++ {
-		u, v, err := r.ReadEdge()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if u != l.U[i] || v != l.V[i] {
-			t.Fatalf("edge %d = (%d,%d), want (%d,%d)", i, u, v, l.U[i], l.V[i])
-		}
+	if !got.Equal(l) {
+		t.Fatalf("decoded %d edges unlike the %d written", got.Len(), l.Len())
 	}
 }
 
@@ -164,31 +126,23 @@ func TestTSVReaderTolerance(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r := TSV{}.NewReader(strings.NewReader(c.input))
-			var got [][2]uint64
-			for {
-				u, v, err := r.ReadEdge()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, [2]uint64{u, v})
+			got, err := drain(t, TSV{}.NewReader(strings.NewReader(c.input)), 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(got) != len(c.want) {
-				t.Fatalf("got %v, want %v", got, c.want)
+			if got.Len() != len(c.want) {
+				t.Fatalf("got %v %v, want %v", got.U, got.V, c.want)
 			}
-			for i := range got {
-				if got[i] != c.want[i] {
-					t.Fatalf("got %v, want %v", got, c.want)
+			for i, e := range c.want {
+				if got.U[i] != e[0] || got.V[i] != e[1] {
+					t.Fatalf("got %v %v, want %v", got.U, got.V, c.want)
 				}
 			}
 		})
 	}
 }
 
-// tsvErrorCases are malformed inputs with the error ReadEdge must end in
+// tsvErrorCases are malformed inputs with the error readEdge must end in
 // after decoding the records before it: the parse errors with their line,
 // and the truncations — a stripe cut inside a record is an error, not a
 // clean end of stream (it used to drop "123" silently and to decode
@@ -228,9 +182,8 @@ func TestTSVReaderErrors(t *testing.T) {
 			}
 		}
 
-		r := TSV{}.NewReader(strings.NewReader(c.input))
-		n, err := CountEdges(r)
-		check("ReadEdge", n, err)
+		n, err := scanCount(c.input)
+		check("readEdge", n, err)
 
 		l := edge.NewList(0)
 		_, err = ReadEdges(TSV{}.NewReader(strings.NewReader(c.input)), l, 100)
@@ -249,80 +202,21 @@ func TestTSVReaderErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err = CountEdges(src)
-		check("StripedSource", n, err)
+		l, err = drain(t, src, 1)
+		check("StripedSource", l.Len(), err)
 		src.Close()
 	}
 }
 
 func TestBinaryReaderTruncated(t *testing.T) {
 	r := Binary{}.NewReader(bytes.NewReader(make([]byte, 20))) // 1.25 records
-	if _, _, err := r.ReadEdge(); err != nil {
-		t.Fatalf("first record: %v", err)
+	l := edge.NewList(0)
+	if n, err := r.ReadEdges(l, 1); n != 1 || err != nil {
+		t.Fatalf("first record: %d, %v", n, err)
 	}
-	if _, _, err := r.ReadEdge(); err == nil || err == io.EOF {
+	if _, err := r.ReadEdges(l, 1); err == nil || err == io.EOF {
 		t.Errorf("truncated record err = %v, want explicit error", err)
 	}
-}
-
-// FuzzBinaryDecode feeds arbitrary bytes to the bin codec as one stripe,
-// through ReadStriped and through a StripedSource.  Neither may panic; the
-// source delivers exactly the len/16 whole records, as little-endian
-// words, and ReadStriped returns the same list when the input is whole
-// records; a trailing partial record is a truncation error that names the
-// stripe; and ReadStriped's list has room for no more than twice the edges
-// the input holds.
-func FuzzBinaryDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(make([]byte, 16))
-	f.Add(make([]byte, 20))
-	f.Add(bytes.Repeat([]byte{0xff}, 5*16+15))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		want := edge.NewList(0)
-		for i := 0; i+16 <= len(data); i += 16 {
-			want.Append(binary.LittleEndian.Uint64(data[i:]), binary.LittleEndian.Uint64(data[i+8:]))
-		}
-		check := func(path string, err error) {
-			t.Helper()
-			if len(data)%16 == 0 {
-				if err != nil {
-					t.Fatalf("%s of %d bytes: %v", path, len(data), err)
-				}
-			} else if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "f-0000.bin") {
-				t.Fatalf("%s of %d bytes: error %v, want a truncation that names the stripe", path, len(data), err)
-			}
-		}
-		fs := vfs.NewMem()
-		w, _ := fs.Create(StripeName("f", Binary{}, 0))
-		w.Write(data)
-		w.Close()
-
-		l, err := ReadStriped(fs, "f", Binary{})
-		check("ReadStriped", err)
-		if err == nil && !l.Equal(want) {
-			t.Fatalf("ReadStriped: %d edges, want %d", l.Len(), want.Len())
-		}
-		if err == nil && cap(l.U) > 2*want.Len()+16 {
-			t.Fatalf("ReadStriped holds room for %d edges after %d input bytes", cap(l.U), len(data))
-		}
-
-		src, err := NewStripedSource(fs, "f", Binary{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer src.Close()
-		got := edge.NewList(0)
-		for err == nil {
-			_, err = ReadEdges(src, got, 1000)
-		}
-		if err == io.EOF {
-			err = nil
-		}
-		check("StripedSource", err)
-		if !got.Equal(want) {
-			t.Fatalf("StripedSource: %d edges, want %d", got.Len(), want.Len())
-		}
-	})
 }
 
 func TestBytesPerEdge(t *testing.T) {
@@ -425,46 +319,12 @@ func TestStripedSourceStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	got := edge.NewList(l.Len())
-	for {
-		u, v, err := src.ReadEdge()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Append(u, v)
+	got, err := drain(t, src, 13)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !got.Equal(l) {
 		t.Error("StripedSource does not preserve order across stripes")
-	}
-}
-
-func TestCountEdges(t *testing.T) {
-	l := randomList(5, 321)
-	n, err := CountEdges(NewListSource(l))
-	if err != nil || n != 321 {
-		t.Errorf("CountEdges = %d, %v", n, err)
-	}
-}
-
-func TestListSinkSource(t *testing.T) {
-	l := edge.NewList(0)
-	sink := NewListSink(l)
-	sink.WriteEdge(1, 2)
-	sink.WriteEdge(3, 4)
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	src := NewListSource(l)
-	u, v, err := src.ReadEdge()
-	if err != nil || u != 1 || v != 2 {
-		t.Errorf("first edge = (%d,%d), %v", u, v, err)
-	}
-	src.ReadEdge()
-	if _, _, err := src.ReadEdge(); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
 	}
 }
 
@@ -479,19 +339,13 @@ func TestStripeNameOrdering(t *testing.T) {
 
 func BenchmarkNaiveTSVRead(b *testing.B) {
 	l := randomList(1, 10000)
-	var buf bytes.Buffer
-	w := NaiveTSV{}.NewWriter(&buf)
-	for j := 0; j < l.Len(); j++ {
-		w.WriteEdge(l.U[j], l.V[j])
-	}
-	w.Flush()
-	data := buf.Bytes()
+	data := encode(b, NaiveTSV{}, l, l.Len())
 	b.SetBytes(int64(l.Len()))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := NaiveTSV{}.NewReader(bytes.NewReader(data))
+		r, dst := NaiveTSV{}.NewReader(bytes.NewReader(data)), edge.NewList(0)
 		for {
-			if _, _, err := r.ReadEdge(); err == io.EOF {
+			if _, err := r.ReadEdges(dst, readChunkEdges); err != nil {
 				break
 			}
 		}

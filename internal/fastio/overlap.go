@@ -103,19 +103,8 @@ func (r *readAhead) next() (*batch, error) {
 	return r.cur, nil
 }
 
-// ReadEdge implements EdgeSource.
-func (r *readAhead) ReadEdge() (uint64, uint64, error) {
-	b, err := r.next()
-	if err != nil {
-		return 0, 0, err
-	}
-	u, v := b.l.U[r.pos], b.l.V[r.pos]
-	r.pos++
-	return u, v, nil
-}
-
-// ReadEdges implements BulkEdgeSource.  It returns what is left of one
-// batch at most.
+// ReadEdges implements EdgeSource.  It returns what is left of one batch
+// at most.
 func (r *readAhead) ReadEdges(l *edge.List, max int) (int, error) {
 	b, err := r.next()
 	if err != nil {
@@ -184,7 +173,12 @@ func (w *writeBehind) take() error {
 	return w.err
 }
 
-// WriteEdge implements EdgeSink.
+// WriteEdge queues one edge.  Nothing calls it: kronecker.GenerateTo hands
+// a StripedSink whole batches through WriteEdges.  It only completes the
+// method set that lets a StripedSink stand for GenerateTo's per-edge writer
+// parameter, which the benchmark harness (bench/replay.go) still passes.
+// It goes when GenerateTo does (ROADMAP 10c: one streaming kernel 0), or
+// when the harness's probe moves off GenerateTo (ROADMAP 1b).
 func (w *writeBehind) WriteEdge(u, v uint64) error {
 	if w.cur == nil || w.cur.l.Len() == overlapBatch {
 		if err := w.take(); err != nil {
@@ -195,7 +189,7 @@ func (w *writeBehind) WriteEdge(u, v uint64) error {
 	return nil
 }
 
-// WriteEdges implements BulkEdgeSink.
+// WriteEdges implements EdgeSink.
 func (w *writeBehind) WriteEdges(l *edge.List, lo, hi int) error {
 	for lo < hi {
 		if w.cur == nil || w.cur.l.Len() == overlapBatch {

@@ -90,19 +90,7 @@ type PackedWriter struct {
 	hdr        []byte
 }
 
-// WriteEdge implements EdgeSink.
-func (p *PackedWriter) WriteEdge(u, v uint64) error {
-	p.payload = binary.AppendVarint(p.payload, int64(u-p.uprev))
-	p.uprev = u
-	p.payload = binary.AppendUvarint(p.payload, v)
-	p.n++
-	if p.n >= PackedBlockEdges {
-		return p.flushBlock()
-	}
-	return nil
-}
-
-// WriteEdges implements BulkEdgeSink.
+// WriteEdges implements EdgeSink.
 func (p *PackedWriter) WriteEdges(l *edge.List, lo, hi int) error {
 	us, vs := l.U, l.V
 	for i := lo; i < hi; i++ {
@@ -155,30 +143,13 @@ func (p *PackedWriter) flushBlock() error {
 type PackedReader struct {
 	r       *bufio.Reader
 	started bool   // magic consumed
-	payload []byte // current block payload
+	payload []byte // current block payload, in r's buffer until the next block
 	off     int    // decode offset into payload
 	prev    uint64 // last decoded u in the current block
 	rem     int    // edges remaining in the current block
 }
 
-// ReadEdge implements EdgeSource.
-func (p *PackedReader) ReadEdge() (uint64, uint64, error) {
-	if p.rem == 0 {
-		if err := p.nextBlock(); err != nil {
-			return 0, 0, err
-		}
-	}
-	u, v, err := p.decodeOne()
-	if err != nil {
-		return 0, 0, err
-	}
-	if p.rem == 0 && p.off != len(p.payload) {
-		return 0, 0, fmt.Errorf("fastio: packed: %d trailing bytes in block payload", len(p.payload)-p.off)
-	}
-	return u, v, nil
-}
-
-// ReadEdges implements BulkEdgeSource: whole blocks decode into l without
+// ReadEdges implements EdgeSource: whole blocks decode into l without
 // per-edge interface dispatch.
 func (p *PackedReader) ReadEdges(l *edge.List, max int) (int, error) {
 	total := 0
@@ -234,18 +205,23 @@ func (p *PackedReader) decodeOne() (uint64, uint64, error) {
 // short magic, wrong magic, header fields out of range, truncated payload —
 // is a distinct error.
 func (p *PackedReader) nextBlock() error {
+	p.r.Discard(len(p.payload)) // the previous block's peeked payload: cannot fail
+	p.payload = nil
 	if !p.started {
-		var magic [len(packedMagic)]byte
-		n, err := io.ReadFull(p.r, magic[:])
-		if err == io.EOF && n == 0 {
+		magic, err := p.r.Peek(len(packedMagic))
+		if err == io.EOF && len(magic) == 0 {
 			return io.EOF // zero-byte file: valid empty stream
 		}
 		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return fmt.Errorf("fastio: packed: short magic: %w", err)
 		}
-		if string(magic[:]) != packedMagic {
-			return fmt.Errorf("fastio: packed: bad magic %q", magic[:])
+		if string(magic) != packedMagic {
+			return fmt.Errorf("fastio: packed: bad magic %q", magic)
 		}
+		p.r.Discard(len(packedMagic)) // peeked: cannot fail
 		p.started = true
 	}
 	count, err := binary.ReadUvarint(p.r)
@@ -269,23 +245,18 @@ func (p *PackedReader) nextBlock() error {
 		return fmt.Errorf("fastio: packed: block payload length %d outside [%d, %d] for %d edges",
 			plen, 2*count, packedMaxBytesPerEdge*count, count)
 	}
-	if uint64(cap(p.payload)) < plen {
-		p.payload = make([]byte, plen)
-	}
-	p.payload = p.payload[:plen]
-	if _, err := io.ReadFull(p.r, p.payload); err != nil {
+	// plen ≤ packedMaxBytesPerEdge·PackedBlockEdges fits r's buffer, so the
+	// payload decodes where it lies.
+	payload, err := p.r.Peek(int(plen))
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return fmt.Errorf("fastio: packed: truncated block payload: %w", err)
 	}
+	p.payload = payload
 	p.off, p.prev, p.rem = 0, 0, int(count)
 	return nil
 }
 
-// Conformance checks.
-var (
-	_ Codec          = Packed{}
-	_ BulkEdgeSink   = (*PackedWriter)(nil)
-	_ BulkEdgeSource = (*PackedReader)(nil)
-)
+var _ Codec = Packed{}

@@ -17,30 +17,17 @@ import (
 // encodePacked runs l through a PackedWriter and returns the wire bytes.
 func encodePacked(t testing.TB, l *edge.List) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := Packed{}.NewWriter(&buf)
-	if err := WriteEdges(w, l, 0, l.Len()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encode(t, Packed{}, l, l.Len())
 }
 
-// decodePacked reads everything back through the bulk path.
+// decodePacked reads all of b back, failing t on an error.
 func decodePacked(t testing.TB, b []byte) *edge.List {
 	t.Helper()
-	r := Packed{}.NewReader(bytes.NewReader(b))
-	l := edge.NewList(0)
-	for {
-		if _, err := ReadEdges(r, l, 1<<14); err != nil {
-			if err == io.EOF {
-				return l
-			}
-			t.Fatal(err)
-		}
+	l, err := drain(t, Packed{}.NewReader(bytes.NewReader(b)), 1<<14)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return l
 }
 
 // degenerateLists covers the shapes the pipeline can feed a codec: empty,
@@ -118,9 +105,9 @@ func TestAllCodecsRoundTripDegenerate(t *testing.T) {
 	}
 }
 
-// TestPackedBulkMatchesPerEdge pins the wire format: the bulk writer and
-// the per-edge writer must produce identical bytes, and the per-edge
-// reader must decode the bulk writer's output.
+// TestPackedBulkMatchesPerEdge pins the wire format across block
+// boundaries: writing one edge per call produces the same bytes as one
+// bulk write, and reading one edge per call decodes them back.
 func TestPackedBulkMatchesPerEdge(t *testing.T) {
 	g := xrand.New(11)
 	l := edge.NewList(0)
@@ -128,33 +115,12 @@ func TestPackedBulkMatchesPerEdge(t *testing.T) {
 		l.Append(g.Uint64n(1<<30), g.Uint64n(1<<30))
 	}
 	bulk := encodePacked(t, l)
-	var buf bytes.Buffer
-	w := Packed{}.NewWriter(&buf)
-	for i := 0; i < l.Len(); i++ {
-		if err := w.WriteEdge(l.U[i], l.V[i]); err != nil {
-			t.Fatal(err)
-		}
+	if !bytes.Equal(bulk, encode(t, Packed{}, l, 1)) {
+		t.Fatal("bulk and one-edge writes disagree on the wire bytes")
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bulk, buf.Bytes()) {
-		t.Fatal("bulk and per-edge writers disagree on the wire bytes")
-	}
-	r := Packed{}.NewReader(bytes.NewReader(bulk))
-	got := edge.NewList(0)
-	for {
-		u, v, err := r.ReadEdge()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Append(u, v)
-	}
-	if !got.Equal(l) {
-		t.Fatal("per-edge reader cannot decode bulk writer output")
+	got, err := drain(t, Packed{}.NewReader(bytes.NewReader(bulk)), 1)
+	if err != nil || !got.Equal(l) {
+		t.Fatalf("one-edge reads of the bulk output: %d edges, %v", got.Len(), err)
 	}
 }
 
@@ -177,8 +143,9 @@ func TestPackedSortedSmallerThanBinary(t *testing.T) {
 
 func TestPackedEmptyAndMagicOnlyFiles(t *testing.T) {
 	// Zero-byte stream: valid empty.
+	l := edge.NewList(0)
 	r := Packed{}.NewReader(bytes.NewReader(nil))
-	if _, _, err := r.ReadEdge(); err != io.EOF {
+	if _, err := r.ReadEdges(l, 1); err != io.EOF {
 		t.Errorf("zero-byte file: err = %v, want io.EOF", err)
 	}
 	// Flushed-empty stream: magic only, also valid empty.
@@ -187,11 +154,11 @@ func TestPackedEmptyAndMagicOnlyFiles(t *testing.T) {
 		t.Fatalf("empty flushed stream = %q, want just the magic", b)
 	}
 	r = Packed{}.NewReader(bytes.NewReader(b))
-	if _, _, err := r.ReadEdge(); err != io.EOF {
+	if _, err := r.ReadEdges(l, 1); err != io.EOF {
 		t.Errorf("magic-only file: err = %v, want io.EOF", err)
 	}
 	// io.EOF must repeat.
-	if _, _, err := r.ReadEdge(); err != io.EOF {
+	if _, err := r.ReadEdges(l, 1); err != io.EOF {
 		t.Errorf("second read after EOF: err = %v, want io.EOF", err)
 	}
 }
@@ -237,12 +204,7 @@ func TestPackedCorruption(t *testing.T) {
 	for _, name := range slices.Sorted(maps.Keys(cases)) {
 		b := cases[name]
 		t.Run(name, func(t *testing.T) {
-			r := Packed{}.NewReader(bytes.NewReader(b))
-			var err error
-			for err == nil {
-				_, _, err = r.ReadEdge()
-			}
-			if err == io.EOF {
+			if _, err := drain(t, Packed{}.NewReader(bytes.NewReader(b)), 1); err == nil {
 				t.Errorf("%s accepted as a clean stream", name)
 			}
 		})
@@ -250,8 +212,7 @@ func TestPackedCorruption(t *testing.T) {
 	// Trailing bytes inside a block payload: header says 1 edge but the
 	// payload holds more bytes than that edge consumes.
 	b := mk([]byte{0x01, 0x04, 2, 2, 0, 0}) // 1 edge, 4-byte payload, edge uses 2
-	r := Packed{}.NewReader(bytes.NewReader(b))
-	_, _, err := r.ReadEdge()
+	_, err := Packed{}.NewReader(bytes.NewReader(b)).ReadEdges(edge.NewList(0), 1)
 	if err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Errorf("trailing payload bytes: err = %v, want trailing-bytes error", err)
 	}
@@ -339,47 +300,4 @@ func TestPackedBytesPerEdgeEstimate(t *testing.T) {
 	if got := (Packed{}).BytesPerEdge(1 << 20); got <= 2 || got >= 16 {
 		t.Errorf("BytesPerEdge(2^20) = %v, want in (2, 16)", got)
 	}
-}
-
-// FuzzPackedDecode feeds arbitrary bytes to the decoder.  The invariants:
-// never panic, never allocate unboundedly (the header range checks), and
-// whatever decodes must re-encode and re-decode to the same edges.
-func FuzzPackedDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte(packedMagic))
-	l := edge.NewList(300)
-	for i := 0; i < 300; i++ {
-		l.Append(uint64(i/7), uint64(i)*997)
-	}
-	var buf bytes.Buffer
-	w := Packed{}.NewWriter(&buf)
-	for i := 0; i < l.Len(); i++ {
-		if err := w.WriteEdge(l.U[i], l.V[i]); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(append([]byte(packedMagic), 0x01, 0x02, 0x00, 0x00))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := Packed{}.NewReader(bytes.NewReader(data))
-		got := edge.NewList(0)
-		var err error
-		for err == nil {
-			_, err = ReadEdges(r, got, 4096)
-			if got.Len() > 1<<22 {
-				t.Fatalf("decoder produced %d edges from %d input bytes", got.Len(), len(data))
-			}
-		}
-		if err != io.EOF {
-			return // corrupt input rejected: fine
-		}
-		// Clean decode: the edges must survive a round trip.
-		back := decodePacked(t, encodePacked(t, got))
-		if !back.Equal(got) {
-			t.Fatal("re-encoded clean decode does not round-trip")
-		}
-	})
 }

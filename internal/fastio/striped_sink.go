@@ -66,7 +66,7 @@ type stripeWriter struct {
 }
 
 // writeEdges writes l, carving it along the stripe quotas and forwarding
-// each piece through the codec's bulk path.
+// each piece to the codec.
 func (s *stripeWriter) writeEdges(l *edge.List) error {
 	for lo, hi := 0, l.Len(); lo < hi; {
 		if s.sink == nil {

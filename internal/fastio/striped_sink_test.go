@@ -3,6 +3,7 @@ package fastio
 import (
 	"testing"
 
+	"repro/internal/edge"
 	"repro/internal/vfs"
 )
 
@@ -13,8 +14,8 @@ func TestStripedSinkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < l.Len(); i++ {
-		if err := sink.WriteEdge(l.U[i], l.V[i]); err != nil {
+	for lo := 0; lo < l.Len(); lo += 100 {
+		if err := WriteEdges(sink, l, lo, min(lo+100, l.Len())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,8 +43,12 @@ func TestStripedSinkOverflowGoesToLastStripe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := edge.NewList(25)
 	for i := uint64(0); i < 25; i++ {
-		if err := sink.WriteEdge(i, i); err != nil {
+		l.Append(i, i)
+	}
+	for lo := 0; lo < 25; lo += 3 {
+		if err := WriteEdges(sink, l, lo, min(lo+3, 25)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,6 +97,8 @@ func TestStripedSinkInvalidNFiles(t *testing.T) {
 	}
 }
 
+// TestStripedSinkFlushKeepsStripeOpen also pins the sink's one per-edge
+// write, WriteEdge, which kronecker.GenerateTo's per-edge parameter keeps.
 func TestStripedSinkFlushKeepsStripeOpen(t *testing.T) {
 	fs := vfs.NewMem()
 	sink, _ := NewStripedSink(fs, "f", TSV{}, 1, 100)

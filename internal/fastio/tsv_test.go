@@ -1,7 +1,6 @@
 package fastio
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -9,7 +8,6 @@ import (
 	"testing/iotest"
 
 	"repro/internal/edge"
-	"repro/internal/vfs"
 )
 
 // decodeTSV decodes all of input through a TSVReader with the given buffer
@@ -32,13 +30,13 @@ func decodeTSV(r io.Reader, bufSize int) (*edge.List, string) {
 	}
 }
 
-// scanTSV is decodeTSV through ReadEdge alone, i.e. through the byte
+// scanTSV is decodeTSV through readEdge alone, i.e. through the byte
 // scanner that defines the codec.
 func scanTSV(r io.Reader, bufSize int) (*edge.List, string) {
 	l := edge.NewList(0)
 	src := NewTSVReader(r, bufSize)
 	for {
-		u, v, err := src.ReadEdge()
+		u, v, err := src.readEdge()
 		if err == io.EOF {
 			return l, ""
 		} else if err != nil {
@@ -48,10 +46,21 @@ func scanTSV(r io.Reader, bufSize int) (*edge.List, string) {
 	}
 }
 
+// scanCount decodes in through the tsv byte scanner alone, returning the
+// edges before the stream ended and what ended it, io.EOF included.
+func scanCount(in string) (int, error) {
+	r := NewTSVReader(strings.NewReader(in), DefaultBufSize)
+	for n := 0; ; n++ {
+		if _, _, err := r.readEdge(); err != nil {
+			return n, err
+		}
+	}
+}
+
 // TestTSVReaderBufferEdges moves the refill boundary across every byte of
 // records, CRLFs, 20-digit fields and malformed lines: whatever the buffer
 // size and however short the reads, ReadEdges must produce the edges and
-// the error text (line number included) that ReadEdge's byte scanner
+// the error text (line number included) that readEdge's byte scanner
 // produces from one big buffer.  The records around eight digits per field
 // are the edges of ReadEdges' word-at-a-time path, so it meets each of
 // them, and each malformed record, at every offset in the buffer and in
@@ -145,65 +154,3 @@ func TestTSVReaderReadError(t *testing.T) {
 type stuckReader struct{}
 
 func (stuckReader) Read([]byte) (int, error) { return 0, nil }
-
-// FuzzTSVDecode checks the block scanner against the NaiveTSV reader
-// (bufio.Scanner + strconv) as oracle: on any input the two decode the
-// same edges and then either both end cleanly or both fail; the scanner
-// never panics, gives the same answer through a 16-byte buffer, and
-// ReadStriped's one-shot list reservation stays within the input's size.
-// It also checks the writer: any (u, v) formats to the bytes fmt produces.
-func FuzzTSVDecode(f *testing.F) {
-	f.Add([]byte("1\t2\n3\t4"), uint64(0), uint64(1<<64-1))
-	f.Add([]byte("1\t2\r\n3\t4\r\n"), uint64(10), uint64(99))
-	f.Add([]byte(strings.Repeat("65535\t4096\n", 2000)), uint64(100), uint64(12345678901234567890))
-	for _, c := range tsvErrorCases {
-		f.Add([]byte(c.input), uint64(len(c.input)), uint64(c.line))
-	}
-	for _, p := range powersOf10 { // each side of every digit count
-		f.Add([]byte(fmt.Sprintf("%d\t%d\n%d\t%d\n", p-1, p, p, p-1)), p-1, p)
-	}
-	f.Fuzz(func(t *testing.T, data []byte, u, v uint64) {
-		var fast, naive bytes.Buffer
-		fw, nw := TSV{}.NewWriter(&fast), NaiveTSV{}.NewWriter(&naive)
-		for _, s := range []EdgeSink{fw, nw} {
-			if err := s.WriteEdge(u, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !bytes.Equal(fast.Bytes(), naive.Bytes()) {
-			t.Fatalf("TSVWriter wrote %q for (%d, %d), NaiveTSV %q", fast.Bytes(), u, v, naive.Bytes())
-		}
-
-		if len(data) > 0 && data[len(data)-1] == '\r' {
-			// The one documented difference: bufio.ScanLines drops a CR at
-			// the very end of input; the scanner wants its LF.
-			return
-		}
-		want := edge.NewList(0)
-		var wantErr error
-		for oracle := (NaiveTSV{}).NewReader(bytes.NewReader(data)); wantErr == nil; {
-			_, wantErr = ReadEdges(oracle, want, 4096)
-		}
-		for _, size := range []int{16, DefaultBufSize} {
-			got, gotErr := decodeTSV(bytes.NewReader(data), size)
-			if !got.Equal(want) || (gotErr == "") != (wantErr == io.EOF) {
-				t.Fatalf("buffer %d: %d edges, error %q; oracle: %d edges, %v", size, got.Len(), gotErr, want.Len(), wantErr)
-			}
-		}
-
-		fs := vfs.NewMem()
-		w, _ := fs.Create(StripeName("f", TSV{}, 0))
-		w.Write(data)
-		w.Close()
-		l, err := ReadStriped(fs, "f", TSV{})
-		if (err == nil) != (wantErr == io.EOF) || (err == nil && !l.Equal(want)) {
-			t.Fatalf("ReadStriped: %v; oracle: %d edges, %v", err, want.Len(), wantErr)
-		}
-		if err == nil && cap(l.U) > len(data)/2+64 {
-			t.Fatalf("ReadStriped reserved %d edges for %d input bytes", cap(l.U), len(data))
-		}
-	})
-}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/edge"
-	"repro/internal/fastio"
 	"repro/internal/xrand"
 )
 
@@ -59,19 +58,21 @@ var goldenHashes = map[string]uint64{
 	"s10/seed7/init.25-.15-.35-.25/raw/GenerateParallel3":  0x1651473772401892,
 }
 
+// goldenCases are the configurations goldenHashes pins, each generated
+// with and without the vertex permutation.
+var goldenCases = []struct {
+	name string
+	cfg  Config
+}{
+	{"s6/seed1", New(6, 1)},
+	{"s10/seed1", New(10, 1)},
+	{"s12/seed42", New(12, 42)},
+	{"s10/seed7/init.25-.15-.35-.25", Config{Scale: 10, Seed: 7, A: 0.25, B: 0.15, C: 0.35, D: 0.25}.Defaults()},
+}
+
 func TestGenerateGolden(t *testing.T) {
-	type gcase struct {
-		name string
-		cfg  Config
-	}
-	cases := []gcase{
-		{"s6/seed1", New(6, 1)},
-		{"s10/seed1", New(10, 1)},
-		{"s12/seed42", New(12, 42)},
-		{"s10/seed7/init.25-.15-.35-.25", Config{Scale: 10, Seed: 7, A: 0.25, B: 0.15, C: 0.35, D: 0.25}.Defaults()},
-	}
 	seen := 0
-	for _, c := range cases {
+	for _, c := range goldenCases {
 		for _, raw := range []bool{false, true} {
 			cfg := c.cfg
 			cfg.SkipPermutation = raw
@@ -83,7 +84,7 @@ func TestGenerateGolden(t *testing.T) {
 				"Generate": func() (*edge.List, error) { return Generate(cfg) },
 				"GenerateTo": func() (*edge.List, error) {
 					l := edge.NewList(0)
-					return l, GenerateTo(cfg, fastio.NewListSink(l))
+					return l, GenerateTo(cfg, listWriter(l))
 				},
 				"GenerateParallel3": func() (*edge.List, error) { return GenerateParallel(cfg, 3) },
 			}

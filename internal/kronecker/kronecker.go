@@ -247,13 +247,25 @@ const (
 // hand-offs to its sink.
 const generateToBatch = 4096
 
+// EdgeWriter is GenerateTo's sink.  A fastio.EdgeSink (a fastio.StripedSink,
+// say) is handed generateToBatch edges per call; any other writer gets them
+// one WriteEdge at a time.  The per-edge shape is the one such seam left
+// outside fastio: the benchmark harness passes GenerateTo a writer with only
+// WriteEdge and Flush (bench/replay.go's generator probe) as well as a
+// StripedSink.  It goes with GenerateTo (ROADMAP 10c: one streaming
+// kernel 0).
+type EdgeWriter interface {
+	WriteEdge(u, v uint64) error
+	Flush() error
+}
+
 // GenerateTo streams the edges of cfg directly into sink without
 // materializing the full edge list, the entry point for the out-of-core
 // variant.  The vertex permutation (N uint64 words) is still applied — it
 // fits in memory whenever the benchmark itself is feasible — but the edge
 // shuffle is skipped: the Kronecker stream is already unordered with respect
 // to the start vertex, which is all kernel 1 needs.
-func GenerateTo(cfg Config, sink fastio.EdgeSink) error {
+func GenerateTo(cfg Config, sink EdgeWriter) error {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -265,10 +277,24 @@ func GenerateTo(cfg Config, sink fastio.EdgeSink) error {
 	for left := cfg.M(); left > 0; {
 		n := int(min(left, generateToBatch))
 		s.sample(g, batch.U[:n], batch.V[:n], perm)
-		if err := fastio.WriteEdges(sink, batch, 0, n); err != nil {
+		if err := writeBatch(sink, batch, n); err != nil {
 			return err
 		}
 		left -= uint64(n)
 	}
 	return sink.Flush()
+}
+
+// writeBatch hands sink the first n edges of batch: in one call when sink
+// is a fastio.EdgeSink, edge by edge otherwise.
+func writeBatch(sink EdgeWriter, batch *edge.List, n int) error {
+	if s, ok := sink.(fastio.EdgeSink); ok {
+		return fastio.WriteEdges(s, batch, 0, n)
+	}
+	for i := range n {
+		if err := sink.WriteEdge(batch.U[i], batch.V[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }

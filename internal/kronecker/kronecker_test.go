@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/edge"
-	"repro/internal/fastio"
+	"repro/internal/fastio/fastiotest"
 )
 
 func TestConfigDerivedSizes(t *testing.T) {
@@ -201,7 +201,7 @@ func degreeHistogram(l *edge.List, n uint64) map[int]int {
 func TestGenerateToMatchesPermutedVertexStatistics(t *testing.T) {
 	cfg := New(8, 21)
 	sinkList := edge.NewList(int(cfg.M()))
-	if err := GenerateTo(cfg, fastio.NewListSink(sinkList)); err != nil {
+	if err := GenerateTo(cfg, listWriter(sinkList)); err != nil {
 		t.Fatal(err)
 	}
 	if uint64(sinkList.Len()) != cfg.M() {
@@ -233,7 +233,7 @@ func TestGenerateInvalidConfig(t *testing.T) {
 	if _, err := GenerateParallel(Config{Scale: -1}, 2); err == nil {
 		t.Error("GenerateParallel accepted invalid config")
 	}
-	if err := GenerateTo(Config{Scale: -1}, fastio.NewListSink(edge.NewList(0))); err == nil {
+	if err := GenerateTo(Config{Scale: -1}, listWriter(edge.NewList(0))); err == nil {
 		t.Error("GenerateTo accepted invalid config")
 	}
 }
@@ -268,6 +268,59 @@ func BenchmarkGenerateScale12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// batchWriter is a fastio.EdgeSink that GenerateTo accepts.  Its WriteEdge
+// is never called: GenerateTo hands a fastio.EdgeSink whole batches.
+type batchWriter struct{ *fastiotest.ListSink }
+
+func (batchWriter) WriteEdge(u, v uint64) error {
+	panic("GenerateTo wrote a fastio.EdgeSink edge by edge")
+}
+
+// listWriter returns a batchWriter appending to l.
+func listWriter(l *edge.List) batchWriter { return batchWriter{fastiotest.NewListSink(l)} }
+
+// perEdgeWriter has only the per-edge shape of GenerateTo's parameter.
+type perEdgeWriter struct {
+	l       *edge.List
+	flushes int
+}
+
+func (w *perEdgeWriter) WriteEdge(u, v uint64) error {
+	w.l.Append(u, v)
+	return nil
+}
+
+func (w *perEdgeWriter) Flush() error {
+	w.flushes++
+	return nil
+}
+
+// TestGenerateToPerEdgeWriter pins GenerateTo's per-edge seam: a writer
+// with only WriteEdge and Flush receives exactly the edges whose hashes
+// TestGenerateGolden pins for GenerateTo, then one Flush.  The benchmark
+// harness keeps the seam alive at two call sites in bench/replay.go:
+// replayExtsort passes GenerateTo a fastio.StripedSink, and probe passes it
+// discard, a writer with only WriteEdge and Flush.
+func TestGenerateToPerEdgeWriter(t *testing.T) {
+	for _, c := range goldenCases {
+		for _, raw := range []bool{false, true} {
+			cfg := c.cfg
+			cfg.SkipPermutation = raw
+			key := c.name + "/perm/GenerateTo"
+			if raw {
+				key = c.name + "/raw/GenerateTo"
+			}
+			w := &perEdgeWriter{l: edge.NewList(0)}
+			if err := GenerateTo(cfg, w); err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if got := hashList(w.l); got != goldenHashes[key] || w.flushes != 1 {
+				t.Errorf("%s: %#016x after %d flushes, golden %#016x after 1", key, got, w.flushes, goldenHashes[key])
+			}
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/edge"
 	"repro/internal/fastio"
 	"repro/internal/vfs"
 )
@@ -79,13 +80,13 @@ func overlapLifecycle(t *testing.T, format string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := src.ReadEdge(); err != nil {
+	if _, err := src.ReadEdges(edge.NewList(0), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.Close(); err != nil {
 		t.Fatalf("close before EOF: %v", err)
 	}
-	if _, _, err := src.ReadEdge(); err == nil {
+	if _, err := src.ReadEdges(edge.NewList(0), 1); err == nil {
 		t.Error("read after Close succeeded")
 	}
 	settled(t, "close before EOF", base, clean)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/edge"
 	"repro/internal/fastio"
+	"repro/internal/fastio/fastiotest"
 	"repro/internal/vfs"
 	"repro/internal/xrand"
 )
@@ -23,8 +24,8 @@ func TestMergeSourcesByU(t *testing.T) {
 	c := mk() // empty source participates harmlessly
 	out := edge.NewList(0)
 	err := MergeSources([]fastio.EdgeSource{
-		fastio.NewListSource(a), fastio.NewListSource(b), fastio.NewListSource(c),
-	}, fastio.NewListSink(out), false)
+		fastiotest.NewListSource(a), fastiotest.NewListSource(b), fastiotest.NewListSource(c),
+	}, fastiotest.NewListSink(out), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +48,8 @@ func TestMergeSourcesStableTieBreak(t *testing.T) {
 	b := edge.NewList(1)
 	b.Append(7, 200)
 	out := edge.NewList(0)
-	err := MergeSources([]fastio.EdgeSource{fastio.NewListSource(a), fastio.NewListSource(b)},
-		fastio.NewListSink(out), false)
+	err := MergeSources([]fastio.EdgeSource{fastiotest.NewListSource(a), fastiotest.NewListSource(b)},
+		fastiotest.NewListSink(out), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +65,8 @@ func TestMergeSourcesByUV(t *testing.T) {
 	b := edge.NewList(1)
 	b.Append(1, 3)
 	out := edge.NewList(0)
-	err := MergeSources([]fastio.EdgeSource{fastio.NewListSource(a), fastio.NewListSource(b)},
-		fastio.NewListSink(out), true)
+	err := MergeSources([]fastio.EdgeSource{fastiotest.NewListSource(a), fastiotest.NewListSource(b)},
+		fastiotest.NewListSink(out), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +83,10 @@ func TestMergeSourcesManyRandom(t *testing.T) {
 	for i := 0; i < k; i++ {
 		chunk := full.Slice(i*full.Len()/k, (i+1)*full.Len()/k).Clone()
 		RadixByU(chunk)
-		sources = append(sources, fastio.NewListSource(chunk))
+		sources = append(sources, fastiotest.NewListSource(chunk))
 	}
 	out := edge.NewList(0)
-	if err := MergeSources(sources, fastio.NewListSink(out), false); err != nil {
+	if err := MergeSources(sources, fastiotest.NewListSink(out), false); err != nil {
 		t.Fatal(err)
 	}
 	if !out.IsSortedByU() || !out.SameMultiset(full) {
@@ -95,7 +96,7 @@ func TestMergeSourcesManyRandom(t *testing.T) {
 
 func TestMergeSourcesNoSources(t *testing.T) {
 	out := edge.NewList(0)
-	if err := MergeSources(nil, fastio.NewListSink(out), false); err != nil {
+	if err := MergeSources(nil, fastiotest.NewListSink(out), false); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 0 {
@@ -152,10 +153,10 @@ func FuzzMergeSources(f *testing.F) {
 
 		sources := make([]fastio.EdgeSource, len(runs))
 		for i, r := range runs {
-			sources[i] = fastio.NewListSource(r)
+			sources[i] = fastiotest.NewListSource(r)
 		}
 		got.Reset()
-		if err := MergeSources(sources, fastio.NewListSink(got), uv); err != nil {
+		if err := MergeSources(sources, fastiotest.NewListSink(got), uv); err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
@@ -173,7 +174,7 @@ func FuzzMergeSources(f *testing.F) {
 		files, closeAll := OpenRuns(fs, codec, names)
 		defer closeAll()
 		got.Reset()
-		if err := MergeSources(files, fastio.NewListSink(got), uv); err != nil {
+		if err := MergeSources(files, fastiotest.NewListSink(got), uv); err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/edge"
 	"repro/internal/fastio"
+	"repro/internal/fastio/fastiotest"
 	"repro/internal/vfs"
 	"repro/internal/xrand"
 )
@@ -192,7 +193,7 @@ func TestSignificantBytes(t *testing.T) {
 func TestExternalSingleRun(t *testing.T) {
 	l := randomList(6, 500, 1<<20)
 	out := edge.NewList(0)
-	stats, err := External(fastio.NewListSource(l), fastio.NewListSink(out), ExternalConfig{
+	stats, err := External(fastiotest.NewListSource(l), fastiotest.NewListSink(out), ExternalConfig{
 		FS:       vfs.NewMem(),
 		RunEdges: 10000, // everything fits in one run
 	})
@@ -214,7 +215,7 @@ func TestExternalMultiRun(t *testing.T) {
 	l := randomList(7, 5000, 1<<20)
 	fs := vfs.NewMem()
 	out := edge.NewList(0)
-	stats, err := External(fastio.NewListSource(l), fastio.NewListSink(out), ExternalConfig{
+	stats, err := External(fastiotest.NewListSource(l), fastiotest.NewListSink(out), ExternalConfig{
 		FS:        fs,
 		RunEdges:  512, // force ~10 spill runs
 		TmpPrefix: "tmp/run",
@@ -255,11 +256,11 @@ type failingSink struct {
 	budget int
 }
 
-func (s *failingSink) WriteEdge(u, v uint64) error {
-	if s.budget <= 0 {
+func (s *failingSink) WriteEdges(l *edge.List, lo, hi int) error {
+	if s.budget < hi-lo {
 		return vfs.ErrInjected
 	}
-	s.budget--
+	s.budget -= hi - lo
 	return nil
 }
 
@@ -274,15 +275,15 @@ func TestExternalFailureLeavesNoRunFiles(t *testing.T) {
 		budget int64 // Faulty I/O budget
 		sink   fastio.EdgeSink
 	}{
-		"spill-fails":      {budget: writeBytes / 2, sink: fastio.NewListSink(edge.NewList(0))},
-		"merge-read-fails": {budget: writeBytes + 8, sink: fastio.NewListSink(edge.NewList(0))},
+		"spill-fails":      {budget: writeBytes / 2, sink: fastiotest.NewListSink(edge.NewList(0))},
+		"merge-read-fails": {budget: writeBytes + 8, sink: fastiotest.NewListSink(edge.NewList(0))},
 		"merge-sink-fails": {budget: 1 << 40, sink: &failingSink{budget: edges / 2}},
 	}
 	for _, name := range slices.Sorted(maps.Keys(cases)) {
 		tc := cases[name]
 		t.Run(name, func(t *testing.T) {
 			mem := vfs.NewMem()
-			_, err := External(fastio.NewListSource(l), tc.sink, ExternalConfig{
+			_, err := External(fastiotest.NewListSource(l), tc.sink, ExternalConfig{
 				FS:        vfs.NewFaulty(mem, tc.budget),
 				RunEdges:  512,
 				TmpPrefix: "tmp/extsort",
@@ -329,7 +330,7 @@ func (f *tearFS) Open(name string) (io.ReadCloser, error) {
 func TestExternalCorruptRunNamed(t *testing.T) {
 	const bad = "tmp/run-0002.packed"
 	mem := vfs.NewMem()
-	_, err := External(fastio.NewListSource(randomList(14, 5000, 1<<20)), fastio.NewListSink(edge.NewList(0)), ExternalConfig{
+	_, err := External(fastiotest.NewListSource(randomList(14, 5000, 1<<20)), fastiotest.NewListSink(edge.NewList(0)), ExternalConfig{
 		FS: &tearFS{FS: mem, name: bad}, RunEdges: 1000, TmpPrefix: "tmp/run", Codec: fastio.Packed{},
 	})
 	if err == nil || !strings.Contains(err.Error(), bad) {
@@ -359,7 +360,7 @@ func TestSpillRunAndOpenRunsRoundTrip(t *testing.T) {
 	sources, closeAll := OpenRuns(fs, fastio.Binary{}, names)
 	defer closeAll()
 	merged := edge.NewList(0)
-	if err := MergeSources(sources, fastio.NewListSink(merged), false); err != nil {
+	if err := MergeSources(sources, fastiotest.NewListSink(merged), false); err != nil {
 		t.Fatal(err)
 	}
 	want := edge.NewList(0)
@@ -432,7 +433,7 @@ func TestMergeListsStable(t *testing.T) {
 func TestExternalByUV(t *testing.T) {
 	l := randomList(8, 3000, 32)
 	out := edge.NewList(0)
-	_, err := External(fastio.NewListSource(l), fastio.NewListSink(out), ExternalConfig{
+	_, err := External(fastiotest.NewListSource(l), fastiotest.NewListSink(out), ExternalConfig{
 		FS:       vfs.NewMem(),
 		RunEdges: 256,
 		ByUV:     true,
@@ -450,7 +451,7 @@ func TestExternalByUV(t *testing.T) {
 
 func TestExternalEmptyInput(t *testing.T) {
 	out := edge.NewList(0)
-	stats, err := External(fastio.NewListSource(edge.NewList(0)), fastio.NewListSink(out), ExternalConfig{FS: vfs.NewMem()})
+	stats, err := External(fastiotest.NewListSource(edge.NewList(0)), fastiotest.NewListSink(out), ExternalConfig{FS: vfs.NewMem()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +461,7 @@ func TestExternalEmptyInput(t *testing.T) {
 }
 
 func TestExternalNilFS(t *testing.T) {
-	_, err := External(fastio.NewListSource(edge.NewList(0)), fastio.NewListSink(edge.NewList(0)), ExternalConfig{})
+	_, err := External(fastiotest.NewListSource(edge.NewList(0)), fastiotest.NewListSink(edge.NewList(0)), ExternalConfig{})
 	if err == nil {
 		t.Error("nil FS accepted")
 	}
@@ -473,7 +474,7 @@ func TestExternalMatchesInMemory(t *testing.T) {
 	mem := l.Clone()
 	ByUStable(mem)
 	out := edge.NewList(0)
-	_, err := External(fastio.NewListSource(l), fastio.NewListSink(out), ExternalConfig{
+	_, err := External(fastiotest.NewListSource(l), fastiotest.NewListSink(out), ExternalConfig{
 		FS:       vfs.NewMem(),
 		RunEdges: 300,
 	})
