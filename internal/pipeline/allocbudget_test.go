@@ -6,16 +6,18 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/vfs"
 )
 
 // TestColdRunAllocBudget pins the allocation volume of a whole cold run —
 // csr over tsv files in a vfs.Mem, through core.RunOnce as the benchmark
 // calls it — to 110 bytes per edge.  A run that touches each byte once
 // allocates ~90 at this scale: the generated list (16 B/edge, reused as
-// the decode target of kernels 1 and 2), the radix sort's second list
-// (16), two tsv files (~12 each), the matrix and its transpose (~11 each)
-// and the CSR scratch.  A doubling file buffer or a list allocated per
-// decode puts it at 170, so either fails here, not in a benchmark.
+// kernel 1's decode target), the radix sort's second list (16), two tsv
+// files (~12 each), the matrix reserved at M (12) and its transpose
+// (~11); kernel 2 streams the k1 stripes and decodes into no list.  A
+// doubling file buffer or a list allocated per decode puts it at 170, so
+// either fails here, not in a benchmark.
 func TestColdRunAllocBudget(t *testing.T) {
 	cfg := core.Config{Scale: 14, Seed: 1, Variant: "csr", Format: "tsv", KeepRank: true}
 	ctx := context.Background()
@@ -44,5 +46,29 @@ func TestColdRunAllocBudget(t *testing.T) {
 	}
 	if len(res.Kernels) != 4 || kernels > whole || kernels < whole*9/10 {
 		t.Errorf("kernels report %d allocated bytes of the run's %d", kernels, whole)
+	}
+}
+
+// TestKernel2AllocBudget pins kernel 2 alone — over tsv k1 stripes in a
+// vfs.Mem, written by the same variant's kernels 0 and 1 — to 20 bytes
+// per edge for every variant that streams the stripes into the matrix:
+// Col+Val reserved at M (12), the row pointers, the filter's vectors and
+// the decode-ahead batches.  A kernel 2 that decodes the whole list first
+// allocates 16 more.
+func TestKernel2AllocBudget(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range []string{"csr", "parallel", "extsort"} {
+		cfg := core.Config{Scale: 14, Seed: 1, Variant: name, Format: "tsv", FS: vfs.NewMem()}
+		if _, err := core.RunOnce(ctx, cfg, core.K0Generate, core.K1Sort); err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.RunOnce(ctx, cfg, core.K2Filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k2 := res.KernelResultFor(core.K2Filter)
+		if perEdge := float64(k2.AllocBytes) / float64(cfg.M()); perEdge > 20 {
+			t.Errorf("%s: kernel 2 at scale %d allocated %.1f B/edge, budget 20", name, cfg.Scale, perEdge)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"time"
@@ -804,6 +805,80 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 	res.Spill = run.Spill
 	res.Cache = run.Cache
 	return res, nil
+}
+
+// buildMatrix is kernel 2 of every variant that builds the matrix from
+// kernel 1's sorted files (csr, parallel, extsort): a StripedSource decodes
+// the "k1" stripes ahead of a SortedBuilder reserved at M, the matrix mass
+// must equal the streamed edges, and ApplyKernel2Filter filters and
+// normalizes.  It drops the run's spare before it reads anything, and no
+// local here ever holds that list, so a collection that starts inside the
+// kernel cannot find it through a stale register (DESIGN.md §7).
+func buildMatrix(r *Run) error {
+	r.spare = nil
+	src, err := fastio.NewStripedSource(r.FS, "k1", r.Codec())
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	b, err := sparse.NewSortedBuilder(int(r.Cfg.N()))
+	if err != nil {
+		return err
+	}
+	// M bounds NNZ, so Col and Val are made once.  (Past the int range —
+	// a 32-bit build from scale 27 — no matrix fits anyway.)
+	if m := r.Cfg.M(); m <= uint64(^uint(0)>>1) {
+		b.Reserve(int(m))
+	}
+	// Stream in bounded batches; the builder consumes each batch and the
+	// buffer resets, so the edges held stay O(batch).
+	edges := 0
+	buf := edge.NewList(0)
+	for {
+		buf.Reset()
+		if _, err := fastio.ReadEdges(src, buf, 8192); err != nil {
+			if err == io.EOF {
+				break
+			}
+			return err
+		}
+		for i := 0; i < buf.Len(); i++ {
+			if err := b.Add(buf.U[i], buf.V[i]); err != nil {
+				return fmt.Errorf("kernel 2 stream: %w", err)
+			}
+		}
+		edges += buf.Len()
+	}
+	a := b.Finish()
+	r.MatrixMass = a.SumValues()
+	if r.MatrixMass != float64(edges) {
+		return fmt.Errorf("kernel 2: matrix mass %v != streamed edges %d", r.MatrixMass, edges)
+	}
+	ApplyKernel2Filter(a)
+	r.Matrix = a
+	return nil
+}
+
+// gatherKernel3 is kernel 3 on the gather engine over Matrixᵀ (csr,
+// extsort).
+func gatherKernel3(r *Run) error {
+	eng, err := pagerank.NewGatherEngineWith(r.Matrix, r.Transposed(), r.Cfg.PageRank)
+	if err != nil {
+		return err
+	}
+	r.Rank, err = eng.RunContext(r.Context())
+	return err
+}
+
+// scatterKernel3 is kernel 3 on the row-major scatter engine (coo,
+// columnar).
+func scatterKernel3(r *Run) error {
+	eng, err := pagerank.NewScatterEngine(r.Matrix, r.Cfg.PageRank)
+	if err != nil {
+		return err
+	}
+	r.Rank, err = eng.RunContext(r.Context())
+	return err
 }
 
 // generateEdges is kernel 0 of every variant that materializes the edge

@@ -2,10 +2,13 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/fastio"
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
 	"repro/internal/vfs"
@@ -457,5 +460,55 @@ func TestKeepRankFalseDropsVector(t *testing.T) {
 	}
 	if res.RankIterations != 20 {
 		t.Error("iterations not recorded")
+	}
+}
+
+// TestKernel2HostileStripes writes the k1 stripes by hand and runs kernel 2
+// alone over them.  A vertex ≥ N must fail every variant's kernel 2, and a
+// list not sorted by u — within a stripe or across a stripe boundary —
+// every kernel 2 that relies on the order; each error names kernel 2 (a
+// panic fails the test binary).  The unsorted edges keep columns 1 and 4
+// (in-degree 2), so they survive columnar's column filter.
+func TestKernel2HostileStripes(t *testing.T) {
+	sorting := []string{"csr", "parallel", "extsort", "columnar"}
+	cases := []struct {
+		name    string
+		stripes [][][2]uint64
+		fail    []string
+		want    string // in every error
+	}{
+		{"u out of range", [][][2]uint64{{{0, 1}, {1, 2}, {8, 3}}}, VariantNames(), "out of range"},
+		{"v out of range", [][][2]uint64{{{0, 1}, {1, 9}, {2, 3}}}, VariantNames(), "out of range"},
+		{"unsorted stripe", [][][2]uint64{{{5, 1}, {1, 1}, {2, 4}, {3, 4}, {4, 6}, {6, 6}, {7, 6}}}, sorting, "not sorted"},
+		{"unsorted across stripes", [][][2]uint64{{{5, 1}}, {{1, 1}, {2, 4}, {3, 4}, {4, 6}, {6, 6}, {7, 6}}}, sorting, "not sorted"},
+	}
+	for _, tc := range cases {
+		for _, name := range tc.fail {
+			fs := vfs.NewMem()
+			for i, stripe := range tc.stripes {
+				var text strings.Builder
+				for _, e := range stripe {
+					fmt.Fprintf(&text, "%d\t%d\n", e[0], e[1])
+				}
+				w, err := fs.Create(fastio.StripeName("k1", fastio.TSV{}, i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.WriteString(w, text.String()); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg := Config{Scale: 3, Seed: 1, Variant: name, Format: "tsv", FS: fs}
+			_, err := ExecuteKernelsContext(context.Background(), cfg, []Kernel{K2Filter})
+			switch {
+			case err == nil:
+				t.Errorf("%s/%s: kernel 2 succeeded", tc.name, name)
+			case !strings.Contains(err.Error(), K2Filter.String()) || !strings.Contains(err.Error(), tc.want):
+				t.Errorf("%s/%s: want a kernel 2 error with %q, got: %v", tc.name, name, tc.want, err)
+			}
+		}
 	}
 }

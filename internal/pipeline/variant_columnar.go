@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/fastio"
-	"repro/internal/pagerank"
 	"repro/internal/sparse"
 	"repro/internal/xsort"
 )
@@ -106,18 +105,7 @@ func (columnarVariant) Kernel2(r *Run) error {
 }
 
 // Kernel3 implements Variant.
-func (columnarVariant) Kernel3(r *Run) error {
-	eng, err := pagerank.NewScatterEngine(r.Matrix, r.Cfg.PageRank)
-	if err != nil {
-		return err
-	}
-	res, err := eng.RunContext(r.Context())
-	if err != nil {
-		return err
-	}
-	r.Rank = res
-	return nil
-}
+func (columnarVariant) Kernel3(r *Run) error { return scatterKernel3(r) }
 
 func errOutOfRange(v uint64, n int) error {
 	return fmt.Errorf("pipeline: vertex %d out of range N=%d", v, n)

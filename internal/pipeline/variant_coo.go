@@ -8,7 +8,6 @@ package pipeline
 
 import (
 	"repro/internal/fastio"
-	"repro/internal/pagerank"
 	"repro/internal/sparse"
 	"repro/internal/xsort"
 )
@@ -74,15 +73,4 @@ func (cooVariant) Kernel2(r *Run) error {
 }
 
 // Kernel3 implements Variant.
-func (cooVariant) Kernel3(r *Run) error {
-	eng, err := pagerank.NewScatterEngine(r.Matrix, r.Cfg.PageRank)
-	if err != nil {
-		return err
-	}
-	res, err := eng.RunContext(r.Context())
-	if err != nil {
-		return err
-	}
-	r.Rank = res
-	return nil
-}
+func (cooVariant) Kernel3(r *Run) error { return scatterKernel3(r) }

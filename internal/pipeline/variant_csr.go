@@ -1,14 +1,12 @@
 package pipeline
 
 // The csr variant is the hand-optimized implementation, the analogue of the
-// paper's C++ code: custom TSV formatting/parsing, LSD radix sort, direct
-// CSR construction from sorted edges, and the gather (transpose) PageRank
-// engine.
+// paper's C++ code: custom TSV formatting/parsing, LSD radix sort, a
+// streaming CSR build from the sorted files, and the gather (transpose)
+// PageRank engine.
 
 import (
 	"repro/internal/fastio"
-	"repro/internal/pagerank"
-	"repro/internal/sparse"
 	"repro/internal/xsort"
 )
 
@@ -40,31 +38,7 @@ func (csrVariant) Kernel1(r *Run) error {
 }
 
 // Kernel2 implements Variant.
-func (csrVariant) Kernel2(r *Run) error {
-	l, err := readEdges(r, "k1")
-	if err != nil {
-		return err
-	}
-	a, err := sparse.FromSortedEdges(l, int(r.Cfg.N()))
-	if err != nil {
-		return err
-	}
-	r.MatrixMass = a.SumValues()
-	ApplyKernel2Filter(a)
-	r.Matrix = a
-	return nil
-}
+func (csrVariant) Kernel2(r *Run) error { return buildMatrix(r) }
 
 // Kernel3 implements Variant.
-func (csrVariant) Kernel3(r *Run) error {
-	eng, err := pagerank.NewGatherEngineWith(r.Matrix, r.Transposed(), r.Cfg.PageRank)
-	if err != nil {
-		return err
-	}
-	res, err := eng.RunContext(r.Context())
-	if err != nil {
-		return err
-	}
-	r.Rank = res
-	return nil
-}
+func (csrVariant) Kernel3(r *Run) error { return gatherKernel3(r) }

@@ -2,20 +2,14 @@ package pipeline
 
 // The extsort variant is the out-of-core regime the paper requires "if u
 // and v are too large to fit in memory": kernel 0 streams edges straight to
-// striped files without materializing the edge list, kernel 1 is an
-// external merge sort with a bounded in-memory run buffer, and kernel 2
-// builds the matrix from the sorted stream one row at a time.  The run
-// buffer size (Config.RunEdges) models the available RAM.
+// striped files without materializing the edge list, and kernel 1 is an
+// external merge sort with a bounded in-memory run buffer, whose size
+// (Config.RunEdges) models the available RAM.  Kernels 2 and 3 are csr's:
+// the matrix is built from the sorted stream one row at a time.
 
 import (
-	"fmt"
-	"io"
-
-	"repro/internal/edge"
 	"repro/internal/fastio"
 	"repro/internal/kronecker"
-	"repro/internal/pagerank"
-	"repro/internal/sparse"
 	"repro/internal/xsort"
 )
 
@@ -127,61 +121,7 @@ func externalSort(r *Run, runEdges int, byUV bool) error {
 }
 
 // Kernel2 implements Variant.
-func (extsortVariant) Kernel2(r *Run) error {
-	src, err := fastio.NewStripedSource(r.FS, "k1", r.Codec())
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	n := int(r.Cfg.N())
-	b, err := sparse.NewSortedBuilder(n)
-	if err != nil {
-		return err
-	}
-	// M bounds NNZ, so Col and Val are made once.  (Past the int range —
-	// a 32-bit build from scale 27 — no matrix fits anyway.)
-	if m := r.Cfg.M(); m <= uint64(^uint(0)>>1) {
-		b.Reserve(int(m))
-	}
-	// Stream in bounded batches through the bulk read path; the builder
-	// consumes each batch and the buffer resets, so memory stays O(batch).
-	edges := 0
-	buf := edge.NewList(0)
-	for {
-		buf.Reset()
-		if _, err := fastio.ReadEdges(src, buf, 8192); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return err
-		}
-		for i := 0; i < buf.Len(); i++ {
-			if err := b.Add(buf.U[i], buf.V[i]); err != nil {
-				return fmt.Errorf("kernel 2 stream: %w", err)
-			}
-		}
-		edges += buf.Len()
-	}
-	a := b.Finish()
-	r.MatrixMass = a.SumValues()
-	if r.MatrixMass != float64(edges) {
-		return fmt.Errorf("kernel 2: matrix mass %v != streamed edges %d", r.MatrixMass, edges)
-	}
-	ApplyKernel2Filter(a)
-	r.Matrix = a
-	return nil
-}
+func (extsortVariant) Kernel2(r *Run) error { return buildMatrix(r) }
 
 // Kernel3 implements Variant.
-func (extsortVariant) Kernel3(r *Run) error {
-	eng, err := pagerank.NewGatherEngineWith(r.Matrix, r.Transposed(), r.Cfg.PageRank)
-	if err != nil {
-		return err
-	}
-	res, err := eng.RunContext(r.Context())
-	if err != nil {
-		return err
-	}
-	r.Rank = res
-	return nil
-}
+func (extsortVariant) Kernel3(r *Run) error { return gatherKernel3(r) }

@@ -3,8 +3,8 @@ package pipeline
 // The parallel variant is the paper's "future parallel implementation":
 // kernel 0 generates with independent per-worker random streams and writes
 // stripes concurrently, kernel 1 reads stripes concurrently and runs the
-// parallel merge sort, and kernel 3 uses the row-partitioned parallel
-// PageRank engine.  On a single-CPU host it degenerates gracefully to the
+// parallel merge sort, kernel 2 is csr's streaming build, and kernel 3
+// uses the row-partitioned parallel PageRank engine.  On a single-CPU host it degenerates gracefully to the
 // serial code paths.
 
 import (
@@ -17,7 +17,6 @@ import (
 	"repro/internal/fastio"
 	"repro/internal/kronecker"
 	"repro/internal/pagerank"
-	"repro/internal/sparse"
 	"repro/internal/vfs"
 	"repro/internal/xsort"
 )
@@ -93,20 +92,7 @@ func (v parallelVariant) Kernel1(r *Run) error {
 }
 
 // Kernel2 implements Variant.
-func (parallelVariant) Kernel2(r *Run) error {
-	l, err := parallelReadStriped(r.FS, "k1", r.Codec())
-	if err != nil {
-		return err
-	}
-	a, err := sparse.FromSortedEdges(l, int(r.Cfg.N()))
-	if err != nil {
-		return err
-	}
-	r.MatrixMass = a.SumValues()
-	ApplyKernel2Filter(a)
-	r.Matrix = a
-	return nil
-}
+func (parallelVariant) Kernel2(r *Run) error { return buildMatrix(r) }
 
 // Kernel3 implements Variant.
 func (v parallelVariant) Kernel3(r *Run) error {

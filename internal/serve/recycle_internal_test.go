@@ -1,8 +1,9 @@
 package serve
 
 // The recycling rule of a run's edge lists (DESIGN.md §12), from the
-// cache's side: a run decodes kernel 1's and kernel 2's input into the
-// list the previous kernel left, or a new one — whatever subset of
+// cache's side: a run decodes kernel 1's input (and kernel 2's, where
+// kernel 2 does not stream) into the list the previous kernel left, or a
+// new one — whatever subset of
 // kernels it executes, and whether or not the matrix hit — and the
 // cache, which holds the matrix alone, is never written through them.
 

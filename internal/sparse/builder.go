@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // SortedBuilder assembles a CSR incrementally from an edge stream sorted by
 // start vertex — the out-of-core kernel-2 path, which must not materialize
@@ -32,10 +29,12 @@ func NewSortedBuilder(n int) (*SortedBuilder, error) {
 // Reserve makes room for m more edges' entries, so that a caller who knows
 // the stream's length (an upper bound on NNZ) pays for Col and Val once,
 // not by append's doubling — whose copies are a tenth of an out-of-core
-// kernel 2.
+// kernel 2.  (Not slices.Grow: its append of a make is fused into one
+// allocation only when the compiler does not instrument, so a -race build
+// paid for Col and Val twice.)
 func (b *SortedBuilder) Reserve(m int) {
-	b.cols = slices.Grow(b.cols, m)
-	b.vals = slices.Grow(b.vals, m)
+	b.cols = append(make([]uint32, 0, len(b.cols)+m), b.cols...)
+	b.vals = append(make([]float64, 0, len(b.vals)+m), b.vals...)
 }
 
 // Add appends the edge (u, v).  u must be non-decreasing across calls.
