@@ -18,8 +18,8 @@
 //   - codec resolution by name (CodecByName) and by on-disk content
 //     (Detect, DetectStriped);
 //   - striped writing and reading of edge lists across N files of a
-//     vfs.FS, plus a streaming source and sink for out-of-core kernels
-//     that decode ahead of and encode behind their callers.
+//     vfs.FS through one streaming source and one sink, which decode
+//     ahead of and encode behind their callers.
 package fastio
 
 import (
@@ -330,7 +330,6 @@ type TSVReader struct {
 	r        io.Reader
 	buf      []byte // a refill, then a non-digit at buf[end], then wordSlack bytes
 	pos, end int    // buf[pos:end] is read but not yet decoded
-	off      int64  // input bytes that came before buf[0]
 	line     int
 	err      error // what r ended with, io.EOF included; reported once buf drains
 }
@@ -346,10 +345,6 @@ func NewTSVReader(r io.Reader, bufSize int) *TSVReader {
 	}
 	return &TSVReader{r: r, buf: make([]byte, bufSize+1+wordSlack)}
 }
-
-// InputOffset returns the number of input bytes the edges decoded so far
-// occupied.
-func (t *TSVReader) InputOffset() int64 { return t.off + int64(t.pos) }
 
 // ReadEdges implements EdgeSource.  Records decode straight into l's spare
 // capacity (words); only when l has none left does a record go through
@@ -432,7 +427,6 @@ func (t *TSVReader) readEdge() (uint64, uint64, error) {
 // refill replaces the fully decoded buffer with the next bytes of input.
 // It returns false when there are none, leaving the cause in t.err.
 func (t *TSVReader) refill() bool {
-	t.off += int64(t.end)
 	t.pos, t.end = 0, 0
 	for tries := 0; t.end == 0 && t.err == nil; tries++ {
 		if tries == 100 {
@@ -711,38 +705,19 @@ func StripeName(prefix string, codec Codec, i int) string {
 }
 
 // WriteStriped writes the edge list across nfiles files named
-// StripeName(prefix, codec, 0..nfiles-1), splitting edges into contiguous,
-// nearly equal chunks.  nfiles must be at least 1.
+// StripeName(prefix, codec, 0..nfiles-1) through a StripedSink that expects
+// its l.Len() edges, so stripe i holds the contiguous edges
+// [⌊i·m/nfiles⌋, ⌊(i+1)·m/nfiles⌋).  nfiles must be at least 1.
 func WriteStriped(fs vfs.FS, prefix string, codec Codec, nfiles int, l *edge.List) error {
-	if nfiles < 1 {
-		return fmt.Errorf("fastio: nfiles = %d, want >= 1", nfiles)
-	}
-	m := l.Len()
-	for i := 0; i < nfiles; i++ {
-		lo := i * m / nfiles
-		hi := (i + 1) * m / nfiles
-		if err := writeOneStripe(fs, StripeName(prefix, codec, i), codec, l, lo, hi); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeOneStripe(fs vfs.FS, name string, codec Codec, l *edge.List, lo, hi int) error {
-	w, err := fs.Create(name)
+	s, err := NewStripedSink(fs, prefix, codec, nfiles, int64(l.Len()))
 	if err != nil {
 		return err
 	}
-	sink := codec.NewWriter(w)
-	if err := WriteEdges(sink, l, lo, hi); err != nil {
-		w.Close()
-		return err
+	err = WriteEdges(s, l, 0, l.Len())
+	if cerr := s.Close(); err == nil {
+		err = cerr
 	}
-	if err := sink.Flush(); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
+	return err
 }
 
 // StripeNames returns the existing stripe file names for prefix, in stripe
@@ -786,80 +761,35 @@ func ReadStriped(fs vfs.FS, prefix string, codec Codec) (*edge.List, error) {
 	return ReadStripedInto(fs, prefix, codec, nil)
 }
 
-// ReadStripedInto is ReadStriped decoding into dst's storage: dst is
-// truncated and refilled, and is regrown only if the stripes hold more
-// edges than it has room for, so a list of the right size is filled in
-// place.  A nil dst is a new list.  dst's previous contents are lost even
-// when the read fails.
+// ReadStripedInto is ReadStriped decoding into dst's storage: a
+// StripedSource drained into dst, which is truncated first and grows, by
+// append, only if the stripes hold more edges than it has room for, so a
+// list of the right size is filled in place.  A nil dst is a new list.
+// dst's previous contents are lost even when the read fails.
 func ReadStripedInto(fs vfs.FS, prefix string, codec Codec, dst *edge.List) (*edge.List, error) {
-	names, err := StripeNames(fs, prefix, codec)
+	src, err := NewStripedSource(fs, prefix, codec)
 	if err != nil {
 		return nil, err
 	}
+	defer src.Close()
 	if dst == nil {
 		dst = edge.NewList(0)
 	}
 	dst.Reset()
-	for _, name := range names {
-		if err := readOneStripe(fs, name, codec, dst); err != nil {
+	for {
+		if _, err := ReadEdges(src, dst, readChunkEdges); err != nil {
+			if err == io.EOF {
+				return dst, nil
+			}
 			return nil, err
 		}
-	}
-	return dst, nil
-}
-
-func readOneStripe(fs vfs.FS, name string, codec Codec, l *edge.List) error {
-	size, err := fs.Size(name)
-	if err != nil {
-		return err
-	}
-	r, err := fs.Open(name)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	src := codec.NewReader(r)
-	start := l.Len()
-	for {
-		// A batch is at most the room l has left, and l is regrown only
-		// once that is none: a list that already fits the stripe is filled
-		// in place, never reallocated for the sake of slack.
-		if l.Len() == min(cap(l.U), cap(l.V)) {
-			reserveStripe(l, l.Len()-start, src, size)
-		}
-		batch := min(cap(l.U), cap(l.V)) - l.Len()
-		if batch == 0 || batch > readChunkEdges {
-			batch = readChunkEdges
-		}
-		if _, err := ReadEdges(src, l, batch); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("fastio: %s: %w", name, err)
-		}
-	}
-}
-
-// reserveStripe grows l once to hold the rest of a stripe of size bytes, of
-// which src has decoded the first n edges: where src knows the input offset
-// of those edges, the stripe is predicted to keep their bytes per edge (plus
-// 2 %), so the list is not regrown and recopied chunk after chunk.  A
-// prediction that falls short only means another call later, made on more
-// evidence.
-func reserveStripe(l *edge.List, n int, src EdgeSource, size int64) {
-	o, ok := src.(interface{ InputOffset() int64 })
-	if !ok || n == 0 {
-		return
-	}
-	rest := float64(size-o.InputOffset()) * float64(n) / float64(o.InputOffset())
-	if rest > 0 {
-		l.Grow(int(rest*1.02) + 1)
 	}
 }
 
 // StripedSource is an EdgeSource that streams edges from a set of stripe
-// files in order, opening each file lazily.  It is the input path of the
-// out-of-core kernels, which must not materialize the whole edge list.
+// files in order, opening each file lazily.  It is the one stripe reader:
+// ReadStripedInto drains it into a list, and the out-of-core kernels
+// stream it without materializing the whole edge list.
 // The files are decoded a few batches ahead of the caller on one helper
 // goroutine (overlap.go); a decode error is `fastio: <file>: <cause>` and
 // ends the stream.  Close stops the helper: a caller that stops reading

@@ -15,12 +15,13 @@ import (
 
 // FuzzCodecDecode feeds arbitrary bytes, as one stripe, to every codec in
 // Codecs(), and an edge (u, v) to its writer.  Every row checks that no
-// decode panics; that ReadStriped and a StripedSource decode the same edges
-// or fail with the same error; that a clean decode, and (u, v), round-trip
-// through the codec's writer; and that ReadStriped's list has room for no
-// more than twice the edges it holds (plus 64), so no header or record can
-// steer it into a large reservation.  Each row then holds its codec to the
-// codec's own oracle (codecOracles).
+// decode panics; that the striped decode (a StripedSource) decodes the same
+// edges as the codec's bare reader over the same bytes, fails exactly when
+// it does, and names the stripe in its error; that a clean decode, and
+// (u, v), round-trip through the codec's writer; and that ReadStriped's
+// list has room for no more than twice the edges it holds (plus 64), so no
+// header or record can steer it into a large reservation.  Each row then
+// holds its codec to the codec's own oracle (codecOracles).
 func FuzzCodecDecode(f *testing.F) { fuzzDecode(f, Codecs()...) }
 
 // FuzzTSVDecode, FuzzBinaryDecode and FuzzPackedDecode are FuzzCodecDecode
@@ -71,26 +72,25 @@ func fuzzDecode(f *testing.F, codecs ...Codec) {
 			w.Write(data)
 			w.Close()
 
-			l, err := ReadStriped(fs, "f", c)
-			src, serr := NewStripedSource(fs, "f", c)
-			if serr != nil {
-				t.Fatal(serr)
+			src, err := NewStripedSource(fs, "f", c)
+			if err != nil {
+				t.Fatal(err)
 			}
 			got, gerr := drain(t, src, 1000)
 			src.Close()
-			if (err == nil) != (gerr == nil) || (err != nil && err.Error() != gerr.Error()) || (err == nil && !l.Equal(got)) {
-				t.Fatalf("%s: ReadStriped: %v; StripedSource: %d edges, %v", c.Name(), err, got.Len(), gerr)
+			want, werr := drain(t, c.NewReader(bytes.NewReader(data)), 1000)
+			if !got.Equal(want) || (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s: stripe: %d edges, %v; bare reader: %d edges, %v", c.Name(), got.Len(), gerr, want.Len(), werr)
 			}
-			if err == nil {
-				// A source that knows its input offset (tsv) has ReadStriped
-				// reserve the stripe's predicted size, from the bytes per
-				// edge so far: later records longer than the earlier ones
-				// make it too large, but never larger than the input.
-				bound := 2*l.Len() + 64
-				if _, ok := c.NewReader(nil).(interface{ InputOffset() int64 }); ok {
-					bound = max(bound, len(data)/2+64)
+			if stripe := StripeName("f", c, 0); gerr != nil && !strings.Contains(gerr.Error(), stripe) {
+				t.Fatalf("%s: error %v does not name %s", c.Name(), gerr, stripe)
+			}
+			if gerr == nil {
+				l, err := ReadStriped(fs, "f", c)
+				if err != nil || !l.Equal(got) {
+					t.Fatalf("%s: ReadStriped: %v", c.Name(), err)
 				}
-				if cap(l.U) > bound {
+				if cap(l.U) > 2*l.Len()+64 {
 					t.Fatalf("%s: ReadStriped holds room for %d edges after %d edges in %d bytes",
 						c.Name(), cap(l.U), l.Len(), len(data))
 				}
@@ -113,9 +113,7 @@ func fuzzDecode(f *testing.F, codecs ...Codec) {
 // tsvOracle holds the tsv codec to NaiveTSV (bufio.Scanner + strconv): the
 // writer formats (u, v) to the same bytes, and on any input a TSVReader
 // (through a 16-byte buffer too) and the stripe decode decode the same edges
-// as the naive reader and then either both end cleanly or both fail.  The
-// row has already held ReadStriped to the stripe decode, so this holds
-// ReadStriped to the oracle as well.
+// as the naive reader and then either both end cleanly or both fail.
 func tsvOracle(t *testing.T, data []byte, striped *edge.List, stripedErr error, u, v uint64) {
 	one := edge.NewList(1)
 	one.Append(u, v)

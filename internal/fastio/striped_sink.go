@@ -9,31 +9,28 @@ import (
 )
 
 // StripedSink is an EdgeSink that distributes an edge stream across a fixed
-// number of stripe files without knowing the total edge count in advance —
-// the out-of-core counterpart of WriteStriped.  Edges are written to stripe
-// i until edgesPerStripe records accumulate, then the sink rolls to stripe
-// i+1; the final stripe absorbs any overflow.  Edges are encoded and
-// written behind the caller on one helper goroutine (overlap.go): a write
-// error — `fastio: <stripe>: <cause>` — surfaces at a later write, at
-// Flush or at Close, which wait for every edge written before them.  Close
-// flushes and closes the current stripe and stops the helper.
+// number of stripe files, the one stripe writer (WriteStriped is a sink
+// handed a whole list).  Its layout rule is cumulative: for a stream of
+// the expected m edges, stripe i ends after edge ⌊(i+1)·m/nfiles⌋, so it
+// holds ⌊(i+1)·m/nfiles⌋ − ⌊i·m/nfiles⌋ of them, possibly none; the last
+// stripe absorbs any overflow, and a shorter stream leaves the stripes
+// past its end unwritten.  Edges are encoded and written behind the caller
+// on one helper goroutine (overlap.go): a write error — `fastio: <stripe>:
+// <cause>` — surfaces at a later write, at Flush or at Close, which wait for
+// every edge written before them.  Close flushes and closes the current
+// stripe and stops the helper.
 type StripedSink struct {
 	writeBehind
 	out stripeWriter
 }
 
-// NewStripedSink returns a StripedSink writing nfiles stripes under prefix.
-// expectedEdges sizes the per-stripe quota; if the stream turns out longer,
-// the last stripe grows (stripe count never exceeds nfiles).
+// NewStripedSink returns a StripedSink writing nfiles stripes under prefix,
+// laid out for a stream of expectedEdges edges.
 func NewStripedSink(fs vfs.FS, prefix string, codec Codec, nfiles int, expectedEdges int64) (*StripedSink, error) {
 	if nfiles < 1 {
 		return nil, fmt.Errorf("fastio: nfiles = %d, want >= 1", nfiles)
 	}
-	per := expectedEdges / int64(nfiles)
-	if per < 1 {
-		per = 1
-	}
-	s := &StripedSink{out: stripeWriter{fs: fs, prefix: prefix, codec: codec, nfiles: nfiles, edgesPerStripe: per}}
+	s := &StripedSink{out: stripeWriter{fs: fs, prefix: prefix, codec: codec, nfiles: nfiles, expected: max(expectedEdges, 0)}}
 	s.drain, s.flush = s.out.writeEdges, s.out.flush
 	return s, nil
 }
@@ -52,20 +49,20 @@ func (s *StripedSink) Close() error {
 // stripeWriter is the stream a StripedSink writes behind: it encodes
 // batches into the stripes on the calling goroutine.
 type stripeWriter struct {
-	fs             vfs.FS
-	prefix         string
-	codec          Codec
-	nfiles         int
-	edgesPerStripe int64
+	fs       vfs.FS
+	prefix   string
+	codec    Codec
+	nfiles   int
+	expected int64
 
-	stripe  int // stripes opened so far
-	written int64
+	stripe  int   // stripes opened so far
+	written int64 // edges written to all stripes
 	name    string
 	cur     io.WriteCloser
 	sink    EdgeSink
 }
 
-// writeEdges writes l, carving it along the stripe quotas and forwarding
+// writeEdges writes l, carving it along the stripe ends and forwarding
 // each piece to the codec.
 func (s *stripeWriter) writeEdges(l *edge.List) error {
 	for lo, hi := 0, l.Len(); lo < hi; {
@@ -75,23 +72,28 @@ func (s *stripeWriter) writeEdges(l *edge.List) error {
 			}
 		}
 		n := hi - lo
-		if s.stripe < s.nfiles { // later stripes remain: honor this stripe's quota
-			if room := s.edgesPerStripe - s.written; int64(n) > room {
-				n = int(room)
-			}
+		last := s.stripe == s.nfiles
+		if !last {
+			n = int(min(int64(n), s.end()-s.written))
 		}
 		if err := WriteEdges(s.sink, l, lo, lo+n); err != nil {
 			return s.fail(err)
 		}
 		s.written += int64(n)
 		lo += n
-		if s.written >= s.edgesPerStripe && s.stripe < s.nfiles {
+		if !last && s.written >= s.end() {
 			if err := s.closeCurrent(); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// end is the number of edges that end the current stripe, ⌊(i+1)·m/nfiles⌋
+// for stripe i.
+func (s *stripeWriter) end() int64 {
+	return int64(s.stripe) * s.expected / int64(s.nfiles)
 }
 
 // fail names the current stripe in err.
@@ -108,7 +110,6 @@ func (s *stripeWriter) openNext() error {
 	s.cur = w
 	s.sink = s.codec.NewWriter(w)
 	s.stripe++
-	s.written = 0
 	return nil
 }
 

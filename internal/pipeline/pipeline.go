@@ -882,8 +882,7 @@ func scatterKernel3(r *Run) error {
 }
 
 // generateEdges is kernel 0 of every variant that materializes the edge
-// list: generate it, write it to the "k0" stripes, and keep it as the
-// run's spare.
+// list: generate it and hand it to writeGenerated.
 func generateEdges(r *Run) error {
 	gen, err := generate(r.Cfg)
 	if err != nil {
@@ -893,6 +892,12 @@ func generateEdges(r *Run) error {
 	if err != nil {
 		return err
 	}
+	return writeGenerated(r, l)
+}
+
+// writeGenerated writes kernel 0's list l to the "k0" stripes and keeps it
+// as the run's spare.
+func writeGenerated(r *Run, l *edge.List) error {
 	if err := fastio.WriteStriped(r.FS, "k0", r.Codec(), r.Cfg.NFiles, l); err != nil {
 		return err
 	}

@@ -1,23 +1,19 @@
 package pipeline
 
 // The parallel variant is the paper's "future parallel implementation":
-// kernel 0 generates with independent per-worker random streams and writes
-// stripes concurrently, kernel 1 reads stripes concurrently and runs the
-// parallel merge sort, kernel 2 is csr's streaming build, and kernel 3
-// uses the row-partitioned parallel PageRank engine.  On a single-CPU host it degenerates gracefully to the
-// serial code paths.
+// kernel 0 generates with independent per-worker random streams, kernel 1
+// runs the parallel merge sort, and kernel 3 uses the row-partitioned
+// parallel PageRank engine.  Its files go through the one stripe reader and
+// writer every variant shares, and kernel 2 is csr's streaming build, so
+// the parallelism is in generation, sort and kernel 3.  On a single-CPU
+// host it degenerates gracefully to the serial code paths.
 
 import (
-	"fmt"
-	"io"
 	"runtime"
-	"sync"
 
-	"repro/internal/edge"
 	"repro/internal/fastio"
 	"repro/internal/kronecker"
 	"repro/internal/pagerank"
-	"repro/internal/vfs"
 	"repro/internal/xsort"
 )
 
@@ -30,7 +26,7 @@ func (parallelVariant) Name() string { return "parallel" }
 
 // Description implements Variant.
 func (parallelVariant) Description() string {
-	return "goroutine-parallel generation, striped I/O, merge sort and row-partitioned PageRank on a persistent worker team (the paper's parallel decomposition, allocation-free in steady state)"
+	return "goroutine-parallel generation, merge sort and row-partitioned PageRank on a persistent worker team (the paper's parallel decomposition, allocation-free in steady state)"
 }
 
 // CacheTraits implements the optional cache interface: this variant
@@ -55,31 +51,21 @@ func (parallelVariant) workers(r *Run) int {
 // from independent jump-derived streams without communication, exactly the
 // scalability property the paper highlights in the Graph500 generator.
 func (v parallelVariant) Kernel0(r *Run) error {
-	var l *edge.List
-	var err error
-	if r.Cfg.Generator == GenKronecker {
-		kcfg := kronecker.New(r.Cfg.Scale, r.Cfg.Seed)
-		kcfg.EdgeFactor = r.Cfg.EdgeFactor
-		l, err = kronecker.GenerateParallel(kcfg, v.workers(r))
-	} else {
-		var gen interface {
-			Generate() (*edge.List, error)
-		}
-		gen, err = generate(r.Cfg)
-		if err != nil {
-			return err
-		}
-		l, err = gen.Generate()
+	if r.Cfg.Generator != GenKronecker {
+		return generateEdges(r)
 	}
+	kcfg := kronecker.New(r.Cfg.Scale, r.Cfg.Seed)
+	kcfg.EdgeFactor = r.Cfg.EdgeFactor
+	l, err := kronecker.GenerateParallel(kcfg, v.workers(r))
 	if err != nil {
 		return err
 	}
-	return parallelWriteStriped(r.FS, "k0", r.Codec(), r.Cfg.NFiles, l)
+	return writeGenerated(r, l)
 }
 
 // Kernel1 implements Variant.
 func (v parallelVariant) Kernel1(r *Run) error {
-	l, err := parallelReadStriped(r.FS, "k0", r.Codec())
+	l, err := readEdges(r, "k0")
 	if err != nil {
 		return err
 	}
@@ -88,7 +74,7 @@ func (v parallelVariant) Kernel1(r *Run) error {
 	} else {
 		xsort.ParallelByU(l, v.workers(r))
 	}
-	return parallelWriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
+	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
 }
 
 // Kernel2 implements Variant.
@@ -110,100 +96,3 @@ func (v parallelVariant) Kernel3(r *Run) error {
 	r.Rank = res
 	return nil
 }
-
-// parallelWriteStriped writes each stripe in its own goroutine, the
-// file-per-processor output pattern of parallel Graph500 generators.
-func parallelWriteStriped(fs vfs.FS, prefix string, codec fastio.Codec, nfiles int, l *edge.List) error {
-	if nfiles < 1 {
-		return fmt.Errorf("pipeline: nfiles = %d, want >= 1", nfiles)
-	}
-	m := l.Len()
-	errs := make([]error, nfiles)
-	var wg sync.WaitGroup
-	for i := 0; i < nfiles; i++ {
-		lo := i * m / nfiles
-		hi := (i + 1) * m / nfiles
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			errs[i] = writeStripeRange(fs, fastio.StripeName(prefix, codec, i), codec, l, lo, hi)
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeStripeRange(fs vfs.FS, name string, codec fastio.Codec, l *edge.List, lo, hi int) error {
-	w, err := fs.Create(name)
-	if err != nil {
-		return err
-	}
-	sink := codec.NewWriter(w)
-	if err := fastio.WriteEdges(sink, l, lo, hi); err != nil {
-		w.Close()
-		return err
-	}
-	if err := sink.Flush(); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
-
-// parallelReadStriped reads every stripe concurrently into per-stripe lists
-// and concatenates them in stripe order.
-func parallelReadStriped(fs vfs.FS, prefix string, codec fastio.Codec) (*edge.List, error) {
-	names, err := fastio.StripeNames(fs, prefix, codec)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]*edge.List, len(names))
-	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			parts[i], errs[i] = readOneStripeList(fs, name, codec)
-		}(i, name)
-	}
-	wg.Wait()
-	total := 0
-	for i := range parts {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		total += parts[i].Len()
-	}
-	out := edge.NewList(total)
-	for _, p := range parts {
-		out.AppendList(p)
-	}
-	return out, nil
-}
-
-func readOneStripeList(fs vfs.FS, name string, codec fastio.Codec) (*edge.List, error) {
-	r, err := fs.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	src := codec.NewReader(r)
-	l := edge.NewList(0)
-	for {
-		if _, err := fastio.ReadEdges(src, l, readStripeChunk); err != nil {
-			if err == io.EOF {
-				return l, nil
-			}
-			return nil, err
-		}
-	}
-}
-
-// readStripeChunk is the bulk-read batch size of the parallel stripe reader.
-const readStripeChunk = 16 << 10
