@@ -11,6 +11,8 @@ package repro
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -151,6 +153,38 @@ func BenchmarkAblationScatterVsGather(b *testing.B) {
 				}
 			}
 			reportEdges(b, uint64(20*a.NNZ()))
+		})
+	}
+}
+
+// Kernel 3's product on the gather team, one worker vs every core: the
+// scale-16 Kronecker Aᵀ, length-ordered, chunk-scheduled (sparse.Team).
+// The bits are the same at every width; ns/nnz is what moves.
+func BenchmarkGatherTeam(b *testing.B) {
+	const scale = 16
+	l, err := kronecker.Generate(kronecker.New(scale, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := sparse.FromEdges(l, 1<<scale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pipeline.ApplyKernel2Filter(a)
+	at := a.TransposeOrdered()
+	x, out := make([]float64, a.N), make([]float64, a.N)
+	for i := range x {
+		x[i] = 1 / float64(a.N)
+	}
+	for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			team := at.NewTeam(workers)
+			defer team.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				team.MxV(out, x)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(at.Col)), "ns/nnz")
 		})
 	}
 }

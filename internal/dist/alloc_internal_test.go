@@ -96,7 +96,7 @@ func TestHybridStepZeroAllocs(t *testing.T) {
 
 func TestHybridMatchesSerialBlockVxM(t *testing.T) {
 	// The unit-level bit-equality behind the p×w property tests: the
-	// team's nnz-balanced split must equal the serial product exactly.
+	// team's chunked product must equal the serial product exactly.
 	st, n := testBlock(t, 3, 1)
 	r := make([]float64, n)
 	for i := range r {

@@ -46,10 +46,10 @@ func (c Config) workers() int {
 // rankProduct is one rank's kernel-3 block product out = r·A, where A is
 // the rank's row block: the gather over the block's length-ordered
 // transpose (sparse.Ordered), serial or on a persistent sparse.Team whose
-// workers own nnz-balanced position ranges.  Output element j is Aᵀ row
-// j's gather, its products added in ascending local row order — the
-// sequence the row-major scatter adds them in — so the partial is the
-// scatter's, bit for bit, whenever the block's values are finite
+// workers take position chunks as they come free.  Output element j is
+// Aᵀ row j's gather, its products added in ascending local row order —
+// the sequence the row-major scatter adds them in — so the partial is
+// the scatter's, bit for bit, whenever the block's values are finite
 // (DESIGN.md §5), for every worker count.
 type rankProduct struct {
 	op   *rankOperand

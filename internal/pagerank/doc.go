@@ -16,7 +16,9 @@
 // both behaviors are available as options.
 //
 // Four interchangeable engines evaluate the product r·A: scatter (CSR
-// row-major), gather (via the transpose), goroutine-parallel gather, and
+// row-major), gather (via the transpose), the gather on a chunk-scheduled
+// worker team (ParallelEngine, bit for bit the gather's at every width:
+// the kernel 3 of the csr, extsort and parallel pipeline variants), and
 // the generic GraphBLAS semiring form.  All are verified against each
 // other and against the paper's dense eigenvector check.
 //

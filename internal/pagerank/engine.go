@@ -236,43 +236,40 @@ func NewScatterEngine(a *sparse.CSR, opt Options) (*Engine, error) {
 // engine over the cache-friendlier gather product (the engine behind
 // Gather).
 func NewGatherEngine(a *sparse.CSR, opt Options) (*Engine, error) {
-	return NewGatherEngineWith(a, a.TransposeOrdered(), opt)
-}
-
-// NewGatherEngineWith is NewGatherEngine for a caller that already holds
-// at = a.TransposeOrdered() — the matrix cache keeps one beside each
-// resident matrix — so repeated engines over one matrix transpose it
-// once, not once each.  The engine only reads at.
-func NewGatherEngineWith(a *sparse.CSR, at *sparse.Ordered, opt Options) (*Engine, error) {
-	return newMaskedEngine(a.N, at.MxV, danglingMask(a), opt)
+	return newMaskedEngine(a.N, a.TransposeOrdered().MxV, danglingMask(a), opt)
 }
 
 // ---------------------------------------------------------------------------
 // Parallel engine: transpose-once gather over a persistent worker team
 
-// ParallelEngine is the parallel gather engine in reusable form: the
-// matrix is transposed once, a persistent sparse.Team computes the
-// product over nnz-balanced position ranges, and the embedded Engine owns
-// the iteration vectors — so steady-state iterations perform zero heap
-// allocations while using every configured core.  Every row is computed
-// by one worker with the serial loop, so the bits are Gather's for every
-// worker count.  Close must be called when done (Parallel does).
+// ParallelEngine is the gather engine on every core: a persistent
+// sparse.Team computes the product over chunks of the length-ordered
+// transpose, and the embedded Engine owns the iteration vectors — so
+// steady-state iterations perform zero heap allocations while using every
+// configured core.  Every row is computed by one worker with the serial
+// loop, so the bits are Gather's for every worker count.  Close must be
+// called when done (Parallel does).
 type ParallelEngine struct {
 	eng  *Engine
 	team *sparse.Team
 }
 
-// NewParallelEngine validates opt and builds the reusable parallel engine.
-// The worker count is Options.Workers (defaulted like Parallel); tiny
-// problems degenerate to the serial gather.
-func NewParallelEngine(a *sparse.CSR, opt Options) (*ParallelEngine, error) {
+// NewParallelEngine validates opt and builds the reusable parallel engine
+// over at = a.TransposeOrdered(), which the engine only reads: a caller
+// that holds one — the matrix cache keeps one beside each resident
+// matrix — passes it, and nil builds it.  The worker count is
+// Options.Workers (defaulted like Parallel); tiny problems degenerate to
+// the serial gather.
+func NewParallelEngine(a *sparse.CSR, at *sparse.Ordered, opt Options) (*ParallelEngine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	if err := opt.validateAgainstN(a.N); err != nil {
 		return nil, err
 	}
-	at := a.TransposeOrdered()
+	if at == nil {
+		at = a.TransposeOrdered()
+	}
 	workers := workersOr(opt.Workers)
 	pe := &ParallelEngine{}
 	step := at.MxV

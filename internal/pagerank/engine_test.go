@@ -62,7 +62,8 @@ func TestEngineRunEqualsScatter(t *testing.T) {
 
 // TestGatherEngineWithSharedTranspose pins that engines handed one
 // ready transpose — the staged cache's — run bit for bit like engines
-// that transpose for themselves, and leave the shared copy untouched.
+// that transpose for themselves, serial or on a team, and leave the
+// shared copy untouched.
 func TestGatherEngineWithSharedTranspose(t *testing.T) {
 	a := engineTestMatrix(t, 2, 1<<12, 1<<9)
 	at, pristine := a.TransposeOrdered(), a.TransposeOrdered()
@@ -72,14 +73,17 @@ func TestGatherEngineWithSharedTranspose(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := own.Run().Rank
-	for i := 0; i < 2; i++ {
-		e, err := NewGatherEngineWith(a, at, opt)
+	for i := 0; i < 3; i++ {
+		opt.Workers = 1 + i%2
+		pe, err := NewParallelEngine(a, at, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j, v := range e.Run().Rank {
+		got := pe.Run().Rank
+		pe.Close()
+		for j, v := range got {
 			if v != want[j] {
-				t.Fatalf("engine %d over the shared transpose differs at %d: %v vs %v", i, j, v, want[j])
+				t.Fatalf("engine %d (%d workers) over the shared transpose differs at %d: %v vs %v", i, opt.Workers, j, v, want[j])
 			}
 		}
 	}
@@ -164,7 +168,7 @@ func TestEngineIterateZeroAllocs(t *testing.T) {
 
 func TestParallelEngineIterateZeroAllocs(t *testing.T) {
 	a := engineTestMatrix(t, 5, 1<<13, 1<<10)
-	pe, err := NewParallelEngine(a, Options{Seed: 1, Workers: 4, Dangling: true})
+	pe, err := NewParallelEngine(a, nil, Options{Seed: 1, Workers: 4, Dangling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +194,7 @@ func BenchmarkEngineIterate(b *testing.B) {
 
 func BenchmarkParallelEngineIterate(b *testing.B) {
 	a := engineTestMatrix(b, 6, 16<<12, 1<<12)
-	pe, err := NewParallelEngine(a, Options{Seed: 1, Workers: 4})
+	pe, err := NewParallelEngine(a, nil, Options{Seed: 1, Workers: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -262,7 +266,8 @@ func TestIgnorePolicyBuildsNoDanglingMask(t *testing.T) {
 	constructed := func(opt Options) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := NewGatherEngineWith(a, at, opt); err != nil {
+		opt.Workers = 1
+		if _, err := NewParallelEngine(a, at, opt); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -296,7 +301,7 @@ func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
 		if w0, wNeg, w5 := workersOr(0), workersOr(-1), workersOr(5); w0 != procs || wNeg != procs || w5 != 5 {
 			t.Fatalf("GOMAXPROCS=%d: workersOr(0, -1, 5) = %d, %d, %d", procs, w0, wNeg, w5)
 		}
-		pe, err := NewParallelEngine(a, opt)
+		pe, err := NewParallelEngine(a, nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,8 +80,8 @@ type Options struct {
 	// "real application" convergence mode the paper contrasts with fixed
 	// iteration counts.
 	Tolerance float64
-	// Workers is the goroutine count for the parallel engine; <= 0 means
-	// GOMAXPROCS.
+	// Workers is the parallel engine's team width; <= 0 means GOMAXPROCS.
+	// The rank bits do not depend on it.
 	Workers int
 	// InitialRank, when non-nil, seeds the iteration with the given vector
 	// instead of InitVector(N, Seed) — the restart path for checkpointed
@@ -256,14 +256,14 @@ func Gather(a *sparse.CSR, opt Options) (*Result, error) {
 	return e.Run(), nil
 }
 
-// Parallel runs PageRank with the nnz-balanced parallel gather engine:
-// a one-shot NewParallelEngine run.  The persistent worker team means the
-// 20-iteration benchmark spawns its goroutines once, not per step, and
-// iterations allocate nothing; results are bit-for-bit those of the
-// serial gather engine (each output row is computed identically by
-// exactly one worker).
+// Parallel runs PageRank with the chunk-scheduled parallel gather
+// engine: a one-shot NewParallelEngine run.  The persistent worker team
+// means the 20-iteration benchmark spawns its goroutines once, not per
+// step, and iterations allocate nothing; results are bit-for-bit those
+// of the serial gather engine (each output row is computed identically
+// by exactly one worker).
 func Parallel(a *sparse.CSR, opt Options) (*Result, error) {
-	pe, err := NewParallelEngine(a, opt)
+	pe, err := NewParallelEngine(a, nil, opt)
 	if err != nil {
 		return nil, err
 	}

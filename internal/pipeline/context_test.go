@@ -8,7 +8,10 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/pagerank"
 )
@@ -148,5 +151,50 @@ func TestCancelMidK3ReportsPartialIterations(t *testing.T) {
 	}
 	if iters < 5 || iters > 100 {
 		t.Fatalf("cancellation was not prompt: saw %d iterations", iters)
+	}
+}
+
+// TestCancelMidK3ClosesTheTeam is TestCancelMidK3ReportsPartialIterations
+// on a two-worker gather team: the cancelled kernel 3 must close its team
+// on the error path, so the goroutine count returns to its pre-run value.
+func TestCancelMidK3ClosesTheTeam(t *testing.T) {
+	waitGoroutines(t, "teams of earlier runs", func() bool { return teamWorkers() == 0 })
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	during := 0
+	cfg := smallCfg("csr")
+	cfg.Workers = 2
+	cfg.PageRank = pagerank.Options{Iterations: 100000}
+	cfg.Progress = func(ev Event) {
+		if ev.Kind == EventIteration && ev.Iteration == 5 {
+			during = teamWorkers()
+			cancel()
+		}
+	}
+	if _, err := ExecuteContext(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if during != 2 {
+		t.Fatalf("%d team workers ran kernel 3, want 2: the check is blind", during)
+	}
+	waitGoroutines(t, "the cancelled run's team", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// teamWorkers counts the live goroutines that internal/workteam spawned.
+func teamWorkers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by repro/internal/workteam.New")
+}
+
+// waitGoroutines polls done for up to ten seconds, then fails with every
+// goroutine's stack.
+func waitGoroutines(t *testing.T, what string, done func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%s: goroutines still running\n%s", what, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

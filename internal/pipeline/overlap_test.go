@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/edge"
 	"repro/internal/fastio"
@@ -119,13 +118,7 @@ func settled(t *testing.T, what string, base int, fs vfs.FS) {
 			t.Errorf("%s: spill run %s left behind", what, name)
 		}
 	}
-	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("%s: %d goroutines, baseline %d\n%s", what, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitGoroutines(t, what, func() bool { return runtime.NumGoroutine() <= base })
 }
 
 // TestExtsortCorruptStripeNamed: a k1 stripe whose last byte has its

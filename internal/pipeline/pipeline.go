@@ -82,7 +82,10 @@ type Config struct {
 	Format string
 	// Generator selects the K0 generator; empty selects Kronecker.
 	Generator GeneratorKind
-	// Workers bounds goroutines in parallel variants; <= 0 means default.
+	// Workers is the width of kernel 3's gather team (csr, extsort,
+	// parallel; results are bit-for-bit invariant in it), parallel's
+	// generation and sort worker count, and the dist variants' rank
+	// count; <= 0 means GOMAXPROCS (four ranks for the dist variants).
 	Workers int
 	// RunEdges is kernel 1's in-memory run size in edges: extsort's
 	// external-merge buffer (zero selects M/4) and, when positive, the
@@ -859,14 +862,18 @@ func buildMatrix(r *Run) error {
 	return nil
 }
 
-// gatherKernel3 is kernel 3 on the gather engine over Matrixᵀ (csr,
-// extsort).
+// gatherKernel3 is kernel 3 on the gather engine over Matrixᵀ, on a team
+// Config.Workers wide (csr, extsort, parallel).  The bits are the serial
+// gather's for every worker count.
 func gatherKernel3(r *Run) error {
-	eng, err := pagerank.NewGatherEngineWith(r.Matrix, r.Transposed(), r.Cfg.PageRank)
+	opt := r.Cfg.PageRank
+	opt.Workers = r.Cfg.Workers
+	pe, err := pagerank.NewParallelEngine(r.Matrix, r.Transposed(), opt)
 	if err != nil {
 		return err
 	}
-	r.Rank, err = eng.RunContext(r.Context())
+	defer pe.Close()
+	r.Rank, err = pe.RunContext(r.Context())
 	return err
 }
 

@@ -392,6 +392,35 @@ func TestExtsortSmallRunBuffer(t *testing.T) {
 	}
 }
 
+// TestGatherKernel3WorkerInvariance: csr's and extsort's kernel 3 runs on
+// a Config.Workers-wide gather team, and the rank bits must not depend on
+// its width, with the dangling correction off or on.
+func TestGatherKernel3WorkerInvariance(t *testing.T) {
+	for _, variant := range []string{"csr", "extsort"} {
+		for _, dangling := range []bool{false, true} {
+			var want []float64
+			for _, workers := range []int{1, 2, 3, 8} {
+				cfg := smallCfg(variant)
+				cfg.Workers = workers
+				cfg.PageRank.Dangling = dangling
+				res, err := ExecuteContext(context.Background(), cfg)
+				if err != nil {
+					t.Fatalf("%s, dangling %v, %d workers: %v", variant, dangling, workers, err)
+				}
+				if want == nil {
+					want = res.Rank
+					continue
+				}
+				for i := range want {
+					if math.Float64bits(res.Rank[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s, dangling %v: %d workers give rank[%d] = %v, one worker %v", variant, dangling, workers, i, res.Rank[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestParallelVariantInvariants(t *testing.T) {
 	cfg := smallCfg("parallel")
 	cfg.Workers = 3

@@ -3,7 +3,7 @@ package pipeline
 // The csr variant is the hand-optimized implementation, the analogue of the
 // paper's C++ code: custom TSV formatting/parsing, LSD radix sort, a
 // streaming CSR build from the sorted files, and the gather (transpose)
-// PageRank engine.
+// PageRank engine on a Config.Workers-wide team.
 
 import (
 	"repro/internal/fastio"

@@ -1,19 +1,15 @@
 package pipeline
 
 // The parallel variant is the paper's "future parallel implementation":
-// kernel 0 generates with independent per-worker random streams, kernel 1
-// runs the parallel merge sort, and kernel 3 uses the row-partitioned
-// parallel PageRank engine.  Its files go through the one stripe reader and
-// writer every variant shares, and kernel 2 is csr's streaming build, so
-// the parallelism is in generation, sort and kernel 3.  On a single-CPU
-// host it degenerates gracefully to the serial code paths.
+// kernel 0 generates with independent per-worker random streams and kernel
+// 1 runs the parallel merge sort.  Its files go through the one stripe
+// reader and writer every variant shares, and kernels 2 and 3 are csr's:
+// the streaming build and the gather on a Config.Workers-wide team.  On a
+// single-CPU host it degenerates gracefully to the serial code paths.
 
 import (
-	"runtime"
-
 	"repro/internal/fastio"
 	"repro/internal/kronecker"
-	"repro/internal/pagerank"
 	"repro/internal/xsort"
 )
 
@@ -26,7 +22,7 @@ func (parallelVariant) Name() string { return "parallel" }
 
 // Description implements Variant.
 func (parallelVariant) Description() string {
-	return "goroutine-parallel generation, merge sort and row-partitioned PageRank on a persistent worker team (the paper's parallel decomposition, allocation-free in steady state)"
+	return "goroutine-parallel generation and merge sort; csr's streaming build and team gather PageRank (the paper's parallel decomposition)"
 }
 
 // CacheTraits implements the optional cache interface: this variant
@@ -40,23 +36,16 @@ func (parallelVariant) CacheTraits() CacheTraits {
 	return CacheTraits{}
 }
 
-func (parallelVariant) workers(r *Run) int {
-	if r.Cfg.Workers > 0 {
-		return r.Cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Kernel0 implements Variant.  For the Kronecker generator, workers draw
 // from independent jump-derived streams without communication, exactly the
 // scalability property the paper highlights in the Graph500 generator.
-func (v parallelVariant) Kernel0(r *Run) error {
+func (parallelVariant) Kernel0(r *Run) error {
 	if r.Cfg.Generator != GenKronecker {
 		return generateEdges(r)
 	}
 	kcfg := kronecker.New(r.Cfg.Scale, r.Cfg.Seed)
 	kcfg.EdgeFactor = r.Cfg.EdgeFactor
-	l, err := kronecker.GenerateParallel(kcfg, v.workers(r))
+	l, err := kronecker.GenerateParallel(kcfg, r.Cfg.Workers)
 	if err != nil {
 		return err
 	}
@@ -64,7 +53,7 @@ func (v parallelVariant) Kernel0(r *Run) error {
 }
 
 // Kernel1 implements Variant.
-func (v parallelVariant) Kernel1(r *Run) error {
+func (parallelVariant) Kernel1(r *Run) error {
 	l, err := readEdges(r, "k0")
 	if err != nil {
 		return err
@@ -72,7 +61,7 @@ func (v parallelVariant) Kernel1(r *Run) error {
 	if r.Cfg.SortEndVertices {
 		xsort.RadixByUV(l) // parallel (u,v) sort not implemented; radix is already the fast path
 	} else {
-		xsort.ParallelByU(l, v.workers(r))
+		xsort.ParallelByU(l, r.Cfg.Workers)
 	}
 	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
 }
@@ -81,18 +70,4 @@ func (v parallelVariant) Kernel1(r *Run) error {
 func (parallelVariant) Kernel2(r *Run) error { return buildMatrix(r) }
 
 // Kernel3 implements Variant.
-func (v parallelVariant) Kernel3(r *Run) error {
-	opt := r.Cfg.PageRank
-	opt.Workers = v.workers(r)
-	pe, err := pagerank.NewParallelEngine(r.Matrix, opt)
-	if err != nil {
-		return err
-	}
-	defer pe.Close()
-	res, err := pe.RunContext(r.Context())
-	if err != nil {
-		return err
-	}
-	r.Rank = res
-	return nil
-}
+func (parallelVariant) Kernel3(r *Run) error { return gatherKernel3(r) }

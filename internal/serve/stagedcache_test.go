@@ -111,6 +111,30 @@ func TestWarmVsColdBitForBitSerialVariants(t *testing.T) {
 	}
 }
 
+// TestWarmTeamHitEqualsColdSerialRun: a warm csr hit whose kernel 3 runs
+// on a three-worker gather team reproduces the cold one-worker run that
+// filled the cache, bit for bit.
+func TestWarmTeamHitEqualsColdSerialRun(t *testing.T) {
+	svc := serve.New()
+	defer svc.Close()
+	ctx := context.Background()
+	cfg := runCfg("csr")
+	cfg.Workers = 1
+	cold, err := svc.Run(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 3
+	warm, err := svc.Run(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Cache == nil || warm.Cache.Matrix.Hits != 1 {
+		t.Fatalf("warm run: Cache = %+v, want a matrix hit", warm.Cache)
+	}
+	assertBitEqualRanks(t, "warm Workers: 3 vs cold Workers: 1", cold.Rank, warm.Rank)
+}
+
 // TestWarmVsColdBitForBitDistSweep extends the warm-vs-cold pin across
 // the distributed variants' whole parameter grid: processor counts
 // p ∈ {1, 2, 3, 5, 8} in both execution modes.  The warm run consumes

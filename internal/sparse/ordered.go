@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/workteam"
 )
@@ -124,14 +125,21 @@ func (t *Ordered) Split(parts int) []int {
 	return b
 }
 
-// Team computes an Ordered product on a persistent worker team over the
-// operand's nnz-balanced split: spawned once, signalled per product, so
-// a steady-state product allocates nothing.  Every row is computed by
-// the one worker owning its position, by the serial loop, so the result
-// is bit-for-bit MxV's for every worker count.
+// teamChunks is the number of position chunks a Team deals out per
+// worker and product: enough that a worker holding the hub rows, or one
+// the host preempts, is caught up by the others taking the rest.
+const teamChunks = 32
+
+// Team computes an Ordered product on a persistent worker team: spawned
+// once, signalled per product, so a steady-state product allocates
+// nothing.  Each product deals the chunks of Split(workers·teamChunks)
+// out through a counter, one at a time to whichever worker is free.
+// Every row is computed whole, by the serial loop, by the one worker
+// that took its chunk, so the result is bit-for-bit MxV's for every
+// worker count and every interleaving.
 type Team struct {
-	t      *Ordered
 	bounds []int
+	next   atomic.Int64 // the next chunk to deal; reset per product
 	out, x []float64
 	team   *workteam.Team
 }
@@ -139,17 +147,22 @@ type Team struct {
 // NewTeam spawns workers goroutines over t.  Callers must Close the team
 // when done or the goroutines leak.
 func (t *Ordered) NewTeam(workers int) *Team {
-	m := &Team{t: t, bounds: t.Split(workers)}
-	m.team = workteam.New(workers, func(w int) {
-		m.t.MxVRange(m.out, m.x, m.bounds[w], m.bounds[w+1])
+	m := &Team{bounds: t.Split(workers * teamChunks)}
+	m.team = workteam.New(workers, func(int) {
+		out, x, chunks := m.out, m.x, int64(len(m.bounds)-1)
+		for c := m.next.Add(1) - 1; c < chunks; c = m.next.Add(1) - 1 {
+			t.MxVRange(out, x, m.bounds[c], m.bounds[c+1])
+		}
 	})
 	return m
 }
 
 // MxV computes out = T·x across the team (workteam.Run's happens-before
-// edges keep the workers from racing the caller on out and x).
+// edges keep the workers from racing the caller on out, x and the
+// counter).
 func (m *Team) MxV(out, x []float64) {
 	m.out, m.x = out, x
+	m.next.Store(0)
 	m.team.Run()
 }
 

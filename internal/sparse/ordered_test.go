@@ -222,20 +222,73 @@ func TestOrderedBuildsFromRowBlock(t *testing.T) {
 	}
 }
 
+// TestTeamReusedAcrossProducts holds one chunk-scheduled team to MxV's
+// bits over several products, each into a sentinel-filled out with a new
+// x, so every product but the first runs on a counter reset by MxV: a
+// missed reset deals no chunks and leaves the sentinel.  The operand has
+// a hub row longer than a chunk — several cuts land on it, so some
+// chunks are empty — and fewer non-empty rows than chunks.
+func TestTeamReusedAcrossProducts(t *testing.T) {
+	const n, hub = 300, 250
+	g := xrand.New(0x7465616d)
+	at := mxvTestMatrix(g, n, false, func(i int) int {
+		switch {
+		case i == 7:
+			return hub
+		case i%30 == 11:
+			return 1 + i%5
+		}
+		return 0
+	})
+	o := at.Transpose().TransposeOrdered()
+	nonEmpty, nnz := len(o.Ptr)-1, len(o.Col)
+	for _, workers := range []int{1, 2, 3, 5, 8} {
+		chunks := workers * teamChunks
+		if nonEmpty >= chunks || hub <= nnz/chunks {
+			t.Fatalf("%d workers: %d non-empty rows, %d entries, %d chunks: the shape tests nothing", workers, nonEmpty, nnz, chunks)
+		}
+		team := o.NewTeam(workers)
+		for product := 0; product < 4; product++ {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = mxvValue(g, true)
+			}
+			want, got := make([]float64, n), make([]float64, n)
+			o.MxV(want, x)
+			for i := range got {
+				got[i] = -12345.678
+			}
+			team.MxV(got, x)
+			for i := range want {
+				if !sameFloatBits(want[i], got[i]) {
+					t.Fatalf("%d workers, product %d: out[%d] = %v, MxV %v", workers, product, i, got[i], want[i])
+				}
+			}
+		}
+		team.Close()
+	}
+}
+
 func TestOrderedZeroAllocs(t *testing.T) {
 	o := randomCSR(t, 5, 20000, 1000).TransposeOrdered()
-	x, out := make([]float64, o.N()), make([]float64, o.N())
+	x, out, want := make([]float64, o.N()), make([]float64, o.N()), make([]float64, o.N())
 	for i := range x {
 		x[i] = float64(i)
 	}
-	if n := testing.AllocsPerRun(10, func() { o.MxV(out, x) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { o.MxV(want, x) }); n != 0 {
 		t.Fatalf("MxV allocates %v times per call, want 0", n)
 	}
-	team := o.NewTeam(3)
-	defer team.Close()
-	team.MxV(out, x) // warm the team
-	if n := testing.AllocsPerRun(10, func() { team.MxV(out, x) }); n != 0 {
-		t.Fatalf("a team step allocates %v times per call, want 0", n)
+	// The chunk counter lives in the team: dealing chunks costs nothing.
+	for _, workers := range []int{1, 2, 3, 8} {
+		team := o.NewTeam(workers)
+		team.MxV(out, x) // warm the team
+		if n := testing.AllocsPerRun(10, func() { team.MxV(out, x) }); n != 0 {
+			t.Fatalf("%d workers: a team step allocates %v times per call, want 0", workers, n)
+		}
+		team.Close()
+		if !slices.Equal(out, want) {
+			t.Fatalf("%d workers: the team's last product differs from MxV's", workers)
+		}
 	}
 }
 
