@@ -144,7 +144,14 @@ func BenchmarkAblationScatterVsGather(b *testing.B) {
 	}{
 		{"scatter", func() error { _, err := pagerank.Scatter(a, pagerank.Options{}); return err }},
 		{"gather", func() error { _, err := pagerank.Gather(a, pagerank.Options{}); return err }},
-		{"parallel", func() error { _, err := pagerank.Parallel(a, pagerank.Options{Workers: 4}); return err }},
+		{"parallel", func() error {
+			pe, err := pagerank.NewParallelEngine(a, nil, 4, pagerank.Options{})
+			if err == nil {
+				pe.Run()
+				pe.Close()
+			}
+			return err
+		}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -41,17 +41,18 @@ func testBlock(t testing.TB, p, r int) (*rankState, int) {
 
 // naiveScatter is the rank product the gather replaced — the row-major
 // scatter of the block, skipping zero r entries — kept as the oracle.
-func naiveScatter(b *block, out, r []float64) {
+func naiveScatter(st *rankState, out, r []float64) {
 	for i := range out {
 		out[i] = 0
 	}
-	for i := 0; i < b.rows(); i++ {
-		ri := r[b.lo+i]
+	b := st.blk
+	for i := 0; i < b.Rows(); i++ {
+		ri := r[st.lo+i]
 		if ri == 0 {
 			continue
 		}
-		for k := b.rowPtr[i]; k < b.rowPtr[i+1]; k++ {
-			out[b.col[k]] += float64(ri * b.val[k])
+		for k := b.RowPtr[i]; k < b.RowPtr[i+1]; k++ {
+			out[b.Col[k]] += float64(ri * b.Val[k])
 		}
 	}
 }
@@ -68,7 +69,7 @@ func sameFloatBits(a, b float64) bool {
 func productOf(st *rankState, workers int, r []float64) []float64 {
 	prod := newRankProduct(st.operand(), workers)
 	defer prod.close()
-	out := make([]float64, st.blk.n)
+	out := make([]float64, st.blk.N)
 	for i := range out {
 		out[i] = -1 // stale values must be overwritten
 	}
@@ -146,8 +147,8 @@ func TestBlockVxMMatchesNaiveScatter(t *testing.T) {
 	}
 	check := func(name string, st *rankState, workers int, r []float64) {
 		t.Helper()
-		want := make([]float64, st.blk.n)
-		naiveScatter(st.blk, want, r)
+		want := make([]float64, st.blk.N)
+		naiveScatter(st, want, r)
 		got := productOf(st, workers, r)
 		for j := range want {
 			if !sameFloatBits(got[j], want[j]) {
@@ -158,7 +159,7 @@ func TestBlockVxMMatchesNaiveScatter(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		for rank, st := range splitMatrix(a, p) {
 			r := append([]float64(nil), special...)
-			if lo := st.blk.lo; st.blk.rows() >= 4 {
+			if lo := st.lo; st.blk.Rows() >= 4 {
 				r[lo], r[lo+1], r[lo+2], r[lo+3] = math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()
 			}
 			name := fmt.Sprintf("p=%d rank %d", p, rank)
@@ -168,7 +169,7 @@ func TestBlockVxMMatchesNaiveScatter(t *testing.T) {
 			}
 		}
 	}
-	empty := &rankState{blk: &block{lo: 5, hi: 5, n: 8, rowPtr: []int64{0}}}
+	empty := &rankState{lo: 5, blk: &sparse.CSR{N: 8, RowPtr: []int64{0}}}
 	check("empty block", empty, 1, make([]float64, 8))
 	check("empty block", empty, 3, make([]float64, 8))
 }

@@ -5,11 +5,12 @@
 // decomposition with a rank-vector all-reduce per iteration for kernel 3).
 //
 // Every rank owns a contiguous block of rows (vertices), stored
-// block-locally as a rectangular CSR (hi-lo+1 row pointers, not n+1), and
-// a contiguous chunk of the input edge list.  Data crossing rank
-// boundaries is metered by the collective layer; the closed-form model
-// PredictedCommBytes reproduces the collective volume exactly, byte for
-// byte, which the prreport command asserts.
+// block-locally as a sparse.CSR row block (hi-lo+1 row pointers, not n+1;
+// the serial kernel 2's type and methods), and a contiguous chunk of the
+// input edge list.  Data crossing rank boundaries is metered by the
+// collective layer; the closed-form model PredictedCommBytes reproduces
+// the collective volume exactly, byte for byte, which the prreport
+// command asserts.
 //
 // The schedule is stated once, as the program one rank runs (rank.go),
 // and Execute runs it three ways (ExecMode):

@@ -21,6 +21,7 @@ import (
 	"repro/internal/edge"
 	"repro/internal/fastio"
 	"repro/internal/pagerank"
+	"repro/internal/sparse"
 	"repro/internal/vfs"
 	"repro/internal/xsort"
 )
@@ -319,18 +320,17 @@ func buildRank(c *rankComm, l *edge.List, n int) (*rankState, float64, int) {
 		local.AppendList(part)
 	}
 	rowLo, rowHi := blockBounds(n, p, c.rank)
-	blk, err := buildBlock(local, n, rowLo, rowHi)
+	blk, err := sparse.FromEdgeRows(local, n, rowLo, rowHi)
 	if err != nil {
 		// Unreachable after validateVertices; a failure here is a routing bug.
 		panic(err)
 	}
-	mass := c.allReduceScalar(blk.sumValues())
-	din := blk.inDegrees()
+	mass := c.allReduceScalar(blk.SumValues())
+	din := blk.InDegrees()
 	c.allReduceSum(din)
-	st := &rankState{blk: blk}
-	var localNNZ int
-	st.danglingRows, localNNZ = filterBlock(blk, din)
-	nnz := int(c.allReduceScalar(float64(localNNZ)))
+	st := &rankState{lo: rowLo, blk: blk}
+	filterBlock(st, din)
+	nnz := int(c.allReduceScalar(float64(blk.NNZ())))
 	return st, mass, nnz
 }
 

@@ -63,12 +63,14 @@ type BuildResult struct {
 	Wire *WireStats
 }
 
-// rankState is one processor's share of the matrix: the rectangular row
-// block (block-local CSR, hi-lo+1 row pointers) plus the owned dangling
+// rankState is one processor's share of the matrix: the row block [lo,
+// lo+blk.Rows()) as a block-local sparse.CSR (hi-lo+1 row pointers, local
+// row i is global row lo+i, columns span all n) plus the owned dangling
 // rows.  p ranks together hold n+p row pointers, the footprint a real
 // distributed memory forces.
 type rankState struct {
-	blk *block
+	lo  int
+	blk *sparse.CSR
 	// danglingRows lists owned rows (global indices) with zero out-degree
 	// after filtering.
 	danglingRows []int
@@ -89,9 +91,21 @@ type rankOperand struct {
 func (st *rankState) operand() *rankOperand {
 	b := st.blk
 	return &rankOperand{
-		lo: b.lo, hi: b.hi, danglingRows: st.danglingRows,
-		at: sparse.TransposeOrdered(b.n, b.rowPtr, b.col, b.val),
+		lo: st.lo, hi: st.lo + b.Rows(), danglingRows: st.danglingRows,
+		at: sparse.TransposeOrdered(b.N, b.RowPtr, b.Col, b.Val),
 	}
+}
+
+// danglingRowsOf lists the rows with zero out-degree, as global indices:
+// dout holds the out-degrees of the rows from lo on.
+func danglingRowsOf(lo int, dout []float64) []int {
+	var rows []int
+	for i, d := range dout {
+		if d == 0 {
+			rows = append(rows, lo+i)
+		}
+	}
+	return rows
 }
 
 // validateVertices checks that every endpoint of l is a vertex of an
@@ -118,29 +132,24 @@ func routeChunk(out []*edge.List, l *edge.List, n, p, lo, hi int) {
 }
 
 // filterBlock applies the kernel-2 filter to one rank's block given the
-// globally reduced in-degree vector, and returns the owned dangling rows
-// (global indices) and the local stored-entry count — the purely local
-// step between the in-degree all-reduce and the NNZ reduction.  The filter
-// semantics are exactly pipeline.ApplyKernel2Filter's, because both derive
-// the column mask from sparse.Kernel2Mask:
+// globally reduced in-degree vector, and records the owned dangling rows
+// — the purely local step between the in-degree all-reduce and the NNZ
+// reduction.  The filter is pipeline.ApplyKernel2Filter's, step for step
+// on the same sparse.CSR methods, with the column mask derived from the
+// global din by sparse.Kernel2Mask:
 //
 //	din = sum(A,1); zero columns with din == max(din) or din == 1;
 //	compact; divide each non-empty row by its out-degree.
 //
 // Degree sums are integer counts, so the all-reduced din is exact and the
 // distributed filter is bit-identical to the serial one.
-func filterBlock(blk *block, din []float64) (dangling []int, nnz int) {
+func filterBlock(st *rankState, din []float64) {
 	mask, _, _, _ := sparse.Kernel2Mask(din)
-	blk.zeroColumns(mask)
-	blk.compact()
-	dout := blk.outDegrees()
-	blk.scaleRows(dout)
-	for i, d := range dout {
-		if d == 0 {
-			dangling = append(dangling, blk.lo+i)
-		}
-	}
-	return dangling, blk.nnz()
+	st.blk.ZeroColumns(mask)
+	st.blk.Compact()
+	dout := st.blk.OutDegrees()
+	st.blk.ScaleRows(dout)
+	st.danglingRows = danglingRowsOf(st.lo, dout)
 }
 
 // splitMatrix views a global matrix as p row-block rankStates sharing the
@@ -148,33 +157,33 @@ func filterBlock(blk *block, din []float64) (dangling []int, nnz int) {
 func splitMatrix(a *sparse.CSR, p int) []*rankState {
 	states := make([]*rankState, p)
 	dout := a.OutDegrees()
-	for r := 0; r < p; r++ {
+	for r := range states {
 		lo, hi := blockBounds(a.N, p, r)
-		st := &rankState{blk: blockOf(a, lo, hi)}
-		for i := lo; i < hi; i++ {
-			if dout[i] == 0 {
-				st.danglingRows = append(st.danglingRows, i)
-			}
-		}
-		states[r] = st
+		states[r] = &rankState{lo: lo, blk: a.RowBlock(lo, hi), danglingRows: danglingRowsOf(lo, dout[lo:hi])}
 	}
 	return states
 }
 
-// assemble concatenates the disjoint row blocks back into one global CSR.
+// assemble concatenates the row blocks, in rank order, back into one
+// global CSR of n columns; the blocks must tile the rows [0, n).
 func assemble(states []*rankState, n int) *sparse.CSR {
 	nnz := 0
 	for _, st := range states {
-		nnz += st.blk.nnz()
+		nnz += st.blk.NNZ()
 	}
 	out := &sparse.CSR{
 		N:      n,
-		RowPtr: make([]int64, n+1),
+		RowPtr: make([]int64, 1, n+1),
 		Col:    make([]uint32, 0, nnz),
 		Val:    make([]float64, 0, nnz),
 	}
 	for _, st := range states {
-		st.blk.appendTo(out)
+		base := int64(len(out.Col))
+		for _, e := range st.blk.RowPtr[1:] {
+			out.RowPtr = append(out.RowPtr, base+e)
+		}
+		out.Col = append(out.Col, st.blk.Col...)
+		out.Val = append(out.Val, st.blk.Val...)
 	}
 	return out
 }

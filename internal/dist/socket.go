@@ -177,6 +177,7 @@ type Session struct {
 // readers deliver each rank's outcome or failure.  Slot r is written by
 // rank r's reader alone.
 type sessJob struct {
+	n        int                 // the job's vertex count, which the ranks' row blocks tile
 	progress func(iteration int) // the caller's hook, fed by rank 0's progress frames
 	ck       *ckptRun
 	vec      []float64 // rank 0's result vector, arrived ahead of its outcome
@@ -528,6 +529,14 @@ func (j *sessJob) frame(rank int, c *fabric.Link, h fabric.Header, payload []byt
 		if out.VecLen != len(out.rankVec) {
 			return nil, fmt.Errorf("dist: rank %d outcome announces a %d-element result vector, %d arrived", rank, out.VecLen, len(out.rankVec))
 		}
+		if len(out.EdgesU) != len(out.EdgesV) {
+			return nil, fmt.Errorf("dist: rank %d sort bucket has %d start and %d end vertices", rank, len(out.EdgesU), len(out.EdgesV))
+		}
+		if out.Block != nil {
+			if err := out.Block.check(j.n, len(j.outs), rank); err != nil {
+				return nil, fmt.Errorf("dist: rank %d outcome block: %v", rank, err)
+			}
+		}
 		return out, nil
 	default:
 		return nil, fmt.Errorf("dist: rank %d sent unexpected %v frame", rank, h.Type)
@@ -572,7 +581,7 @@ func (s *Session) run(ctx context.Context, spec Spec, ck *ckptRun) (*joined, err
 	if err != nil {
 		return nil, err
 	}
-	j := &sessJob{progress: spec.PageRank.Progress, ck: ck, outs: make([]*wireOutcome, p), errs: make([]error, p)}
+	j := &sessJob{n: job.N, progress: spec.PageRank.Progress, ck: ck, outs: make([]*wireOutcome, p), errs: make([]error, p)}
 	j.pending.Add(p)
 	s.mu.Lock()
 	if s.err != nil {
@@ -600,9 +609,8 @@ func (s *Session) run(ctx context.Context, spec Spec, ck *ckptRun) (*joined, err
 			defer sends.Done()
 			err := c.WriteControl(fabric.FrameJob, r, r, buf)
 			if err == nil && job.ShipOperand {
-				lo, hi := blockBounds(spec.Matrix.N, p, r)
-				b := blockOf(spec.Matrix, lo, hi)
-				err = c.WriteBlock(r, b.rowPtr, b.col, b.val)
+				b := spec.Matrix.RowBlock(blockBounds(spec.Matrix.N, p, r))
+				err = c.WriteBlock(r, b.RowPtr, b.Col, b.Val)
 			}
 			if err != nil {
 				s.fail(fmt.Errorf("dist: rank %d worker died: %v", r, err))

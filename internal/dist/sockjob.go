@@ -20,6 +20,7 @@ import (
 	"repro/internal/edge"
 	"repro/internal/fastio"
 	"repro/internal/pagerank"
+	"repro/internal/sparse"
 	"repro/internal/vfs"
 )
 
@@ -96,22 +97,21 @@ type wireJob struct {
 // wireOpt is pagerank.Options minus the function fields, which cannot
 // cross a process boundary (Progress is relayed by frame instead).
 type wireOpt struct {
-	Damping       float64
-	Iterations    int
-	Seed          uint64
-	Dangling      bool
-	Policy        int
-	Teleport      []float64
-	Tolerance     float64
-	EngineWorkers int
-	InitialRank   []float64
+	Damping     float64
+	Iterations  int
+	Seed        uint64
+	Dangling    bool
+	Policy      int
+	Teleport    []float64
+	Tolerance   float64
+	InitialRank []float64
 }
 
 func optToWire(o pagerank.Options) wireOpt {
 	return wireOpt{
 		Damping: o.Damping, Iterations: o.Iterations, Seed: o.Seed,
 		Dangling: o.Dangling, Policy: int(o.Policy), Teleport: o.Teleport,
-		Tolerance: o.Tolerance, EngineWorkers: o.Workers, InitialRank: o.InitialRank,
+		Tolerance: o.Tolerance, InitialRank: o.InitialRank,
 	}
 }
 
@@ -119,8 +119,7 @@ func (w wireOpt) options() pagerank.Options {
 	return pagerank.Options{
 		Damping: w.Damping, Iterations: w.Iterations, Seed: w.Seed,
 		Dangling: w.Dangling, Policy: pagerank.DanglingPolicy(w.Policy),
-		Teleport: w.Teleport, Tolerance: w.Tolerance, Workers: w.EngineWorkers,
-		InitialRank: w.InitialRank,
+		Teleport: w.Teleport, Tolerance: w.Tolerance, InitialRank: w.InitialRank,
 	}
 }
 
@@ -212,28 +211,43 @@ type wireOutcome struct {
 	Spill vfs.IOStats
 }
 
-// wireBlock is one rank's block plus its dangling rows, flattened.
+// wireBlock is rankState with exported fields: one rank's row block
+// plus its dangling rows.
 type wireBlock struct {
-	Lo, Hi, N    int
-	RowPtr       []int64
-	Col          []uint32
-	Val          []float64
+	Lo           int
+	Block        *sparse.CSR
 	DanglingRows []int
 }
 
 func stateToWire(st *rankState) *wireBlock {
-	return &wireBlock{
-		Lo: st.blk.lo, Hi: st.blk.hi, N: st.blk.n,
-		RowPtr: st.blk.rowPtr, Col: st.blk.col, Val: st.blk.val,
-		DanglingRows: st.danglingRows,
-	}
+	return &wireBlock{Lo: st.lo, Block: st.blk, DanglingRows: st.danglingRows}
 }
 
 func (w *wireBlock) state() *rankState {
-	return &rankState{
-		blk:          &block{lo: w.Lo, hi: w.Hi, n: w.N, rowPtr: w.RowPtr, col: w.Col, val: w.Val},
-		danglingRows: w.DanglingRows,
+	return &rankState{lo: w.Lo, blk: w.Block, danglingRows: w.DanglingRows}
+}
+
+// check holds a block that arrived from a socket to what rank of p over
+// n vertices must send: its own rows of all n columns, a valid CSR, and
+// dangling rows among its own, ascending — so that assemble can trust
+// it.
+func (w *wireBlock) check(n, p, rank int) error {
+	lo, hi := blockBounds(n, p, rank)
+	b := w.Block
+	if b == nil || w.Lo != lo || b.Rows() != hi-lo || b.N != n {
+		return fmt.Errorf("not rows [%d,%d) of %d columns", lo, hi, n)
 	}
+	if err := b.Validate(); err != nil {
+		return err
+	}
+	prev := lo - 1
+	for _, i := range w.DanglingRows {
+		if i <= prev || i >= hi {
+			return fmt.Errorf("dangling row %d out of order or outside rows [%d,%d)", i, lo, hi)
+		}
+		prev = i
+	}
+	return nil
 }
 
 // wireOutcomeOf flattens rank's outcome of an op program for the control

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/dist/fabric"
+	"repro/internal/sparse"
 	"repro/internal/vfs"
 )
 
@@ -318,24 +319,19 @@ func readJob(ctrl *fabric.Link, payload []byte, rank, p int) (workerJob, error) 
 		return workerJob{}, fmt.Errorf("dist: unexpected %v frame in place of the operand block", h.Type)
 	}
 	lo, hi := blockBounds(job.N, p, rank)
-	blk := &block{lo: lo, hi: hi, n: job.N}
-	if blk.rowPtr, blk.col, blk.val, err = fabric.DecodeBlock(payload); err != nil {
+	blk := &sparse.CSR{N: job.N}
+	if blk.RowPtr, blk.Col, blk.Val, err = fabric.DecodeBlock(payload); err != nil {
 		return workerJob{}, err
 	}
-	if len(blk.rowPtr) != hi-lo+1 {
-		return workerJob{}, fmt.Errorf("dist: rank %d operand block has %d rows, want rows [%d,%d)", rank, len(blk.rowPtr)-1, lo, hi)
+	if blk.Rows() != hi-lo {
+		return workerJob{}, fmt.Errorf("dist: rank %d operand block has %d rows, want rows [%d,%d)", rank, blk.Rows(), lo, hi)
 	}
-	for _, c := range blk.col {
+	for _, c := range blk.Col {
 		if int(c) >= job.N {
 			return workerJob{}, fmt.Errorf("dist: rank %d operand block: column %d out of range n = %d", rank, c, job.N)
 		}
 	}
-	st := &rankState{blk: blk}
-	for i, d := range blk.outDegrees() {
-		if d == 0 {
-			st.danglingRows = append(st.danglingRows, lo+i)
-		}
-	}
+	st := &rankState{lo: lo, blk: blk, danglingRows: danglingRowsOf(lo, blk.OutDegrees())}
 	return workerJob{job: job, k3: st.operand()}, nil
 }
 

@@ -1,7 +1,7 @@
 package pagerank
 
-// The reusable kernel-3 iteration engine.  RunCustom and every serial
-// engine build on it; the distributed runtime (internal/dist) drives one
+// The reusable kernel-3 iteration engine.  Every serial engine builds on
+// it; the distributed runtime (internal/dist) drives one
 // per replica.  The point of the type is the allocation budget: all
 // iteration state — the current and next rank vectors and the resolved
 // option scalars — is allocated once at construction, so the steady-state
@@ -11,6 +11,7 @@ package pagerank
 
 import (
 	"context"
+	"runtime"
 
 	"repro/internal/sparse"
 )
@@ -19,7 +20,7 @@ import (
 //
 //	r' = c·(r·A) + (1-c)·sum(r)·v + c·D(r)·w
 //
-// (the update RunCustom documents).  Construct it once with NewEngine,
+// (the update NewEngine documents).  Construct it once with NewEngine,
 // then either call Run to drive it to completion or call Iterate step by
 // step.  Iterate allocates nothing, so a fixed-size problem iterates at a
 // steady-state allocation rate of zero — the hybrid runtime's allocation
@@ -45,9 +46,22 @@ type Engine struct {
 }
 
 // NewEngine validates opt and builds an engine over the given step and
-// dangling-mass hooks (see RunCustom for their contracts; dangleMass may
-// be nil when no dangling policy is active).  The initial vector is
-// materialized immediately — a copy of opt.InitialRank, or InitVector.
+// dangling-mass hooks.  Each iteration computes
+//
+//	r' = c·(r·A) + (1-c)·sum(r)·v + c·D(r)·w
+//
+// where v is the teleport vector (uniform by default), and the dangling
+// term D(r)·w depends on the policy: absent (ignore), uniform w (weakly
+// preferential), or w = v (strongly preferential).
+//
+// step evaluates out = r·A and dangleMass returns D(r), the rank mass on
+// zero-out-degree vertices (called only when a dangling policy is
+// active; it may be nil otherwise).  Both are extension points: the
+// serial engines supply a local product and a mask scan, while the
+// distributed runtime (internal/dist) supplies a metered all-reduce
+// product and a metered scalar reduction, so every engine shares these
+// update semantics exactly.  The initial vector is materialized
+// immediately — a copy of opt.InitialRank, or InitVector.
 func NewEngine(n int, step func(out, r []float64), dangleMass func(r []float64) float64, opt Options) (*Engine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -248,7 +262,7 @@ func NewGatherEngine(a *sparse.CSR, opt Options) (*Engine, error) {
 // steady-state iterations perform zero heap allocations while using every
 // configured core.  Every row is computed by one worker with the serial
 // loop, so the bits are Gather's for every worker count.  Close must be
-// called when done (Parallel does).
+// called when done.
 type ParallelEngine struct {
 	eng  *Engine
 	team *sparse.Team
@@ -257,10 +271,9 @@ type ParallelEngine struct {
 // NewParallelEngine validates opt and builds the reusable parallel engine
 // over at = a.TransposeOrdered(), which the engine only reads: a caller
 // that holds one — the matrix cache keeps one beside each resident
-// matrix — passes it, and nil builds it.  The worker count is
-// Options.Workers (defaulted like Parallel); tiny problems degenerate to
-// the serial gather.
-func NewParallelEngine(a *sparse.CSR, at *sparse.Ordered, opt Options) (*ParallelEngine, error) {
+// matrix — passes it, and nil builds it.  The team is workers wide, <= 0
+// meaning GOMAXPROCS; tiny problems degenerate to the serial gather.
+func NewParallelEngine(a *sparse.CSR, at *sparse.Ordered, workers int, opt Options) (*ParallelEngine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -270,7 +283,9 @@ func NewParallelEngine(a *sparse.CSR, at *sparse.Ordered, opt Options) (*Paralle
 	if at == nil {
 		at = a.TransposeOrdered()
 	}
-	workers := workersOr(opt.Workers)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	pe := &ParallelEngine{}
 	step := at.MxV
 	if workers >= 2 && a.N >= 2*workers {
@@ -290,7 +305,7 @@ func NewParallelEngine(a *sparse.CSR, at *sparse.Ordered, opt Options) (*Paralle
 // control and benchmarks).
 func (pe *ParallelEngine) Engine() *Engine { return pe.eng }
 
-// Run drives the engine to completion, like Parallel.
+// Run drives the engine to completion.
 func (pe *ParallelEngine) Run() *Result { return pe.eng.Run() }
 
 // RunContext drives the engine to completion with a per-iteration

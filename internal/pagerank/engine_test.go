@@ -74,8 +74,8 @@ func TestGatherEngineWithSharedTranspose(t *testing.T) {
 	}
 	want := own.Run().Rank
 	for i := 0; i < 3; i++ {
-		opt.Workers = 1 + i%2
-		pe, err := NewParallelEngine(a, at, opt)
+		workers := 1 + i%2
+		pe, err := NewParallelEngine(a, at, workers, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestGatherEngineWithSharedTranspose(t *testing.T) {
 		pe.Close()
 		for j, v := range got {
 			if v != want[j] {
-				t.Fatalf("engine %d (%d workers) over the shared transpose differs at %d: %v vs %v", i, opt.Workers, j, v, want[j])
+				t.Fatalf("engine %d (%d workers) over the shared transpose differs at %d: %v vs %v", i, workers, j, v, want[j])
 			}
 		}
 	}
@@ -132,8 +132,7 @@ func TestParallelEqualsGatherBitForBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
-		opt.Workers = workers
-		got, err := Parallel(a, opt)
+		got, err := runParallel(a, workers, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +167,7 @@ func TestEngineIterateZeroAllocs(t *testing.T) {
 
 func TestParallelEngineIterateZeroAllocs(t *testing.T) {
 	a := engineTestMatrix(t, 5, 1<<13, 1<<10)
-	pe, err := NewParallelEngine(a, nil, Options{Seed: 1, Workers: 4, Dangling: true})
+	pe, err := NewParallelEngine(a, nil, 4, Options{Seed: 1, Dangling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func BenchmarkEngineIterate(b *testing.B) {
 
 func BenchmarkParallelEngineIterate(b *testing.B) {
 	a := engineTestMatrix(b, 6, 16<<12, 1<<12)
-	pe, err := NewParallelEngine(a, nil, Options{Seed: 1, Workers: 4})
+	pe, err := NewParallelEngine(a, nil, 4, Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -239,9 +238,9 @@ func TestEngineRanksGolden(t *testing.T) {
 		{"uniform, personalized", Options{Seed: 5, Policy: DanglingUniform, Teleport: v}, 0x31cdf2f53610d140},
 		{"teleport", Options{Seed: 5, Policy: DanglingTeleport, Teleport: v}, 0x08f3e0bd16d88dd3},
 	} {
-		tc.opt.Workers = 3
 		for engine, run := range map[string]func(*sparse.CSR, Options) (*Result, error){
-			"scatter": Scatter, "gather": Gather, "parallel": Parallel,
+			"scatter": Scatter, "gather": Gather,
+			"parallel": func(a *sparse.CSR, opt Options) (*Result, error) { return runParallel(a, 3, opt) },
 		} {
 			res, err := run(a, tc.opt)
 			if err != nil {
@@ -266,8 +265,7 @@ func TestIgnorePolicyBuildsNoDanglingMask(t *testing.T) {
 	constructed := func(opt Options) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		opt.Workers = 1
-		if _, err := NewParallelEngine(a, at, opt); err != nil {
+		if _, err := NewParallelEngine(a, at, 1, opt); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -283,11 +281,11 @@ func TestIgnorePolicyBuildsNoDanglingMask(t *testing.T) {
 	}
 }
 
-// TestWorkersDefaultIsGOMAXPROCS pins Options.Workers <= 0 to its
+// TestWorkersDefaultIsGOMAXPROCS pins a team width <= 0 to its
 // documented meaning — the team is as wide as GOMAXPROCS, serial on one
-// processor — and the ranks to the serial gather's bits whatever the
-// default resolves to (TestParallelEqualsGatherBitForBit covers the
-// explicit counts).
+// processor, while an explicit width ignores GOMAXPROCS — and the ranks
+// to the serial gather's bits whatever the default resolves to
+// (TestParallelEqualsGatherBitForBit covers the explicit counts).
 func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	a := engineTestMatrix(t, 3, 1<<13, 1<<10)
@@ -298,22 +296,31 @@ func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
 	}
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		if w0, wNeg, w5 := workersOr(0), workersOr(-1), workersOr(5); w0 != procs || wNeg != procs || w5 != 5 {
-			t.Fatalf("GOMAXPROCS=%d: workersOr(0, -1, 5) = %d, %d, %d", procs, w0, wNeg, w5)
-		}
-		pe, err := NewParallelEngine(a, nil, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (pe.team == nil) != (procs == 1) {
-			t.Errorf("GOMAXPROCS=%d: worker team present = %v", procs, pe.team != nil)
-		}
-		got := pe.Run()
-		pe.Close()
-		for i := range want.Rank {
-			if got.Rank[i] != want.Rank[i] {
-				t.Fatalf("GOMAXPROCS=%d: rank[%d] = %v, Gather %v", procs, i, got.Rank[i], want.Rank[i])
+		for _, workers := range []int{0, -1, 5} {
+			pe, err := NewParallelEngine(a, nil, workers, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if team := pe.team != nil; team != (procs > 1 || workers == 5) {
+				t.Errorf("GOMAXPROCS=%d, workers=%d: worker team present = %v", procs, workers, team)
+			}
+			got := pe.Run()
+			pe.Close()
+			for i := range want.Rank {
+				if got.Rank[i] != want.Rank[i] {
+					t.Fatalf("GOMAXPROCS=%d, workers=%d: rank[%d] = %v, Gather %v", procs, workers, i, got.Rank[i], want.Rank[i])
+				}
 			}
 		}
 	}
+}
+
+// runParallel is one run of a parallel engine workers wide.
+func runParallel(a *sparse.CSR, workers int, opt Options) (*Result, error) {
+	pe, err := NewParallelEngine(a, nil, workers, opt)
+	if err != nil {
+		return nil, err
+	}
+	defer pe.Close()
+	return pe.Run(), nil
 }

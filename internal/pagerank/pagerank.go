@@ -3,7 +3,6 @@ package pagerank
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/graphblas"
 	"repro/internal/sparse"
@@ -80,9 +79,6 @@ type Options struct {
 	// "real application" convergence mode the paper contrasts with fixed
 	// iteration counts.
 	Tolerance float64
-	// Workers is the parallel engine's team width; <= 0 means GOMAXPROCS.
-	// The rank bits do not depend on it.
-	Workers int
 	// InitialRank, when non-nil, seeds the iteration with the given vector
 	// instead of InitVector(N, Seed) — the restart path for checkpointed
 	// runs.  It must have length N; it is copied, not aliased.
@@ -209,32 +205,6 @@ func danglingMask(a *sparse.CSR) func() []bool {
 	}
 }
 
-// RunCustom is the shared iteration driver.  Each iteration computes
-//
-//	r' = c·(r·A) + (1-c)·sum(r)·v + c·D(r)·w
-//
-// where v is the teleport vector (uniform by default), and the dangling
-// term D(r)·w depends on the policy: absent (ignore), uniform w (weakly
-// preferential), or w = v (strongly preferential).
-//
-// step evaluates out = r·A and dangleMass returns D(r), the rank mass on
-// zero-out-degree vertices (called only when a dangling policy is
-// active).  Both are extension points: the serial engines supply a local
-// product and a mask scan, while the distributed runtime (internal/dist)
-// supplies a metered all-reduce product and a metered scalar reduction,
-// so every engine shares these update semantics exactly.
-//
-// RunCustom is the one-shot form of the reusable Engine (engine.go): it
-// constructs an engine — the only allocations of the run — and drives it
-// to completion, so every iteration after the first is allocation-free.
-func RunCustom(n int, step func(out, r []float64), dangleMass func(r []float64) float64, opt Options) (*Result, error) {
-	e, err := NewEngine(n, step, dangleMass, opt)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(), nil
-}
-
 // Scatter runs PageRank with the CSR scatter engine: each stored entry
 // A(i,j) contributes r[i]·A(i,j) to out[j] in row-major order.
 func Scatter(a *sparse.CSR, opt Options) (*Result, error) {
@@ -256,42 +226,8 @@ func Gather(a *sparse.CSR, opt Options) (*Result, error) {
 	return e.Run(), nil
 }
 
-// Parallel runs PageRank with the chunk-scheduled parallel gather
-// engine: a one-shot NewParallelEngine run.  The persistent worker team
-// means the 20-iteration benchmark spawns its goroutines once, not per
-// step, and iterations allocate nothing; results are bit-for-bit those
-// of the serial gather engine (each output row is computed identically
-// by exactly one worker).
-func Parallel(a *sparse.CSR, opt Options) (*Result, error) {
-	pe, err := NewParallelEngine(a, nil, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer pe.Close()
-	return pe.Run(), nil
-}
-
-// workersOr resolves Options.Workers: <= 0 means GOMAXPROCS.
-func workersOr(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
-// GraphBLAS runs PageRank expressed over the generic (+, ×) semiring.
-func GraphBLAS(m *graphblas.Matrix[float64], opt Options) (*Result, error) {
-	e, err := NewGraphBLASEngine(m, opt)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(), nil
-}
-
 // NewGraphBLASEngine builds a reusable engine over the generic (+, ×)
-// semiring product — the engine behind GraphBLAS, exported so callers
-// needing iteration-level control (or RunContext cancellation) get it for
-// the generic representation too.
+// semiring product: PageRank expressed in GraphBLAS form.
 func NewGraphBLASEngine(m *graphblas.Matrix[float64], opt Options) (*Engine, error) {
 	n := m.Dim()
 	dangling := func() []bool {

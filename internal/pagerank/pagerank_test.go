@@ -101,7 +101,7 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Parallel(a, Options{Seed: 5, Workers: 3})
+	par, err := runParallel(a, 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,11 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := GraphBLAS(gm, opt)
+	gbe, err := NewGraphBLASEngine(gm, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gb := gbe.Run()
 	for name, r := range map[string][]float64{"gather": gat.Rank, "parallel": par.Rank, "graphblas": gb.Rank} {
 		for i := range ref.Rank {
 			if math.Abs(r[i]-ref.Rank[i]) > 1e-9 {
@@ -298,8 +299,8 @@ func TestInvalidOptionsPropagate(t *testing.T) {
 	if _, err := Gather(a, Options{Damping: 2}); err == nil {
 		t.Error("Gather accepted damping 2")
 	}
-	if _, err := Parallel(a, Options{Damping: 2}); err == nil {
-		t.Error("Parallel accepted damping 2")
+	if _, err := NewParallelEngine(a, nil, 2, Options{Damping: 2}); err == nil {
+		t.Error("NewParallelEngine accepted damping 2")
 	}
 }
 

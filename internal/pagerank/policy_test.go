@@ -176,7 +176,7 @@ func TestAllEnginesSupportPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Parallel(a, Options{Seed: 5, Teleport: v, Policy: DanglingTeleport, Workers: 3})
+	par, err := runParallel(a, 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

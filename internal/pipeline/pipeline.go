@@ -866,9 +866,7 @@ func buildMatrix(r *Run) error {
 // Config.Workers wide (csr, extsort, parallel).  The bits are the serial
 // gather's for every worker count.
 func gatherKernel3(r *Run) error {
-	opt := r.Cfg.PageRank
-	opt.Workers = r.Cfg.Workers
-	pe, err := pagerank.NewParallelEngine(r.Matrix, r.Transposed(), opt)
+	pe, err := pagerank.NewParallelEngine(r.Matrix, r.Transposed(), r.Cfg.Workers, r.Cfg.PageRank)
 	if err != nil {
 		return err
 	}

@@ -7,8 +7,9 @@
 // (leaves), and divides every non-empty row by its out-degree.  Kernel 3
 // repeatedly evaluates the row-vector × matrix product r·A.
 //
-// The package provides a CSR (compressed sparse row) matrix with float64
-// values and uint32 column indices (dimension ≤ 2^32, far above feasible
+// The package provides a CSR (compressed sparse row) matrix — square, or
+// a block of its rows, a distributed rank's share — with float64 values
+// and uint32 column indices (dimension ≤ 2^32, far above feasible
 // benchmark scales), builders from edge lists in several sortedness states,
 // column/row reductions and scaling, transposition, dense conversion for
 // validation, the scatter (row-major) product, and the gather product

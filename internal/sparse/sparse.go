@@ -12,13 +12,16 @@ import (
 // MaxDim is the largest supported matrix dimension (uint32 column labels).
 const MaxDim = 1 << 32
 
-// CSR is a square sparse matrix in compressed sparse row form.
-// Row i's entries live in Col[RowPtr[i]:RowPtr[i+1]] (column indices,
-// strictly increasing within a row) and Val likewise.
+// CSR is a sparse matrix in compressed sparse row form: the square N×N
+// matrix, or a block of its rows (a distributed rank's share, DESIGN.md
+// §5), whose Rows() rows span all N columns.  Row i's entries live in
+// Col[RowPtr[i]:RowPtr[i+1]] (column indices, strictly increasing within
+// a row) and Val likewise.  Transpose and Dense read a square matrix;
+// every other method takes either shape.
 type CSR struct {
-	// N is the matrix dimension.
+	// N is the column dimension (and the row count of a square matrix).
 	N int
-	// RowPtr has length N+1; RowPtr[0] == 0 and RowPtr[N] == NNZ.
+	// RowPtr has length Rows()+1; RowPtr[0] == 0 and the last is NNZ.
 	RowPtr []int64
 	// Col holds the column index of each stored entry.
 	Col []uint32
@@ -28,6 +31,23 @@ type CSR struct {
 
 // NNZ returns the number of stored entries (including explicit zeros).
 func (a *CSR) NNZ() int { return len(a.Col) }
+
+// Rows returns the row count: N for a square matrix, hi-lo for a row
+// block.
+func (a *CSR) Rows() int { return len(a.RowPtr) - 1 }
+
+// RowBlock returns the rows [lo, hi) as a block that shares Col and Val
+// with a; only the row pointers, rebased to start at zero, are new.  The
+// shared slices are capped, so an append to the block cannot overwrite
+// the rows after it.
+func (a *CSR) RowBlock(lo, hi int) *CSR {
+	base, end := a.RowPtr[lo], a.RowPtr[hi]
+	rowPtr := make([]int64, hi-lo+1)
+	for i, e := range a.RowPtr[lo : hi+1] {
+		rowPtr[i] = e - base
+	}
+	return &CSR{N: a.N, RowPtr: rowPtr, Col: a.Col[base:end:end], Val: a.Val[base:end:end]}
+}
 
 // Footprint returns the matrix's in-memory size in bytes — the three
 // CSR arrays at their allocated capacity.  The service layer's matrix
@@ -72,19 +92,21 @@ func (a *CSR) Clone() *CSR {
 }
 
 // Validate checks structural invariants: monotone row pointers, in-range
-// and strictly increasing column indices.  It is used by tests and by the
-// pipeline's self-checks.
+// and strictly increasing column indices.  It is used by tests, and on
+// row blocks that arrive from a socket, so it indexes nothing before
+// checking it.
 func (a *CSR) Validate() error {
-	if len(a.RowPtr) != a.N+1 {
-		return fmt.Errorf("sparse: RowPtr length %d, want N+1 = %d", len(a.RowPtr), a.N+1)
+	if len(a.RowPtr) == 0 {
+		return fmt.Errorf("sparse: empty RowPtr, want Rows()+1 entries")
 	}
-	if a.RowPtr[0] != 0 || a.RowPtr[a.N] != int64(len(a.Col)) || len(a.Col) != len(a.Val) {
+	nnz := int64(len(a.Col))
+	if a.RowPtr[0] != 0 || a.RowPtr[a.Rows()] != nnz || len(a.Col) != len(a.Val) {
 		return fmt.Errorf("sparse: inconsistent RowPtr bounds or slice lengths")
 	}
-	for i := 0; i < a.N; i++ {
+	for i := 0; i < a.Rows(); i++ {
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		if lo > hi {
-			return fmt.Errorf("sparse: row %d has negative extent", i)
+		if lo > hi || hi > nnz {
+			return fmt.Errorf("sparse: row %d has extent [%d,%d) outside [0,%d)", i, lo, hi, nnz)
 		}
 		for k := lo; k < hi; k++ {
 			if int(a.Col[k]) >= a.N {
@@ -105,32 +127,42 @@ func (a *CSR) Validate() error {
 // arbitrary order: A(u,v) = multiplicity of edge (u,v).  It does not modify
 // the input.  Cost is O(M + N) time using a counting pass over start
 // vertices followed by per-row sorting and duplicate accumulation.
-func FromEdges(l *edge.List, n int) (*CSR, error) {
+func FromEdges(l *edge.List, n int) (*CSR, error) { return FromEdgeRows(l, n, 0, n) }
+
+// FromEdgeRows builds the rows [lo, hi) of the N×N counting adjacency
+// matrix as a row block (local row i is row lo+i) from an edge list in
+// arbitrary order whose start vertices all lie in [lo, hi) — a
+// distributed rank's kernel-2 build.  The block's entries are exactly
+// those rows of FromEdges over the whole graph.
+func FromEdgeRows(l *edge.List, n, lo, hi int) (*CSR, error) {
 	if err := checkDim(n); err != nil {
 		return nil, err
 	}
-	m := l.Len()
-	// Count row occupancy (with duplicates).
-	rowPtr := make([]int64, n+1)
-	for _, u := range l.U {
-		if u >= uint64(n) {
-			return nil, fmt.Errorf("sparse: start vertex %d out of range N=%d", u, n)
-		}
-		rowPtr[u+1]++
+	if lo < 0 || lo > hi || hi > n {
+		return nil, fmt.Errorf("sparse: rows [%d,%d) out of range N=%d", lo, hi, n)
 	}
-	for i := 0; i < n; i++ {
+	m, rows := l.Len(), hi-lo
+	// Count row occupancy (with duplicates).
+	rowPtr := make([]int64, rows+1)
+	for _, u := range l.U {
+		if u < uint64(lo) || u >= uint64(hi) {
+			return nil, fmt.Errorf("sparse: start vertex %d outside rows [%d,%d) of N=%d", u, lo, hi, n)
+		}
+		rowPtr[u-uint64(lo)+1]++
+	}
+	for i := 0; i < rows; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
 	// Scatter columns into row buckets.
 	cols := make([]uint32, m)
-	next := make([]int64, n)
-	copy(next, rowPtr[:n])
+	next := make([]int64, rows)
+	copy(next, rowPtr[:rows])
 	for i := 0; i < m; i++ {
 		v := l.V[i]
 		if v >= uint64(n) {
 			return nil, fmt.Errorf("sparse: end vertex %d out of range N=%d", v, n)
 		}
-		u := l.U[i]
+		u := l.U[i] - uint64(lo)
 		cols[next[u]] = uint32(v)
 		next[u]++
 	}
@@ -175,23 +207,24 @@ func checkDim(n int) error {
 }
 
 // compressRows sorts each row bucket of cols, accumulates duplicates into
-// counts, and assembles the final CSR.  rowPtr delimits the uncompressed
-// buckets; cols is consumed as scratch.  The first pass sorts the buckets
+// counts, and assembles the final CSR of n columns.  rowPtr delimits the
+// uncompressed buckets, one per row; cols is consumed as scratch.  The first pass sorts the buckets
 // and counts their distinct columns, so that Col and Val are allocated
 // once, at exactly NNZ entries: a matrix costs the same handful of
 // allocations whatever its size (the caller's two, and five here — the
 // radix tier's scratch is one slice as long as the longest row).
 func compressRows(n int, rowPtr []int64, cols []uint32) *CSR {
+	rows := len(rowPtr) - 1
 	longest := int64(0)
-	for i := 0; i < n; i++ {
+	for i := 0; i < rows; i++ {
 		longest = max(longest, rowPtr[i+1]-rowPtr[i])
 	}
 	var scratch []uint32
 	if longest >= radixRowLen {
 		scratch = make([]uint32, longest)
 	}
-	distinct := make([]int64, n+1) // distinct[i+1]: row i, then the running sum
-	for i := 0; i < n; i++ {
+	distinct := make([]int64, rows+1) // distinct[i+1]: row i, then the running sum
+	for i := 0; i < rows; i++ {
 		row := cols[rowPtr[i]:rowPtr[i+1]]
 		sortUint32(row, scratch)
 		d := int64(0)
@@ -202,9 +235,9 @@ func compressRows(n int, rowPtr []int64, cols []uint32) *CSR {
 		}
 		distinct[i+1] = distinct[i] + d
 	}
-	nnz := distinct[n]
+	nnz := distinct[rows]
 	a := &CSR{N: n, RowPtr: distinct, Col: make([]uint32, 0, nnz), Val: make([]float64, 0, nnz)}
-	for i := 0; i < n; i++ {
+	for i := 0; i < rows; i++ {
 		a.Col, a.Val = appendRuns(a.Col, a.Val, cols[rowPtr[i]:rowPtr[i+1]])
 	}
 	return a
@@ -339,7 +372,8 @@ func FromTriplets(n int, rows, cols []int, vals []float64) (*CSR, error) {
 // ---------------------------------------------------------------------------
 // Reductions and scaling (the kernel-2 steps)
 
-// InDegrees returns the column sums din = sum(A, 1) as a dense vector.
+// InDegrees returns the column sums din = sum(A, 1) as a dense vector of
+// length N (a row block's share of the global column sums).
 func (a *CSR) InDegrees() []float64 {
 	din := make([]float64, a.N)
 	for k, c := range a.Col {
@@ -348,10 +382,11 @@ func (a *CSR) InDegrees() []float64 {
 	return din
 }
 
-// OutDegrees returns the row sums dout = sum(A, 2) as a dense vector.
+// OutDegrees returns the row sums dout = sum(A, 2) as a dense vector of
+// length Rows().
 func (a *CSR) OutDegrees() []float64 {
-	dout := make([]float64, a.N)
-	for i := 0; i < a.N; i++ {
+	dout := make([]float64, a.Rows())
+	for i := range dout {
 		var s float64
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			s += a.Val[k]
@@ -379,7 +414,7 @@ func (a *CSR) ZeroColumns(mask []bool) int {
 func (a *CSR) Compact() {
 	w := int64(0)
 	read := int64(0)
-	for i := 0; i < a.N; i++ {
+	for i := 0; i < a.Rows(); i++ {
 		hi := a.RowPtr[i+1]
 		for ; read < hi; read++ {
 			if a.Val[read] != 0 {
@@ -398,7 +433,7 @@ func (a *CSR) Compact() {
 // non-zero: the kernel-2 normalization A(i,:) = A(i,:) / dout(i) for
 // dout(i) > 0.
 func (a *CSR) ScaleRows(scale []float64) {
-	for i := 0; i < a.N; i++ {
+	for i := 0; i < a.Rows(); i++ {
 		s := scale[i]
 		if s == 0 {
 			continue
@@ -499,12 +534,12 @@ func (a *CSR) Dense() ([][]float64, error) {
 
 // VxM computes out = r·A (row vector times matrix) with the scatter
 // formulation: for every stored entry A(i,j), out[j] += r[i]·A(i,j).
-// out must have length N and is overwritten.
+// r must have length Rows(); out must have length N and is overwritten.
 func (a *CSR) VxM(out, r []float64) {
 	for i := range out {
 		out[i] = 0
 	}
-	for i := 0; i < a.N; i++ {
+	for i := 0; i < a.Rows(); i++ {
 		ri := r[i]
 		if ri == 0 {
 			continue
@@ -518,7 +553,7 @@ func (a *CSR) VxM(out, r []float64) {
 // MxV computes out = A·x (matrix times column vector) with the gather
 // formulation: out[i] = Σ_k A(i,k)·x[k].  Applied to Aᵀ this evaluates
 // r·A by gathering, the cache-friendly alternative to VxM's scattering.
-func (a *CSR) MxV(out, x []float64) { a.MxVRange(out, x, 0, a.N) }
+func (a *CSR) MxV(out, x []float64) { a.MxVRange(out, x, 0, a.Rows()) }
 
 // MxVRange computes the rows [lo, hi) of out = A·x — the gather product
 // restricted to a contiguous row range.  Each output element depends only
