@@ -94,7 +94,7 @@ func BenchmarkAblationSortUVsUV(b *testing.B) {
 		sort func(*edge.List)
 	}{
 		{"u-only", xsort.RadixByU},
-		{"u-and-v", xsort.RadixByUV},
+		{"u-and-v", func(l *edge.List) { xsort.RadixInto(l, true, nil) }},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -117,7 +117,7 @@ func BenchmarkAblationRadixVsStdSort(b *testing.B) {
 	}{
 		{"radix", xsort.RadixByU},
 		{"std", xsort.ByU},
-		{"parallel", func(l *edge.List) { xsort.ParallelByU(l, 4) }},
+		{"parallel", func(l *edge.List) { xsort.Sort(l, false, 4) }},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -20,11 +20,12 @@
 //
 // Edge-file formats and out-of-core kernel 1: -format selects the on-disk
 // codec for the kernel files (tsv is the paper-faithful default) and
-// -runedges bounds extsort's run buffer, or takes the dist variants'
-// sort out of core with that per-rank buffer; -json reports the encoded
-// file footprint and the spill record:
+// -runedges takes kernel 1 out of core with that run buffer (every
+// variant but coo; per rank for the dist variants' sample sort); -json
+// reports the encoded file footprint and the spill record:
 //
 //	prbench -scale 16 -variant extsort -format packed -runedges 65536 -json
+//	prbench -scale 16 -variant csr -runedges 65536
 //	prbench -scale 14 -variant dist -workers 8 -runedges 65536
 //
 // Checkpoint/restart of the distributed kernel 3 (-checkpoint-every
@@ -95,14 +96,14 @@ var (
 	nfiles      = flag.Int("nfiles", 1, "number of edge files (the paper's free parameter)")
 	variant     = flag.String("variant", "csr", "implementation variant; a comma-separated list or 'all' runs each in turn, cold, and tabulates per-kernel edges/s (-cachesweep takes lists too; -json and -checkpoint-every take one variant)")
 	generator   = flag.String("generator", "kronecker", "kernel-0 generator: kronecker, ppl, er")
-	workers     = flag.Int("workers", 0, "kernel-3 gather team width (csr, extsort, parallel; same bits at any width) and parallel's K0/K1 workers, or the dist variants' rank count (0 = GOMAXPROCS, or 4 ranks)")
+	workers     = flag.Int("workers", 0, "kernel-1 sort width (all but coo) and kernel-3 gather team width (csr, extsort, parallel), same bits at any width, and parallel's K0 workers; or the dist variants' rank count (0 = GOMAXPROCS, or 4 ranks)")
 	dir         = flag.String("dir", "", "storage directory (empty = in-memory)")
 	iterations  = flag.Int("iterations", 20, "kernel-3 PageRank iterations")
 	damping     = flag.Float64("damping", 0.85, "kernel-3 damping factor c")
 	dangling    = flag.Bool("dangling", false, "apply the dangling-node correction in kernel 3")
 	sortEnds    = flag.Bool("sortends", false, "kernel 1 sorts by (u,v) instead of u")
 	kernels     = flag.String("kernels", "0123", "kernels to run, e.g. 01 or 23")
-	runEdges    = flag.Int("runedges", 0, "out-of-core run-buffer size in edges: extsort's (0 = M/4), or the dist variants' per rank (0 = sort in memory)")
+	runEdges    = flag.Int("runedges", 0, "kernel-1 run-buffer size in edges: > 0 sorts out of core (all but coo; per rank for dist), 0 in memory (extsort: M/4)")
 	distMode    = flag.String("distmode", "", "distributed execution of the dist variants: sim, goroutine or socket (empty = variant default)")
 	rankWorkers = flag.Int("rankworkers", 1, "hybrid intra-rank worker goroutines per rank (dist variants)")
 	format      = flag.String("format", "", "edge-file format: tsv, naivetsv, bin, packed (default: variant's)")

@@ -199,10 +199,12 @@ func TestEdgeCaseStripedSourceAcrossManyEmptyStripes(t *testing.T) {
 func TestEdgeCaseParallelSortWorkerExtremes(t *testing.T) {
 	l := kroneckerList(t, 7, 11)
 	for _, workers := range []int{1, 2, l.Len(), l.Len() * 2} {
-		c := l.Clone()
-		xsort.ParallelByU(c, workers)
-		if !c.IsSortedByU() || !c.SameMultiset(l) {
-			t.Fatalf("workers=%d: parallel sort incorrect", workers)
+		for _, byUV := range []bool{false, true} {
+			c := l.Clone()
+			xsort.Sort(c, byUV, workers)
+			if !c.IsSortedByU() || byUV && !c.IsSortedByUV() || !c.SameMultiset(l) {
+				t.Fatalf("workers=%d byUV=%v: parallel sort incorrect", workers, byUV)
+			}
 		}
 	}
 }

@@ -61,8 +61,8 @@ type Spec struct {
 	// intra-rank workers.  Results are bit-for-bit invariant in both.
 	// Mode applies to every op; Workers parallelizes the kernel-3 block
 	// product (OpRun, OpRunMatrix) and the in-memory kernel-1 bucket
-	// partitioning (OpSort) — OpBuildFiltered and the out-of-core sort
-	// have no intra-rank worker stage and ignore it.
+	// partitioning and sort (OpSort, xsort.Sort) — OpBuildFiltered and
+	// the out-of-core sort have no intra-rank worker stage and ignore it.
 	Config
 	// Op selects the program.
 	Op Op
@@ -231,7 +231,7 @@ func Execute(ctx context.Context, spec Spec) (*Outcome, error) {
 			spec.Ext = spec.Ext.withDefaults()
 		case spec.Procs == 1 || spec.Edges.Len() == 0:
 			out := spec.Edges.Clone()
-			xsort.RadixByU(out)
+			xsort.Sort(out, false, spec.workers())
 			return &Outcome{Sort: &SortResult{Sorted: out}}, nil
 		}
 	}

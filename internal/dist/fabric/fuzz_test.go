@@ -29,7 +29,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add(frame(FrameSegments, AppendSegments(nil, []*edge.List{l, edge.NewList(0)})))
 	f.Add(frame(FrameString, []byte("peer rank failed")))
 	f.Add(frame(FrameJoin, AppendJoin(nil, Join{FabricID: "f", MeshNetwork: "unix", MeshAddr: "/x"})))
-	f.Add(frame(FrameWelcome, AppendWelcome(nil, Welcome{Rank: 0, Procs: 2, MeshNetwork: "unix", MeshAddrs: []string{"", "/y"}})))
+	f.Add(frame(FrameWelcome, AppendWelcome(nil, Welcome{Rank: 0, Procs: 2, IOTimeout: -1, MeshNetwork: "unix", MeshAddrs: []string{"", "/y"}})))
 	f.Add(frame(FrameMeshHello, AppendMeshHello(nil, MeshHello{FabricID: "f", Src: 1, Dst: 0})))
 	f.Add(frame(FrameBlock, AppendBlock(nil, []int64{0, 2, 2, 3}, []uint32{0, 7, 1 << 31}, []float64{0.5, 0.5, 1})))
 	f.Add(frame(FrameBlock, AppendBlock(nil, []int64{0}, nil, nil)))

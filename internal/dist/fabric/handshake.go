@@ -11,7 +11,8 @@ package fabric
 // Sequence, with w = worker, c = coordinator, r = assigned rank:
 //
 //	w→c  FrameJoin     {fabric id, mesh network, mesh address}
-//	c→w  FrameWelcome  {rank, p, all p mesh addresses}   (or FrameReject)
+//	c→w  FrameWelcome  {rank, p, io timeout, all p mesh addresses}
+//	                   (or FrameReject)
 //	w→w  FrameMeshHello {fabric id, src, dst}  — rank r dials every
 //	     s < r and sends the hello; r accepts p-1-r conns from s > r
 //	     and validates theirs.  One conn per unordered rank pair.
@@ -24,7 +25,11 @@ package fabric
 // Every frame carries the wire version in its header, so a version
 // mismatch fails at the first frame either side reads.
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"time"
+)
 
 // maxProcs bounds the rank count a handshake message may claim, keeping
 // a corrupt Welcome from sizing an absurd allocation.
@@ -68,11 +73,15 @@ func ParseJoin(payload []byte) (Join, error) {
 }
 
 // Welcome is the coordinator's admission reply: the worker's assigned
-// rank, the fabric's rank count, and every worker's mesh address (in
-// rank order; a rank's own entry included).
+// rank, the fabric's rank count and per-frame deadline, and every
+// worker's mesh address (in rank order; a rank's own entry included).
 type Welcome struct {
 	Rank  int
 	Procs int
+	// IOTimeout is the fabric's per-frame deadline, which the worker
+	// applies to its control link and its mesh links (NewLink's rule: 0
+	// selects DefaultIOTimeout, negative disables deadlines).
+	IOTimeout time.Duration
 	// MeshNetwork is the address family every mesh address speaks.
 	MeshNetwork string
 	MeshAddrs   []string
@@ -82,6 +91,7 @@ type Welcome struct {
 func AppendWelcome(b []byte, w Welcome) []byte {
 	b = appendU32(b, uint32(w.Rank))
 	b = appendU32(b, uint32(w.Procs))
+	b = binary.LittleEndian.AppendUint64(b, uint64(w.IOTimeout))
 	b = appendString(b, w.MeshNetwork)
 	for _, a := range w.MeshAddrs {
 		b = appendString(b, a)
@@ -107,6 +117,10 @@ func ParseWelcome(payload []byte) (Welcome, error) {
 		return Welcome{}, fmt.Errorf("fabric: welcome: rank %d of %d", rank, procs)
 	}
 	w.Rank, w.Procs = int(rank), int(procs)
+	if len(payload) < 8 {
+		return Welcome{}, fmt.Errorf("fabric: welcome: truncated io timeout")
+	}
+	w.IOTimeout, payload = time.Duration(binary.LittleEndian.Uint64(payload)), payload[8:]
 	if w.MeshNetwork, payload, err = takeString(payload); err != nil {
 		return Welcome{}, fmt.Errorf("fabric: welcome: %w", err)
 	}

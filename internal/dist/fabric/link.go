@@ -117,9 +117,6 @@ type Link struct {
 // read/write deadline: 0 selects DefaultIOTimeout, negative disables
 // deadlines.  st receives the write-side byte accounting (required).
 func NewLink(conn net.Conn, timeout time.Duration, st *Stats) *Link {
-	if timeout == 0 {
-		timeout = DefaultIOTimeout
-	}
 	if c, ok := conn.(interface {
 		SetReadBuffer(bytes int) error
 		SetWriteBuffer(bytes int) error
@@ -127,14 +124,25 @@ func NewLink(conn net.Conn, timeout time.Duration, st *Stats) *Link {
 		_ = c.SetReadBuffer(sockBufBytes)
 		_ = c.SetWriteBuffer(sockBufBytes)
 	}
-	return &Link{
-		conn:    conn,
-		br:      bufio.NewReader(conn),
-		bw:      bufio.NewWriter(conn),
-		timeout: timeout,
-		maxLen:  DefaultMaxFrameBytes,
-		st:      st,
+	l := &Link{
+		conn:   conn,
+		br:     bufio.NewReader(conn),
+		bw:     bufio.NewWriter(conn),
+		maxLen: DefaultMaxFrameBytes,
+		st:     st,
 	}
+	l.SetTimeout(timeout)
+	return l
+}
+
+// SetTimeout replaces the link's per-frame deadline, by NewLink's rule.
+// It is not synchronized: call it before the link is shared — a worker
+// does, once the welcome names the fabric's deadline.
+func (l *Link) SetTimeout(timeout time.Duration) {
+	if timeout == 0 {
+		timeout = DefaultIOTimeout
+	}
+	l.timeout = timeout
 }
 
 // Dial connects to a fabric listener and wraps the connection.

@@ -50,8 +50,9 @@ const Magic = "PRFB"
 // jobs until the coordinator hangs up; a version-1 worker would exit
 // after one.  Version 3 sends rank 0's result vector home as a raw
 // FrameVec ahead of its outcome; a version-2 coordinator would reject
-// the frame.
-const Version = 3
+// the frame.  Version 4 carries the fabric's per-frame deadline in the
+// Welcome; a version-3 worker would misread the addresses behind it.
+const Version = 4
 
 // HeaderSize is the fixed frame-header length in bytes.
 const HeaderSize = 24

@@ -167,18 +167,22 @@ func TestHandshakeRoundTrips(t *testing.T) {
 		t.Fatalf("join: got %+v, want %+v", gotJ, j)
 	}
 
-	w := Welcome{Rank: 2, Procs: 4, MeshNetwork: "tcp",
-		MeshAddrs: []string{"a:1", "b:2", "", "d:4"}}
-	gotW, err := ParseWelcome(AppendWelcome(nil, w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotW.Rank != w.Rank || gotW.Procs != w.Procs || gotW.MeshNetwork != w.MeshNetwork {
-		t.Fatalf("welcome: got %+v, want %+v", gotW, w)
-	}
-	for i := range w.MeshAddrs {
-		if gotW.MeshAddrs[i] != w.MeshAddrs[i] {
-			t.Fatalf("welcome addr %d: got %q, want %q", i, gotW.MeshAddrs[i], w.MeshAddrs[i])
+	// The deadline round-trips whatever it is: unset, the default, a
+	// short one, disabled (negative), and the extremes.
+	for _, timeout := range []time.Duration{0, DefaultIOTimeout, 100 * time.Millisecond, -1, math.MaxInt64, math.MinInt64} {
+		w := Welcome{Rank: 2, Procs: 4, IOTimeout: timeout, MeshNetwork: "tcp",
+			MeshAddrs: []string{"a:1", "b:2", "", "d:4"}}
+		gotW, err := ParseWelcome(AppendWelcome(nil, w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotW.Rank != w.Rank || gotW.Procs != w.Procs || gotW.IOTimeout != w.IOTimeout || gotW.MeshNetwork != w.MeshNetwork {
+			t.Fatalf("welcome: got %+v, want %+v", gotW, w)
+		}
+		for i := range w.MeshAddrs {
+			if gotW.MeshAddrs[i] != w.MeshAddrs[i] {
+				t.Fatalf("welcome addr %d: got %q, want %q", i, gotW.MeshAddrs[i], w.MeshAddrs[i])
+			}
 		}
 	}
 
@@ -208,6 +212,12 @@ func TestHandshakeRejects(t *testing.T) {
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := ParseJoin(full[:cut]); err == nil {
 			t.Fatalf("ParseJoin accepted a %d-byte truncation", cut)
+		}
+	}
+	fullW := AppendWelcome(nil, Welcome{Rank: 1, Procs: 2, IOTimeout: time.Second, MeshNetwork: "unix", MeshAddrs: []string{"a", "b"}})
+	for cut := 0; cut < len(fullW); cut++ {
+		if _, err := ParseWelcome(fullW[:cut]); err == nil {
+			t.Fatalf("ParseWelcome accepted a %d-byte truncation", cut)
 		}
 	}
 	fullH := AppendMeshHello(nil, MeshHello{FabricID: "f", Src: 1, Dst: 0})

@@ -2,8 +2,9 @@ package dist
 
 // Hybrid intra-rank parallelism: the MPI+OpenMP-style second level of the
 // paper's decomposition.  Config.Workers spins a persistent team of worker
-// goroutines inside each rank for the local kernel-3 block product and the
-// kernel-1 bucket partitioning, in every execution mode.  The design
+// goroutines inside each rank for the local kernel-3 block product, and
+// runs the kernel-1 bucket partitioning and bucket sort (xsort.Sort) that
+// wide, in every execution mode.  The design
 // constraint is DESIGN.md §7: results must be bit-for-bit invariant in
 // Workers (and therefore still bit-for-bit equal between the modes and to
 // the serial baseline), and the steady-state iteration must not allocate.
@@ -29,8 +30,8 @@ type Config struct {
 	// Mode selects how the ranks execute (see ExecMode).
 	Mode ExecMode
 	// Workers is the intra-rank worker-goroutine count for each rank's
-	// local compute (the kernel-3 block product and the kernel-1 bucket
-	// partitioning); <= 1 keeps local compute serial.  Results are
+	// local compute (the kernel-3 block product, and the kernel-1 bucket
+	// partitioning and bucket sort); <= 1 keeps local compute serial.  Results are
 	// bit-for-bit invariant in Workers in every mode.
 	Workers int
 }

@@ -467,8 +467,8 @@ func splitterPhase(c *rankComm, l *edge.List, lo, hi int) []uint64 {
 
 // sortRank is one rank's sample-sort program: sample the owned chunk,
 // gather samples at rank 0, receive the broadcast splitters, exchange
-// edges by key range (partitioned by the rank's hybrid workers), and
-// stably sort the resulting bucket.
+// edges by key range, and stably sort the resulting bucket — the
+// partitioning and the bucket sort both on the rank's hybrid workers.
 func sortRank(c *rankComm, l *edge.List, workers int) *edge.List {
 	p := c.procs()
 	m := l.Len()
@@ -481,6 +481,6 @@ func sortRank(c *rankComm, l *edge.List, workers int) *edge.List {
 	for _, part := range in {
 		bucket.AppendList(part)
 	}
-	xsort.RadixByU(bucket)
+	xsort.Sort(bucket, false, workers)
 	return bucket
 }

@@ -77,8 +77,9 @@ type SocketSpec struct {
 	// FabricID authenticates joins.  Empty (with External unset) selects
 	// a random id, which the spawn environment hands the children.
 	FabricID string
-	// IOTimeout is the per-frame deadline on every fabric connection:
-	// 0 selects fabric.DefaultIOTimeout, negative disables deadlines.
+	// IOTimeout is the per-frame deadline on every fabric connection,
+	// the workers' control and mesh links included (the welcome carries
+	// it): 0 selects fabric.DefaultIOTimeout, negative disables deadlines.
 	IOTimeout time.Duration
 	// JoinTimeout bounds the whole handshake (listen to all ranks
 	// ready); <= 0 selects DefaultJoinTimeout.
@@ -347,7 +348,7 @@ func OpenSession(ctx context.Context, p int, sk SocketSpec) (s *Session, err err
 	// ready frames proving the worker mesh is complete.
 	for r, c := range s.ctrls {
 		err := c.WriteControl(fabric.FrameWelcome, r, r, fabric.AppendWelcome(nil, fabric.Welcome{
-			Rank: r, Procs: p, MeshNetwork: network, MeshAddrs: meshAddrs,
+			Rank: r, Procs: p, IOTimeout: sk.IOTimeout, MeshNetwork: network, MeshAddrs: meshAddrs,
 		}))
 		if err != nil {
 			return nil, joinErr("welcome", err)

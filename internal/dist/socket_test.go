@@ -19,6 +19,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -479,5 +480,57 @@ func TestSocketJoinReportsWireVersion(t *testing.T) {
 	var ve *fabric.VersionError
 	if !errors.As(err, &ve) || ve.Peer != fabric.Version-1 {
 		t.Fatalf("OpenSession: %v, want a timed-out join naming wire version %d", err, fabric.Version-1)
+	}
+}
+
+// TestJoinFabricIOTimeout: a worker's links use the per-frame deadline
+// the welcome names, not the default.  A scripted coordinator welcomes a
+// one-rank fabric with 100 ms, takes the worker's ready, then sends half
+// a frame header and nothing more: JoinFabric must fail with a deadline
+// error well inside 2 s (DefaultIOTimeout would wait 5 minutes).
+func TestJoinFabricIOTimeout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.sock")
+	ln, err := net.Listen("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan error, 1)
+	go func() { done <- dist.JoinFabric(context.Background(), "unix", path, "timeout-test") }()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fabric.NewLink(conn, 0, new(fabric.Stats))
+	defer c.Close() // unblocks a worker that is still waiting
+	h, payload, err := c.ReadFrame()
+	if err != nil || h.Type != fabric.FrameJoin {
+		t.Fatalf("join: %v %v", h.Type, err)
+	}
+	j, err := fabric.ParseJoin(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	welcome := fabric.AppendWelcome(nil, fabric.Welcome{
+		Rank: 0, Procs: 1, IOTimeout: 100 * time.Millisecond, MeshNetwork: "unix", MeshAddrs: []string{j.MeshAddr},
+	})
+	if err := c.WriteControl(fabric.FrameWelcome, 0, 0, welcome); err != nil {
+		t.Fatal(err)
+	}
+	if h, _, err := c.ReadFrame(); err != nil || h.Type != fabric.FrameReady {
+		t.Fatalf("ready: %v %v", h.Type, err)
+	}
+	start := time.Now()
+	if _, err := conn.Write([]byte(fabric.Magic)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("JoinFabric over a stalled frame: %v, want a deadline error", err)
+		}
+		t.Logf("failed after %v", time.Since(start))
+	case <-time.After(2 * time.Second):
+		t.Fatal("JoinFabric still waiting on a stalled frame after 2 s")
 	}
 }

@@ -70,10 +70,12 @@ func init() {
 // the coordinator closes the control link — one job under a one-shot
 // Execute, many under a Session — reporting each outcome, and returns.
 // fabricID must match the coordinator's (Spec.Socket.FabricID for an
-// external fabric).  A rank-program failure is reported through the
-// outcome, not the returned error, which covers only transport and
-// protocol failures.  Cancelling ctx hangs up on the coordinator, which
-// unwinds a running rank at its next cancellation point.
+// external fabric); the worker's links take the per-frame deadline the
+// welcome names (SocketSpec.IOTimeout).  A rank-program failure is
+// reported through the outcome, not the returned error, which covers only
+// transport and protocol failures.  Cancelling ctx hangs up on the
+// coordinator, which unwinds a running rank at its next cancellation
+// point.
 func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 	if network == "" {
 		network = "unix"
@@ -131,6 +133,7 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 		return err
 	}
 	rank, p := w.Rank, w.Procs
+	ctrl.SetTimeout(w.IOTimeout)
 
 	// Mesh construction: one connection per unordered rank pair — this
 	// rank dials every lower rank and accepts one connection from every
@@ -144,7 +147,7 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 		}
 	}
 	for s := 0; s < rank; s++ {
-		ln, err := fabric.Dial(w.MeshNetwork, w.MeshAddrs[s], 0, &meshStats)
+		ln, err := fabric.Dial(w.MeshNetwork, w.MeshAddrs[s], w.IOTimeout, &meshStats)
 		if err != nil {
 			closeMesh()
 			return fmt.Errorf("dist: rank %d dialing rank %d: %w", rank, s, err)
@@ -164,7 +167,7 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 			closeMesh()
 			return err
 		}
-		ln := fabric.NewLink(conn, 0, &meshStats)
+		ln := fabric.NewLink(conn, w.IOTimeout, &meshStats)
 		hh, hp, err := ln.ReadFrame()
 		if err != nil || hh.Type != fabric.FrameMeshHello {
 			ln.Close()

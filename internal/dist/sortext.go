@@ -93,16 +93,9 @@ func extRunName(prefix string, codec fastio.Codec, rank, run int) string {
 // have partially created, so RemoveRuns over them restores the FS.
 func extSpillRuns(fs vfs.FS, prefix string, codec fastio.Codec, l *edge.List, rank, lo, hi, runEdges int) ([]string, error) {
 	var names []string
-	n := runEdges
-	if hi-lo < n {
-		n = hi - lo
-	}
-	buf := edge.NewList(n)
-	for start := lo; start < hi; start += runEdges {
-		end := start + runEdges
-		if end > hi {
-			end = hi
-		}
+	buf := edge.NewList(min(runEdges, hi-lo))
+	for start, end := lo, lo; start < hi; start = end {
+		end = start + min(runEdges, hi-start)
 		buf.Reset()
 		buf.AppendList(l.Slice(start, end))
 		name := extRunName(prefix, codec, rank, len(names))

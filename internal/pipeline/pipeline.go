@@ -17,6 +17,7 @@ import (
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
 	"repro/internal/vfs"
+	"repro/internal/xsort"
 )
 
 // Kernel identifies one pipeline stage.
@@ -82,15 +83,19 @@ type Config struct {
 	Format string
 	// Generator selects the K0 generator; empty selects Kronecker.
 	Generator GeneratorKind
-	// Workers is the width of kernel 3's gather team (csr, extsort,
-	// parallel; results are bit-for-bit invariant in it), parallel's
-	// generation and sort worker count, and the dist variants' rank
-	// count; <= 0 means GOMAXPROCS (four ranks for the dist variants).
+	// Workers is kernel 1's in-memory sort width (every variant but coo
+	// and the dist variants' by-u sample sort) and kernel 3's gather team
+	// width (csr, extsort, parallel); results are bit-for-bit invariant in
+	// it.  It is also parallel's generation worker count and the dist
+	// variants' rank count.  <= 0 means GOMAXPROCS (four ranks for the
+	// dist variants).
 	Workers int
-	// RunEdges is kernel 1's in-memory run size in edges: extsort's
-	// external-merge buffer (zero selects M/4) and, when positive, the
-	// dist variants' per-rank run buffer, which takes their sort out of
-	// core (zero keeps it in memory).  Negative is invalid.
+	// RunEdges is kernel 1's in-memory run size in edges.  A positive
+	// value takes kernel 1 out of core for every variant but coo: it sorts
+	// holding at most RunEdges edges — per rank for the dist variants —
+	// and spills sorted runs to FS.  Zero sorts in memory, except extsort,
+	// which then runs at M/4.  Results are the same either way; negative
+	// is invalid.
 	RunEdges int
 	// SortEndVertices makes K1 sort by (u, v) instead of u only — the
 	// paper's "should the end vertices also be sorted?" open question.
@@ -409,7 +414,7 @@ type Result struct {
 	// (checkpointed or resumed dist-variant runs only; nil otherwise).
 	Checkpoint *dist.CheckpointStats
 	// Spill is the out-of-core kernel 1's run-file record (extsort, and
-	// the dist variants with a positive RunEdges; nil otherwise).
+	// every variant but coo with a positive RunEdges; nil otherwise).
 	Spill *SpillStats
 	// Cache is the run's cache record — non-nil only when
 	// Config.MatrixSource was actually consulted.
@@ -808,6 +813,60 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 	res.Spill = run.Spill
 	res.Cache = run.Cache
 	return res, nil
+}
+
+// sortKernel1 is kernel 1 of every variant but coo, and the dist variants'
+// (u, v) ablation: sort the "k0" stripes by u — with byUV, by (u, v) —
+// into the "k1" stripes.  A positive runEdges takes it out of core: the
+// run's spare is dropped first, so no more than runEdges edges are held
+// (plus the sort's auxiliary list), and externalSort streams the stripes.
+// Otherwise the stripes decode into the spare and xsort.Sort sorts it
+// Config.Workers wide.  The k1 bytes are the same either way, at every
+// width and run size: every path is a stable sort.
+func sortKernel1(r *Run, runEdges int, byUV bool) error {
+	if runEdges > 0 {
+		r.spare = nil
+		return externalSort(r, runEdges, byUV)
+	}
+	l, err := readEdges(r, "k0")
+	if err != nil {
+		return err
+	}
+	xsort.Sort(l, byUV, r.Cfg.Workers)
+	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
+}
+
+// externalSort is sortKernel1 out of core: stream the k0 stripes through
+// xsort.External with a runEdges-edge buffer into the k1 stripes,
+// recording the spill.
+func externalSort(r *Run, runEdges int, byUV bool) error {
+	src, err := fastio.NewStripedSource(r.FS, "k0", r.Codec())
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	sink, err := fastio.NewStripedSink(r.FS, "k1", r.Codec(), r.Cfg.NFiles, int64(r.Cfg.M()))
+	if err != nil {
+		return err
+	}
+	stats, err := xsort.External(src, sink, xsort.ExternalConfig{
+		FS:        r.FS,
+		TmpPrefix: "tmp/extsort",
+		RunEdges:  runEdges,
+		ByUV:      byUV,
+		Codec:     r.SpillCodec(),
+	})
+	if err != nil {
+		sink.Close()
+		return err
+	}
+	r.Spill = &SpillStats{
+		Codec:        stats.Codec,
+		Runs:         stats.Runs,
+		BytesWritten: stats.Spill.BytesWritten,
+		BytesRead:    stats.Spill.BytesRead,
+	}
+	return sink.Close()
 }
 
 // buildMatrix is kernel 2 of every variant that builds the matrix from

@@ -10,9 +10,7 @@ package pipeline
 import (
 	"fmt"
 
-	"repro/internal/fastio"
 	"repro/internal/sparse"
-	"repro/internal/xsort"
 )
 
 func init() { Register(columnarVariant{}) }
@@ -37,12 +35,7 @@ func (columnarVariant) Kernel0(r *Run) error {
 // kernel-1 contract holds, and the full order is what lets kernel 2 be one
 // linear scan.
 func (columnarVariant) Kernel1(r *Run) error {
-	l, err := readEdges(r, "k0")
-	if err != nil {
-		return err
-	}
-	xsort.RadixByUV(l)
-	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
+	return sortKernel1(r, r.Cfg.RunEdges, true)
 }
 
 // Kernel2 implements Variant.  The column filter below rewrites the

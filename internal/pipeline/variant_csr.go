@@ -1,14 +1,9 @@
 package pipeline
 
 // The csr variant is the hand-optimized implementation, the analogue of the
-// paper's C++ code: custom TSV formatting/parsing, LSD radix sort, a
-// streaming CSR build from the sorted files, and the gather (transpose)
-// PageRank engine on a Config.Workers-wide team.
-
-import (
-	"repro/internal/fastio"
-	"repro/internal/xsort"
-)
+// paper's C++ code: custom TSV formatting/parsing, kernel 1's radix sort
+// (sortKernel1), a streaming CSR build from the sorted files, and the
+// gather (transpose) PageRank engine on a Config.Workers-wide team.
 
 func init() { Register(csrVariant{}) }
 
@@ -29,12 +24,7 @@ func (csrVariant) Kernel0(r *Run) error {
 
 // Kernel1 implements Variant.
 func (csrVariant) Kernel1(r *Run) error {
-	l, err := readEdges(r, "k0")
-	if err != nil {
-		return err
-	}
-	xsort.RadixInto(l, r.Cfg.SortEndVertices, nil)
-	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
+	return sortKernel1(r, r.Cfg.RunEdges, r.Cfg.SortEndVertices)
 }
 
 // Kernel2 implements Variant.

@@ -20,7 +20,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/fastio"
 	"repro/internal/pagerank"
-	"repro/internal/xsort"
 )
 
 func init() {
@@ -85,40 +84,34 @@ func (distVariant) Kernel0(r *Run) error {
 }
 
 // Kernel1 implements Variant.  The distributed sort keys on the start
-// vertex only; the (u, v) ablation falls back to a serial sort under the
-// same memory bound — the radix sort in memory, the external merge sort
-// out of core.
+// vertex only; the (u, v) ablation is the serial variants' kernel 1 under
+// the same memory bound (sortKernel1).
 func (v distVariant) Kernel1(r *Run) error {
-	ext := r.Cfg.RunEdges > 0
-	if r.Cfg.SortEndVertices && ext {
-		return externalSort(r, r.Cfg.RunEdges, true)
+	if r.Cfg.SortEndVertices {
+		return sortKernel1(r, r.Cfg.RunEdges, true)
 	}
 	l, err := readEdges(r, "k0")
 	if err != nil {
 		return err
 	}
-	if r.Cfg.SortEndVertices {
-		xsort.RadixByUV(l)
-	} else {
-		spec := dist.Spec{Config: v.distCfg(r), Op: dist.OpSort, Edges: l, Procs: v.procs(r)}
-		if ext {
-			spec.Ext = dist.ExtSortConfig{FS: r.FS, RunEdges: r.Cfg.RunEdges, Codec: r.SpillCodec()}
-		}
-		out, err := dist.Execute(r.Context(), spec)
-		if err != nil {
-			return err
-		}
-		res := out.Sort
-		r.AddComm(res.Comm)
-		if ext {
-			r.Spill = &SpillStats{Codec: res.SpillCodec, BytesWritten: res.Spill.BytesWritten, BytesRead: res.Spill.BytesRead}
-			for _, n := range res.RunsPerRank {
-				r.Spill.Runs += n
-			}
-		}
-		l = res.Sorted
+	ext := r.Cfg.RunEdges > 0
+	spec := dist.Spec{Config: v.distCfg(r), Op: dist.OpSort, Edges: l, Procs: v.procs(r)}
+	if ext {
+		spec.Ext = dist.ExtSortConfig{FS: r.FS, RunEdges: r.Cfg.RunEdges, Codec: r.SpillCodec()}
 	}
-	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
+	out, err := dist.Execute(r.Context(), spec)
+	if err != nil {
+		return err
+	}
+	res := out.Sort
+	r.AddComm(res.Comm)
+	if ext {
+		r.Spill = &SpillStats{Codec: res.SpillCodec, BytesWritten: res.Spill.BytesWritten, BytesRead: res.Spill.BytesRead}
+		for _, n := range res.RunsPerRank {
+			r.Spill.Runs += n
+		}
+	}
+	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, res.Sorted)
 }
 
 // Kernel2 implements Variant.

@@ -10,7 +10,6 @@ package pipeline
 import (
 	"repro/internal/fastio"
 	"repro/internal/kronecker"
-	"repro/internal/xsort"
 )
 
 func init() { Register(extsortVariant{}) }
@@ -47,77 +46,28 @@ func (extsortVariant) runEdges(r *Run) int {
 
 // Kernel0 implements Variant.  The variant exists for graphs whose edge
 // vectors exceed RAM, so its Kronecker path streams edges straight to the
-// sink in bounded memory, never materializing the edge list.
+// sink in bounded memory, never materializing the edge list; the
+// alternative generators are in-memory and write their list like csr.
 func (extsortVariant) Kernel0(r *Run) error {
+	if r.Cfg.Generator != GenKronecker {
+		return generateEdges(r)
+	}
 	sink, err := fastio.NewStripedSink(r.FS, "k0", r.Codec(), r.Cfg.NFiles, int64(r.Cfg.M()))
 	if err != nil {
 		return err
 	}
-	switch {
-	case r.Cfg.Generator == GenKronecker:
-		kcfg := kronecker.New(r.Cfg.Scale, r.Cfg.Seed)
-		kcfg.EdgeFactor = r.Cfg.EdgeFactor
-		if err := kronecker.GenerateTo(kcfg, sink); err != nil {
-			sink.Close()
-			return err
-		}
-	default:
-		// The alternative generators are in-memory; stream their output.
-		gen, err := generate(r.Cfg)
-		if err != nil {
-			sink.Close()
-			return err
-		}
-		l, err := gen.Generate()
-		if err != nil {
-			sink.Close()
-			return err
-		}
-		if err := fastio.WriteEdges(sink, l, 0, l.Len()); err != nil {
-			sink.Close()
-			return err
-		}
+	kcfg := kronecker.New(r.Cfg.Scale, r.Cfg.Seed)
+	kcfg.EdgeFactor = r.Cfg.EdgeFactor
+	if err := kronecker.GenerateTo(kcfg, sink); err != nil {
+		sink.Close()
+		return err
 	}
 	return sink.Close()
 }
 
 // Kernel1 implements Variant.
 func (v extsortVariant) Kernel1(r *Run) error {
-	return externalSort(r, v.runEdges(r), r.Cfg.SortEndVertices)
-}
-
-// externalSort is the serial out-of-core kernel 1: stream the k0 stripes
-// through xsort.External with a runEdges-edge buffer into the k1 stripes,
-// recording the spill.  It is extsort's kernel 1 and the dist variants'
-// (u, v) fallback when they sort out of core.
-func externalSort(r *Run, runEdges int, byUV bool) error {
-	src, err := fastio.NewStripedSource(r.FS, "k0", r.Codec())
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	sink, err := fastio.NewStripedSink(r.FS, "k1", r.Codec(), r.Cfg.NFiles, int64(r.Cfg.M()))
-	if err != nil {
-		return err
-	}
-	stats, err := xsort.External(src, sink, xsort.ExternalConfig{
-		FS:        r.FS,
-		TmpPrefix: "tmp/extsort",
-		RunEdges:  runEdges,
-		ByUV:      byUV,
-		Codec:     r.SpillCodec(),
-	})
-	if err != nil {
-		sink.Close()
-		return err
-	}
-	r.Spill = &SpillStats{
-		Codec:        stats.Codec,
-		Runs:         stats.Runs,
-		BytesWritten: stats.Spill.BytesWritten,
-		BytesRead:    stats.Spill.BytesRead,
-	}
-	return sink.Close()
+	return sortKernel1(r, v.runEdges(r), r.Cfg.SortEndVertices)
 }
 
 // Kernel2 implements Variant.

@@ -9,11 +9,9 @@ package pipeline
 import (
 	"fmt"
 
-	"repro/internal/fastio"
 	"repro/internal/graphblas"
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
-	"repro/internal/xsort"
 )
 
 func init() { Register(graphblasVariant{}) }
@@ -35,12 +33,7 @@ func (graphblasVariant) Kernel0(r *Run) error {
 
 // Kernel1 implements Variant.
 func (graphblasVariant) Kernel1(r *Run) error {
-	l, err := readEdges(r, "k0")
-	if err != nil {
-		return err
-	}
-	xsort.RadixInto(l, r.Cfg.SortEndVertices, nil)
-	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
+	return sortKernel1(r, r.Cfg.RunEdges, r.Cfg.SortEndVertices)
 }
 
 // Kernel2 implements Variant.  Every step is a GraphBLAS primitive:

@@ -1,17 +1,12 @@
 package pipeline
 
 // The parallel variant is the paper's "future parallel implementation":
-// kernel 0 generates with independent per-worker random streams and kernel
-// 1 runs the parallel merge sort.  Its files go through the one stripe
-// reader and writer every variant shares, and kernels 2 and 3 are csr's:
-// the streaming build and the gather on a Config.Workers-wide team.  On a
-// single-CPU host it degenerates gracefully to the serial code paths.
+// kernel 0 generates with independent per-worker random streams.  Kernels
+// 1–3 are csr's: the sort Config.Workers wide, the streaming build and the
+// gather on a Config.Workers-wide team.  On a single-CPU host it
+// degenerates gracefully to the serial code paths.
 
-import (
-	"repro/internal/fastio"
-	"repro/internal/kronecker"
-	"repro/internal/xsort"
-)
+import "repro/internal/kronecker"
 
 func init() { Register(parallelVariant{}) }
 
@@ -22,7 +17,7 @@ func (parallelVariant) Name() string { return "parallel" }
 
 // Description implements Variant.
 func (parallelVariant) Description() string {
-	return "goroutine-parallel generation and merge sort; csr's streaming build and team gather PageRank (the paper's parallel decomposition)"
+	return "goroutine-parallel generation; csr's sort, streaming build and team gather PageRank (the paper's parallel decomposition)"
 }
 
 // CacheTraits implements the optional cache interface: this variant
@@ -54,16 +49,7 @@ func (parallelVariant) Kernel0(r *Run) error {
 
 // Kernel1 implements Variant.
 func (parallelVariant) Kernel1(r *Run) error {
-	l, err := readEdges(r, "k0")
-	if err != nil {
-		return err
-	}
-	if r.Cfg.SortEndVertices {
-		xsort.RadixByUV(l) // parallel (u,v) sort not implemented; radix is already the fast path
-	} else {
-		xsort.ParallelByU(l, r.Cfg.Workers)
-	}
-	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
+	return sortKernel1(r, r.Cfg.RunEdges, r.Cfg.SortEndVertices)
 }
 
 // Kernel2 implements Variant.

@@ -10,12 +10,11 @@
 //
 //   - ByU / ByUV: comparison sorts via the standard library (the
 //     straightforward implementation, used by the coo variant);
-//   - RadixByU / RadixByUV: LSD radix sorts specialized for uint64 vertex
-//     labels (the optimized implementation, used by the csr variant);
-//   - Merge-based parallel sort (the parallel variant);
-//   - External: an out-of-core external merge sort that spills fixed-size
-//     sorted runs to a vfs.FS and k-way merges them through a loser tree
-//     (the extsort variant).
+//   - Sort: the in-memory kernel 1 of every other variant, LSD radix sorts
+//     of contiguous chunks (RadixInto) merged pairwise, at any width;
+//   - External: the out-of-core kernel 1, an external merge sort that
+//     spills bounded sorted runs to a vfs.FS and k-way merges them
+//     through a loser tree.
 package xsort
 
 import (
@@ -76,11 +75,8 @@ func significantBytes(max uint64) int {
 // passes is the number of significant bytes in the largest start vertex.
 func RadixByU(l *edge.List) { RadixInto(l, false, nil) }
 
-// RadixByUV sorts the edges lexicographically by (U, V): a stable LSD pass
-// over V's bytes followed by stable passes over U's bytes.
-func RadixByUV(l *edge.List) { RadixInto(l, true, nil) }
-
-// RadixInto is RadixByU — with byUV, RadixByUV — through the auxiliary list
+// RadixInto is RadixByU — with byUV, lexicographically by (U, V): stable
+// LSD passes over V's bytes, then over U's — through the auxiliary list
 // aux, which it returns: a caller that sorts again, or has another use for a
 // list of l's size, keeps it.  A nil or too small aux is replaced.
 func RadixInto(l *edge.List, byUV bool, aux *edge.List) *edge.List {
@@ -148,100 +144,79 @@ func radix(l *edge.List, keys []uint64, scratch *edge.List) *edge.List {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel merge sort
+// The in-memory kernel-1 sort
 
-// ParallelByU sorts the edges by start vertex using workers goroutines:
-// each worker radix-sorts a contiguous chunk, then chunks are merged
-// pairwise.  workers <= 0 selects GOMAXPROCS.  The sort is stable.
-func ParallelByU(l *edge.List, workers int) {
+// Sort stably sorts the edges by start vertex — with byUV, by (start, end)
+// vertex — on workers goroutines: each radix-sorts a contiguous chunk
+// through its own slice of one auxiliary list of l's size, then the chunks
+// merge pairwise through that list, a tie taking the left chunk's edge.
+// The result is RadixInto's bit for bit at every width, and so is the
+// memory: one auxiliary list.  workers <= 0 selects GOMAXPROCS; 1 is
+// RadixInto.
+func Sort(l *edge.List, byUV bool, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	m := l.Len()
-	if workers > m {
-		workers = m
-	}
-	if m < 2 {
+	if workers = min(workers, m); workers < 2 {
+		RadixInto(l, byUV, nil)
 		return
 	}
-	if workers < 2 {
-		RadixByU(l)
-		return
-	}
-	// Sort chunks concurrently.
-	bounds := make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		bounds[w] = w * m / workers
-	}
+	aux := edge.Make(m)
+	// With workers <= m no chunk is empty.
+	runs := make([][2]int, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := bounds[w], bounds[w+1]
-		if lo == hi {
-			continue
-		}
+	for w := range runs {
+		lo, hi := w*m/workers, (w+1)*m/workers
+		runs[w] = [2]int{lo, hi}
 		wg.Add(1)
-		//prlint:allow determinism -- workers radix-sort disjoint slices and join on wg; the merge below fixes the final order
-		go func(sub *edge.List) {
+		//prlint:allow determinism -- workers radix-sort disjoint chunks through disjoint aux slices and join on wg; the merge below fixes the final order
+		go func() {
 			defer wg.Done()
-			RadixByU(sub)
-		}(l.Slice(lo, hi))
+			RadixInto(l.Slice(lo, hi), byUV, aux.Slice(lo, hi))
+		}()
 	}
 	wg.Wait()
-	// Merge pairwise until one run remains.
-	runs := make([][2]int, 0, workers)
-	for w := 0; w < workers; w++ {
-		if bounds[w] != bounds[w+1] {
-			runs = append(runs, [2]int{bounds[w], bounds[w+1]})
-		}
-	}
-	buf := edge.Make(m)
 	for len(runs) > 1 {
 		var next [][2]int
-		var mwg sync.WaitGroup
 		for i := 0; i+1 < len(runs); i += 2 {
 			a, b := runs[i], runs[i+1]
 			next = append(next, [2]int{a[0], b[1]})
-			mwg.Add(1)
-			//prlint:allow determinism -- pairwise merges touch disjoint [a,b) ranges and join on mwg each round
-			go func(a, b [2]int) {
-				defer mwg.Done()
-				mergeRuns(l, buf, a[0], a[1], b[1])
-			}(a, b)
+			wg.Add(1)
+			//prlint:allow determinism -- pairwise merges touch disjoint [a,b) ranges and join on wg each round
+			go func() {
+				defer wg.Done()
+				mergeRuns(l, aux, a[0], a[1], b[1], byUV)
+			}()
 		}
 		if len(runs)%2 == 1 {
 			next = append(next, runs[len(runs)-1])
 		}
-		mwg.Wait()
+		wg.Wait()
 		runs = next
 	}
 }
 
-// mergeRuns merges the sorted ranges [lo, mid) and [mid, hi) of l through
-// buf, stably by U.
-func mergeRuns(l, buf *edge.List, lo, mid, hi int) {
+// mergeRuns merges the sorted ranges [lo, mid) and [mid, hi) of l, by U
+// or by (U, V), a tie taking the left range's edge.  The merged prefix
+// [lo, k) goes through aux; the range left over is the right one, already
+// in place, or the left one, which moves up to end at hi.
+func mergeRuns(l, aux *edge.List, lo, mid, hi int, byUV bool) {
 	i, j, k := lo, mid, lo
 	for i < mid && j < hi {
-		if l.U[j] < l.U[i] {
-			buf.U[k], buf.V[k] = l.U[j], l.V[j]
+		if l.U[j] < l.U[i] || byUV && l.U[j] == l.U[i] && l.V[j] < l.V[i] {
+			aux.U[k], aux.V[k] = l.U[j], l.V[j]
 			j++
 		} else {
-			buf.U[k], buf.V[k] = l.U[i], l.V[i]
+			aux.U[k], aux.V[k] = l.U[i], l.V[i]
 			i++
 		}
 		k++
 	}
-	for i < mid {
-		buf.U[k], buf.V[k] = l.U[i], l.V[i]
-		i++
-		k++
-	}
-	for j < hi {
-		buf.U[k], buf.V[k] = l.U[j], l.V[j]
-		j++
-		k++
-	}
-	copy(l.U[lo:hi], buf.U[lo:hi])
-	copy(l.V[lo:hi], buf.V[lo:hi])
+	copy(l.U[k:hi], l.U[i:mid])
+	copy(l.V[k:hi], l.V[i:mid])
+	copy(l.U[lo:k], aux.U[lo:k])
+	copy(l.V[lo:k], aux.V[lo:k])
 }
 
 // ---------------------------------------------------------------------------
@@ -384,7 +359,7 @@ func External(src fastio.EdgeSource, dst fastio.EdgeSink, cfg ExternalConfig) (s
 
 	// Phase 1: produce sorted runs.  Whatever happens below, the spilled
 	// stripes are gone when External returns.
-	buf := edge.NewList(cfg.RunEdges)
+	buf := edge.NewList(min(cfg.RunEdges, DefaultRunEdges))
 	var aux *edge.List // the radix sort's, kept from run to run
 	var runNames []string
 	defer func() {
@@ -408,7 +383,14 @@ func External(src fastio.EdgeSource, dst fastio.EdgeSink, cfg ExternalConfig) (s
 		return nil
 	}
 	for {
-		n, rerr := fastio.ReadEdges(src, buf, cfg.RunEdges-buf.Len())
+		// The buffer grows as it fills, doubling up to RunEdges: it never
+		// holds room for more than DefaultRunEdges or twice the edges read.
+		if n := buf.Len(); n == cap(buf.U) {
+			grown := edge.NewList(n + min(n, cfg.RunEdges-n))
+			grown.AppendList(buf)
+			buf = grown
+		}
+		n, rerr := fastio.ReadEdges(src, buf, cap(buf.U)-buf.Len())
 		if rerr == io.EOF {
 			break
 		}
@@ -427,11 +409,7 @@ func External(src fastio.EdgeSource, dst fastio.EdgeSink, cfg ExternalConfig) (s
 
 	// Single-run fast path: no spill needed.
 	if len(runNames) == 0 {
-		if cfg.ByUV {
-			RadixByUV(buf)
-		} else {
-			RadixByU(buf)
-		}
+		RadixInto(buf, cfg.ByUV, nil)
 		stats.Runs = 1
 		if err := fastio.WriteEdges(dst, buf, 0, buf.Len()); err != nil {
 			return stats, err

@@ -2,8 +2,10 @@ package xsort
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -25,14 +27,43 @@ func randomList(seed uint64, n int, maxV uint64) *edge.List {
 	return l
 }
 
-// sorters under test, all sorting by U.
+// sortAt is Sort at a fixed width, or at a multiple k of the list's
+// length when width is negative (-k).
+func sortAt(byUV bool, width int) func(*edge.List) {
+	return func(l *edge.List) {
+		w := width
+		if w < 0 {
+			w = -w * l.Len()
+		}
+		Sort(l, byUV, w)
+	}
+}
+
+// sorters under test, all sorting by U.  ParallelK and SortK are Sort K
+// wide, SortM and Sort2M at one and two workers per edge.
 var byUSorters = map[string]func(*edge.List){
 	"ByU":       ByU,
 	"ByUStable": ByUStable,
 	"RadixByU":  RadixByU,
-	"Parallel1": func(l *edge.List) { ParallelByU(l, 1) },
-	"Parallel4": func(l *edge.List) { ParallelByU(l, 4) },
-	"Parallel7": func(l *edge.List) { ParallelByU(l, 7) },
+	"Parallel1": sortAt(false, 1),
+	"Parallel4": sortAt(false, 4),
+	"Parallel7": sortAt(false, 7),
+	"Sort2":     sortAt(false, 2),
+	"Sort3":     sortAt(false, 3),
+	"SortM":     sortAt(false, -1),
+	"Sort2M":    sortAt(false, -2),
+}
+
+// sorters under test, all sorting by (U, V).
+var byUVSorters = map[string]func(*edge.List){
+	"ByUV":      ByUV,
+	"RadixByUV": func(l *edge.List) { RadixInto(l, true, nil) },
+	"Sort1":     sortAt(true, 1),
+	"Sort2":     sortAt(true, 2),
+	"Sort3":     sortAt(true, 3),
+	"Sort7":     sortAt(true, 7),
+	"SortM":     sortAt(true, -1),
+	"Sort2M":    sortAt(true, -2),
 }
 
 func TestSortersByU(t *testing.T) {
@@ -106,16 +137,16 @@ func TestRadixMatchesStdSort(t *testing.T) {
 // TestRadixIntoAuxiliaryLists: whatever auxiliary list the caller lends —
 // none, an empty or short one (replaced), one of the right capacity but
 // zero length, a longer one full of other edges — the sorted list is the
-// one RadixByU/RadixByUV produce, and the list returned has room for the
+// stable comparison sort produces, and the list returned has room for the
 // edges, is not l, and is the lent one whenever that had the room.
 func TestRadixIntoAuxiliaryLists(t *testing.T) {
 	for _, byUV := range []bool{false, true} {
 		orig := randomList(21, 5000, 1<<18) // three key bytes: an odd pass count copies back
 		want := orig.Clone()
 		if byUV {
-			RadixByUV(want)
+			ByUV(want)
 		} else {
-			RadixByU(want)
+			ByUStable(want)
 		}
 		for name, aux := range map[string]*edge.List{
 			"nil": nil, "empty": edge.NewList(0), "short": randomList(22, 100, 9),
@@ -138,21 +169,37 @@ func TestRadixIntoAuxiliaryLists(t *testing.T) {
 
 func TestRadixStability(t *testing.T) {
 	// Tag V with original index; equal-U edges must keep relative order.
-	l := edge.NewList(100)
+	orig := edge.NewList(100)
 	g := xrand.New(4)
 	for i := 0; i < 100; i++ {
-		l.Append(g.Uint64n(5), uint64(i))
+		orig.Append(g.Uint64n(5), uint64(i))
 	}
+	l := orig.Clone()
 	RadixByU(l)
 	for i := 1; i < l.Len(); i++ {
 		if l.U[i] == l.U[i-1] && l.V[i] < l.V[i-1] {
 			t.Fatalf("stability violated at %d: U=%d V=%d after V=%d", i, l.U[i], l.V[i], l.V[i-1])
 		}
 	}
+	// Sort at every width is RadixInto bit for bit, by U and by (U, V),
+	// on the tagged list and on one whose V ties too.
+	tied := randomList(24, 1000, 6)
+	for _, in := range []*edge.List{orig, tied} {
+		for _, byUV := range []bool{false, true} {
+			want := in.Clone()
+			RadixInto(want, byUV, nil)
+			for _, w := range []int{-1, 0, 1, 2, 3, 5, 7, 8, 64, in.Len() - 1, in.Len(), 2 * in.Len()} {
+				got := in.Clone()
+				Sort(got, byUV, w)
+				if !got.Equal(want) {
+					t.Fatalf("m=%d byUV=%v: Sort %d wide differs from RadixInto", in.Len(), byUV, w)
+				}
+			}
+		}
+	}
 }
 
 func TestByUVOrders(t *testing.T) {
-	byUVSorters := map[string]func(*edge.List){"ByUV": ByUV, "RadixByUV": RadixByUV}
 	for _, name := range slices.Sorted(maps.Keys(byUVSorters)) {
 		s := byUVSorters[name]
 		t.Run(name, func(t *testing.T) {
@@ -457,6 +504,78 @@ func TestExternalEmptyInput(t *testing.T) {
 	}
 	if stats.Edges != 0 || out.Len() != 0 {
 		t.Errorf("empty input: edges=%d out=%d runs=%d", stats.Edges, out.Len(), stats.Runs)
+	}
+}
+
+// TestExternalHugeRunEdges: a run buffer far past the input reserves only
+// what the input fills — RunEdges is a bound, not an allocation.
+func TestExternalHugeRunEdges(t *testing.T) {
+	l := randomList(25, 100, 1<<10)
+	for _, byUV := range []bool{false, true} {
+		out := edge.NewList(0)
+		stats, err := External(fastiotest.NewListSource(l), fastiotest.NewListSink(out), ExternalConfig{
+			FS: vfs.NewMem(), RunEdges: math.MaxInt, ByUV: byUV,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := l.Clone()
+		RadixInto(want, byUV, nil)
+		if stats.Runs != 1 || !out.Equal(want) {
+			t.Errorf("byUV=%v: runs=%d, sorted output equal: %v", byUV, stats.Runs, out.Equal(want))
+		}
+	}
+}
+
+// tagSource streams n edges with keys below 1<<12, each edge's V its
+// position in the stream.
+type tagSource struct{ i, n int }
+
+func (s *tagSource) ReadEdges(l *edge.List, max int) (int, error) {
+	k := min(max, s.n-s.i, 4096)
+	if k == 0 {
+		return 0, io.EOF
+	}
+	for range k {
+		l.Append(uint64(s.i)*2654435761>>7&(1<<12-1), uint64(s.i))
+		s.i++
+	}
+	return k, nil
+}
+
+// stableCheck is a sink that holds nothing: it checks the stream is the
+// stable sort by U of a tagSource's edges.
+type stableCheck struct {
+	n          int
+	lastU      uint64
+	lastV, sum uint64
+}
+
+func (c *stableCheck) WriteEdges(l *edge.List, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		u, v := l.At(i)
+		if c.n > 0 && (u < c.lastU || u == c.lastU && v <= c.lastV) {
+			return fmt.Errorf("edge %d (%d, %d) after (%d, %d)", c.n, u, v, c.lastU, c.lastV)
+		}
+		c.n, c.lastU, c.lastV, c.sum = c.n+1, u, v, c.sum+v
+	}
+	return nil
+}
+
+func (c *stableCheck) Flush() error { return nil }
+
+// TestExternalGrowsPastDefaultReserve: a run buffer larger than the
+// initial reserve grows until it holds RunEdges edges — two runs — and
+// the output is the stable sort.
+func TestExternalGrowsPastDefaultReserve(t *testing.T) {
+	n := DefaultRunEdges + 300
+	var check stableCheck
+	stats, err := External(&tagSource{n: n}, &check, ExternalConfig{FS: vfs.NewMem(), RunEdges: DefaultRunEdges + 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Runs != 2 || check.n != n || check.sum != uint64(n)*uint64(n-1)/2 {
+		t.Errorf("runs=%d edges=%d tag sum=%d, want 2, %d, %d", stats.Runs, check.n, check.sum, n, uint64(n)*uint64(n-1)/2)
 	}
 }
 
