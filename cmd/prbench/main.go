@@ -80,7 +80,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fastio"
 	"repro/internal/pagerank"
 	"repro/internal/pipeline"
 	"repro/internal/results"
@@ -458,20 +457,9 @@ func printResultJSON(res *core.Result, cacheBudget int64) error {
 		Cache:       newJSONCacheStats(res.Cache),
 		CacheBudget: cacheBudget,
 	}
-	// The encoded footprint of the surviving edge files: measured from
-	// the run's FS, absent for any stage whose files were not produced.
-	if res.Config.FS != nil {
-		if codec, err := fastio.CodecByName(rep.Format); err == nil {
-			for _, prefix := range []string{"k0", "k1"} {
-				if n, err := fastio.StripedBytes(res.Config.FS, prefix, codec); err == nil {
-					if rep.EncodedBytes == nil {
-						rep.EncodedBytes = map[string]int64{}
-					}
-					rep.EncodedBytes[prefix] = n
-				}
-			}
-		}
-	}
+	// The encoded footprint of the edge files, as the run measured it
+	// when they were written; absent for any stage it did not produce.
+	rep.EncodedBytes = res.EncodedBytes
 	if res.Spill != nil {
 		rep.Spill = &jsonSpill{
 			Codec:        res.Spill.Codec,

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/edge"
+	"repro/internal/fastio"
 	"repro/internal/vfs"
 )
 
@@ -92,5 +94,46 @@ func TestHugeRunEdges(t *testing.T) {
 				t.Fatalf("%s byUV=%v: rank[%d] differs at RunEdges = MaxInt", tc.variant, tc.byUV, j)
 			}
 		}
+	}
+}
+
+// TestPrivateFSDropsConsumedStripes: a run that made its own FS removes
+// each stripe set once its last reader is done, so it ends with an empty
+// FS; a caller's FS keeps both sets.  Either way the run records the same
+// encoded sizes and computes the same ranks.
+func TestPrivateFSDropsConsumedStripes(t *testing.T) {
+	for _, variant := range VariantNames() {
+		t.Run(variant, func(t *testing.T) {
+			cfg := Config{Scale: 7, Seed: 3, Variant: variant, Workers: 2, KeepRank: true}
+			own, err := ExecuteContext(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if names, err := own.Config.FS.List(); err != nil || len(names) != 0 {
+				t.Errorf("run-private FS holds %v (%v) after the run, want nothing", names, err)
+			}
+			cfg.FS = vfs.NewMem()
+			kept, err := ExecuteContext(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			codec, err := fastio.CodecByName(FormatName(kept.Config))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, prefix := range []string{"k0", "k1"} {
+				n, err := fastio.StripedBytes(cfg.FS, prefix, codec)
+				if err != nil {
+					t.Fatalf("caller's FS lost %s: %v", prefix, err)
+				}
+				if own.EncodedBytes[prefix] != n || kept.EncodedBytes[prefix] != n {
+					t.Errorf("%s encoded bytes: private run %d, caller's run %d, on disk %d",
+						prefix, own.EncodedBytes[prefix], kept.EncodedBytes[prefix], n)
+				}
+			}
+			if !slices.Equal(own.Rank, kept.Rank) {
+				t.Error("dropping consumed stripes changed the rank vector")
+			}
+		})
 	}
 }

@@ -419,6 +419,9 @@ type Result struct {
 	// Cache is the run's cache record — non-nil only when
 	// Config.MatrixSource was actually consulted.
 	Cache *CacheStats
+	// EncodedBytes is the encoded size of each stripe set the run wrote
+	// ("k0", "k1"), taken as its writer returned (settleStripes).
+	EncodedBytes map[string]int64
 }
 
 // KernelResultFor returns the result for kernel k, or nil.
@@ -472,6 +475,9 @@ type Run struct {
 	// runner drops it when kernel 2 returns.  No list a run holds is ever
 	// shared, so the spare is always the run's own (DESIGN.md §12).
 	spare *edge.List
+	// ownFS records that the runner made FS (Config.FS was nil), so no
+	// one else can open its files (dropStripes).
+	ownFS bool
 	// ctx is the run's cancellation context; nil means background.
 	// Variants read it through Context().
 	ctx context.Context
@@ -635,6 +641,7 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	ownFS := cfg.FS == nil
 	cfg = cfg.withDefaults()
 	v := registry[cfg.Variant]
 	var meter *vfs.Metered
@@ -642,7 +649,7 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 		meter = vfs.NewMetered(cfg.FS)
 		cfg.FS = meter
 	}
-	run := &Run{Cfg: cfg, FS: cfg.FS, ctx: ctx}
+	run := &Run{Cfg: cfg, FS: cfg.FS, ctx: ctx, ownFS: ownFS}
 	scheduled := func(k Kernel) bool {
 		for _, kk := range kernels {
 			if kk == k {
@@ -712,7 +719,7 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 	resCfg.Progress = nil
 	resCfg.Checkpoint.OnCommit = nil
 	resCfg.Checkpoint.OnResume = nil
-	res = &Result{Config: resCfg}
+	res = &Result{Config: resCfg, EncodedBytes: map[string]int64{}}
 	m := cfg.M()
 	for _, k := range kernels {
 		if err := ctx.Err(); err != nil {
@@ -755,6 +762,9 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 				// kernel framing.
 				return nil, cerr
 			}
+			return nil, fmt.Errorf("pipeline: %v (%s): %w", k, cfg.Variant, err)
+		}
+		if err := run.settleStripes(k, res); err != nil {
 			return nil, fmt.Errorf("pipeline: %v (%s): %w", k, cfg.Variant, err)
 		}
 		if k == K2Filter {
@@ -830,6 +840,11 @@ func sortKernel1(r *Run, runEdges int, byUV bool) error {
 	}
 	l, err := readEdges(r, "k0")
 	if err != nil {
+		return err
+	}
+	// The list is all kernel 1 needs of "k0" from here: a run-private FS
+	// drops it before the sort's auxiliary list is made (DESIGN.md §7).
+	if err := r.dropStripes("k0"); err != nil {
 		return err
 	}
 	xsort.Sort(l, byUV, r.Cfg.Workers)
@@ -966,6 +981,38 @@ func writeGenerated(r *Run, l *edge.List) error {
 		return err
 	}
 	r.spare = l
+	return nil
+}
+
+// dropStripes removes the stripe set prefix, if present, from a run-private
+// FS: no one else can open it, and a set held past its last reader is live
+// heap that doubles into the goal of any collection meanwhile (DESIGN.md §7).
+func (r *Run) dropStripes(prefix string) error {
+	if !r.ownFS {
+		return nil
+	}
+	names, _ := fastio.StripeNames(r.FS, prefix, r.Codec()) // its only error: no such set
+	for _, name := range names {
+		if err := r.FS.Remove(name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// settleStripes follows kernel k: the size of the set it wrote ("k0" after
+// kernel 0, "k1" after kernel 1) goes to res.EncodedBytes, and the set it
+// read last ("k0" after kernel 1, "k1" after kernel 2) is dropped.
+func (r *Run) settleStripes(k Kernel, res *Result) error {
+	prefixes := []string{"k0", "k1"}
+	if k <= K1Sort {
+		if n, err := fastio.StripedBytes(r.FS, prefixes[k], r.Codec()); err == nil {
+			res.EncodedBytes[prefixes[k]] = n
+		}
+	}
+	if k == K1Sort || k == K2Filter {
+		return r.dropStripes(prefixes[k-1])
+	}
 	return nil
 }
 
