@@ -45,45 +45,31 @@ func (c Config) workers() int {
 }
 
 // rankProduct is one rank's kernel-3 block product out = r·A, where A is
-// the rank's row block: the gather over the block's length-ordered
-// transpose (sparse.Ordered), serial or on a persistent sparse.Team whose
-// workers take position chunks as they come free.  Output element j is
-// Aᵀ row j's gather, its products added in ascending local row order —
-// the sequence the row-major scatter adds them in — so the partial is
-// the scatter's, bit for bit, whenever the block's values are finite
-// (DESIGN.md §5), for every worker count.
+// the rank's row block: the gather over the block's length-ordered,
+// value-free transpose (sparse.Ordered) on a persistent sparse.Team
+// whose workers fill the term vector and then take position chunks as
+// they come free.  Output element j is Aᵀ row j's gather, its terms
+// added in ascending local row order — the sequence the row-major
+// scatter adds them in — so the partial is the scatter's, bit for bit,
+// whenever the block's values are finite (DESIGN.md §5), for every
+// worker count.
 type rankProduct struct {
 	op   *rankOperand
-	team *sparse.Team // nil for a serial rank
+	team *sparse.Team
 }
 
-// newRankProduct spawns the team when workers > 1; callers must close the
-// product when iteration ends.
+// newRankProduct spawns the team, max(workers, 1) wide; callers must
+// close the product when iteration ends.
 func newRankProduct(op *rankOperand, workers int) *rankProduct {
-	p := &rankProduct{op: op}
-	if workers > 1 {
-		p.team = op.at.NewTeam(workers)
-	}
-	return p
+	return &rankProduct{op: op, team: op.at.NewTeam(workers)}
 }
 
 // vxm computes the rank's partial product into the full-length out,
 // writing every element once; it allocates nothing.
-func (p *rankProduct) vxm(out, r []float64) {
-	x := r[p.op.lo:p.op.hi]
-	if p.team != nil {
-		p.team.MxV(out, x)
-		return
-	}
-	p.op.at.MxV(out, x)
-}
+func (p *rankProduct) vxm(out, r []float64) { p.team.MxV(out, r[p.op.lo:p.op.hi]) }
 
-// close terminates the team's goroutines, if any.
-func (p *rankProduct) close() {
-	if p.team != nil {
-		p.team.Close()
-	}
-}
+// close terminates the team's goroutines.
+func (p *rankProduct) close() { p.team.Close() }
 
 // partitionChunk splits the input chunk [lo, hi) into p destination
 // buckets by splitter key range — the local half of kernel 1's all-to-all,

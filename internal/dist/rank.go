@@ -342,11 +342,10 @@ func buildRank(c *rankComm, l *edge.List, n int) (*rankState, float64, int) {
 // replica follows a byte-identical trajectory — the all-reduce hands all
 // ranks the root's rank-ordered sum — so rank 0's result is the global
 // result.  The local product is the gather over the block's ordered
-// transpose (rankProduct); with workers > 1 it runs on the rank's
-// persistent team, bit-for-bit invariantly.  Combined with the engine's
-// preallocated
-// vectors and the fabric's pooled buffers, the steady-state iteration
-// performs no heap allocation on any rank.
+// transpose (rankProduct), on the rank's persistent team max(workers, 1)
+// wide, bit-for-bit invariantly.  Combined with the engine's
+// preallocated vectors and the fabric's pooled buffers, the steady-state
+// iteration performs no heap allocation on any rank.
 //
 // The engine is driven through RunContext, so every rank checks ctx at
 // its iteration boundary.  The first rank to observe cancellation

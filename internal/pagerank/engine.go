@@ -11,6 +11,7 @@ package pagerank
 
 import (
 	"context"
+	"math"
 	"runtime"
 
 	"repro/internal/sparse"
@@ -40,6 +41,10 @@ type Engine struct {
 	initial  []float64 // private snapshot of the option's InitialRank, for Reset
 	progress func(iteration int)
 
+	// label, when set, gives each vertex its element of r, next, teleport
+	// and initial (the gather operand's position labels); nil keeps them
+	// in vertex order.
+	label    []uint32
 	r, next  []float64
 	it       int
 	lastDiff float64
@@ -63,6 +68,14 @@ type Engine struct {
 // update semantics exactly.  The initial vector is materialized
 // immediately — a copy of opt.InitialRank, or InitVector.
 func NewEngine(n int, step func(out, r []float64), dangleMass func(r []float64) float64, opt Options) (*Engine, error) {
+	return newEngine(n, nil, step, dangleMass, opt)
+}
+
+// newEngine is NewEngine over vectors in the given labels: step and
+// dangleMass see r in label space, every reduction reads it through
+// label in vertex order — so each one adds in the order it adds a
+// vertex-order r in — and every vector handed out is in vertex order.
+func newEngine(n int, label []uint32, step func(out, r []float64), dangleMass func(r []float64) float64, opt Options) (*Engine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -76,18 +89,19 @@ func NewEngine(n int, step func(out, r []float64), dangleMass func(r []float64) 
 		c:          opt.damping(),
 		iters:      opt.iterations(),
 		policy:     opt.policy(),
-		teleport:   opt.Teleport,
+		teleport:   permute(label, opt.Teleport),
 		tol:        opt.Tolerance,
 		uniform:    1 / float64(n),
 		seed:       opt.Seed,
 		progress:   opt.Progress,
+		label:      label,
 		r:          make([]float64, n),
 		next:       make([]float64, n),
 	}
 	if opt.InitialRank != nil {
 		// A private snapshot: Reset must reproduce the construction-time
 		// vector even if the caller reuses its slice afterwards.
-		e.initial = append([]float64(nil), opt.InitialRank...)
+		e.initial = permute(label, opt.InitialRank)
 	}
 	e.Reset()
 	return e, nil
@@ -97,10 +111,16 @@ func NewEngine(n int, step func(out, r []float64), dangleMass func(r []float64) 
 // initial vector in place (no allocation beyond InitVector's internals
 // when no InitialRank was given).
 func (e *Engine) Reset() {
-	if e.initial != nil {
+	switch {
+	case e.initial != nil:
 		copy(e.r, e.initial)
-	} else {
+	case e.label == nil:
 		initVectorInto(e.r, e.seed)
+	default:
+		initVectorInto(e.next, e.seed)
+		for v, p := range e.label {
+			e.r[p] = e.next[v]
+		}
 	}
 	e.it = 0
 	e.lastDiff = 0
@@ -110,9 +130,19 @@ func (e *Engine) Reset() {
 // Reset.
 func (e *Engine) Iterations() int { return e.it }
 
-// Rank returns the current rank vector.  The slice aliases engine state:
-// it is overwritten by further Iterate calls.
-func (e *Engine) Rank() []float64 { return e.r }
+// Rank returns the current rank vector, in vertex order.  The slice
+// aliases engine state: it is overwritten by further Iterate calls.  A
+// labelled engine un-permutes r into next, which the next product
+// overwrites whole anyway, so Rank allocates nothing.
+func (e *Engine) Rank() []float64 {
+	if e.label == nil {
+		return e.r
+	}
+	for v, p := range e.label {
+		e.next[v] = e.r[p]
+	}
+	return e.next
+}
 
 // Iterate performs exactly one update step and returns the 1-norm
 // difference between the new and previous iterates when a tolerance is
@@ -122,7 +152,7 @@ func (e *Engine) Rank() []float64 { return e.r }
 // round every product before it is added, so FMA architectures compute
 // the bits amd64 does (DESIGN.md §4).
 func (e *Engine) Iterate() float64 {
-	sumR := sparse.Sum(e.r)
+	sumR := e.sum()
 	e.step(e.next, e.r)
 	var dangle float64
 	if e.policy != DanglingIgnore {
@@ -161,7 +191,7 @@ func (e *Engine) Iterate() float64 {
 	e.it++
 	var diff float64
 	if e.tol > 0 {
-		diff = sparse.Diff1(e.next, e.r)
+		diff = e.diff1()
 		e.lastDiff = diff
 	}
 	e.r, e.next = e.next, e.r
@@ -169,6 +199,43 @@ func (e *Engine) Iterate() float64 {
 		e.progress(e.it)
 	}
 	return diff
+}
+
+// sum is sparse.Sum of r in vertex order.
+func (e *Engine) sum() float64 {
+	if e.label == nil {
+		return sparse.Sum(e.r)
+	}
+	var s float64
+	for _, p := range e.label {
+		s += e.r[p]
+	}
+	return s
+}
+
+// diff1 is sparse.Diff1(next, r) in vertex order.
+func (e *Engine) diff1() float64 {
+	if e.label == nil {
+		return sparse.Diff1(e.next, e.r)
+	}
+	var s float64
+	for _, p := range e.label {
+		s += math.Abs(e.next[p] - e.r[p])
+	}
+	return s
+}
+
+// permute returns a copy of v with each vertex's element at its label
+// (in vertex order when label is nil); nil stays nil.
+func permute(label []uint32, v []float64) []float64 {
+	if v == nil || label == nil {
+		return append([]float64(nil), v...)
+	}
+	out := make([]float64, len(v))
+	for i, p := range label {
+		out[p] = v[i]
+	}
+	return out
 }
 
 // Run drives Iterate up to the configured iteration count, stopping early
@@ -192,10 +259,10 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 
 // RunContextAfter is RunContext with a post-iteration hook: after every
 // completed update step, after is called with the number of steps
-// performed so far and the current rank vector (aliasing engine state —
-// it must not be retained or modified), before the tolerance check, so
-// the hook observes every iterate including a final tolerance-stopped
-// one.  A non-nil error from the hook aborts the run with that error.
+// performed so far and the current rank vector (Rank's, aliasing engine
+// state — it must not be retained or modified), before the tolerance
+// check, so the hook observes every iterate including a final
+// tolerance-stopped one.  A non-nil error from the hook aborts the run with that error.
 // The distributed runtime's checkpoint writer lives in this hook; a nil
 // hook makes RunContextAfter exactly RunContext.
 func (e *Engine) RunContextAfter(ctx context.Context, after func(it int, r []float64) error) (*Result, error) {
@@ -208,7 +275,7 @@ func (e *Engine) RunContextAfter(ctx context.Context, after func(it int, r []flo
 		}
 		diff := e.Iterate()
 		if after != nil {
-			if err := after(e.it, e.r); err != nil {
+			if err := after(e.it, e.Rank()); err != nil {
 				return nil, err
 			}
 		}
@@ -216,25 +283,33 @@ func (e *Engine) RunContextAfter(ctx context.Context, after func(it int, r []flo
 			break
 		}
 	}
-	return &Result{Rank: e.r, Iterations: e.it, FinalDiff: e.lastDiff}, nil
+	return &Result{Rank: e.Rank(), Iterations: e.it, FinalDiff: e.lastDiff}, nil
 }
 
-// newMaskedEngine builds an engine whose dangling mass is a scan of the
-// row mask — the serial engines' shared construction.  mask is called
-// only under an active dangling policy: Iterate never reads the mask
-// under DanglingIgnore, so the benchmark definition pays neither the pass
-// over the matrix that derives it nor its N-sized allocations.
-func newMaskedEngine(n int, step func(out, r []float64), mask func() []bool, opt Options) (*Engine, error) {
-	var dangling []bool
+// newMaskedEngine builds an engine whose dangling mass adds the
+// dangling vertices' elements of r in ascending vertex order — the serial
+// engines' shared construction.  mask is called only under an active
+// dangling policy: Iterate never reads the mass under DanglingIgnore, so
+// the benchmark definition pays neither the pass over the matrix that
+// derives the mask nor its N-sized allocations.
+func newMaskedEngine(n int, label []uint32, step func(out, r []float64), mask func() []bool, opt Options) (*Engine, error) {
+	var dangling []uint32 // each dangling vertex's element of r
 	if opt.policy() != DanglingIgnore {
-		dangling = mask()
-	}
-	return NewEngine(n, step, func(r []float64) float64 {
-		var m float64
-		for i, d := range dangling {
-			if d {
-				m += r[i]
+		for v, d := range mask() {
+			if !d {
+				continue
 			}
+			p := uint32(v)
+			if label != nil {
+				p = label[v]
+			}
+			dangling = append(dangling, p)
+		}
+	}
+	return newEngine(n, label, step, func(r []float64) float64 {
+		var m float64
+		for _, p := range dangling {
+			m += r[p]
 		}
 		return m
 	}, opt)
@@ -243,14 +318,17 @@ func newMaskedEngine(n int, step func(out, r []float64), mask func() []bool, opt
 // NewScatterEngine builds a reusable engine over the CSR scatter product
 // (the engine behind Scatter).
 func NewScatterEngine(a *sparse.CSR, opt Options) (*Engine, error) {
-	return newMaskedEngine(a.N, a.VxM, danglingMask(a), opt)
+	return newMaskedEngine(a.N, nil, a.VxM, danglingMask(a), opt)
 }
 
 // NewGatherEngine builds A's length-ordered transpose once and a reusable
-// engine over the cache-friendlier gather product (the engine behind
-// Gather).
+// engine over the cache-friendlier serial gather product, in the
+// operand's position labels (the engine behind Gather).
 func NewGatherEngine(a *sparse.CSR, opt Options) (*Engine, error) {
-	return newMaskedEngine(a.N, a.TransposeOrdered().MxV, danglingMask(a), opt)
+	at := a.TransposeOrdered()
+	y := make([]float64, at.Slots())
+	step := func(out, r []float64) { at.MxV(out, r, y) }
+	return newMaskedEngine(a.N, at.Label, step, danglingMask(a), opt)
 }
 
 // ---------------------------------------------------------------------------
@@ -260,9 +338,9 @@ func NewGatherEngine(a *sparse.CSR, opt Options) (*Engine, error) {
 // sparse.Team computes the product over chunks of the length-ordered
 // transpose, and the embedded Engine owns the iteration vectors — so
 // steady-state iterations perform zero heap allocations while using every
-// configured core.  Every row is computed by one worker with the serial
-// loop, so the bits are Gather's for every worker count.  Close must be
-// called when done.
+// configured core.  Every term and every row is computed by one worker
+// with the serial loop, so the bits are Gather's for every worker count.
+// Close must be called when done.
 type ParallelEngine struct {
 	eng  *Engine
 	team *sparse.Team
@@ -272,7 +350,7 @@ type ParallelEngine struct {
 // over at = a.TransposeOrdered(), which the engine only reads: a caller
 // that holds one — the matrix cache keeps one beside each resident
 // matrix — passes it, and nil builds it.  The team is workers wide, <= 0
-// meaning GOMAXPROCS; tiny problems degenerate to the serial gather.
+// meaning GOMAXPROCS.
 func NewParallelEngine(a *sparse.CSR, at *sparse.Ordered, workers int, opt Options) (*ParallelEngine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -286,13 +364,8 @@ func NewParallelEngine(a *sparse.CSR, at *sparse.Ordered, workers int, opt Optio
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pe := &ParallelEngine{}
-	step := at.MxV
-	if workers >= 2 && a.N >= 2*workers {
-		pe.team = at.NewTeam(workers)
-		step = pe.team.MxV
-	}
-	eng, err := newMaskedEngine(a.N, step, danglingMask(a), opt)
+	pe := &ParallelEngine{team: at.NewTeam(workers)}
+	eng, err := newMaskedEngine(a.N, at.Label, pe.team.MxV, danglingMask(a), opt)
 	if err != nil {
 		pe.Close()
 		return nil, err

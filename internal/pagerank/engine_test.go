@@ -6,9 +6,11 @@ package pagerank
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/edge"
@@ -87,14 +89,92 @@ func TestGatherEngineWithSharedTranspose(t *testing.T) {
 			}
 		}
 	}
-	for k := range at.Val {
-		if at.Val[k] != pristine.Val[k] || at.Col[k] != pristine.Col[k] {
-			t.Fatalf("shared transpose modified at entry %d", k)
-		}
+	if !slices.Equal(at.Col, pristine.Col) || !slices.Equal(at.Scale, pristine.Scale) ||
+		!slices.Equal(at.Extra, pristine.Extra) || !slices.Equal(at.Src, pristine.Src) {
+		t.Fatal("shared transpose's entries or term table modified")
 	}
-	for p := range at.Rows {
-		if at.Rows[p] != pristine.Rows[p] {
-			t.Fatalf("shared transpose reordered at position %d", p)
+	if !slices.Equal(at.Label, pristine.Label) || !slices.Equal(at.Ptr, pristine.Ptr) {
+		t.Fatal("shared transpose relabelled")
+	}
+}
+
+// TestLabelledEngineEqualsVertexOrder holds the gather engines, whose
+// vectors live in the operand's position labels, to the scatter engine,
+// whose vectors are in vertex order: the same bits from Rank after every
+// Iterate, from every Iterate's returned difference, and from Run, over
+// workers {1, 2, 3, 8} × dangling policy × uniform or personalized
+// teleport × seeded or given initial vector × fixed count or tolerance,
+// on a fresh transpose and on one shared transpose (the matrix cache's
+// hit) reused by every engine.
+func TestLabelledEngineEqualsVertexOrder(t *testing.T) {
+	a := engineTestMatrix(t, 4, 1<<10, 1<<9) // ~1/8 of the rows dangling
+	n := a.N
+	if !slices.Contains(a.OutDegrees(), 0) {
+		t.Fatal("no dangling row: the dangling policies test nothing")
+	}
+	tele := make([]float64, n) // teleport to every third vertex
+	for i := 0; i < n; i += 3 {
+		tele[i] = 1
+	}
+	sparse.Scale(tele, 1/sparse.Sum(tele))
+	initial := make([]float64, n)
+	for i := range initial {
+		initial[i] = float64(1+i%7) / float64(4*n)
+	}
+	shared := a.TransposeOrdered()
+	type engine struct {
+		name string
+		eng  *Engine
+		done func()
+	}
+	for _, policy := range []DanglingPolicy{DanglingIgnore, DanglingUniform, DanglingTeleport} {
+		for _, teleport := range [][]float64{nil, tele} {
+			for _, init := range [][]float64{nil, initial} {
+				for _, tol := range []float64{0, 1e-7} {
+					opt := Options{Seed: 6, Iterations: 12, Policy: policy, Teleport: teleport, InitialRank: init, Tolerance: tol}
+					what := fmt.Sprintf("policy %v, teleport %v, initial %v, tolerance %v", policy, teleport != nil, init != nil, tol)
+					ref, err := NewScatterEngine(a, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := ref.Run()
+					wantRank := append([]float64(nil), want.Rank...)
+					gather, err := NewGatherEngine(a, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					engines := []engine{{"gather", gather, func() {}}}
+					for _, workers := range []int{1, 2, 3, 8} {
+						for _, at := range []*sparse.Ordered{nil, shared} {
+							pe, err := NewParallelEngine(a, at, workers, opt)
+							if err != nil {
+								t.Fatal(err)
+							}
+							engines = append(engines, engine{fmt.Sprintf("%d workers, shared %v", workers, at != nil), pe.Engine(), pe.Close})
+						}
+					}
+					for _, e := range engines {
+						got := e.eng.Run()
+						if got.Iterations != want.Iterations || math.Float64bits(got.FinalDiff) != math.Float64bits(want.FinalDiff) {
+							t.Fatalf("%s, %s: %d iterations, diff %v; scatter %d, %v", what, e.name, got.Iterations, got.FinalDiff, want.Iterations, want.FinalDiff)
+						}
+						if !slices.Equal(got.Rank, wantRank) {
+							t.Fatalf("%s, %s: Run's rank differs from the scatter engine's", what, e.name)
+						}
+						e.eng.Reset()
+						ref.Reset()
+						for it := 0; it < want.Iterations; it++ {
+							if d, dr := e.eng.Iterate(), ref.Iterate(); math.Float64bits(d) != math.Float64bits(dr) {
+								t.Fatalf("%s, %s: iteration %d diff %v, scatter %v", what, e.name, it+1, d, dr)
+							}
+							if !slices.Equal(e.eng.Rank(), ref.Rank()) {
+								t.Fatalf("%s, %s: Rank after iteration %d differs from the scatter engine's", what, e.name, it+1)
+							}
+						}
+						e.done()
+					}
+				}
+			}
 		}
 	}
 }
@@ -257,11 +337,13 @@ func TestEngineRanksGolden(t *testing.T) {
 // DanglingIgnore policy Iterate never reads the dangling mask, so
 // constructing an engine must not derive it — no pass over the matrix, no
 // N-sized mask or degree vector.  The only N-sized allocations left are
-// the engine's two rank vectors.
+// the engine's two rank vectors and the team's term vector.
 func TestIgnorePolicyBuildsNoDanglingMask(t *testing.T) {
 	a := engineTestMatrix(t, 6, 1<<16, 1<<14)
 	at := a.TransposeOrdered()
-	vectors := uint64(2 * 8 * a.N)
+	// The team's term vector is a large allocation: whole 8 KiB pages.
+	table := (8*at.Slots() + 8191) / 8192 * 8192
+	vectors := uint64(2*8*a.N + table)
 	constructed := func(opt Options) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -274,7 +356,7 @@ func TestIgnorePolicyBuildsNoDanglingMask(t *testing.T) {
 	// The mask is N bytes and the degree vector 8·N; half a mask of slack
 	// covers the engine struct and closures.
 	if got := constructed(Options{}); got > vectors+uint64(a.N)/2 {
-		t.Errorf("DanglingIgnore construction allocated %d bytes, want only the two rank vectors (%d)", got, vectors)
+		t.Errorf("DanglingIgnore construction allocated %d bytes, want only the rank vectors and term vector (%d)", got, vectors)
 	}
 	if got := constructed(Options{Policy: DanglingUniform}); got < vectors+uint64(a.N) {
 		t.Errorf("DanglingUniform construction allocated %d bytes: no mask was built, the measurement is blind", got)
@@ -282,8 +364,8 @@ func TestIgnorePolicyBuildsNoDanglingMask(t *testing.T) {
 }
 
 // TestWorkersDefaultIsGOMAXPROCS pins a team width <= 0 to its
-// documented meaning — the team is as wide as GOMAXPROCS, serial on one
-// processor, while an explicit width ignores GOMAXPROCS — and the ranks
+// documented meaning — the team is as wide as GOMAXPROCS, one worker on
+// one processor, while an explicit width ignores GOMAXPROCS — and the ranks
 // to the serial gather's bits whatever the default resolves to
 // (TestParallelEqualsGatherBitForBit covers the explicit counts).
 func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
@@ -301,8 +383,12 @@ func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if team := pe.team != nil; team != (procs > 1 || workers == 5) {
-				t.Errorf("GOMAXPROCS=%d, workers=%d: worker team present = %v", procs, workers, team)
+			width := procs
+			if workers > 0 {
+				width = workers
+			}
+			if got := pe.team.Workers(); got != width {
+				t.Errorf("GOMAXPROCS=%d, workers=%d: team %d wide, want %d", procs, workers, got, width)
 			}
 			got := pe.Run()
 			pe.Close()

@@ -243,7 +243,7 @@ func NewGraphBLASEngine(m *graphblas.Matrix[float64], opt Options) (*Engine, err
 			panic(err)
 		}
 	}
-	return newMaskedEngine(n, step, dangling, opt)
+	return newMaskedEngine(n, nil, step, dangling, opt)
 }
 
 // ---------------------------------------------------------------------------

@@ -163,10 +163,11 @@ const (
 	// buildBytesPerEdge charges kernel 2's scatter: one cache line read
 	// plus write amortized per edge placed out of order.
 	buildBytesPerEdge = 96.0
-	// spmvBytesPerNNZ is kernel 3's streaming traffic per stored entry:
-	// 4 B column index + 8 B value + one amortized random access into the
-	// rank vector (charged a half cache line) + output accumulation.
-	spmvBytesPerNNZ = 52.0
+	// spmvBytesPerNNZ is kernel 3's streaming traffic per stored entry of
+	// the value-free operand: a 4 B term-slot index + one amortized random
+	// access into the term table (charged a half cache line) + output
+	// accumulation.
+	spmvBytesPerNNZ = 44.0
 	// partitionOpsPerEdge charges kernel 1's bucket partitioning: one
 	// splitter binary search plus an append per routed edge — the only
 	// kernel-1 work the hybrid intra-rank workers parallelize.
@@ -237,9 +238,14 @@ func Kernel3(h Hardware, w Workload) Prediction {
 	nnz := m * collisionFactor
 	iters := float64(w.Iterations)
 	memory := iters * nnz * spmvBytesPerNNZ / h.MemBandwidth
-	compute := iters * nnz * 2 / h.ScalarRate // multiply-add per entry
+	compute := iters * spmvOps(w) / h.ScalarRate
 	return prediction(iters*m, map[string]float64{"memory": memory, "compute": compute})
 }
+
+// spmvOps is one product's arithmetic: an add per stored entry, and a
+// multiply per term-table slot — one per vertex (the few extra slots of
+// rows holding a second value are not charged).
+func spmvOps(w Workload) float64 { return w.M()*collisionFactor + w.N() }
 
 // All returns predictions for the four kernels in order.
 func All(h Hardware, w Workload) [4]Prediction {
@@ -270,7 +276,7 @@ func ParallelKernel3(h Hardware, w Workload, p int) Prediction {
 	iters := float64(w.Iterations)
 	nnz := m * collisionFactor
 	memory := iters * nnz * spmvBytesPerNNZ / h.MemBandwidth / float64(p)
-	compute := iters * nnz * 2 / h.ScalarRate / float64(p) / w.rankWorkers(h)
+	compute := iters * spmvOps(w) / h.ScalarRate / float64(p) / w.rankWorkers(h)
 	network := 0.0
 	if p > 1 {
 		perIter := 2*n*8*float64(p-1)/float64(p)/h.NetBandwidth + math.Log2(float64(p))*h.NetLatency

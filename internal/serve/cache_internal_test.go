@@ -216,7 +216,7 @@ func TestCacheMatrixTransposeIsBuiltOnceAndCharged(t *testing.T) {
 		t.Fatalf("hit ids %q, %q; the fill reserved %q", h1.ID, h2.ID, miss.ID)
 	}
 	at := h1.Transposed()
-	if at.Ptr[1] != 1 || at.Rows[0] != 0 || at.Col[0] != 1 || at.Val[0] != 0.5 {
+	if at.Ptr[1] != 1 || at.Label[0] != 0 || at.Col[0] != 1 || at.Scale[1] != 0.5 {
 		t.Fatalf("transpose %+v", at)
 	}
 	if h2.Transposed() != at || h1.Transposed() != at || miss.Transposed() != at {

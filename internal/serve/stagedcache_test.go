@@ -9,9 +9,11 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
+	"repro/internal/pagerank"
 	"repro/internal/pipeline"
 	"repro/internal/serve"
 )
@@ -133,6 +135,57 @@ func TestWarmTeamHitEqualsColdSerialRun(t *testing.T) {
 		t.Fatalf("warm run: Cache = %+v, want a matrix hit", warm.Cache)
 	}
 	assertBitEqualRanks(t, "warm Workers: 3 vs cold Workers: 1", cold.Rank, warm.Rank)
+}
+
+// TestLabelledEngineOnCacheHitEqualsVertexOrder holds csr's kernel 3 —
+// the gather engine, in the operand's position labels — to coo's scatter
+// engine in vertex order, bit for bit, on a cold run and on matrix-cache
+// hits at workers {1, 2, 3, 8}, over dangling policy × teleport × initial
+// vector × tolerance.
+func TestLabelledEngineOnCacheHitEqualsVertexOrder(t *testing.T) {
+	n := 1 << runCfg("csr").Scale
+	tele, initial := make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i += 3 {
+		tele[i] = 1 / float64((n+2)/3)
+	}
+	for i := range initial {
+		initial[i] = float64(1+i%5) / float64(3*n)
+	}
+	ctx := context.Background()
+	for _, policy := range []pagerank.DanglingPolicy{pagerank.DanglingIgnore, pagerank.DanglingTeleport} {
+		for _, teleport := range [][]float64{nil, tele} {
+			for _, init := range [][]float64{nil, initial} {
+				for _, tol := range []float64{0, 1e-9} {
+					opt := pagerank.Options{Policy: policy, Teleport: teleport, InitialRank: init, Tolerance: tol, Iterations: 30}
+					what := fmt.Sprintf("policy %v, teleport %v, initial %v, tolerance %v", policy, teleport != nil, init != nil, tol)
+					svc := serve.New()
+					run := func(variant string, workers int) *pipeline.Result {
+						cfg := runCfg(variant)
+						cfg.Workers, cfg.PageRank = workers, opt
+						res, err := svc.Run(ctx, cfg)
+						if err != nil {
+							t.Fatalf("%s, %s: %v", what, variant, err)
+						}
+						return res
+					}
+					cold := run("csr", 2)
+					if cold.Cache == nil || cold.Cache.Matrix.Hits != 0 {
+						t.Fatalf("%s: cold run: Cache = %+v, want a miss", what, cold.Cache)
+					}
+					want := run("coo", 1).Rank
+					assertBitEqualRanks(t, what+": cold csr vs coo", want, cold.Rank)
+					for _, workers := range []int{1, 2, 3, 8} {
+						warm := run("csr", workers)
+						if warm.Cache == nil || warm.Cache.Matrix.Hits != 1 {
+							t.Fatalf("%s: warm run: Cache = %+v, want a matrix hit", what, warm.Cache)
+						}
+						assertBitEqualRanks(t, fmt.Sprintf("%s: warm csr at %d workers vs coo", what, workers), want, warm.Rank)
+					}
+					svc.Close()
+				}
+			}
+		}
+	}
 }
 
 // TestWarmVsColdBitForBitDistSweep extends the warm-vs-cold pin across

@@ -13,6 +13,7 @@
 // benchmark scales), builders from edge lists in several sortedness states,
 // column/row reductions and scaling, transposition, dense conversion for
 // validation, the scatter (row-major) product, and the gather product
-// over a plain transpose or over the length-ordered one kernel 3 uses
-// (Ordered), serially or on a persistent worker team.
+// over a plain, valued transpose or over the length-ordered, value-free
+// one kernel 3 uses (Ordered: a term table and position labels),
+// serially or on a persistent worker team.
 package sparse

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -8,73 +9,140 @@ import (
 )
 
 // Ordered is the kernel-3 gather operand: the transpose of a matrix with
-// its rows visited in order of length (DESIGN.md §7).  Position p holds
-// row Rows[p] of the transpose; the non-empty rows come first, longest
-// first and ties in ascending row id, then the empty rows in ascending
-// id.  Entries keep ascending column order inside each row, so a row's
-// products meet its accumulator in exactly the order the plain transpose
-// adds them: visiting rows in another order cannot change a bit of the
-// product.  What it changes is the control flow — consecutive rows of one
-// length take the same path through the loop, which the branch predictor
-// then learns.
+// its rows visited in order of length, and no stored values (DESIGN.md
+// §7).  The non-empty rows come first, longest first and ties in
+// ascending row id, then the empty rows in ascending id.  Each entry
+// names a slot of a term table instead of holding a value: a product
+// first fills y[t] = float64(scale(t)·x[src(t)]) for every slot t, then
+// gathers out = Σ y[Col[k]] over each row.  A slot's term is the
+// rounded product the valued loop formed for every entry naming it, and
+// a row's entries keep ascending column order, so each row's
+// accumulator receives the plain transpose's terms in the plain
+// transpose's order: neither the table nor the visiting order can change
+// a bit of the product.
+//
+// The square operand (CSR.TransposeOrdered) labels each vertex by its
+// position: x and out are indexed by Label[v], so position p writes
+// out[p] and the longest rows' vertices form a dense prefix of x.  A row
+// block's operand (the TransposeOrdered function) keeps the block's
+// local row ids in x and writes position p to out[Rows[p]].
 type Ordered struct {
-	// Rows lists every row of the transpose exactly once, by position.
+	// Label gives each vertex its position, the index of its element in
+	// the square operand's x and out; nil for a row block's operand.
+	Label []uint32
+	// Rows gives each position of a row block's operand the element of
+	// out it writes; nil for the square operand, whose position p writes
+	// out[p].
 	Rows []uint32
 	// Ptr delimits the entries of the non-empty positions: position
-	// p < len(Ptr)-1 holds Col/Val[Ptr[p]:Ptr[p+1]]; the positions from
+	// p < len(Ptr)-1 holds Col[Ptr[p]:Ptr[p+1]]; the positions from
 	// len(Ptr)-1 on are the empty rows.
 	Ptr []int64
-	// Col holds each entry's column (a row of the original matrix).
+	// Col holds each entry's table slot.
 	Col []uint32
-	// Val holds each entry's value.
-	Val []float64
+	// Scale gives the term table one slot per row of the source matrix:
+	// slot t < len(Scale) multiplies x[t], the element of the row it
+	// belongs to, by Scale[t], the row's first stored value.
+	Scale []float64
+	// Extra and Src are the slots from m = len(Scale) on, one per further
+	// distinct (row, value) pair: slot m+s multiplies x[Src[s]] by
+	// Extra[s].
+	Extra []float64
+	Src   []uint32
 }
 
-// TransposeOrdered returns Aᵀ as a length-ordered gather operand.
+// TransposeOrdered returns the square matrix's transpose as a
+// length-ordered gather operand in position labels; it panics on a row
+// block, whose operand the TransposeOrdered function builds.
 func (a *CSR) TransposeOrdered() *Ordered {
-	return TransposeOrdered(a.N, a.RowPtr, a.Col, a.Val)
+	if a.Rows() != a.N {
+		panic("sparse: TransposeOrdered of a row block")
+	}
+	return transposeOrdered(a.N, a.RowPtr, a.Col, a.Val, true)
 }
 
 // TransposeOrdered returns the length-ordered transpose of the
 // (len(rowPtr)-1)×n matrix whose rows rowPtr, col and val describe in CSR
-// layout, with every column index below n — a square CSR, or one rank's
-// row block of it.  The transpose has n rows.  One counting pass over col
-// sizes the rows; they are ordered by a counting sort on length, and one
-// scatter pass in row order places the entries.  The inputs are only
-// read.
+// layout, with every column index below n — one rank's row block.  The
+// transpose has n rows, written through Rows; x is indexed by the
+// block's local row.  The inputs are only read.
 func TransposeOrdered(n int, rowPtr []int64, col []uint32, val []float64) *Ordered {
+	return transposeOrdered(n, rowPtr, col, val, false)
+}
+
+// transposeOrdered builds either form.  One counting pass over col sizes
+// the rows; they are ordered by a counting sort on length, and one
+// scatter pass in row order places the entries and finds their slots: a
+// row's first value is its own slot, and any other value is looked up by
+// a linear scan over the extra slots this row has made so far.
+func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labelled bool) *Ordered {
 	cursor := make([]int64, n) // row lengths, then each row's write cursor
 	longest := int64(0)
 	for _, c := range col {
 		cursor[c]++
 		longest = max(longest, cursor[c])
 	}
-	// start[l] is the first position of the rows of length l: after every
-	// longer row, ahead of every shorter one.
-	start := make([]int, longest+2)
+	start := make([]int, longest+1) // rows per length, then each length's next position
 	for _, l := range cursor {
 		start[l]++
+	}
+	nonEmpty := n - start[0]
+	t := &Ordered{Ptr: make([]int64, nonEmpty+1), Col: make([]uint32, len(col))}
+	p := 0
+	for l := longest; l >= 1; l-- {
+		for range start[l] {
+			t.Ptr[p+1] = t.Ptr[p] + l
+			p++
+		}
 	}
 	for l, next := longest, 0; l >= 0; l-- {
 		start[l], next = next, next+start[l]
 	}
-	t := &Ordered{Rows: make([]uint32, n), Col: make([]uint32, len(col)), Val: make([]float64, len(col))}
+	if labelled {
+		t.Label = make([]uint32, n)
+	} else {
+		t.Rows = make([]uint32, n)
+	}
 	for r, l := range cursor {
-		t.Rows[start[l]] = uint32(r)
+		p := start[l]
 		start[l]++
+		if labelled {
+			t.Label[r] = uint32(p)
+		} else {
+			t.Rows[p] = uint32(r)
+		}
+		if l > 0 {
+			cursor[r] = t.Ptr[p]
+		}
 	}
-	nonEmpty := start[1] // the length-1 block's end: the first empty row's position
-	t.Ptr = make([]int64, nonEmpty+1)
-	for p, r := range t.Rows[:nonEmpty] {
-		l := cursor[r]
-		cursor[r] = t.Ptr[p]
-		t.Ptr[p+1] = t.Ptr[p] + l
-	}
-	for i := 0; i+1 < len(rowPtr); i++ {
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+	m := len(rowPtr) - 1
+	t.Scale = make([]float64, m)
+	for i := 0; i < m; i++ {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		if lo == hi {
+			continue
+		}
+		slot := uint32(i)
+		if labelled {
+			slot = t.Label[i]
+		}
+		first, extras := math.Float64bits(val[lo]), len(t.Extra)
+		t.Scale[slot] = val[lo]
+		for k := lo; k < hi; k++ {
+			s := slot
+			if v := val[k]; math.Float64bits(v) != first {
+				e := extras
+				for e < len(t.Extra) && math.Float64bits(t.Extra[e]) != math.Float64bits(v) {
+					e++
+				}
+				if e == len(t.Extra) {
+					t.Extra = append(t.Extra, v)
+					t.Src = append(t.Src, slot)
+				}
+				s = uint32(m + e)
+			}
 			q := cursor[col[k]]
-			t.Col[q] = uint32(i)
-			t.Val[q] = val[k]
+			t.Col[q] = s
 			cursor[col[k]] = q + 1
 		}
 	}
@@ -82,28 +150,88 @@ func TransposeOrdered(n int, rowPtr []int64, col []uint32, val []float64) *Order
 }
 
 // N returns the operand's row count: the length of a product's out.
-func (t *Ordered) N() int { return len(t.Rows) }
+func (t *Ordered) N() int { return len(t.Label) + len(t.Rows) }
 
-// Footprint returns the operand's in-memory size in bytes, its four
-// arrays at their allocated capacity (the matrix cache's charge).
+// Footprint returns the operand's in-memory size in bytes, its arrays at
+// their allocated capacity (the matrix cache's charge).
 func (t *Ordered) Footprint() int64 {
-	return int64(cap(t.Rows))*4 + int64(cap(t.Ptr))*8 + int64(cap(t.Col))*4 + int64(cap(t.Val))*8
+	u32s := cap(t.Label) + cap(t.Rows) + cap(t.Col) + cap(t.Src)
+	return int64(u32s)*4 + int64(cap(t.Ptr)+cap(t.Scale)+cap(t.Extra))*8
 }
 
-// MxV computes out = T·x, writing every element of out exactly once; it
-// allocates nothing.  Applied to the ordered Aᵀ it evaluates r·A.
-func (t *Ordered) MxV(out, x []float64) { t.MxVRange(out, x, 0, len(t.Rows)) }
+// Slots returns the term table's length: the length of a product's term
+// vector y.
+func (t *Ordered) Slots() int { return len(t.Scale) + len(t.Extra) }
 
-// MxVRange computes the rows at positions [lo, hi) of out = T·x.  Each
-// row is written by the one position that holds it, so disjoint position
-// ranges may run concurrently with no effect on the bits.
-func (t *Ordered) MxVRange(out, x []float64, lo, hi int) {
+// MxV computes out = T·x serially, filling y (of length Slots) with the
+// terms; it allocates nothing.  Applied to the ordered Aᵀ it evaluates
+// r·A, in position labels for the square operand.
+func (t *Ordered) MxV(out, x, y []float64) {
+	t.terms(y, x, 0, t.Slots())
+	t.gatherRange(out, y, 0, t.N())
+}
+
+// terms fills the slots [lo, hi) of the term vector y from x.
+func (t *Ordered) terms(y, x []float64, lo, hi int) {
+	m := len(t.Scale)
+	if end := min(hi, m); lo < end {
+		scale, x, y := t.Scale[lo:end], x[lo:end], y[lo:end]
+		for i, s := range scale {
+			y[i] = float64(s * x[i])
+		}
+	}
+	for s := max(lo, m); s < hi; s++ {
+		y[s] = float64(t.Extra[s-m] * x[t.Src[s-m]])
+	}
+}
+
+// gatherRange computes the positions [lo, hi) of out from the filled
+// term vector y.  Each position writes one element of out, so disjoint
+// position ranges may run concurrently with no effect on the bits.
+func (t *Ordered) gatherRange(out, y []float64, lo, hi int) {
 	nonEmpty := len(t.Ptr) - 1
 	if end := min(hi, nonEmpty); lo < end {
-		gather(out, t.Rows[lo:end], t.Ptr[lo:end+1], t.Col, t.Val, x)
+		if t.Rows != nil {
+			gather(out, t.Rows[lo:end], t.Ptr[lo:end+1], t.Col, y)
+		} else {
+			gather(out[lo:end], nil, t.Ptr[lo:end+1], t.Col, y)
+		}
+	}
+	if t.Rows == nil {
+		clear(out[max(lo, nonEmpty):max(hi, nonEmpty)])
+		return
 	}
 	for _, r := range t.Rows[max(lo, nonEmpty):max(hi, nonEmpty)] {
 		out[r] = 0
+	}
+}
+
+// gather is the kernel-3 gather loop (DESIGN.md §7): for each row i that
+// ptr delimits in col, it writes the row's sum Σ_k y[col[k]] to
+// out[rows[i]], or to out[i] when rows is nil.  Every row is a single
+// accumulator receiving its terms in ascending-k order — that addition
+// sequence is the bit-for-bit contract.  Loading a group of terms before
+// adding them changes which loads are in flight, not the order of the
+// adds.  The rows branch is the same for a whole call, so it costs the
+// predictor nothing.
+func gather(out []float64, rows []uint32, ptr []int64, col []uint32, y []float64) {
+	k := ptr[0]
+	for i, e := range ptr[1:] {
+		c := col[k:e]
+		k = e
+		var s float64
+		for len(c) >= 8 {
+			s = s + y[c[0]] + y[c[1]] + y[c[2]] + y[c[3]] + y[c[4]] + y[c[5]] + y[c[6]] + y[c[7]]
+			c = c[8:]
+		}
+		for _, cj := range c {
+			s += y[cj]
+		}
+		if rows != nil {
+			out[rows[i]] = s
+		} else {
+			out[i] = s
+		}
 	}
 }
 
@@ -116,12 +244,13 @@ func (t *Ordered) MxVRange(out, x []float64, lo, hi int) {
 // parts).
 func (t *Ordered) Split(parts int) []int {
 	b := make([]int, parts+1)
-	nonEmpty, nnz := len(t.Ptr)-1, int64(len(t.Col))
+	nonEmpty := len(t.Ptr) - 1
+	nnz := t.Ptr[nonEmpty]
 	for w := 1; w < parts; w++ {
 		target := int64(w) * nnz / int64(parts)
 		b[w] = sort.Search(nonEmpty, func(p int) bool { return t.Ptr[p] >= target })
 	}
-	b[parts] = len(t.Rows)
+	b[parts] = t.N()
 	return b
 }
 
@@ -131,37 +260,56 @@ func (t *Ordered) Split(parts int) []int {
 const teamChunks = 32
 
 // Team computes an Ordered product on a persistent worker team: spawned
-// once, signalled per product, so a steady-state product allocates
-// nothing.  Each product deals the chunks of Split(workers·teamChunks)
-// out through a counter, one at a time to whichever worker is free.
-// Every row is computed whole, by the serial loop, by the one worker
-// that took its chunk, so the result is bit-for-bit MxV's for every
-// worker count and every interleaving.
+// once, signalled twice per product, so a steady-state product allocates
+// nothing.  The team owns the term vector, so any number of teams may
+// share one operand.  A product first fills the term vector, an even
+// share of slots per worker, then deals the chunks of
+// Split(workers·teamChunks) out through a counter, one at a time to
+// whichever worker is free.
+// Every term and every row is computed whole, by the serial loop, by
+// one worker, so the result is bit-for-bit MxV's for every worker count
+// and every interleaving.
 type Team struct {
-	bounds []int
-	next   atomic.Int64 // the next chunk to deal; reset per product
-	out, x []float64
-	team   *workteam.Team
+	fill, bounds []int
+	next         atomic.Int64 // the next chunk to deal; reset per product
+	gathering    bool         // which phase a round runs
+	out, x, y    []float64
+	team         *workteam.Team
 }
 
-// NewTeam spawns workers goroutines over t.  Callers must Close the team
-// when done or the goroutines leak.
+// NewTeam spawns max(workers, 1) goroutines over t.  Callers must Close
+// the team when done or the goroutines leak.
 func (t *Ordered) NewTeam(workers int) *Team {
-	m := &Team{bounds: t.Split(workers * teamChunks)}
-	m.team = workteam.New(workers, func(int) {
-		out, x, chunks := m.out, m.x, int64(len(m.bounds)-1)
+	workers = max(workers, 1)
+	slots := int64(t.Slots())
+	m := &Team{fill: make([]int, workers+1), bounds: t.Split(workers * teamChunks), y: make([]float64, slots)}
+	for w := range m.fill {
+		m.fill[w] = int(int64(w) * slots / int64(workers))
+	}
+	m.team = workteam.New(workers, func(w int) {
+		if !m.gathering {
+			t.terms(m.y, m.x, m.fill[w], m.fill[w+1])
+			return
+		}
+		out, y, chunks := m.out, m.y, int64(len(m.bounds)-1)
 		for c := m.next.Add(1) - 1; c < chunks; c = m.next.Add(1) - 1 {
-			t.MxVRange(out, x, m.bounds[c], m.bounds[c+1])
+			t.gatherRange(out, y, m.bounds[c], m.bounds[c+1])
 		}
 	})
 	return m
 }
 
+// Workers returns the team's width.
+func (m *Team) Workers() int { return len(m.fill) - 1 }
+
 // MxV computes out = T·x across the team (workteam.Run's happens-before
-// edges keep the workers from racing the caller on out, x and the
-// counter).
+// edges keep the workers from racing the caller on out, x, the phase and
+// the counter, and the gather round from racing the fill round on y).
 func (m *Team) MxV(out, x []float64) {
 	m.out, m.x = out, x
+	m.gathering = false
+	m.team.Run()
+	m.gathering = true
 	m.next.Store(0)
 	m.team.Run()
 }

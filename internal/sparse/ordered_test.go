@@ -1,9 +1,9 @@
 package sparse
 
-// Tests for the length-ordered gather operand.  Its product must be the
-// plain transpose's product bit for bit — naiveMxVRange over Aᵀ is the
-// oracle — for every row shape, every vector value and every team split,
-// and its layout is a pure function of the matrix.
+// Tests for the length-ordered, value-free gather operand.  Its product
+// must be the plain transpose's product bit for bit — naiveMxVRange over
+// Aᵀ is the oracle — for every row shape, every vector value and every
+// team split, and its layout is a pure function of the matrix.
 
 import (
 	"math"
@@ -14,35 +14,71 @@ import (
 	"repro/internal/xrand"
 )
 
-// checkOrderedLayout holds o to its definition against the plain
-// transpose at: every row once, non-empty rows by descending length with
-// ties in ascending id, then the empty rows ascending, and each row's
-// entries exactly at's, in at's order.
+// checkOrderedLayout holds the square operand o to its definition
+// against the plain transpose at.  Label is a permutation that puts the
+// non-empty rows first by descending length with ties in ascending id,
+// then the empty rows ascending.  Each position holds its row's entries
+// in at's order, each naming a slot whose term multiplies that entry's
+// x element (the element of the row of A it comes from) by exactly that
+// entry's value.  A row's first value is the row's own slot; every
+// other (row, value) pair has exactly one extra slot.
 func checkOrderedLayout(t *testing.T, o *Ordered, at *CSR) {
 	t.Helper()
-	if o.N() != at.N || len(o.Col) != at.NNZ() || len(o.Val) != len(o.Col) {
-		t.Fatalf("shape: %d rows, %d/%d entries; transpose %d rows, %d entries", o.N(), len(o.Col), len(o.Val), at.N, at.NNZ())
+	n := at.N
+	if o.N() != n || len(o.Label) != n || o.Rows != nil || len(o.Col) != at.NNZ() {
+		t.Fatalf("shape: %d rows (%d labels, %d Rows), %d entries; transpose %d rows, %d entries",
+			o.N(), len(o.Label), len(o.Rows), len(o.Col), n, at.NNZ())
+	}
+	m := len(o.Scale)
+	if m != n || len(o.Extra) != len(o.Src) {
+		t.Fatalf("table: %d own slots, %d/%d extra; want one per row of A (%d)", m, len(o.Extra), len(o.Src), n)
+	}
+	scale := func(slot int) float64 {
+		if slot < m {
+			return o.Scale[slot]
+		}
+		return o.Extra[slot-m]
 	}
 	nonEmpty := len(o.Ptr) - 1
 	if o.Ptr[0] != 0 || o.Ptr[nonEmpty] != int64(len(o.Col)) {
 		t.Fatalf("Ptr runs %d..%d, want 0..%d", o.Ptr[0], o.Ptr[nonEmpty], len(o.Col))
 	}
 	length := func(r uint32) int64 { return at.RowPtr[r+1] - at.RowPtr[r] }
-	seen := make([]bool, at.N)
-	for p, r := range o.Rows {
-		if seen[r] {
-			t.Fatalf("row %d listed twice", r)
+	rowAt := make([]uint32, n)
+	seen := make([]bool, n)
+	for v, p := range o.Label {
+		if int(p) >= n || seen[p] {
+			t.Fatalf("vertex %d labelled %d: out of range or taken", v, p)
 		}
-		seen[r] = true
-		if p == 0 {
-			continue
-		}
-		prev := o.Rows[p-1]
+		seen[p] = true
+		rowAt[p] = uint32(v)
+	}
+	for p := 1; p < n; p++ {
+		r, prev := rowAt[p], rowAt[p-1]
 		if l, pl := length(r), length(prev); l > pl || l == pl && r < prev {
 			t.Fatalf("position %d: row %d (length %d) after row %d (length %d)", p, r, l, prev, pl)
 		}
 	}
-	for p, r := range o.Rows {
+	a := at.Transpose()
+	for i := 0; i < n; i++ {
+		if lo := a.RowPtr[i]; lo < a.RowPtr[i+1] && math.Float64bits(o.Scale[o.Label[i]]) != math.Float64bits(a.Val[lo]) {
+			t.Fatalf("row %d of A: own slot %d holds %v, first value %v", i, o.Label[i], o.Scale[o.Label[i]], a.Val[lo])
+		}
+	}
+	type pair struct {
+		src  uint32
+		bits uint64
+	}
+	extra := make(map[pair]bool)
+	for s, src := range o.Src {
+		key := pair{src, math.Float64bits(o.Extra[s])}
+		if extra[key] || key.bits == math.Float64bits(o.Scale[src]) {
+			t.Fatalf("extra slot %d repeats x[%d]·%v", m+s, src, o.Extra[s])
+		}
+		extra[key] = true
+	}
+	used := make([]bool, len(o.Src))
+	for p, r := range rowAt {
 		lo, hi := at.RowPtr[r], at.RowPtr[r+1]
 		if p >= nonEmpty {
 			if hi != lo {
@@ -55,11 +91,32 @@ func checkOrderedLayout(t *testing.T, o *Ordered, at *CSR) {
 			t.Fatalf("position %d: row %d holds %d entries, transpose %d", p, r, e-k, hi-lo)
 		}
 		for j := int64(0); j < e-k; j++ {
-			if o.Col[k+j] != at.Col[lo+j] || math.Float64bits(o.Val[k+j]) != math.Float64bits(at.Val[lo+j]) {
-				t.Fatalf("position %d (row %d) entry %d differs from the transpose's", p, r, j)
+			slot, i := int(o.Col[k+j]), at.Col[lo+j]
+			src := slot
+			if slot >= m {
+				src = int(o.Src[slot-m])
+				used[slot-m] = true
+			}
+			if src != int(o.Label[i]) || math.Float64bits(scale(slot)) != math.Float64bits(at.Val[lo+j]) {
+				t.Fatalf("position %d (row %d) entry %d: slot %d is x[%d]·%v, transpose x[%d]·%v",
+					p, r, j, slot, src, scale(slot), o.Label[i], at.Val[lo+j])
 			}
 		}
 	}
+	for s, u := range used {
+		if !u {
+			t.Fatalf("extra slot %d is named by no entry", m+s)
+		}
+	}
+}
+
+// toLabels returns the vertex-order v in o's position labels.
+func toLabels(o *Ordered, v []float64) []float64 {
+	out := make([]float64, len(v))
+	for i, p := range o.Label {
+		out[p] = v[i]
+	}
+	return out
 }
 
 // checkOrderedProduct compares o's product, whole and over every part of
@@ -71,6 +128,7 @@ func checkOrderedProduct(t *testing.T, what string, o *Ordered, at *CSR, x []flo
 	const sentinel = -12345.678
 	want := make([]float64, at.N)
 	naiveMxVRange(at, want, x, 0, at.N)
+	xl, y := toLabels(o, x), make([]float64, o.Slots())
 	fresh := func() []float64 {
 		out := make([]float64, at.N)
 		for i := range out {
@@ -81,28 +139,32 @@ func checkOrderedProduct(t *testing.T, what string, o *Ordered, at *CSR, x []flo
 	compare := func(how string, got []float64) {
 		t.Helper()
 		for i := range want {
-			if !sameFloatBits(want[i], got[i]) {
+			if g := got[o.Label[i]]; !sameFloatBits(want[i], g) {
 				t.Fatalf("%s, %s: out[%d] = %v (%#x), want %v (%#x); row length %d", what, how, i,
-					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), at.RowPtr[i+1]-at.RowPtr[i])
+					g, math.Float64bits(g), want[i], math.Float64bits(want[i]), at.RowPtr[i+1]-at.RowPtr[i])
 			}
 		}
 	}
 	got := fresh()
-	o.MxV(got, x)
+	o.MxV(got, xl, y)
 	compare("MxV", got)
 	for _, parts := range []int{1, 2, 3, 5, 8} {
 		b := o.Split(parts)
 		if len(b) != parts+1 || b[0] != 0 || b[parts] != o.N() || !slices.IsSorted(b) {
 			t.Fatalf("%s: Split(%d) = %v", what, parts, b)
 		}
-		got := fresh()
+		got, y := fresh(), make([]float64, o.Slots())
 		for w := 0; w < parts; w++ {
-			o.MxVRange(got, x, b[w], b[w+1])
+			lo, hi := w*len(y)/parts, (w+1)*len(y)/parts
+			o.terms(y, xl, lo, hi)
+		}
+		for w := 0; w < parts; w++ {
+			o.gatherRange(got, y, b[w], b[w+1])
 		}
 		compare("split", got)
 		team := o.NewTeam(parts)
 		got = fresh()
-		team.MxV(got, x)
+		team.MxV(got, xl)
 		team.Close()
 		compare("team", got)
 	}
@@ -211,13 +273,59 @@ func TestOrderedBuildsFromRowBlock(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i%11) - 3
 	}
+	if o.Label != nil || o.N() != a.N || len(o.Scale) != hi-lo {
+		t.Fatalf("block operand: %d labels, %d rows, %d own slots; want Rows over %d, a slot per block row (%d)",
+			len(o.Label), o.N(), len(o.Scale), a.N, hi-lo)
+	}
 	want := make([]float64, a.N)
 	block.Transpose().MxV(want, x)
 	got := make([]float64, a.N)
-	o.MxV(got, x[lo:hi])
+	o.MxV(got, x[lo:hi], make([]float64, o.Slots()))
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("out[%d] = %v, square block's transpose %v", i, got[i], want[i])
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		team := o.NewTeam(workers)
+		got := make([]float64, a.N)
+		team.MxV(got, x[lo:hi])
+		team.Close()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d workers: the block team's product differs from the square block's", workers)
+		}
+	}
+}
+
+// TestTeamSplitBalanced holds every chunk a team deals to its share of
+// the entries: on a Kronecker scale-12 operand, square and row block,
+// each part of Split(w·teamChunks) holds at most nnz/parts entries plus
+// the longest row, with nnz counted from Ptr.
+func TestTeamSplitBalanced(t *testing.T) {
+	l, err := kronecker.Generate(kronecker.New(12, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := FromEdges(l, 1<<12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.ScaleRows(a.OutDegrees())
+	lo, hi := a.N/4, 3*a.N/4
+	blk := a.RowBlock(lo, hi)
+	for _, o := range []*Ordered{a.TransposeOrdered(), TransposeOrdered(blk.N, blk.RowPtr, blk.Col, blk.Val)} {
+		nonEmpty := len(o.Ptr) - 1
+		nnz, longest := o.Ptr[nonEmpty], o.Ptr[1]-o.Ptr[0]
+		for _, w := range []int{2, 3, 8} {
+			parts := w * teamChunks
+			b := o.Split(parts)
+			for c := 0; c < parts; c++ {
+				got := o.Ptr[min(b[c+1], nonEmpty)] - o.Ptr[min(b[c], nonEmpty)]
+				if bound := (nnz+int64(parts)-1)/int64(parts) + longest; got > bound {
+					t.Fatalf("%d workers (labels %v): chunk %d holds %d of %d entries, bound %d; cuts %v",
+						w, o.Label != nil, c, got, nnz, bound, b)
+				}
+			}
 		}
 	}
 }
@@ -242,6 +350,7 @@ func TestTeamReusedAcrossProducts(t *testing.T) {
 	})
 	o := at.Transpose().TransposeOrdered()
 	nonEmpty, nnz := len(o.Ptr)-1, len(o.Col)
+	xl := make([]float64, n)
 	for _, workers := range []int{1, 2, 3, 5, 8} {
 		chunks := workers * teamChunks
 		if nonEmpty >= chunks || hub <= nnz/chunks {
@@ -249,16 +358,15 @@ func TestTeamReusedAcrossProducts(t *testing.T) {
 		}
 		team := o.NewTeam(workers)
 		for product := 0; product < 4; product++ {
-			x := make([]float64, n)
-			for i := range x {
-				x[i] = mxvValue(g, true)
+			for i := range xl {
+				xl[i] = mxvValue(g, true)
 			}
 			want, got := make([]float64, n), make([]float64, n)
-			o.MxV(want, x)
+			o.MxV(want, xl, make([]float64, o.Slots()))
 			for i := range got {
 				got[i] = -12345.678
 			}
-			team.MxV(got, x)
+			team.MxV(got, xl)
 			for i := range want {
 				if !sameFloatBits(want[i], got[i]) {
 					t.Fatalf("%d workers, product %d: out[%d] = %v, MxV %v", workers, product, i, got[i], want[i])
@@ -275,7 +383,8 @@ func TestOrderedZeroAllocs(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i)
 	}
-	if n := testing.AllocsPerRun(10, func() { o.MxV(want, x) }); n != 0 {
+	y := make([]float64, o.Slots())
+	if n := testing.AllocsPerRun(10, func() { o.MxV(want, x, y) }); n != 0 {
 		t.Fatalf("MxV allocates %v times per call, want 0", n)
 	}
 	// The chunk counter lives in the team: dealing chunks costs nothing.
@@ -322,7 +431,9 @@ func FuzzTransposeOrdered(f *testing.F) {
 		o := a.TransposeOrdered()
 		checkOrderedLayout(t, o, at)
 		again := a.TransposeOrdered()
-		if !slices.Equal(o.Rows, again.Rows) || !slices.Equal(o.Ptr, again.Ptr) || !slices.Equal(o.Col, again.Col) {
+		if !slices.Equal(o.Label, again.Label) || !slices.Equal(o.Ptr, again.Ptr) || !slices.Equal(o.Col, again.Col) ||
+			!slices.Equal(o.Src, again.Src) || !slices.EqualFunc(o.Scale, again.Scale, sameFloatBits) ||
+			!slices.EqualFunc(o.Extra, again.Extra, sameFloatBits) {
 			t.Fatal("two builds of one matrix differ")
 		}
 		x := make([]float64, n)
@@ -350,13 +461,13 @@ func fuzzValue(b byte) float64 {
 
 func BenchmarkOrderedMxV(b *testing.B) {
 	o := randomCSR(b, 1, 1<<20, 1<<16).TransposeOrdered()
-	x, out := make([]float64, o.N()), make([]float64, o.N())
+	x, out, y := make([]float64, o.N()), make([]float64, o.N()), make([]float64, o.Slots())
 	for i := range x {
 		x[i] = 1
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.MxV(out, x)
+		o.MxV(out, x, y)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(o.Col)), "ns/nnz")
 }

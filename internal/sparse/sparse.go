@@ -556,32 +556,15 @@ func (a *CSR) VxM(out, r []float64) {
 func (a *CSR) MxV(out, x []float64) { a.MxVRange(out, x, 0, a.Rows()) }
 
 // MxVRange computes the rows [lo, hi) of out = A·x — the gather product
-// restricted to a contiguous row range.  Each output element depends only
-// on its own row, so disjoint ranges may be computed concurrently with no
-// coordination and no effect on the result's bits.  Kernel 3 multiplies
-// the length-ordered Ordered operand instead; this form remains for
-// callers that hold a plain transpose.
+// restricted to a contiguous row range, each row one accumulator taking
+// its products float64(val·x) in ascending-k order, eight loaded ahead of
+// their adds.  Disjoint ranges may run concurrently with no effect on the
+// bits.  Kernel 3 multiplies the value-free Ordered operand instead; this
+// valued loop remains for callers that hold a plain transpose.
 func (a *CSR) MxVRange(out, x []float64, lo, hi int) {
-	if lo < hi {
-		gather(out[lo:hi], nil, a.RowPtr[lo:hi+1], a.Col, a.Val, x)
-	}
-}
-
-// gather is the one gather loop in the tree (DESIGN.md §7), shared by
-// CSR.MxVRange and Ordered.MxVRange: for each row i that ptr delimits in
-// col/val, it writes the row's sum Σ_k val[k]·x[col[k]] to out[rows[i]],
-// or to out[i] when rows is nil.  Every row is a single accumulator
-// receiving its products in ascending-k order — that addition sequence
-// is the bit-for-bit contract.  Loading and multiplying a group of
-// entries before adding them changes which loads are in flight, not the
-// order of the adds; the float64 conversions keep the products from being
-// fused into the adds on FMA architectures (DESIGN.md §4).  The rows
-// branch is the same for a whole call, so it costs the predictor nothing.
-func gather(out []float64, rows []uint32, ptr []int64, col []uint32, val, x []float64) {
-	k := ptr[0]
-	for i, e := range ptr[1:] {
-		c, v := col[k:e], val[k:e]
-		k = e
+	for i := lo; i < hi; i++ {
+		k, e := a.RowPtr[i], a.RowPtr[i+1]
+		c, v := a.Col[k:e], a.Val[k:e]
 		var s float64
 		// len(v) == len(c); testing both lets the compiler drop every
 		// bounds check in the group but the data-dependent x[c[·]].
@@ -601,11 +584,7 @@ func gather(out []float64, rows []uint32, ptr []int64, col []uint32, val, x []fl
 		for j, cj := range c {
 			s += float64(v[j] * x[cj])
 		}
-		if rows != nil {
-			out[rows[i]] = s
-		} else {
-			out[i] = s
-		}
+		out[i] = s
 	}
 }
 
