@@ -150,14 +150,13 @@ type ckptRun struct {
 	// epochs land on lives with the coordinator, so the worker-side
 	// ckptRun has a nil spec.FS and relays chunk and commit writes over
 	// its control link instead (sockworker.go wires these).  relay marks
-	// checkpointing as enabled despite the nil FS; committed replaces
-	// noteCommitted (the coordinator keeps the stats, the Keep pruning
-	// and the OnCommit observer, since it performs the writes); hardExit
+	// checkpointing as enabled despite the nil FS and leaves the commit
+	// records to the coordinator (the stats, the Keep pruning and the
+	// OnCommit observer), since it performs the writes; hardExit
 	// implements FaultPlan.Hard (a genuine os.Exit, socket workers only).
 	relay     bool
 	putChunk  func(*ckpt.Chunk) error
 	putCommit func(epoch int64) error
-	committed func(epoch int64)
 	hardExit  func()
 }
 
@@ -179,17 +178,6 @@ func (ck *ckptRun) writeCommit(g int64) error {
 		return ck.putCommit(g)
 	}
 	return ckpt.WriteCommit(ck.spec.FS, ck.spec.Prefix, g, ck.n, ck.procs, ck.damping)
-}
-
-// commitNoted records a committed epoch, locally or at the relay's far
-// end (where the coordinator already recorded it when it wrote the
-// commit — the worker-side hook is a no-op there).
-func (ck *ckptRun) commitNoted(g int64) {
-	if ck.committed != nil {
-		ck.committed(g)
-		return
-	}
-	ck.noteCommitted(g)
 }
 
 // prepareCheckpoint validates the spec's checkpoint/fault configuration
@@ -388,8 +376,8 @@ func (ck *ckptRun) afterRank(c *rankComm, lo, hi int) func(int, []float64) error
 			if err := c.agreeError(cerr); err != nil {
 				return err
 			}
-			if c.rank == 0 {
-				ck.commitNoted(g)
+			if c.rank == 0 && !ck.relay {
+				ck.noteCommitted(g)
 			}
 		}
 		if killed {

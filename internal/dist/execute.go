@@ -171,6 +171,14 @@ func validate(spec *Spec) error {
 			return err
 		}
 	}
+	if err := spec.PageRank.ValidateN(specN(*spec)); kernel3 && err != nil {
+		return err // before any rank: a socket job carries only n-element vectors
+	}
+	if spec.Mode == ExecSocket && spec.Op != OpRunMatrix {
+		if err := chunkFits(spec.Edges.Len(), spec.Procs); err != nil {
+			return err
+		}
+	}
 	if !kernel3 && spec.Checkpoint.enabled() {
 		return fmt.Errorf("dist: checkpointing applies to the kernel-3 ops, not %v", spec.Op)
 	}

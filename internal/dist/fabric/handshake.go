@@ -1,12 +1,10 @@
 package fabric
 
 // Handshake payloads: the fixed-layout little-endian messages that bring
-// a worker into a fabric (DESIGN.md §13).  They are deliberately not gob
-// — version negotiation must fail cleanly against a peer from a
-// different build, so everything up to and including the Welcome is
-// decodable with nothing but this file and wire.go.  (Job and outcome
-// payloads, exchanged only after both ends have proven the same wire
-// version, are gob.)
+// a worker into a fabric (DESIGN.md §13), in control.go's field encoding.
+// Version negotiation must fail cleanly against a peer from a different
+// build, so everything up to and including the Welcome is decodable with
+// nothing but this package.
 //
 // Sequence, with w = worker, c = coordinator, r = assigned rank:
 //
@@ -17,16 +15,14 @@ package fabric
 //	     s < r and sends the hello; r accepts p-1-r conns from s > r
 //	     and validates theirs.  One conn per unordered rank pair.
 //	w→c  FrameReady    — mesh complete
-//	c→w  FrameJob      — gob job spec; a run begins.  When the spec
-//	     announces an operand, a FrameBlock follows with the rank's row
-//	     block.  The worker answers with FrameOutcome and waits for the
-//	     next job; the coordinator closing the link ends the session.
+//	c→w  FrameJob      — one rank's job; a run begins.  The worker
+//	     answers with FrameOutcome and waits for the next job; the
+//	     coordinator closing the link ends the session.
 //
 // Every frame carries the wire version in its header, so a version
 // mismatch fails at the first frame either side reads.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 )
@@ -48,26 +44,17 @@ type Join struct {
 
 // AppendJoin appends the FrameJoin payload encoding of j.
 func AppendJoin(b []byte, j Join) []byte {
-	b = appendString(b, j.FabricID)
-	b = appendString(b, j.MeshNetwork)
-	return appendString(b, j.MeshAddr)
+	b = AppendString(b, j.FabricID)
+	b = AppendString(b, j.MeshNetwork)
+	return AppendString(b, j.MeshAddr)
 }
 
 // ParseJoin decodes a FrameJoin payload.
 func ParseJoin(payload []byte) (Join, error) {
-	var j Join
-	var err error
-	if j.FabricID, payload, err = takeString(payload); err != nil {
+	r := NewReader(payload)
+	j := Join{FabricID: r.Str(), MeshNetwork: r.Str(), MeshAddr: r.Str()}
+	if err := r.Close(); err != nil {
 		return Join{}, fmt.Errorf("fabric: join: %w", err)
-	}
-	if j.MeshNetwork, payload, err = takeString(payload); err != nil {
-		return Join{}, fmt.Errorf("fabric: join: %w", err)
-	}
-	if j.MeshAddr, payload, err = takeString(payload); err != nil {
-		return Join{}, fmt.Errorf("fabric: join: %w", err)
-	}
-	if len(payload) != 0 {
-		return Join{}, fmt.Errorf("fabric: join: %d trailing bytes", len(payload))
 	}
 	return j, nil
 }
@@ -89,49 +76,35 @@ type Welcome struct {
 
 // AppendWelcome appends the FrameWelcome payload encoding of w.
 func AppendWelcome(b []byte, w Welcome) []byte {
-	b = appendU32(b, uint32(w.Rank))
-	b = appendU32(b, uint32(w.Procs))
-	b = binary.LittleEndian.AppendUint64(b, uint64(w.IOTimeout))
-	b = appendString(b, w.MeshNetwork)
+	b = AppendInt(b, w.Rank)
+	b = AppendInt(b, w.Procs)
+	b = AppendU64(b, uint64(w.IOTimeout))
+	b = AppendString(b, w.MeshNetwork)
 	for _, a := range w.MeshAddrs {
-		b = appendString(b, a)
+		b = AppendString(b, a)
 	}
 	return b
 }
 
 // ParseWelcome decodes and validates a FrameWelcome payload.
 func ParseWelcome(payload []byte) (Welcome, error) {
-	var w Welcome
-	var err error
-	var rank, procs uint32
-	if rank, payload, err = takeU32(payload); err != nil {
-		return Welcome{}, fmt.Errorf("fabric: welcome: %w", err)
+	r := NewReader(payload)
+	w := Welcome{Rank: r.Int(), Procs: r.Int()}
+	if r.Err() == nil && (w.Procs < 1 || w.Procs > maxProcs) {
+		r.Failf("p = %d out of range [1, %d]", w.Procs, maxProcs)
 	}
-	if procs, payload, err = takeU32(payload); err != nil {
-		return Welcome{}, fmt.Errorf("fabric: welcome: %w", err)
+	if r.Err() == nil && (w.Rank < 0 || w.Rank >= w.Procs) {
+		r.Failf("rank %d of %d", w.Rank, w.Procs)
 	}
-	if procs < 1 || procs > maxProcs {
-		return Welcome{}, fmt.Errorf("fabric: welcome: p = %d out of range [1, %d]", procs, maxProcs)
-	}
-	if rank >= procs {
-		return Welcome{}, fmt.Errorf("fabric: welcome: rank %d of %d", rank, procs)
-	}
-	w.Rank, w.Procs = int(rank), int(procs)
-	if len(payload) < 8 {
-		return Welcome{}, fmt.Errorf("fabric: welcome: truncated io timeout")
-	}
-	w.IOTimeout, payload = time.Duration(binary.LittleEndian.Uint64(payload)), payload[8:]
-	if w.MeshNetwork, payload, err = takeString(payload); err != nil {
-		return Welcome{}, fmt.Errorf("fabric: welcome: %w", err)
-	}
-	w.MeshAddrs = make([]string, w.Procs)
-	for i := range w.MeshAddrs {
-		if w.MeshAddrs[i], payload, err = takeString(payload); err != nil {
-			return Welcome{}, fmt.Errorf("fabric: welcome: address %d: %w", i, err)
+	w.IOTimeout, w.MeshNetwork = time.Duration(r.U64()), r.Str()
+	if r.Err() == nil {
+		w.MeshAddrs = make([]string, w.Procs)
+		for i := range w.MeshAddrs {
+			w.MeshAddrs[i] = r.Str()
 		}
 	}
-	if len(payload) != 0 {
-		return Welcome{}, fmt.Errorf("fabric: welcome: %d trailing bytes", len(payload))
+	if err := r.Close(); err != nil {
+		return Welcome{}, fmt.Errorf("fabric: welcome: %w", err)
 	}
 	return w, nil
 }
@@ -145,31 +118,20 @@ type MeshHello struct {
 
 // AppendMeshHello appends the FrameMeshHello payload encoding of h.
 func AppendMeshHello(b []byte, h MeshHello) []byte {
-	b = appendString(b, h.FabricID)
-	b = appendU32(b, uint32(h.Src))
-	return appendU32(b, uint32(h.Dst))
+	b = AppendString(b, h.FabricID)
+	b = AppendInt(b, h.Src)
+	return AppendInt(b, h.Dst)
 }
 
 // ParseMeshHello decodes a FrameMeshHello payload.
 func ParseMeshHello(payload []byte) (MeshHello, error) {
-	var h MeshHello
-	var err error
-	if h.FabricID, payload, err = takeString(payload); err != nil {
+	r := NewReader(payload)
+	h := MeshHello{FabricID: r.Str(), Src: r.Int(), Dst: r.Int()}
+	if r.Err() == nil && (h.Src < 0 || h.Src > maxProcs || h.Dst < 0 || h.Dst > maxProcs) {
+		r.Failf("ranks %d→%d out of range", h.Src, h.Dst)
+	}
+	if err := r.Close(); err != nil {
 		return MeshHello{}, fmt.Errorf("fabric: mesh hello: %w", err)
 	}
-	var src, dst uint32
-	if src, payload, err = takeU32(payload); err != nil {
-		return MeshHello{}, fmt.Errorf("fabric: mesh hello: %w", err)
-	}
-	if dst, payload, err = takeU32(payload); err != nil {
-		return MeshHello{}, fmt.Errorf("fabric: mesh hello: %w", err)
-	}
-	if src > maxProcs || dst > maxProcs {
-		return MeshHello{}, fmt.Errorf("fabric: mesh hello: ranks %d→%d out of range", src, dst)
-	}
-	if len(payload) != 0 {
-		return MeshHello{}, fmt.Errorf("fabric: mesh hello: %d trailing bytes", len(payload))
-	}
-	h.Src, h.Dst = int(src), int(dst)
 	return h, nil
 }

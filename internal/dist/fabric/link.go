@@ -104,7 +104,7 @@ type Link struct {
 
 	wmu  sync.Mutex
 	bw   *bufio.Writer
-	wbuf []byte // frame scratch (header + payload), under wmu
+	wbuf []byte // frame scratch (header, then a data payload), under wmu
 
 	rhdr [HeaderSize]byte
 	rbuf []byte // payload scratch, single-reader
@@ -170,73 +170,65 @@ func (l *Link) Close() error {
 	return l.closeErr
 }
 
-// writeFrame frames and flushes one payload already encoded in l.wbuf
-// after the header gap, under wmu.  data and control partition the
-// payload's accounting; the remainder of the frame is overhead.
-func (l *Link) writeFrame(h Header, data, control uint64) error {
-	PutHeader(l.wbuf[:HeaderSize], h)
+// send writes parts — one frame — and flushes them, under wmu.  data and
+// control partition the frame's payload accounting; the remainder of the
+// frame is overhead.
+func (l *Link) send(data, control uint64, parts ...[]byte) error {
 	if l.timeout > 0 {
 		if err := l.conn.SetWriteDeadline(time.Now().Add(l.timeout)); err != nil {
 			return err
 		}
 	}
-	if _, err := l.bw.Write(l.wbuf); err != nil {
-		return err
+	size := 0
+	for _, p := range parts {
+		if _, err := l.bw.Write(p); err != nil {
+			return err
+		}
+		size += len(p)
 	}
 	if err := l.bw.Flush(); err != nil {
 		return err
 	}
 	l.st.data.Add(data)
 	l.st.control.Add(control)
-	l.st.overhead.Add(uint64(len(l.wbuf)) - data - control)
+	l.st.overhead.Add(uint64(size) - data - control)
 	l.st.frames.Add(1)
 	return nil
 }
 
-// begin resets the frame scratch to an empty payload after the header gap.
-func (l *Link) begin() { l.wbuf = append(l.wbuf[:0], make([]byte, HeaderSize)...) }
+// frame resets the frame scratch to an empty payload after the header
+// gap: a data frame goes out as one contiguous write.
+func (l *Link) frame() []byte { return append(l.wbuf[:0], make([]byte, HeaderSize)...) }
 
-// WriteVec sends a FrameVec: data plane, 8 bytes per element.
-func (l *Link) WriteVec(src, dst int, v []float64) error { return l.writeVec(src, dst, v, true) }
-
-// WriteControlVec sends a FrameVec on the control plane: a worker's
-// result vector going home, which no collective meters.
-func (l *Link) WriteControlVec(src, dst int, v []float64) error {
-	return l.writeVec(src, dst, v, false)
+// sendData frames the data payload l.wbuf holds after its header gap.
+func (l *Link) sendData(t FrameType, src, dst int, overhead uint64) error {
+	n := uint64(len(l.wbuf) - HeaderSize)
+	PutHeader(l.wbuf[:HeaderSize], Header{Type: t, Src: src, Dst: dst, Len: n})
+	return l.send(n-overhead, 0, l.wbuf)
 }
 
-// writeVec frames v, its payload counted as data or as control.
-func (l *Link) writeVec(src, dst int, v []float64, data bool) error {
+// WriteVec sends a FrameVec: data plane, 8 bytes per element.
+func (l *Link) WriteVec(src, dst int, v []float64) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	l.begin()
-	l.wbuf = AppendVec(l.wbuf, v)
-	n := uint64(len(l.wbuf) - HeaderSize)
-	h := Header{Type: FrameVec, Src: src, Dst: dst, Len: n}
-	if data {
-		return l.writeFrame(h, n, 0)
-	}
-	return l.writeFrame(h, 0, n)
+	l.wbuf = AppendVec(l.frame(), v)
+	return l.sendData(FrameVec, src, dst, 0)
 }
 
 // WriteKeys sends a FrameKeys: data plane, 8 bytes per element.
 func (l *Link) WriteKeys(src, dst int, k []uint64) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	l.begin()
-	l.wbuf = AppendKeys(l.wbuf, k)
-	n := uint64(len(l.wbuf) - HeaderSize)
-	return l.writeFrame(Header{Type: FrameKeys, Src: src, Dst: dst, Len: n}, n, 0)
+	l.wbuf = AppendKeys(l.frame(), k)
+	return l.sendData(FrameKeys, src, dst, 0)
 }
 
 // WriteEdges sends a FrameEdges: data plane, 16 bytes per edge.
 func (l *Link) WriteEdges(src, dst int, el *edge.List) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	l.begin()
-	l.wbuf = AppendEdges(l.wbuf, el)
-	n := uint64(len(l.wbuf) - HeaderSize)
-	return l.writeFrame(Header{Type: FrameEdges, Src: src, Dst: dst, Len: n}, n, 0)
+	l.wbuf = AppendEdges(l.frame(), el)
+	return l.sendData(FrameEdges, src, dst, 0)
 }
 
 // WriteSegments sends a FrameSegments: the edges are data plane (16 bytes
@@ -245,35 +237,20 @@ func (l *Link) WriteEdges(src, dst int, el *edge.List) error {
 func (l *Link) WriteSegments(src, dst int, segs []*edge.List) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	l.begin()
-	l.wbuf = AppendSegments(l.wbuf, segs)
-	n := uint64(len(l.wbuf) - HeaderSize)
-	return l.writeFrame(Header{Type: FrameSegments, Src: src, Dst: dst, Len: n},
-		n-SegmentsOverhead(len(segs)), 0)
+	l.wbuf = AppendSegments(l.frame(), segs)
+	return l.sendData(FrameSegments, src, dst, SegmentsOverhead(len(segs)))
 }
 
-// WriteControl sends a control-plane frame of type t with an opaque
-// payload: every payload byte counts as control traffic.
+// WriteControl sends a control-plane frame of type t: every payload byte
+// counts as control traffic.  The payload is written as it is, not
+// copied, so a job-sized payload pins no scratch on a long-lived link.
 func (l *Link) WriteControl(t FrameType, src, dst int, payload []byte) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	l.begin()
-	l.wbuf = append(l.wbuf, payload...)
 	n := uint64(len(payload))
-	return l.writeFrame(Header{Type: t, Src: src, Dst: dst, Len: n}, 0, n)
-}
-
-// WriteBlock sends a FrameBlock: one rank's resident operand, control
-// plane.  The block-sized scratch is dropped afterwards so a long-lived
-// link does not pin it.
-func (l *Link) WriteBlock(dst int, rowPtr []int64, col []uint32, val []float64) error {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	defer func() { l.wbuf = nil }()
-	l.begin()
-	l.wbuf = AppendBlock(l.wbuf, rowPtr, col, val)
-	n := uint64(len(l.wbuf) - HeaderSize)
-	return l.writeFrame(Header{Type: FrameBlock, Src: dst, Dst: dst, Len: n}, 0, n)
+	l.wbuf = l.frame()
+	PutHeader(l.wbuf, Header{Type: t, Src: src, Dst: dst, Len: n})
+	return l.send(0, n, l.wbuf, payload)
 }
 
 // ReadFrame reads, validates and returns the next frame.  The payload

@@ -12,7 +12,9 @@
 // and segment boundaries are accounted separately (OverheadBytes), and
 // handshake/job/error traffic separately again (ControlBytes) — the
 // model prices the data plane, and the split keeps the comparison exact
-// rather than approximate.
+// rather than approximate.  Control payloads (handshake, job, outcome)
+// are fixed little-endian fields in the same style, read back through
+// one bounds-checked Reader (control.go).
 //
 // Frame layout (all integers little-endian):
 //
@@ -46,13 +48,10 @@ const Magic = "PRFB"
 // exchange it in every frame header; a mismatch anywhere tears the
 // connection down with a VersionError (there is no downgrade path — both
 // ends of a fabric ship in the same binary in every supported
-// deployment).  Version 2 added the block frames and made a worker serve
-// jobs until the coordinator hangs up; a version-1 worker would exit
-// after one.  Version 3 sends rank 0's result vector home as a raw
-// FrameVec ahead of its outcome; a version-2 coordinator would reject
-// the frame.  Version 4 carries the fabric's per-frame deadline in the
-// Welcome; a version-3 worker would misread the addresses behind it.
-const Version = 4
+// deployment).  Version 5 encodes the job and outcome payloads field by
+// field (DESIGN.md §13) and ships everything a job or an outcome carries
+// in its one frame.
+const Version = 5
 
 // HeaderSize is the fixed frame-header length in bytes.
 const HeaderSize = 24
@@ -102,9 +101,12 @@ const (
 	FrameMeshHello FrameType = 8
 	// FrameReady signals the worker's mesh is fully connected.
 	FrameReady FrameType = 9
-	// FrameJob carries the gob-encoded job spec to a worker.
+	// FrameJob carries one rank's job to its worker: the knobs, the
+	// rank's own edge chunk or operand row block, and (rank 0 only) the
+	// initial vector.
 	FrameJob FrameType = 10
-	// FrameOutcome carries a worker's gob-encoded result back.
+	// FrameOutcome carries a worker's result back: its records, its
+	// error, and its result vector, sort bucket or row block.
 	FrameOutcome FrameType = 11
 	// FrameCkptChunk relays one rank's encoded checkpoint chunk to the
 	// coordinator's storage.
@@ -118,11 +120,6 @@ const (
 	FrameProgress FrameType = 15
 	// FrameReject aborts a handshake with a reason string.
 	FrameReject FrameType = 16
-	// FrameBlock ships one rank's resident kernel-3 operand — its CSR
-	// row block as raw arrays — after a job frame that announces it.
-	// Set-up, not a collective: it travels on the control link and
-	// counts as control bytes.
-	FrameBlock FrameType = 17
 )
 
 // String implements fmt.Stringer.
@@ -160,15 +157,13 @@ func (t FrameType) String() string {
 		return "progress"
 	case FrameReject:
 		return "reject"
-	case FrameBlock:
-		return "block"
 	default:
 		return fmt.Sprintf("frame?(%d)", uint16(t))
 	}
 }
 
 // valid reports whether t is a defined frame type.
-func (t FrameType) valid() bool { return t >= FrameVec && t <= FrameBlock }
+func (t FrameType) valid() bool { return t >= FrameVec && t <= FrameReject }
 
 // VersionError is a frame from a peer speaking another wire version: the
 // two ends were built from different sources.
@@ -280,9 +275,10 @@ func DecodeKeys(payload []byte, dst []uint64) error {
 	return nil
 }
 
-// AppendBlock appends the FrameBlock encoding of a CSR row block: u64
-// row and entry counts, then the rows+1 row pointers (i64, rebased to
-// start at 0), the column indices (u32) and the values (f64), raw.
+// AppendBlock appends the control encoding of a CSR row block: u64 row
+// and entry counts, then the rows+1 row pointers (i64, rebased to start
+// at 0), the column indices (u32) and the values (f64), raw.
+// Reader.Block decodes it.
 func AppendBlock(b []byte, rowPtr []int64, col []uint32, val []float64) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(rowPtr)-1))
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(col)))
@@ -293,37 +289,6 @@ func AppendBlock(b []byte, rowPtr []int64, col []uint32, val []float64) []byte {
 		b = binary.LittleEndian.AppendUint32(b, x)
 	}
 	return AppendVec(b, val)
-}
-
-// DecodeBlock decodes a FrameBlock payload.  The counts must account for
-// the payload's length exactly before anything is allocated from them,
-// and the row pointers must describe the entries: start at 0, never
-// decrease, end at the entry count.
-func DecodeBlock(payload []byte) (rowPtr []int64, col []uint32, val []float64, err error) {
-	if len(payload) < 24 {
-		return nil, nil, nil, fmt.Errorf("fabric: block payload %d bytes, want >= 24", len(payload))
-	}
-	rows, nnz := binary.LittleEndian.Uint64(payload), binary.LittleEndian.Uint64(payload[8:])
-	rest := uint64(len(payload) - 24)
-	if rows > rest/8 || nnz > rest/12 || 8*rows+12*nnz != rest {
-		return nil, nil, nil, fmt.Errorf("fabric: block of %d rows and %d entries does not fill its %d-byte payload", rows, nnz, len(payload))
-	}
-	rowPtr, col, val = make([]int64, rows+1), make([]uint32, nnz), make([]float64, nnz)
-	payload = payload[16:]
-	for i := range rowPtr {
-		rowPtr[i] = int64(binary.LittleEndian.Uint64(payload[8*i:]))
-		if i == 0 && rowPtr[0] != 0 || i > 0 && rowPtr[i] < rowPtr[i-1] {
-			return nil, nil, nil, fmt.Errorf("fabric: block row pointers out of order at row %d", i)
-		}
-	}
-	if rowPtr[rows] != int64(nnz) {
-		return nil, nil, nil, fmt.Errorf("fabric: block row pointers end at %d, want the entry count %d", rowPtr[rows], nnz)
-	}
-	payload = payload[8*len(rowPtr):]
-	for i := range col {
-		col[i] = binary.LittleEndian.Uint32(payload[4*i:])
-	}
-	return rowPtr, col, val, DecodeVec(payload[4*nnz:], val)
 }
 
 // AppendEdges appends the FrameEdges encoding of l: interleaved (u, v)
@@ -400,35 +365,3 @@ func DecodeSegments(payload []byte) ([]*edge.List, error) {
 // holding nseg segments: the framing the metered exchange does not
 // charge (DESIGN.md §5).
 func SegmentsOverhead(nseg int) uint64 { return 4 + 4*uint64(nseg) }
-
-// appendU32 and takeU32 are the handshake payloads' integer encoding.
-func appendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func takeU32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, fmt.Errorf("fabric: truncated u32")
-	}
-	return binary.LittleEndian.Uint32(b), b[4:], nil
-}
-
-// appendString appends a u32-length-prefixed string (the handshake
-// payloads' string encoding).
-func appendString(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-// takeString consumes one length-prefixed string, bounds-checked.
-func takeString(b []byte) (string, []byte, error) {
-	if len(b) < 4 {
-		return "", nil, fmt.Errorf("fabric: truncated string length")
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if uint64(n) > uint64(len(b)) {
-		return "", nil, fmt.Errorf("fabric: string length %d exceeds payload", n)
-	}
-	return string(b[:n]), b[n:], nil
-}

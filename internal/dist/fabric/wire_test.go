@@ -203,7 +203,7 @@ func TestHandshakeRejects(t *testing.T) {
 		t.Error("ParseWelcome accepted rank >= p")
 	}
 	// Absurd p.
-	b = appendU32(appendU32(nil, 0), maxProcs+1)
+	b = AppendInt(AppendInt(nil, 0), maxProcs+1)
 	if _, err := ParseWelcome(b); err == nil {
 		t.Error("ParseWelcome accepted absurd p")
 	}
@@ -307,38 +307,17 @@ func TestLinkRejectsCorruptStream(t *testing.T) {
 	}
 }
 
-// TestLinkWriteBlock pins the operand shipment: one control-plane frame
-// that decodes back to the block, counted as control bytes — never as
-// data, which is the collectives' ledger — and a decoder that refuses
-// blocks whose counts or row pointers do not add up.
-func TestLinkWriteBlock(t *testing.T) {
-	c1, c2 := net.Pipe()
-	var wst, rst Stats
-	w := NewLink(c1, -1, &wst)
-	r := NewLink(c2, -1, &rst)
-	defer w.Close()
-	defer r.Close()
+// TestReaderBlockRejectsCorrupt pins the row-block field a job ships:
+// it decodes back to the block, and a block whose counts or row pointers
+// do not add up is refused before anything is sized from it.
+func TestReaderBlockRejectsCorrupt(t *testing.T) {
 	rowPtr, col, val := []int64{0, 2, 2, 3}, []uint32{1, 4, 0}, []float64{0.5, 0.5, 1}
-	errc := make(chan error, 1)
-	go func() { errc <- w.WriteBlock(2, rowPtr, col, val) }()
-
-	h, payload, err := r.ReadFrame()
-	if err != nil || h.Type != FrameBlock || h.Dst != 2 {
-		t.Fatalf("frame: %+v, %v", h, err)
-	}
-	gotPtr, gotCol, gotVal, err := DecodeBlock(payload)
-	if err != nil || !equal(gotPtr, rowPtr) || !equal(gotCol, col) || !equal(gotVal, val) {
+	good := AppendBlock(nil, rowPtr, col, val)
+	r := NewReader(good)
+	gotPtr, gotCol, gotVal := r.Block()
+	if err := r.Close(); err != nil || !equal(gotPtr, rowPtr) || !equal(gotCol, col) || !equal(gotVal, val) {
 		t.Fatalf("decoded %v %v %v, %v", gotPtr, gotCol, gotVal, err)
 	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	want := Counters{ControlBytes: 16 + 8*4 + 4*3 + 8*3, OverheadBytes: HeaderSize, Frames: 1}
-	if c := wst.Snapshot(); c != want {
-		t.Fatalf("writer counters %+v, want %+v", c, want)
-	}
-
-	good := AppendBlock(nil, rowPtr, col, val)
 	for name, mutate := range map[string]func(b []byte) []byte{
 		"truncated":     func(b []byte) []byte { return b[:len(b)-1] },
 		"trailing byte": func(b []byte) []byte { return append(b, 0) },
@@ -349,44 +328,11 @@ func TestLinkWriteBlock(t *testing.T) {
 		"last pointer":  func(b []byte) []byte { b[16+24] = 2; return b },
 		"header only":   func(b []byte) []byte { return b[:16] },
 	} {
-		if _, _, _, err := DecodeBlock(mutate(append([]byte(nil), good...))); err == nil {
-			t.Errorf("%s: DecodeBlock accepted a corrupt block", name)
+		r := NewReader(mutate(append([]byte(nil), good...)))
+		r.Block()
+		if r.Close() == nil {
+			t.Errorf("%s: Block accepted a corrupt block", name)
 		}
-	}
-}
-
-// TestLinkWriteControlVec pins the result vector's way home: a FrameVec
-// whose bytes decode back bit for bit and count as control, so the
-// collectives' data ledger never sees it.
-func TestLinkWriteControlVec(t *testing.T) {
-	c1, c2 := net.Pipe()
-	var wst, rst Stats
-	w := NewLink(c1, -1, &wst)
-	r := NewLink(c2, -1, &rst)
-	defer w.Close()
-	defer r.Close()
-	vec := []float64{0.25, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1e300}
-	errc := make(chan error, 1)
-	go func() { errc <- w.WriteControlVec(0, 0, vec) }()
-	h, payload, err := r.ReadFrame()
-	if err != nil || h.Type != FrameVec {
-		t.Fatalf("frame: %+v, %v", h, err)
-	}
-	got := make([]float64, len(payload)/8)
-	if err := DecodeVec(payload, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range vec {
-		if math.Float64bits(got[i]) != math.Float64bits(vec[i]) {
-			t.Fatalf("element %d: %v, sent %v", i, got[i], vec[i])
-		}
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	want := Counters{ControlBytes: 8 * uint64(len(vec)), OverheadBytes: HeaderSize, Frames: 1}
-	if c := wst.Snapshot(); c != want {
-		t.Fatalf("writer counters %+v, want %+v", c, want)
 	}
 }
 

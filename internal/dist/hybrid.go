@@ -71,20 +71,21 @@ func (p *rankProduct) vxm(out, r []float64) { p.team.MxV(out, r[p.op.lo:p.op.hi]
 // close terminates the team's goroutines.
 func (p *rankProduct) close() { p.team.Close() }
 
-// partitionChunk splits the input chunk [lo, hi) into p destination
+// partitionChunk splits one rank's input chunk l into p destination
 // buckets by splitter key range — the local half of kernel 1's all-to-all,
 // shared by both runtimes.  With workers > 1 the chunk is scanned by
 // contiguous sub-chunks concurrently and each destination's per-worker
 // parts are concatenated in worker order, which is sub-chunk order, which
 // is input order: the bucket contents and their stability-critical
 // ordering are exactly the serial scan's for every worker count.
-func partitionChunk(l *edge.List, lo, hi int, splitters []uint64, p, workers int) []*edge.List {
+func partitionChunk(l *edge.List, splitters []uint64, p, workers int) []*edge.List {
 	out := make([]*edge.List, p)
-	if workers <= 1 || hi-lo < 2*workers {
+	m := l.Len()
+	if workers <= 1 || m < 2*workers {
 		for d := range out {
 			out[d] = edge.NewList(0)
 		}
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m; i++ {
 			out[destRank(splitters, l.U[i])].Append(l.U[i], l.V[i])
 		}
 		return out
@@ -92,8 +93,7 @@ func partitionChunk(l *edge.List, lo, hi int, splitters []uint64, p, workers int
 	parts := make([][]*edge.List, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wlo := lo + w*(hi-lo)/workers
-		whi := lo + (w+1)*(hi-lo)/workers
+		wlo, whi := blockBounds(m, workers, w)
 		parts[w] = make([]*edge.List, p)
 		for d := range parts[w] {
 			parts[w][d] = edge.NewList(0)

@@ -124,8 +124,8 @@ type joined struct {
 // job.
 type rankInput struct {
 	op Op
-	// edges is the full input edge list (every op except OpRunMatrix);
-	// the rank works on its blockBounds chunk of it.
+	// edges is the rank's own blockBounds chunk of the input edge list
+	// (every op except OpRunMatrix): all a rank ever reads of the input.
 	edges *edge.List
 	n     int
 	// k3 is the rank's kernel-3 operand (OpRunMatrix).
@@ -181,6 +181,9 @@ func launchRanks(ctx context.Context, spec Spec, ck *ckptRun) (*joined, error) {
 	}
 	return spawnRanks(ctx, spec.Procs, spec.Mode == ExecSim, func(c *rankComm) rankOutcome {
 		in := in
+		if spec.Edges != nil {
+			in.edges = spec.Edges.Slice(blockBounds(spec.Edges.Len(), spec.Procs, c.rank))
+		}
 		if states != nil {
 			in.k3 = states[c.rank].operand() // each rank transposes its own block
 		}
@@ -300,7 +303,7 @@ func spawnRanks(ctx context.Context, p int, oneAtATime bool, program func(c *ran
 	return j, nil
 }
 
-// buildRank is one rank's kernel-2 program: route the owned input chunk,
+// buildRank is one rank's kernel-2 program: route its input chunk,
 // exchange edges all-to-all, build the block-local counting matrix, and
 // apply the global filter through the in-degree all-reduce (the matrix
 // mass and the stored-entry count are metered scalar reductions beside
@@ -308,12 +311,11 @@ func spawnRanks(ctx context.Context, p int, oneAtATime bool, program func(c *ran
 // validated by Execute, so the program cannot fail mid-collective.
 func buildRank(c *rankComm, l *edge.List, n int) (*rankState, float64, int) {
 	p := c.procs()
-	lo, hi := blockBounds(l.Len(), p, c.rank)
 	out := make([]*edge.List, p)
 	for d := range out {
 		out[d] = edge.NewList(0)
 	}
-	routeChunk(out, l, n, p, lo, hi)
+	routeChunk(out, l, n, p)
 	in := c.exchangeEdges(out)
 	local := edge.NewList(0)
 	for _, part := range in {
@@ -395,7 +397,7 @@ func iterateRank(ctx context.Context, c *rankComm, k3 *rankOperand, n int, opt p
 }
 
 // sortExternalRank is one rank's out-of-core sample-sort program: spill
-// the owned chunk as bounded sorted runs, agree that every rank's spill
+// its input chunk l as bounded sorted runs, agree that every rank's spill
 // succeeded (control-plane barrier — a storage failure anywhere aborts all
 // ranks before the next collective), run the in-memory sort's sample and
 // splitter schedule, split each run at the splitters and exchange the
@@ -404,9 +406,7 @@ func iterateRank(ctx context.Context, c *rankComm, k3 *rankOperand, n int, opt p
 // path.
 func sortExternalRank(c *rankComm, l *edge.List, fs vfs.FS, prefix string, codec fastio.Codec, runEdges int) (bucket *edge.List, runs int, err error) {
 	p := c.procs()
-	m := l.Len()
-	lo, hi := blockBounds(m, p, c.rank)
-	names, spillErr := extSpillRuns(fs, prefix, codec, l, c.rank, lo, hi, runEdges)
+	names, spillErr := extSpillRuns(fs, prefix, codec, l, c.rank, runEdges)
 	defer func() {
 		if rmErr := xsort.RemoveRuns(fs, names); rmErr != nil && err == nil {
 			bucket, err = nil, rmErr
@@ -416,7 +416,7 @@ func sortExternalRank(c *rankComm, l *edge.List, fs vfs.FS, prefix string, codec
 		return nil, len(names), err
 	}
 
-	splitters := splitterPhase(c, l, lo, hi)
+	splitters := splitterPhase(c, l)
 
 	out := make([][]*edge.List, p)
 	var partErr error
@@ -447,12 +447,12 @@ func sortExternalRank(c *rankComm, l *edge.List, fs vfs.FS, prefix string, codec
 }
 
 // splitterPhase runs one rank's share of the sort's sampling and splitter
-// schedule: sample the owned chunk [lo, hi), gather the samples at rank
+// schedule: sample the rank's input chunk l, gather the samples at rank
 // 0, select the splitters there and receive the broadcast.  The in-memory
 // and out-of-core sorts share it, so the two schedules cannot drift apart.
-func splitterPhase(c *rankComm, l *edge.List, lo, hi int) []uint64 {
+func splitterPhase(c *rankComm, l *edge.List) []uint64 {
 	p := c.procs()
-	all := c.gatherKeys(sampleChunk(l, lo, hi))
+	all := c.gatherKeys(sampleChunk(l))
 	var splitters []uint64
 	if c.rank == 0 {
 		samples := make([]uint64, 0, p*SamplesPerRank)
@@ -464,19 +464,15 @@ func splitterPhase(c *rankComm, l *edge.List, lo, hi int) []uint64 {
 	return c.broadcastKeys(splitters)
 }
 
-// sortRank is one rank's sample-sort program: sample the owned chunk,
+// sortRank is one rank's sample-sort program: sample its input chunk l,
 // gather samples at rank 0, receive the broadcast splitters, exchange
 // edges by key range, and stably sort the resulting bucket — the
 // partitioning and the bucket sort both on the rank's hybrid workers.
 func sortRank(c *rankComm, l *edge.List, workers int) *edge.List {
-	p := c.procs()
-	m := l.Len()
-	lo, hi := blockBounds(m, p, c.rank)
-	splitters := splitterPhase(c, l, lo, hi)
-
-	out := partitionChunk(l, lo, hi, splitters, p, workers)
+	splitters := splitterPhase(c, l)
+	out := partitionChunk(l, splitters, c.procs(), workers)
 	in := c.exchangeEdges(out)
-	bucket := edge.NewList((hi - lo) * 2)
+	bucket := edge.NewList(l.Len() * 2)
 	for _, part := range in {
 		bucket.AppendList(part)
 	}

@@ -121,11 +121,11 @@ func validateVertices(l *edge.List, n int) error {
 	return nil
 }
 
-// routeChunk partitions one rank's input chunk [lo, hi) of the global edge
-// list by row owner, appending to the p per-destination outboxes — the
-// local half of the kernel-2 all-to-all.
-func routeChunk(out []*edge.List, l *edge.List, n, p, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// routeChunk partitions one rank's input chunk l by row owner, appending
+// to the p per-destination outboxes — the local half of the kernel-2
+// all-to-all.
+func routeChunk(out []*edge.List, l *edge.List, n, p int) {
+	for i := 0; i < l.Len(); i++ {
 		d := blockOwner(n, p, int(l.U[i]))
 		out[d].Append(l.U[i], l.V[i])
 	}

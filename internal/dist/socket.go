@@ -14,9 +14,9 @@ package dist
 //	         table and await the p ready frames proving the
 //	         worker-to-worker mesh is up; start one control reader per
 //	         worker.
-//	job*   — send every rank its gob wireJob, all ranks at once — and,
-//	         when a run-matrix job names an operand the workers do not
-//	         hold, each rank's own row block as a block frame; the
+//	job*   — send every rank its job frame, all ranks at once: its own
+//	         chunk of the edge list or, when a run-matrix job names an
+//	         operand the workers do not hold, its own row block; the
 //	         control readers relay progress and checkpoint traffic until
 //	         each worker's outcome frame (or its death) arrives; fold
 //	         the outcomes exactly like spawnRanks: context error first,
@@ -99,54 +99,6 @@ func newFabricID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// jobOf flattens a Spec into the wireJob every worker receives; the
-// caller strips the per-rank fields (perRankJob) before sending.
-func jobOf(spec Spec, ck *ckptRun) *wireJob {
-	job := &wireJob{
-		Op:             int(spec.Op),
-		Procs:          spec.Procs,
-		N:              specN(spec),
-		Workers:        spec.Config.workers(),
-		Opt:            optToWire(spec.PageRank),
-		ReportProgress: spec.PageRank.Progress != nil,
-		Fault:          spec.Fault,
-	}
-	if spec.Edges != nil {
-		job.EdgesU, job.EdgesV = spec.Edges.U, spec.Edges.V
-	}
-	if spec.Op == OpSort && spec.Ext.outOfCore() {
-		job.Ext = wireExt{
-			RunEdges:  spec.Ext.RunEdges,
-			TmpPrefix: spec.Ext.TmpPrefix,
-			CodecName: spec.Ext.Codec.Name(),
-		}
-	}
-	if ck != nil {
-		job.Ckpt = wireCkpt{
-			On:      ck.spec.enabled(),
-			Every:   ck.spec.Every,
-			N:       ck.n,
-			Damping: ck.damping,
-			Base:    ck.base,
-		}
-	}
-	return job
-}
-
-// perRankJob specializes the shared job for one rank: only rank 0
-// carries the initial vector and reports progress (iterateRank
-// broadcasts the vector and single-observes the hook, exactly as in the
-// other modes).
-func perRankJob(job *wireJob, rank int) *wireJob {
-	if rank == 0 {
-		return job
-	}
-	j := *job
-	j.Opt.InitialRank = nil
-	j.ReportProgress = false
-	return &j
-}
-
 // Session is an open socket fabric: p worker processes admitted, meshed
 // and serving jobs until Close.  Execute runs on it when Spec.Session is
 // set, one job at a time; between jobs the workers keep the row blocks
@@ -178,19 +130,22 @@ type Session struct {
 // readers deliver each rank's outcome or failure.  Slot r is written by
 // rank r's reader alone.
 type sessJob struct {
+	op       Op
 	n        int                 // the job's vertex count, which the ranks' row blocks tile
 	progress func(iteration int) // the caller's hook, fed by rank 0's progress frames
 	ck       *ckptRun
-	vec      []float64 // rank 0's result vector, arrived ahead of its outcome
-	outs     []*wireOutcome
-	errs     []error
+	outs     []*report
 	pending  sync.WaitGroup
 }
 
-// finish records rank r's end of the job, once: its outcome or failure.
-func (j *sessJob) finish(r int, out *wireOutcome, err error) {
-	if j.outs[r] == nil && j.errs[r] == nil {
-		j.outs[r], j.errs[r] = out, err
+// finish records rank r's end of the job, once: its report, or its
+// failure as one.
+func (j *sessJob) finish(r int, out *report, err error) {
+	if err != nil {
+		out = &report{out: rankOutcome{err: err}}
+	}
+	if j.outs[r] == nil {
+		j.outs[r] = out
 		j.pending.Done()
 	}
 }
@@ -431,12 +386,12 @@ func (s *Session) serve(r int, c *fabric.Link) {
 		s.mu.Lock()
 		j := s.job
 		s.mu.Unlock()
-		var out *wireOutcome
+		var rep *report
 		switch {
 		case err == nil && j == nil:
 			err = fmt.Errorf("dist: rank %d sent a %v frame between jobs", r, h.Type)
 		case err == nil:
-			if out, err = j.frame(r, c, h, payload); out == nil && err == nil {
+			if rep, err = j.frame(r, c, h, payload); rep == nil && err == nil {
 				continue // a relayed frame; the job goes on
 			}
 			if err != nil && s.tearing.Load() {
@@ -451,11 +406,11 @@ func (s *Session) serve(r int, c *fabric.Link) {
 		}
 		if err != nil {
 			j = s.fail(err)
-		} else if out.ErrKind != errKindNone {
-			s.fail(out.outcomeErr())
+		} else if rep.out.err != nil {
+			s.fail(rep.out.err)
 		}
 		if j != nil {
-			j.finish(r, out, err)
+			j.finish(r, rep, err)
 		}
 		if err != nil {
 			return
@@ -468,15 +423,26 @@ func (s *Session) serve(r int, c *fabric.Link) {
 // coordinator's storage through the same ckpt calls the goroutine ranks
 // make, and the acks carry the write errors back into the workers'
 // agreeError barriers, so the epoch protocol, torn-epoch semantics
-// included, is the goroutine mode's verbatim — rank 0's raw result vector
-// is held for its outcome, and the outcome frame is returned decoded.
-func (j *sessJob) frame(rank int, c *fabric.Link, h fabric.Header, payload []byte) (*wireOutcome, error) {
+// included, is the goroutine mode's verbatim — and the outcome frame is
+// returned decoded.  Only rank 0 reports progress and commits an epoch,
+// and a rank relays only its own chunk: anything else is refused.
+func (j *sessJob) frame(rank int, c *fabric.Link, h fabric.Header, payload []byte) (*report, error) {
 	ck := j.ck
-	ack := func(msg string) error {
+	ack := func(err error) error {
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		}
 		if err := c.WriteControl(fabric.FrameCkptAck, rank, rank, []byte(msg)); err != nil {
 			return fmt.Errorf("dist: rank %d checkpoint ack: %v", rank, err)
 		}
 		return nil
+	}
+	switch {
+	case rank != 0 && (h.Type == fabric.FrameProgress || h.Type == fabric.FrameCkptCommit):
+		return nil, fmt.Errorf("dist: rank %d sent a %v frame; only rank 0 does", rank, h.Type)
+	case (h.Type == fabric.FrameCkptChunk || h.Type == fabric.FrameCkptCommit) && (ck == nil || !ck.spec.enabled()):
+		return nil, ack(errors.New("dist: checkpoint relay without coordinator storage"))
 	}
 	switch h.Type {
 	case fabric.FrameProgress:
@@ -485,60 +451,28 @@ func (j *sessJob) frame(rank int, c *fabric.Link, h fabric.Header, payload []byt
 		}
 		return nil, nil
 	case fabric.FrameCkptChunk:
-		msg := ""
-		if ck == nil || !ck.spec.enabled() {
-			msg = "dist: checkpoint relay without coordinator storage"
-		} else if chunk, derr := ckpt.Decode(bytes.NewReader(payload)); derr != nil {
-			msg = derr.Error()
-		} else if werr := ckpt.WriteChunk(ck.spec.FS, ck.spec.Prefix, chunk); werr != nil {
-			msg = werr.Error()
+		chunk, err := ckpt.Decode(bytes.NewReader(payload))
+		if lo, hi := blockBounds(int(ck.n), int(ck.procs), rank); err == nil &&
+			(chunk.Rank != int64(rank) || chunk.Lo != int64(lo) || chunk.Hi != int64(hi) || chunk.N != ck.n || chunk.Procs != ck.procs) {
+			return nil, fmt.Errorf("dist: rank %d relayed rank %d's checkpoint chunk of rows [%d,%d), n = %d, p = %d; want rows [%d,%d), n = %d, p = %d",
+				rank, chunk.Rank, chunk.Lo, chunk.Hi, chunk.N, chunk.Procs, lo, hi, ck.n, ck.procs)
 		}
-		return nil, ack(msg)
+		if err == nil {
+			err = ckpt.WriteChunk(ck.spec.FS, ck.spec.Prefix, chunk)
+		}
+		return nil, ack(err)
 	case fabric.FrameCkptCommit:
-		msg := ""
-		if ck == nil || !ck.spec.enabled() || len(payload) != 8 {
-			msg = "dist: checkpoint relay without coordinator storage"
-		} else {
-			g := int64(binary.LittleEndian.Uint64(payload))
-			if werr := ckpt.WriteCommit(ck.spec.FS, ck.spec.Prefix, g, ck.n, ck.procs, ck.damping); werr != nil {
-				msg = werr.Error()
-			} else {
-				ck.noteCommitted(g)
-			}
+		if len(payload) != 8 {
+			return nil, fmt.Errorf("dist: rank %d sent a %d-byte checkpoint commit", rank, len(payload))
 		}
-		return nil, ack(msg)
-	case fabric.FrameVec:
-		if rank != 0 || j.vec != nil {
-			return nil, fmt.Errorf("dist: rank %d sent an unannounced result vector", rank)
+		g := int64(binary.LittleEndian.Uint64(payload))
+		err := ckpt.WriteCommit(ck.spec.FS, ck.spec.Prefix, g, ck.n, ck.procs, ck.damping)
+		if err == nil {
+			ck.noteCommitted(g)
 		}
-		j.vec = make([]float64, len(payload)/8)
-		if err := fabric.DecodeVec(payload, j.vec); err != nil {
-			return nil, fmt.Errorf("dist: rank %d result vector: %v", rank, err)
-		}
-		return nil, nil
+		return nil, ack(err)
 	case fabric.FrameOutcome:
-		out := new(wireOutcome)
-		if err := decodeGob(payload, out); err != nil {
-			return nil, fmt.Errorf("dist: rank %d outcome: %v", rank, err)
-		}
-		if out.Rank != rank {
-			return nil, fmt.Errorf("dist: rank %d reported outcome for rank %d", rank, out.Rank)
-		}
-		if rank == 0 {
-			out.rankVec, j.vec = j.vec, nil
-		}
-		if out.VecLen != len(out.rankVec) {
-			return nil, fmt.Errorf("dist: rank %d outcome announces a %d-element result vector, %d arrived", rank, out.VecLen, len(out.rankVec))
-		}
-		if len(out.EdgesU) != len(out.EdgesV) {
-			return nil, fmt.Errorf("dist: rank %d sort bucket has %d start and %d end vertices", rank, len(out.EdgesU), len(out.EdgesV))
-		}
-		if out.Block != nil {
-			if err := out.Block.check(j.n, len(j.outs), rank); err != nil {
-				return nil, fmt.Errorf("dist: rank %d outcome block: %v", rank, err)
-			}
-		}
-		return out, nil
+		return parseOutcome(payload, j.op, j.n, len(j.outs), rank)
 	default:
 		return nil, fmt.Errorf("dist: rank %d sent unexpected %v frame", rank, h.Type)
 	}
@@ -567,22 +501,11 @@ func (s *Session) run(ctx context.Context, spec Spec, ck *ckptRun) (*joined, err
 	if spec.Procs != p {
 		return nil, fmt.Errorf("dist: job for p = %d on a socket session of %d workers", spec.Procs, p)
 	}
-	job := jobOf(spec, ck)
-	// Ranks 1..p-1 share one encoding of the job.  A run-matrix job whose
-	// operand the workers do not hold is followed by the rank's own row
-	// block, viewed — not copied — out of the caller's matrix.
-	if spec.Op == OpRunMatrix {
-		job.ShipOperand = spec.OperandID == "" || spec.OperandID != s.operand
-	}
-	root, err := encodeGob(job)
-	rest := root
-	if err == nil && p > 1 {
-		rest, err = encodeGob(perRankJob(job, 1))
-	}
-	if err != nil {
-		return nil, err
-	}
-	j := &sessJob{n: job.N, progress: spec.PageRank.Progress, ck: ck, outs: make([]*wireOutcome, p), errs: make([]error, p)}
+	// A run-matrix job whose operand the workers do not hold ships each
+	// rank its own row block, viewed — not copied — out of the caller's
+	// matrix.
+	ship := spec.Op == OpRunMatrix && (spec.OperandID == "" || spec.OperandID != s.operand)
+	j := &sessJob{op: spec.Op, n: specN(spec), progress: spec.PageRank.Progress, ck: ck, outs: make([]*report, p)}
 	j.pending.Add(p)
 	s.mu.Lock()
 	if s.err != nil {
@@ -593,27 +516,20 @@ func (s *Session) run(ctx context.Context, spec Spec, ck *ckptRun) (*joined, err
 	s.mu.Unlock()
 	stopCtx := context.AfterFunc(ctx, func() { s.fail(ctx.Err()) })
 	setup := s.stats.Snapshot().ControlBytes
-	if job.ShipOperand {
+	if ship {
 		s.operand = spec.OperandID
 	}
 
-	// Ship, all ranks at once.
+	// Encode and ship, all ranks at once.
 	var sends sync.WaitGroup
 	for r, c := range s.ctrls {
-		buf := rest
-		if r == 0 {
-			buf = root
-		}
 		sends.Add(1)
 		//prlint:allow determinism -- per-rank job sender: set-up traffic only, joined before run returns
 		go func(r int, c *fabric.Link) {
 			defer sends.Done()
-			err := c.WriteControl(fabric.FrameJob, r, r, buf)
-			if err == nil && job.ShipOperand {
-				b := spec.Matrix.RowBlock(blockBounds(spec.Matrix.N, p, r))
-				err = c.WriteBlock(r, b.RowPtr, b.Col, b.Val)
-			}
-			if err != nil {
+			if job := encodeJob(spec, ck, r, ship); len(job) > fabric.DefaultMaxFrameBytes {
+				s.fail(fmt.Errorf("dist: rank %d's %v job is %d bytes, past the %d-byte frame limit", r, spec.Op, len(job), fabric.DefaultMaxFrameBytes))
+			} else if err := c.WriteControl(fabric.FrameJob, r, r, job); err != nil {
 				s.fail(fmt.Errorf("dist: rank %d worker died: %v", r, err))
 			}
 		}(r, c)
@@ -632,11 +548,7 @@ func (s *Session) run(ctx context.Context, spec Spec, ck *ckptRun) (*joined, err
 	// order) outranks the aborted sentinel of the ranks it unwound.
 	var aborted error
 	for r := 0; r < p; r++ {
-		err := j.errs[r]
-		if err == nil {
-			err = j.outs[r].outcomeErr()
-		}
-		switch {
+		switch err := j.outs[r].out.err; {
 		case err == nil:
 		case errors.Is(err, errRunAborted):
 			aborted = err
@@ -651,11 +563,11 @@ func (s *Session) run(ctx context.Context, spec Spec, ck *ckptRun) (*joined, err
 		return nil, aborted
 	}
 	out := &joined{outcomes: make([]rankOutcome, p), seconds: make([]float64, p), wire: new(WireStats)}
-	for r, o := range j.outs {
-		out.outcomes[r] = o.outcome()
-		out.comm.Add(o.Comm)
-		out.seconds[r] = o.Seconds
-		out.wire.Add(o.Wire)
+	for r, rep := range j.outs {
+		out.outcomes[r] = rep.out
+		out.comm.Add(rep.comm)
+		out.seconds[r] = rep.seconds
+		out.wire.Add(rep.wire)
 	}
 	out.wire.SetupBytes = s.stats.Snapshot().ControlBytes - setup
 	return out, nil

@@ -141,6 +141,34 @@ func TestSocketSortMatchesOtherModes(t *testing.T) {
 	}
 }
 
+// TestSocketJobShipsOnlyChunks pins the job path's bytes: a sort or
+// build job sends each worker its own chunk of the edge list and the
+// knobs, so the control links carry the M edges once, 16 bytes each, at
+// every p — plus under 1 KiB of knobs per rank.
+func TestSocketJobShipsOnlyChunks(t *testing.T) {
+	l, n := executeGraph(t, 10)
+	edgeBytes := 16 * uint64(l.Len())
+	for _, p := range []int{2, 3, 5} {
+		for _, op := range []dist.Op{dist.OpSort, dist.OpBuildFiltered} {
+			spec := socketSpec(op, p)
+			spec.Edges, spec.N = l, n
+			out, err := dist.Execute(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("p=%d %v: %v", p, op, err)
+			}
+			var wire *dist.WireStats
+			if op == dist.OpSort {
+				wire = out.Sort.Wire
+			} else {
+				wire = out.Build.Wire
+			}
+			if got := wire.SetupBytes; got < edgeBytes || got >= edgeBytes+uint64(p)<<10 {
+				t.Fatalf("p=%d %v: %d set-up bytes, want [%d, %d)", p, op, got, edgeBytes, edgeBytes+uint64(p)<<10)
+			}
+		}
+	}
+}
+
 // TestSocketBuildFilteredMatchesOtherModes pins kernel 2 alone: the
 // assembled global matrix, mass, NNZ and CommStats equal the other
 // modes' bit for bit.

@@ -5,7 +5,7 @@ package dist
 // the coordinator, build the rank mesh — then serves jobs until the
 // coordinator closes the control link: each job runs the SAME rank
 // program the in-process launcher spawns (runRank) over one long-lived
-// sockFabric and reports a wireOutcome, and the kernel-3 operand built
+// sockFabric and reports its outcome, and the kernel-3 operand built
 // from the last run-matrix job's row block stays resident between jobs.
 // Because the program, the collectives and the metering are shared, the
 // socket mode's results and CommStats equal the other modes' bit for bit
@@ -32,8 +32,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/dist/fabric"
-	"repro/internal/sparse"
-	"repro/internal/vfs"
 )
 
 const (
@@ -201,13 +199,12 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 	// like the coordinator hanging up on the worker — mid-job or idle.
 	defer context.AfterFunc(ctx, func() { ctrl.Close() })()
 
-	// The control reader: delivers jobs (with the operand frames that
-	// follow one) to the loop below, routes checkpoint acks to the rank
+	// The control reader: delivers decoded jobs to the loop below, routes checkpoint acks to the rank
 	// program, and converts a lost coordinator into a local abort —
 	// which is also how a cancelled or failed run reaches a worker that
 	// is not inside a mesh collective (p = 1 especially).  It exits when
 	// the control connection dies, coordinator- or worker-initiated.
-	jobs := make(chan workerJob)
+	jobs := make(chan *rankInput)
 	acks := make(chan string, 1)
 	var ctrlErr error // why the reader left; published by close(jobs)
 	//prlint:allow determinism -- control-link reader: routes jobs, acks and teardown only, joins via jobs before JoinFabric returns
@@ -228,8 +225,8 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 				case <-wctx.Done():
 				}
 			case fabric.FrameJob:
-				var wj workerJob
-				if wj, ctrlErr = readJob(ctrl, payload, rank, p); ctrlErr == nil {
+				var wj *rankInput
+				if wj, ctrlErr = parseJob(payload, rank, p); ctrlErr == nil {
 					select {
 					case jobs <- wj:
 					case <-wctx.Done():
@@ -250,24 +247,16 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 		if wj.k3 != nil {
 			resident = wj.k3
 		}
-		out := runWorkerRank(wctx, f, ctrl, rank, wj.job, resident, acks)
-		if out.ErrKind != errKindNone {
+		rep := runWorkerRank(wctx, f, ctrl, rank, wj, resident, acks)
+		if rep.out.err != nil {
 			// Mirror spawnRanks' teardown: a failed rank brings the fabric
 			// down so no peer waits for it.
 			f.abort()
 		}
 		now := meshStats.Snapshot()
-		out.Wire, reported = wireCounters(now.Sub(reported)), now
-		// Rank 0's final vector goes home raw, ahead of the outcome that
-		// announces its length.
-		buf, err := encodeGob(out)
-		if err == nil && out.VecLen > 0 {
-			err = ctrl.WriteControlVec(rank, rank, out.rankVec)
-		}
-		if err == nil {
-			err = ctrl.WriteControl(fabric.FrameOutcome, rank, rank, buf)
-		}
-		if err != nil || out.ErrKind != errKindNone {
+		rep.wire, reported = wireCounters(now.Sub(reported)), now
+		err := ctrl.WriteControl(fabric.FrameOutcome, rank, rank, encodeOutcome(rank, rep))
+		if err != nil || rep.out.err != nil {
 			// The session is over: the coordinator tears a fabric down on
 			// any failure.  When it already hung up on this worker — it
 			// deliberately unwound it and is not waiting for the outcome —
@@ -276,7 +265,7 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 			ctrl.Close()
 			for range jobs {
 			}
-			if out.ErrKind == errKindAborted {
+			if errToKind(rep.out.err) == errKindAborted {
 				return nil
 			}
 			return err
@@ -288,112 +277,18 @@ func JoinFabric(ctx context.Context, network, addr, fabricID string) error {
 	return ctrlErr
 }
 
-// workerJob is one received job: the spec and, when the coordinator
-// shipped one, the rank's new resident operand.
-type workerJob struct {
-	job *wireJob
-	k3  *rankOperand
-}
-
-// readJob decodes a job frame and, when it announces an operand, reads
-// and validates the block frame behind it and builds the kernel-3
-// operand from it, once per shipped block; the block itself is dropped.
-// The arrays arrive from a socket: nothing about them is trusted until
-// checked.
-func readJob(ctrl *fabric.Link, payload []byte, rank, p int) (workerJob, error) {
-	job := new(wireJob)
-	if err := decodeGob(payload, job); err != nil {
-		return workerJob{}, err
-	}
-	if job.Procs != p {
-		return workerJob{}, fmt.Errorf("dist: job for p = %d on a fabric of %d", job.Procs, p)
-	}
-	if !job.ShipOperand {
-		return workerJob{job: job}, nil
-	}
-	if job.N < 1 {
-		return workerJob{}, fmt.Errorf("dist: operand for n = %d", job.N)
-	}
-	h, payload, err := ctrl.ReadFrame()
-	if err != nil {
-		return workerJob{}, err
-	}
-	if h.Type != fabric.FrameBlock {
-		return workerJob{}, fmt.Errorf("dist: unexpected %v frame in place of the operand block", h.Type)
-	}
-	lo, hi := blockBounds(job.N, p, rank)
-	blk := &sparse.CSR{N: job.N}
-	if blk.RowPtr, blk.Col, blk.Val, err = fabric.DecodeBlock(payload); err != nil {
-		return workerJob{}, err
-	}
-	if blk.Rows() != hi-lo {
-		return workerJob{}, fmt.Errorf("dist: rank %d operand block has %d rows, want rows [%d,%d)", rank, blk.Rows(), lo, hi)
-	}
-	for _, c := range blk.Col {
-		if int(c) >= job.N {
-			return workerJob{}, fmt.Errorf("dist: rank %d operand block: column %d out of range n = %d", rank, c, job.N)
-		}
-	}
-	st := &rankState{lo: lo, blk: blk, danglingRows: danglingRowsOf(lo, blk.OutDegrees())}
-	return workerJob{job: job, k3: st.operand()}, nil
-}
-
-// runWorkerRank executes the rank program for one job, mirroring the
-// per-rank body of spawnRanks: the fabricDown panic becomes the aborted
-// outcome, wall clock is reported, and every failure classifies into a
-// wire error kind.
-func runWorkerRank(ctx context.Context, f *sockFabric, ctrl *fabric.Link, rank int, job *wireJob, resident *rankOperand, acks <-chan string) *wireOutcome {
+// runWorkerRank executes the rank program for one decoded job, mirroring
+// the per-rank body of spawnRanks — the fabricDown panic becomes the
+// aborted outcome, and the rank's communication record and wall clock
+// are reported with it — once in holds what cannot cross a process
+// boundary: the resident operand, the progress relay, the checkpoint
+// relay and the hard-fault exit.
+func runWorkerRank(ctx context.Context, f *sockFabric, ctrl *fabric.Link, rank int, in *rankInput, resident *rankOperand, acks <-chan string) *report {
 	c := newRankComm(f, rank)
 	//prlint:allow determinism -- wall-clock feeds only the reported per-rank timing, never the kernel results
 	start := time.Now()
-	res := func() (res rankOutcome) {
-		defer func() {
-			if e := recover(); e != nil {
-				if _, down := e.(fabricDown); down {
-					res = rankOutcome{err: errRunAborted}
-					return
-				}
-				panic(e)
-			}
-		}()
-		in, err := workerInput(ctx, ctrl, rank, job, resident, acks)
-		if err != nil {
-			return rankOutcome{err: err}
-		}
-		return runRank(ctx, c, in)
-	}()
-	out := wireOutcomeOf(rank, Op(job.Op), res)
-	out.Comm = c.st
-	//prlint:allow determinism -- wall-clock feeds only the reported per-rank timing, never the kernel results
-	out.Seconds = time.Since(start).Seconds()
-	return out
-}
-
-// workerInput decodes a job into the rank program's input: the shared
-// fields verbatim, plus what cannot cross a process boundary rebuilt on
-// this side — a private spill store, the progress relay, the checkpoint
-// relay, and the resident operand.
-func workerInput(ctx context.Context, ctrl *fabric.Link, rank int, job *wireJob, resident *rankOperand, acks <-chan string) (*rankInput, error) {
-	in := &rankInput{
-		op: Op(job.Op), edges: edgesOf(job.EdgesU, job.EdgesV), n: job.N, k3: resident,
-		workers: job.Workers, opt: job.Opt.options(),
-	}
-	switch {
-	case in.op == OpSort && job.Ext.RunEdges > 0:
-		codec, err := codecByName(job.Ext.CodecName)
-		if err != nil {
-			return nil, err
-		}
-		// Each worker spills to its own private in-memory store; the run
-		// files are rank-private temporaries removed before the rank
-		// returns, so only the metered counters are observable.
-		in.ext = ExtSortConfig{FS: vfs.NewMem(), RunEdges: job.Ext.RunEdges, TmpPrefix: job.Ext.TmpPrefix, Codec: codec}
-	case in.op == OpRunMatrix:
-		if resident == nil || resident.at.N() != job.N {
-			return nil, fmt.Errorf("dist: run-matrix job for n = %d, but no such operand is resident", job.N)
-		}
-	}
-	if job.ReportProgress && rank == 0 {
+	in.k3 = resident
+	if in.opt.Progress != nil && rank == 0 {
 		// Relay rank 0's per-iteration progress to the coordinator,
 		// which invokes the caller's (already resume-offset) hook.  A
 		// failed relay is ignored here: a dead control link is about
@@ -403,54 +298,54 @@ func workerInput(ctx context.Context, ctrl *fabric.Link, rank int, job *wireJob,
 				binary.LittleEndian.AppendUint64(nil, uint64(it)))
 		}
 	}
-	in.ck = workerCkpt(ctx, job, ctrl, rank, acks)
-	return in, nil
-}
-
-// workerCkpt builds the worker-side checkpoint/fault runtime: the same
-// ckptRun that drives afterRank everywhere, with storage relayed to the
-// coordinator — chunk and commit frames answered by acks — and
-// FaultPlan.Hard wired to a genuine process death.
-func workerCkpt(ctx context.Context, job *wireJob, ctrl *fabric.Link, rank int, acks <-chan string) *ckptRun {
-	if !job.Ckpt.On && job.Fault == nil {
-		return nil
-	}
-	relay := func(t fabric.FrameType, payload []byte) error {
-		if err := ctrl.WriteControl(t, rank, rank, payload); err != nil {
-			return err
-		}
-		select {
-		case msg := <-acks:
-			if msg != "" {
-				return errors.New(msg)
-			}
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	ck := &ckptRun{
-		spec:      CheckpointSpec{Every: job.Ckpt.Every},
-		fault:     job.Fault,
-		n:         job.Ckpt.N,
-		procs:     int64(job.Procs),
-		damping:   job.Ckpt.Damping,
-		base:      job.Ckpt.Base,
-		relay:     job.Ckpt.On,
-		committed: func(int64) {}, // the coordinator records commits as it writes them
-		hardExit:  func() { os.Exit(3) },
-	}
-	if job.Ckpt.On {
-		ck.putChunk = func(chunk *ckpt.Chunk) error {
-			var buf bytes.Buffer
-			if err := ckpt.Encode(&buf, chunk); err != nil {
+	if ck := in.ck; ck != nil {
+		// The job's checkpoint/fault runtime — the same ckptRun that
+		// drives afterRank everywhere — with storage relayed to the
+		// coordinator (chunk and commit frames answered by acks) and
+		// FaultPlan.Hard wired to a genuine process death.
+		ck.hardExit = func() { os.Exit(3) }
+		relay := func(t fabric.FrameType, payload []byte) error {
+			if err := ctrl.WriteControl(t, rank, rank, payload); err != nil {
 				return err
 			}
-			return relay(fabric.FrameCkptChunk, buf.Bytes())
+			select {
+			case msg := <-acks:
+				if msg != "" {
+					return errors.New(msg)
+				}
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
 		}
-		ck.putCommit = func(g int64) error {
-			return relay(fabric.FrameCkptCommit, binary.LittleEndian.AppendUint64(nil, uint64(g)))
+		if ck.relay {
+			ck.putChunk = func(chunk *ckpt.Chunk) error {
+				var buf bytes.Buffer
+				if err := ckpt.Encode(&buf, chunk); err != nil {
+					return err
+				}
+				return relay(fabric.FrameCkptChunk, buf.Bytes())
+			}
+			ck.putCommit = func(g int64) error {
+				return relay(fabric.FrameCkptCommit, binary.LittleEndian.AppendUint64(nil, uint64(g)))
+			}
 		}
 	}
-	return ck
+	out := func() (res rankOutcome) {
+		defer func() {
+			if e := recover(); e != nil {
+				if _, down := e.(fabricDown); down {
+					res = rankOutcome{err: errRunAborted}
+					return
+				}
+				panic(e)
+			}
+		}()
+		if in.op == OpRunMatrix && (resident == nil || resident.at.N() != in.n) {
+			return rankOutcome{err: fmt.Errorf("dist: run-matrix job for n = %d, but no such operand is resident", in.n)}
+		}
+		return runRank(ctx, c, in)
+	}()
+	//prlint:allow determinism -- wall-clock feeds only the reported per-rank timing, never the kernel results
+	return &report{out: out, comm: c.st, seconds: time.Since(start).Seconds()}
 }

@@ -60,9 +60,9 @@ type SortResult struct {
 }
 
 // sampleChunk draws up to SamplesPerRank evenly spaced start-vertex keys
-// from the chunk [lo, hi) of the input — one rank's local sampling step.
-func sampleChunk(l *edge.List, lo, hi int) []uint64 {
-	cnt := hi - lo
+// from one rank's input chunk — its local sampling step.
+func sampleChunk(l *edge.List) []uint64 {
+	cnt := l.Len()
 	if cnt == 0 {
 		return nil
 	}
@@ -72,7 +72,7 @@ func sampleChunk(l *edge.List, lo, hi int) []uint64 {
 	}
 	keys := make([]uint64, s)
 	for k := 0; k < s; k++ {
-		keys[k] = l.U[lo+k*cnt/s]
+		keys[k] = l.U[k*cnt/s]
 	}
 	return keys
 }

@@ -86,16 +86,17 @@ func extRunName(prefix string, codec fastio.Codec, rank, run int) string {
 	return fmt.Sprintf("%s/r%03d-run%05d.%s", prefix, rank, run, codec.Name())
 }
 
-// extSpillRuns forms one rank's sorted runs from the chunk [lo, hi) of l:
+// extSpillRuns forms one rank's sorted runs from its input chunk l:
 // slices of at most runEdges edges, each stably radix-sorted in a bounded
 // buffer and spilled to fs — the run-formation step.  The input list is
 // never mutated.  The returned names include any file a failed spill may
 // have partially created, so RemoveRuns over them restores the FS.
-func extSpillRuns(fs vfs.FS, prefix string, codec fastio.Codec, l *edge.List, rank, lo, hi, runEdges int) ([]string, error) {
+func extSpillRuns(fs vfs.FS, prefix string, codec fastio.Codec, l *edge.List, rank, runEdges int) ([]string, error) {
 	var names []string
-	buf := edge.NewList(min(runEdges, hi-lo))
-	for start, end := lo, lo; start < hi; start = end {
-		end = start + min(runEdges, hi-start)
+	m := l.Len()
+	buf := edge.NewList(min(runEdges, m))
+	for start, end := 0, 0; start < m; start = end {
+		end = start + min(runEdges, m-start)
 		buf.Reset()
 		buf.AppendList(l.Slice(start, end))
 		name := extRunName(prefix, codec, rank, len(names))

@@ -88,23 +88,6 @@ func (l *List) Reset() {
 	l.V = l.V[:0]
 }
 
-// MaxVertex returns the largest vertex label appearing in the list, or 0
-// for an empty list.
-func (l *List) MaxVertex() uint64 {
-	var m uint64
-	for _, u := range l.U {
-		if u > m {
-			m = u
-		}
-	}
-	for _, v := range l.V {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Shuffle permutes the order of the edges in place using g.
 // Kernel 0 of Graph500 randomizes edge order so that the sort in kernel 1
 // is not trivially presorted.

@@ -81,18 +81,6 @@ func TestResetKeepsCapacity(t *testing.T) {
 	}
 }
 
-func TestMaxVertex(t *testing.T) {
-	l := NewList(0)
-	if l.MaxVertex() != 0 {
-		t.Error("empty list MaxVertex != 0")
-	}
-	l.Append(3, 9)
-	l.Append(12, 1)
-	if got := l.MaxVertex(); got != 12 {
-		t.Errorf("MaxVertex = %d, want 12", got)
-	}
-}
-
 func TestShufflePreservesMultiset(t *testing.T) {
 	g := xrand.New(1)
 	l := NewList(100)

@@ -23,9 +23,6 @@ import (
 // BinaryOp combines two elements.
 type BinaryOp[T any] func(T, T) T
 
-// UnaryOp transforms one element.
-type UnaryOp[T any] func(T) T
-
 // IndexUnaryOp transforms an element with knowledge of its (row, col)
 // position, the GraphBLAS apply-with-index operation used for select-style
 // filtering.
@@ -373,13 +370,6 @@ func EWiseAdd[T any](out, a, b []T, op BinaryOp[T]) error {
 		out[i] = op(a[i], b[i])
 	}
 	return nil
-}
-
-// ApplyVec replaces every element of v with f(v[i]).
-func ApplyVec[T any](v []T, f UnaryOp[T]) {
-	for i := range v {
-		v[i] = f(v[i])
-	}
 }
 
 // ReduceVec reduces a dense vector with the monoid.

@@ -79,7 +79,7 @@ func newEngine(n int, label []uint32, step func(out, r []float64), dangleMass fu
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if err := opt.validateAgainstN(n); err != nil {
+	if err := opt.ValidateN(n); err != nil {
 		return nil, err
 	}
 	e := &Engine{
@@ -355,7 +355,7 @@ func NewParallelEngine(a *sparse.CSR, at *sparse.Ordered, workers int, opt Optio
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if err := opt.validateAgainstN(a.N); err != nil {
+	if err := opt.ValidateN(a.N); err != nil {
 		return nil, err
 	}
 	if at == nil {

@@ -148,8 +148,9 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// validateAgainstN checks size constraints that need the matrix dimension.
-func (o Options) validateAgainstN(n int) error {
+// ValidateN checks the size constraints that need the vertex count n:
+// a teleport or initial vector must hold n elements.
+func (o Options) ValidateN(n int) error {
 	if o.Teleport != nil && len(o.Teleport) != n {
 		return fmt.Errorf("pagerank: teleport vector length %d, want N = %d", len(o.Teleport), n)
 	}

@@ -35,9 +35,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Plain renders the table with aligned columns.
 func (t *Table) Plain() string {
 	widths := make([]int, len(t.Columns))

@@ -65,10 +65,10 @@ func TestTableRaggedRows(t *testing.T) {
 	tb := NewTable("", "a", "b", "c")
 	tb.AddRow("1")                // short
 	tb.AddRow("1", "2", "3", "4") // long
-	if tb.NumRows() != 2 {
-		t.Fatal("row count")
-	}
 	out := tb.CSV()
+	if strings.Count(out, "\n") != 3 {
+		t.Fatalf("want a header and two rows: %q", out)
+	}
 	if !strings.Contains(out, "1,,\n") {
 		t.Errorf("short row not padded: %q", out)
 	}

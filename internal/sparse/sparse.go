@@ -616,13 +616,6 @@ func Scale(v []float64, a float64) {
 	}
 }
 
-// AddConst adds a to every element of v.
-func AddConst(v []float64, a float64) {
-	for i := range v {
-		v[i] += a
-	}
-}
-
 // Diff1 returns the 1-norm of (a - b); the convergence measure the paper
 // mentions real PageRank deployments use.
 func Diff1(a, b []float64) float64 {

@@ -370,10 +370,6 @@ func TestVectorHelpers(t *testing.T) {
 	if w[2] != 6 {
 		t.Errorf("Scale: %v", w)
 	}
-	AddConst(w, 1)
-	if w[0] != 3 {
-		t.Errorf("AddConst: %v", w)
-	}
 	if Diff1([]float64{1, 2}, []float64{2, 0}) != 3 {
 		t.Error("Diff1 wrong")
 	}

@@ -6,25 +6,6 @@ import (
 	"sort"
 )
 
-// TopK returns the indices of the k largest values in descending value
-// order.  Ties break toward the lower index for determinism.
-func TopK(values []float64, k int) []int {
-	if k > len(values) {
-		k = len(values)
-	}
-	idx := make([]int, len(values))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if values[idx[a]] != values[idx[b]] {
-			return values[idx[a]] > values[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	return idx[:k]
-}
-
 // ranks assigns fractional ranks (average of tied positions) to values.
 func ranks(values []float64) []float64 {
 	n := len(values)
@@ -82,15 +63,4 @@ func pearson(x, y []float64) (float64, error) {
 		return 0, fmt.Errorf("stats: zero variance sample")
 	}
 	return cov / math.Sqrt(vx*vy), nil
-}
-
-// Pearson returns the Pearson correlation coefficient of two samples.
-func Pearson(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: Pearson length mismatch %d vs %d", len(a), len(b))
-	}
-	if len(a) < 2 {
-		return 0, fmt.Errorf("stats: Pearson needs >= 2 samples")
-	}
-	return pearson(a, b)
 }

@@ -7,23 +7,6 @@ import (
 	"repro/internal/xrand"
 )
 
-func TestTopK(t *testing.T) {
-	v := []float64{0.1, 0.9, 0.5, 0.9, 0.2}
-	top := TopK(v, 3)
-	if len(top) != 3 {
-		t.Fatalf("TopK len = %d", len(top))
-	}
-	if top[0] != 1 || top[1] != 3 { // ties break to lower index
-		t.Errorf("TopK order = %v", top)
-	}
-	if top[2] != 2 {
-		t.Errorf("TopK third = %d", top[2])
-	}
-	if got := TopK(v, 99); len(got) != 5 {
-		t.Errorf("TopK overflow len = %d", len(got))
-	}
-}
-
 func TestRanksWithTies(t *testing.T) {
 	r := ranks([]float64{10, 20, 20, 30})
 	want := []float64{1, 2.5, 2.5, 4}
@@ -85,18 +68,15 @@ func TestCorrelationErrors(t *testing.T) {
 	if _, err := Spearman([]float64{1}, []float64{1}); err == nil {
 		t.Error("single sample accepted")
 	}
-	if _, err := Pearson([]float64{1, 1}, []float64{2, 3}); err == nil {
+	if _, err := pearson([]float64{1, 1}, []float64{2, 3}); err == nil {
 		t.Error("zero variance accepted")
-	}
-	if _, err := Pearson([]float64{1}, []float64{2, 3}); err == nil {
-		t.Error("Pearson length mismatch accepted")
 	}
 }
 
 func TestPearsonLinear(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	b := []float64{2, 4, 6, 8}
-	r, err := Pearson(a, b)
+	r, err := pearson(a, b)
 	if err != nil || math.Abs(r-1) > 1e-12 {
 		t.Errorf("linear Pearson = %v, %v", r, err)
 	}

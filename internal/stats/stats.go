@@ -68,48 +68,6 @@ func (h Histogram) Total() int {
 	return t
 }
 
-// Summary holds the basic moments of a sample.
-type Summary struct {
-	Count  int
-	Min    int
-	Max    int
-	Mean   float64
-	Median float64
-	StdDev float64
-}
-
-// Summarize computes summary statistics of the values.
-func Summarize(values []int) Summary {
-	if len(values) == 0 {
-		return Summary{}
-	}
-	sorted := append([]int(nil), values...)
-	sort.Ints(sorted)
-	var sum, sumSq float64
-	for _, v := range sorted {
-		sum += float64(v)
-		sumSq += float64(v) * float64(v)
-	}
-	n := float64(len(sorted))
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	median := float64(sorted[len(sorted)/2])
-	if len(sorted)%2 == 0 {
-		median = (float64(sorted[len(sorted)/2-1]) + float64(sorted[len(sorted)/2])) / 2
-	}
-	return Summary{
-		Count:  len(sorted),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Mean:   mean,
-		Median: median,
-		StdDev: math.Sqrt(variance),
-	}
-}
-
 // PowerLawFit is the result of a log-log linear regression on a degree
 // histogram: count(degree) ≈ C · degree^Slope.
 type PowerLawFit struct {
@@ -166,26 +124,6 @@ func FitPowerLaw(h Histogram) (PowerLawFit, error) {
 		r2 = 1 - ssRes/ssTot
 	}
 	return PowerLawFit{Slope: slope, Intercept: intercept, R2: r2, Points: len(xs)}, nil
-}
-
-// CCDF returns the complementary cumulative distribution of the histogram:
-// for each distinct degree d (ascending), the fraction of observations with
-// value >= d.
-func CCDF(h Histogram) (degrees []int, fraction []float64) {
-	keys := h.Keys()
-	total := h.Total()
-	if total == 0 {
-		return nil, nil
-	}
-	remaining := total
-	degrees = make([]int, len(keys))
-	fraction = make([]float64, len(keys))
-	for i, k := range keys {
-		degrees[i] = k
-		fraction[i] = float64(remaining) / float64(total)
-		remaining -= h[k]
-	}
-	return degrees, fraction
 }
 
 // GiniCoefficient measures inequality of the degree distribution in [0, 1]:

@@ -54,27 +54,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]int{1, 2, 3, 4, 5})
-	if s.Count != 5 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("summary = %+v", s)
-	}
-	if s.Mean != 3 || s.Median != 3 {
-		t.Errorf("mean/median = %v/%v", s.Mean, s.Median)
-	}
-	if math.Abs(s.StdDev-math.Sqrt(2)) > 1e-12 {
-		t.Errorf("stddev = %v", s.StdDev)
-	}
-	even := Summarize([]int{1, 2, 3, 4})
-	if even.Median != 2.5 {
-		t.Errorf("even median = %v", even.Median)
-	}
-	empty := Summarize(nil)
-	if empty.Count != 0 {
-		t.Errorf("empty summary = %+v", empty)
-	}
-}
-
 func TestFitPowerLawExact(t *testing.T) {
 	// Construct an exact power law: count(d) = 1000 · d^-2.
 	h := make(Histogram)
@@ -156,27 +135,6 @@ func TestPPLGiniExceedsER(t *testing.T) {
 	de, _ := OutDegrees(le, int(er.NumVertices()))
 	if GiniCoefficient(dp) <= GiniCoefficient(de)+0.2 {
 		t.Errorf("PPL Gini %v not clearly above ER Gini %v", GiniCoefficient(dp), GiniCoefficient(de))
-	}
-}
-
-func TestCCDF(t *testing.T) {
-	h := Histogram{1: 2, 2: 1, 4: 1}
-	deg, frac := CCDF(h)
-	if len(deg) != 3 {
-		t.Fatalf("ccdf degrees = %v", deg)
-	}
-	if frac[0] != 1.0 {
-		t.Errorf("CCDF at min degree = %v, want 1", frac[0])
-	}
-	if math.Abs(frac[1]-0.5) > 1e-12 {
-		t.Errorf("CCDF at degree 2 = %v, want 0.5", frac[1])
-	}
-	if math.Abs(frac[2]-0.25) > 1e-12 {
-		t.Errorf("CCDF at degree 4 = %v, want 0.25", frac[2])
-	}
-	d0, f0 := CCDF(Histogram{})
-	if d0 != nil || f0 != nil {
-		t.Error("empty CCDF should be nil")
 	}
 }
 

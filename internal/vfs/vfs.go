@@ -245,9 +245,6 @@ func NewDir(root string) (*Dir, error) {
 	return &Dir{root: root}, nil
 }
 
-// Root returns the root directory path.
-func (d *Dir) Root() string { return d.root }
-
 func (d *Dir) resolve(name string) (string, error) {
 	if name == "" {
 		return "", errors.New("vfs: empty file name")

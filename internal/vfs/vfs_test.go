@@ -248,17 +248,6 @@ func TestMemConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestDirRoot(t *testing.T) {
-	tmp := t.TempDir()
-	d, err := NewDir(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Root() != tmp {
-		t.Errorf("Root = %q, want %q", d.Root(), tmp)
-	}
-}
-
 func TestRename(t *testing.T) {
 	dir, err := NewDir(t.TempDir())
 	if err != nil {
