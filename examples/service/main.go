@@ -41,7 +41,7 @@ func main() {
 	defer svc.Close()
 
 	// --- Scene 1: seven concurrent runs, one computed matrix. ---------
-	// ("parallel" is absent by design: it generates with per-worker jump
+	// ("parallel" is absent by design: it generates with per-worker seeded
 	// streams — a different edge multiset per worker count — so it opts
 	// out of the cache.  extsort streams kernels 0-2 in bounded memory
 	// but shares the canonical kernel-2 matrix like everyone else.)

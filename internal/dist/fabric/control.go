@@ -40,15 +40,6 @@ func AppendFloats(b []byte, v []float64) []byte {
 	return AppendVec(AppendU64(b, uint64(len(v))), v)
 }
 
-// AppendInts appends v as an ints field.
-func AppendInts(b []byte, v []int) []byte {
-	b = AppendU64(b, uint64(len(v)))
-	for _, x := range v {
-		b = AppendInt(b, x)
-	}
-	return b
-}
-
 // AppendEdgeList appends l as an edges field.
 func AppendEdgeList(b []byte, l *edge.List) []byte {
 	return AppendEdges(AppendU64(b, uint64(l.Len())), l)
@@ -160,19 +151,6 @@ func (r *Reader) Floats() []float64 {
 	v := make([]float64, n)
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	return v
-}
-
-// Ints reads an ints field; a zero count reads as nil.
-func (r *Reader) Ints() []int {
-	n := r.count(8, "int")
-	if n == 0 {
-		return nil
-	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = r.Int()
 	}
 	return v
 }

@@ -50,8 +50,9 @@ const Magic = "PRFB"
 // ends of a fabric ship in the same binary in every supported
 // deployment).  Version 5 encodes the job and outcome payloads field by
 // field (DESIGN.md §13) and ships everything a job or an outcome carries
-// in its one frame.
-const Version = 5
+// in its one frame; version 6 drops a kernel-2 block's dangling rows from
+// the outcome.
+const Version = 6
 
 // HeaderSize is the fixed frame-header length in bytes.
 const HeaderSize = 24

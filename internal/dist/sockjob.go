@@ -283,7 +283,7 @@ const (
 	bodyNone   = iota
 	bodyVec    // rank 0's result vector (the kernel-3 ops)
 	bodyBucket // the rank's sorted bucket (the sorts)
-	bodyBlock  // the rank's row block and dangling rows (kernel 2 alone)
+	bodyBlock  // the rank's row block (kernel 2 alone)
 )
 
 // encodeOutcome is the FrameOutcome payload of rank's report: the error,
@@ -296,7 +296,7 @@ func encodeOutcome(rank int, rep *report) []byte {
 	switch {
 	case o.err != nil:
 	case o.st != nil:
-		body, size = bodyBlock, size+8*len(o.st.danglingRows)+8*o.st.blk.Rows()+12*o.st.blk.NNZ()
+		body, size = bodyBlock, size+8*o.st.blk.Rows()+12*o.st.blk.NNZ()
 	case o.edges != nil:
 		body, size = bodyBucket, size+edgeWireBytes*o.edges.Len()
 	case rank == 0 && o.rank != nil:
@@ -331,7 +331,6 @@ func encodeOutcome(rank int, rep *report) []byte {
 	case bodyBlock:
 		b = fabric.AppendInt(b, o.st.lo)
 		b = fabric.AppendInt(b, o.st.blk.N)
-		b = fabric.AppendInts(b, o.st.danglingRows)
 		b = fabric.AppendBlock(b, o.st.blk.RowPtr, o.st.blk.Col, o.st.blk.Val)
 	}
 	return b
@@ -341,7 +340,7 @@ func encodeOutcome(rank int, rep *report) []byte {
 // n vertices on p ranks, and checks that a successful outcome carries
 // what the coordinator assembles from it and nothing it could not: rank
 // 0's n-element vector, a bucket, or the rank's own rows of all n
-// columns as a valid CSR with its dangling rows among them, ascending.
+// columns as a valid CSR.
 // The rank's error is rebuilt into the outcome with its errors.Is
 // identity (ErrFaultInjected, the aborted sentinel).
 func parseOutcome(payload []byte, op Op, n, p, rank int) (*report, error) {
@@ -382,7 +381,7 @@ func parseOutcome(payload []byte, op Op, n, p, rank int) (*report, error) {
 	case body == bodyBucket:
 		o.edges = r.Edges()
 	case body == bodyBlock:
-		o.st = &rankState{lo: r.Int(), blk: &sparse.CSR{N: r.Int()}, danglingRows: r.Ints()}
+		o.st = &rankState{lo: r.Int(), blk: &sparse.CSR{N: r.Int()}}
 		o.st.blk.RowPtr, o.st.blk.Col, o.st.blk.Val = r.Block()
 		if r.Close() == nil {
 			if err := checkBlock(o.st, n, p, rank); err != nil {
@@ -405,23 +404,13 @@ func parseOutcome(payload []byte, op Op, n, p, rank int) (*report, error) {
 }
 
 // checkBlock holds a block that arrived from a socket to what rank of p
-// over n vertices must send: its own rows of all n columns, a valid CSR,
-// and dangling rows among its own, ascending — so that assemble can
-// trust it.
+// over n vertices must send: its own rows of all n columns, a valid CSR
+// — so that assemble can trust it.  Dangling rows do not travel: only a
+// rank's kernel 3 reads them, and it derives them from its block.
 func checkBlock(st *rankState, n, p, rank int) error {
 	lo, hi := blockBounds(n, p, rank)
 	if b := st.blk; st.lo != lo || b.Rows() != hi-lo || b.N != n {
 		return fmt.Errorf("not rows [%d,%d) of %d columns", lo, hi, n)
 	}
-	if err := st.blk.Validate(); err != nil {
-		return err
-	}
-	prev := lo - 1
-	for _, i := range st.danglingRows {
-		if i <= prev || i >= hi {
-			return fmt.Errorf("dangling row %d out of order or outside rows [%d,%d)", i, lo, hi)
-		}
-		prev = i
-	}
-	return nil
+	return st.blk.Validate()
 }

@@ -39,11 +39,8 @@ func TestForgedOutcomesRejected(t *testing.T) {
 	n, p, rank := a.N, 3, 1
 	st := splitMatrix(a, p)[rank]
 	lo, hi := blockBounds(n, p, rank)
-	if len(st.danglingRows) == 0 {
-		t.Fatal("rank 1 owns no dangling rows: the dangling-row cases are not exercised")
-	}
 	genuine := func() *report {
-		own := &rankState{lo: st.lo, blk: st.blk.Clone(), danglingRows: append([]int(nil), st.danglingRows...)}
+		own := &rankState{lo: st.lo, blk: st.blk.Clone()}
 		return &report{out: rankOutcome{st: own}}
 	}
 	bucket := func(o *rankOutcome) {
@@ -80,11 +77,6 @@ func TestForgedOutcomesRejected(t *testing.T) {
 		{name: "row pointers past the entries", forge: func(o *rankOutcome) { o.st.blk.RowPtr[1] = int64(len(o.st.blk.Col) + 5) }},
 		{name: "row pointers descending", forge: func(o *rankOutcome) { o.st.blk.RowPtr[1] = -1 }},
 		{name: "values missing", forge: func(o *rankOutcome) { o.st.blk.Val = o.st.blk.Val[:1] }},
-		{name: "dangling row below the block", forge: func(o *rankOutcome) { o.st.danglingRows[0] = lo - 1 }},
-		{name: "dangling row past the block", forge: func(o *rankOutcome) { o.st.danglingRows = append(o.st.danglingRows, hi) }},
-		{name: "dangling rows repeated", forge: func(o *rankOutcome) {
-			o.st.danglingRows = append(o.st.danglingRows, o.st.danglingRows[len(o.st.danglingRows)-1])
-		}},
 		{name: "sort bucket one end vertex short", op: OpSort, forge: bucket,
 			patch: func(b []byte) []byte { return b[:len(b)-8] }},
 		{name: "sort outcome without its bucket", op: OpSort, forge: func(o *rankOutcome) { o.st = nil }},

@@ -88,11 +88,17 @@ func (l *List) Reset() {
 	l.V = l.V[:0]
 }
 
-// Shuffle permutes the order of the edges in place using g.
+// Shuffle permutes the order of the edges in place using g: the
+// permutation g.Shuffle(l.Len(), l.Swap) makes, swapped directly.
 // Kernel 0 of Graph500 randomizes edge order so that the sort in kernel 1
 // is not trivially presorted.
 func (l *List) Shuffle(g *xrand.Xoshiro256) {
-	g.Shuffle(l.Len(), l.Swap)
+	u, v := l.U, l.V[:len(l.U)]
+	for i := len(u) - 1; i > 0; i-- {
+		j := g.Uint64n(uint64(i + 1))
+		u[i], u[j] = u[j], u[i]
+		v[i], v[j] = v[j], v[i]
+	}
 }
 
 // IsSortedByU reports whether the edges are sorted by start vertex

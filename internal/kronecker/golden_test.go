@@ -56,6 +56,15 @@ var goldenHashes = map[string]uint64{
 	"s10/seed7/init.25-.15-.35-.25/raw/Generate":           0xdc286218ca8490cc,
 	"s10/seed7/init.25-.15-.35-.25/raw/GenerateTo":         0xdc286218ca8490cc,
 	"s10/seed7/init.25-.15-.35-.25/raw/GenerateParallel3":  0x1651473772401892,
+
+	// M = 98 304, one and a half of Generate's chunks; recorded on the
+	// serial generator of the commit before Generate went wide.
+	"s15/seed5/ef3/perm/Generate":          0x3655d9aba0af5cdb,
+	"s15/seed5/ef3/perm/GenerateTo":        0x55eecef13f17069f,
+	"s15/seed5/ef3/perm/GenerateParallel3": 0xb6d7bc409b81e058,
+	"s15/seed5/ef3/raw/Generate":           0x6643ffd942952ebe,
+	"s15/seed5/ef3/raw/GenerateTo":         0x6643ffd942952ebe,
+	"s15/seed5/ef3/raw/GenerateParallel3":  0x1a562904ae58cce8,
 }
 
 // goldenCases are the configurations goldenHashes pins, each generated
@@ -68,7 +77,16 @@ var goldenCases = []struct {
 	{"s10/seed1", New(10, 1)},
 	{"s12/seed42", New(12, 42)},
 	{"s10/seed7/init.25-.15-.35-.25", Config{Scale: 10, Seed: 7, A: 0.25, B: 0.15, C: 0.35, D: 0.25}.Defaults()},
+	{"s15/seed5/ef3", Config{Scale: 15, Seed: 5, EdgeFactor: 3}.Defaults()},
 }
+
+// goldenWidths and goldenChunks are the Generate widths and chunk sizes
+// every Generate golden is checked at: the list is the same at each.  A
+// chunk of 1000 edges divides no case's M, so the last chunk is partial.
+var (
+	goldenWidths = []int{1, 2, 3, 8}
+	goldenChunks = []int{chunkEdges, 1000}
+)
 
 func TestGenerateGolden(t *testing.T) {
 	seen := 0
@@ -90,17 +108,32 @@ func TestGenerateGolden(t *testing.T) {
 			}
 			for _, fn := range []string{"Generate", "GenerateTo", "GenerateParallel3"} {
 				key := fmt.Sprintf("%s/%s/%s", c.name, mode, fn)
-				l, err := gen[fn]()
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
 				want, ok := goldenHashes[key]
 				if !ok {
 					t.Fatalf("%s: no golden recorded", key)
 				}
 				seen++
-				if got := hashList(l); got != want {
-					t.Errorf("%q: %#016x, golden %#016x", key, got, want)
+				check := func(label string, l *edge.List, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("%s%s: %v", key, label, err)
+					}
+					if got := hashList(l); got != want {
+						t.Errorf("%q%s: %#016x, golden %#016x", key, label, got, want)
+					}
+				}
+				l, err := gen[fn]()
+				check("", l, err)
+				if fn != "Generate" {
+					continue
+				}
+				for _, w := range goldenWidths {
+					for _, chunk := range goldenChunks {
+						wcfg := cfg
+						wcfg.Workers = w
+						l, err := generate(wcfg, chunk)
+						check(fmt.Sprintf(" at %d workers, chunks of %d", w, chunk), l, err)
+					}
 				}
 			}
 		}

@@ -12,15 +12,19 @@
 // sort to exploit.
 //
 // Generation is reproducible: the same Config always produces the same edge
-// list, and GenerateParallel is reproducible for a fixed worker count (each
-// worker draws from an independent jump-derived stream, the Graph500
-// "no communication between processors" property).
+// list, at every Config.Workers.  Generate's workers sample chunks of one
+// stream, each starting at a jump-derived state (xrand.Leap), the Graph500
+// "no communication between processors" property with the serial bits.
+// GenerateParallel is reproducible for a fixed worker count only: each of
+// its workers draws from its own stream, seeded from (seed, worker) by
+// xrand.NewSeeded.
 package kronecker
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/edge"
 	"repro/internal/fastio"
@@ -58,6 +62,11 @@ type Config struct {
 	// The raw Kronecker output is useful for validation because vertex
 	// popularity then decreases with label value.
 	SkipPermutation bool
+	// Workers is Generate's width: its sampling and edge shuffle run on
+	// this many goroutines, and the edge list is the same at every width.
+	// <= 0 means GOMAXPROCS.  GenerateTo is serial; GenerateParallel
+	// takes its width as an argument.
+	Workers int
 }
 
 // New returns a Config for the given scale and seed with all other fields
@@ -175,16 +184,118 @@ func (s sampler) sample(g *xrand.Xoshiro256, us, vs, perm []uint64) {
 	}
 }
 
-// Generate produces the complete edge list for cfg serially.
-func Generate(cfg Config) (*edge.List, error) {
+// chunkEdges is the number of edges a Generate worker samples per chunk
+// taken from the counter.
+const chunkEdges = 1 << 16
+
+// Generate produces the complete edge list for cfg, cfg.Workers wide.
+// The list is the serial sampler's and shuffle's at every width.
+func Generate(cfg Config) (*edge.List, error) { return generate(cfg, chunkEdges) }
+
+// generate is Generate sampling chunks of chunk edges.
+func generate(cfg Config, chunk int) (*edge.List, error) {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	l := edge.Make(int(cfg.M()))
-	newSampler(cfg).sample(xrand.NewSeeded(cfg.Seed, 0), l.U, l.V, labels(cfg))
-	finish(cfg, l)
+	newSampler(cfg).sampleChunks(xrand.NewSeeded(cfg.Seed, 0), l.U, l.V, labels(cfg), workers, chunk)
+	if !cfg.SkipPermutation {
+		g := xrand.NewSeeded(cfg.Seed, shuffleStream)
+		if workers > 1 && l.Len() > drawBlock {
+			shuffleAhead(l, g)
+		} else {
+			l.Shuffle(g)
+		}
+	}
 	return l, nil
+}
+
+// sampleChunks is sample(g, us, vs, perm) on up to workers goroutines,
+// the caller among them, which take chunks of chunk edges from a counter.
+// Edge e takes words 2·Scale·e onwards of g's sequence, so chunk c starts
+// chunk·2·Scale words in: at the state one Leap of that many steps after
+// chunk c−1's.  Every chunk is sampled from the words the serial loop
+// gives it, so the lists are sample's at every width and interleaving.
+// One worker samples straight through, with no Leap and no goroutine.
+func (s sampler) sampleChunks(g *xrand.Xoshiro256, us, vs, perm []uint64, workers, chunk int) {
+	m := len(us)
+	chunks := (m + chunk - 1) / chunk
+	if workers = min(workers, chunks); workers <= 1 {
+		s.sample(g, us, vs, perm)
+		return
+	}
+	starts := make([]xrand.Xoshiro256, chunks)
+	leap := xrand.LeapOf(uint64(2 * s.scale * chunk))
+	for c := range starts {
+		if c > 0 {
+			g.Leap(leap)
+		}
+		starts[c] = *g
+	}
+	var next atomic.Int64
+	work := func() {
+		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
+			lo, hi := c*chunk, min((c+1)*chunk, m)
+			g := starts[c] // a private copy: no two workers write one cache line
+			s.sample(&g, us[lo:hi], vs[lo:hi], perm)
+		}
+	}
+	var wg sync.WaitGroup
+	for range workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// drawBlock is the number of shuffle indices shuffleAhead draws per block.
+const drawBlock = 1 << 12
+
+// shuffleAhead is l.Shuffle(g) with the draws and the swaps on two
+// goroutines: a helper draws the indices j = g.Uint64n(i+1) for
+// i = M−1, …, 1 in blocks, in Shuffle's order, while the caller swaps
+// edge i with edge j block by block.  The draws are Shuffle's, so the
+// permutation is too; the swaps, which miss the cache, no longer wait on
+// the generator.
+func shuffleAhead(l *edge.List, g *xrand.Xoshiro256) {
+	// One block being drawn, one queued, one being swapped; each channel
+	// holds all of them, so no send blocks.
+	const blocks = 3
+	free, full := make(chan []uint64, blocks), make(chan []uint64, blocks)
+	for range blocks {
+		free <- make([]uint64, drawBlock)
+	}
+	n := l.Len()
+	go func() {
+		for i := n - 1; i > 0; {
+			b := (<-free)[:min(i, drawBlock)]
+			for k := range b {
+				b[k] = g.Uint64n(uint64(i - k + 1))
+			}
+			i -= len(b)
+			full <- b
+		}
+		close(full)
+	}()
+	u, v := l.U, l.V[:n]
+	i := n - 1
+	for b := range full {
+		for _, j := range b {
+			u[i], u[j] = u[j], u[i]
+			v[i], v[j] = v[j], v[i]
+			i--
+		}
+		free <- b[:cap(b)]
+	}
 }
 
 // GenerateParallel produces the edge list using the given number of worker
@@ -216,7 +327,9 @@ func GenerateParallel(cfg Config, workers int) (*edge.List, error) {
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	finish(cfg, l)
+	if !cfg.SkipPermutation {
+		l.Shuffle(xrand.NewSeeded(cfg.Seed, shuffleStream))
+	}
 	return l, nil
 }
 
@@ -227,14 +340,6 @@ func labels(cfg Config) []uint64 {
 		return nil
 	}
 	return xrand.NewSeeded(cfg.Seed, permStream).Perm(int(cfg.N()))
-}
-
-// finish applies the Graph500 edge shuffle to a list sampled through
-// labels(cfg).
-func finish(cfg Config, l *edge.List) {
-	if !cfg.SkipPermutation {
-		l.Shuffle(xrand.NewSeeded(cfg.Seed, shuffleStream))
-	}
 }
 
 // Reserved stream indices for the finishing steps, far from worker streams.

@@ -83,12 +83,14 @@ type Config struct {
 	Format string
 	// Generator selects the K0 generator; empty selects Kronecker.
 	Generator GeneratorKind
-	// Workers is kernel 1's in-memory sort width (every variant but coo
-	// and the dist variants' by-u sample sort) and kernel 3's gather team
-	// width (csr, extsort, parallel); results are bit-for-bit invariant in
-	// it.  It is also parallel's generation worker count and the dist
-	// variants' rank count.  <= 0 means GOMAXPROCS (four ranks for the
-	// dist variants).
+	// Workers is kernel 0's Kronecker sampling and shuffle width (every
+	// variant but extsort and parallel: kronecker.Generate), kernel 1's
+	// in-memory sort width (every variant but coo and the dist variants'
+	// by-u sample sort) and kernel 3's gather team width (csr, extsort,
+	// parallel); results are bit-for-bit invariant in it.  It is also
+	// parallel's generation worker count and the dist variants' rank
+	// count.  <= 0 means GOMAXPROCS (four ranks for the dist variants;
+	// their kernel 0 then runs GOMAXPROCS wide).
 	Workers int
 	// RunEdges is kernel 1's in-memory run size in edges.  A positive
 	// value takes kernel 1 out of core for every variant but coo: it sorts
@@ -349,7 +351,7 @@ type FabricLease struct {
 //	interface{ CacheTraits() CacheTraits }
 //
 // exchanges its kernel-2 matrix.  The parallel variant opts out: its
-// jump-stream generation draws a different edge multiset per worker
+// per-worker seeded streams draw a different edge multiset per worker
 // count, so its matrix does not have the cache key's identity.
 type CacheTraits struct {
 	// MatrixArtifact reports kernel 2's output can be exchanged with
@@ -1048,7 +1050,9 @@ func fillAbortErr(err error) error {
 func generate(cfg Config) (gen gensuite.Generator, err error) {
 	switch cfg.Generator {
 	case GenKronecker:
-		return kroneckerGen{cfg: kronecker.New(cfg.Scale, cfg.Seed).Defaults(), ef: cfg.EdgeFactor}, nil
+		kcfg := kronecker.New(cfg.Scale, cfg.Seed)
+		kcfg.EdgeFactor, kcfg.Workers = cfg.EdgeFactor, cfg.Workers
+		return kroneckerGen{kcfg}, nil
 	case GenPPL:
 		return gensuite.PPL{Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed}, nil
 	case GenER:
@@ -1060,20 +1064,9 @@ func generate(cfg Config) (gen gensuite.Generator, err error) {
 
 // kroneckerGen adapts the kronecker package to the gensuite.Generator
 // interface.
-type kroneckerGen struct {
-	cfg kronecker.Config
-	ef  int
-}
+type kroneckerGen struct{ cfg kronecker.Config }
 
-func (g kroneckerGen) Name() string        { return "kronecker" }
-func (g kroneckerGen) NumVertices() uint64 { return g.cfg.N() }
-func (g kroneckerGen) NumEdges() uint64 {
-	c := g.cfg
-	c.EdgeFactor = g.ef
-	return c.Defaults().M()
-}
-func (g kroneckerGen) Generate() (*edge.List, error) {
-	c := g.cfg
-	c.EdgeFactor = g.ef
-	return kronecker.Generate(c.Defaults())
-}
+func (g kroneckerGen) Name() string                  { return "kronecker" }
+func (g kroneckerGen) NumVertices() uint64           { return g.cfg.N() }
+func (g kroneckerGen) NumEdges() uint64              { return g.cfg.M() }
+func (g kroneckerGen) Generate() (*edge.List, error) { return kronecker.Generate(g.cfg) }

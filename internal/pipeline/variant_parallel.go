@@ -21,7 +21,7 @@ func (parallelVariant) Description() string {
 }
 
 // CacheTraits implements the optional cache interface: this variant
-// exchanges no matrix.  Its per-worker jump streams draw a different
+// exchanges no matrix.  Its per-worker seeded streams draw a different
 // edge multiset than the serial generator — and a different one per
 // worker count (kronecker.GenerateParallel is deterministic only for a
 // fixed (cfg, workers)) — so its kernel-2 matrix does not have the
@@ -31,9 +31,13 @@ func (parallelVariant) CacheTraits() CacheTraits {
 	return CacheTraits{}
 }
 
-// Kernel0 implements Variant.  For the Kronecker generator, workers draw
-// from independent jump-derived streams without communication, exactly the
-// scalability property the paper highlights in the Graph500 generator.
+// Kernel0 implements Variant.  For the Kronecker generator, each worker
+// draws from its own stream, seeded from (seed, worker) by
+// xrand.NewSeeded rather than jumped, without communication — the
+// scalability property the paper highlights in the Graph500 generator,
+// at the price of a multiset per width.  csr's kernel 0 has the property
+// with the serial bits: its workers sample chunks of the one stream from
+// jump-derived states (kronecker.Generate).
 func (parallelVariant) Kernel0(r *Run) error {
 	if r.Cfg.Generator != GenKronecker {
 		return generateEdges(r)

@@ -183,14 +183,75 @@ func (g *Xoshiro256) NormFloat64() float64 {
 // mul64 returns the 128-bit product of x and y as (hi, lo).
 func mul64(x, y uint64) (hi, lo uint64) { return bits.Mul64(x, y) }
 
-// jumpPoly and longJumpPoly are the polynomials from the reference
-// implementation of xoshiro256**.
-var jumpPoly = [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-var longJumpPoly = [4]uint64{0x76e15d3efefdcbbf, 0xc5004e441c522fb3, 0x77710069854ee241, 0x39109bb02acbe635}
+// jumpPoly and longJumpPoly are the Leaps of 2^128 and 2^192 steps, the
+// polynomials from the reference implementation of xoshiro256**.
+var jumpPoly = Leap{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
+var longJumpPoly = Leap{0x76e15d3efefdcbbf, 0xc5004e441c522fb3, 0x77710069854ee241, 0x39109bb02acbe635}
 
-func (g *Xoshiro256) jumpWith(poly [4]uint64) {
+// charPoly is the characteristic polynomial of the xoshiro256 state
+// transition over GF(2), less its x^256 term: bit i of word w is the
+// coefficient of x^(64w+i).  It is the minimal polynomial of any one
+// state bit's sequence, re-derived from 512 of them by Berlekamp–Massey
+// in TestAdvance, and x^(2^128) and x^(2^192) reduce modulo it to
+// jumpPoly and longJumpPoly.
+var charPoly = [4]uint64{0x9d116f2bb0f0f001, 0x0280002bcefd1a5e, 0x04b4edcf26259f85, 0x0003c03c3f3ecb19}
+
+// A Leap advances a generator by a fixed number of steps: it holds
+// x^k mod charPoly, and by Cayley–Hamilton the transition T satisfies
+// T^k = p(T) for that remainder p, a sum of at most 256 powers of T
+// (Haramoto et al., "Efficient Jump Ahead for F2-Linear Random Number
+// Generators", 2008).  Making one takes one square of a 256-bit
+// polynomial per bit of k; taking one costs 256 steps, like Jump.
+type Leap [4]uint64
+
+// LeapOf returns the Leap of k steps.
+func LeapOf(k uint64) Leap {
+	p := Leap{1} // x^0
+	for b := bits.Len64(k) - 1; b >= 0; b-- {
+		p = p.mul(p)
+		if k>>uint(b)&1 != 0 {
+			p = p.shift()
+		}
+	}
+	return p
+}
+
+// shift returns x·p mod charPoly.
+func (p Leap) shift() Leap {
+	carry := p[3] >> 63
+	p[3] = p[3]<<1 | p[2]>>63
+	p[2] = p[2]<<1 | p[1]>>63
+	p[1] = p[1]<<1 | p[0]>>63
+	p[0] <<= 1
+	if carry != 0 {
+		for i := range p {
+			p[i] ^= charPoly[i]
+		}
+	}
+	return p
+}
+
+// mul returns p·q mod charPoly, Horner's rule over q's bits from the top.
+func (p Leap) mul(q Leap) Leap {
+	var r Leap
+	for w := 3; w >= 0; w-- {
+		for b := 63; b >= 0; b-- {
+			r = r.shift()
+			if q[w]>>uint(b)&1 != 0 {
+				for i := range r {
+					r[i] ^= p[i]
+				}
+			}
+		}
+	}
+	return r
+}
+
+// Leap advances g by the steps l was made for: the sum of T^i(state)
+// over the coefficients i set in l.
+func (g *Xoshiro256) Leap(l Leap) {
 	var s0, s1, s2, s3 uint64
-	for _, p := range poly {
+	for _, p := range l {
 		for b := 0; b < 64; b++ {
 			if p&(1<<uint(b)) != 0 {
 				s0 ^= g.s[0]
@@ -204,13 +265,17 @@ func (g *Xoshiro256) jumpWith(poly [4]uint64) {
 	g.s[0], g.s[1], g.s[2], g.s[3] = s0, s1, s2, s3
 }
 
+// Advance moves g k steps ahead, exactly as k calls of Next would.  To
+// move many generators by the same distance, make the Leap once.
+func (g *Xoshiro256) Advance(k uint64) { g.Leap(LeapOf(k)) }
+
 // Jump advances the generator by 2^128 steps.  It can be used to derive up
 // to 2^128 non-overlapping subsequences for parallel computation.
-func (g *Xoshiro256) Jump() { g.jumpWith(jumpPoly) }
+func (g *Xoshiro256) Jump() { g.Leap(jumpPoly) }
 
 // LongJump advances the generator by 2^192 steps, deriving up to 2^64
 // starting points from each of which Jump can derive 2^64 streams.
-func (g *Xoshiro256) LongJump() { g.jumpWith(longJumpPoly) }
+func (g *Xoshiro256) LongJump() { g.Leap(longJumpPoly) }
 
 // Perm returns a pseudo-random permutation of the integers [0, n) as a
 // slice of uint64, generated by the Fisher–Yates shuffle.

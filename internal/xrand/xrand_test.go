@@ -301,3 +301,105 @@ func BenchmarkFloat64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestAdvance pins the jump-ahead: charPoly is the transition's
+// characteristic polynomial, the reference jump polynomials are its
+// x^(2^128) and x^(2^192), and Advance(k) lands where k calls of Next do.
+func TestAdvance(t *testing.T) {
+	t.Run("BerlekampMassey", func(t *testing.T) {
+		// The low bit of s[0] is a linear functional of the state, so its
+		// sequence has the transition's minimal polynomial, which for a
+		// full-period generator is the degree-256 characteristic one.
+		g := New(99)
+		seq := make([]uint8, 512)
+		for i := range seq {
+			seq[i] = uint8(g.s[0] & 1)
+			g.Next()
+		}
+		conn, deg := berlekampMassey(seq)
+		if deg != 256 {
+			t.Fatalf("linear complexity %d, want 256", deg)
+		}
+		// The characteristic polynomial is the connection polynomial's
+		// reciprocal: coefficient i of the first is deg−i of the second.
+		var got [4]uint64
+		for i := 0; i < 256; i++ {
+			if conn[256-i] != 0 {
+				got[i/64] |= 1 << uint(i%64)
+			}
+		}
+		if conn[0] != 1 || got != charPoly {
+			t.Fatalf("Berlekamp–Massey gives %#x, charPoly is %#x", got, charPoly)
+		}
+	})
+	t.Run("ReferenceJumps", func(t *testing.T) {
+		p := LeapOf(0).shift() // x
+		for i := 1; i <= 192; i++ {
+			p = p.mul(p) // x^(2^i)
+			switch i {
+			case 128:
+				if p != jumpPoly {
+					t.Errorf("x^(2^128) mod charPoly = %#x, jumpPoly is %#x", p, jumpPoly)
+				}
+			case 192:
+				if p != longJumpPoly {
+					t.Errorf("x^(2^192) mod charPoly = %#x, longJumpPoly is %#x", p, longJumpPoly)
+				}
+			}
+		}
+	})
+	t.Run("MatchesNext", func(t *testing.T) {
+		for _, k := range []uint64{0, 1, 2, 63, 64, 65, 1000, 1<<20 + 7} {
+			a, b := New(7), New(7)
+			a.Advance(k)
+			for i := uint64(0); i < k; i++ {
+				b.Next()
+			}
+			if a.s != b.s {
+				t.Errorf("Advance(%d) state %#x, %d calls of Next give %#x", k, a.s, k, b.s)
+			}
+		}
+	})
+	t.Run("LeapsCompose", func(t *testing.T) {
+		// Two leaps of k are one Advance(2k): the per-chunk stepping
+		// kernel 0 relies on.
+		const k = 2 * 16 * 4096
+		a, b := New(3), New(3)
+		l := LeapOf(k)
+		a.Leap(l)
+		a.Leap(l)
+		b.Advance(2 * k)
+		if a.s != b.s {
+			t.Errorf("two leaps of %d: %#x, Advance(%d): %#x", k, a.s, 2*k, b.s)
+		}
+	})
+}
+
+// berlekampMassey returns the shortest LFSR generating seq over GF(2):
+// its connection polynomial's coefficients (index i is x^i) and length.
+func berlekampMassey(seq []uint8) ([]uint8, int) {
+	n := len(seq)
+	c, b := make([]uint8, n+1), make([]uint8, n+1)
+	c[0], b[0] = 1, 1
+	l, m := 0, 1
+	for i := 0; i < n; i++ {
+		d := seq[i]
+		for j := 1; j <= l; j++ {
+			d ^= c[j] & seq[i-j]
+		}
+		if d == 0 {
+			m++
+			continue
+		}
+		prev := append([]uint8(nil), c...)
+		for j := 0; j+m <= n; j++ {
+			c[j+m] ^= b[j]
+		}
+		if 2*l <= i {
+			l, b, m = i+1-l, prev, 1
+		} else {
+			m++
+		}
+	}
+	return c[:l+1], l
+}
