@@ -57,8 +57,8 @@ var goldenHashes = map[string]uint64{
 	"s10/seed7/init.25-.15-.35-.25/raw/GenerateTo":         0xdc286218ca8490cc,
 	"s10/seed7/init.25-.15-.35-.25/raw/GenerateParallel3":  0x1651473772401892,
 
-	// M = 98 304, one and a half of Generate's chunks; recorded on the
-	// serial generator of the commit before Generate went wide.
+	// M = 98 304, one and a half 2^16-edge chunks; recorded on the serial
+	// generator of the commit before Generate went wide.
 	"s15/seed5/ef3/perm/Generate":          0x3655d9aba0af5cdb,
 	"s15/seed5/ef3/perm/GenerateTo":        0x55eecef13f17069f,
 	"s15/seed5/ef3/perm/GenerateParallel3": 0xb6d7bc409b81e058,
@@ -80,12 +80,14 @@ var goldenCases = []struct {
 	{"s15/seed5/ef3", Config{Scale: 15, Seed: 5, EdgeFactor: 3}.Defaults()},
 }
 
-// goldenWidths and goldenChunks are the Generate widths and chunk sizes
-// every Generate golden is checked at: the list is the same at each.  A
-// chunk of 1000 edges divides no case's M, so the last chunk is partial.
+// goldenWidths and goldenChunks are the widths and chunk sizes every
+// Generate and GenerateTo golden is checked at: the edges are the same at
+// each.  A chunk of 1000 edges divides no case's M, so the last chunk is
+// partial, and it is no multiple of GenerateTo's batch, so batches span
+// chunks.
 var (
 	goldenWidths = []int{1, 2, 3, 8}
-	goldenChunks = []int{chunkEdges, 1000}
+	goldenChunks = []int{chunkEdges, 1 << 16, 1000}
 )
 
 func TestGenerateGolden(t *testing.T) {
@@ -124,14 +126,19 @@ func TestGenerateGolden(t *testing.T) {
 				}
 				l, err := gen[fn]()
 				check("", l, err)
-				if fn != "Generate" {
+				if fn == "GenerateParallel3" {
 					continue
 				}
 				for _, w := range goldenWidths {
 					for _, chunk := range goldenChunks {
 						wcfg := cfg
 						wcfg.Workers = w
-						l, err := generate(wcfg, chunk)
+						if fn == "Generate" {
+							l, err = generate(wcfg, chunk)
+						} else {
+							l = edge.NewList(0)
+							err = generateTo(wcfg, listWriter(l), chunk)
+						}
 						check(fmt.Sprintf(" at %d workers, chunks of %d", w, chunk), l, err)
 					}
 				}

@@ -12,9 +12,10 @@
 // sort to exploit.
 //
 // Generation is reproducible: the same Config always produces the same edge
-// list, at every Config.Workers.  Generate's workers sample chunks of one
-// stream, each starting at a jump-derived state (xrand.Leap), the Graph500
-// "no communication between processors" property with the serial bits.
+// list, at every Config.Workers.  Generate's and GenerateTo's workers sample
+// chunks of one stream, each starting at a jump-derived state (xrand.Leap),
+// the Graph500 "no communication between processors" property with the
+// serial bits; GenerateTo hands the chunks to its sink in stream order.
 // GenerateParallel is reproducible for a fixed worker count only: each of
 // its workers draws from its own stream, seeded from (seed, worker) by
 // xrand.NewSeeded.
@@ -24,7 +25,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/edge"
 	"repro/internal/fastio"
@@ -62,10 +62,10 @@ type Config struct {
 	// The raw Kronecker output is useful for validation because vertex
 	// popularity then decreases with label value.
 	SkipPermutation bool
-	// Workers is Generate's width: its sampling and edge shuffle run on
-	// this many goroutines, and the edge list is the same at every width.
-	// <= 0 means GOMAXPROCS.  GenerateTo is serial; GenerateParallel
-	// takes its width as an argument.
+	// Workers is Generate's and GenerateTo's width: their sampling (and
+	// Generate's edge shuffle) run on this many goroutines, and the edges
+	// are the same at every width.  <= 0 means GOMAXPROCS.
+	// GenerateParallel takes its width as an argument.
 	Workers int
 }
 
@@ -184,9 +184,9 @@ func (s sampler) sample(g *xrand.Xoshiro256, us, vs, perm []uint64) {
 	}
 }
 
-// chunkEdges is the number of edges a Generate worker samples per chunk
-// taken from the counter.
-const chunkEdges = 1 << 16
+// chunkEdges is the number of edges a worker samples per chunk it is
+// dealt, in Generate and GenerateTo alike.
+const chunkEdges = 1 << 14
 
 // Generate produces the complete edge list for cfg, cfg.Workers wide.
 // The list is the serial sampler's and shuffle's at every width.
@@ -198,10 +198,7 @@ func generate(cfg Config, chunk int) (*edge.List, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := cfg.width()
 	l := edge.Make(int(cfg.M()))
 	newSampler(cfg).sampleChunks(xrand.NewSeeded(cfg.Seed, 0), l.U, l.V, labels(cfg), workers, chunk)
 	if !cfg.SkipPermutation {
@@ -215,13 +212,77 @@ func generate(cfg Config, chunk int) (*edge.List, error) {
 	return l, nil
 }
 
+// width is the number of goroutines c.Workers asks for.
+func (c Config) width() int {
+	if c.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.Workers
+}
+
+// dealer hands out the chunks of one sample stream in order, each with
+// the state it starts from.  Edge e takes words 2·Scale·e onwards of the
+// stream, so chunk c starts chunk·2·Scale words in: at the state one Leap
+// of that many steps after chunk c−1's.  Each chunk is then sampled from
+// the words the serial loop gives it, at every width and interleaving.
+// A start state is derived as its chunk is dealt, so a dealer holds one
+// state however many chunks the stream has.
+type dealer struct {
+	mu     sync.Mutex
+	raised sync.Cond        // limit rose, or the dealer stopped
+	next   uint64           // the chunk deal hands out next
+	limit  uint64           // deal waits while next is not below it
+	chunks uint64           // chunks in the stream; 0 once stopped
+	g      xrand.Xoshiro256 // chunk next's start state
+	leap   xrand.Leap       // one chunk's steps
+}
+
+// newDealer returns a dealer of chunks chunks of chunk edges, the first
+// starting at g's state, with no limit.
+func (s sampler) newDealer(g *xrand.Xoshiro256, chunks uint64, chunk int) *dealer {
+	d := &dealer{limit: chunks, chunks: chunks, g: *g, leap: xrand.LeapOf(uint64(2 * s.scale * chunk))}
+	d.raised.L = &d.mu
+	return d
+}
+
+// deal returns the next chunk and its start state, a private copy,
+// waiting until the chunk is below the limit; ok is false once every
+// chunk is dealt or the dealer is stopped.
+func (d *dealer) deal() (c uint64, g xrand.Xoshiro256, ok bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.next >= d.limit && d.next < d.chunks {
+		d.raised.Wait()
+	}
+	if c = d.next; c >= d.chunks {
+		return 0, g, false
+	}
+	g = d.g
+	if d.next++; d.next < d.chunks {
+		d.g.Leap(d.leap)
+	}
+	return c, g, true
+}
+
+// allow lets d deal the chunks below limit.
+func (d *dealer) allow(limit uint64) {
+	d.mu.Lock()
+	d.limit = limit
+	d.mu.Unlock()
+	d.raised.Broadcast()
+}
+
+// stop makes every deal, waiting or to come, return ok false.
+func (d *dealer) stop() {
+	d.mu.Lock()
+	d.chunks = 0
+	d.mu.Unlock()
+	d.raised.Broadcast()
+}
+
 // sampleChunks is sample(g, us, vs, perm) on up to workers goroutines,
-// the caller among them, which take chunks of chunk edges from a counter.
-// Edge e takes words 2·Scale·e onwards of g's sequence, so chunk c starts
-// chunk·2·Scale words in: at the state one Leap of that many steps after
-// chunk c−1's.  Every chunk is sampled from the words the serial loop
-// gives it, so the lists are sample's at every width and interleaving.
-// One worker samples straight through, with no Leap and no goroutine.
+// the caller among them, which are dealt chunks of chunk edges.  One
+// worker samples straight through, with no Leap and no goroutine.
 func (s sampler) sampleChunks(g *xrand.Xoshiro256, us, vs, perm []uint64, workers, chunk int) {
 	m := len(us)
 	chunks := (m + chunk - 1) / chunk
@@ -229,19 +290,11 @@ func (s sampler) sampleChunks(g *xrand.Xoshiro256, us, vs, perm []uint64, worker
 		s.sample(g, us, vs, perm)
 		return
 	}
-	starts := make([]xrand.Xoshiro256, chunks)
-	leap := xrand.LeapOf(uint64(2 * s.scale * chunk))
-	for c := range starts {
-		if c > 0 {
-			g.Leap(leap)
-		}
-		starts[c] = *g
-	}
-	var next atomic.Int64
+	d := s.newDealer(g, uint64(chunks), chunk)
 	work := func() {
-		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
-			lo, hi := c*chunk, min((c+1)*chunk, m)
-			g := starts[c] // a private copy: no two workers write one cache line
+		for c, g, ok := d.deal(); ok; c, g, ok = d.deal() {
+			lo := int(c) * chunk
+			hi := min(lo+chunk, m)
 			s.sample(&g, us[lo:hi], vs[lo:hi], perm)
 		}
 	}
@@ -348,8 +401,8 @@ const (
 	shuffleStream = 1<<63 + 2
 )
 
-// generateToBatch is the number of edges GenerateTo samples between
-// hand-offs to its sink.
+// generateToBatch is the number of edges GenerateTo hands its sink per
+// call, the last call excepted; its serial loop samples that many a time.
 const generateToBatch = 4096
 
 // EdgeWriter is GenerateTo's sink.  A fastio.EdgeSink (a fastio.StripedSink,
@@ -370,7 +423,14 @@ type EdgeWriter interface {
 // fits in memory whenever the benchmark itself is feasible — but the edge
 // shuffle is skipped: the Kronecker stream is already unordered with respect
 // to the start vertex, which is all kernel 1 needs.
-func GenerateTo(cfg Config, sink EdgeWriter) error {
+//
+// Sampling runs cfg.Workers wide, ahead of the sink; the sink is called
+// from GenerateTo's goroutine only, with the edges and the calls the
+// serial loop makes, at every width.
+func GenerateTo(cfg Config, sink EdgeWriter) error { return generateTo(cfg, sink, chunkEdges) }
+
+// generateTo is GenerateTo sampling chunks of chunk edges.
+func generateTo(cfg Config, sink EdgeWriter, chunk int) error {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -378,11 +438,16 @@ func GenerateTo(cfg Config, sink EdgeWriter) error {
 	perm := labels(cfg)
 	g := xrand.NewSeeded(cfg.Seed, 0)
 	s := newSampler(cfg)
+	m := cfg.M()
+	chunks := (m + uint64(chunk) - 1) / uint64(chunk)
+	if workers := min(uint64(cfg.width()), chunks); workers > 1 {
+		return s.sampleTo(s.newDealer(g, chunks, chunk), m, perm, sink, int(workers), chunk)
+	}
 	batch := edge.Make(generateToBatch)
-	for left := cfg.M(); left > 0; {
+	for left := m; left > 0; {
 		n := int(min(left, generateToBatch))
 		s.sample(g, batch.U[:n], batch.V[:n], perm)
-		if err := writeBatch(sink, batch, n); err != nil {
+		if err := writeBatch(sink, batch, 0, n); err != nil {
 			return err
 		}
 		left -= uint64(n)
@@ -390,14 +455,109 @@ func GenerateTo(cfg Config, sink EdgeWriter) error {
 	return sink.Flush()
 }
 
-// writeBatch hands sink the first n edges of batch: in one call when sink
-// is a fastio.EdgeSink, edge by edge otherwise.
-func writeBatch(sink EdgeWriter, batch *edge.List, n int) error {
-	if s, ok := sink.(fastio.EdgeSink); ok {
-		return fastio.WriteEdges(s, batch, 0, n)
+// slot is one chunk's place in sampleTo's ring.
+type slot struct {
+	l     *edge.List
+	n     int           // edges of the chunk in l
+	ready chan struct{} // a sampler has filled l
+}
+
+// sampleTo hands the m edges of d's stream to sink in order and flushes
+// it.  workers goroutines sample the chunks d deals into a ring of
+// 2·workers slots, chunk c into slot c mod 2·workers, while the caller
+// passes each filled slot to the sink in chunk order.  d deals chunk c
+// only once the sink has had chunk c − 2·workers, whose slot it reuses,
+// so the samplers run at most a ring ahead of the sink.  A sink error
+// stops the dealer, which releases a sampler waiting on it; every sampler
+// has returned before sampleTo does.
+func (s sampler) sampleTo(d *dealer, m uint64, perm []uint64, sink EdgeWriter, workers, chunk int) error {
+	chunks, ring := d.chunks, make([]slot, 2*workers)
+	for i := range ring {
+		// One send per chunk the slot holds, received before the slot is
+		// dealt again: a buffer of one never blocks a sampler.
+		ring[i] = slot{l: edge.Make(chunk), ready: make(chan struct{}, 1)}
 	}
-	for i := range n {
-		if err := sink.WriteEdge(batch.U[i], batch.V[i]); err != nil {
+	d.allow(uint64(len(ring)))
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c, g, ok := d.deal(); ok; c, g, ok = d.deal() {
+				sl := &ring[c%uint64(len(ring))]
+				sl.n = int(min(m-c*uint64(chunk), uint64(chunk)))
+				s.sample(&g, sl.l.U[:sl.n], sl.l.V[:sl.n], perm)
+				sl.ready <- struct{}{}
+			}
+		}()
+	}
+	h := handOff{sink: sink, carry: edge.NewList(generateToBatch)}
+	var err error
+	for c := uint64(0); c < chunks && err == nil; c++ {
+		sl := &ring[c%uint64(len(ring))]
+		<-sl.ready
+		err = h.write(sl.l, sl.n)
+		d.allow(c + 1 + uint64(len(ring)))
+	}
+	d.stop()
+	wg.Wait()
+	if err != nil {
+		return err
+	}
+	return h.flush()
+}
+
+// handOff passes runs of edges to a sink in calls of generateToBatch
+// edges, as the serial loop does, carrying a partial batch from one run
+// into the next.
+type handOff struct {
+	sink  EdgeWriter
+	carry *edge.List // the start of a batch the next run completes
+}
+
+// write passes the first n edges of l on.
+func (h *handOff) write(l *edge.List, n int) error {
+	lo := 0
+	if k := h.carry.Len(); k > 0 {
+		lo = min(generateToBatch-k, n)
+		h.carry.U = append(h.carry.U, l.U[:lo]...)
+		h.carry.V = append(h.carry.V, l.V[:lo]...)
+		if h.carry.Len() < generateToBatch {
+			return nil
+		}
+		if err := writeBatch(h.sink, h.carry, 0, generateToBatch); err != nil {
+			return err
+		}
+		h.carry.Reset()
+	}
+	for ; n-lo >= generateToBatch; lo += generateToBatch {
+		if err := writeBatch(h.sink, l, lo, lo+generateToBatch); err != nil {
+			return err
+		}
+	}
+	h.carry.U = append(h.carry.U, l.U[lo:n]...)
+	h.carry.V = append(h.carry.V, l.V[lo:n]...)
+	return nil
+}
+
+// flush passes the carried edges on and flushes the sink.
+func (h *handOff) flush() error {
+	if n := h.carry.Len(); n > 0 {
+		if err := writeBatch(h.sink, h.carry, 0, n); err != nil {
+			return err
+		}
+	}
+	return h.sink.Flush()
+}
+
+// writeBatch hands sink edges [lo, hi) of l: in one call when sink is a
+// fastio.EdgeSink, edge by edge otherwise.
+func writeBatch(sink EdgeWriter, l *edge.List, lo, hi int) error {
+	if s, ok := sink.(fastio.EdgeSink); ok {
+		return fastio.WriteEdges(s, l, lo, hi)
+	}
+	for i := lo; i < hi; i++ {
+		if err := sink.WriteEdge(l.U[i], l.V[i]); err != nil {
 			return err
 		}
 	}

@@ -1,8 +1,13 @@
 package kronecker
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/edge"
 	"repro/internal/fastio/fastiotest"
@@ -273,15 +278,44 @@ func BenchmarkGenerateScale12(b *testing.B) {
 }
 
 // batchWriter is a fastio.EdgeSink that GenerateTo accepts.  Its WriteEdge
-// is never called: GenerateTo hands a fastio.EdgeSink whole batches.
-type batchWriter struct{ *fastiotest.ListSink }
+// is never called: GenerateTo hands a fastio.EdgeSink whole batches.  It
+// records the size of each batch and counts flushes; failAt > 0 fails the
+// failAt-th batch, and failFlush every Flush.
+type batchWriter struct {
+	fastiotest.ListSink
+	sizes     []int
+	flushes   int
+	failAt    int
+	failFlush bool
+	// goroutines is the most goroutines running during a WriteEdges call.
+	goroutines int
+}
 
-func (batchWriter) WriteEdge(u, v uint64) error {
+var errSink = errors.New("sink failed")
+
+func (w *batchWriter) WriteEdges(l *edge.List, lo, hi int) error {
+	w.sizes = append(w.sizes, hi-lo)
+	w.goroutines = max(w.goroutines, runtime.NumGoroutine())
+	if len(w.sizes) == w.failAt {
+		return errSink
+	}
+	return w.ListSink.WriteEdges(l, lo, hi)
+}
+
+func (w *batchWriter) Flush() error {
+	w.flushes++
+	if w.failFlush {
+		return errSink
+	}
+	return nil
+}
+
+func (*batchWriter) WriteEdge(u, v uint64) error {
 	panic("GenerateTo wrote a fastio.EdgeSink edge by edge")
 }
 
 // listWriter returns a batchWriter appending to l.
-func listWriter(l *edge.List) batchWriter { return batchWriter{fastiotest.NewListSink(l)} }
+func listWriter(l *edge.List) *batchWriter { return &batchWriter{ListSink: fastiotest.ListSink{L: l}} }
 
 // perEdgeWriter has only the per-edge shape of GenerateTo's parameter.
 type perEdgeWriter struct {
@@ -301,10 +335,12 @@ func (w *perEdgeWriter) Flush() error {
 
 // TestGenerateToPerEdgeWriter pins GenerateTo's per-edge seam: a writer
 // with only WriteEdge and Flush receives exactly the edges whose hashes
-// TestGenerateGolden pins for GenerateTo, then one Flush.  The benchmark
-// harness keeps the seam alive at two call sites in bench/replay.go:
-// replayExtsort passes GenerateTo a fastio.StripedSink, and probe passes it
-// discard, a writer with only WriteEdge and Flush.
+// TestGenerateGolden pins for GenerateTo, then one Flush, at every width.
+// The benchmark harness keeps the seam alive at two call sites in
+// bench/replay.go: replayExtsort passes GenerateTo a fastio.StripedSink,
+// and probe passes it discard, a writer with only WriteEdge and Flush.  A
+// fastio.EdgeSink gets the serial loop's batch sizes at every width and
+// chunk size: full batches, then the remainder.
 func TestGenerateToPerEdgeWriter(t *testing.T) {
 	for _, c := range goldenCases {
 		for _, raw := range []bool{false, true} {
@@ -314,13 +350,77 @@ func TestGenerateToPerEdgeWriter(t *testing.T) {
 			if raw {
 				key = c.name + "/raw/GenerateTo"
 			}
-			w := &perEdgeWriter{l: edge.NewList(0)}
-			if err := GenerateTo(cfg, w); err != nil {
-				t.Fatalf("%s: %v", key, err)
+			var serial []int
+			for left := int(cfg.M()); left > 0; left -= generateToBatch {
+				serial = append(serial, min(left, generateToBatch))
 			}
-			if got := hashList(w.l); got != goldenHashes[key] || w.flushes != 1 {
-				t.Errorf("%s: %#016x after %d flushes, golden %#016x after 1", key, got, w.flushes, goldenHashes[key])
+			for _, workers := range []int{1, 2, 8} {
+				for _, chunk := range []int{chunkEdges, 1000} {
+					cfg.Workers = workers
+					at := fmt.Sprintf("%s at %d workers, chunks of %d", key, workers, chunk)
+					w := &perEdgeWriter{l: edge.NewList(0)}
+					if err := generateTo(cfg, w, chunk); err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					if got := hashList(w.l); got != goldenHashes[key] || w.flushes != 1 {
+						t.Errorf("%s: %#016x after %d flushes, golden %#016x after 1", at, got, w.flushes, goldenHashes[key])
+					}
+					b := listWriter(edge.NewList(0))
+					if err := generateTo(cfg, b, chunk); err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					if !slices.Equal(b.sizes, serial) || b.flushes != 1 {
+						t.Errorf("%s: batches %v after %d flushes, want %v after 1", at, b.sizes, b.flushes, serial)
+					}
+				}
 			}
 		}
+	}
+}
+
+// TestGenerateToSinkError: a sink that fails its k-th batch, or its
+// Flush, gets no call after the failing one, and GenerateTo returns its
+// error with every sampler returned, whether the samplers are running
+// ahead or waiting on a full ring.  One worker starts no goroutine.
+func TestGenerateToSinkError(t *testing.T) {
+	cfg := Config{Scale: 15, Seed: 5, EdgeFactor: 3}.Defaults() // 24 batches
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 8} {
+		for _, chunk := range []int{chunkEdges, 1000} {
+			for _, failAt := range []int{1, 2, 9, 24, 0} {
+				cfg.Workers = workers
+				at := fmt.Sprintf("%d workers, chunks of %d, failing batch %d", workers, chunk, failAt)
+				w := listWriter(edge.NewList(0))
+				w.failAt, w.failFlush = failAt, failAt == 0
+				if err := generateTo(cfg, w, chunk); !errors.Is(err, errSink) {
+					t.Errorf("%s: returned %v, want the sink's error", at, err)
+				}
+				if failAt > 0 && (len(w.sizes) != failAt || w.flushes != 0) {
+					t.Errorf("%s: %d batches and %d flushes, want %d and 0", at, len(w.sizes), w.flushes, failAt)
+				}
+				if failAt == 0 && (len(w.sizes) != 24 || w.flushes != 1) {
+					t.Errorf("%s: %d batches and %d flushes, want 24 and 1", at, len(w.sizes), w.flushes)
+				}
+				if workers == 1 && w.goroutines != base {
+					t.Errorf("%s: %d goroutines during a write, %d before: one worker started one", at, w.goroutines, base)
+				}
+				waitForGoroutines(t, base)
+			}
+		}
+	}
+}
+
+// waitForGoroutines polls until the live goroutine count returns to at
+// most want: a sampler may still be exiting when GenerateTo returns.
+func waitForGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines leaked: have %d, want <= %d\n%s",
+				runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -103,6 +103,11 @@ type Workload struct {
 	// memory-bound kernels stop speeding up once bandwidth binds (the
 	// paper's central claim, now visible inside a single rank too).
 	RankWorkers int
+	// Workers is kernel 0's sampling width (pipeline.Config.Workers):
+	// the Kronecker sampling runs on this many cores, capped at
+	// Hardware.Cores, while the edge formatting stays on one.  0/1 model
+	// serial sampling.
+	Workers int
 }
 
 func (w Workload) withDefaults() Workload {
@@ -129,18 +134,9 @@ func (w Workload) withDefaults() Workload {
 	return w
 }
 
-// rankWorkers returns the effective intra-rank parallelism on h: the
-// configured worker count, capped at the node's cores.
-func (w Workload) rankWorkers(h Hardware) float64 {
-	e := w.RankWorkers
-	if e < 1 {
-		e = 1
-	}
-	if h.Cores >= 1 && e > h.Cores {
-		e = h.Cores
-	}
-	return float64(e)
-}
+// cores returns the cores n workers keep busy on h: n, at least 1 and at
+// most the node's cores.
+func cores(n int, h Hardware) float64 { return float64(max(1, min(n, h.Cores))) }
 
 // N returns the vertex count.
 func (w Workload) N() float64 { return math.Exp2(float64(w.Scale)) }
@@ -200,11 +196,12 @@ func prediction(edges float64, times map[string]float64) Prediction {
 	return Prediction{Seconds: total, EdgesPerSecond: edges / total, Bound: bound}
 }
 
-// Kernel0 predicts graph generation and write-out.
+// Kernel0 predicts graph generation and write-out.  The sampling term
+// divides by min(Workload.Workers, Cores); the formatting term does not.
 func Kernel0(h Hardware, w Workload) Prediction {
 	w = w.withDefaults()
 	m := w.M()
-	compute := m * (genOpsPerBit*float64(w.Scale) + formatOpsPerByte*w.BytesPerEdgeText) / h.ScalarRate
+	compute := m * (genOpsPerBit*float64(w.Scale)/cores(w.Workers, h) + formatOpsPerByte*w.BytesPerEdgeText) / h.ScalarRate
 	storage := m * w.BytesPerEdgeText / h.StorageWriteBW
 	return prediction(m, map[string]float64{"compute": compute, "storage": storage})
 }
@@ -276,7 +273,7 @@ func ParallelKernel3(h Hardware, w Workload, p int) Prediction {
 	iters := float64(w.Iterations)
 	nnz := m * collisionFactor
 	memory := iters * nnz * spmvBytesPerNNZ / h.MemBandwidth / float64(p)
-	compute := iters * spmvOps(w) / h.ScalarRate / float64(p) / w.rankWorkers(h)
+	compute := iters * spmvOps(w) / h.ScalarRate / float64(p) / cores(w.RankWorkers, h)
 	network := 0.0
 	if p > 1 {
 		perIter := 2*n*8*float64(p-1)/float64(p)/h.NetBandwidth + math.Log2(float64(p))*h.NetLatency
@@ -322,7 +319,7 @@ func ParallelKernel1(h Hardware, w Workload, p int) Prediction {
 	m := w.M()
 	passes := math.Ceil(float64(w.Scale) / 8)
 	compute := m*(parseOpsPerByte+formatOpsPerByte)*w.BytesPerEdgeText/h.ScalarRate/float64(p) +
-		m*partitionOpsPerEdge/h.ScalarRate/float64(p)/w.rankWorkers(h)
+		m*partitionOpsPerEdge/h.ScalarRate/float64(p)/cores(w.RankWorkers, h)
 	memory := m * radixBytesPerEdgePass * passes / h.MemBandwidth / float64(p)
 	storage := (m*w.BytesPerEdgeText/h.StorageReadBW + m*w.BytesPerEdgeText/h.StorageWriteBW) / float64(p)
 	if w.RunEdges > 0 {

@@ -241,3 +241,22 @@ func TestCompareRankElapsed(t *testing.T) {
 		t.Error("invalid hardware accepted")
 	}
 }
+
+// TestKernel0Workers pins K0's two compute terms: sampling divides by
+// min(Workers, Cores), formatting stays on one core, and 0 or 1 worker
+// is the serial model.
+func TestKernel0Workers(t *testing.T) {
+	h := PaperNode()
+	w := wl().withDefaults()
+	m := w.M()
+	sample := m * genOpsPerBit * float64(w.Scale) / h.ScalarRate
+	format := m * formatOpsPerByte * w.BytesPerEdgeText / h.ScalarRate
+	storage := m * w.BytesPerEdgeText / h.StorageWriteBW
+	for _, c := range []struct{ workers, cores int }{{0, 1}, {1, 1}, {4, 4}, {16, 16}, {64, 16}} {
+		w.Workers = c.workers
+		want := sample/float64(c.cores) + format + storage
+		if got := Kernel0(h, w).Seconds; math.Abs(got-want) > 1e-12*want {
+			t.Errorf("Workers %d: K0 %.9g s, want %.9g (sampling on %d cores)", c.workers, got, want, c.cores)
+		}
+	}
+}

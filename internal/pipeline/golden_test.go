@@ -106,24 +106,27 @@ func TestColdPathGolden(t *testing.T) {
 	}
 }
 
-// TestKernel0WidthInvariance: csr's kernel 0 writes the same k0 bytes at
-// every Config.Workers.  M = 98 304 is one and a half of the generator's
-// sampling chunks, so the wide runs start a chunk from a jumped state.
+// TestKernel0WidthInvariance: csr's kernel 0 (kronecker.Generate) and
+// extsort's (kronecker.GenerateTo) each write the same k0 bytes at every
+// Config.Workers.  M = 98 304 is six of the generator's sampling chunks,
+// so the wide runs start chunks from jumped states.
 func TestKernel0WidthInvariance(t *testing.T) {
-	for _, format := range []string{"tsv", "packed"} {
-		for _, nfiles := range []int{1, 3} {
-			var want uint64
-			for _, workers := range []int{1, 2, 3, 8} {
-				fs := vfs.NewMem()
-				cfg := Config{Scale: 15, EdgeFactor: 3, Seed: 5, NFiles: nfiles, Format: format, Workers: workers, FS: fs}.withDefaults()
-				if err := (csrVariant{}).Kernel0(&Run{Cfg: cfg, FS: fs}); err != nil {
-					t.Fatal(err)
-				}
-				got := hashFiles(t, fs, "k0-")
-				if workers == 1 {
-					want = got
-				} else if got != want {
-					t.Errorf("%s/%d files: k0 bytes at %d workers differ from 1 worker's", format, nfiles, workers)
+	for _, v := range []Variant{csrVariant{}, extsortVariant{}} {
+		for _, format := range []string{"tsv", "packed"} {
+			for _, nfiles := range []int{1, 3} {
+				var want uint64
+				for _, workers := range []int{1, 2, 3, 8} {
+					fs := vfs.NewMem()
+					cfg := Config{Scale: 15, EdgeFactor: 3, Seed: 5, NFiles: nfiles, Format: format, Workers: workers, FS: fs}.withDefaults()
+					if err := v.Kernel0(&Run{Cfg: cfg, FS: fs}); err != nil {
+						t.Fatal(err)
+					}
+					got := hashFiles(t, fs, "k0-")
+					if workers == 1 {
+						want = got
+					} else if got != want {
+						t.Errorf("%s %s/%d files: k0 bytes at %d workers differ from 1 worker's", v.Name(), format, nfiles, workers)
+					}
 				}
 			}
 		}

@@ -84,7 +84,8 @@ type Config struct {
 	// Generator selects the K0 generator; empty selects Kronecker.
 	Generator GeneratorKind
 	// Workers is kernel 0's Kronecker sampling and shuffle width (every
-	// variant but extsort and parallel: kronecker.Generate), kernel 1's
+	// variant but parallel; extsort streams through kronecker.GenerateTo,
+	// which does not shuffle), kernel 1's
 	// in-memory sort width (every variant but coo and the dist variants'
 	// by-u sample sort) and kernel 3's gather team width (csr, extsort,
 	// parallel); results are bit-for-bit invariant in it.  It is also
@@ -1050,9 +1051,7 @@ func fillAbortErr(err error) error {
 func generate(cfg Config) (gen gensuite.Generator, err error) {
 	switch cfg.Generator {
 	case GenKronecker:
-		kcfg := kronecker.New(cfg.Scale, cfg.Seed)
-		kcfg.EdgeFactor, kcfg.Workers = cfg.EdgeFactor, cfg.Workers
-		return kroneckerGen{kcfg}, nil
+		return kroneckerGen{kroneckerConfig(cfg)}, nil
 	case GenPPL:
 		return gensuite.PPL{Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed}, nil
 	case GenER:
@@ -1060,6 +1059,13 @@ func generate(cfg Config) (gen gensuite.Generator, err error) {
 	default:
 		return nil, fmt.Errorf("pipeline: unknown generator %q", cfg.Generator)
 	}
+}
+
+// kroneckerConfig is cfg's Kronecker generator, cfg.Workers wide.
+func kroneckerConfig(cfg Config) kronecker.Config {
+	kcfg := kronecker.New(cfg.Scale, cfg.Seed)
+	kcfg.EdgeFactor, kcfg.Workers = cfg.EdgeFactor, cfg.Workers
+	return kcfg
 }
 
 // kroneckerGen adapts the kronecker package to the gensuite.Generator

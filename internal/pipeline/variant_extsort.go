@@ -56,9 +56,7 @@ func (extsortVariant) Kernel0(r *Run) error {
 	if err != nil {
 		return err
 	}
-	kcfg := kronecker.New(r.Cfg.Scale, r.Cfg.Seed)
-	kcfg.EdgeFactor = r.Cfg.EdgeFactor
-	if err := kronecker.GenerateTo(kcfg, sink); err != nil {
+	if err := kronecker.GenerateTo(kroneckerConfig(r.Cfg), sink); err != nil {
 		sink.Close()
 		return err
 	}
