@@ -66,8 +66,8 @@ func BenchmarkTableISLOC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n = len(pipeline.VariantNames())
 	}
-	if n != 8 {
-		b.Fatalf("expected 8 variants, have %d", n)
+	if n != 7 {
+		b.Fatalf("expected 7 variants, have %d", n)
 	}
 	b.ReportMetric(float64(n), "variants")
 	// The actual table: go run ./cmd/sloc

@@ -95,7 +95,7 @@ var (
 	nfiles      = flag.Int("nfiles", 1, "number of edge files (the paper's free parameter)")
 	variant     = flag.String("variant", "csr", "implementation variant; a comma-separated list or 'all' runs each in turn, cold, and tabulates per-kernel edges/s (-cachesweep takes lists too; -json and -checkpoint-every take one variant)")
 	generator   = flag.String("generator", "kronecker", "kernel-0 generator: kronecker, ppl, er")
-	workers     = flag.Int("workers", 0, "kernel-0 sampling width (all but parallel) and shuffle width (all but extsort and parallel), kernel-1 sort width (all but coo) and kernel-3 gather team width (csr, extsort, parallel), same bits at any width, and parallel's K0 workers; or the dist variants' rank count (0 = GOMAXPROCS, or 4 ranks)")
+	workers     = flag.Int("workers", 0, "kernel-0 sampling width (and shuffle width, all but extsort), kernel-1 sort width (all but coo) and kernel-3 gather team width (csr, extsort), same bits at any width; or the dist variants' rank count (0 = GOMAXPROCS, or 4 ranks)")
 	dir         = flag.String("dir", "", "storage directory (empty = in-memory)")
 	iterations  = flag.Int("iterations", 20, "kernel-3 PageRank iterations")
 	damping     = flag.Float64("damping", 0.85, "kernel-3 damping factor c")
@@ -515,9 +515,8 @@ func printResult(res *core.Result, format string) {
 }
 
 // jsonCacheSweepRow is one variant's cold/warm measurement in the
-// -cachesweep -json report.  WarmCache is absent for variants that opt
-// out of the cache (parallel) — their warm run recomputes all four
-// kernels.
+// -cachesweep -json report.  WarmCache is the warm run's cache record: a
+// matrix hit, so the warm run executes kernel 3 alone.
 type jsonCacheSweepRow struct {
 	Variant         string          `json:"variant"`
 	ColdSeconds     float64         `json:"coldSeconds"`
@@ -602,15 +601,11 @@ func runCacheSweep(ctx context.Context, cfg core.Config, variants []string, budg
 		fmt.Sprintf("Matrix-cache cold/warm ablation: scale %d, %d iterations", cfg.Scale, cfg.PageRank.Iterations),
 		"variant", "cold s", "warm s", "speedup", "matrix h/m", "cache MB")
 	for _, r := range rows {
-		mh := "-"
-		if r.WarmCache != nil {
-			mh = fmt.Sprintf("%d/%d", r.WarmCache.Matrix.Hits, r.WarmCache.Matrix.Misses)
-		}
 		t.AddRow(r.Variant,
 			fmt.Sprintf("%.4f", r.ColdSeconds),
 			fmt.Sprintf("%.4f", r.WarmSeconds),
 			fmt.Sprintf("%.2fx", r.Speedup),
-			mh,
+			fmt.Sprintf("%d/%d", r.WarmCache.Matrix.Hits, r.WarmCache.Matrix.Misses),
 			fmt.Sprintf("%.2f", float64(r.ResidentBytes)/1e6))
 	}
 	emit(t, output)

@@ -40,12 +40,11 @@ func main() {
 	svc := core.NewService(core.WithMaxConcurrent(4))
 	defer svc.Close()
 
-	// --- Scene 1: seven concurrent runs, one computed matrix. ---------
-	// ("parallel" is absent by design: it generates with per-worker seeded
-	// streams — a different edge multiset per worker count — so it opts
-	// out of the cache.  extsort streams kernels 0-2 in bounded memory
-	// but shares the canonical kernel-2 matrix like everyone else.)
-	variants := []string{"csr", "coo", "columnar", "graphblas", "dist", "distgo", "extsort"}
+	// --- Scene 1: one run per variant, one computed matrix. -----------
+	// (Every variant shares the canonical kernel-2 matrix: extsort
+	// streams kernels 0-2 in bounded memory, and the dist variants
+	// row-block it across their ranks.)
+	variants := core.Variants()
 	results := make([]*core.Result, len(variants))
 	var wg sync.WaitGroup
 	for i, v := range variants {

@@ -57,7 +57,7 @@ func TestIntegrationVariantCrossProductMatrixIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref *pipeline.Run
-	for _, name := range []string{"csr", "columnar", "graphblas", "extsort", "coo", "parallel"} {
+	for _, name := range []string{"csr", "columnar", "graphblas", "extsort", "coo"} {
 		v, err := pipeline.Lookup(name)
 		if err != nil {
 			t.Fatal(err)

@@ -84,5 +84,4 @@ func ExampleVariants() {
 	// distgo
 	// extsort
 	// graphblas
-	// parallel
 }

@@ -27,44 +27,34 @@ func hashList(l *edge.List) uint64 {
 // sampler landed (the float-compare sampler, PR 16's tree).  Any sampler,
 // relabel or shuffle change that alters one bit of one edge fails here.
 var goldenHashes = map[string]uint64{
-	"s6/seed1/perm/Generate":          0xe85a02e875c4ece4,
-	"s6/seed1/perm/GenerateTo":        0xbc1f290632b1aaa4,
-	"s6/seed1/perm/GenerateParallel3": 0x95bad16a39cbbee9,
-	"s6/seed1/raw/Generate":           0x288d9fec7011481b,
-	"s6/seed1/raw/GenerateTo":         0x288d9fec7011481b,
-	"s6/seed1/raw/GenerateParallel3":  0x1f208f6ded96fc48,
+	"s6/seed1/perm/Generate":   0xe85a02e875c4ece4,
+	"s6/seed1/perm/GenerateTo": 0xbc1f290632b1aaa4,
+	"s6/seed1/raw/Generate":    0x288d9fec7011481b,
+	"s6/seed1/raw/GenerateTo":  0x288d9fec7011481b,
 
-	"s10/seed1/perm/Generate":          0xeda5c91f5837fe53,
-	"s10/seed1/perm/GenerateTo":        0x7a2ab4fe29623503,
-	"s10/seed1/perm/GenerateParallel3": 0x257fc806ac9dd429,
-	"s10/seed1/raw/Generate":           0xea026a1bbc97f90f,
-	"s10/seed1/raw/GenerateTo":         0xea026a1bbc97f90f,
-	"s10/seed1/raw/GenerateParallel3":  0x5f2e2e015c6b630c,
+	"s10/seed1/perm/Generate":   0xeda5c91f5837fe53,
+	"s10/seed1/perm/GenerateTo": 0x7a2ab4fe29623503,
+	"s10/seed1/raw/Generate":    0xea026a1bbc97f90f,
+	"s10/seed1/raw/GenerateTo":  0xea026a1bbc97f90f,
 
-	"s12/seed42/perm/Generate":          0x1f4c4287257c90cd,
-	"s12/seed42/perm/GenerateTo":        0xdad4a6a22fc17a15,
-	"s12/seed42/perm/GenerateParallel3": 0xb9268f9b92089e1c,
-	"s12/seed42/raw/Generate":           0x880f31b6d2456c6f,
-	"s12/seed42/raw/GenerateTo":         0x880f31b6d2456c6f,
-	"s12/seed42/raw/GenerateParallel3":  0xea77ec84a20585b2,
+	"s12/seed42/perm/Generate":   0x1f4c4287257c90cd,
+	"s12/seed42/perm/GenerateTo": 0xdad4a6a22fc17a15,
+	"s12/seed42/raw/Generate":    0x880f31b6d2456c6f,
+	"s12/seed42/raw/GenerateTo":  0x880f31b6d2456c6f,
 
 	// A+B = 0.4 < 0.5: the thresholds times 2^53 are not integers, the
 	// floor case of the integer predicate.
-	"s10/seed7/init.25-.15-.35-.25/perm/Generate":          0x082fdad8570fb1d6,
-	"s10/seed7/init.25-.15-.35-.25/perm/GenerateTo":        0x90418f864b2d31c6,
-	"s10/seed7/init.25-.15-.35-.25/perm/GenerateParallel3": 0xca25de120224720c,
-	"s10/seed7/init.25-.15-.35-.25/raw/Generate":           0xdc286218ca8490cc,
-	"s10/seed7/init.25-.15-.35-.25/raw/GenerateTo":         0xdc286218ca8490cc,
-	"s10/seed7/init.25-.15-.35-.25/raw/GenerateParallel3":  0x1651473772401892,
+	"s10/seed7/init.25-.15-.35-.25/perm/Generate":   0x082fdad8570fb1d6,
+	"s10/seed7/init.25-.15-.35-.25/perm/GenerateTo": 0x90418f864b2d31c6,
+	"s10/seed7/init.25-.15-.35-.25/raw/Generate":    0xdc286218ca8490cc,
+	"s10/seed7/init.25-.15-.35-.25/raw/GenerateTo":  0xdc286218ca8490cc,
 
 	// M = 98 304, one and a half 2^16-edge chunks; recorded on the serial
 	// generator of the commit before Generate went wide.
-	"s15/seed5/ef3/perm/Generate":          0x3655d9aba0af5cdb,
-	"s15/seed5/ef3/perm/GenerateTo":        0x55eecef13f17069f,
-	"s15/seed5/ef3/perm/GenerateParallel3": 0xb6d7bc409b81e058,
-	"s15/seed5/ef3/raw/Generate":           0x6643ffd942952ebe,
-	"s15/seed5/ef3/raw/GenerateTo":         0x6643ffd942952ebe,
-	"s15/seed5/ef3/raw/GenerateParallel3":  0x1a562904ae58cce8,
+	"s15/seed5/ef3/perm/Generate":   0x3655d9aba0af5cdb,
+	"s15/seed5/ef3/perm/GenerateTo": 0x55eecef13f17069f,
+	"s15/seed5/ef3/raw/Generate":    0x6643ffd942952ebe,
+	"s15/seed5/ef3/raw/GenerateTo":  0x6643ffd942952ebe,
 }
 
 // goldenCases are the configurations goldenHashes pins, each generated
@@ -106,9 +96,8 @@ func TestGenerateGolden(t *testing.T) {
 					l := edge.NewList(0)
 					return l, GenerateTo(cfg, listWriter(l))
 				},
-				"GenerateParallel3": func() (*edge.List, error) { return GenerateParallel(cfg, 3) },
 			}
-			for _, fn := range []string{"Generate", "GenerateTo", "GenerateParallel3"} {
+			for _, fn := range []string{"Generate", "GenerateTo"} {
 				key := fmt.Sprintf("%s/%s/%s", c.name, mode, fn)
 				want, ok := goldenHashes[key]
 				if !ok {
@@ -126,9 +115,6 @@ func TestGenerateGolden(t *testing.T) {
 				}
 				l, err := gen[fn]()
 				check("", l, err)
-				if fn == "GenerateParallel3" {
-					continue
-				}
 				for _, w := range goldenWidths {
 					for _, chunk := range goldenChunks {
 						wcfg := cfg

@@ -16,9 +16,6 @@
 // chunks of one stream, each starting at a jump-derived state (xrand.Leap),
 // the Graph500 "no communication between processors" property with the
 // serial bits; GenerateTo hands the chunks to its sink in stream order.
-// GenerateParallel is reproducible for a fixed worker count only: each of
-// its workers draws from its own stream, seeded from (seed, worker) by
-// xrand.NewSeeded.
 package kronecker
 
 import (
@@ -65,7 +62,6 @@ type Config struct {
 	// Workers is Generate's and GenerateTo's width: their sampling (and
 	// Generate's edge shuffle) run on this many goroutines, and the edges
 	// are the same at every width.  <= 0 means GOMAXPROCS.
-	// GenerateParallel takes its width as an argument.
 	Workers int
 }
 
@@ -351,41 +347,6 @@ func shuffleAhead(l *edge.List, g *xrand.Xoshiro256) {
 	}
 }
 
-// GenerateParallel produces the edge list using the given number of worker
-// goroutines, each drawing from an independent random stream.  workers <= 0
-// selects GOMAXPROCS.  Output is deterministic for a fixed (cfg, workers).
-func GenerateParallel(cfg Config, workers int) (*edge.List, error) {
-	cfg = cfg.Defaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	m := int(cfg.M())
-	if workers > m {
-		workers = m
-	}
-	l := edge.Make(m)
-	s := newSampler(cfg)
-	perm := labels(cfg)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * m / workers
-		hi := (w + 1) * m / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s.sample(xrand.NewSeeded(cfg.Seed, uint64(w)+1), l.U[lo:hi], l.V[lo:hi], perm)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if !cfg.SkipPermutation {
-		l.Shuffle(xrand.NewSeeded(cfg.Seed, shuffleStream))
-	}
-	return l, nil
-}
-
 // labels returns the Graph500 vertex relabelling of cfg — vertex x is
 // emitted as labels[x] — or nil when cfg skips the permutation.
 func labels(cfg Config) []uint64 {
@@ -395,7 +356,8 @@ func labels(cfg Config) []uint64 {
 	return xrand.NewSeeded(cfg.Seed, permStream).Perm(int(cfg.N()))
 }
 
-// Reserved stream indices for the finishing steps, far from worker streams.
+// Reserved stream indices for the finishing steps, apart from the sampling
+// stream 0.  Every shuffled edge list depends on their values.
 const (
 	permStream    = 1<<63 + 1
 	shuffleStream = 1<<63 + 2

@@ -87,44 +87,16 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-func TestGenerateParallelDeterministicPerWorkerCount(t *testing.T) {
-	cfg := New(7, 5)
-	a, err := GenerateParallel(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateParallel(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(b) {
-		t.Error("parallel generation not reproducible for fixed worker count")
-	}
-	if uint64(a.Len()) != cfg.M() {
-		t.Errorf("parallel generated %d edges, want %d", a.Len(), cfg.M())
-	}
-}
-
-func TestGenerateParallelStatisticallySimilarToSerial(t *testing.T) {
-	// Parallel and serial outputs differ in randomness but must share the
-	// skewed-degree character; compare max in-degree magnitudes loosely.
+func TestGenerateDegreeSkew(t *testing.T) {
+	// The raw Kronecker output is skewed: low labels are popular.
 	cfg := New(9, 7)
 	cfg.SkipPermutation = true
-	ser, err := Generate(cfg)
+	l, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := GenerateParallel(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, mp := maxOutDegree(ser, cfg.N()), maxOutDegree(par, cfg.N())
-	if ms < 10 || mp < 10 {
-		t.Fatalf("expected skewed degrees, got max out-degree serial=%d parallel=%d", ms, mp)
-	}
-	ratio := float64(ms) / float64(mp)
-	if ratio < 0.2 || ratio > 5 {
-		t.Errorf("serial and parallel degree skew differ wildly: %d vs %d", ms, mp)
+	if m := maxOutDegree(l, cfg.N()); m < 10 {
+		t.Fatalf("expected skewed degrees, got max out-degree %d", m)
 	}
 }
 
@@ -234,9 +206,6 @@ func TestGenerateToMatchesPermutedVertexStatistics(t *testing.T) {
 func TestGenerateInvalidConfig(t *testing.T) {
 	if _, err := Generate(Config{Scale: -1}); err == nil {
 		t.Error("Generate accepted invalid config")
-	}
-	if _, err := GenerateParallel(Config{Scale: -1}, 2); err == nil {
-		t.Error("GenerateParallel accepted invalid config")
 	}
 	if err := GenerateTo(Config{Scale: -1}, listWriter(edge.NewList(0))); err == nil {
 		t.Error("GenerateTo accepted invalid config")

@@ -19,8 +19,8 @@
 // row-major), gather (via the value-free transpose, with the rank vector
 // in its position labels and handed out in vertex order), the gather on
 // a chunk-scheduled worker team (ParallelEngine, bit for bit the
-// gather's at every width: the kernel 3 of the csr, extsort and parallel
-// pipeline variants), and
+// gather's at every width: the kernel 3 of the csr and extsort pipeline
+// variants), and
 // the generic GraphBLAS semiring form.  All are verified against each
 // other and against the paper's dense eigenvector check.
 //

@@ -11,51 +11,44 @@ import (
 
 // TestColdRunAllocBudget pins the allocation volume of a whole cold run —
 // over tsv files in a vfs.Mem, through core.RunOnce as the benchmark calls
-// it — per variant.  csr's budget is 110 bytes per edge.  A run that
-// touches each byte once allocates ~90 at this scale: the generated list
-// (16 B/edge, reused as kernel 1's decode target), the radix sort's second
-// list (16), two tsv files (~12 each), the matrix reserved at M (12) and
-// its transpose (~11); K0 and K1 write and read their stripes through the
+// it — to csr's budget of 110 bytes per edge.  A run that touches each
+// byte once allocates ~90 at this scale: the generated list (16 B/edge,
+// reused as kernel 1's decode target), the radix sort's second list (16),
+// two tsv files (~12 each), the matrix reserved at M (12) and its
+// transpose (~11); K0 and K1 write and read their stripes through the
 // stream batches, and kernel 2 streams the k1 stripes and decodes into no
 // list.  A doubling file buffer or a list allocated per decode puts it at
-// 170, so either fails here, not in a benchmark.  parallel's budget is 120:
-// it shares csr's files and spare list, and its per-worker generation and
-// merge sort add their own buffers; concurrent per-stripe lists put it at
-// 200.
+// 170, so either fails here, not in a benchmark.
 func TestColdRunAllocBudget(t *testing.T) {
-	for _, c := range []struct {
-		variant string
-		budget  float64
-	}{{"csr", 110}, {"parallel", 120}} {
-		cfg := core.Config{Scale: 14, Seed: 1, Variant: c.variant, Format: "tsv", KeepRank: true}
-		ctx := context.Background()
-		if _, err := core.RunOnce(ctx, cfg); err != nil { // lazy set-up is not the run's
-			t.Fatal(err)
+	const variant, budget = "csr", 110
+	cfg := core.Config{Scale: 14, Seed: 1, Variant: variant, Format: "tsv", KeepRank: true}
+	ctx := context.Background()
+	if _, err := core.RunOnce(ctx, cfg); err != nil { // lazy set-up is not the run's
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := core.RunOnce(ctx, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := after.TotalAlloc - before.TotalAlloc
+	if perEdge := float64(whole) / float64(cfg.M()); perEdge > budget {
+		t.Errorf("cold %s/tsv run at scale %d allocated %.1f B/edge, budget %v", variant, cfg.Scale, perEdge, budget)
+	}
+	// The per-kernel records are the same counter read around each
+	// kernel: all four are charged, and together for no more than the
+	// whole run.
+	var kernels uint64
+	for _, k := range res.Kernels {
+		if k.AllocBytes == 0 {
+			t.Errorf("%s %v: AllocBytes is 0", variant, k.Kernel)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := core.RunOnce(ctx, cfg)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		whole := after.TotalAlloc - before.TotalAlloc
-		if perEdge := float64(whole) / float64(cfg.M()); perEdge > c.budget {
-			t.Errorf("cold %s/tsv run at scale %d allocated %.1f B/edge, budget %v", c.variant, cfg.Scale, perEdge, c.budget)
-		}
-		// The per-kernel records are the same counter read around each
-		// kernel: all four are charged, and together for no more than the
-		// whole run.
-		var kernels uint64
-		for _, k := range res.Kernels {
-			if k.AllocBytes == 0 {
-				t.Errorf("%s %v: AllocBytes is 0", c.variant, k.Kernel)
-			}
-			kernels += k.AllocBytes
-		}
-		if len(res.Kernels) != 4 || kernels > whole || kernels < whole*9/10 {
-			t.Errorf("%s: kernels report %d allocated bytes of the run's %d", c.variant, kernels, whole)
-		}
+		kernels += k.AllocBytes
+	}
+	if len(res.Kernels) != 4 || kernels > whole || kernels < whole*9/10 {
+		t.Errorf("%s: kernels report %d allocated bytes of the run's %d", variant, kernels, whole)
 	}
 }
 
@@ -67,7 +60,7 @@ func TestColdRunAllocBudget(t *testing.T) {
 // allocates 16 more.
 func TestKernel2AllocBudget(t *testing.T) {
 	ctx := context.Background()
-	for _, name := range []string{"csr", "parallel", "extsort"} {
+	for _, name := range []string{"csr", "extsort"} {
 		cfg := core.Config{Scale: 14, Seed: 1, Variant: name, Format: "tsv", FS: vfs.NewMem()}
 		if _, err := core.RunOnce(ctx, cfg, core.K0Generate, core.K1Sort); err != nil {
 			t.Fatal(err)

@@ -17,7 +17,7 @@ func TestDefaultFormat(t *testing.T) {
 	if got := DefaultFormat("coo"); got != "naivetsv" {
 		t.Errorf("DefaultFormat(coo) = %q", got)
 	}
-	for _, v := range []string{"csr", "extsort", "dist", "parallel"} {
+	for _, v := range []string{"csr", "extsort", "dist"} {
 		if got := DefaultFormat(v); got != "tsv" {
 			t.Errorf("DefaultFormat(%s) = %q", v, got)
 		}
@@ -43,7 +43,7 @@ func TestConfigValidateRejectsUnknownFormat(t *testing.T) {
 // TestSerialVariantsFormatInvariant runs each single-process variant under
 // every codec and requires identical ranks and matrix statistics.
 func TestSerialVariantsFormatInvariant(t *testing.T) {
-	for _, variant := range []string{"csr", "coo", "columnar", "parallel", "extsort"} {
+	for _, variant := range []string{"csr", "coo", "columnar", "extsort"} {
 		t.Run(variant, func(t *testing.T) {
 			var base *Result
 			var baseFormat string

@@ -14,8 +14,8 @@ import (
 
 // TestKernel1Invariance: kernel 1 is one stable sort, so over the same k0
 // stripes every variant that runs it writes the same k1 bytes — csr,
-// graphblas, parallel and extsort at every width in memory, at every run
-// size out of core, by u and by (u, v); columnar equals csr by (u, v).  An out-of-core
+// graphblas and extsort at every width in memory, at every run size out
+// of core, by u and by (u, v); columnar equals csr by (u, v).  An out-of-core
 // kernel 1 drops the run's spare list, an in-memory one sorts in it.
 func TestKernel1Invariance(t *testing.T) {
 	for _, format := range []string{"tsv", "packed"} {
@@ -27,7 +27,7 @@ func TestKernel1Invariance(t *testing.T) {
 			}
 			m := int(base.M())
 			want := map[bool]uint64{}
-			for _, variant := range []string{"csr", "graphblas", "parallel", "extsort", "columnar"} {
+			for _, variant := range []string{"csr", "graphblas", "extsort", "columnar"} {
 				v, err := Lookup(variant)
 				if err != nil {
 					t.Fatal(err)

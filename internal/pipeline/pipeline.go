@@ -83,15 +83,13 @@ type Config struct {
 	Format string
 	// Generator selects the K0 generator; empty selects Kronecker.
 	Generator GeneratorKind
-	// Workers is kernel 0's Kronecker sampling and shuffle width (every
-	// variant but parallel; extsort streams through kronecker.GenerateTo,
-	// which does not shuffle), kernel 1's
-	// in-memory sort width (every variant but coo and the dist variants'
-	// by-u sample sort) and kernel 3's gather team width (csr, extsort,
-	// parallel); results are bit-for-bit invariant in it.  It is also
-	// parallel's generation worker count and the dist variants' rank
-	// count.  <= 0 means GOMAXPROCS (four ranks for the dist variants;
-	// their kernel 0 then runs GOMAXPROCS wide).
+	// Workers is kernel 0's Kronecker sampling and shuffle width (extsort
+	// streams through kronecker.GenerateTo, which does not shuffle),
+	// kernel 1's in-memory sort width (every variant but coo and the dist
+	// variants' by-u sample sort) and kernel 3's gather team width (csr,
+	// extsort); results are bit-for-bit invariant in it.  It is also the
+	// dist variants' rank count.  <= 0 means GOMAXPROCS (four ranks for
+	// the dist variants; their kernel 0 then runs GOMAXPROCS wide).
 	Workers int
 	// RunEdges is kernel 1's in-memory run size in edges.  A positive
 	// value takes kernel 1 out of core for every variant but coo: it sorts
@@ -135,10 +133,10 @@ type Config struct {
 	MeterIO bool
 	// MatrixSource, when non-nil, lets the run exchange the kernel-2
 	// filtered, normalized matrix with an external cache.  The runner
-	// consults it once before the kernels start (when K2 is scheduled and
-	// the variant participates — see CacheTraits): a hit skips kernels
-	// 0–2 — a warm full-pipeline run performs only kernel 3 (the dist
-	// variants row-block the cached matrix across their ranks instead of
+	// consults it once before the kernels start, when K2 is scheduled,
+	// whatever the variant: a hit skips kernels 0–2 — a warm
+	// full-pipeline run performs only kernel 3 (the dist variants
+	// row-block the cached matrix across their ranks instead of
 	// recomputing it); a miss obligates the run to deposit its own
 	// kernel-2 output through the lease's Fill.  The kernel-2 matrix is
 	// canonical — column-sorted rows, duplicate edges accumulated — so it
@@ -344,32 +342,6 @@ type FabricLease struct {
 	// cancelled or fault-injected run the lender discards the fabric
 	// instead of lending it again.  It must be called exactly once.
 	Release func(err error)
-}
-
-// CacheTraits declares a variant's cache participation.  A variant that
-// does not implement the optional interface
-//
-//	interface{ CacheTraits() CacheTraits }
-//
-// exchanges its kernel-2 matrix.  The parallel variant opts out: its
-// per-worker seeded streams draw a different edge multiset per worker
-// count, so its matrix does not have the cache key's identity.
-type CacheTraits struct {
-	// MatrixArtifact reports kernel 2's output can be exchanged with
-	// Config.MatrixSource.
-	MatrixArtifact bool
-}
-
-// cacheTraitser is the optional Variant interface declaring traits.
-type cacheTraitser interface{ CacheTraits() CacheTraits }
-
-// traitsOf resolves a variant's cache traits, defaulting to
-// participation.
-func traitsOf(v Variant) CacheTraits {
-	if t, ok := v.(cacheTraitser); ok {
-		return t.CacheTraits()
-	}
-	return CacheTraits{MatrixArtifact: true}
 }
 
 // KernelResult is the timing record for one kernel.
@@ -674,7 +646,7 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 			miss.Fill(nil, 0, fillAbortErr(err))
 		}
 	}()
-	if cfg.MatrixSource != nil && traitsOf(v).MatrixArtifact && scheduled(K2Filter) {
+	if cfg.MatrixSource != nil && scheduled(K2Filter) {
 		lease, lerr := cfg.MatrixSource(cfg)
 		if lerr != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -888,7 +860,7 @@ func externalSort(r *Run, runEdges int, byUV bool) error {
 }
 
 // buildMatrix is kernel 2 of every variant that builds the matrix from
-// kernel 1's sorted files (csr, parallel, extsort): a StripedSource decodes
+// kernel 1's sorted files (csr, extsort): a StripedSource decodes
 // the "k1" stripes ahead of a SortedBuilder reserved at M, the matrix mass
 // must equal the streamed edges, and ApplyKernel2Filter filters and
 // normalizes.  It drops the run's spare before it reads anything, and no
@@ -940,7 +912,7 @@ func buildMatrix(r *Run) error {
 }
 
 // gatherKernel3 is kernel 3 on the gather engine over Matrixᵀ, on a team
-// Config.Workers wide (csr, extsort, parallel).  The bits are the serial
+// Config.Workers wide (csr, extsort).  The bits are the serial
 // gather's for every worker count.
 func gatherKernel3(r *Run) error {
 	pe, err := pagerank.NewParallelEngine(r.Matrix, r.Transposed(), r.Cfg.Workers, r.Cfg.PageRank)

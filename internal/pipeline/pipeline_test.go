@@ -30,7 +30,7 @@ func smallCfg(v string) Config {
 func sweepLabels() []string { return append(VariantNames(), "distext") }
 
 func TestVariantRegistryComplete(t *testing.T) {
-	want := []string{"columnar", "coo", "csr", "dist", "distgo", "extsort", "graphblas", "parallel"}
+	want := []string{"columnar", "coo", "csr", "dist", "distgo", "extsort", "graphblas"}
 	got := VariantNames()
 	if len(got) != len(want) {
 		t.Fatalf("variants = %v, want %v", got, want)
@@ -220,7 +220,7 @@ func TestSortedEndVerticesAblation(t *testing.T) {
 
 func TestAlternativeGenerators(t *testing.T) {
 	for _, gen := range []GeneratorKind{GenPPL, GenER} {
-		for _, name := range []string{"csr", "extsort", "parallel"} {
+		for _, name := range []string{"csr", "extsort"} {
 			cfg := smallCfg(name)
 			cfg.Generator = gen
 			res, err := ExecuteContext(context.Background(), cfg)
@@ -421,28 +421,6 @@ func TestGatherKernel3WorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestParallelVariantInvariants(t *testing.T) {
-	cfg := smallCfg("parallel")
-	cfg.Workers = 3
-	res, err := ExecuteContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MatrixMass != float64(cfg.M()) {
-		t.Errorf("parallel mass %v != M", res.MatrixMass)
-	}
-	// Deterministic for fixed worker count.
-	res2, err := ExecuteContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Rank {
-		if res.Rank[i] != res2.Rank[i] {
-			t.Fatal("parallel variant not reproducible for fixed worker count")
-		}
-	}
-}
-
 func TestDiskBackedPipeline(t *testing.T) {
 	// The realistic storage path: everything through an OS temp dir.
 	dir, err := vfs.NewDir(t.TempDir())
@@ -499,7 +477,7 @@ func TestKeepRankFalseDropsVector(t *testing.T) {
 // panic fails the test binary).  The unsorted edges keep columns 1 and 4
 // (in-degree 2), so they survive columnar's column filter.
 func TestKernel2HostileStripes(t *testing.T) {
-	sorting := []string{"csr", "parallel", "extsort", "columnar"}
+	sorting := []string{"csr", "extsort", "columnar"}
 	cases := []struct {
 		name    string
 		stripes [][][2]uint64

@@ -73,7 +73,7 @@ func TestMatrixSourceHitIsK3Bound(t *testing.T) {
 }
 
 // TestMatrixArtifactCanonicalAcrossVariants pins the contract the
-// matrix stage's key relies on: every participating variant deposits a
+// matrix stage's key relies on: every variant deposits a
 // bit-identical kernel-2 matrix, and any variant warm-started from it
 // reproduces its own cold ranks bit for bit.
 func TestMatrixArtifactCanonicalAcrossVariants(t *testing.T) {
@@ -106,30 +106,37 @@ func TestMatrixArtifactCanonicalAcrossVariants(t *testing.T) {
 	}
 }
 
-// TestStageSourceBypassVariants pins the one opt-out: the out-of-core
-// extsort variant exchanges the canonical matrix like every other
-// variant, and the parallel variant never consults the cache — its
-// jump-stream generation has a per-worker-count identity the cache key
-// does not capture.
+// TestStageSourceBypassVariants pins that no variant bypasses the
+// matrix cache: every registered variant (and the out-of-core dist
+// configuration) consults MatrixSource once when kernel 2 is scheduled
+// and, on a miss, deposits its kernel-2 matrix; with kernel 2
+// unscheduled, none consults it.
 func TestStageSourceBypassVariants(t *testing.T) {
-	for _, tc := range []struct {
-		variant    string
-		wantMatrix bool
-	}{
-		{"extsort", true},
-		{"parallel", false},
-	} {
-		matrixSeen := false
-		cfg := smallCfg(tc.variant)
-		cfg.MatrixSource = func(Config) (MatrixLease, error) {
-			matrixSeen = true
-			return MatrixLease{Fill: func(*sparse.CSR, float64, error) {}}, nil
-		}
-		if _, err := ExecuteContext(context.Background(), cfg); err != nil {
-			t.Fatalf("%s: %v", tc.variant, err)
-		}
-		if matrixSeen != tc.wantMatrix {
-			t.Fatalf("%s: MatrixSource consulted = %v, want %v", tc.variant, matrixSeen, tc.wantMatrix)
+	for _, name := range sweepLabels() {
+		for _, ks := range [][]Kernel{
+			{K0Generate, K1Sort, K2Filter, K3PageRank},
+			{K0Generate, K1Sort},
+		} {
+			consulted, filled := 0, 0
+			cfg := smallCfg(name)
+			cfg.MatrixSource = func(Config) (MatrixLease, error) {
+				consulted++
+				return MatrixLease{Fill: func(m *sparse.CSR, _ float64, err error) {
+					if m != nil && err == nil {
+						filled++
+					}
+				}}, nil
+			}
+			if _, err := ExecuteKernelsContext(context.Background(), cfg, ks); err != nil {
+				t.Fatalf("%s %v: %v", name, ks, err)
+			}
+			want := 0
+			if len(ks) == 4 {
+				want = 1
+			}
+			if consulted != want || filled != want {
+				t.Fatalf("%s %v: MatrixSource consulted %d times, filled %d; want %d", name, ks, consulted, filled, want)
+			}
 		}
 	}
 }

@@ -74,10 +74,9 @@ func TestMixedVariantSingleflight(t *testing.T) {
 
 // TestWarmVsColdBitForBitSerialVariants pins the headline correctness
 // property for the serial variants: a warm run reproduces the cold
-// run's ranks bit for bit, and — for cache participants — performs
-// zero kernel-0/1/2 work.
+// run's ranks bit for bit and performs zero kernel-0/1/2 work.
 func TestWarmVsColdBitForBitSerialVariants(t *testing.T) {
-	for _, variant := range []string{"csr", "coo", "columnar", "graphblas", "extsort", "parallel"} {
+	for _, variant := range []string{"csr", "coo", "columnar", "graphblas", "extsort"} {
 		svc := serve.New()
 		cfg := runCfg(variant)
 		ctx := context.Background()
@@ -89,21 +88,11 @@ func TestWarmVsColdBitForBitSerialVariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s warm: %v", variant, err)
 		}
-		if variant == "parallel" {
-			// The one non-participant recomputes everything, warm or not.
-			if warm.Cache != nil {
-				t.Fatalf("parallel warm run consulted the cache: %+v", warm.Cache)
-			}
-			if len(warm.Kernels) != 4 {
-				t.Fatalf("parallel warm run executed %d kernels, want 4", len(warm.Kernels))
-			}
-		} else {
-			if warm.Cache == nil || warm.Cache.Matrix.Hits != 1 {
-				t.Fatalf("%s warm run: Cache = %+v, want a matrix hit", variant, warm.Cache)
-			}
-			if len(warm.Kernels) != 1 || warm.Kernels[0].Kernel != pipeline.K3PageRank {
-				t.Fatalf("%s warm run executed %v, want [K3]", variant, warm.Kernels)
-			}
+		if warm.Cache == nil || warm.Cache.Matrix.Hits != 1 {
+			t.Fatalf("%s warm run: Cache = %+v, want a matrix hit", variant, warm.Cache)
+		}
+		if len(warm.Kernels) != 1 || warm.Kernels[0].Kernel != pipeline.K3PageRank {
+			t.Fatalf("%s warm run executed %v, want [K3]", variant, warm.Kernels)
 		}
 		if warm.NNZ != cold.NNZ || warm.MatrixMass != cold.MatrixMass {
 			t.Fatalf("%s: warm NNZ/mass %d/%v != cold %d/%v", variant, warm.NNZ, warm.MatrixMass, cold.NNZ, cold.MatrixMass)
