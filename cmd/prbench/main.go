@@ -13,8 +13,8 @@
 //	prbench -scale 16 -variant all
 //
 // A distributed pipeline run: -workers is the rank count of the dist
-// variants, -distmode overrides their execution mode (sim, goroutine or
-// socket) and -rankworkers adds hybrid intra-rank worker goroutines:
+// variants, -distmode picks their execution mode (goroutine or socket)
+// and -rankworkers adds hybrid intra-rank worker goroutines:
 //
 //	prbench -scale 16 -variant distgo -workers 8 -rankworkers 2 -distmode socket
 //
@@ -103,7 +103,7 @@ var (
 	sortEnds    = flag.Bool("sortends", false, "kernel 1 sorts by (u,v) instead of u")
 	kernels     = flag.String("kernels", "0123", "kernels to run, e.g. 01 or 23")
 	runEdges    = flag.Int("runedges", 0, "kernel-1 run-buffer size in edges: > 0 sorts out of core (all but coo; per rank for dist), 0 in memory (extsort: M/4)")
-	distMode    = flag.String("distmode", "", "distributed execution of the dist variants: sim, goroutine or socket (empty = variant default)")
+	distMode    = flag.String("distmode", "", "distributed execution of the dist variants: goroutine or socket (empty = goroutine)")
 	rankWorkers = flag.Int("rankworkers", 1, "hybrid intra-rank worker goroutines per rank (dist variants)")
 	format      = flag.String("format", "", "edge-file format: tsv, naivetsv, bin, packed (default: variant's)")
 	ckptEvery   = flag.Int("checkpoint-every", 0, "checkpoint the distributed kernel 3 every N iterations and report the overhead against an uncheckpointed baseline (dist variants)")
@@ -138,7 +138,7 @@ func main() {
 			fatal(fmt.Errorf("-cpuprofile/-memprofile profile plain pipeline runs; drop -cachesweep/-checkpoint-every"))
 		}
 		if *distMode == "socket" {
-			fatal(fmt.Errorf("-cpuprofile/-memprofile see only this process, and -distmode socket runs the ranks in others; use sim or goroutine"))
+			fatal(fmt.Errorf("-cpuprofile/-memprofile see only this process, and -distmode socket runs the ranks in others; use goroutine"))
 		}
 	}
 

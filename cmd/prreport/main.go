@@ -2,8 +2,8 @@
 // run, and is the only command that prints it: Table II, Figures 4–7 (a
 // sweep across all implementation variants), the correctness-validation
 // suite, the hardware-model predictions with the parallel kernel-3 model,
-// and the distributed communication check — the sim, goroutine and
-// socket execution modes cross-checked bit for bit against each other
+// and the distributed communication check — the goroutine and socket
+// execution modes cross-checked bit for bit against each other
 // and against the closed-form byte model, the socket wire's payload
 // against the metered bytes, the out-of-core distributed sort in every
 // mode against the serial sort and the in-memory sort's communication
@@ -150,12 +150,12 @@ func predictions() {
 // distScale is the graph scale of the distributed sections.
 const distScale = 12
 
-// modes are the distributed runtime's three ways to run its ranks; every
+// modes are the distributed runtime's two ways to run its ranks; every
 // distributed section runs each and requires the same results from all.
-var modes = []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine, dist.ExecSocket}
+var modes = []dist.ExecMode{dist.ExecGoroutine, dist.ExecSocket}
 
 func distributed(seed uint64, procs int) {
-	fmt.Println("## Distributed execution (simulated, goroutine and socket ranks)")
+	fmt.Println("## Distributed execution (goroutine and socket ranks)")
 	fmt.Println()
 	kcfg := kronecker.New(distScale, seed)
 	l, err := kronecker.Generate(kcfg)

@@ -62,7 +62,10 @@ func TestConfigDistModeValidated(t *testing.T) {
 	if err := (Config{Scale: 6, DistMode: "mpi"}).Validate(); err == nil {
 		t.Error("unknown DistMode accepted")
 	}
-	if err := (Config{Scale: 6, Variant: "distgo", DistMode: "sim"}).Validate(); err != nil {
+	if err := (Config{Scale: 6, Variant: "distgo", DistMode: "sim"}).Validate(); err == nil {
+		t.Error("retired DistMode sim accepted")
+	}
+	if err := (Config{Scale: 6, Variant: "distgo", DistMode: "goroutine"}).Validate(); err != nil {
 		t.Errorf("valid DistMode rejected: %v", err)
 	}
 }

@@ -68,10 +68,10 @@ func ExampleSizeTable() {
 	// 16 65536 1048576 25165824
 }
 
-// ExampleVariants lists the implementation variants: the six serial
+// ExampleVariants lists the implementation variants: the five serial
 // analogues of the paper's language implementations plus the
-// distributed pipeline under its two default execution modes (simulated
-// and goroutine ranks; Config.RunEdges takes either out of core).
+// distributed pipeline, registered as dist and distgo
+// (Config.RunEdges takes it out of core).
 func ExampleVariants() {
 	for _, v := range core.Variants() {
 		fmt.Println(v)

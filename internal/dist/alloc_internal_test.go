@@ -28,7 +28,7 @@ func testMatrix(t testing.TB) *sparse.CSR {
 		t.Fatal(err)
 	}
 	n := int(cfg.N())
-	st, _, _ := buildRank(newRankComm(newChanFabric(1, false), 0), l, n)
+	st, _, _ := buildRank(newRankComm(newChanFabric(1), 0), l, n)
 	return assemble([]*rankState{st}, n)
 }
 
@@ -182,7 +182,7 @@ func TestCollectiveRoundTripZeroAllocs(t *testing.T) {
 	// allocation on either side fails the pin.
 	const warmup, runs = 8, 50
 	const vecLen = 512
-	f := newChanFabric(2, false)
+	f := newChanFabric(2)
 	c0, c1 := newRankComm(f, 0), newRankComm(f, 1)
 	done := make(chan struct{})
 	go func() {

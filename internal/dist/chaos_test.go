@@ -123,7 +123,7 @@ func TestChaosRepeatedKills(t *testing.T) {
 // and no goroutine leaks.
 func TestChaosFaultWithoutCheckpoint(t *testing.T) {
 	l, n := executeGraph(t, 7)
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+	for _, mode := range execModes {
 		base := runtime.NumGoroutine()
 		_, err := dist.Execute(context.Background(), dist.Spec{
 			Config: dist.Config{Mode: mode}, Op: dist.OpRun, Edges: l, N: n, Procs: 4,

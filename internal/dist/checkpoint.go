@@ -107,8 +107,8 @@ type FaultPlan struct {
 	// boundary instead of returning an error, so the coordinator observes
 	// a peer vanishing mid-run — the failure class checkpoint/restart
 	// exists for.  The run fails with the worker-death error rather than
-	// ErrFaultInjected.  Rejected in the sim and goroutine modes, which
-	// have no process to kill.
+	// ErrFaultInjected.  Rejected in the goroutine mode, which has no
+	// process to kill.
 	Hard bool
 }
 

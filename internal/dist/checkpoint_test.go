@@ -1,8 +1,8 @@
 package dist_test
 
 // Property suite for the epoch checkpoint/restart of the distributed
-// kernel-3 iteration (DESIGN.md §10): for every processor count and both
-// execution modes, killing a run at any checkpoint epoch and restarting
+// kernel-3 iteration (DESIGN.md §10): for every processor count,
+// killing a run at any checkpoint epoch and restarting
 // yields final ranks bit-for-bit equal to the uninterrupted run's, the
 // resumed segment's communication equals the §V closed form over the
 // remaining iterations, and torn epochs — manufactured by fault points
@@ -36,14 +36,14 @@ func ckptSpec(mode dist.ExecMode, p int, fs vfs.FS) dist.Spec {
 }
 
 // TestCheckpointKillAndResumeBitForBit is the tentpole property: for
-// p ∈ {1,2,3,5,8} × both exec modes × every checkpoint epoch e, a run
+// p ∈ {1,2,3,5,8} × every checkpoint epoch e, a run
 // killed at e and restarted produces bit-for-bit the uninterrupted
 // ranks, and the resumed segment's measured wire bytes equal
 // PredictedCommBytes over the remaining iterations.
 func TestCheckpointKillAndResumeBitForBit(t *testing.T) {
 	l, n := executeGraph(t, 7)
 	// Reduction order depends on p, so the uninterrupted reference is
-	// per processor count (modes are bit-identical, p's are ~1e-12).
+	// per processor count (p's differ at ~1e-12).
 	baselines := map[int][]float64{}
 	for _, p := range ckptProcs {
 		res, err := dist.Execute(context.Background(), dist.Spec{
@@ -55,7 +55,7 @@ func TestCheckpointKillAndResumeBitForBit(t *testing.T) {
 		}
 		baselines[p] = res.Run.Rank
 	}
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+	for _, mode := range execModes {
 		for _, p := range ckptProcs {
 			for _, epoch := range []int{3, 6, 9} {
 				fs := vfs.NewMem()
@@ -98,7 +98,7 @@ func TestCheckpointKillAndResumeBitForBit(t *testing.T) {
 // CommStats field — epoch I/O is storage and control plane only.
 func TestCheckpointDoesNotPerturbResultOrComm(t *testing.T) {
 	l, n := executeGraph(t, 7)
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+	for _, mode := range execModes {
 		for _, p := range []int{1, 3, 5} {
 			plain, err := dist.Execute(context.Background(), dist.Spec{
 				Config: dist.Config{Mode: mode}, Op: dist.OpRun, Edges: l, N: n, Procs: p,
@@ -126,8 +126,8 @@ func TestCheckpointDoesNotPerturbResultOrComm(t *testing.T) {
 }
 
 // TestCheckpointResumeAcrossProcsAndModes pins p-independence of the
-// epoch format: a run killed under one (mode, p) resumes under another
-// (mode, p).  Reduction order depends on p, so the exact reference for
+// epoch format: a run killed on goroutine ranks at p=3 resumes on socket
+// ranks at p=5, whose workers read the epoch through the coordinator.  Reduction order depends on p, so the exact reference for
 // "6 iterations at p=3 then 4 at p=5" is built from the same public
 // pieces: a 6-iteration p=3 run whose vector seeds a 4-iteration p=5
 // run via InitialRank — the resumed execution must match it bit-for-bit.
@@ -154,7 +154,7 @@ func TestCheckpointResumeAcrossProcsAndModes(t *testing.T) {
 	if _, err := dist.Execute(context.Background(), kill); !errors.Is(err, dist.ErrFaultInjected) {
 		t.Fatalf("kill err = %v", err)
 	}
-	resume := ckptSpec(dist.ExecSim, 5, fs)
+	resume := ckptSpec(dist.ExecSocket, 5, fs)
 	resume.Edges, resume.N = l, n
 	out, err := dist.Execute(context.Background(), resume)
 	if err != nil {
@@ -184,7 +184,7 @@ func TestCheckpointRunMatrixOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+	for _, mode := range execModes {
 		fs := vfs.NewMem()
 		kill := dist.Spec{
 			Config: dist.Config{Mode: mode}, Op: dist.OpRunMatrix, Matrix: a, Procs: 3,
@@ -214,7 +214,7 @@ func TestCheckpointRunMatrixOp(t *testing.T) {
 func TestCheckpointAlreadyCovered(t *testing.T) {
 	l, n := executeGraph(t, 7)
 	fs := vfs.NewMem()
-	spec := ckptSpec(dist.ExecSim, 3, fs)
+	spec := ckptSpec(dist.ExecGoroutine, 3, fs)
 	spec.Edges, spec.N = l, n
 	if _, err := dist.Execute(context.Background(), spec); err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestCheckpointTornEpochSkippedOnResume(t *testing.T) {
 }
 
 // TestCheckpointFaultDuringWriteLeavesTornEpoch pins the
-// DuringCheckpoint fault point in both modes: the epoch at the fault
+// DuringCheckpoint fault point: the epoch at the fault
 // boundary has chunks but no commit, so the resume starts from the
 // previous epoch and still reproduces the baseline bit-for-bit.
 func TestCheckpointFaultDuringWriteLeavesTornEpoch(t *testing.T) {
@@ -302,7 +302,7 @@ func TestCheckpointFaultDuringWriteLeavesTornEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+	for _, mode := range execModes {
 		fs := vfs.NewMem()
 		spec := ckptSpec(mode, 3, fs)
 		spec.Edges, spec.N = l, n
@@ -328,12 +328,11 @@ func TestCheckpointFaultDuringWriteLeavesTornEpoch(t *testing.T) {
 }
 
 // TestCheckpointStorageFailureSurfaces drives the epoch writer into an
-// injected storage failure: the run must fail with the injected error in
-// both modes (no silent skip), and the prior complete epoch must remain
-// loadable.
+// injected storage failure: the run must fail with the injected error
+// (no silent skip), and the prior complete epoch must remain loadable.
 func TestCheckpointStorageFailureSurfaces(t *testing.T) {
 	l, n := executeGraph(t, 7)
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+	for _, mode := range execModes {
 		mem := vfs.NewMem()
 		// Let epoch 3 land, then fail: budget for one epoch plus change.
 		probe := vfs.NewMem()
@@ -411,12 +410,12 @@ func TestCheckpointSpecValidation(t *testing.T) {
 func TestCheckpointMismatchRejected(t *testing.T) {
 	l, n := executeGraph(t, 6)
 	fs := vfs.NewMem()
-	spec := ckptSpec(dist.ExecSim, 2, fs)
+	spec := ckptSpec(dist.ExecGoroutine, 2, fs)
 	spec.Edges, spec.N = l, n
 	if _, err := dist.Execute(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	other := ckptSpec(dist.ExecSim, 2, fs)
+	other := ckptSpec(dist.ExecGoroutine, 2, fs)
 	other.Edges, other.N = l, n
 	other.PageRank.Damping = 0.5
 	if _, err := dist.Execute(context.Background(), other); err == nil {

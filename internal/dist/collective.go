@@ -96,16 +96,6 @@ type chanFabric struct {
 	p     int
 	links []chan any // links[src*p+dst]
 
-	// turn, when non-nil, runs the ranks one at a time (ExecSim): turn[r]
-	// delivers the single run token to rank r.  A rank executes only while
-	// it holds the token and gives it up only where it would otherwise
-	// block — a link operation that cannot complete yet — or when its
-	// program ends, always to the next unfinished rank in rank order, so
-	// the interleaving is a pure function of the program.  left marks the
-	// finished ranks; only the token holder touches it.
-	turn []chan struct{}
-	left []bool
-
 	// done is the teardown plane: closed (once, by abort) when the run
 	// must come down — a rank failed, or the run's context was cancelled.
 	// Every link operation selects on it, so a rank blocked mid-collective
@@ -137,102 +127,32 @@ type vecMsg struct{ buf []float64 }
 // splitters.
 type keyMsg struct{ buf []uint64 }
 
-// newChanFabric returns a fabric of p ranks; oneAtATime hands rank 0 the
-// run token (see chanFabric.turn).
-func newChanFabric(p int, oneAtATime bool) *chanFabric {
+// newChanFabric returns a fabric of p ranks.
+func newChanFabric(p int) *chanFabric {
 	f := &chanFabric{p: p, links: make([]chan any, p*p), done: make(chan struct{})}
 	for i := range f.links {
 		f.links[i] = make(chan any, linkBuf)
-	}
-	if oneAtATime {
-		f.turn, f.left = make([]chan struct{}, p), make([]bool, p)
-		for r := range f.turn {
-			f.turn[r] = make(chan struct{}, 1) // there is one token: a pass never blocks
-		}
-		f.turn[0] <- struct{}{}
 	}
 	return f
 }
 
 func (f *chanFabric) procs() int { return f.p }
 
-// pass hands the run token to the next unfinished rank after r — r itself
-// when it is the last one running.
-func (f *chanFabric) pass(r int) {
-	for i := 1; i <= f.p; i++ {
-		if next := (r + i) % f.p; !f.left[next] {
-			f.turn[next] <- struct{}{}
-			return
-		}
-	}
-}
-
-// await blocks rank r until the run token reaches it, or unwinds if the
-// fabric comes down first: an abort frees every rank waiting for a token
-// its failed or cancelled holder will never pass.
-func (f *chanFabric) await(r int) {
-	select {
-	case <-f.done:
-		panic(fabricDown{})
-	default:
-	}
-	select {
-	case <-f.turn[r]:
-	case <-f.done:
-		panic(fabricDown{})
-	}
-}
-
-// leave retires rank r when its program ends and passes the token on.
-// After an abort there is no rotation left to keep — every waiter has
-// been released through done, and r may not even hold the token.
-func (f *chanFabric) leave(r int) {
-	select {
-	case <-f.done:
-	default:
-		f.left[r] = true
-		f.pass(r)
-	}
-}
-
 // send delivers m to dst's inbound link from src, or unwinds if the
 // fabric comes down first (the select adds no allocation to the hot path).
-// One at a time, a send that cannot complete yields the token and retries
-// when it comes back: only the holder touches the links, so the poll is
-// exact.
 func (f *chanFabric) send(src, dst int, m any) {
-	link := f.links[src*f.p+dst]
-	for f.turn != nil {
-		select {
-		case link <- m:
-			return
-		default:
-			f.pass(src)
-			f.await(src)
-		}
-	}
 	select {
-	case link <- m:
+	case f.links[src*f.p+dst] <- m:
 	case <-f.done:
 		panic(fabricDown{})
 	}
 }
 
 // recv takes the next message on the (src, dst) link, or unwinds if the
-// fabric comes down first; one at a time it yields exactly like send.
+// fabric comes down first.
 func (f *chanFabric) recv(src, dst int) any {
-	link := f.links[src*f.p+dst]
-	for f.turn != nil {
-		select {
-		case m := <-link:
-			return m
-		default:
-			f.pass(dst)
-			f.await(dst)
-		}
-	}
 	select {
-	case m := <-link:
+	case m := <-f.links[src*f.p+dst]:
 		return m
 	case <-f.done:
 		panic(fabricDown{})

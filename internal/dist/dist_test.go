@@ -1,6 +1,6 @@
 package dist_test
 
-// Property tests for the simulated distributed runtime: for every
+// Property tests for the distributed runtime: for every
 // processor count the distributed sort must equal the serial stable radix
 // sort bit for bit, the distributed pipeline must match the serial
 // reference, and the measured collective traffic must equal the
@@ -164,7 +164,7 @@ func TestBuildFilteredEqualsSerialKernel2(t *testing.T) {
 	mass := ref.SumValues()
 	pipeline.ApplyKernel2Filter(ref)
 	for _, p := range procCounts {
-		b, err := execBuild(dist.ExecSim, l, n, p)
+		b, err := execBuild(dist.ExecGoroutine, l, n, p)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -308,7 +308,7 @@ func TestRunMatrixRejectsNonFinite(t *testing.T) {
 			t.Fatal(err)
 		}
 		a.Val[2] = bad // row 2, column 3
-		for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine, dist.ExecSocket} {
+		for _, mode := range []dist.ExecMode{dist.ExecGoroutine, dist.ExecSocket} {
 			_, err := dist.Execute(context.Background(), dist.Spec{
 				Config: dist.Config{Mode: mode}, Op: dist.OpRunMatrix, Matrix: a, Procs: 2,
 			})

@@ -13,13 +13,9 @@
 // command asserts.
 //
 // The schedule is stated once, as the program one rank runs (rank.go),
-// and Execute runs it three ways (ExecMode):
+// and Execute runs it two ways (ExecMode):
 //
-//   - ExecSim runs the p ranks one at a time in rank order, handing over
-//     only where a rank would block on a message: the same interleaving on
-//     every host and every run — the mode to debug and to account bytes in.
-//   - ExecGoroutine runs the same p ranks concurrently over the same typed
-//     channels.
+//   - ExecGoroutine runs the p ranks as goroutines over typed channels.
 //   - ExecSocket runs them as p worker processes over unix or TCP sockets
 //     (DESIGN.md §13), where the measured wire bytes equal CommStats.
 //

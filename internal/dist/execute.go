@@ -54,8 +54,8 @@ func (o Op) String() string {
 
 // Spec is one distributed execution: the runtime configuration (the
 // embedded Config's Mode and Workers), the program (Op), its processor
-// count and inputs, and the per-program knobs.  The zero Config is the
-// one-rank-at-a-time simulation with serial ranks, as everywhere.
+// count and inputs, and the per-program knobs.  The zero Config is
+// goroutine ranks with serial local compute, as everywhere.
 type Spec struct {
 	// Config is the runtime configuration: execution mode plus hybrid
 	// intra-rank workers.  Results are bit-for-bit invariant in both.
@@ -129,7 +129,7 @@ func specN(spec Spec) int {
 // any rank exists, so bad input cannot fail one rank mid-collective.
 func validate(spec *Spec) error {
 	switch spec.Mode {
-	case ExecSim, ExecGoroutine:
+	case ExecGoroutine:
 		if spec.Session != nil {
 			return fmt.Errorf("dist: Spec.Session requires the socket mode, not %v", spec.Mode)
 		}

@@ -106,11 +106,11 @@ func execSortExt(mode dist.ExecMode, l *edge.List, p int, ext dist.ExtSortConfig
 
 // TestExecuteCancelMidKernel3 pins prompt cancellation: a context
 // cancelled three iterations into a 100000-iteration kernel 3 must abort
-// the run with context.Canceled in both modes, long before the iteration
+// the run with context.Canceled, long before the iteration
 // budget could complete.
 func TestExecuteCancelMidKernel3(t *testing.T) {
 	l, n := executeGraph(t, 8)
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+	for _, mode := range execModes {
 		ctx, cancel := context.WithCancel(context.Background())
 		opt := pagerank.Options{
 			Seed:       5,
@@ -159,8 +159,7 @@ func waitForGoroutines(t *testing.T, want int) {
 // TestCancelledRunsLeakNoGoroutines runs a batch of in-process
 // executions that are cancelled mid-kernel-3 — with hybrid intra-rank
 // teams in play — and checks that every rank goroutine, worker team and
-// watcher is gone afterwards.  One at a time, the cancelling rank holds
-// the run token while its peers wait for it: the abort must free them.
+// watcher is gone afterwards.
 func TestCancelledRunsLeakNoGoroutines(t *testing.T) {
 	l, n := executeGraph(t, 8)
 	base := runtime.NumGoroutine()
@@ -233,7 +232,7 @@ func TestExecutePreCancelled(t *testing.T) {
 	l, n := executeGraph(t, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+	for _, mode := range execModes {
 		_, err := dist.Execute(ctx, dist.Spec{
 			Config: dist.Config{Mode: mode}, Op: dist.OpRun, Edges: l, N: n, Procs: 2,
 			PageRank: pagerank.Options{Seed: 5},

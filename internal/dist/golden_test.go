@@ -1,12 +1,11 @@
 package dist_test
 
-// The kernel-3 bits, anchored.  Until the simulation became the rank
-// program run one rank at a time it was an independent second statement
-// of the schedule, and the sim-vs-goroutine property tests compared two
-// implementations.  They now compare one implementation with itself, so
-// what catches a changed reduction order is this table: digests recorded
-// from that independent simulation at its last commit (c9b3b25), which
-// every execution mode must still reproduce.
+// The kernel-3 bits, anchored.  The distributed schedule once had an
+// independent second statement, a simulation, and property tests
+// compared the two.  There is one rank program now, so what catches a
+// changed reduction order is this table: digests recorded from that
+// independent simulation at its last commit (c9b3b25), which both
+// execution modes must still reproduce.
 
 import (
 	"context"
@@ -90,7 +89,7 @@ func TestDistRankGolden(t *testing.T) {
 				}
 			}
 			for name, spec := range specs {
-				for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine, dist.ExecSocket} {
+				for _, mode := range []dist.ExecMode{dist.ExecGoroutine, dist.ExecSocket} {
 					spec.Mode, spec.Session = mode, nil
 					if mode == dist.ExecSocket {
 						spec.Session = sess

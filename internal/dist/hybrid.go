@@ -25,7 +25,7 @@ import (
 )
 
 // Config configures the distributed runtime beyond the processor count.
-// The zero value is the one-rank-at-a-time simulation with serial ranks.
+// The zero value is goroutine ranks with serial local compute.
 type Config struct {
 	// Mode selects how the ranks execute (see ExecMode).
 	Mode ExecMode

@@ -1,11 +1,11 @@
 package dist_test
 
 // Property tests for the hybrid intra-rank runtime (dist.Config.Workers):
-// the worker count is a pure wall-clock knob.  For every p × w, in both
-// execution modes, the rank vectors must equal the w = 1 simulation bit
-// for bit, the CommStats record must be identical (intra-rank workers
-// move no wire bytes), and the sorted kernel-1 output must equal the
-// serial stable radix sort — DESIGN.md §7's invariants.
+// the worker count is a pure wall-clock knob.  For every p × w the rank
+// vectors must equal the serial-rank (w = 1) run's bit for bit, the
+// CommStats record must be identical (intra-rank workers move no wire
+// bytes), and the sorted kernel-1 output must equal the serial stable
+// radix sort — DESIGN.md §7's invariants.
 
 import (
 	"testing"
@@ -25,12 +25,12 @@ func TestHybridRunBitForBitAcrossWorkersAndModes(t *testing.T) {
 	for _, dangling := range []bool{false, true} {
 		opt := pagerank.Options{Seed: 4, Iterations: 6, Dangling: dangling}
 		for _, p := range procCounts {
-			base, err := execRun(dist.Config{}, l, n, p, opt) // sim, serial ranks: the contract baseline
+			base, err := execRun(dist.Config{}, l, n, p, opt) // serial ranks: the contract baseline
 			if err != nil {
 				t.Fatalf("p=%d baseline: %v", p, err)
 			}
 			for _, w := range workerCounts {
-				for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+				for _, mode := range execModes {
 					res, err := execRun(dist.Config{Mode: mode, Workers: w}, l, n, p, opt)
 					if err != nil {
 						t.Fatalf("p=%d w=%d %v: %v", p, w, mode, err)
@@ -57,7 +57,7 @@ func TestHybridRunBitForBitAcrossWorkersAndModes(t *testing.T) {
 
 func TestHybridRunMatrixBitForBitAcrossWorkers(t *testing.T) {
 	l, n := kron(t, 7, 6)
-	b, err := execBuild(dist.ExecSim, l, n, 1)
+	b, err := execBuild(dist.ExecGoroutine, l, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestHybridRunMatrixBitForBitAcrossWorkers(t *testing.T) {
 			t.Fatalf("p=%d baseline: %v", p, err)
 		}
 		for _, w := range workerCounts {
-			for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+			for _, mode := range execModes {
 				res, err := execRunMatrix(dist.Config{Mode: mode, Workers: w}, b.Matrix, p, opt)
 				if err != nil {
 					t.Fatalf("p=%d w=%d %v: %v", p, w, mode, err)
@@ -105,7 +105,7 @@ func TestHybridSortEqualsSerialAcrossWorkersAndModes(t *testing.T) {
 				t.Fatalf("%s p=%d baseline: %v", name, p, err)
 			}
 			for _, w := range workerCounts {
-				for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+				for _, mode := range execModes {
 					res, err := execSort(dist.Config{Mode: mode, Workers: w}, l, p)
 					if err != nil {
 						t.Fatalf("%s p=%d w=%d %v: %v", name, p, w, mode, err)

@@ -2,10 +2,9 @@ package dist
 
 // The rank program: the one statement of the distributed K1/K2/K3
 // schedule.  Every rank of every execution mode runs runRank over a
-// rankComm — p goroutines on the channel fabric (ExecGoroutine), the same
-// p goroutines holding a run token so one executes at a time (ExecSim), or
-// p worker processes on the socket fabric (ExecSocket, sockworker.go) —
-// and communicates only through the collectives of collective.go.
+// rankComm — p goroutines on the channel fabric (ExecGoroutine) or p
+// worker processes on the socket fabric (ExecSocket, sockworker.go) — and
+// communicates only through the collectives of collective.go.
 // DESIGN.md §5 specifies the contract; because program, collectives and
 // metering are shared, results and CommStats are equal across the modes by
 // construction, and TestDistRankGolden holds the one program to the bits
@@ -30,34 +29,27 @@ import (
 type ExecMode int
 
 const (
-	// ExecSim runs the p ranks one at a time in rank order, handing over
-	// only where a rank would block on a message: a schedule that is the
-	// same on every host and every run, which makes it the mode to debug
-	// and to account bytes in (the default).
-	ExecSim ExecMode = iota
-	// ExecGoroutine runs the same p ranks concurrently, exchanging the
-	// same messages over the same channels; results and byte counts equal
-	// ExecSim's bit for bit, and wall clock scales with the host's cores.
-	ExecGoroutine
+	// ExecGoroutine runs the p ranks as goroutines of this process,
+	// exchanging messages over channels; wall clock scales with the
+	// host's cores (the default).
+	ExecGoroutine ExecMode = iota
 	// ExecSocket runs p ranks as separate OS processes exchanging real
 	// messages over unix-domain or TCP sockets (socket.go; DESIGN.md
-	// §13).  Results, CommStats and spill records equal the other two
-	// modes' bit for bit, and the measured socket payload bytes equal
-	// the metered CommStats — the paper's comm model tested against
-	// bytes on an actual wire.
+	// §13).  Results, CommStats and spill records equal ExecGoroutine's
+	// bit for bit, and the measured socket payload bytes equal the
+	// metered CommStats — the paper's comm model tested against bytes on
+	// an actual wire.
 	ExecSocket
 )
 
 // validExecModes names every mode ParseExecMode accepts, for error
 // messages — the single list both unknown-mode errors quote, so the two
 // cannot drift.
-const validExecModes = "sim, goroutine, socket"
+const validExecModes = "goroutine, socket"
 
 // String implements fmt.Stringer.
 func (m ExecMode) String() string {
 	switch m {
-	case ExecSim:
-		return "sim"
 	case ExecGoroutine:
 		return "goroutine"
 	case ExecSocket:
@@ -68,14 +60,12 @@ func (m ExecMode) String() string {
 }
 
 // ParseExecMode resolves the command-line spelling of a mode; the empty
-// string selects the simulation.
+// string selects ExecGoroutine.
 func ParseExecMode(s string) (ExecMode, error) {
 	switch s {
-	case "", "sim":
-		return ExecSim, nil
-	case "goroutine", "go":
+	case "", "goroutine":
 		return ExecGoroutine, nil
-	case "socket", "sock":
+	case "socket":
 		return ExecSocket, nil
 	default:
 		return 0, fmt.Errorf("dist: unknown execution mode %q (valid modes: %s)", s, validExecModes)
@@ -112,8 +102,7 @@ type rankOutcome struct {
 type joined struct {
 	outcomes []rankOutcome
 	comm     CommStats
-	// seconds is each rank's wall clock (nil under ExecSim, where a rank's
-	// clock would include its peers' turns).
+	// seconds is each rank's wall clock.
 	seconds []float64
 	// wire is the measured socket traffic (ExecSocket only).
 	wire *WireStats
@@ -168,8 +157,7 @@ func runRank(ctx context.Context, c *rankComm, in *rankInput) rankOutcome {
 	}
 }
 
-// launchRanks runs spec's program on p in-process ranks: concurrently
-// (ExecGoroutine) or one at a time (ExecSim).
+// launchRanks runs spec's program on p in-process ranks (ExecGoroutine).
 func launchRanks(ctx context.Context, spec Spec, ck *ckptRun) (*joined, error) {
 	in := rankInput{
 		op: spec.Op, edges: spec.Edges, n: specN(spec), workers: spec.workers(),
@@ -179,7 +167,7 @@ func launchRanks(ctx context.Context, spec Spec, ck *ckptRun) (*joined, error) {
 	if spec.Op == OpRunMatrix {
 		states = splitMatrix(spec.Matrix, spec.Procs)
 	}
-	return spawnRanks(ctx, spec.Procs, spec.Mode == ExecSim, func(c *rankComm) rankOutcome {
+	return spawnRanks(ctx, spec.Procs, func(c *rankComm) rankOutcome {
 		in := in
 		if spec.Edges != nil {
 			in.edges = spec.Edges.Slice(blockBounds(spec.Edges.Len(), spec.Procs, c.rank))
@@ -198,9 +186,8 @@ func launchRanks(ctx context.Context, spec Spec, ck *ckptRun) (*joined, error) {
 var errRunAborted = errors.New("dist: run aborted")
 
 // spawnRanks runs the rank program on p goroutines over a fresh channel
-// fabric — concurrently, or with oneAtATime under the fabric's run token —
-// joins them, and folds the per-rank communication records and wall-clock
-// times.
+// fabric, joins them, and folds the per-rank communication records and
+// wall-clock times.
 //
 // Teardown is defer-based and cannot strand a rank: a rank whose program
 // returns an error (or panics) trips the fabric's teardown plane on its
@@ -208,14 +195,12 @@ var errRunAborted = errors.New("dist: run aborted")
 // cancelled ctx trips the same plane through a watcher goroutine.  Every
 // rank goroutine therefore joins — wg.Wait cannot hang — and the watcher
 // itself is stopped before spawnRanks returns, so an aborted run leaks
-// nothing (execute_test.go counts goroutines to pin this).  The same
-// plane frees a rank waiting for the run token: a token holder that fails
-// or is cancelled aborts on its way out, so it cannot strand its peers.
-func spawnRanks(ctx context.Context, p int, oneAtATime bool, program func(c *rankComm) rankOutcome) (*joined, error) {
+// nothing (execute_test.go counts goroutines to pin this).
+func spawnRanks(ctx context.Context, p int, program func(c *rankComm) rankOutcome) (*joined, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	f := newChanFabric(p, oneAtATime)
+	f := newChanFabric(p)
 	var stopWatch chan struct{}
 	if ctx.Done() != nil {
 		stopWatch = make(chan struct{})
@@ -235,12 +220,9 @@ func spawnRanks(ctx context.Context, p int, oneAtATime bool, program func(c *ran
 	for r := 0; r < p; r++ {
 		comms[r] = newRankComm(f, r)
 		wg.Add(1)
-		//prlint:allow determinism -- the rank spawner IS the simulated machine; ranks sync only through the metered fabric and join on wg
+		//prlint:allow determinism -- the rank spawner IS the distributed machine; ranks sync only through the metered fabric and join on wg
 		go func(r int) {
 			defer wg.Done()
-			if oneAtATime {
-				defer f.leave(r)
-			}
 			// Runs after the recover below: a rank that failed for any
 			// reason brings the fabric down so no peer waits for it.
 			defer func() {
@@ -259,9 +241,6 @@ func spawnRanks(ctx context.Context, p int, oneAtATime bool, program func(c *ran
 					panic(e)
 				}
 			}()
-			if oneAtATime {
-				f.await(r)
-			}
 			//prlint:allow determinism -- wall-clock feeds only the reported per-rank timing, never the kernel results
 			start := time.Now()
 			outcomes[r] = program(comms[r])
@@ -293,10 +272,7 @@ func spawnRanks(ctx context.Context, p int, oneAtATime bool, program func(c *ran
 	if aborted != nil {
 		return nil, aborted
 	}
-	j := &joined{outcomes: outcomes}
-	if !oneAtATime {
-		j.seconds = seconds
-	}
+	j := &joined{outcomes: outcomes, seconds: seconds}
 	for r := 0; r < p; r++ {
 		j.comm.Add(comms[r].st)
 	}

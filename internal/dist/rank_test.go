@@ -1,88 +1,20 @@
 package dist_test
 
-// Property tests for interleaving independence: for every processor
-// count the ranks run concurrently (ExecGoroutine) must equal the same
-// ranks run one at a time (ExecSim) bit for bit — rank vectors, sorted
-// output, assembled matrix AND communication record — and therefore equal
-// the closed-form byte model too.  A determinism test pins that repeated
-// concurrent runs are identical despite scheduling noise.  Run under
-// -race in CI.
+// Property tests for the goroutine ranks: concurrent runs repeat bit for
+// bit despite scheduling noise, the measured comm equals the closed-form
+// byte model, bad input fails on every rank without a deadlock, and
+// kernel 3 on the split matrix is kernel 3 on the distributed build.
+// Agreement with the serial kernels is dist_test.go's and the kernel-3
+// bits are golden_test.go's.  Run under -race in CI.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/edge"
 	"repro/internal/pagerank"
 )
-
-func TestGoroutineSortEqualsSimBitForBit(t *testing.T) {
-	inputs := map[string]*edge.List{}
-	inputs["kronecker"], _ = kron(t, 7, 5)
-
-	few := edge.NewList(64)
-	for i := 0; i < 64; i++ {
-		few.Append(uint64(i%2), uint64(i))
-	}
-	inputs["two-distinct-u"] = few
-	inputs["empty"] = edge.NewList(0)
-
-	for name, l := range inputs {
-		for _, p := range procCounts {
-			sim, err := execSort(dist.Config{Mode: dist.ExecSim}, l, p)
-			if err != nil {
-				t.Fatalf("%s p=%d sim: %v", name, p, err)
-			}
-			real, err := execSort(dist.Config{Mode: dist.ExecGoroutine}, l, p)
-			if err != nil {
-				t.Fatalf("%s p=%d goroutine: %v", name, p, err)
-			}
-			if !real.Sorted.Equal(sim.Sorted) {
-				t.Errorf("%s p=%d: goroutine sort differs from simulation", name, p)
-			}
-			if real.Comm != sim.Comm {
-				t.Errorf("%s p=%d: goroutine comm %+v, sim %+v", name, p, real.Comm, sim.Comm)
-			}
-		}
-	}
-}
-
-func TestGoroutineRunEqualsSimBitForBit(t *testing.T) {
-	l, n := kron(t, 8, 9)
-	for _, p := range procCounts {
-		for _, dangling := range []bool{false, true} {
-			opt := pagerank.Options{Seed: 4, Iterations: 7, Dangling: dangling}
-			sim, err := execRun(dist.Config{Mode: dist.ExecSim}, l, n, p, opt)
-			if err != nil {
-				t.Fatalf("p=%d sim: %v", p, err)
-			}
-			real, err := execRun(dist.Config{Mode: dist.ExecGoroutine}, l, n, p, opt)
-			if err != nil {
-				t.Fatalf("p=%d goroutine: %v", p, err)
-			}
-			if real.NNZ != sim.NNZ || real.Iterations != sim.Iterations {
-				t.Errorf("p=%d dangling=%v: NNZ/iters %d/%d, sim %d/%d",
-					p, dangling, real.NNZ, real.Iterations, sim.NNZ, sim.Iterations)
-			}
-			for i := range sim.Rank {
-				if real.Rank[i] != sim.Rank[i] {
-					t.Fatalf("p=%d dangling=%v: rank[%d] = %v, sim %v — not bit-for-bit",
-						p, dangling, i, real.Rank[i], sim.Rank[i])
-				}
-			}
-			if real.Comm != sim.Comm {
-				t.Errorf("p=%d dangling=%v: comm %+v, sim %+v", p, dangling, real.Comm, sim.Comm)
-			}
-			if len(real.RankSeconds) != p {
-				t.Errorf("p=%d: RankSeconds has %d entries", p, len(real.RankSeconds))
-			}
-			if sim.RankSeconds != nil {
-				t.Error("simulation must not report per-rank wall clock")
-			}
-		}
-	}
-}
 
 func TestGoroutineCommEqualsPredictionExactly(t *testing.T) {
 	l, n := kron(t, 7, 3)
@@ -114,6 +46,9 @@ func TestGoroutineRunDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(first.RankSeconds) != p {
+		t.Errorf("RankSeconds has %d entries, want %d", len(first.RankSeconds), p)
+	}
 	for run := 0; run < 4; run++ {
 		res, err := execRun(dist.Config{Mode: dist.ExecGoroutine}, l, n, p, opt)
 		if err != nil {
@@ -130,60 +65,34 @@ func TestGoroutineRunDeterminism(t *testing.T) {
 	}
 }
 
-func TestGoroutineBuildFilteredEqualsSim(t *testing.T) {
-	l, n := kron(t, 7, 2)
-	for _, p := range procCounts {
-		sim, err := execBuild(dist.ExecSim, l, n, p)
-		if err != nil {
-			t.Fatalf("p=%d sim: %v", p, err)
-		}
-		real, err := execBuild(dist.ExecGoroutine, l, n, p)
-		if err != nil {
-			t.Fatalf("p=%d goroutine: %v", p, err)
-		}
-		if real.Mass != sim.Mass || real.NNZ != sim.NNZ {
-			t.Errorf("p=%d: mass/NNZ %v/%d, sim %v/%d", p, real.Mass, real.NNZ, sim.Mass, sim.NNZ)
-		}
-		if real.Comm != sim.Comm {
-			t.Errorf("p=%d: comm %+v, sim %+v", p, real.Comm, sim.Comm)
-		}
-		if err := real.Matrix.Validate(); err != nil {
-			t.Fatalf("p=%d: assembled matrix invalid: %v", p, err)
-		}
-		for k := range sim.Matrix.Val {
-			if real.Matrix.Col[k] != sim.Matrix.Col[k] || real.Matrix.Val[k] != sim.Matrix.Val[k] {
-				t.Fatalf("p=%d: assembled matrix entry %d differs", p, k)
-			}
-		}
-	}
-}
-
-func TestGoroutineRunMatrixEqualsSim(t *testing.T) {
+// TestRunMatrixEqualsRunBitForBit: kernel 3 on the assembled matrix,
+// split into row blocks, is kernel 3 on the blocks the ranks built from
+// the edges — the same rank bits and the same collectives, less the
+// kernel-2 traffic.
+func TestRunMatrixEqualsRunBitForBit(t *testing.T) {
 	l, n := kron(t, 7, 6)
-	b, err := execBuild(dist.ExecSim, l, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opt := pagerank.Options{Seed: 2, Dangling: true, Iterations: 5}
 	for _, p := range procCounts {
-		sim, err := execRunMatrix(dist.Config{Mode: dist.ExecSim}, b.Matrix, p, opt)
+		b, err := execBuild(dist.ExecGoroutine, l, n, p)
 		if err != nil {
-			t.Fatalf("p=%d sim: %v", p, err)
+			t.Fatalf("p=%d build: %v", p, err)
 		}
-		real, err := execRunMatrix(dist.Config{Mode: dist.ExecGoroutine}, b.Matrix, p, opt)
+		run, err := execRun(dist.Config{}, l, n, p, opt)
 		if err != nil {
-			t.Fatalf("p=%d goroutine: %v", p, err)
+			t.Fatalf("p=%d run: %v", p, err)
 		}
-		for i := range sim.Rank {
-			if real.Rank[i] != sim.Rank[i] {
-				t.Fatalf("p=%d: rank[%d] not bit-for-bit", p, i)
-			}
+		res, err := execRunMatrix(dist.Config{}, b.Matrix, p, opt)
+		if err != nil {
+			t.Fatalf("p=%d run-matrix: %v", p, err)
 		}
-		if real.Comm != sim.Comm {
-			t.Errorf("p=%d: comm %+v, sim %+v", p, real.Comm, sim.Comm)
+		sameRank(t, fmt.Sprintf("p=%d run-matrix vs run", p), res.Rank, run.Rank)
+		sum := b.Comm
+		sum.Add(res.Comm)
+		if sum != run.Comm {
+			t.Errorf("p=%d: build %+v + run-matrix %+v != run %+v", p, b.Comm, res.Comm, run.Comm)
 		}
-		if real.NNZ != b.Matrix.NNZ() {
-			t.Errorf("p=%d: NNZ %d, want %d", p, real.NNZ, b.Matrix.NNZ())
+		if res.NNZ != b.Matrix.NNZ() || res.Iterations != run.Iterations {
+			t.Errorf("p=%d: NNZ/iters %d/%d, want %d/%d", p, res.NNZ, res.Iterations, b.Matrix.NNZ(), run.Iterations)
 		}
 	}
 }
@@ -202,8 +111,7 @@ func TestGoroutineRejectsBadInput(t *testing.T) {
 			t.Errorf("%v: out-of-range vertices accepted", mode)
 		}
 		// Invalid options must fail on every rank consistently (no
-		// deadlock) — one at a time, rank 0 fails holding the run token
-		// its peers have yet to see.
+		// deadlock).
 		if _, err := execRun(cfg, l, n, 3, pagerank.Options{Damping: 2}); err == nil {
 			t.Errorf("%v: invalid damping accepted", mode)
 		}
@@ -223,38 +131,46 @@ func TestGoroutineRejectsBadInput(t *testing.T) {
 }
 
 func TestGoroutineCheckpointRestartPath(t *testing.T) {
-	// InitialRank is the checkpoint-restart seed; the broadcast must ship
-	// it from rank 0 and the result must match the simulation bit for bit.
+	// InitialRank is the checkpoint-restart seed: rank 0 broadcasts it, so
+	// two iterations resumed from a three-iteration run's vector must be
+	// the five-iteration run bit for bit.
 	l, n := kron(t, 6, 4)
-	init := pagerank.InitVector(n, 77)
-	opt := pagerank.Options{Seed: 1, Iterations: 3, InitialRank: init}
-	sim, err := execRun(dist.Config{Mode: dist.ExecSim}, l, n, 3, opt)
+	opt := pagerank.Options{Seed: 1, Iterations: 3, InitialRank: pagerank.InitVector(n, 77)}
+	mid, err := execRun(dist.Config{}, l, n, 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	real, err := execRun(dist.Config{Mode: dist.ExecGoroutine}, l, n, 3, opt)
+	opt.Iterations = 5
+	want, err := execRun(dist.Config{}, l, n, 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sim.Rank {
-		if real.Rank[i] != sim.Rank[i] {
-			t.Fatalf("rank[%d] not bit-for-bit on restart path", i)
-		}
+	opt.Iterations, opt.InitialRank = 2, mid.Rank
+	got, err := execRun(dist.Config{}, l, n, 3, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameRank(t, "restart path", got.Rank, want.Rank)
 }
 
 func TestParseExecMode(t *testing.T) {
 	for s, want := range map[string]dist.ExecMode{
-		"": dist.ExecSim, "sim": dist.ExecSim,
-		"goroutine": dist.ExecGoroutine, "go": dist.ExecGoroutine,
-		"socket": dist.ExecSocket, "sock": dist.ExecSocket,
+		"": dist.ExecGoroutine, "goroutine": dist.ExecGoroutine, "socket": dist.ExecSocket,
 	} {
 		got, err := dist.ParseExecMode(s)
 		if err != nil || got != want {
 			t.Errorf("ParseExecMode(%q) = %v, %v", s, got, err)
 		}
 	}
-	if dist.ExecSim.String() != "sim" || dist.ExecGoroutine.String() != "goroutine" || dist.ExecSocket.String() != "socket" {
+	// One spelling each: the retired simulation and the short forms fail,
+	// naming the value and the valid modes.
+	for _, s := range []string{"sim", "go", "sock"} {
+		_, err := dist.ParseExecMode(s)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", s)) || !strings.Contains(err.Error(), "goroutine, socket") {
+			t.Errorf("ParseExecMode(%q): err = %v", s, err)
+		}
+	}
+	if dist.ExecGoroutine.String() != "goroutine" || dist.ExecSocket.String() != "socket" {
 		t.Error("mode strings changed")
 	}
 }
@@ -276,7 +192,7 @@ func TestUnknownExecModeErrors(t *testing.T) {
 				_, err := dist.ParseExecMode("mpi")
 				return err
 			},
-			want: []string{`"mpi"`, "sim, goroutine, socket"},
+			want: []string{`"mpi"`, "goroutine, socket"},
 		},
 		{
 			name: "parse socket typo",
@@ -284,7 +200,7 @@ func TestUnknownExecModeErrors(t *testing.T) {
 				_, err := dist.ParseExecMode("sockets")
 				return err
 			},
-			want: []string{`"sockets"`, "sim, goroutine, socket"},
+			want: []string{`"sockets"`, "goroutine, socket"},
 		},
 		{
 			name: "run with out-of-range enum",
@@ -292,7 +208,7 @@ func TestUnknownExecModeErrors(t *testing.T) {
 				_, err := execRun(dist.Config{Mode: dist.ExecMode(42)}, l, n, 2, pagerank.Options{})
 				return err
 			},
-			want: []string{"42", "sim, goroutine, socket"},
+			want: []string{"42", "goroutine, socket"},
 		},
 		{
 			name: "sort with out-of-range enum",
@@ -300,7 +216,7 @@ func TestUnknownExecModeErrors(t *testing.T) {
 				_, err := execSort(dist.Config{Mode: dist.ExecMode(7)}, l, 2)
 				return err
 			},
-			want: []string{"7", "sim, goroutine, socket"},
+			want: []string{"7", "goroutine, socket"},
 		},
 	}
 	for _, tc := range cases {

@@ -31,10 +31,8 @@ type Result struct {
 	Comm CommStats
 	// Iterations is the number of PageRank update steps performed.
 	Iterations int
-	// RankSeconds is each rank's wall-clock execution time.  ExecSim
-	// leaves it nil (it runs one rank at a time, so a rank's wall clock
-	// includes its peers' turns); perfmodel's CompareRankElapsed relates
-	// it to the parallel hardware model.
+	// RankSeconds is each rank's wall-clock execution time; perfmodel's
+	// CompareRankElapsed relates it to the parallel hardware model.
 	RankSeconds []float64
 	// Checkpoint reports what the checkpoint/restart machinery did; nil
 	// when the Spec enabled neither checkpointing nor resume.

@@ -91,12 +91,10 @@ func TestSocketSessionJobsMatchOneShot(t *testing.T) {
 	opt := pagerank.Options{Seed: 3, Iterations: 8, Dangling: true}
 	for _, p := range []int{1, 2, 3, 5} {
 		want := runMatrix(t, dist.ExecSocket, a, p, opt)
-		for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-			ref := runMatrix(t, mode, a, p, opt)
-			sameRank(t, "one-shot socket vs "+mode.String(), ref.Rank, want.Rank)
-			if ref.Comm != want.Comm {
-				t.Fatalf("p=%d: one-shot socket CommStats %+v != %v %+v", p, want.Comm, mode, ref.Comm)
-			}
+		ref := runMatrix(t, dist.ExecGoroutine, a, p, opt)
+		sameRank(t, "one-shot socket vs goroutine", ref.Rank, want.Rank)
+		if ref.Comm != want.Comm {
+			t.Fatalf("p=%d: one-shot socket CommStats %+v != goroutine %+v", p, want.Comm, ref.Comm)
 		}
 		if want.Wire.SetupBytes < blockBytes(a) {
 			t.Fatalf("p=%d: one-shot run reports %d set-up bytes, below the operand's %d", p, want.Wire.SetupBytes, blockBytes(a))
@@ -129,14 +127,14 @@ func TestSocketSessionJobsMatchOneShot(t *testing.T) {
 		}
 		seeded := specA
 		seeded.PageRank.InitialRank = pagerank.InitVector(a.N, 99)
-		wantSeeded := runMatrix(t, dist.ExecSim, a, p, seeded.PageRank)
+		wantSeeded := runMatrix(t, dist.ExecGoroutine, a, p, seeded.PageRank)
 		if res := sessionJob(t, "seeded job", sess, seeded, wantSeeded.Rank); res.Wire.SetupBytes >= warmSetupLimit(p)+uint64(9*a.N) {
 			t.Fatalf("p=%d: seeded warm job shipped %d set-up bytes, want the spec plus one %d-float vector", p, res.Wire.SetupBytes, a.N)
 		}
 
 		// A job naming another matrix replaces the resident operand —
 		// and going back to the first one ships it again.
-		wantB := runMatrix(t, dist.ExecSim, b, p, opt)
+		wantB := runMatrix(t, dist.ExecGoroutine, b, p, opt)
 		specB := dist.Spec{Procs: p, Matrix: b, OperandID: "b#1", PageRank: opt}
 		if res := sessionJob(t, "job on b", sess, specB, wantB.Rank); res.Wire.SetupBytes < blockBytes(b) {
 			t.Fatalf("p=%d: replacing the operand shipped only %d set-up bytes", p, res.Wire.SetupBytes)
@@ -170,7 +168,7 @@ func TestSocketSessionOtherOpsLeaveOperandResident(t *testing.T) {
 	l, n := executeGraph(t, 6)
 	a := builtMatrix(t, 6)
 	opt := pagerank.Options{Seed: 3, Iterations: 5}
-	want := runMatrix(t, dist.ExecSim, a, p, opt)
+	want := runMatrix(t, dist.ExecGoroutine, a, p, opt)
 	sess, err := dist.OpenSession(context.Background(), p, dist.SocketSpec{})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +188,7 @@ func TestSocketSessionOtherOpsLeaveOperandResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sorted.Sort.Sorted.Equal(wantSort.Sort.Sorted) || sorted.Sort.Comm != wantSort.Sort.Comm {
-		t.Fatal("sort on a session differs from the simulation")
+		t.Fatal("sort on a session differs from the goroutine sort")
 	}
 	checkWire(t, "sort on a session", sorted.Sort.Wire, sorted.Sort.Comm)
 	wantRun, err := dist.Execute(context.Background(), dist.Spec{Op: dist.OpRun, Edges: l, N: n, Procs: p, PageRank: opt})
@@ -224,7 +222,7 @@ func TestSocketSessionIdlePastIOTimeout(t *testing.T) {
 	const p = 2
 	a := builtMatrix(t, 6)
 	opt := pagerank.Options{Seed: 3, Iterations: 5}
-	want := runMatrix(t, dist.ExecSim, a, p, opt)
+	want := runMatrix(t, dist.ExecGoroutine, a, p, opt)
 	sess, err := dist.OpenSession(context.Background(), p, dist.SocketSpec{IOTimeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,7 @@ package dist_test
 
 // Property suite for the socket execution mode (DESIGN.md §13): p ranks
 // as separate OS processes over unix-domain (and TCP loopback) sockets
-// must be observationally identical to the simulation and the goroutine
-// fabric — rank bits, CommStats, spill records — while the measured
+// must be observationally identical to the goroutine fabric — rank bits, CommStats, spill records — while the measured
 // socket payload bytes equal the metered CommStats, checkpoint/restart
 // works across the process boundary (genuine worker death included),
 // and an aborted run leaks neither goroutines nor file descriptors.
@@ -61,25 +60,21 @@ func checkWire(t *testing.T, what string, wire *dist.WireStats, st dist.CommStat
 }
 
 // TestSocketRunMatchesOtherModes is the tentpole property for kernel
-// 2+3: for every p the socket pipeline equals the simulation and the
-// goroutine fabric bit for bit — ranks, CommStats, iteration and NNZ
+// 2+3: for every p the socket pipeline equals the goroutine fabric bit
+// for bit — ranks, CommStats, iteration and NNZ
 // counts — and the measured socket bytes equal the metered bytes and
 // the closed form.
 func TestSocketRunMatchesOtherModes(t *testing.T) {
 	l, n := executeGraph(t, 6)
 	opt := pagerank.Options{Seed: 3, Iterations: 8, Dangling: true}
 	for _, p := range procCounts {
-		var ref [2]*dist.Result
-		for i, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-			out, err := dist.Execute(context.Background(), dist.Spec{
-				Config: dist.Config{Mode: mode}, Op: dist.OpRun,
-				Edges: l, N: n, Procs: p, PageRank: opt,
-			})
-			if err != nil {
-				t.Fatalf("p=%d mode=%v: %v", p, mode, err)
-			}
-			ref[i] = out.Run
+		want, err := dist.Execute(context.Background(), dist.Spec{
+			Op: dist.OpRun, Edges: l, N: n, Procs: p, PageRank: opt,
+		})
+		if err != nil {
+			t.Fatalf("p=%d goroutine: %v", p, err)
 		}
+		ref := want.Run
 		spec := socketSpec(dist.OpRun, p)
 		spec.Edges, spec.N, spec.PageRank = l, n, opt
 		out, err := dist.Execute(context.Background(), spec)
@@ -87,15 +82,13 @@ func TestSocketRunMatchesOtherModes(t *testing.T) {
 			t.Fatalf("p=%d socket: %v", p, err)
 		}
 		res := out.Run
-		for i, mode := range []string{"sim", "goroutine"} {
-			sameRank(t, "socket vs "+mode, ref[i].Rank, res.Rank)
-			if res.Comm != ref[i].Comm {
-				t.Fatalf("p=%d: socket CommStats %+v != %s %+v", p, res.Comm, mode, ref[i].Comm)
-			}
-			if res.Iterations != ref[i].Iterations || res.NNZ != ref[i].NNZ {
-				t.Fatalf("p=%d: socket iters/nnz %d/%d != %s %d/%d",
-					p, res.Iterations, res.NNZ, mode, ref[i].Iterations, ref[i].NNZ)
-			}
+		sameRank(t, "socket vs goroutine", ref.Rank, res.Rank)
+		if res.Comm != ref.Comm {
+			t.Fatalf("p=%d: socket CommStats %+v != goroutine %+v", p, res.Comm, ref.Comm)
+		}
+		if res.Iterations != ref.Iterations || res.NNZ != ref.NNZ {
+			t.Fatalf("p=%d: socket iters/nnz %d/%d != goroutine %d/%d",
+				p, res.Iterations, res.NNZ, ref.Iterations, ref.NNZ)
 		}
 		checkWire(t, "run", res.Wire, res.Comm)
 		// The wire bytes minus the data-dependent kernel-2 edge routing
@@ -112,7 +105,7 @@ func TestSocketRunMatchesOtherModes(t *testing.T) {
 }
 
 // TestSocketSortMatchesOtherModes pins kernel 1: sorted bits and
-// CommStats equal across all three modes for every p, measured bytes
+// CommStats equal across both modes for every p, measured bytes
 // equal metered bytes.
 func TestSocketSortMatchesOtherModes(t *testing.T) {
 	l, _ := executeGraph(t, 6)
@@ -121,7 +114,7 @@ func TestSocketSortMatchesOtherModes(t *testing.T) {
 			Op: dist.OpSort, Edges: l, Procs: p,
 		})
 		if err != nil {
-			t.Fatalf("p=%d sim: %v", p, err)
+			t.Fatalf("p=%d goroutine: %v", p, err)
 		}
 		spec := socketSpec(dist.OpSort, p)
 		spec.Edges = l
@@ -130,10 +123,10 @@ func TestSocketSortMatchesOtherModes(t *testing.T) {
 			t.Fatalf("p=%d socket: %v", p, err)
 		}
 		if !out.Sort.Sorted.Equal(want.Sort.Sorted) {
-			t.Fatalf("p=%d: socket sort differs from the simulation", p)
+			t.Fatalf("p=%d: socket sort differs from the goroutine sort", p)
 		}
 		if out.Sort.Comm != want.Sort.Comm {
-			t.Fatalf("p=%d: socket sort CommStats %+v != sim %+v", p, out.Sort.Comm, want.Sort.Comm)
+			t.Fatalf("p=%d: socket sort CommStats %+v != goroutine %+v", p, out.Sort.Comm, want.Sort.Comm)
 		}
 		if p > 1 {
 			checkWire(t, "sort", out.Sort.Wire, out.Sort.Comm)
@@ -179,7 +172,7 @@ func TestSocketBuildFilteredMatchesOtherModes(t *testing.T) {
 			Op: dist.OpBuildFiltered, Edges: l, N: n, Procs: p,
 		})
 		if err != nil {
-			t.Fatalf("p=%d sim: %v", p, err)
+			t.Fatalf("p=%d goroutine: %v", p, err)
 		}
 		spec := socketSpec(dist.OpBuildFiltered, p)
 		spec.Edges, spec.N = l, n
@@ -189,20 +182,68 @@ func TestSocketBuildFilteredMatchesOtherModes(t *testing.T) {
 		}
 		sameMatrix(t, "socket build", want.Build.Matrix, out.Build.Matrix)
 		if out.Build.Mass != want.Build.Mass || out.Build.NNZ != want.Build.NNZ {
-			t.Fatalf("p=%d: socket mass/nnz %v/%d != sim %v/%d",
+			t.Fatalf("p=%d: socket mass/nnz %v/%d != goroutine %v/%d",
 				p, out.Build.Mass, out.Build.NNZ, want.Build.Mass, want.Build.NNZ)
 		}
 		if out.Build.Comm != want.Build.Comm {
-			t.Fatalf("p=%d: socket build CommStats %+v != sim %+v", p, out.Build.Comm, want.Build.Comm)
+			t.Fatalf("p=%d: socket build CommStats %+v != goroutine %+v", p, out.Build.Comm, want.Build.Comm)
 		}
 		checkWire(t, "build", out.Build.Wire, out.Build.Comm)
+	}
+}
+
+// TestSortExternalModesAgreeOnSpillAndRuns holds the two execution modes
+// to the same out-of-core sort at every p and every run budget — one run
+// per rank, about two, and many: sorted bits, CommStats, per-rank run
+// counts and spill traffic agree, and every edge is written and read back
+// exactly once at 16 bytes, one create and one open per run.
+func TestSortExternalModesAgreeOnSpillAndRuns(t *testing.T) {
+	l, _ := kron(t, 8, 3)
+	for _, p := range procCounts {
+		for _, runEdges := range runEdgesChoices(l.Len(), p) {
+			gor, err := execSortExt(dist.ExecGoroutine, l, p, dist.ExtSortConfig{RunEdges: runEdges})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sock, err := execSortExt(dist.ExecSocket, l, p, dist.ExtSortConfig{RunEdges: runEdges})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !gor.Sorted.Equal(sock.Sorted) {
+				t.Fatalf("p=%d runEdges=%d: modes disagree on output", p, runEdges)
+			}
+			if gor.Comm != sock.Comm {
+				t.Errorf("p=%d runEdges=%d: comm goroutine %+v, socket %+v", p, runEdges, gor.Comm, sock.Comm)
+			}
+			if gor.Spill != sock.Spill {
+				t.Errorf("p=%d runEdges=%d: spill goroutine %+v, socket %+v", p, runEdges, gor.Spill, sock.Spill)
+			}
+			totalRuns := 0
+			for r, runs := range gor.RunsPerRank {
+				if runs != sock.RunsPerRank[r] {
+					t.Fatalf("p=%d runEdges=%d: rank %d runs goroutine %d, socket %d",
+						p, runEdges, r, runs, sock.RunsPerRank[r])
+				}
+				totalRuns += runs
+			}
+			wantBytes := int64(16 * l.Len())
+			if gor.Spill.BytesWritten != wantBytes || gor.Spill.BytesRead != wantBytes {
+				t.Errorf("p=%d runEdges=%d: spill I/O %+v, want %d bytes each way",
+					p, runEdges, gor.Spill, wantBytes)
+			}
+			if int(gor.Spill.Creates) != totalRuns || int(gor.Spill.Opens) != totalRuns {
+				t.Errorf("p=%d runEdges=%d: %d creates / %d opens for %d runs",
+					p, runEdges, gor.Spill.Creates, gor.Spill.Opens, totalRuns)
+			}
+			checkWire(t, "ext sort", sock.Wire, sock.Comm)
+		}
 	}
 }
 
 // TestSocketSortExternalMatchesOtherModes pins the out-of-core kernel 1:
 // sorted bits equal the serial radix sort, CommStats equal the in-memory
 // sort's, and per-rank run counts and summed spill traffic equal the
-// simulation's, even though each socket worker spills to its own private
+// goroutine ranks', even though each socket worker spills to its own private
 // store — at every p and two run budgets.
 func TestSocketSortExternalMatchesOtherModes(t *testing.T) {
 	l, _ := executeGraph(t, 6)
@@ -219,7 +260,7 @@ func TestSocketSortExternalMatchesOtherModes(t *testing.T) {
 				Op: dist.OpSort, Edges: l, Procs: p, Ext: ext,
 			})
 			if err != nil {
-				t.Fatalf("p=%d runEdges=%d sim: %v", p, runEdges, err)
+				t.Fatalf("p=%d runEdges=%d goroutine: %v", p, runEdges, err)
 			}
 			spec := socketSpec(dist.OpSort, p)
 			spec.Edges, spec.Ext = l, ext
@@ -227,7 +268,7 @@ func TestSocketSortExternalMatchesOtherModes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("p=%d runEdges=%d socket: %v", p, runEdges, err)
 			}
-			got, sim := out.Sort, want.Sort
+			got, gor := out.Sort, want.Sort
 			if !got.Sorted.Equal(serial) {
 				t.Fatalf("p=%d runEdges=%d: socket external sort differs from the serial radix sort", p, runEdges)
 			}
@@ -235,15 +276,15 @@ func TestSocketSortExternalMatchesOtherModes(t *testing.T) {
 				t.Fatalf("p=%d runEdges=%d: CommStats %+v != in-memory sort %+v", p, runEdges, got.Comm, inMem.Sort.Comm)
 			}
 			for r := 0; r < p; r++ {
-				if got.RunsPerRank[r] != sim.RunsPerRank[r] {
-					t.Fatalf("p=%d runEdges=%d rank %d: %d runs, sim %d", p, runEdges, r, got.RunsPerRank[r], sim.RunsPerRank[r])
+				if got.RunsPerRank[r] != gor.RunsPerRank[r] {
+					t.Fatalf("p=%d runEdges=%d rank %d: %d runs, goroutine %d", p, runEdges, r, got.RunsPerRank[r], gor.RunsPerRank[r])
 				}
 			}
-			if got.Spill != sim.Spill {
-				t.Fatalf("p=%d runEdges=%d: socket spill %+v != sim %+v", p, runEdges, got.Spill, sim.Spill)
+			if got.Spill != gor.Spill {
+				t.Fatalf("p=%d runEdges=%d: socket spill %+v != goroutine %+v", p, runEdges, got.Spill, gor.Spill)
 			}
-			if got.SpillCodec != sim.SpillCodec {
-				t.Fatalf("p=%d runEdges=%d: spill codec %q != %q", p, runEdges, got.SpillCodec, sim.SpillCodec)
+			if got.SpillCodec != gor.SpillCodec {
+				t.Fatalf("p=%d runEdges=%d: spill codec %q != %q", p, runEdges, got.SpillCodec, gor.SpillCodec)
 			}
 			checkWire(t, "ext sort", got.Wire, got.Comm)
 		}
@@ -275,7 +316,7 @@ func TestSocketTCPLoopback(t *testing.T) {
 	}
 	sameRank(t, "tcp socket run", want.Run.Rank, out.Run.Rank)
 	if out.Run.Comm != want.Run.Comm {
-		t.Fatalf("tcp CommStats %+v != sim %+v", out.Run.Comm, want.Run.Comm)
+		t.Fatalf("tcp CommStats %+v != goroutine %+v", out.Run.Comm, want.Run.Comm)
 	}
 	checkWire(t, "tcp run", out.Run.Wire, out.Run.Comm)
 	if !strings.HasPrefix(listened, "tcp://127.0.0.1:") {
@@ -382,7 +423,7 @@ func TestSocketHardFaultWorkerDeath(t *testing.T) {
 // rejected in the modes that have no process to kill.
 func TestSocketHardFaultRejectedOffSocket(t *testing.T) {
 	l, n := executeGraph(t, 6)
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+	for _, mode := range execModes {
 		_, err := dist.Execute(context.Background(), dist.Spec{
 			Config: dist.Config{Mode: mode}, Op: dist.OpRun, Edges: l, N: n, Procs: 2,
 			PageRank: pagerank.Options{Seed: 5, Iterations: 10},

@@ -1,13 +1,14 @@
 package dist_test
 
 // Property tests for the out-of-core distributed sample sort: for every
-// processor count, every run-buffer size and both execution modes the
-// output must equal the serial stable radix sort bit for bit, the
-// communication record must equal the in-memory distributed sort's, the
-// spill I/O must account for exactly one write and one read-back of every
-// edge, and the run files must be gone afterwards — on failure paths too.
+// processor count and every run-buffer size the output must equal the
+// serial stable radix sort bit for bit, the communication record must
+// equal the in-memory distributed sort's, the spill I/O must account for
+// exactly one write and one read-back of every edge, and the run files
+// must be gone afterwards — on failure paths too.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -72,7 +73,9 @@ func runEdgesChoices(m, p int) []int {
 	return []int{m + 1, two, 7}
 }
 
-var execModes = []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine}
+// execModes are the modes the in-process suites loop over.  ExecSocket
+// spawns worker processes per fabric, so its suites are socket_test.go's.
+var execModes = []dist.ExecMode{dist.ExecGoroutine}
 
 func TestSortExternalEqualsSerialBitForBit(t *testing.T) {
 	for name, l := range adversarialInputs(t) {
@@ -109,6 +112,17 @@ func TestSortExternalEqualsSerialBitForBit(t *testing.T) {
 					if p == 1 && res.Comm != (dist.CommStats{}) {
 						t.Errorf("%s p=1 %v: nonzero comm %+v", name, mode, res.Comm)
 					}
+					// Every edge is written and read back exactly once at
+					// 16 bytes, one file create and open per spilled run.
+					runs := 0
+					for _, n := range res.RunsPerRank {
+						runs += n
+					}
+					if sp, want := res.Spill, int64(16*l.Len()); sp.BytesWritten != want || sp.BytesRead != want ||
+						int(sp.Creates) != runs || int(sp.Opens) != runs {
+						t.Errorf("%s p=%d runEdges=%d %v: spill %+v for %d runs, want %d bytes each way",
+							name, p, runEdges, mode, sp, runs, want)
+					}
 					names, err := fs.List()
 					if err != nil {
 						t.Fatal(err)
@@ -117,51 +131,6 @@ func TestSortExternalEqualsSerialBitForBit(t *testing.T) {
 						t.Errorf("%s p=%d runEdges=%d %v: run files left behind: %v", name, p, runEdges, mode, names)
 					}
 				}
-			}
-		}
-	}
-}
-
-func TestSortExternalModesAgreeOnSpillAndRuns(t *testing.T) {
-	l, _ := kron(t, 8, 3)
-	for _, p := range procCounts {
-		for _, runEdges := range runEdgesChoices(l.Len(), p) {
-			sim, err := execSortExt(dist.ExecSim, l, p, dist.ExtSortConfig{RunEdges: runEdges})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gor, err := execSortExt(dist.ExecGoroutine, l, p, dist.ExtSortConfig{RunEdges: runEdges})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sim.Sorted.Equal(gor.Sorted) {
-				t.Fatalf("p=%d runEdges=%d: modes disagree on output", p, runEdges)
-			}
-			if sim.Comm != gor.Comm {
-				t.Errorf("p=%d runEdges=%d: comm sim %+v, goroutine %+v", p, runEdges, sim.Comm, gor.Comm)
-			}
-			if sim.Spill != gor.Spill {
-				t.Errorf("p=%d runEdges=%d: spill sim %+v, goroutine %+v", p, runEdges, sim.Spill, gor.Spill)
-			}
-			// Every rank spills ceil(chunk/runEdges) runs; both modes must
-			// report the same counts, and every edge is written and read
-			// back exactly once at 16 bytes.
-			totalRuns := 0
-			for r, runs := range sim.RunsPerRank {
-				if runs != gor.RunsPerRank[r] {
-					t.Fatalf("p=%d runEdges=%d: rank %d runs sim %d, goroutine %d",
-						p, runEdges, r, runs, gor.RunsPerRank[r])
-				}
-				totalRuns += runs
-			}
-			wantBytes := int64(16 * l.Len())
-			if sim.Spill.BytesWritten != wantBytes || sim.Spill.BytesRead != wantBytes {
-				t.Errorf("p=%d runEdges=%d: spill I/O %+v, want %d bytes each way",
-					p, runEdges, sim.Spill, wantBytes)
-			}
-			if int(sim.Spill.Creates) != totalRuns || int(sim.Spill.Opens) != totalRuns {
-				t.Errorf("p=%d runEdges=%d: %d creates / %d opens for %d runs",
-					p, runEdges, sim.Spill.Creates, sim.Spill.Opens, totalRuns)
 			}
 		}
 	}
@@ -227,14 +196,14 @@ func TestSortTrivialInputs(t *testing.T) {
 	if !inMem.Sorted.Equal(want) || inMem.RunsPerRank != nil || inMem.Spill != (vfs.IOStats{}) {
 		t.Fatalf("in-memory p=1: %+v", inMem)
 	}
-	empty, err := execSortExt(dist.ExecSim, edge.NewList(0), 3, dist.ExtSortConfig{RunEdges: 8})
+	empty, err := execSortExt(dist.ExecGoroutine, edge.NewList(0), 3, dist.ExtSortConfig{RunEdges: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if empty.Sorted.Len() != 0 || len(empty.RunsPerRank) != 3 || empty.Spill != (vfs.IOStats{}) {
 		t.Fatalf("out-of-core m=0: %+v", empty)
 	}
-	one, err := execSortExt(dist.ExecSim, l, 1, dist.ExtSortConfig{RunEdges: l.Len()/3 + 1})
+	one, err := execSortExt(dist.ExecGoroutine, l, 1, dist.ExtSortConfig{RunEdges: l.Len()/3 + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,18 +216,28 @@ func TestSortTrivialInputs(t *testing.T) {
 // TestSortAdversarialBothModes extends the in-memory sort's bit-for-bit
 // property to the adversarial inputs in both execution modes — the
 // duplicate-heavy and presorted cases exercise the deduplicating splitter
-// selection.
+// selection — with the socket ranks metering the goroutine ranks' bytes.
 func TestSortAdversarialBothModes(t *testing.T) {
-	for name, l := range adversarialInputs(t) {
-		want := l.Clone()
-		xsort.RadixByU(want)
-		for _, p := range procCounts {
+	inputs := adversarialInputs(t)
+	for _, p := range procCounts {
+		sess, err := dist.OpenSession(context.Background(), p, dist.SocketSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, l := range inputs {
+			want := l.Clone()
+			xsort.RadixByU(want)
 			var ref *dist.SortResult
-			for _, mode := range execModes {
-				res, err := execSort(dist.Config{Mode: mode}, l, p)
+			for _, mode := range []dist.ExecMode{dist.ExecGoroutine, dist.ExecSocket} {
+				spec := dist.Spec{Config: dist.Config{Mode: mode}, Op: dist.OpSort, Edges: l, Procs: p}
+				if mode == dist.ExecSocket {
+					spec.Session = sess
+				}
+				out, err := dist.Execute(context.Background(), spec)
 				if err != nil {
 					t.Fatalf("%s p=%d %v: %v", name, p, mode, err)
 				}
+				res := out.Sort
 				if !res.Sorted.Equal(want) {
 					t.Fatalf("%s p=%d %v: output differs from serial radix sort", name, p, mode)
 				}
@@ -268,6 +247,9 @@ func TestSortAdversarialBothModes(t *testing.T) {
 					t.Errorf("%s p=%d: modes meter different bytes: %+v vs %+v", name, p, res.Comm, ref.Comm)
 				}
 			}
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -279,33 +261,31 @@ func TestSortAdversarialBothModes(t *testing.T) {
 func TestSortExternalSpillCodec(t *testing.T) {
 	l, _ := kron(t, 8, 3)
 	for _, p := range []int{1, 3, 4} {
-		def, err := execSortExt(dist.ExecSim, l, p, dist.ExtSortConfig{RunEdges: 300})
+		def, err := execSortExt(dist.ExecGoroutine, l, p, dist.ExtSortConfig{RunEdges: 300})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if def.SpillCodec != "bin" {
 			t.Errorf("p=%d: default spill codec %q, want bin", p, def.SpillCodec)
 		}
-		for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-			res, err := execSortExt(mode, l, p, dist.ExtSortConfig{
-				RunEdges: 300, Codec: fastio.Packed{},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.SpillCodec != "packed" {
-				t.Errorf("p=%d %v: spill codec %q, want packed", p, mode, res.SpillCodec)
-			}
-			if !res.Sorted.Equal(def.Sorted) {
-				t.Fatalf("p=%d %v: packed spill changed the sorted output", p, mode)
-			}
-			if res.Comm != def.Comm {
-				t.Errorf("p=%d %v: packed spill changed the comm record: %+v vs %+v", p, mode, res.Comm, def.Comm)
-			}
-			if res.Spill.BytesWritten >= def.Spill.BytesWritten {
-				t.Errorf("p=%d %v: packed spill wrote %d bytes, binary wrote %d",
-					p, mode, res.Spill.BytesWritten, def.Spill.BytesWritten)
-			}
+		res, err := execSortExt(dist.ExecGoroutine, l, p, dist.ExtSortConfig{
+			RunEdges: 300, Codec: fastio.Packed{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SpillCodec != "packed" {
+			t.Errorf("p=%d: spill codec %q, want packed", p, res.SpillCodec)
+		}
+		if !res.Sorted.Equal(def.Sorted) {
+			t.Fatalf("p=%d: packed spill changed the sorted output", p)
+		}
+		if res.Comm != def.Comm {
+			t.Errorf("p=%d: packed spill changed the comm record: %+v vs %+v", p, res.Comm, def.Comm)
+		}
+		if res.Spill.BytesWritten >= def.Spill.BytesWritten {
+			t.Errorf("p=%d: packed spill wrote %d bytes, binary wrote %d",
+				p, res.Spill.BytesWritten, def.Spill.BytesWritten)
 		}
 	}
 }

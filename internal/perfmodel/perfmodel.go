@@ -360,14 +360,14 @@ type ElapsedComparison struct {
 }
 
 // CompareRankElapsed builds the predicted-vs-measured comparison for a
-// goroutine-mode run's per-rank wall-clock times.
+// distributed run's per-rank wall-clock times.
 func CompareRankElapsed(h Hardware, w Workload, rankSeconds []float64) (ElapsedComparison, error) {
 	if err := h.Validate(); err != nil {
 		return ElapsedComparison{}, err
 	}
 	p := len(rankSeconds)
 	if p == 0 {
-		return ElapsedComparison{}, fmt.Errorf("perfmodel: no per-rank times (simulated runs have none)")
+		return ElapsedComparison{}, fmt.Errorf("perfmodel: no per-rank times")
 	}
 	var sum, max float64
 	for _, s := range rankSeconds {

@@ -24,7 +24,7 @@ import (
 )
 
 // ckptCfg is a small dist pipeline of iters kernel-3 iterations on four
-// simulated ranks.
+// ranks.
 func ckptCfg(iters int) Config {
 	return Config{Scale: 7, EdgeFactor: 8, Seed: 9, Variant: "dist", KeepRank: true,
 		PageRank: pagerank.Options{Seed: 9, Iterations: iters}}

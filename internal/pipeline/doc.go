@@ -8,11 +8,10 @@
 // paper's metrics: edges/second with M edges for K0–K2 and 20·M edges for
 // K3.
 //
-// Multiple implementation variants register themselves in a registry; six
+// Multiple implementation variants register themselves in a registry; five
 // stand in for the paper's language implementations (C++, Python,
-// Python/Pandas, Matlab, Octave, Julia), and two more run the distributed-
-// memory pipeline of the paper's §V analysis — "dist" with the ranks run
-// one at a time (the simulation) and "distgo" with the same ranks run
-// concurrently — each exercising the same kernel contracts
-// through a different code path (see DESIGN.md §1 and §5).
+// Python/Pandas, Matlab, Octave, Julia), and "dist" (registered a second
+// time as "distgo") runs the distributed-memory pipeline of the paper's §V
+// analysis — each exercising the same kernel contracts through a
+// different code path (see DESIGN.md §1 and §5).
 package pipeline

@@ -76,47 +76,45 @@ func TestSerialVariantsFormatInvariant(t *testing.T) {
 
 // TestDistFormatInvariant is the acceptance property: ranks and the
 // communication record bit-for-bit identical across tsv/bin/packed for
-// p ∈ {1,2,3,5,8} in both distributed exec modes, with kernel 1 in memory
-// (dist) and out of core (distext, see smallCfg).
+// p ∈ {1,2,3,5,8} on goroutine ranks, with kernel 1 in memory (dist) and
+// out of core (distext, see smallCfg).
 func TestDistFormatInvariant(t *testing.T) {
 	for _, variant := range []string{"dist", "distext"} {
-		for _, mode := range []string{"sim", "goroutine"} {
-			for _, p := range []int{1, 2, 3, 5, 8} {
-				t.Run(fmt.Sprintf("%s/%s/p%d", variant, mode, p), func(t *testing.T) {
-					var base *Result
-					var baseFormat string
-					for _, format := range []string{"tsv", "bin", "packed"} {
-						cfg := smallCfg(variant)
-						cfg.Seed, cfg.NFiles, cfg.Format = 3, 2, format
-						cfg.DistMode, cfg.Workers, cfg.FS = mode, p, vfs.NewMem()
-						res, err := ExecuteContext(context.Background(), cfg)
-						if err != nil {
-							t.Fatalf("format %s: %v", format, err)
-						}
-						if (res.Spill != nil) != (variant == "distext") {
-							t.Fatalf("format %s: spill record %+v", format, res.Spill)
-						}
-						if base == nil {
-							base, baseFormat = res, format
-							continue
-						}
-						for i := range base.Rank {
-							if res.Rank[i] != base.Rank[i] {
-								t.Fatalf("format %s: rank[%d] diverges from %s", format, i, baseFormat)
-							}
-						}
-						if (res.Comm == nil) != (base.Comm == nil) {
-							t.Fatalf("format %s: comm presence diverges from %s", format, baseFormat)
-						}
-						if res.Comm != nil && *res.Comm != *base.Comm {
-							t.Fatalf("format %s: comm %+v diverges from %s %+v", format, *res.Comm, baseFormat, *base.Comm)
-						}
-						if variant == "distext" && res.Spill.Runs != base.Spill.Runs {
-							t.Fatalf("format %s: %d spill runs, %s had %d", format, res.Spill.Runs, baseFormat, base.Spill.Runs)
+		for _, p := range []int{1, 2, 3, 5, 8} {
+			t.Run(fmt.Sprintf("%s/goroutine/p%d", variant, p), func(t *testing.T) {
+				var base *Result
+				var baseFormat string
+				for _, format := range []string{"tsv", "bin", "packed"} {
+					cfg := smallCfg(variant)
+					cfg.Seed, cfg.NFiles, cfg.Format = 3, 2, format
+					cfg.Workers, cfg.FS = p, vfs.NewMem()
+					res, err := ExecuteContext(context.Background(), cfg)
+					if err != nil {
+						t.Fatalf("format %s: %v", format, err)
+					}
+					if (res.Spill != nil) != (variant == "distext") {
+						t.Fatalf("format %s: spill record %+v", format, res.Spill)
+					}
+					if base == nil {
+						base, baseFormat = res, format
+						continue
+					}
+					for i := range base.Rank {
+						if res.Rank[i] != base.Rank[i] {
+							t.Fatalf("format %s: rank[%d] diverges from %s", format, i, baseFormat)
 						}
 					}
-				})
-			}
+					if (res.Comm == nil) != (base.Comm == nil) {
+						t.Fatalf("format %s: comm presence diverges from %s", format, baseFormat)
+					}
+					if res.Comm != nil && *res.Comm != *base.Comm {
+						t.Fatalf("format %s: comm %+v diverges from %s %+v", format, *res.Comm, baseFormat, *base.Comm)
+					}
+					if variant == "distext" && res.Spill.Runs != base.Spill.Runs {
+						t.Fatalf("format %s: %d spill runs, %s had %d", format, res.Spill.Runs, baseFormat, base.Spill.Runs)
+					}
+				}
+			})
 		}
 	}
 }

@@ -101,11 +101,10 @@ type Config struct {
 	// SortEndVertices makes K1 sort by (u, v) instead of u only — the
 	// paper's "should the end vertices also be sorted?" open question.
 	SortEndVertices bool
-	// DistMode overrides the execution mode of the dist/distgo variants'
-	// runtime: "sim" (ranks run one at a time), "goroutine"
-	// (concurrent ranks with real message passing) or "socket" (worker
-	// processes over unix-domain sockets).  Empty keeps the selected
-	// variant's default.
+	// DistMode is the execution mode of the dist variants' runtime:
+	// "goroutine" (ranks as goroutines exchanging channel messages; the
+	// default when empty) or "socket" (worker processes over unix-domain
+	// sockets).
 	DistMode string
 	// RankWorkers is the hybrid intra-rank worker count of the dist
 	// variants' runtime (dist.Config.Workers): each rank's local kernel-3

@@ -10,8 +10,8 @@ const BytesPerEdgeStated = 16
 // published Table II numbers.  The paper's text says 16 bytes per edge, but
 // every printed memory figure (25MB at scale 16 through 1.6GB at scale 22)
 // equals M · 24 bytes in decimal units — consistent with two labels plus a
-// value or index word.  We reproduce the published numbers by default and
-// record the discrepancy in EXPERIMENTS.md.
+// value or index word.  We reproduce the published numbers by default;
+// DESIGN.md §1 records the discrepancy.
 const BytesPerEdgePublished = 24
 
 // SizeRow is one row of the paper's Table II ("Benchmark run sizes").

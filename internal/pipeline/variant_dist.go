@@ -3,15 +3,14 @@ package pipeline
 // The dist variants run the pipeline through the distributed-memory
 // runtime of internal/dist: kernel 1 is the splitter-based sample sort,
 // kernels 2 and 3 use the 1D row-block decomposition with metered
-// collectives.  "dist" runs the ranks one at a time (the simulation),
-// "distgo" runs the same ranks concurrently (Config.DistMode overrides
-// either).  A positive Config.RunEdges takes kernel 1 out of core: each
-// rank spills sorted runs of at most RunEdges edges to the pipeline's
-// storage and merges its bucket from them (DESIGN.md §6) — the
+// collectives, on goroutine ranks or, with Config.DistMode "socket", on
+// worker processes.  A positive Config.RunEdges takes kernel 1 out of
+// core: each rank spills sorted runs of at most RunEdges edges to the
+// pipeline's storage and merges its bucket from them (DESIGN.md §6) — the
 // composition the paper's §IV out-of-core requirement and §V parallel
 // analysis jointly demand.  Results are identical to the serial variants
 // — the sort bit-for-bit, the matrix bit-for-bit, the rank vector to
-// ~1e-12 — and identical between the modes and in or out of core
+// ~1e-12 — and identical between the two modes and in or out of core
 // bit-for-bit, which is exactly the property the paper's §V analysis
 // assumes when it prices the parallel pipeline by communication volume
 // alone (DESIGN.md §5).
@@ -23,35 +22,24 @@ import (
 )
 
 func init() {
-	Register(distVariant{})
-	Register(distVariant{mode: dist.ExecGoroutine})
+	Register(distVariant{"dist"})
+	Register(distVariant{"distgo"}) // the same variant under the name bench/workload.go uses
 }
 
-type distVariant struct {
-	// mode is the registered default; Config.DistMode overrides it.
-	mode dist.ExecMode
-}
+type distVariant struct{ name string }
 
 // Name implements Variant.
-func (v distVariant) Name() string {
-	if v.mode == dist.ExecGoroutine {
-		return "distgo"
-	}
-	return "dist"
-}
+func (v distVariant) Name() string { return v.name }
 
 // Description implements Variant.
-func (v distVariant) Description() string {
-	if v.mode == dist.ExecGoroutine {
-		return "goroutine distributed memory: p concurrent ranks exchanging real channel messages, byte counts equal to the simulation and the §V closed form"
-	}
-	return "simulated distributed memory: sample sort (out of core with -runedges), row-block matrix, all-reduce PageRank with exact communication accounting (the paper's §V parallel analysis)"
+func (distVariant) Description() string {
+	return "distributed memory: sample sort (out of core with -runedges), row-block matrix, all-reduce PageRank with exact communication accounting (the paper's §V parallel analysis)"
 }
 
 // procs is the processor (rank) count: Config.Workers when set, else a
-// fixed default so results do not depend on the host's CPU count (they
-// would not anyway — both modes are p-invariant — but determinism of the
-// communication record matters for reports).
+// fixed default so results do not depend on the host's CPU count: kernel
+// 3's rank vector differs across p in the last bits (DESIGN.md §4), and
+// the communication record is a function of p.
 func (distVariant) procs(r *Run) int {
 	if r.Cfg.Workers > 0 {
 		return r.Cfg.Workers
@@ -59,23 +47,11 @@ func (distVariant) procs(r *Run) int {
 	return 4
 }
 
-// execMode resolves the effective execution mode: Config.DistMode when
-// set (validated by Config.Validate), else the variant's registered
-// default.
-func (v distVariant) execMode(r *Run) dist.ExecMode {
-	if r.Cfg.DistMode != "" {
-		m, err := dist.ParseExecMode(r.Cfg.DistMode)
-		if err == nil {
-			return m
-		}
-	}
-	return v.mode
-}
-
-// distCfg assembles the full runtime configuration: the resolved
-// execution mode plus the hybrid intra-rank worker count.
-func (v distVariant) distCfg(r *Run) dist.Config {
-	return dist.Config{Mode: v.execMode(r), Workers: r.Cfg.RankWorkers}
+// distCfg assembles the full runtime configuration: Config.DistMode
+// (validated by Config.Validate) plus the hybrid intra-rank worker count.
+func (distVariant) distCfg(r *Run) dist.Config {
+	m, _ := dist.ParseExecMode(r.Cfg.DistMode)
+	return dist.Config{Mode: m, Workers: r.Cfg.RankWorkers}
 }
 
 // Kernel0 implements Variant.
@@ -121,7 +97,7 @@ func (v distVariant) Kernel2(r *Run) error {
 		return err
 	}
 	out, err := dist.Execute(r.Context(), dist.Spec{
-		Config: dist.Config{Mode: v.execMode(r)}, Op: dist.OpBuildFiltered,
+		Config: dist.Config{Mode: v.distCfg(r).Mode}, Op: dist.OpBuildFiltered,
 		Edges: l, N: int(r.Cfg.N()), Procs: v.procs(r),
 	})
 	if err != nil {

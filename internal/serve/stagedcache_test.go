@@ -179,38 +179,35 @@ func TestLabelledEngineOnCacheHitEqualsVertexOrder(t *testing.T) {
 
 // TestWarmVsColdBitForBitDistSweep extends the warm-vs-cold pin across
 // the distributed variants' whole parameter grid: processor counts
-// p ∈ {1, 2, 3, 5, 8} in both execution modes.  The warm run consumes
+// p ∈ {1, 2, 3, 5, 8}, kernel 1 in memory and out of core.  The warm run consumes
 // the cached canonical matrix, row-blocks it across its ranks, and
 // must still agree with its own cold run bit for bit.
 func TestWarmVsColdBitForBitDistSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full dist grid in -short mode")
 	}
-	for _, variant := range []string{"dist", "distgo", "distext"} {
+	for _, variant := range []string{"dist", "distext"} {
 		for _, p := range []int{1, 2, 3, 5, 8} {
-			for _, mode := range []string{"sim", "goroutine"} {
-				svc := serve.New()
-				cfg := runCfg(variant)
-				cfg.Workers = p
-				cfg.DistMode = mode
-				ctx := context.Background()
-				cold, err := svc.Run(ctx, cfg)
-				if err != nil {
-					t.Fatalf("%s p=%d %s cold: %v", variant, p, mode, err)
-				}
-				warm, err := svc.Run(ctx, cfg)
-				if err != nil {
-					t.Fatalf("%s p=%d %s warm: %v", variant, p, mode, err)
-				}
-				if warm.Cache == nil || warm.Cache.Matrix.Hits != 1 {
-					t.Fatalf("%s p=%d %s warm: Cache = %+v, want a matrix hit", variant, p, mode, warm.Cache)
-				}
-				if len(warm.Kernels) != 1 || warm.Kernels[0].Kernel != pipeline.K3PageRank {
-					t.Fatalf("%s p=%d %s warm executed %v, want [K3]", variant, p, mode, warm.Kernels)
-				}
-				assertBitEqualRanks(t, variant+" dist-grid warm-vs-cold", cold.Rank, warm.Rank)
-				svc.Close()
+			svc := serve.New()
+			cfg := runCfg(variant)
+			cfg.Workers = p
+			ctx := context.Background()
+			cold, err := svc.Run(ctx, cfg)
+			if err != nil {
+				t.Fatalf("%s p=%d cold: %v", variant, p, err)
 			}
+			warm, err := svc.Run(ctx, cfg)
+			if err != nil {
+				t.Fatalf("%s p=%d warm: %v", variant, p, err)
+			}
+			if warm.Cache == nil || warm.Cache.Matrix.Hits != 1 {
+				t.Fatalf("%s p=%d warm: Cache = %+v, want a matrix hit", variant, p, warm.Cache)
+			}
+			if len(warm.Kernels) != 1 || warm.Kernels[0].Kernel != pipeline.K3PageRank {
+				t.Fatalf("%s p=%d warm executed %v, want [K3]", variant, p, warm.Kernels)
+			}
+			assertBitEqualRanks(t, variant+" dist-grid warm-vs-cold", cold.Rank, warm.Rank)
+			svc.Close()
 		}
 	}
 }
