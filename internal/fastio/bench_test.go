@@ -2,14 +2,17 @@ package fastio_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/edge"
 	"repro/internal/fastio"
 	"repro/internal/kronecker"
+	"repro/internal/vfs"
 	"repro/internal/xrand"
 )
 
@@ -95,6 +98,42 @@ func BenchmarkTSVRead(b *testing.B) {
 				b.Fatal("decoded list differs from the encoded one")
 			}
 			reportNsPerEdge(b, in.l.Len())
+		})
+	}
+}
+
+// BenchmarkStripedWide times the whole-list passes the pipeline makes —
+// WriteStripedWide into a vfs.Mem stripe and ReadStripedInto a list with
+// room — on the s16 list at one worker and at GOMAXPROCS.
+func BenchmarkStripedWide(b *testing.B) {
+	l := benchLists()[0].l
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("write/w%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if err := fastio.WriteStripedWide(vfs.NewMem(), "k0", fastio.TSV{}, 1, l, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportNsPerEdge(b, l.Len())
+		})
+		b.Run(fmt.Sprintf("read/w%d", workers), func(b *testing.B) {
+			fs := vfs.NewMem()
+			if err := fastio.WriteStripedWide(fs, "k0", fastio.TSV{}, 1, l, 1); err != nil {
+				b.Fatal(err)
+			}
+			dst := edge.NewList(l.Len())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, err := fastio.ReadStripedInto(fs, "k0", fastio.TSV{}, dst, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !dst.Equal(l) {
+				b.Fatal("decoded list differs from the encoded one")
+			}
+			reportNsPerEdge(b, l.Len())
 		})
 	}
 }

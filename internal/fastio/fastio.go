@@ -18,7 +18,8 @@
 //   - codec resolution by name (CodecByName) and by on-disk content
 //     (Detect, DetectStriped);
 //   - striped writing and reading of edge lists across N files of a
-//     vfs.FS through one streaming source and one sink, which decode
+//     vfs.FS: whole lists on a ring of workers (WriteStripedWide,
+//     ReadStripedInto), streams through a source and a sink that decode
 //     ahead of and encode behind their callers.
 package fastio
 
@@ -103,15 +104,19 @@ func shortDigits(v uint64) (w uint64, d int) {
 	return (x | 0x30303030_30303030) >> (8 * z & 63), 8 - z
 }
 
-// putLong is putUint for any v: two digits per step from the low end, the
-// digit count from bits.Len64.
-func putLong(b []byte, i int, v uint64) int {
+// digitCount is the decimal width of v.
+func digitCount(v uint64) int {
 	// 1233/4096 ≈ log10(2): d is the digit count of v or one less.
 	d := bits.Len64(v) * 1233 >> 12
 	if v >= moreDigits[d] {
 		d++
 	}
-	end := i + d
+	return d
+}
+
+// putLong is putUint for any v: two digits per step from the low end.
+func putLong(b []byte, i int, v uint64) int {
+	end := i + digitCount(v)
 	j := end
 	for v >= 100 {
 		p := v % 100 * 2
@@ -705,19 +710,12 @@ func StripeName(prefix string, codec Codec, i int) string {
 }
 
 // WriteStriped writes the edge list across nfiles files named
-// StripeName(prefix, codec, 0..nfiles-1) through a StripedSink that expects
-// its l.Len() edges, so stripe i holds the contiguous edges
-// [⌊i·m/nfiles⌋, ⌊(i+1)·m/nfiles⌋).  nfiles must be at least 1.
+// StripeName(prefix, codec, 0..nfiles-1), so stripe i holds the contiguous
+// edges [⌊i·m/nfiles⌋, ⌊(i+1)·m/nfiles⌋): the bytes a StripedSink that
+// expects the l.Len() edges writes.  It is WriteStripedWide GOMAXPROCS
+// wide.  nfiles must be at least 1.
 func WriteStriped(fs vfs.FS, prefix string, codec Codec, nfiles int, l *edge.List) error {
-	s, err := NewStripedSink(fs, prefix, codec, nfiles, int64(l.Len()))
-	if err != nil {
-		return err
-	}
-	err = WriteEdges(s, l, 0, l.Len())
-	if cerr := s.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return WriteStripedWide(fs, prefix, codec, nfiles, l, 0)
 }
 
 // StripeNames returns the existing stripe file names for prefix, in stripe
@@ -756,40 +754,27 @@ func StripedBytes(fs vfs.FS, prefix string, codec Codec) (int64, error) {
 }
 
 // ReadStriped reads all stripes for prefix into a single new edge list, in
-// stripe order.
+// stripe order, GOMAXPROCS wide.
 func ReadStriped(fs vfs.FS, prefix string, codec Codec) (*edge.List, error) {
-	return ReadStripedInto(fs, prefix, codec, nil)
+	return ReadStripedInto(fs, prefix, codec, nil, 0)
 }
 
-// ReadStripedInto is ReadStriped decoding into dst's storage: a
-// StripedSource drained into dst, which is truncated first and grows, by
-// append, only if the stripes hold more edges than it has room for, so a
-// list of the right size is filled in place.  A nil dst is a new list.
-// dst's previous contents are lost even when the read fails.
-func ReadStripedInto(fs vfs.FS, prefix string, codec Codec, dst *edge.List) (*edge.List, error) {
-	src, err := NewStripedSource(fs, prefix, codec)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	if dst == nil {
-		dst = edge.NewList(0)
-	}
-	dst.Reset()
-	for {
-		if _, err := ReadEdges(src, dst, readChunkEdges); err != nil {
-			if err == io.EOF {
-				return dst, nil
-			}
-			return nil, err
-		}
-	}
+// ReadStripedInto is ReadStriped decoding into dst's storage on workers
+// goroutines (<= 0 means GOMAXPROCS; one starts none, and NaiveTSV always
+// decodes on the caller's).  dst is truncated first and grows, as append
+// grows it, only if the stripes hold more edges than it has room for, so
+// a list of the right size is filled in place.  A nil dst is a new list.
+// dst's previous contents are lost even when the read fails.  The edges,
+// and the error — `fastio: <file>: <cause>`, the first in stream order —
+// are a StripedSource's at every width.
+func ReadStripedInto(fs vfs.FS, prefix string, codec Codec, dst *edge.List, workers int) (*edge.List, error) {
+	return readStriped(fs, prefix, codec, dst, workers, decodeBlock)
 }
 
 // StripedSource is an EdgeSource that streams edges from a set of stripe
-// files in order, opening each file lazily.  It is the one stripe reader:
-// ReadStripedInto drains it into a list, and the out-of-core kernels
-// stream it without materializing the whole edge list.
+// files in order, opening each file lazily: the stripe reader of the
+// kernels that stream (the out-of-core sort, kernel 2's build) without
+// materializing the whole edge list.
 // The files are decoded a few batches ahead of the caller on one helper
 // goroutine (overlap.go); a decode error is `fastio: <file>: <cause>` and
 // ends the stream.  Close stops the helper: a caller that stops reading

@@ -256,11 +256,11 @@ func TestWriteReadStriped(t *testing.T) {
 }
 
 // TestReadStripedIntoFillsInPlace: the striped reader decodes into the
-// list it is handed.  One whose capacity is exactly the stripes' edge
-// count — kernel 0's list handed to kernel 1 — comes back with the same
-// backing arrays (no regrowth for slack, across several read batches and
-// stripes); stale contents, longer or shorter, never show through; a list
-// that is too small is regrown; nil makes a new one.
+// list it is handed, at one worker and at three.  One whose capacity is
+// exactly the stripes' edge count — kernel 0's list handed to kernel 1 —
+// comes back with the same backing arrays (no regrowth for slack, across
+// several pieces and stripes); stale contents, longer or shorter, never
+// show through; a list that is too small is regrown; nil makes a new one.
 func TestReadStripedIntoFillsInPlace(t *testing.T) {
 	l := randomList(9, 2*readChunkEdges+4321)
 	for _, nfiles := range []int{1, 3} {
@@ -269,27 +269,29 @@ func TestReadStripedIntoFillsInPlace(t *testing.T) {
 			if err := WriteStriped(fs, "k0", c, nfiles, l); err != nil {
 				t.Fatal(err)
 			}
-			exact := randomList(10, l.Len()) // same size, other edges
-			u0, v0 := &exact.U[0], &exact.V[0]
-			got, err := ReadStripedInto(fs, "k0", c, exact)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", c.Name(), nfiles, err)
-			}
-			if got != exact || &got.U[0] != u0 || &got.V[0] != v0 {
-				t.Errorf("%s/%d: a list of exactly the right capacity was reallocated", c.Name(), nfiles)
-			}
-			if !got.Equal(l) {
-				t.Errorf("%s/%d: decode into an exact list corrupted edges", c.Name(), nfiles)
-			}
-			for name, dst := range map[string]*edge.List{
-				"nil": nil, "empty": edge.NewList(0), "short": randomList(11, 100), "long": randomList(12, l.Len()+5000),
-			} {
-				got, err := ReadStripedInto(fs, "k0", c, dst)
-				if err != nil || !got.Equal(l) {
-					t.Errorf("%s/%d into a %s list: err %v, equal %v", c.Name(), nfiles, name, err, err == nil && got.Equal(l))
+			for _, workers := range []int{1, 3} {
+				exact := randomList(10, l.Len()) // same size, other edges
+				u0, v0 := &exact.U[0], &exact.V[0]
+				got, err := ReadStripedInto(fs, "k0", c, exact, workers)
+				if err != nil {
+					t.Fatalf("%s/%d/w%d: %v", c.Name(), nfiles, workers, err)
 				}
-				if dst != nil && got != dst {
-					t.Errorf("%s/%d into a %s list: returned another list", c.Name(), nfiles, name)
+				if got != exact || &got.U[0] != u0 || &got.V[0] != v0 {
+					t.Errorf("%s/%d/w%d: a list of exactly the right capacity was reallocated", c.Name(), nfiles, workers)
+				}
+				if !got.Equal(l) {
+					t.Errorf("%s/%d/w%d: decode into an exact list corrupted edges", c.Name(), nfiles, workers)
+				}
+				for name, dst := range map[string]*edge.List{
+					"nil": nil, "empty": edge.NewList(0), "short": randomList(11, 100), "long": randomList(12, l.Len()+5000),
+				} {
+					got, err := ReadStripedInto(fs, "k0", c, dst, workers)
+					if err != nil || !got.Equal(l) {
+						t.Errorf("%s/%d/w%d into a %s list: err %v, equal %v", c.Name(), nfiles, workers, name, err, err == nil && got.Equal(l))
+					}
+					if dst != nil && got != dst {
+						t.Errorf("%s/%d/w%d into a %s list: returned another list", c.Name(), nfiles, workers, name)
+					}
 				}
 			}
 		}

@@ -17,7 +17,9 @@ import (
 // Codecs(), and an edge (u, v) to its writer.  Every row checks that no
 // decode panics; that the striped decode (a StripedSource) decodes the same
 // edges as the codec's bare reader over the same bytes, fails exactly when
-// it does, and names the stripe in its error; that a clean decode, and
+// it does, and names the stripe in its error; that the whole-list reader
+// at widths 1, 2 and 3, in pieces of fuzzBlock bytes, decodes the same
+// edges or fails with the same error text; that a clean decode, and
 // (u, v), round-trip through the codec's writer; and that ReadStriped's
 // list has room for no more than twice the edges it holds (plus 64), so no
 // header or record can steer it into a large reservation.  Each row then
@@ -35,6 +37,10 @@ func FuzzPackedDecode(f *testing.F) { fuzzDecode(f, Packed{}) }
 // err are what a StripedSource read from data (err nil for a clean end),
 // and u, v the fuzzed edge.  Packed's oracle is the round trip every row
 // makes; naivetsv is tsv's oracle.
+// fuzzBlock is the piece size of the fuzzed whole-list reads: the seeds
+// span many pieces, and tsv records and packed blocks straddle them.
+const fuzzBlock = 16
+
 var codecOracles = map[string]func(t *testing.T, data []byte, got *edge.List, err error, u, v uint64){
 	"tsv": tsvOracle,
 	"bin": binOracle,
@@ -44,6 +50,9 @@ func fuzzDecode(f *testing.F, codecs ...Codec) {
 	// tsv: records, CRLFs, every malformed case, each side of every digit count.
 	f.Add([]byte("1\t2\n3\t4"), uint64(0), uint64(1<<64-1))
 	f.Add([]byte("1\t2\r\n3\t4\r\n"), uint64(10), uint64(99))
+	f.Add([]byte("1\t2\r\n3\t4"), uint64(10), uint64(99))
+	f.Add([]byte(strings.Repeat("0", 40)+"7\t"+strings.Repeat("0", 30)+"8\r\n1\t2\n"), uint64(7), uint64(8))
+	f.Add([]byte("1\t2\n"+strings.Repeat("9", 30)+"\t1\n"), uint64(1), uint64(2))
 	f.Add([]byte(strings.Repeat("65535\t4096\n", 2000)), uint64(100), uint64(12345678901234567890))
 	for _, c := range tsvErrorCases {
 		f.Add([]byte(c.input), uint64(len(c.input)), uint64(c.line))
@@ -84,6 +93,12 @@ func fuzzDecode(f *testing.F, codecs ...Codec) {
 			}
 			if stripe := StripeName("f", c, 0); gerr != nil && !strings.Contains(gerr.Error(), stripe) {
 				t.Fatalf("%s: error %v does not name %s", c.Name(), gerr, stripe)
+			}
+			for _, workers := range []int{1, 2, 3} {
+				l, err := readStriped(fs, "f", c, nil, workers, fuzzBlock)
+				if gerr != nil && (err == nil || err.Error() != gerr.Error()) || gerr == nil && (err != nil || !l.Equal(got)) {
+					t.Fatalf("%s: whole list at %d workers: %v; stripe: %d edges, %v", c.Name(), workers, err, got.Len(), gerr)
+				}
 			}
 			if gerr == nil {
 				l, err := ReadStriped(fs, "f", c)

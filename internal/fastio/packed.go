@@ -167,37 +167,54 @@ func (p *PackedReader) ReadEdges(l *edge.List, max int) (int, error) {
 			n = max - total
 		}
 		for k := 0; k < n; k++ {
-			u, v, err := p.decodeOne()
+			u, v, off, err := packedEdge(p.payload, p.off, p.prev)
 			if err != nil {
 				return total, err
 			}
+			p.off, p.prev = off, u
+			p.rem--
 			l.Append(u, v)
 			total++
 		}
 		if p.rem == 0 && p.off != len(p.payload) {
-			return total, fmt.Errorf("fastio: packed: %d trailing bytes in block payload", len(p.payload)-p.off)
+			return total, packedTrailingErr(len(p.payload) - p.off)
 		}
 	}
 	return total, nil
 }
 
-// decodeOne decodes the next edge of the current block.  The caller
-// guarantees p.rem > 0.
-func (p *PackedReader) decodeOne() (uint64, uint64, error) {
-	delta, n := binary.Varint(p.payload[p.off:])
+// packedEdge decodes the edge at payload[off:] of a block whose previous
+// u is prev, returning it and the offset past it.
+func packedEdge(payload []byte, off int, prev uint64) (u, v uint64, next int, err error) {
+	delta, n := binary.Varint(payload[off:])
 	if n <= 0 {
-		return 0, 0, fmt.Errorf("fastio: packed: corrupt u-delta varint")
+		return 0, 0, off, fmt.Errorf("fastio: packed: corrupt u-delta varint")
 	}
-	p.off += n
-	u := p.prev + uint64(delta) // wrapping add, inverse of the writer's wrapping subtract
-	v, n2 := binary.Uvarint(p.payload[p.off:])
-	if n2 <= 0 {
-		return 0, 0, fmt.Errorf("fastio: packed: corrupt v varint")
+	off += n
+	u = prev + uint64(delta) // wrapping add, inverse of the writer's wrapping subtract
+	v, n = binary.Uvarint(payload[off:])
+	if n <= 0 {
+		return 0, 0, off, fmt.Errorf("fastio: packed: corrupt v varint")
 	}
-	p.off += n2
-	p.prev = u
-	p.rem--
-	return u, v, nil
+	return u, v, off + n, nil
+}
+
+// packedTrailingErr is the error of a block payload with n bytes past its
+// last edge.
+func packedTrailingErr(n int) error {
+	return fmt.Errorf("fastio: packed: %d trailing bytes in block payload", n)
+}
+
+// packedHeaderErr checks a block header's edge count and payload length.
+func packedHeaderErr(count, plen uint64) error {
+	if count == 0 || count > PackedBlockEdges {
+		return fmt.Errorf("fastio: packed: block edge count %d outside [1, %d]", count, PackedBlockEdges)
+	}
+	if plen < 2*count || plen > packedMaxBytesPerEdge*count {
+		return fmt.Errorf("fastio: packed: block payload length %d outside [%d, %d] for %d edges",
+			plen, 2*count, packedMaxBytesPerEdge*count, count)
+	}
+	return nil
 }
 
 // nextBlock consumes the magic (first call) and the next block header and
@@ -238,12 +255,8 @@ func (p *PackedReader) nextBlock() error {
 		}
 		return fmt.Errorf("fastio: packed: block header: %w", err)
 	}
-	if count == 0 || count > PackedBlockEdges {
-		return fmt.Errorf("fastio: packed: block edge count %d outside [1, %d]", count, PackedBlockEdges)
-	}
-	if plen < 2*count || plen > packedMaxBytesPerEdge*count {
-		return fmt.Errorf("fastio: packed: block payload length %d outside [%d, %d] for %d edges",
-			plen, 2*count, packedMaxBytesPerEdge*count, count)
+	if err := packedHeaderErr(count, plen); err != nil {
+		return err
 	}
 	// plen ≤ packedMaxBytesPerEdge·PackedBlockEdges fits r's buffer, so the
 	// payload decodes where it lies.

@@ -9,16 +9,17 @@ import (
 )
 
 // StripedSink is an EdgeSink that distributes an edge stream across a fixed
-// number of stripe files, the one stripe writer (WriteStriped is a sink
-// handed a whole list).  Its layout rule is cumulative: for a stream of
-// the expected m edges, stripe i ends after edge ⌊(i+1)·m/nfiles⌋, so it
-// holds ⌊(i+1)·m/nfiles⌋ − ⌊i·m/nfiles⌋ of them, possibly none; the last
-// stripe absorbs any overflow, and a shorter stream leaves the stripes
-// past its end unwritten.  Edges are encoded and written behind the caller
-// on one helper goroutine (overlap.go): a write error — `fastio: <stripe>:
-// <cause>` — surfaces at a later write, at Flush or at Close, which wait for
-// every edge written before them.  Close flushes and closes the current
-// stripe and stops the helper.
+// number of stripe files: the stripe writer of the kernels that stream
+// (WriteStripedWide writes a whole list, with the same bytes).  Its layout
+// rule is cumulative: for a stream of the expected m edges, stripe i ends
+// after edge ⌊(i+1)·m/nfiles⌋, so it holds ⌊(i+1)·m/nfiles⌋ − ⌊i·m/nfiles⌋
+// of them, possibly none; the last stripe absorbs any overflow, and a
+// shorter stream leaves the stripes past its end unwritten.  Edges are
+// encoded and written behind the caller on one helper goroutine
+// (overlap.go): a write error — `fastio: <stripe>: <cause>` — surfaces at
+// a later write, at Flush or at Close, which wait for every edge written
+// before them.  Close flushes and closes the current stripe and stops the
+// helper.
 type StripedSink struct {
 	writeBehind
 	out stripeWriter

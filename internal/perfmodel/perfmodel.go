@@ -103,10 +103,11 @@ type Workload struct {
 	// memory-bound kernels stop speeding up once bandwidth binds (the
 	// paper's central claim, now visible inside a single rank too).
 	RankWorkers int
-	// Workers is kernel 0's sampling width (pipeline.Config.Workers):
-	// the Kronecker sampling runs on this many cores, capped at
-	// Hardware.Cores, while the edge formatting stays on one.  0/1 model
-	// serial sampling.
+	// Workers is the cold kernels' width (pipeline.Config.Workers): the
+	// Kronecker sampling runs on this many cores, capped at
+	// Hardware.Cores, and so does the in-memory pipeline's codec work
+	// (RunEdges == 0: K0's formatting, K1's parse and format), which the
+	// out-of-core one streams on one core.  0/1 model serial kernels.
 	Workers int
 }
 
@@ -196,22 +197,34 @@ func prediction(edges float64, times map[string]float64) Prediction {
 	return Prediction{Seconds: total, EdgesPerSecond: edges / total, Bound: bound}
 }
 
+// codecCores is the cores w's whole-list codec passes keep busy: its
+// Workers in memory, one when RunEdges streams the files.
+func codecCores(w Workload, h Hardware) float64 {
+	if w.RunEdges > 0 {
+		return 1
+	}
+	return cores(w.Workers, h)
+}
+
 // Kernel0 predicts graph generation and write-out.  The sampling term
-// divides by min(Workload.Workers, Cores); the formatting term does not.
+// divides by min(Workload.Workers, Cores), and so does the formatting
+// term unless Workload.RunEdges streams the files.
 func Kernel0(h Hardware, w Workload) Prediction {
 	w = w.withDefaults()
 	m := w.M()
-	compute := m * (genOpsPerBit*float64(w.Scale)/cores(w.Workers, h) + formatOpsPerByte*w.BytesPerEdgeText) / h.ScalarRate
+	compute := m * (genOpsPerBit*float64(w.Scale)/cores(w.Workers, h) + formatOpsPerByte*w.BytesPerEdgeText/codecCores(w, h)) / h.ScalarRate
 	storage := m * w.BytesPerEdgeText / h.StorageWriteBW
 	return prediction(m, map[string]float64{"compute": compute, "storage": storage})
 }
 
-// Kernel1 predicts read, radix sort, write.
+// Kernel1 predicts read, radix sort, write.  The parse and format term
+// divides by min(Workload.Workers, Cores) unless Workload.RunEdges
+// streams the files.
 func Kernel1(h Hardware, w Workload) Prediction {
 	w = w.withDefaults()
 	m := w.M()
 	passes := math.Ceil(float64(w.Scale) / 8)
-	compute := m * (parseOpsPerByte + formatOpsPerByte) * w.BytesPerEdgeText / h.ScalarRate
+	compute := m * (parseOpsPerByte + formatOpsPerByte) * w.BytesPerEdgeText / h.ScalarRate / codecCores(w, h)
 	memory := m * radixBytesPerEdgePass * passes / h.MemBandwidth
 	storage := m*w.BytesPerEdgeText/h.StorageReadBW + m*w.BytesPerEdgeText/h.StorageWriteBW
 	return prediction(m, map[string]float64{"compute": compute, "memory": memory, "storage": storage})

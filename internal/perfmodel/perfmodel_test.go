@@ -243,8 +243,9 @@ func TestCompareRankElapsed(t *testing.T) {
 }
 
 // TestKernel0Workers pins K0's two compute terms: sampling divides by
-// min(Workers, Cores), formatting stays on one core, and 0 or 1 worker
-// is the serial model.
+// min(Workers, Cores), and so does formatting in memory, while a
+// streaming (RunEdges > 0) run formats on one core; 0 or 1 worker is the
+// serial model.
 func TestKernel0Workers(t *testing.T) {
 	h := PaperNode()
 	w := wl().withDefaults()
@@ -252,11 +253,39 @@ func TestKernel0Workers(t *testing.T) {
 	sample := m * genOpsPerBit * float64(w.Scale) / h.ScalarRate
 	format := m * formatOpsPerByte * w.BytesPerEdgeText / h.ScalarRate
 	storage := m * w.BytesPerEdgeText / h.StorageWriteBW
-	for _, c := range []struct{ workers, cores int }{{0, 1}, {1, 1}, {4, 4}, {16, 16}, {64, 16}} {
-		w.Workers = c.workers
-		want := sample/float64(c.cores) + format + storage
-		if got := Kernel0(h, w).Seconds; math.Abs(got-want) > 1e-12*want {
-			t.Errorf("Workers %d: K0 %.9g s, want %.9g (sampling on %d cores)", c.workers, got, want, c.cores)
+	for _, runEdges := range []int{0, 1 << 20} {
+		for _, c := range []struct{ workers, cores int }{{0, 1}, {1, 1}, {4, 4}, {16, 16}, {64, 16}} {
+			w.Workers, w.RunEdges = c.workers, runEdges
+			codecCores := float64(c.cores)
+			if runEdges > 0 {
+				codecCores = 1
+			}
+			want := sample/float64(c.cores) + format/codecCores + storage
+			if got := Kernel0(h, w).Seconds; math.Abs(got-want) > 1e-12*want {
+				t.Errorf("Workers %d RunEdges %d: K0 %.9g s, want %.9g (sampling on %d cores)", c.workers, runEdges, got, want, c.cores)
+			}
 		}
+	}
+}
+
+// TestKernel1Workers pins K1's parse and format term: it divides by
+// min(Workers, Cores) in memory and stays on one core when RunEdges
+// streams the files; the sort's memory and the storage terms do not move.
+func TestKernel1Workers(t *testing.T) {
+	h := PaperNode()
+	w := wl().withDefaults()
+	m := w.M()
+	codec := m * (parseOpsPerByte + formatOpsPerByte) * w.BytesPerEdgeText / h.ScalarRate
+	serial := Kernel1(h, w).Seconds
+	for _, c := range []struct{ workers, cores int }{{0, 1}, {1, 1}, {4, 4}, {16, 16}, {64, 16}} {
+		w.Workers, w.RunEdges = c.workers, 0
+		want := serial - codec + codec/float64(c.cores)
+		if got := Kernel1(h, w).Seconds; math.Abs(got-want) > 1e-9*want {
+			t.Errorf("Workers %d: K1 %.9g s, want %.9g (codec on %d cores)", c.workers, got, want, c.cores)
+		}
+	}
+	w.Workers, w.RunEdges = 16, 1<<20
+	if got := Kernel1(h, w).Seconds; got != serial {
+		t.Errorf("Workers 16, RunEdges > 0: K1 %.9g s, want the serial %.9g (codec on one core)", got, serial)
 	}
 }

@@ -15,10 +15,10 @@ import (
 // byte once allocates ~90 at this scale: the generated list (16 B/edge,
 // reused as kernel 1's decode target), the radix sort's second list (16),
 // two tsv files (~12 each), the matrix reserved at M (12) and its
-// transpose (~11); K0 and K1 write and read their stripes through the
-// stream batches, and kernel 2 streams the k1 stripes and decodes into no
-// list.  A doubling file buffer or a list allocated per decode puts it at
-// 170, so either fails here, not in a benchmark.
+// transpose (~11); K0 and K1 write and read their stripes through rings
+// of 2·GOMAXPROCS pieces, and kernel 2 streams the k1 stripes and decodes
+// into no list.  A doubling file buffer or a list allocated per decode
+// puts it at 170, so either fails here, not in a benchmark.
 func TestColdRunAllocBudget(t *testing.T) {
 	const variant, budget = "csr", 110
 	cfg := core.Config{Scale: 14, Seed: 1, Variant: variant, Format: "tsv", KeepRank: true}

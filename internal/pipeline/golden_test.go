@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/edge"
+	"repro/internal/fastio"
 	"repro/internal/vfs"
 )
 
@@ -106,26 +108,41 @@ func TestColdPathGolden(t *testing.T) {
 	}
 }
 
-// TestKernel0WidthInvariance: csr's kernel 0 (kronecker.Generate) and
-// extsort's (kronecker.GenerateTo) each write the same k0 bytes at every
-// Config.Workers.  M = 98 304 is six of the generator's sampling chunks,
-// so the wide runs start chunks from jumped states.
+// TestKernel0WidthInvariance: csr's kernel 0 (kronecker.Generate, then
+// fastio.WriteStripedWide) and extsort's (kronecker.GenerateTo into a
+// StripedSink) each write the same k0 bytes at every Config.Workers, and
+// ReadStripedInto at that width decodes them to the same list.
+// M = 98 304 is six of the generator's sampling chunks and twelve encode
+// pieces, so the wide runs start chunks from jumped states; M = 81 920
+// over three stripes ends each stripe inside a piece, and its stripes
+// span several decode pieces, which tsv records straddle.
 func TestKernel0WidthInvariance(t *testing.T) {
-	for _, v := range []Variant{csrVariant{}, extsortVariant{}} {
-		for _, format := range []string{"tsv", "packed"} {
-			for _, nfiles := range []int{1, 3} {
-				var want uint64
-				for _, workers := range []int{1, 2, 3, 8} {
-					fs := vfs.NewMem()
-					cfg := Config{Scale: 15, EdgeFactor: 3, Seed: 5, NFiles: nfiles, Format: format, Workers: workers, FS: fs}.withDefaults()
-					if err := v.Kernel0(&Run{Cfg: cfg, FS: fs}); err != nil {
-						t.Fatal(err)
-					}
-					got := hashFiles(t, fs, "k0-")
-					if workers == 1 {
-						want = got
-					} else if got != want {
-						t.Errorf("%s %s/%d files: k0 bytes at %d workers differ from 1 worker's", v.Name(), format, nfiles, workers)
+	for _, size := range []struct{ scale, ef int }{{15, 3}, {14, 5}} {
+		for _, v := range []Variant{csrVariant{}, extsortVariant{}} {
+			for _, format := range []string{"tsv", "bin", "packed"} {
+				for _, nfiles := range []int{1, 3} {
+					var want uint64
+					var wantList *edge.List
+					for _, workers := range []int{1, 2, 3, 8} {
+						fs := vfs.NewMem()
+						cfg := Config{Scale: size.scale, EdgeFactor: size.ef, Seed: 5, NFiles: nfiles, Format: format, Workers: workers, FS: fs}.withDefaults()
+						run := &Run{Cfg: cfg, FS: fs}
+						if err := v.Kernel0(run); err != nil {
+							t.Fatal(err)
+						}
+						got := hashFiles(t, fs, "k0-")
+						l, err := fastio.ReadStripedInto(fs, "k0", run.Codec(), nil, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						at := fmt.Sprintf("%s s%d/ef%d %s/%d files", v.Name(), size.scale, size.ef, format, nfiles)
+						if workers == 1 {
+							want, wantList = got, l
+						} else if got != want {
+							t.Errorf("%s: k0 bytes at %d workers differ from 1 worker's", at, workers)
+						} else if !l.Equal(wantList) {
+							t.Errorf("%s: k0 list decoded at %d workers differs from 1 worker's", at, workers)
+						}
 					}
 				}
 			}

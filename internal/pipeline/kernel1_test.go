@@ -16,8 +16,43 @@ import (
 // stripes every variant that runs it writes the same k1 bytes — csr,
 // graphblas and extsort at every width in memory, at every run size out
 // of core, by u and by (u, v); columnar equals csr by (u, v).  An out-of-core
-// kernel 1 drops the run's spare list, an in-memory one sorts in it.
+// kernel 1 drops the run's spare list, an in-memory one sorts in it.  Over
+// k0 stripes that span several decode and encode pieces (M = 81 920, whose
+// three stripes end inside a piece), csr's in-memory kernel 1 decodes,
+// sorts and encodes at every width to the 1-worker list and k1 bytes.
 func TestKernel1Invariance(t *testing.T) {
+	for _, format := range []string{"tsv", "bin", "packed"} {
+		for _, nfiles := range []int{1, 3} {
+			fs := vfs.NewMem()
+			base := Config{Scale: 14, EdgeFactor: 5, Seed: 5, NFiles: nfiles, Format: format, Variant: "csr", FS: fs}.withDefaults()
+			if err := (csrVariant{}).Kernel0(&Run{Cfg: base, FS: fs}); err != nil {
+				t.Fatal(err)
+			}
+			var want uint64
+			var wantList *edge.List
+			for _, workers := range []int{1, 2, 3, 8} {
+				cfg := base
+				cfg.Workers = workers
+				run := &Run{Cfg: cfg, FS: fs}
+				if err := (csrVariant{}).Kernel1(run); err != nil {
+					t.Fatal(err)
+				}
+				got := hashFiles(t, fs, "k1-")
+				l, err := fastio.ReadStripedInto(fs, "k1", run.Codec(), nil, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case workers == 1:
+					want, wantList = got, l
+				case got != want:
+					t.Errorf("%s/%d files: k1 bytes at %d workers differ from 1 worker's", format, nfiles, workers)
+				case !l.Equal(wantList) || !run.spare.Equal(wantList):
+					t.Errorf("%s/%d files: k1 list at %d workers differs from 1 worker's", format, nfiles, workers)
+				}
+			}
+		}
+	}
 	for _, format := range []string{"tsv", "packed"} {
 		for _, nfiles := range []int{1, 3} {
 			fs := vfs.NewMem()

@@ -84,12 +84,16 @@ type Config struct {
 	// Generator selects the K0 generator; empty selects Kronecker.
 	Generator GeneratorKind
 	// Workers is kernel 0's Kronecker sampling and shuffle width (extsort
-	// streams through kronecker.GenerateTo, which does not shuffle),
+	// streams through kronecker.GenerateTo, which does not shuffle), the
+	// width of the whole-list stripe passes (fastio.WriteStripedWide and
+	// ReadStripedInto: kernel 0's encode, kernel 1's decode and encode in
+	// memory, every whole-list decode; naivetsv's stay on one core),
 	// kernel 1's in-memory sort width (every variant but coo and the dist
 	// variants' by-u sample sort) and kernel 3's gather team width (csr,
 	// extsort); results are bit-for-bit invariant in it.  It is also the
 	// dist variants' rank count.  <= 0 means GOMAXPROCS (four ranks for
-	// the dist variants; their kernel 0 then runs GOMAXPROCS wide).
+	// the dist variants; their kernel 0 and stripe passes then run
+	// GOMAXPROCS wide).
 	Workers int
 	// RunEdges is kernel 1's in-memory run size in edges.  A positive
 	// value takes kernel 1 out of core for every variant but coo: it sorts
@@ -804,8 +808,8 @@ func ExecuteKernelsContext(ctx context.Context, cfg Config, kernels []Kernel) (r
 // into the "k1" stripes.  A positive runEdges takes it out of core: the
 // run's spare is dropped first, so no more than runEdges edges are held
 // (plus the sort's auxiliary list), and externalSort streams the stripes.
-// Otherwise the stripes decode into the spare and xsort.Sort sorts it
-// Config.Workers wide.  The k1 bytes are the same either way, at every
+// Otherwise the stripes decode into the spare, xsort.Sort sorts it and the
+// list encodes into the k1 stripes, each Config.Workers wide.  The k1 bytes are the same either way, at every
 // width and run size: every path is a stable sort.
 func sortKernel1(r *Run, runEdges int, byUV bool) error {
 	if runEdges > 0 {
@@ -822,7 +826,7 @@ func sortKernel1(r *Run, runEdges int, byUV bool) error {
 		return err
 	}
 	xsort.Sort(l, byUV, r.Cfg.Workers)
-	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
+	return fastio.WriteStripedWide(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l, r.Cfg.Workers)
 }
 
 // externalSort is sortKernel1 out of core: stream the k0 stripes through
@@ -948,10 +952,10 @@ func generateEdges(r *Run) error {
 	return writeGenerated(r, l)
 }
 
-// writeGenerated writes kernel 0's list l to the "k0" stripes and keeps it
-// as the run's spare.
+// writeGenerated writes kernel 0's list l to the "k0" stripes,
+// Config.Workers wide, and keeps it as the run's spare.
 func writeGenerated(r *Run, l *edge.List) error {
-	if err := fastio.WriteStriped(r.FS, "k0", r.Codec(), r.Cfg.NFiles, l); err != nil {
+	if err := fastio.WriteStripedWide(r.FS, "k0", r.Codec(), r.Cfg.NFiles, l, r.Cfg.Workers); err != nil {
 		return err
 	}
 	r.spare = l
@@ -990,8 +994,8 @@ func (r *Run) settleStripes(k Kernel, res *Result) error {
 	return nil
 }
 
-// readEdges decodes the stripes of prefix ("k0" or "k1") into the run's
-// spare list, or — the first kernel of a kernel subset — into a new one,
+// readEdges decodes the stripes of prefix ("k0" or "k1"), Config.Workers
+// wide, into the run's spare list, or — the first kernel of a kernel subset — into a new one,
 // made once at the M edges a run's files hold (up to 2^30).  The list it
 // returns is the run's spare from then on, so the next kernel decodes
 // into it in turn.
@@ -1000,7 +1004,7 @@ func readEdges(r *Run, prefix string) (*edge.List, error) {
 	if dst == nil {
 		dst = edge.NewList(int(min(r.Cfg.M(), 1<<30)))
 	}
-	l, err := fastio.ReadStripedInto(r.FS, prefix, r.Codec(), dst)
+	l, err := fastio.ReadStripedInto(r.FS, prefix, r.Codec(), dst, r.Cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

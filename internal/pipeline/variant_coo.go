@@ -40,7 +40,7 @@ func (cooVariant) Kernel1(r *Run) error {
 	} else {
 		xsort.ByUStable(l)
 	}
-	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l)
+	return fastio.WriteStripedWide(r.FS, "k1", r.Codec(), r.Cfg.NFiles, l, r.Cfg.Workers)
 }
 
 // Kernel2 implements Variant.

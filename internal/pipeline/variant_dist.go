@@ -87,7 +87,7 @@ func (v distVariant) Kernel1(r *Run) error {
 			r.Spill.Runs += n
 		}
 	}
-	return fastio.WriteStriped(r.FS, "k1", r.Codec(), r.Cfg.NFiles, res.Sorted)
+	return fastio.WriteStripedWide(r.FS, "k1", r.Codec(), r.Cfg.NFiles, res.Sorted, r.Cfg.Workers)
 }
 
 // Kernel2 implements Variant.
