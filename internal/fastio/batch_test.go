@@ -2,9 +2,11 @@ package fastio
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/edge"
 	"repro/internal/vfs"
@@ -249,5 +251,34 @@ func TestBinaryReadEdgesTruncated(t *testing.T) {
 	}
 	if got.Len() != 9 {
 		t.Errorf("decoded %d intact edges before the tear, want 9", got.Len())
+	}
+}
+
+// TestReadEdgesTornRead: a read error that cuts a stream's last record
+// short comes back after the whole records before it, from every codec,
+// and the torn record never decodes as an edge.  (bufio.Scanner hands
+// NaiveTSV the torn line as a last token, with the error beside it.)
+func TestReadEdgesTornRead(t *testing.T) {
+	errTorn := errors.New("torn read")
+	l := edge.NewList(2)
+	l.Append(1, 2)
+	l.Append(123, 45)
+	for _, c := range Codecs() {
+		var buf bytes.Buffer
+		w := c.NewWriter(&buf)
+		for i := range 2 { // an edge per Packed block: the tear cuts only the second
+			if err := WriteEdges(w, l, i, i+1); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data := buf.Bytes() // tsv: "1\t2\n123\t45\n"
+		torn := io.MultiReader(bytes.NewReader(data[:len(data)-1]), iotest.ErrReader(errTorn))
+		got, err := drain(t, c.NewReader(torn), 1000)
+		if !errors.Is(err, errTorn) || got.Len() != 1 || got.U[0] != 1 || got.V[0] != 2 {
+			t.Errorf("%s: %d edges %v %v, then %v; want (1, 2), then the read error", c.Name(), got.Len(), got.U, got.V, err)
+		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 )
 
 // The tsv codec benchmarks drive the bulk calls the pipeline drives
-// (fastio.WriteEdges over a whole list, TSVReader.ReadEdges in 16 Ki-edge
-// batches into a list that already has room) and report ns/edge.  The
+// (fastio.WriteEdges over a whole list, the tsv reader's ReadEdges in
+// 16 Ki-edge batches into a list that already has room) and report ns/edge.  The
 // "s16" input is kernel 0's scale-16 Kronecker list (labels of at most 5
 // digits); "8digit" has the widest labels the word-at-a-time paths take
 // (scale 26), "20digit" the widest records.

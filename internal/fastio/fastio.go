@@ -38,14 +38,14 @@ import (
 	"repro/internal/vfs"
 )
 
-// DefaultBufSize is the buffer size used by codec readers and writers.
-// 256 KiB amortizes syscall and copy overhead at the record sizes involved
+// DefaultBufSize is the buffer size of NaiveTSV's writer.  256 KiB
+// amortizes syscall and copy overhead at the record sizes involved
 // (≈ 15 bytes per edge at benchmark scales).
 const DefaultBufSize = 256 << 10
 
 // AppendUint appends the decimal representation of v to dst and returns the
 // extended slice.  It is equivalent to strconv.AppendUint(dst, v, 10),
-// through the routine the TSV writer formats its records with.
+// through the routine the TSV encoder formats its records with.
 func AppendUint(dst []byte, v uint64) []byte {
 	i := len(dst)
 	dst = slices.Grow(dst, maxDigits)
@@ -155,10 +155,10 @@ func parseDigits(x uint64, k int) uint64 {
 	return x * (10000<<32 + 1) >> 32
 }
 
-// ErrSyntax is the cause of a TSVReader error on a malformed record.
+// ErrSyntax is the cause of a TSV decode error on a malformed record.
 var ErrSyntax = errors.New("fastio: invalid unsigned integer")
 
-// ErrRange is the cause of a TSVReader error on a field that overflows
+// ErrRange is the cause of a TSV decode error on a field that overflows
 // uint64.
 var ErrRange = errors.New("fastio: unsigned integer out of range")
 
@@ -232,67 +232,37 @@ type TSV struct{}
 // Name implements Codec.
 func (TSV) Name() string { return "tsv" }
 
-// BytesPerEdge implements Codec: two decimal numbers of roughly equal
-// average width, a tab and a newline.
+// BytesPerEdge implements Codec: two decimal labels, a tab and a newline.
+// Most uniform labels below maxVertex share the widest one's digit count,
+// which is close enough for sizing estimates.
 func (TSV) BytesPerEdge(maxVertex uint64) float64 {
-	return 2*avgDecimalWidth(maxVertex) + 2
-}
-
-// avgDecimalWidth approximates the mean decimal width of uniform labels in
-// [0, maxVertex).
-func avgDecimalWidth(maxVertex uint64) float64 {
-	if maxVertex == 0 {
-		return 1
-	}
-	d := len(strconv.FormatUint(maxVertex-1, 10))
-	// Most uniform values share the top width; this is close enough for
-	// sizing estimates.
-	return float64(d)
+	return 2*float64(digitCount(max(maxVertex, 1)-1)) + 2
 }
 
 // NewWriter implements Codec.
-func (TSV) NewWriter(w io.Writer) EdgeSink { return NewTSVWriter(w, DefaultBufSize) }
+func (TSV) NewWriter(w io.Writer) EdgeSink { return newBlockWriter(TSV{}, w) }
 
 // NewReader implements Codec.
-func (TSV) NewReader(r io.Reader) EdgeSource { return NewTSVReader(r, DefaultBufSize) }
-
-// TSVWriter encodes edges as "u\tv\n" records with an internal buffer.
-type TSVWriter struct {
-	w   io.Writer
-	buf []byte
-	max int
-}
-
-// NewTSVWriter returns a TSVWriter with the given buffer size.
-func NewTSVWriter(w io.Writer, bufSize int) *TSVWriter {
-	if bufSize < 64 {
-		bufSize = 64
-	}
-	return &TSVWriter{w: w, buf: make([]byte, 0, bufSize), max: bufSize}
-}
+func (TSV) NewReader(r io.Reader) EdgeSource { return newBlockReader(TSV{}, r, decodeBlock) }
 
 // maxRecord is the longest record: two maxDigits fields, a tab, a newline.
 const maxRecord = 2*maxDigits + 2
 
-// WriteEdges implements EdgeSink.  The buffer always has room for one more
-// record, so each record is formatted in place, with the buffer and its
-// fill level in locals between flushes.
-func (t *TSVWriter) WriteEdges(l *edge.List, lo, hi int) error {
+// appendEdges makes room for the records once, at a record width their
+// largest digit count bounds, and formats each in place (putRecord).
+func (TSV) appendEdges(dst []byte, l *edge.List, lo, hi int, _ bool) []byte {
 	us, vs := l.U[lo:hi], l.V[lo:hi]
 	vs = vs[:len(us)]
-	b, n := t.buf[:t.max], len(t.buf)
-	for i, u := range us {
-		n = putRecord(b, n, u, vs[i])
-		if n >= t.max-maxRecord {
-			t.buf = b[:n]
-			if err := t.Flush(); err != nil {
-				return err
-			}
-			n = 0
-		}
+	var or uint64 // no label has more digits than or
+	for k, u := range us {
+		or |= u | vs[k]
 	}
-	t.buf = b[:n]
-	return nil
+	b, i := slices.Grow(dst, len(us)*(2*digitCount(or)+2)+maxRecord), len(dst)
+	b = b[:cap(b)]
+	for k, u := range us {
+		i = putRecord(b, i, u, vs[k])
+	}
+	return b[:i]
 }
 
 // putRecord writes the record "u\tv\n" into b at offset i and returns the
@@ -315,83 +285,51 @@ func putRecord(b []byte, i int, u, v uint64) int {
 	return i + 1
 }
 
-// Flush implements EdgeSink.
-func (t *TSVWriter) Flush() error {
-	if len(t.buf) == 0 {
-		return nil
+// cut ends a block after its last newline, or at the end of the stream,
+// where a final record may lack one: every record is one line.
+func (TSV) cut(b []byte, _, eof bool) (n, edges int, err error) {
+	n = bytes.LastIndexByte(b, '\n') + 1
+	edges = bytes.Count(b[:n], []byte{'\n'})
+	if eof && n < len(b) {
+		n, edges = len(b), edges+1
 	}
-	_, err := t.w.Write(t.buf)
-	t.buf = t.buf[:0]
-	return err
+	return n, edges, nil
 }
 
-// TSVReader decodes "u\tv\n" records, scanning digits straight out of its
-// own buffer, which it refills only once every byte in it is consumed — a
-// record may straddle a refill at any byte.  It tolerates \r\n line
-// endings and a final record without a newline; input that ends anywhere
-// else inside a record is truncated, and the error (io.ErrUnexpectedEOF)
-// carries the line number like every parse error.
-type TSVReader struct {
-	r        io.Reader
-	buf      []byte // a refill, then a non-digit at buf[end], then wordSlack bytes
-	pos, end int    // buf[pos:end] is read but not yet decoded
-	line     int
-	err      error // what r ended with, io.EOF included; reported once buf drains
+// decode runs the scanner over b where it lies, as the whole of its input.
+func (TSV) decode(b []byte, us, vs []uint64, _ bool, line int) (int, error) {
+	t := tsvScanner{buf: b[:len(b)+1+wordSlack], end: len(b), line: line}
+	t.buf[len(b)] = 0 // the end-of-data byte
+	return t.words(us, vs)
 }
 
-// wordSlack is the room past a TSVReader's end-of-data byte that lets
-// ReadEdges load any field that starts at or before it as one 8-byte word.
+// tsvScanner decodes "u\tv\n" records out of a block cut after a record:
+// buf[:end] is the block, buf[end] a non-digit and wordSlack bytes follow.
+// It tolerates \r\n line endings and a final record without a newline;
+// input that ends anywhere else inside a record is truncated, and the
+// error (io.ErrUnexpectedEOF) carries the line number like every parse
+// error.  Only the stream's last block can end inside a record: cut ends
+// every other one after a newline.
+type tsvScanner struct {
+	buf      []byte
+	pos, end int // buf[pos:end] is not yet decoded
+	line     int // records before buf[pos]
+}
+
+// wordSlack is the room past a block's end-of-data byte that lets words
+// load any field that starts at or before it as one 8-byte word.
 const wordSlack = 8
-
-// NewTSVReader returns a TSVReader with the given buffer size.
-func NewTSVReader(r io.Reader, bufSize int) *TSVReader {
-	if bufSize < 16 {
-		bufSize = 16
-	}
-	return &TSVReader{r: r, buf: make([]byte, bufSize+1+wordSlack)}
-}
-
-// ReadEdges implements EdgeSource.  Records decode straight into l's spare
-// capacity (words); only when l has none left does a record go through
-// readEdge and l.Append, which grows l exactly as appending edge by edge
-// would.
-func (t *TSVReader) ReadEdges(l *edge.List, max int) (int, error) {
-	n := 0
-	for n < max {
-		var got int
-		var err error
-		if lo, room := len(l.U), min(cap(l.U), cap(l.V))-len(l.U); room > 0 {
-			hi := lo + min(room, max-n)
-			got, err = t.words(l.U[lo:hi], l.V[lo:hi])
-			l.U, l.V = l.U[:lo+got], l.V[:lo+got]
-		} else {
-			var u, v uint64
-			if u, v, err = t.readEdge(); err == nil {
-				l.Append(u, v)
-				got = 1
-			}
-		}
-		n += got
-		if err == io.EOF && n > 0 {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
 
 // words decodes records into us and vs (of equal length) until they are
 // full, returning the number decoded.  A record whose fields are each 1–8
 // digits, the first ending in a tab and the second in a newline, decodes a
 // word at a time; every other record — longer or empty fields, a \r, any
-// other byte, or a record the buffer's data ends in — goes to readEdge from
-// its first byte, and its error, io.EOF included, ends the batch.  The
-// buffer's end-of-data byte is a non-digit and wordSlack bytes follow it,
-// so a field load never leaves the buffer and a field that reaches the end
-// of the data never passes for a whole one.
-func (t *TSVReader) words(us, vs []uint64) (int, error) {
+// other byte, or a record the data ends in — goes to readEdge from its
+// first byte, and its error, io.EOF included, ends the batch.  The
+// end-of-data byte is a non-digit and wordSlack bytes follow it, so a
+// field load never leaves the buffer and a field that reaches the end of
+// the data never passes for a whole one.
+func (t *tsvScanner) words(us, vs []uint64) (int, error) {
 	vs = vs[:len(us)]
 	buf, pos, line := t.buf, t.pos, t.line
 	for i := range us {
@@ -419,8 +357,8 @@ func (t *TSVReader) words(us, vs []uint64) (int, error) {
 }
 
 // readEdge decodes the next record.  It is the byte scanner that defines
-// the format; ReadEdges hands it every record its word path does not take.
-func (t *TSVReader) readEdge() (uint64, uint64, error) {
+// the format; words hands it every record its word path does not take.
+func (t *tsvScanner) readEdge() (uint64, uint64, error) {
 	t.line++
 	u, v, err := t.record()
 	if err != nil && err != io.EOF {
@@ -429,62 +367,38 @@ func (t *TSVReader) readEdge() (uint64, uint64, error) {
 	return u, v, err
 }
 
-// refill replaces the fully decoded buffer with the next bytes of input.
-// It returns false when there are none, leaving the cause in t.err.
-func (t *TSVReader) refill() bool {
-	t.pos, t.end = 0, 0
-	for tries := 0; t.end == 0 && t.err == nil; tries++ {
-		if tries == 100 {
-			t.err = io.ErrNoProgress
-			break
-		}
-		t.end, t.err = t.r.Read(t.buf[:len(t.buf)-1-wordSlack])
-	}
-	t.buf[t.end] = 0 // stops the digit loop at the end of the data
-	return t.end > 0
-}
-
 // record decodes one record.  io.EOF means the input ended cleanly before
 // the record's first byte; every other error is bare, for readEdge to
 // position.
-func (t *TSVReader) record() (u, v uint64, err error) {
+func (t *tsvScanner) record() (u, v uint64, err error) {
 	const cutoff = (1<<64-1)/10 + 1
 	buf, pos := t.buf, t.pos
 	for field := 0; ; field++ {
 		var n uint64
 		digits := 0
-		for {
-			for ; ; pos++ {
-				d := uint64(buf[pos] - '0')
-				if d > 9 {
-					break
-				}
-				if n >= cutoff {
-					return 0, 0, ErrRange
-				}
-				n = n*10 + d
-				if n < d {
-					return 0, 0, ErrRange
-				}
-				digits++
+		for ; ; pos++ {
+			d := uint64(buf[pos] - '0')
+			if d > 9 {
+				break
 			}
-			if pos != t.end {
-				break // a terminator
+			if n >= cutoff {
+				return 0, 0, ErrRange
 			}
-			// The data ran out mid-field: go on in the next buffer.
-			t.pos = pos
-			if !t.refill() {
-				switch {
-				case t.err != io.EOF:
-					return 0, 0, t.err
-				case field == 0 && digits == 0:
-					return 0, 0, io.EOF
-				case field == 1 && digits > 0: // final record, no newline
-					return u, n, nil
-				}
-				return 0, 0, io.ErrUnexpectedEOF
+			n = n*10 + d
+			if n < d {
+				return 0, 0, ErrRange
 			}
-			pos = 0
+			digits++
+		}
+		if pos == t.end { // the data ends inside the field
+			switch {
+			case field == 0 && digits == 0:
+				return 0, 0, io.EOF
+			case field == 1 && digits > 0: // final record, no newline
+				t.pos = pos
+				return u, n, nil
+			}
+			return 0, 0, io.ErrUnexpectedEOF
 		}
 		c := buf[pos]
 		pos++
@@ -498,14 +412,7 @@ func (t *TSVReader) record() (u, v uint64, err error) {
 			u = n
 			continue
 		}
-		if c == '\r' { // tolerate CRLF: the next byte must be the newline
-			if pos == t.end {
-				t.pos = pos
-				if !t.refill() {
-					return 0, 0, ErrSyntax
-				}
-				pos = 0
-			}
+		if c == '\r' && pos < t.end { // tolerate CRLF: the next byte must be the newline
 			c = buf[pos]
 			pos++
 		}
@@ -571,10 +478,11 @@ type naiveReader struct {
 // calls per edge.
 func (n *naiveReader) ReadEdges(l *edge.List, max int) (int, error) {
 	for got := 0; got < max; got++ {
-		if !n.s.Scan() {
-			if err := n.s.Err(); err != nil {
-				return got, err
-			}
+		more := n.s.Scan()
+		if err := n.s.Err(); err != nil {
+			return got, err // the token beside a read error may be a line it cut short
+		}
+		if !more {
 			if got > 0 {
 				return got, nil
 			}
@@ -615,81 +523,33 @@ func (Binary) Name() string { return "bin" }
 func (Binary) BytesPerEdge(uint64) float64 { return 16 }
 
 // NewWriter implements Codec.
-func (Binary) NewWriter(w io.Writer) EdgeSink {
-	return &binWriter{w: w, buf: make([]byte, 0, DefaultBufSize)}
-}
+func (Binary) NewWriter(w io.Writer) EdgeSink { return newBlockWriter(Binary{}, w) }
 
 // NewReader implements Codec.
-func (Binary) NewReader(r io.Reader) EdgeSource {
-	return &binReader{r: bufio.NewReaderSize(r, DefaultBufSize)}
-}
+func (Binary) NewReader(r io.Reader) EdgeSource { return newBlockReader(Binary{}, r, decodeBlock) }
 
-type binWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-// WriteEdges implements EdgeSink.
-func (b *binWriter) WriteEdges(l *edge.List, lo, hi int) error {
-	us, vs := l.U, l.V
+func (Binary) appendEdges(dst []byte, l *edge.List, lo, hi int, _ bool) []byte {
+	dst = slices.Grow(dst, 16*(hi-lo))
 	for i := lo; i < hi; i++ {
-		b.buf = binary.LittleEndian.AppendUint64(b.buf, us[i])
-		b.buf = binary.LittleEndian.AppendUint64(b.buf, vs[i])
-		if len(b.buf) >= cap(b.buf)-16 {
-			if err := b.Flush(); err != nil {
-				return err
-			}
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, l.U[i])
+		dst = binary.LittleEndian.AppendUint64(dst, l.V[i])
 	}
-	return nil
+	return dst
 }
 
-func (b *binWriter) Flush() error {
-	if len(b.buf) == 0 {
-		return nil
+func (Binary) cut(b []byte, _, eof bool) (n, edges int, err error) {
+	n = len(b) &^ 15
+	if eof && n < len(b) {
+		err = fmt.Errorf("fastio: truncated binary edge record: %w", io.ErrUnexpectedEOF)
 	}
-	_, err := b.w.Write(b.buf)
-	b.buf = b.buf[:0]
-	return err
+	return n, n / 16, err
 }
 
-type binReader struct {
-	r *bufio.Reader
-}
-
-// ReadEdges implements EdgeSource.  Whole records decode straight out of
-// the reader's buffer, a buffer at most at a time, by index into l's spare
-// capacity; only the records that do not fit are appended.
-func (b *binReader) ReadEdges(l *edge.List, max int) (int, error) {
-	total := 0
-	for total < max {
-		buf, err := b.r.Peek(16 * min(max-total, DefaultBufSize/16))
-		full := len(buf) / 16
-		n := l.Len()
-		k := min(full, min(cap(l.U), cap(l.V))-n)
-		us, vs := l.U[n:n+k], l.V[n:n+k]
-		for i := range us {
-			us[i], vs[i] = binary.LittleEndian.Uint64(buf[16*i:]), binary.LittleEndian.Uint64(buf[16*i+8:])
-		}
-		l.U, l.V = l.U[:n+k], l.V[:n+k]
-		for i := k; i < full; i++ {
-			l.Append(binary.LittleEndian.Uint64(buf[16*i:]), binary.LittleEndian.Uint64(buf[16*i+8:]))
-		}
-		b.r.Discard(16 * full) // peeked bytes: cannot fail
-		total += full
-		switch {
-		case err == nil:
-		case err != io.EOF:
-			return total, err
-		case len(buf)%16 != 0:
-			return total, fmt.Errorf("fastio: truncated binary edge record: %w", io.ErrUnexpectedEOF)
-		case total == 0:
-			return 0, io.EOF
-		default:
-			return total, nil
-		}
+func (Binary) decode(b []byte, us, vs []uint64, _ bool, _ int) (int, error) {
+	for i := range us {
+		us[i], vs[i] = binary.LittleEndian.Uint64(b[16*i:]), binary.LittleEndian.Uint64(b[16*i+8:])
 	}
-	return total, nil
+	return len(us), nil
 }
 
 // Interface conformance checks.

@@ -33,17 +33,17 @@ func FuzzTSVDecode(f *testing.F)    { fuzzDecode(f, TSV{}) }
 func FuzzBinaryDecode(f *testing.F) { fuzzDecode(f, Binary{}) }
 func FuzzPackedDecode(f *testing.F) { fuzzDecode(f, Packed{}) }
 
-// codecOracles holds each codec's own check of a stripe's decode: got and
-// err are what a StripedSource read from data (err nil for a clean end),
-// and u, v the fuzzed edge.  Packed's oracle is the round trip every row
-// makes; naivetsv is tsv's oracle.
 // fuzzBlock is the piece size of the fuzzed whole-list reads: the seeds
 // span many pieces, and tsv records and packed blocks straddle them.
 const fuzzBlock = 16
 
+// codecOracles holds each codec's own check of a stripe's decode: got and
+// err are what a StripedSource read from data (err nil for a clean end),
+// and u, v the fuzzed edge.  naivetsv is tsv's oracle.
 var codecOracles = map[string]func(t *testing.T, data []byte, got *edge.List, err error, u, v uint64){
-	"tsv": tsvOracle,
-	"bin": binOracle,
+	"tsv":    tsvOracle,
+	"bin":    binOracle,
+	"packed": packedOracle,
 }
 
 func fuzzDecode(f *testing.F, codecs ...Codec) {
@@ -126,14 +126,14 @@ func fuzzDecode(f *testing.F, codecs ...Codec) {
 }
 
 // tsvOracle holds the tsv codec to NaiveTSV (bufio.Scanner + strconv): the
-// writer formats (u, v) to the same bytes, and on any input a TSVReader
-// (through a 16-byte buffer too) and the stripe decode decode the same edges
-// as the naive reader and then either both end cleanly or both fail.
+// writer formats (u, v) to the same bytes, and on any input the tsv reader
+// (in 16-byte blocks too) and the stripe decode decode the same edges as
+// the naive reader and then either both end cleanly or both fail.
 func tsvOracle(t *testing.T, data []byte, striped *edge.List, stripedErr error, u, v uint64) {
 	one := edge.NewList(1)
 	one.Append(u, v)
 	if fast, naive := encode(t, TSV{}, one, 1), encode(t, NaiveTSV{}, one, 1); !bytes.Equal(fast, naive) {
-		t.Fatalf("TSVWriter wrote %q for (%d, %d), NaiveTSV %q", fast, u, v, naive)
+		t.Fatalf("the tsv writer wrote %q for (%d, %d), NaiveTSV %q", fast, u, v, naive)
 	}
 	if len(data) > 0 && data[len(data)-1] == '\r' {
 		// The one documented difference: bufio.ScanLines drops a CR at the
@@ -168,5 +168,52 @@ func binOracle(t *testing.T, data []byte, got *edge.List, err error, _, _ uint64
 	}
 	if !got.Equal(want) {
 		t.Fatalf("%d edges, want %d", got.Len(), want.Len())
+	}
+}
+
+// packedOracle walks DESIGN.md §9's Packed grammar over data by itself:
+// the magic, then blocks of a uvarint count and payload length, in range,
+// each payload count pairs of a zigzag u delta, from 0 in every block, and
+// a uvarint v, which fill it exactly.  The stripe decode must give the
+// edges of the blocks before the first violation, and of a block's edges
+// those before a varint that runs past its payload or overflows (all of
+// them when bytes are left over), and fail exactly when there is one.
+func packedOracle(t *testing.T, data []byte, got *edge.List, err error, _, _ uint64) {
+	uvarint := func(b []byte) (x uint64, n int) { // n = 0: b ends inside it or it overflows
+		for i, c := range b {
+			if i == 9 && c > 1 {
+				return 0, 0
+			}
+			if x |= uint64(c&0x7f) << (7 * i); c < 0x80 {
+				return x, i + 1
+			}
+		}
+		return 0, 0
+	}
+	want, bad := edge.NewList(0), len(data) > 0 && !bytes.HasPrefix(data, []byte(packedMagic))
+	for b := data[min(len(data), len(packedMagic)):]; !bad && len(b) > 0; {
+		count, k := uvarint(b)
+		plen, k2 := uvarint(b[k:])
+		if bad = k == 0 || k2 == 0 || count < 1 || count > 4096 || plen < 2*count || plen > 20*count ||
+			plen > uint64(len(b)-k-k2); bad {
+			break
+		}
+		payload := b[k+k2 : k+k2+int(plen)]
+		b = b[k+k2+int(plen):]
+		var u uint64
+		for range count {
+			d, n := uvarint(payload)
+			v, m := uvarint(payload[n:])
+			if bad = n == 0 || m == 0; bad {
+				break
+			}
+			u += d>>1 ^ -(d & 1) // zigzag: the wrapping difference from the last u
+			want.Append(u, v)
+			payload = payload[n+m:]
+		}
+		bad = bad || len(payload) > 0
+	}
+	if !got.Equal(want) || (err != nil) != bad {
+		t.Fatalf("%d bytes: %d edges, %v; the grammar gives %d edges, failing %v", len(data), got.Len(), err, want.Len(), bad)
 	}
 }

@@ -1,10 +1,12 @@
 package fastio
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 
 	"repro/internal/edge"
 )
@@ -23,14 +25,11 @@ import (
 //	block   := uvarint(count) uvarint(payloadLen) payload
 //	payload := count × ( varint(u - uPrev)  uvarint(v) )
 //
-// uPrev starts at 0 in every block and updates to the decoded u after each
-// edge, so blocks decode independently.  The u delta is a zigzag varint of
-// the wrapping two's-complement difference, which round-trips arbitrary
-// (including unsorted) uint64 sequences; sortedness only makes it small.
-// count is in [1, PackedBlockEdges] and payloadLen in
-// [2·count, 20·count], so a decoder's allocations stay bounded no matter
-// what bytes arrive — the property the fuzz target leans on.  A zero-byte
-// file is a valid empty stream; a file holding only the magic likewise.
+// uPrev starts at 0 in every block, so blocks decode independently; the
+// zigzag delta wraps, so unsorted u round-trip too.  count is in
+// [1, PackedBlockEdges] and payloadLen in [2·count, 20·count], which bounds
+// what any header can make a decoder hold.  A zero-byte file and a file of
+// only the magic are valid empty streams.
 type Packed struct{}
 
 // packedMagic is the 8-byte file signature Detect sniffs for.
@@ -55,155 +54,16 @@ func (Packed) BytesPerEdge(maxVertex uint64) float64 {
 	if maxVertex > 0 {
 		maxVertex--
 	}
-	return 2 + float64(uvarintLen(maxVertex))
+	return 2 + float64((bits.Len64(maxVertex|1)+6)/7) // v's uvarint: 7 bits a byte
 }
 
-// uvarintLen returns the encoded size of v as an unsigned varint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// NewWriter implements Codec.
-func (Packed) NewWriter(w io.Writer) EdgeSink {
-	return &PackedWriter{w: w, payload: make([]byte, 0, PackedBlockEdges*4)}
-}
+// NewWriter implements Codec.  Flush seals the open block, however short:
+// blocks shorter than PackedBlockEdges are legal, so interleaving Flush
+// with writes costs compression, never correctness.
+func (Packed) NewWriter(w io.Writer) EdgeSink { return newBlockWriter(Packed{}, w) }
 
 // NewReader implements Codec.
-func (Packed) NewReader(r io.Reader) EdgeSource {
-	return &PackedReader{r: bufio.NewReaderSize(r, DefaultBufSize)}
-}
-
-// PackedWriter encodes edges into Packed blocks.  Flush seals the current
-// (possibly short) block; blocks shorter than PackedBlockEdges are legal,
-// so interleaving Flush with writes costs compression, never correctness.
-type PackedWriter struct {
-	w          io.Writer
-	wroteMagic bool
-	n          int    // edges in the open block
-	uprev      uint64 // last u written in the open block
-	payload    []byte
-	hdr        []byte
-}
-
-// WriteEdges implements EdgeSink.
-func (p *PackedWriter) WriteEdges(l *edge.List, lo, hi int) error {
-	us, vs := l.U, l.V
-	for i := lo; i < hi; i++ {
-		p.payload = binary.AppendVarint(p.payload, int64(us[i]-p.uprev))
-		p.uprev = us[i]
-		p.payload = binary.AppendUvarint(p.payload, vs[i])
-		p.n++
-		if p.n >= PackedBlockEdges {
-			if err := p.flushBlock(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Flush implements EdgeSink.  It writes the magic if nothing has been
-// written yet, so even an empty flushed stream is detectable on disk.
-func (p *PackedWriter) Flush() error { return p.flushBlock() }
-
-func (p *PackedWriter) flushBlock() error {
-	if p.wroteMagic && p.n == 0 {
-		return nil
-	}
-	p.hdr = p.hdr[:0]
-	if !p.wroteMagic {
-		p.hdr = append(p.hdr, packedMagic...)
-		p.wroteMagic = true
-	}
-	if p.n > 0 {
-		p.hdr = binary.AppendUvarint(p.hdr, uint64(p.n))
-		p.hdr = binary.AppendUvarint(p.hdr, uint64(len(p.payload)))
-	}
-	if len(p.hdr) > 0 {
-		if _, err := p.w.Write(p.hdr); err != nil {
-			return err
-		}
-	}
-	if len(p.payload) > 0 {
-		if _, err := p.w.Write(p.payload); err != nil {
-			return err
-		}
-	}
-	p.n, p.uprev = 0, 0
-	p.payload = p.payload[:0]
-	return nil
-}
-
-// PackedReader decodes Packed blocks.
-type PackedReader struct {
-	r       *bufio.Reader
-	started bool   // magic consumed
-	payload []byte // current block payload, in r's buffer until the next block
-	off     int    // decode offset into payload
-	prev    uint64 // last decoded u in the current block
-	rem     int    // edges remaining in the current block
-}
-
-// ReadEdges implements EdgeSource: whole blocks decode into l without
-// per-edge interface dispatch.
-func (p *PackedReader) ReadEdges(l *edge.List, max int) (int, error) {
-	total := 0
-	for total < max {
-		if p.rem == 0 {
-			if err := p.nextBlock(); err != nil {
-				if err == io.EOF && total > 0 {
-					return total, nil
-				}
-				return total, err
-			}
-		}
-		n := p.rem
-		if n > max-total {
-			n = max - total
-		}
-		for k := 0; k < n; k++ {
-			u, v, off, err := packedEdge(p.payload, p.off, p.prev)
-			if err != nil {
-				return total, err
-			}
-			p.off, p.prev = off, u
-			p.rem--
-			l.Append(u, v)
-			total++
-		}
-		if p.rem == 0 && p.off != len(p.payload) {
-			return total, packedTrailingErr(len(p.payload) - p.off)
-		}
-	}
-	return total, nil
-}
-
-// packedEdge decodes the edge at payload[off:] of a block whose previous
-// u is prev, returning it and the offset past it.
-func packedEdge(payload []byte, off int, prev uint64) (u, v uint64, next int, err error) {
-	delta, n := binary.Varint(payload[off:])
-	if n <= 0 {
-		return 0, 0, off, fmt.Errorf("fastio: packed: corrupt u-delta varint")
-	}
-	off += n
-	u = prev + uint64(delta) // wrapping add, inverse of the writer's wrapping subtract
-	v, n = binary.Uvarint(payload[off:])
-	if n <= 0 {
-		return 0, 0, off, fmt.Errorf("fastio: packed: corrupt v varint")
-	}
-	return u, v, off + n, nil
-}
-
-// packedTrailingErr is the error of a block payload with n bytes past its
-// last edge.
-func packedTrailingErr(n int) error {
-	return fmt.Errorf("fastio: packed: %d trailing bytes in block payload", n)
-}
+func (Packed) NewReader(r io.Reader) EdgeSource { return newBlockReader(Packed{}, r, decodeBlock) }
 
 // packedHeaderErr checks a block header's edge count and payload length.
 func packedHeaderErr(count, plen uint64) error {
@@ -217,59 +77,124 @@ func packedHeaderErr(count, plen uint64) error {
 	return nil
 }
 
-// nextBlock consumes the magic (first call) and the next block header and
-// payload.  io.EOF means a clean end of stream; every other failure mode —
-// short magic, wrong magic, header fields out of range, truncated payload —
-// is a distinct error.
-func (p *PackedReader) nextBlock() error {
-	p.r.Discard(len(p.payload)) // the previous block's peeked payload: cannot fail
-	p.payload = nil
-	if !p.started {
-		magic, err := p.r.Peek(len(packedMagic))
-		if err == io.EOF && len(magic) == 0 {
-			return io.EOF // zero-byte file: valid empty stream
+var _ Codec = Packed{}
+
+// packedHeaderRoom is the room Packed.appendEdges leaves for a block
+// header: two uvarints below 2^32.
+const packedHeaderRoom = 2 * binary.MaxVarintLen32
+
+// appendEdges writes a block per PackedBlockEdges edges, and a short one
+// for the rest: each payload goes past room for its header, and moves down
+// once the header is known.
+func (Packed) appendEdges(dst []byte, l *edge.List, lo, hi int, head bool) []byte {
+	blocks := (hi - lo + PackedBlockEdges - 1) / PackedBlockEdges
+	dst = slices.Grow(dst, len(packedMagic)+blocks*packedHeaderRoom+(hi-lo)*packedMaxBytesPerEdge)
+	if head {
+		dst = append(dst, packedMagic...)
+	}
+	for ; lo < hi; lo += PackedBlockEdges {
+		n := min(hi-lo, PackedBlockEdges)
+		h := len(dst)
+		payload := dst[h+packedHeaderRoom : h+packedHeaderRoom]
+		var prev uint64
+		for i := lo; i < lo+n; i++ {
+			payload = binary.AppendVarint(payload, int64(l.U[i]-prev))
+			payload = binary.AppendUvarint(payload, l.V[i])
+			prev = l.U[i]
 		}
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return fmt.Errorf("fastio: packed: short magic: %w", err)
-		}
-		if string(magic) != packedMagic {
-			return fmt.Errorf("fastio: packed: bad magic %q", magic)
-		}
-		p.r.Discard(len(packedMagic)) // peeked: cannot fail
-		p.started = true
+		hdr := binary.AppendUvarint(dst[h:h], uint64(n))
+		hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
+		dst = append(dst[:h+len(hdr)], payload...)
 	}
-	count, err := binary.ReadUvarint(p.r)
-	if err == io.EOF {
-		return io.EOF
-	}
-	if err != nil {
-		return fmt.Errorf("fastio: packed: block header: %w", err)
-	}
-	plen, err := binary.ReadUvarint(p.r)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("fastio: packed: block header: %w", err)
-	}
-	if err := packedHeaderErr(count, plen); err != nil {
-		return err
-	}
-	// plen ≤ packedMaxBytesPerEdge·PackedBlockEdges fits r's buffer, so the
-	// payload decodes where it lies.
-	payload, err := p.r.Peek(int(plen))
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("fastio: packed: truncated block payload: %w", err)
-	}
-	p.payload = payload
-	p.off, p.prev, p.rem = 0, 0, int(count)
-	return nil
+	return dst
 }
 
-var _ Codec = Packed{}
+// cut checks the magic and each block header, and ends a block of bytes
+// after its last whole Packed block.  A header or payload the bytes end
+// inside goes on in the next read, or is a truncation once eof is set.
+func (Packed) cut(b []byte, head, eof bool) (n, edges int, err error) {
+	if head {
+		switch {
+		case len(b) < len(packedMagic) && (!eof || len(b) == 0):
+			return 0, 0, nil
+		case len(b) < len(packedMagic):
+			return 0, 0, fmt.Errorf("fastio: packed: short magic: %w", io.ErrUnexpectedEOF)
+		case string(b[:len(packedMagic)]) != packedMagic:
+			return 0, 0, fmt.Errorf("fastio: packed: bad magic %q", b[:len(packedMagic)])
+		}
+		n = len(packedMagic)
+	}
+	for n < len(b) {
+		count, k, err := uvarint(b[n:])
+		var plen uint64
+		if err == nil {
+			var k2 int
+			plen, k2, err = uvarint(b[n+k:])
+			k += k2
+		}
+		switch {
+		case err == io.ErrUnexpectedEOF && !eof:
+			return n, edges, nil // the header goes on in the next read
+		case err != nil:
+			return n, edges, fmt.Errorf("fastio: packed: block header: %w", err)
+		}
+		if err := packedHeaderErr(count, plen); err != nil {
+			return n, edges, err
+		}
+		if uint64(len(b)-n-k) < plen {
+			if !eof {
+				return n, edges, nil
+			}
+			return n, edges, fmt.Errorf("fastio: packed: truncated block payload: %w", io.ErrUnexpectedEOF)
+		}
+		n, edges = n+k+int(plen), edges+int(count)
+	}
+	return n, edges, nil
+}
+
+// uvarint is binary.Uvarint with binary.ReadUvarint's errors and no
+// reader to allocate: io.ErrUnexpectedEOF when b ends inside the varint.
+func uvarint(b []byte) (uint64, int, error) {
+	x, k := binary.Uvarint(b)
+	switch {
+	case k > 0:
+		return x, k, nil
+	case k == 0:
+		return 0, 0, io.ErrUnexpectedEOF
+	}
+	_, err := binary.ReadUvarint(bytes.NewReader(b)) // the overflow, as ReadUvarint words it
+	return 0, 0, err
+}
+
+// decode decodes the blocks of b, whose headers cut has checked.
+func (Packed) decode(b []byte, us, vs []uint64, head bool, _ int) (int, error) {
+	if head {
+		b = b[len(packedMagic):]
+	}
+	e := 0
+	for len(b) > 0 {
+		count, k := binary.Uvarint(b)
+		plen, k2 := binary.Uvarint(b[k:])
+		payload := b[k+k2 : k+k2+int(plen)]
+		b = b[k+k2+int(plen):]
+		var u uint64
+		for range count {
+			delta, n := binary.Varint(payload)
+			if n <= 0 {
+				return e, fmt.Errorf("fastio: packed: corrupt u-delta varint")
+			}
+			v, m := binary.Uvarint(payload[n:])
+			if m <= 0 {
+				return e, fmt.Errorf("fastio: packed: corrupt v varint")
+			}
+			u += uint64(delta) // wrapping add, inverse of the writer's wrapping subtract
+			us[e], vs[e] = u, v
+			payload = payload[n+m:]
+			e++
+		}
+		if len(payload) > 0 {
+			return e, fmt.Errorf("fastio: packed: %d trailing bytes in block payload", len(payload))
+		}
+	}
+	return e, nil
+}

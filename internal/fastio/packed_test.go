@@ -14,7 +14,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// encodePacked runs l through a PackedWriter and returns the wire bytes.
+// encodePacked runs l through the Packed writer and returns the wire bytes.
 func encodePacked(t testing.TB, l *edge.List) []byte {
 	t.Helper()
 	return encode(t, Packed{}, l, l.Len())
@@ -52,7 +52,7 @@ func degenerateLists() map[string]*edge.List {
 	}
 	multi := edge.NewList(3 * PackedBlockEdges)
 	for i := 0; i < 3*PackedBlockEdges; i++ {
-		multi.Append(uint64(i/16), uint64(i*2654435761)%(1<<20))
+		multi.Append(uint64(i/16), uint64(i)*2654435761%(1<<20))
 	}
 	return map[string]*edge.List{
 		"empty": empty, "one": one, "bounds": bounds,

@@ -10,12 +10,12 @@ import (
 	"repro/internal/edge"
 )
 
-// decodeTSV decodes all of input through a TSVReader with the given buffer
-// size, returning the edges read before the stream ended and how it ended
-// ("" for a clean end).
+// decodeTSV decodes all of input through the tsv stream reader in blocks
+// of bufSize bytes, returning the edges read before the stream ended and
+// how it ended ("" for a clean end).
 func decodeTSV(r io.Reader, bufSize int) (*edge.List, string) {
 	l := edge.NewList(0)
-	src := NewTSVReader(r, bufSize)
+	src := newBlockReader(TSV{}, r, bufSize)
 	for {
 		before := l.Len()
 		n, err := src.ReadEdges(l, 7)
@@ -31,10 +31,10 @@ func decodeTSV(r io.Reader, bufSize int) (*edge.List, string) {
 }
 
 // scanTSV is decodeTSV through readEdge alone, i.e. through the byte
-// scanner that defines the codec.
-func scanTSV(r io.Reader, bufSize int) (*edge.List, string) {
+// scanner that defines the codec, over all of r at once.
+func scanTSV(r io.Reader, _ int) (*edge.List, string) {
 	l := edge.NewList(0)
-	src := NewTSVReader(r, bufSize)
+	src := newTSVScanner(r)
 	for {
 		u, v, err := src.readEdge()
 		if err == io.EOF {
@@ -49,7 +49,7 @@ func scanTSV(r io.Reader, bufSize int) (*edge.List, string) {
 // scanCount decodes in through the tsv byte scanner alone, returning the
 // edges before the stream ended and what ended it, io.EOF included.
 func scanCount(in string) (int, error) {
-	r := NewTSVReader(strings.NewReader(in), DefaultBufSize)
+	r := newTSVScanner(strings.NewReader(in))
 	for n := 0; ; n++ {
 		if _, _, err := r.readEdge(); err != nil {
 			return n, err
@@ -57,7 +57,13 @@ func scanCount(in string) (int, error) {
 	}
 }
 
-// TestTSVReaderBufferEdges moves the refill boundary across every byte of
+// newTSVScanner returns the byte scanner over all of r, read at once.
+func newTSVScanner(r io.Reader) *tsvScanner {
+	data, _ := io.ReadAll(r)
+	return &tsvScanner{buf: append(data, make([]byte, 1+wordSlack)...), end: len(data)}
+}
+
+// TestTSVReaderBufferEdges moves the block boundary across every byte of
 // records, CRLFs, 20-digit fields and malformed lines: whatever the buffer
 // size and however short the reads, ReadEdges must produce the edges and
 // the error text (line number included) that readEdge's byte scanner
@@ -67,7 +73,7 @@ func scanCount(in string) (int, error) {
 // the word, and in batches of 7 that end anywhere.
 func TestTSVReaderBufferEdges(t *testing.T) {
 	const max = "18446744073709551615"
-	// 16 bytes each: a newline, then a tab, as the last byte of a 16-byte refill.
+	// 16 bytes each: a newline, then a tab, as the last byte of a 16-byte block.
 	const nlLast, tabLast = "1234567\t1234567\n", "123456789012345\t"
 	var good strings.Builder
 	for i := 0; i < 40; i++ {

@@ -1,12 +1,9 @@
 package fastio
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"sync"
 
 	"repro/internal/edge"
@@ -19,36 +16,17 @@ import (
 // Each runs its pieces on a ring: workers goroutines encode or decode
 // them in up to 2·workers slots while the caller writes or reads the
 // slots' bytes in piece order.  A piece holds whole records (Packed:
-// whole blocks, on 4096-edge multiples of its stripe), so the bytes, the
-// edges and the first error are the serial ones at every width.
+// whole blocks, on 4096-edge multiples of its stripe), and runs through
+// the codec's one encoder or decoder (stream.go), so the bytes, the edges
+// and the first error are a stream's at every width.
 
 const (
 	// encodeChunk is the edges per encoded piece: two Packed blocks.
 	encodeChunk = 2 * PackedBlockEdges
-	// decodeBlock is the bytes the caller reads per decoded piece.
+	// decodeBlock is the bytes read per decoded piece, or per block of a
+	// stream.
 	decodeBlock = 64 << 10
 )
-
-// splitCodec is a Codec whose stream splits at record boundaries (Packed:
-// block boundaries) into pieces that encode and decode on their own.
-// TSV, Binary and Packed are; NaiveTSV, the interpreted-language
-// stand-in, is not, and its whole-list passes stay on one core.
-type splitCodec interface {
-	Codec
-	// appendEdges appends the encoding of l[lo:hi) to dst.  head is set
-	// when the piece opens its stream; a Packed piece that does not end
-	// its stream holds a multiple of PackedBlockEdges edges.
-	appendEdges(dst []byte, l *edge.List, lo, hi int, head bool) []byte
-	// cut returns the length n of the longest prefix of b that holds
-	// whole records and the number of edges in it.  head is set when b
-	// opens its stream, eof when nothing follows b; err is a framing
-	// error at b[n:], which the edges of b[:n] precede.
-	cut(b []byte, head, eof bool) (n, edges int, err error)
-	// decode decodes a prefix b that cut returned into us and vs, which
-	// hold its edge count; line is the records of the stream before b.
-	// The wordSlack+1 bytes past b's end are scratch for decode.
-	decode(b []byte, us, vs []uint64, head bool, line int) error
-}
 
 // WriteStripedWide is WriteStriped on workers goroutines (<= 0 means
 // GOMAXPROCS), with the same bytes at every width.  One worker starts no
@@ -174,7 +152,7 @@ func readStriped(fs vfs.FS, prefix string, codec Codec, dst *edge.List, workers,
 			}
 		}
 	}
-	in := pieceReader{codec: sc, dst: dst, block: block, slots: make([]pieceIn, ringSlots(width(workers)))}
+	in := pieceReader{blocks: blocks{codec: sc, size: block}, dst: dst, slots: make([]pieceIn, ringSlots(width(workers)))}
 	in.ring = newRing(len(in.slots), in.decode)
 	for _, name := range names {
 		if err = in.stripe(fs, name); err != nil || in.err != nil {
@@ -185,8 +163,8 @@ func readStriped(fs vfs.FS, prefix string, codec Codec, dst *edge.List, workers,
 		in.collect()
 	}
 	in.ring.close()
-	if in.err != nil {
-		return nil, in.err
+	if in.err != nil { // a decode error precedes what stopped the reads
+		err = in.err
 	}
 	if err != nil {
 		return nil, err
@@ -195,19 +173,17 @@ func readStriped(fs vfs.FS, prefix string, codec Codec, dst *edge.List, workers,
 }
 
 // pieceReader is readStriped's state: the caller reads each stripe into
-// the ring's slots, cuts each after its last whole record and puts it;
-// the workers decode the records straight into their place in dst.
+// the ring's slots and cuts each after its last whole record (blocks); the
+// workers decode the records straight into their place in dst.
 type pieceReader struct {
-	codec splitCodec
-	dst   *edge.List
-	block int
-	slots []pieceIn
-	ring  *ring
-	carry []byte // the bytes past the last cut, which open the next piece
-	err   error  // the first decode error, in piece order
+	blocks // the stripe being read
+	dst    *edge.List
+	slots  []pieceIn
+	ring   *ring
+	err    error // the first decode error, in piece order
 }
 
-// pieceIn is one slot of a pieceReader's ring.
+// pieceIn is one slot of a pieceReader's ring, or a blockReader's block.
 type pieceIn struct {
 	buf    []byte   // the piece's bytes, then wordSlack+1 bytes of room
 	n      int      // bytes of buf the piece decodes
@@ -221,7 +197,7 @@ type pieceIn struct {
 // decode is the ring's work: decode piece c.
 func (in *pieceReader) decode(c int) {
 	p := &in.slots[c%len(in.slots)]
-	if err := in.codec.decode(p.buf[:p.n], p.us, p.vs, p.head, p.line); err != nil {
+	if _, err := in.codec.decode(p.buf[:p.n], p.us, p.vs, p.head, p.line); err != nil {
 		p.err = fmt.Errorf("fastio: %s: %w", p.name, err)
 	}
 }
@@ -244,9 +220,8 @@ func (in *pieceReader) stripe(fs vfs.FS, name string) error {
 		return fmt.Errorf("fastio: %s: %w", name, err)
 	}
 	defer f.Close()
-	start, head, eof := in.dst.Len(), true, false
-	in.carry = in.carry[:0]
-	for !eof {
+	in.r, in.head, in.line, in.carry = f, true, 0, in.carry[:0]
+	for err == nil {
 		if in.ring.put-in.ring.waited == len(in.slots) {
 			in.collect() // the piece whose slot the next one takes
 		}
@@ -254,42 +229,28 @@ func (in *pieceReader) stripe(fs vfs.FS, name string) error {
 			return nil
 		}
 		p := &in.slots[in.ring.put%len(in.slots)]
-		size := max(in.block, 2*len(in.carry)) // a record longer than a block doubles it
-		if cap(p.buf) < size+1+wordSlack {
-			p.buf = make([]byte, size+1+wordSlack)
+		var edges int
+		if edges, err = in.next(p); p.n == 0 {
+			continue
 		}
-		b := append(p.buf[:0], in.carry...)
-		k, err := io.ReadFull(f, b[len(b):size])
-		b = b[:len(b)+k]
-		switch {
-		case err == io.EOF || err == io.ErrUnexpectedEOF:
-			eof = true
-		case err != nil:
-			return fmt.Errorf("fastio: %s: %w", name, err)
-		}
-		n, edges, cerr := in.codec.cut(b, head, eof)
-		in.carry = append(in.carry[:0], b[n:]...)
-		if n > 0 {
-			off := in.dst.Len()
-			if off+edges > min(cap(in.dst.U), cap(in.dst.V)) {
-				// Every piece in flight decodes into dst's arrays.
-				for in.ring.waited < in.ring.put {
-					in.collect()
-				}
-				if in.err != nil {
-					return nil
-				}
-				in.dst.Grow(edges)
+		off := in.dst.Len()
+		if off+edges > min(cap(in.dst.U), cap(in.dst.V)) {
+			// Every piece in flight decodes into dst's arrays.
+			for in.ring.waited < in.ring.put {
+				in.collect()
 			}
-			d := in.dst
-			d.U, d.V = d.U[:off+edges], d.V[:off+edges]
-			*p = pieceIn{buf: b, n: n, us: d.U[off:], vs: d.V[off:], head: head, line: off - start, name: name}
-			in.ring.next()
-			head = false
+			if in.err != nil {
+				return nil
+			}
+			in.dst.Grow(edges)
 		}
-		if cerr != nil {
-			return fmt.Errorf("fastio: %s: %w", name, cerr)
-		}
+		d := in.dst
+		d.U, d.V = d.U[:off+edges], d.V[:off+edges]
+		p.us, p.vs, p.name = d.U[off:], d.V[off:], name
+		in.ring.next()
+	}
+	if err != io.EOF {
+		return fmt.Errorf("fastio: %s: %w", name, err)
 	}
 	return nil
 }
@@ -381,173 +342,4 @@ func (r *ring) close() {
 		close(r.todo)
 		r.wg.Wait()
 	}
-}
-
-// ---------------------------------------------------------------------------
-// The codecs' pieces
-
-// appendEdges makes room for the piece once, at a record width its
-// largest digit count bounds, and formats it as TSVWriter does.
-func (TSV) appendEdges(dst []byte, l *edge.List, lo, hi int, _ bool) []byte {
-	us, vs := l.U[lo:hi], l.V[lo:hi]
-	vs = vs[:len(us)]
-	var or uint64 // no label has more digits than or
-	for k, u := range us {
-		or |= u | vs[k]
-	}
-	b, i := slices.Grow(dst, len(us)*(2*digitCount(or)+2)+maxRecord), len(dst)
-	b = b[:cap(b)]
-	for k, u := range us {
-		i = putRecord(b, i, u, vs[k])
-	}
-	return b[:i]
-}
-
-// cut ends a piece after its last newline, or at the end of the stream,
-// where a final record may lack one: every record is one line.
-func (TSV) cut(b []byte, _, eof bool) (n, edges int, err error) {
-	n = bytes.LastIndexByte(b, '\n') + 1
-	edges = bytes.Count(b[:n], []byte{'\n'})
-	if eof && n < len(b) {
-		n, edges = len(b), edges+1
-	}
-	return n, edges, nil
-}
-
-// decode runs TSVReader's scanner over b where it lies, as the whole of
-// its input.
-func (TSV) decode(b []byte, us, vs []uint64, _ bool, line int) error {
-	t := TSVReader{buf: b[:len(b)+1+wordSlack], end: len(b), line: line, err: io.EOF}
-	t.buf[len(b)] = 0 // the end-of-data byte
-	_, err := t.words(us, vs)
-	return err
-}
-
-func (Binary) appendEdges(dst []byte, l *edge.List, lo, hi int, _ bool) []byte {
-	dst = slices.Grow(dst, 16*(hi-lo))
-	for i := lo; i < hi; i++ {
-		dst = binary.LittleEndian.AppendUint64(dst, l.U[i])
-		dst = binary.LittleEndian.AppendUint64(dst, l.V[i])
-	}
-	return dst
-}
-
-func (Binary) cut(b []byte, _, eof bool) (n, edges int, err error) {
-	n = len(b) &^ 15
-	if eof && n < len(b) {
-		err = fmt.Errorf("fastio: truncated binary edge record: %w", io.ErrUnexpectedEOF)
-	}
-	return n, n / 16, err
-}
-
-func (Binary) decode(b []byte, us, vs []uint64, _ bool, _ int) error {
-	for i := range us {
-		us[i], vs[i] = binary.LittleEndian.Uint64(b[16*i:]), binary.LittleEndian.Uint64(b[16*i+8:])
-	}
-	return nil
-}
-
-// packedHeaderRoom is the room Packed.appendEdges leaves for a block
-// header: two uvarints below 2^32.
-const packedHeaderRoom = 2 * binary.MaxVarintLen32
-
-// appendEdges writes PackedWriter's blocks: the payload goes past room
-// for its header, and moves down once the header is known.
-func (Packed) appendEdges(dst []byte, l *edge.List, lo, hi int, head bool) []byte {
-	blocks := (hi - lo + PackedBlockEdges - 1) / PackedBlockEdges
-	dst = slices.Grow(dst, len(packedMagic)+blocks*packedHeaderRoom+(hi-lo)*packedMaxBytesPerEdge)
-	if head {
-		dst = append(dst, packedMagic...)
-	}
-	for ; lo < hi; lo += PackedBlockEdges {
-		n := min(hi-lo, PackedBlockEdges)
-		h := len(dst)
-		payload := dst[h+packedHeaderRoom : h+packedHeaderRoom]
-		var prev uint64
-		for i := lo; i < lo+n; i++ {
-			payload = binary.AppendVarint(payload, int64(l.U[i]-prev))
-			payload = binary.AppendUvarint(payload, l.V[i])
-			prev = l.U[i]
-		}
-		hdr := binary.AppendUvarint(dst[h:h], uint64(n))
-		hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-		dst = append(dst[:h+len(hdr)], payload...)
-	}
-	return dst
-}
-
-// cut checks the magic and each block header as PackedReader does, with
-// its errors, and ends a piece after its last whole block.
-func (Packed) cut(b []byte, head, eof bool) (n, edges int, err error) {
-	if head {
-		switch {
-		case len(b) < len(packedMagic) && (!eof || len(b) == 0):
-			return 0, 0, nil
-		case len(b) < len(packedMagic):
-			return 0, 0, fmt.Errorf("fastio: packed: short magic: %w", io.ErrUnexpectedEOF)
-		case string(b[:len(packedMagic)]) != packedMagic:
-			return 0, 0, fmt.Errorf("fastio: packed: bad magic %q", b[:len(packedMagic)])
-		}
-		n = len(packedMagic)
-	}
-	var r bytes.Reader
-	for {
-		r.Reset(b[n:])
-		count, err := binary.ReadUvarint(&r)
-		if err == io.EOF {
-			return n, edges, nil
-		}
-		var plen uint64
-		if err == nil {
-			plen, err = binary.ReadUvarint(&r)
-		}
-		if err != nil {
-			if !eof && (err == io.EOF || err == io.ErrUnexpectedEOF) {
-				return n, edges, nil // the header goes on in the next read
-			}
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return n, edges, fmt.Errorf("fastio: packed: block header: %w", err)
-		}
-		if err := packedHeaderErr(count, plen); err != nil {
-			return n, edges, err
-		}
-		if uint64(r.Len()) < plen {
-			if !eof {
-				return n, edges, nil
-			}
-			return n, edges, fmt.Errorf("fastio: packed: truncated block payload: %w", io.ErrUnexpectedEOF)
-		}
-		n, edges = len(b)-r.Len()+int(plen), edges+int(count)
-	}
-}
-
-// decode decodes the blocks of b, whose headers cut has checked.
-func (Packed) decode(b []byte, us, vs []uint64, head bool, _ int) error {
-	if head {
-		b = b[len(packedMagic):]
-	}
-	e := 0
-	for len(b) > 0 {
-		count, k := binary.Uvarint(b)
-		plen, k2 := binary.Uvarint(b[k:])
-		payload := b[k+k2 : k+k2+int(plen)]
-		b = b[k+k2+int(plen):]
-		var u uint64
-		off := 0
-		for range count {
-			var v uint64
-			var err error
-			if u, v, off, err = packedEdge(payload, off, u); err != nil {
-				return err
-			}
-			us[e], vs[e] = u, v
-			e++
-		}
-		if off != len(payload) {
-			return packedTrailingErr(len(payload) - off)
-		}
-	}
-	return nil
 }

@@ -143,9 +143,7 @@ func waitGoroutines(t *testing.T, base int) {
 // TestWideFaultsNameTheStripe: a storage fault at every 1/8th of a
 // three-stripe write's or read's bytes comes back from WriteStripedWide
 // and ReadStripedInto at one worker and at three wrapping vfs.ErrInjected
-// and naming a stripe, and leaves no goroutine behind.  (NaiveTSV's read
-// is not held to it: its bufio.Scanner hands the line a fault cuts short
-// to the parser, which fails on it first.)
+// and naming a stripe, and leaves no goroutine behind.
 func TestWideFaultsNameTheStripe(t *testing.T) {
 	l := randomList(4, 7*encodeChunk)
 	for _, c := range []Codec{TSV{}, NaiveTSV{}, Binary{}, Packed{}} {
@@ -163,9 +161,6 @@ func TestWideFaultsNameTheStripe(t *testing.T) {
 				werr := WriteStripedWide(vfs.NewFaulty(vfs.NewMem(), total*i/8), "k1", c, 3, l, workers)
 				_, rerr := ReadStripedInto(vfs.NewFaulty(clean, total*i/8), "k1", c, nil, workers)
 				for op, err := range []error{werr, rerr} {
-					if op == 1 && c.Name() == "naivetsv" {
-						continue
-					}
 					if !errors.Is(err, vfs.ErrInjected) || !strings.Contains(err.Error(), "k1-000") {
 						t.Errorf("%s/w%d %s at %d/8: %v, want the injected fault naming a stripe",
 							c.Name(), workers, []string{"write", "read"}[op], i, err)
