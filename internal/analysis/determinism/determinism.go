@@ -5,10 +5,11 @@
 // nondeterministically ordered or time-varying source.
 //
 // Inside the kernel packages (dist, pagerank, sparse, xsort, ckpt,
-// fastio — whose striped streams carry every out-of-core edge, so their
-// order is the files' bytes — and serve, whose staged artifact cache
-// hands one computed artifact to many runs, so any nondeterminism there
-// fans out), non-test code may not:
+// kronecker — which writes kernel 0's edges — fastio — whose striped
+// streams carry every out-of-core edge, so their order is the files'
+// bytes — and serve, whose staged artifact cache hands one computed
+// artifact to many runs, so any nondeterminism there fans out), non-test
+// code may not:
 //
 //   - range over a map (iteration order feeds results in nondeterministic
 //     order);
@@ -17,9 +18,10 @@
 //     //prlint:allow directive);
 //   - import math/rand or math/rand/v2 (randomness comes from the
 //     deterministic seeded streams in internal/xrand);
-//   - start a raw goroutine (concurrency goes through internal/workteam
-//     or the rank fabric, whose join points pin the result order; the
-//     fabric's own spawn sites carry justified directives).
+//   - start a raw goroutine (concurrency goes through internal/workteam's
+//     Team or ordered Ring, or the rank fabric, whose join points pin the
+//     result order; the fabric's own spawn sites carry justified
+//     directives).
 //
 // In _test.go files of every package, t.Run/b.Run inside a range over a
 // map is flagged: subtests would run in nondeterministic order, which
@@ -37,7 +39,7 @@ import (
 // kernelPkgs are the package names under the reproducibility contract.
 var kernelPkgs = map[string]bool{
 	"dist": true, "pagerank": true, "sparse": true, "xsort": true, "ckpt": true,
-	"fastio": true, "serve": true,
+	"kronecker": true, "fastio": true, "serve": true,
 }
 
 // Analyzer is the determinism checker.

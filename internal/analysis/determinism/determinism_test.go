@@ -8,5 +8,5 @@ import (
 )
 
 func TestDeterminism(t *testing.T) {
-	analysistest.Run(t, "testdata", determinism.Analyzer, "detkernel")
+	analysistest.Run(t, "testdata", determinism.Analyzer, "detkernel", "kronecker")
 }

@@ -1,6 +1,6 @@
 // Package dist (a stand-in kernel package: the determinism analyzer
-// keys on the kernel package names dist/pagerank/sparse/xsort/ckpt)
-// exercises the reproducibility rules.
+// keys on the kernel package names dist, pagerank, sparse, xsort, ckpt,
+// kronecker, fastio and serve) exercises the reproducibility rules.
 package dist
 
 import (

@@ -635,10 +635,10 @@ func ReadStripedInto(fs vfs.FS, prefix string, codec Codec, dst *edge.List, work
 // files in order, opening each file lazily: the stripe reader of the
 // kernels that stream (the out-of-core sort, kernel 2's build) without
 // materializing the whole edge list.
-// The files are decoded a few batches ahead of the caller on one helper
-// goroutine (overlap.go); a decode error is `fastio: <file>: <cause>` and
-// ends the stream.  Close stops the helper: a caller that stops reading
-// before io.EOF or an error must call it.
+// The files are decoded a few batches ahead of the caller on a
+// one-goroutine workteam.Ring (overlap.go); a decode error is
+// `fastio: <file>: <cause>` and ends the stream.  Close stops the ring: a
+// caller that stops reading before io.EOF or an error must call it.
 type StripedSource struct {
 	readAhead
 	in stripeReader

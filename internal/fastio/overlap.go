@@ -4,19 +4,20 @@ import (
 	"errors"
 
 	"repro/internal/edge"
+	"repro/internal/workteam"
 )
 
 // Overlapped streaming (DESIGN.md §9).  A StripedSource decodes ahead of
-// its caller and a StripedSink encodes behind it, each on one helper
-// goroutine the stream starts on first use and joins in Close.  The two
-// goroutines trade a fixed set of overlapDepth batches through two FIFO
-// channels — full in stream order, free back — so the codec sees the same
-// edges in the same order, makes the same Write calls and writes the same
-// bytes as it would on the caller's goroutine.
+// its caller and a StripedSink encodes behind it, each on a one-goroutine
+// workteam.Ring of overlapDepth batches that the stream starts on first
+// use and closes in Close.  The ring runs the batches one at a time in
+// stream order, so the codec sees the same edges in the same order, makes
+// the same Write calls and writes the same bytes as it would on the
+// caller's goroutine.
 
 const (
 	// overlapBatch is the edges per batch: one Packed block, so each
-	// channel hand-off is paid by thousands of edges.
+	// hand-off is paid by thousands of edges.
 	overlapBatch = PackedBlockEdges
 	// overlapDepth is the batches per stream: one on each side and one in
 	// flight between them.
@@ -26,79 +27,59 @@ const (
 // errClosed is what a read after Close returns.
 var errClosed = errors.New("fastio: read from a closed stream")
 
-// batch is the unit a stream's two goroutines trade.
+// batch is one slot of a stream's ring.
 type batch struct {
 	l     edge.List
-	err   error // read ahead: what ended the stream after l; write behind: the helper's first error
+	err   error // read ahead: what ended the stream after l; write behind: the stream's first error
 	flush bool  // write behind: flush the stream after l
 }
 
-// pipe joins a stream's caller and its helper.  Each channel has room for
-// every batch, so no send blocks; only receives wait.
-type pipe struct {
-	full, free chan *batch
-	done       chan struct{} // closed when the helper returns
-}
-
-// start makes the pipe's batches and runs helper on the stream's helper
-// goroutine.
-func (p *pipe) start(helper func()) {
-	p.full = make(chan *batch, overlapDepth)
-	p.free = make(chan *batch, overlapDepth)
-	p.done = make(chan struct{})
-	for range overlapDepth {
-		p.free <- &batch{l: edge.List{U: make([]uint64, 0, overlapBatch), V: make([]uint64, 0, overlapBatch)}}
+// startRing starts a stream's ring of overlapDepth batches on one goroutine.
+func startRing(work func(c int)) ([]batch, *workteam.Ring) {
+	b := make([]batch, overlapDepth)
+	for i := range b {
+		b[i].l = edge.List{U: make([]uint64, 0, overlapBatch), V: make([]uint64, 0, overlapBatch)}
 	}
-	//prlint:allow determinism -- the helper is the single producer (read ahead) or single consumer (write behind) of a FIFO whose other end is the caller, so batches keep stream order and no byte or edge depends on scheduling
-	go func() {
-		defer close(p.done)
-		helper()
-	}()
+	return b, workteam.NewRing(1, overlapDepth, work)
 }
 
-// readAhead serves reads from batches that fill decodes on the helper.
+// readAhead serves reads from batches that fill decodes on the ring.
 type readAhead struct {
-	fill func(l *edge.List, max int) (int, error) // the stream itself; runs on the helper only
-	pipe
-	stop chan struct{} // closed by halt; nil when no helper runs
-	cur  *batch        // the batch reads are served from; nil before the first read
-	pos  int           // cur's next edge
+	fill    func(l *edge.List, max int) (int, error) // the stream itself; runs on the ring only
+	ring    *workteam.Ring                           // nil before the first read and after halt
+	batches []batch
+	end     error  // what ended the stream; the ring's own
+	cur     *batch // the batch reads are served from; nil before the first read
+	pos     int    // cur's next edge
 }
 
-// decode is the helper: it fills free batches and queues them in order
-// until the stream ends, fails or is halted.
-func (r *readAhead) decode() {
-	for {
-		var b *batch
-		select {
-		case b = <-r.free:
-		case <-r.stop:
-			return
-		}
-		b.l.Reset()
+// decode is the ring's work: it fills batch c, unless the stream has
+// ended, which batch c then repeats with no I/O.
+func (r *readAhead) decode(c int) {
+	b := &r.batches[c%overlapDepth]
+	b.l.Reset()
+	if b.err = r.end; b.err == nil {
 		_, b.err = r.fill(&b.l, overlapBatch)
-		r.full <- b
-		if b.err != nil {
-			return
-		}
+		r.end = b.err
 	}
 }
 
-// next returns the batch with the stream's next edge, starting the helper
+// next returns the batch with the stream's next edge, starting the ring
 // on the first call.  The error that ended the stream is returned by this
 // call and every later one.
 func (r *readAhead) next() (*batch, error) {
 	for r.cur == nil || r.pos == r.cur.l.Len() {
 		switch {
 		case r.cur == nil:
-			r.stop = make(chan struct{})
-			r.start(r.decode)
+			r.batches, r.ring = startRing(r.decode)
+			for range overlapDepth - 1 {
+				r.ring.Put()
+			}
 		case r.cur.err != nil:
 			return nil, r.cur.err
-		default:
-			r.free <- r.cur
 		}
-		r.cur, r.pos = <-r.full, 0
+		r.ring.Put() // into the slot cur leaves
+		r.cur, r.pos = &r.batches[r.ring.Wait()%overlapDepth], 0
 	}
 	return r.cur, nil
 }
@@ -117,60 +98,73 @@ func (r *readAhead) ReadEdges(l *edge.List, max int) (int, error) {
 	return n, nil
 }
 
-// halt stops the helper, if one runs, and waits until it has returned;
+// halt closes the ring, if one runs, once its batches in flight are done;
 // later reads return errClosed.
 func (r *readAhead) halt() {
-	if r.stop != nil {
-		close(r.stop)
-		<-r.done
-		r.stop = nil
+	if r.ring != nil {
+		r.ring.Close()
+		r.ring = nil
 	}
 	r.cur, r.pos = &batch{err: errClosed}, 0
 }
 
-// writeBehind queues writes in batches that drain encodes on the helper.
+// writeBehind queues writes in batches that drain encodes on the ring.
 type writeBehind struct {
-	drain func(l *edge.List) error // the stream itself; runs on the helper once one is started
-	flush func() error             // likewise
-	pipe
-	cur *batch // the batch writes fill; nil while no helper runs
-	err error  // the first error the helper reported
+	drain   func(l *edge.List) error // the stream itself; runs on the ring once one is started
+	flush   func() error             // likewise
+	ring    *workteam.Ring           // nil while none runs
+	batches []batch
+	failed  error  // the first error drain or flush returned; the ring's own
+	cur     *batch // the batch writes fill, piece ring.Next()'s; nil while no ring runs
+	err     error  // the first error of a batch waited for
 }
 
-// encode is the helper: it drains queued batches in order until the
-// caller closes full.  After the first error it drains nothing more and
-// returns every batch carrying that error.
-func (w *writeBehind) encode() {
-	var err error
-	for b := range w.full {
-		if err == nil {
-			err = w.drain(&b.l)
-		}
-		if err == nil && b.flush {
-			err = w.flush()
-		}
-		b.err = err
-		w.free <- b
+// encode is the ring's work: it drains batch c and flushes the stream if
+// the batch asks, unless an earlier batch failed, and leaves the first
+// error in the batch.
+func (w *writeBehind) encode(c int) {
+	b := &w.batches[c%overlapDepth]
+	if w.failed == nil {
+		w.failed = w.drain(&b.l)
 	}
+	if w.failed == nil && b.flush {
+		w.failed = w.flush()
+	}
+	b.err = w.failed
 }
 
 // take queues the current batch, if any, and makes an empty one current,
-// starting the helper on first use.  It returns the first error the
-// helper has reported.
+// starting the ring on first use.  It returns the first error of a batch
+// waited for.
 func (w *writeBehind) take() error {
 	if w.err != nil {
 		return w.err
 	}
 	if w.cur == nil {
-		w.start(w.encode)
+		w.batches, w.ring = startRing(w.encode)
 	} else {
-		w.full <- w.cur
+		w.cur.flush = false
+		w.ring.Put()
+		if w.ring.InFlight() == overlapDepth {
+			w.collect() // the batch whose slot the next one takes
+		}
 	}
-	w.cur = <-w.free
-	w.cur.l.Reset()
-	w.cur.flush = false
-	w.err = w.cur.err
+	w.next()
 	return w.err
+}
+
+// collect waits for the oldest batch in flight and keeps its error if it
+// is the first.
+func (w *writeBehind) collect() {
+	if b := &w.batches[w.ring.Wait()%overlapDepth]; w.err == nil {
+		w.err = b.err
+	}
+}
+
+// next makes the next piece's batch current, empty.
+func (w *writeBehind) next() {
+	w.cur = &w.batches[w.ring.Next()%overlapDepth]
+	w.cur.l.Reset()
 }
 
 // WriteEdge queues one edge.  Nothing calls it: kronecker.GenerateTo hands
@@ -207,43 +201,34 @@ func (w *writeBehind) WriteEdges(l *edge.List, lo, hi int) error {
 
 // Flush implements EdgeSink.  It is a barrier: it returns once every
 // edge written before it has been encoded and the stream flushed, with the
-// first error the helper reported.
+// first error of a batch.
 func (w *writeBehind) Flush() error {
 	if w.cur == nil {
-		return w.flush() // no helper: nothing is queued
+		return w.flush() // no ring: nothing is queued
 	}
 	return w.sync(true)
 }
 
-// sync queues the current batch, flushing the stream after it when flush
-// is set, and waits until the helper has returned every batch.
+// sync queues the current batch, to flush the stream after it if flush is
+// set, and waits for every batch queued.
 func (w *writeBehind) sync(flush bool) error {
 	w.cur.flush = flush
-	w.full <- w.cur
-	var home [overlapDepth]*batch
-	for i := range home {
-		home[i] = <-w.free
-		if w.err == nil {
-			w.err = home[i].err
-		}
+	w.ring.Put()
+	for w.ring.InFlight() > 0 {
+		w.collect()
 	}
-	w.cur = home[0]
-	w.cur.l.Reset()
-	for _, b := range home[1:] {
-		w.free <- b
-	}
+	w.next()
 	return w.err
 }
 
-// finish waits for every queued edge, stops the helper and returns the
-// first error it reported.  The stream is the caller's again afterwards.
+// finish waits for every queued edge, closes the ring and returns the
+// first error of a batch.  The stream is the caller's again afterwards.
 func (w *writeBehind) finish() error {
 	if w.cur == nil {
-		return nil // no helper
+		return nil // no ring
 	}
 	err := w.sync(false)
-	close(w.full)
-	<-w.done
-	w.pipe, w.cur, w.err = pipe{}, nil, nil
+	w.ring.Close()
+	w.ring, w.batches, w.cur, w.err, w.failed = nil, nil, nil, nil, nil
 	return err
 }

@@ -15,11 +15,11 @@ import (
 // after edge ⌊(i+1)·m/nfiles⌋, so it holds ⌊(i+1)·m/nfiles⌋ − ⌊i·m/nfiles⌋
 // of them, possibly none; the last stripe absorbs any overflow, and a
 // shorter stream leaves the stripes past its end unwritten.  Edges are
-// encoded and written behind the caller on one helper goroutine
+// encoded and written behind the caller on a one-goroutine workteam.Ring
 // (overlap.go): a write error — `fastio: <stripe>: <cause>` — surfaces at
 // a later write, at Flush or at Close, which wait for every edge written
 // before them.  Close flushes and closes the current stripe and stops the
-// helper.
+// ring.
 type StripedSink struct {
 	writeBehind
 	out stripeWriter

@@ -3,22 +3,21 @@ package fastio
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"repro/internal/edge"
 	"repro/internal/vfs"
+	"repro/internal/workteam"
 )
 
 // Whole-list stripe I/O, workers wide (DESIGN.md §9 "Wide codec passes").
 // WriteStripedWide encodes a list in pieces of encodeChunk edges, and
 // ReadStripedInto decodes stripes in pieces of about decodeBlock bytes.
-// Each runs its pieces on a ring: workers goroutines encode or decode
-// them in up to 2·workers slots while the caller writes or reads the
-// slots' bytes in piece order.  A piece holds whole records (Packed:
-// whole blocks, on 4096-edge multiples of its stripe), and runs through
-// the codec's one encoder or decoder (stream.go), so the bytes, the edges
-// and the first error are a stream's at every width.
+// Each runs its pieces on a workteam.Wide ring: workers goroutines encode
+// or decode them in up to 2·workers slots while the caller writes or
+// reads the slots' bytes in piece order.  A piece holds whole records
+// (Packed: whole blocks, on 4096-edge multiples of its stripe), and runs
+// through the codec's one encoder or decoder (stream.go), so the bytes,
+// the edges and the first error are a stream's at every width.
 
 const (
 	// encodeChunk is the edges per encoded piece: two Packed blocks.
@@ -85,19 +84,20 @@ func writeStriped(fs vfs.FS, prefix string, codec Codec, nfiles int, l *edge.Lis
 		return err
 	}
 	pieces := spans(l.Len(), nfiles, chunk)
-	bufs := make([][]byte, ringSlots(min(width(workers), len(pieces))))
-	r := newRing(len(bufs), func(c int) {
+	var bufs [][]byte
+	r := workteam.Wide(min(workteam.Width(workers), len(pieces)), func(c int) {
 		p, b := pieces[c], &bufs[c%len(bufs)]
 		*b = sc.appendEdges((*b)[:0], l, p.lo, p.hi, p.head)
 	})
-	for r.put < min(len(bufs), len(pieces)) {
-		r.next()
+	bufs = make([][]byte, r.Slots())
+	for r.Next() < min(len(bufs), len(pieces)) {
+		r.Put()
 	}
 	var w io.WriteCloser // the open stripe
 	var name string
 	var err error
 	for c, p := range pieces {
-		r.wait()
+		r.Wait()
 		if p.head {
 			if w != nil {
 				err, w = w.Close(), nil
@@ -113,11 +113,11 @@ func writeStriped(fs vfs.FS, prefix string, codec Codec, nfiles int, l *edge.Lis
 		if err != nil {
 			break
 		}
-		if r.put < len(pieces) {
-			r.next()
+		if r.Next() < len(pieces) {
+			r.Put()
 		}
 	}
-	r.close()
+	r.Close()
 	if w != nil {
 		if cerr := w.Close(); err == nil {
 			err = cerr
@@ -152,17 +152,18 @@ func readStriped(fs vfs.FS, prefix string, codec Codec, dst *edge.List, workers,
 			}
 		}
 	}
-	in := pieceReader{blocks: blocks{codec: sc, size: block}, dst: dst, slots: make([]pieceIn, ringSlots(width(workers)))}
-	in.ring = newRing(len(in.slots), in.decode)
+	in := pieceReader{blocks: blocks{codec: sc, size: block}, dst: dst}
+	in.ring = workteam.Wide(workers, in.decode)
+	in.slots = make([]pieceIn, in.ring.Slots())
 	for _, name := range names {
 		if err = in.stripe(fs, name); err != nil || in.err != nil {
 			break
 		}
 	}
-	for in.ring.waited < in.ring.put {
+	for in.ring.InFlight() > 0 {
 		in.collect()
 	}
-	in.ring.close()
+	in.ring.Close()
 	if in.err != nil { // a decode error precedes what stopped the reads
 		err = in.err
 	}
@@ -179,7 +180,7 @@ type pieceReader struct {
 	blocks // the stripe being read
 	dst    *edge.List
 	slots  []pieceIn
-	ring   *ring
+	ring   *workteam.Ring
 	err    error // the first decode error, in piece order
 }
 
@@ -205,7 +206,7 @@ func (in *pieceReader) decode(c int) {
 // collect waits for the oldest piece in flight and keeps its error if it
 // is the first.
 func (in *pieceReader) collect() {
-	p := &in.slots[in.ring.wait()%len(in.slots)]
+	p := &in.slots[in.ring.Wait()%len(in.slots)]
 	if in.err == nil {
 		in.err = p.err
 	}
@@ -222,13 +223,13 @@ func (in *pieceReader) stripe(fs vfs.FS, name string) error {
 	defer f.Close()
 	in.r, in.head, in.line, in.carry = f, true, 0, in.carry[:0]
 	for err == nil {
-		if in.ring.put-in.ring.waited == len(in.slots) {
+		if in.ring.InFlight() == len(in.slots) {
 			in.collect() // the piece whose slot the next one takes
 		}
 		if in.err != nil {
 			return nil
 		}
-		p := &in.slots[in.ring.put%len(in.slots)]
+		p := &in.slots[in.ring.Next()%len(in.slots)]
 		var edges int
 		if edges, err = in.next(p); p.n == 0 {
 			continue
@@ -236,7 +237,7 @@ func (in *pieceReader) stripe(fs vfs.FS, name string) error {
 		off := in.dst.Len()
 		if off+edges > min(cap(in.dst.U), cap(in.dst.V)) {
 			// Every piece in flight decodes into dst's arrays.
-			for in.ring.waited < in.ring.put {
+			for in.ring.InFlight() > 0 {
 				in.collect()
 			}
 			if in.err != nil {
@@ -247,99 +248,10 @@ func (in *pieceReader) stripe(fs vfs.FS, name string) error {
 		d := in.dst
 		d.U, d.V = d.U[:off+edges], d.V[:off+edges]
 		p.us, p.vs, p.name = d.U[off:], d.V[off:], name
-		in.ring.next()
+		in.ring.Put()
 	}
 	if err != io.EOF {
 		return fmt.Errorf("fastio: %s: %w", name, err)
 	}
 	return nil
-}
-
-// width is the goroutines workers asks for: <= 0 means GOMAXPROCS.
-func width(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
-// ringSlots is the slots of a ring of workers goroutines: one piece
-// encoding or decoding and one waiting on the caller per worker, or one
-// slot on the caller's goroutine alone.
-func ringSlots(workers int) int {
-	if workers <= 1 {
-		return 1
-	}
-	return 2 * workers
-}
-
-// ring runs work(c) for pieces c = 0, 1, … in the order next puts them,
-// on slots/2 goroutines, or on the caller's inside next when slots is 1.
-// Piece c may use slot c mod slots: the caller waits for piece c − slots
-// before it puts piece c.  wait waits for the oldest piece in flight, so
-// the caller sees the pieces end in order.
-type ring struct {
-	work        func(c int)
-	slots       int
-	todo        chan int
-	done        []chan struct{}
-	wg          sync.WaitGroup
-	put, waited int // pieces put, and waited for, so far
-}
-
-// newRing starts a ring of slots slots.
-func newRing(slots int, work func(c int)) *ring {
-	r := &ring{work: work, slots: slots}
-	if slots == 1 {
-		return r
-	}
-	// Each channel holds a send per slot, so no send blocks.
-	r.todo, r.done = make(chan int, slots), make([]chan struct{}, slots)
-	for i := range r.done {
-		r.done[i] = make(chan struct{}, 1)
-	}
-	r.wg.Add(slots / 2)
-	for range slots / 2 {
-		//prlint:allow determinism -- a worker only fills or drains the slot of the piece it is handed, and the caller writes, reads and orders the pieces, waiting for each in piece order, so no byte or edge depends on scheduling
-		go func() {
-			defer r.wg.Done()
-			for c := range r.todo {
-				r.work(c)
-				r.done[c%r.slots] <- struct{}{}
-			}
-		}()
-	}
-	return r
-}
-
-// next puts piece r.put.
-func (r *ring) next() {
-	c := r.put
-	r.put++
-	if r.todo == nil {
-		r.work(c)
-		return
-	}
-	r.todo <- c
-}
-
-// wait waits for piece r.waited to be done and returns its number.
-func (r *ring) wait() int {
-	c := r.waited
-	r.waited++
-	if r.done != nil {
-		<-r.done[c%r.slots]
-	}
-	return c
-}
-
-// close waits for every piece put and stops the workers.
-func (r *ring) close() {
-	for r.waited < r.put {
-		r.wait()
-	}
-	if r.todo != nil {
-		close(r.todo)
-		r.wg.Wait()
-	}
 }

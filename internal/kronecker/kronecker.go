@@ -12,19 +12,20 @@
 // sort to exploit.
 //
 // Generation is reproducible: the same Config always produces the same edge
-// list, at every Config.Workers.  Generate's and GenerateTo's workers sample
-// chunks of one stream, each starting at a jump-derived state (xrand.Leap),
-// the Graph500 "no communication between processors" property with the
-// serial bits; GenerateTo hands the chunks to its sink in stream order.
+// list, at every Config.Workers.  Generate and GenerateTo sample chunks of
+// one stream on a workteam.Ring, each chunk starting at a state derived by
+// jump-ahead (xrand.Leap) as it is put, the Graph500 "no communication
+// between processors" property with the serial bits; GenerateTo hands the
+// chunks to its sink in stream order.  Generate's shuffle draws its indices
+// on a one-goroutine ring while the caller swaps.
 package kronecker
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/edge"
 	"repro/internal/fastio"
+	"repro/internal/workteam"
 	"repro/internal/xrand"
 )
 
@@ -180,8 +181,8 @@ func (s sampler) sample(g *xrand.Xoshiro256, us, vs, perm []uint64) {
 	}
 }
 
-// chunkEdges is the number of edges a worker samples per chunk it is
-// dealt, in Generate and GenerateTo alike.
+// chunkEdges is the number of edges a goroutine samples per chunk, in
+// Generate and GenerateTo alike.
 const chunkEdges = 1 << 14
 
 // Generate produces the complete edge list for cfg, cfg.Workers wide.
@@ -194,12 +195,19 @@ func generate(cfg Config, chunk int) (*edge.List, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	workers := cfg.width()
-	l := edge.Make(int(cfg.M()))
-	newSampler(cfg).sampleChunks(xrand.NewSeeded(cfg.Seed, 0), l.U, l.V, labels(cfg), workers, chunk)
+	m := int(cfg.M())
+	l := edge.Make(m)
+	s, g, perm := newSampler(cfg), xrand.NewSeeded(cfg.Seed, 0), labels(cfg)
+	if workers := ringWidth(cfg, chunk); workers > 1 {
+		s.sampleRing(g, uint64(m), chunk, workers, perm, func(c, n int) ([]uint64, []uint64) {
+			return l.U[c*chunk : c*chunk+n], l.V[c*chunk : c*chunk+n]
+		}, nil)
+	} else {
+		s.sample(g, l.U, l.V, perm)
+	}
 	if !cfg.SkipPermutation {
 		g := xrand.NewSeeded(cfg.Seed, shuffleStream)
-		if workers > 1 && l.Len() > drawBlock {
+		if workteam.Width(cfg.Workers) > 1 && m > drawBlock {
 			shuffleAhead(l, g)
 		} else {
 			l.Shuffle(g)
@@ -208,143 +216,87 @@ func generate(cfg Config, chunk int) (*edge.List, error) {
 	return l, nil
 }
 
-// width is the number of goroutines c.Workers asks for.
-func (c Config) width() int {
-	if c.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
+// ringWidth is the goroutines cfg's sampling runs on in chunks of chunk
+// edges: cfg.Workers wide, and no wider than its chunks.
+func ringWidth(cfg Config, chunk int) int {
+	chunks := (cfg.M() + uint64(chunk) - 1) / uint64(chunk)
+	return int(min(uint64(workteam.Width(cfg.Workers)), chunks))
 }
 
-// dealer hands out the chunks of one sample stream in order, each with
-// the state it starts from.  Edge e takes words 2·Scale·e onwards of the
-// stream, so chunk c starts chunk·2·Scale words in: at the state one Leap
-// of that many steps after chunk c−1's.  Each chunk is then sampled from
-// the words the serial loop gives it, at every width and interleaving.
-// A start state is derived as its chunk is dealt, so a dealer holds one
-// state however many chunks the stream has.
-type dealer struct {
-	mu     sync.Mutex
-	raised sync.Cond        // limit rose, or the dealer stopped
-	next   uint64           // the chunk deal hands out next
-	limit  uint64           // deal waits while next is not below it
-	chunks uint64           // chunks in the stream; 0 once stopped
-	g      xrand.Xoshiro256 // chunk next's start state
-	leap   xrand.Leap       // one chunk's steps
-}
-
-// newDealer returns a dealer of chunks chunks of chunk edges, the first
-// starting at g's state, with no limit.
-func (s sampler) newDealer(g *xrand.Xoshiro256, chunks uint64, chunk int) *dealer {
-	d := &dealer{limit: chunks, chunks: chunks, g: *g, leap: xrand.LeapOf(uint64(2 * s.scale * chunk))}
-	d.raised.L = &d.mu
-	return d
-}
-
-// deal returns the next chunk and its start state, a private copy,
-// waiting until the chunk is below the limit; ok is false once every
-// chunk is dealt or the dealer is stopped.
-func (d *dealer) deal() (c uint64, g xrand.Xoshiro256, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for d.next >= d.limit && d.next < d.chunks {
-		d.raised.Wait()
-	}
-	if c = d.next; c >= d.chunks {
-		return 0, g, false
-	}
-	g = d.g
-	if d.next++; d.next < d.chunks {
-		d.g.Leap(d.leap)
-	}
-	return c, g, true
-}
-
-// allow lets d deal the chunks below limit.
-func (d *dealer) allow(limit uint64) {
-	d.mu.Lock()
-	d.limit = limit
-	d.mu.Unlock()
-	d.raised.Broadcast()
-}
-
-// stop makes every deal, waiting or to come, return ok false.
-func (d *dealer) stop() {
-	d.mu.Lock()
-	d.chunks = 0
-	d.mu.Unlock()
-	d.raised.Broadcast()
-}
-
-// sampleChunks is sample(g, us, vs, perm) on up to workers goroutines,
-// the caller among them, which are dealt chunks of chunk edges.  One
-// worker samples straight through, with no Leap and no goroutine.
-func (s sampler) sampleChunks(g *xrand.Xoshiro256, us, vs, perm []uint64, workers, chunk int) {
-	m := len(us)
-	chunks := (m + chunk - 1) / chunk
-	if workers = min(workers, chunks); workers <= 1 {
-		s.sample(g, us, vs, perm)
-		return
-	}
-	d := s.newDealer(g, uint64(chunks), chunk)
-	work := func() {
-		for c, g, ok := d.deal(); ok; c, g, ok = d.deal() {
-			lo := int(c) * chunk
-			hi := min(lo+chunk, m)
-			s.sample(&g, us[lo:hi], vs[lo:hi], perm)
+// sampleRing samples the m edges of g's stream in chunks of chunk edges on
+// a ring of workers goroutines and 2·workers slots (workteam.Ring): chunk
+// c, of n edges, into into(c, n), which may be its slot, c mod 2·workers.
+// The caller hands each chunk to done, when it is not nil, in chunk order;
+// the chunk's slot is free again once done returns.  Edge e takes words
+// 2·Scale·e onwards of the stream, so chunk c starts one Leap of
+// 2·Scale·chunk steps after chunk c − 1: the caller derives each start
+// state as it puts the chunk, and each chunk is sampled from the words the
+// serial loop gives it, at every width.  done's first error stops the
+// ring and is returned.
+func (s sampler) sampleRing(g *xrand.Xoshiro256, m uint64, chunk, workers int, perm []uint64,
+	into func(c, n int) (us, vs []uint64), done func(c, n int) error) error {
+	chunks := int((m + uint64(chunk) - 1) / uint64(chunk))
+	edges := func(c int) int { return int(min(m-uint64(c)*uint64(chunk), uint64(chunk))) }
+	starts := make([]xrand.Xoshiro256, 2*workers)
+	r := workteam.NewRing(workers, len(starts), func(c int) {
+		us, vs := into(c, edges(c))
+		s.sample(&starts[c%len(starts)], us, vs, perm)
+	})
+	leap := xrand.LeapOf(uint64(2 * s.scale * chunk))
+	var err error
+	for err == nil && (r.Next() < chunks || r.InFlight() > 0) {
+		if c := r.Next(); c < chunks && r.InFlight() < len(starts) {
+			starts[c%len(starts)] = *g
+			g.Leap(leap)
+			r.Put()
+		} else if c = r.Wait(); done != nil {
+			err = done(c, edges(c))
 		}
 	}
-	var wg sync.WaitGroup
-	for range workers - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	r.Close()
+	return err
 }
 
 // drawBlock is the number of shuffle indices shuffleAhead draws per block.
 const drawBlock = 1 << 12
 
 // shuffleAhead is l.Shuffle(g) with the draws and the swaps on two
-// goroutines: a helper draws the indices j = g.Uint64n(i+1) for
-// i = M−1, …, 1 in blocks, in Shuffle's order, while the caller swaps
+// goroutines: a one-goroutine ring draws the indices j = g.Uint64n(i+1)
+// for i = M−1, …, 1 in blocks, in Shuffle's order, while the caller swaps
 // edge i with edge j block by block.  The draws are Shuffle's, so the
 // permutation is too; the swaps, which miss the cache, no longer wait on
 // the generator.
 func shuffleAhead(l *edge.List, g *xrand.Xoshiro256) {
-	// One block being drawn, one queued, one being swapped; each channel
-	// holds all of them, so no send blocks.
-	const blocks = 3
-	free, full := make(chan []uint64, blocks), make(chan []uint64, blocks)
-	for range blocks {
-		free <- make([]uint64, drawBlock)
-	}
 	n := l.Len()
-	go func() {
-		for i := n - 1; i > 0; {
-			b := (<-free)[:min(i, drawBlock)]
-			for k := range b {
-				b[k] = g.Uint64n(uint64(i - k + 1))
-			}
-			i -= len(b)
-			full <- b
+	blocks := (n - 1 + drawBlock - 1) / drawBlock
+	// Block c draws for i = n−1−c·drawBlock downwards.
+	draws := func(c int) int { return min(n-1-c*drawBlock, drawBlock) }
+	// One block being drawn, one queued, one being swapped.
+	bufs := make([][]uint64, 3)
+	for k := range bufs {
+		bufs[k] = make([]uint64, drawBlock)
+	}
+	r := workteam.NewRing(1, len(bufs), func(c int) {
+		b, i := bufs[c%len(bufs)][:draws(c)], n-1-c*drawBlock
+		for k := range b {
+			b[k] = g.Uint64n(uint64(i - k + 1))
 		}
-		close(full)
-	}()
+	})
 	u, v := l.U, l.V[:n]
 	i := n - 1
-	for b := range full {
-		for _, j := range b {
+	for r.Next() < blocks || r.InFlight() > 0 {
+		if r.Next() < blocks && r.InFlight() < len(bufs) {
+			r.Put()
+			continue
+		}
+		c := r.Wait()
+		for _, j := range bufs[c%len(bufs)][:draws(c)] {
 			u[i], u[j] = u[j], u[i]
 			v[i], v[j] = v[j], v[i]
 			i--
 		}
-		free <- b[:cap(b)]
 	}
+	r.Close()
 }
 
 // labels returns the Graph500 vertex relabelling of cfg — vertex x is
@@ -397,13 +349,22 @@ func generateTo(cfg Config, sink EdgeWriter, chunk int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	perm := labels(cfg)
-	g := xrand.NewSeeded(cfg.Seed, 0)
-	s := newSampler(cfg)
-	m := cfg.M()
-	chunks := (m + uint64(chunk) - 1) / uint64(chunk)
-	if workers := min(uint64(cfg.width()), chunks); workers > 1 {
-		return s.sampleTo(s.newDealer(g, chunks, chunk), m, perm, sink, int(workers), chunk)
+	perm, g, s, m := labels(cfg), xrand.NewSeeded(cfg.Seed, 0), newSampler(cfg), cfg.M()
+	if workers := ringWidth(cfg, chunk); workers > 1 {
+		// Chunk c is sampled into slot c mod 2·workers of the ring.
+		slots := make([]*edge.List, 2*workers)
+		for k := range slots {
+			slots[k] = edge.Make(chunk)
+		}
+		h := handOff{sink: sink, carry: edge.NewList(generateToBatch)}
+		if err := s.sampleRing(g, m, chunk, workers, perm, func(c, n int) ([]uint64, []uint64) {
+			return slots[c%len(slots)].U[:n], slots[c%len(slots)].V[:n]
+		}, func(c, n int) error {
+			return h.write(slots[c%len(slots)], n)
+		}); err != nil {
+			return err
+		}
+		return h.flush()
 	}
 	batch := edge.Make(generateToBatch)
 	for left := m; left > 0; {
@@ -415,58 +376,6 @@ func generateTo(cfg Config, sink EdgeWriter, chunk int) error {
 		left -= uint64(n)
 	}
 	return sink.Flush()
-}
-
-// slot is one chunk's place in sampleTo's ring.
-type slot struct {
-	l     *edge.List
-	n     int           // edges of the chunk in l
-	ready chan struct{} // a sampler has filled l
-}
-
-// sampleTo hands the m edges of d's stream to sink in order and flushes
-// it.  workers goroutines sample the chunks d deals into a ring of
-// 2·workers slots, chunk c into slot c mod 2·workers, while the caller
-// passes each filled slot to the sink in chunk order.  d deals chunk c
-// only once the sink has had chunk c − 2·workers, whose slot it reuses,
-// so the samplers run at most a ring ahead of the sink.  A sink error
-// stops the dealer, which releases a sampler waiting on it; every sampler
-// has returned before sampleTo does.
-func (s sampler) sampleTo(d *dealer, m uint64, perm []uint64, sink EdgeWriter, workers, chunk int) error {
-	chunks, ring := d.chunks, make([]slot, 2*workers)
-	for i := range ring {
-		// One send per chunk the slot holds, received before the slot is
-		// dealt again: a buffer of one never blocks a sampler.
-		ring[i] = slot{l: edge.Make(chunk), ready: make(chan struct{}, 1)}
-	}
-	d.allow(uint64(len(ring)))
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c, g, ok := d.deal(); ok; c, g, ok = d.deal() {
-				sl := &ring[c%uint64(len(ring))]
-				sl.n = int(min(m-c*uint64(chunk), uint64(chunk)))
-				s.sample(&g, sl.l.U[:sl.n], sl.l.V[:sl.n], perm)
-				sl.ready <- struct{}{}
-			}
-		}()
-	}
-	h := handOff{sink: sink, carry: edge.NewList(generateToBatch)}
-	var err error
-	for c := uint64(0); c < chunks && err == nil; c++ {
-		sl := &ring[c%uint64(len(ring))]
-		<-sl.ready
-		err = h.write(sl.l, sl.n)
-		d.allow(c + 1 + uint64(len(ring)))
-	}
-	d.stop()
-	wg.Wait()
-	if err != nil {
-		return err
-	}
-	return h.flush()
 }
 
 // handOff passes runs of edges to a sink in calls of generateToBatch

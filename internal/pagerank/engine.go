@@ -12,9 +12,9 @@ package pagerank
 import (
 	"context"
 	"math"
-	"runtime"
 
 	"repro/internal/sparse"
+	"repro/internal/workteam"
 )
 
 // Engine holds the reusable state of the kernel-3 power iteration
@@ -361,10 +361,7 @@ func NewParallelEngine(a *sparse.CSR, at *sparse.Ordered, workers int, opt Optio
 	if at == nil {
 		at = a.TransposeOrdered()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	pe := &ParallelEngine{team: at.NewTeam(workers)}
+	pe := &ParallelEngine{team: at.NewTeam(workteam.Width(workers))}
 	eng, err := newMaskedEngine(a.N, at.Label, pe.team.MxV, danglingMask(a), opt)
 	if err != nil {
 		pe.Close()

@@ -22,13 +22,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/edge"
 	"repro/internal/fastio"
 	"repro/internal/vfs"
+	"repro/internal/workteam"
 )
 
 // ---------------------------------------------------------------------------
@@ -150,51 +149,53 @@ func radix(l *edge.List, keys []uint64, scratch *edge.List) *edge.List {
 // vertex — on workers goroutines: each radix-sorts a contiguous chunk
 // through its own slice of one auxiliary list of l's size, then the chunks
 // merge pairwise through that list, a tie taking the left chunk's edge.
-// The result is RadixInto's bit for bit at every width, and so is the
-// memory: one auxiliary list.  workers <= 0 selects GOMAXPROCS; 1 is
-// RadixInto.
+// The sorts and each round's merges are pieces on one workteam.Ring, and a
+// round starts once the one before it is done.  The result is RadixInto's
+// bit for bit at every width, and so is the memory: one auxiliary list.
+// workers <= 0 selects GOMAXPROCS; 1 is RadixInto.
 func Sort(l *edge.List, byUV bool, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	m := l.Len()
-	if workers = min(workers, m); workers < 2 {
+	if workers = min(workteam.Width(workers), m); workers < 2 {
 		RadixInto(l, byUV, nil)
 		return
 	}
 	aux := edge.Make(m)
-	// With workers <= m no chunk is empty.
+	// Piece c sorts [lo, hi) when mid == hi, else merges [lo, mid) and
+	// [mid, hi): workers sorts, then workers − 1 merges.  With workers <= m
+	// no chunk is empty.
+	pieces := make([][3]int, 2*workers-1)
+	r := workteam.NewRing(workers, workers, func(c int) {
+		lo, mid, hi := pieces[c][0], pieces[c][1], pieces[c][2]
+		if mid == hi {
+			RadixInto(l.Slice(lo, hi), byUV, aux.Slice(lo, hi))
+		} else {
+			mergeRuns(l, aux, lo, mid, hi, byUV)
+		}
+	})
 	runs := make([][2]int, workers)
-	var wg sync.WaitGroup
 	for w := range runs {
 		lo, hi := w*m/workers, (w+1)*m/workers
 		runs[w] = [2]int{lo, hi}
-		wg.Add(1)
-		//prlint:allow determinism -- workers radix-sort disjoint chunks through disjoint aux slices and join on wg; the merge below fixes the final order
-		go func() {
-			defer wg.Done()
-			RadixInto(l.Slice(lo, hi), byUV, aux.Slice(lo, hi))
-		}()
+		pieces[r.Next()] = [3]int{lo, hi, hi}
+		r.Put()
 	}
-	wg.Wait()
 	for len(runs) > 1 {
+		for r.InFlight() > 0 {
+			r.Wait()
+		}
 		var next [][2]int
 		for i := 0; i+1 < len(runs); i += 2 {
 			a, b := runs[i], runs[i+1]
+			pieces[r.Next()] = [3]int{a[0], a[1], b[1]}
+			r.Put()
 			next = append(next, [2]int{a[0], b[1]})
-			wg.Add(1)
-			//prlint:allow determinism -- pairwise merges touch disjoint [a,b) ranges and join on wg each round
-			go func() {
-				defer wg.Done()
-				mergeRuns(l, aux, a[0], a[1], b[1], byUV)
-			}()
 		}
 		if len(runs)%2 == 1 {
 			next = append(next, runs[len(runs)-1])
 		}
-		wg.Wait()
 		runs = next
 	}
+	r.Close()
 }
 
 // mergeRuns merges the sorted ranges [lo, mid) and [mid, hi) of l, by U
