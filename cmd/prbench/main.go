@@ -95,7 +95,7 @@ var (
 	nfiles      = flag.Int("nfiles", 1, "number of edge files (the paper's free parameter)")
 	variant     = flag.String("variant", "csr", "implementation variant; a comma-separated list or 'all' runs each in turn, cold, and tabulates per-kernel edges/s (-cachesweep takes lists too; -json and -checkpoint-every take one variant)")
 	generator   = flag.String("generator", "kronecker", "kernel-0 generator: kronecker, ppl, er")
-	workers     = flag.Int("workers", 0, "kernel-0 sampling width (and shuffle width, all but extsort), whole-list tsv/bin/packed encode and decode width (k0 write, k1 read, sort and write; not naivetsv), kernel-1 sort width (all but coo) and kernel-3 gather team width (csr, extsort), same bits at any width; or the dist variants' rank count (0 = GOMAXPROCS, or 4 ranks)")
+	workers     = flag.Int("workers", 0, "kernel-0 sampling width (and shuffle width, all but extsort), whole-list tsv/bin/packed encode and decode width (k0 write, k1 read, sort and write; not naivetsv), kernel-1 sort width (all but coo), kernel-2 build and filter, kernel-3 set-up and kernel-3 gather team width (csr, extsort), same bits at any width; or the dist variants' rank count (0 = GOMAXPROCS, or 4 ranks)")
 	dir         = flag.String("dir", "", "storage directory (empty = in-memory)")
 	iterations  = flag.Int("iterations", 20, "kernel-3 PageRank iterations")
 	damping     = flag.Float64("damping", 0.85, "kernel-3 damping factor c")

@@ -205,3 +205,120 @@ func TestWideReadErrorIsTheFirst(t *testing.T) {
 		}
 	}
 }
+
+// listSink is a PieceSink that copies each piece in its slot and appends
+// the pieces in the order it takes them, checking each one's offset.
+type listSink struct {
+	slots []edge.List
+	offs  []int
+	got   edge.List
+}
+
+func (s *listSink) Start(slots int) {
+	s.slots, s.offs = make([]edge.List, slots), make([]int, slots)
+}
+
+func (s *listSink) Piece(slot, off int, us, vs []uint64) error {
+	l := &s.slots[slot]
+	l.Reset()
+	l.U, l.V = append(l.U, us...), append(l.V, vs...)
+	s.offs[slot] = off
+	return nil
+}
+
+func (s *listSink) Take(slot int, err error) error {
+	if err != nil {
+		return err
+	}
+	if s.offs[slot] != s.got.Len() {
+		return fmt.Errorf("piece at offset %d after %d edges", s.offs[slot], s.got.Len())
+	}
+	s.got.AppendList(&s.slots[slot])
+	return nil
+}
+
+// TestReadPiecesMatchesReadStriped: ReadPieces hands a sink, in order and
+// at their offsets, the edges ReadStripedInto reads, for every codec,
+// list and stripe count, at widths 1, 2, 3 and 8 and in pieces of 100
+// bytes and of decodeBlock; and on the hostile stripes of
+// TestWideReadErrorIsTheFirst it fails with ReadStripedInto's error.
+func TestReadPiecesMatchesReadStriped(t *testing.T) {
+	for name, l := range wideLists() {
+		for _, c := range Codecs() {
+			for _, nfiles := range []int{1, 3} {
+				fs := vfs.NewMem()
+				if err := WriteStriped(fs, "k1", c, nfiles, l); err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 2, 3, 8} {
+					for _, block := range []int{100, 0} {
+						var s listSink
+						edges, err := ReadPieces(fs, "k1", c, workers, block, &s)
+						if err != nil || edges != l.Len() || !s.got.Equal(l) {
+							t.Fatalf("%s/%s/%d files/w%d/block %d: %d edges, %v", name, c.Name(), nfiles, workers, block, edges, err)
+						}
+					}
+				}
+			}
+		}
+	}
+	long := strings.Repeat("0", 100) + "7\t" + strings.Repeat("0", 80) + "8\n"
+	for _, stripes := range [][]string{
+		{"1\t2\n", "3\t4\n5\tx\n" + strings.Repeat("6\t7\n", 50), strings.Repeat("8\t9\n", 50) + "\t\n"},
+		{strings.Repeat("1\t2\n", 40), long + "3\t4\r\n" + long + "5\t6", "7\t8"},
+		{long, strings.Repeat("9", 60) + "\t1\n"},
+	} {
+		fs := vfs.NewMem()
+		for i, s := range stripes {
+			w, _ := fs.Create(StripeName("k0", TSV{}, i))
+			io.WriteString(w, s)
+			w.Close()
+		}
+		for _, workers := range []int{1, 2, 3} {
+			for _, block := range []int{16, 64, decodeBlock} {
+				want, werr := readStriped(fs, "k0", TSV{}, nil, workers, block)
+				var s listSink
+				_, err := ReadPieces(fs, "k0", TSV{}, workers, block, &s)
+				if fmt.Sprint(err) != fmt.Sprint(werr) || err == nil && !s.got.Equal(want) {
+					t.Errorf("%q w%d block %d: %v, ReadStripedInto %v", stripes, workers, block, err, werr)
+				}
+			}
+		}
+	}
+}
+
+// TestReadPiecesFaults: a storage fault at every 1/8th of a three-stripe
+// read comes back from ReadPieces at one worker and at three wrapping
+// vfs.ErrInjected and naming a stripe, one worker starts no goroutine, and
+// none is left behind.
+func TestReadPiecesFaults(t *testing.T) {
+	l := randomList(5, 7*encodeChunk)
+	for _, c := range []Codec{TSV{}, NaiveTSV{}, Binary{}, Packed{}} {
+		clean := vfs.NewMem()
+		if err := WriteStriped(clean, "k1", c, 3, l); err != nil {
+			t.Fatal(err)
+		}
+		total, err := StripedBytes(clean, "k1", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			for i := range int64(9) {
+				base := runtime.NumGoroutine()
+				fs := &goroutineFS{FS: vfs.NewFaulty(clean, total*i/8)}
+				var s listSink
+				_, err := ReadPieces(fs, "k1", c, workers, 0, &s)
+				switch {
+				case i == 8 && (err != nil || !s.got.Equal(l)):
+					t.Errorf("%s/w%d: a clean read: %v", c.Name(), workers, err)
+				case i < 8 && (!errors.Is(err, vfs.ErrInjected) || !strings.Contains(err.Error(), "k1-000")):
+					t.Errorf("%s/w%d at %d/8: %v, want the injected fault naming a stripe", c.Name(), workers, i, err)
+				}
+				if workers == 1 && fs.most.Load() > int64(base) {
+					t.Errorf("%s/w1: %d goroutines beside the caller's %d", c.Name(), fs.most.Load(), base)
+				}
+				waitGoroutines(t, base)
+			}
+		}
+	}
+}

@@ -105,9 +105,10 @@ type Workload struct {
 	RankWorkers int
 	// Workers is the cold kernels' width (pipeline.Config.Workers): the
 	// Kronecker sampling runs on this many cores, capped at
-	// Hardware.Cores, and so does the in-memory pipeline's codec work
-	// (RunEdges == 0: K0's formatting, K1's parse and format), which the
-	// out-of-core one streams on one core.  0/1 model serial kernels.
+	// Hardware.Cores, and so do kernel 2 and the in-memory pipeline's
+	// codec work (RunEdges == 0: K0's formatting, K1's parse and format),
+	// which the out-of-core one streams on one core.  0/1 model serial
+	// kernels.
 	Workers int
 }
 
@@ -230,12 +231,15 @@ func Kernel1(h Hardware, w Workload) Prediction {
 	return prediction(m, map[string]float64{"compute": compute, "memory": memory, "storage": storage})
 }
 
-// Kernel2 predicts read plus matrix construction and filtering.
+// Kernel2 predicts read plus matrix construction and filtering.  Its
+// compute and memory terms divide by min(Workload.Workers, Cores): the
+// pieces decode and build, and the filter runs, that wide in memory and
+// out of core alike.
 func Kernel2(h Hardware, w Workload) Prediction {
 	w = w.withDefaults()
 	m := w.M()
-	compute := m * parseOpsPerByte * w.BytesPerEdgeText / h.ScalarRate
-	memory := m * buildBytesPerEdge / h.MemBandwidth
+	compute := m * parseOpsPerByte * w.BytesPerEdgeText / h.ScalarRate / cores(w.Workers, h)
+	memory := m * buildBytesPerEdge / h.MemBandwidth / cores(w.Workers, h)
 	storage := m * w.BytesPerEdgeText / h.StorageReadBW
 	return prediction(m, map[string]float64{"compute": compute, "memory": memory, "storage": storage})
 }

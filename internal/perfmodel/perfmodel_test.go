@@ -268,6 +268,32 @@ func TestKernel0Workers(t *testing.T) {
 	}
 }
 
+// TestKernel2Workers pins K2's width: its compute and memory terms divide
+// by min(Workers, Cores), in memory and out of core alike, and the storage
+// term does not; so at Workers 2 on the paper node K2 takes its serial
+// time less half of those two terms.
+func TestKernel2Workers(t *testing.T) {
+	h := PaperNode()
+	w := wl().withDefaults()
+	m := w.M()
+	wide := m*parseOpsPerByte*w.BytesPerEdgeText/h.ScalarRate + m*buildBytesPerEdge/h.MemBandwidth
+	serial := Kernel2(h, w).Seconds
+	for _, runEdges := range []int{0, 1 << 20} {
+		for _, c := range []struct{ workers, cores int }{{0, 1}, {1, 1}, {2, 2}, {16, 16}, {64, 16}} {
+			w.Workers, w.RunEdges = c.workers, runEdges
+			want := serial - wide + wide/float64(c.cores)
+			if got := Kernel2(h, w).Seconds; math.Abs(got-want) > 1e-9*want {
+				t.Errorf("Workers %d RunEdges %d: K2 %.9g s, want %.9g (on %d cores)", c.workers, runEdges, got, want, c.cores)
+			}
+		}
+	}
+	w.Workers, w.RunEdges = 2, 0
+	ratio := Kernel2(h, w).Seconds / serial
+	if want := 1 - wide/serial/2; math.Abs(ratio-want) > 1e-12 || ratio >= 1 || ratio <= 0.5 {
+		t.Errorf("K2 at Workers 2 over Workers 1: %.6f, want %.6f", ratio, want)
+	}
+}
+
 // TestKernel1Workers pins K1's parse and format term: it divides by
 // min(Workers, Cores) in memory and stays on one core when RunEdges
 // streams the files; the sort's memory and the storage terms do not move.

@@ -16,9 +16,10 @@ import (
 // reused as kernel 1's decode target), the radix sort's second list (16),
 // two tsv files (~12 each), the matrix reserved at M (12) and its
 // transpose (~11); K0 and K1 write and read their stripes through rings
-// of 2·GOMAXPROCS pieces, and kernel 2 streams the k1 stripes and decodes
-// into no list.  A doubling file buffer or a list allocated per decode
-// puts it at 170, so either fails here, not in a benchmark.
+// of 2·GOMAXPROCS pieces, and kernel 2 reads the k1 stripes through such
+// a ring of small pieces into no list.  A doubling file buffer or a list
+// allocated per decode puts it at 170, so either fails here, not in a
+// benchmark.
 func TestColdRunAllocBudget(t *testing.T) {
 	const variant, budget = "csr", 110
 	cfg := core.Config{Scale: 14, Seed: 1, Variant: variant, Format: "tsv", KeepRank: true}
@@ -56,7 +57,7 @@ func TestColdRunAllocBudget(t *testing.T) {
 // vfs.Mem, written by the same variant's kernels 0 and 1 — to 20 bytes
 // per edge for every variant that streams the stripes into the matrix:
 // Col+Val reserved at M (12), the row pointers, the filter's vectors and
-// the decode-ahead batches.  A kernel 2 that decodes the whole list first
+// the ring's pieces.  A kernel 2 that decodes the whole list first
 // allocates 16 more.
 func TestKernel2AllocBudget(t *testing.T) {
 	ctx := context.Background()

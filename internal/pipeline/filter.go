@@ -3,37 +3,10 @@ package pipeline
 import "repro/internal/sparse"
 
 // FilterStats reports what kernel 2's filtering removed.
-type FilterStats struct {
-	// MaxInDegree is max(din) before filtering.
-	MaxInDegree float64
-	// SuperNodeColumns is the number of columns with din == max(din).
-	SuperNodeColumns int
-	// LeafColumns is the number of columns with din == 1.
-	LeafColumns int
-	// EntriesZeroed is the number of stored entries removed.
-	EntriesZeroed int
-}
+type FilterStats = sparse.FilterStats
 
 // ApplyKernel2Filter performs the filtering and normalization steps of
-// kernel 2 on a freshly built counting adjacency matrix, in place:
-//
-//	din = sum(A,1)
-//	A(:, din == max(din)) = 0   // eliminate super-nodes
-//	A(:, din == 1)        = 0   // eliminate leaves
-//	dout = sum(A,2)
-//	A(i,:) = A(i,:) / dout(i) for dout(i) > 0
-//
-// Explicit zeros are compacted away before normalization.  It returns the
-// filtering statistics.
-func ApplyKernel2Filter(a *sparse.CSR) FilterStats {
-	din := a.InDegrees()
-	var st FilterStats
-	mask, maxDin, superNodes, leaves := sparse.Kernel2Mask(din)
-	st.MaxInDegree = maxDin
-	st.SuperNodeColumns = superNodes
-	st.LeafColumns = leaves
-	st.EntriesZeroed = a.ZeroColumns(mask)
-	a.Compact()
-	a.ScaleRows(a.OutDegrees())
-	return st
-}
+// kernel 2 on a freshly built counting adjacency matrix, in place, on the
+// caller's goroutine (sparse.CSR.Kernel2Filter at width 1), and returns
+// the filtering statistics.
+func ApplyKernel2Filter(a *sparse.CSR) FilterStats { return a.Kernel2Filter(1) }

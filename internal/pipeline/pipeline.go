@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"time"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
 	"repro/internal/vfs"
+	"repro/internal/workteam"
 	"repro/internal/xsort"
 )
 
@@ -89,8 +89,9 @@ type Config struct {
 	// ReadStripedInto: kernel 0's encode, kernel 1's decode and encode in
 	// memory, every whole-list decode; naivetsv's stay on one core),
 	// kernel 1's in-memory sort width (every variant but coo and the dist
-	// variants' by-u sample sort) and kernel 3's gather team width (csr,
-	// extsort); results are bit-for-bit invariant in it.  It is also the
+	// variants' by-u sample sort), kernel 2's build and filter and kernel
+	// 3's set-up and gather team width (csr, extsort); results are
+	// bit-for-bit invariant in it.  It is also the
 	// dist variants' rank count.  <= 0 means GOMAXPROCS (four ranks for
 	// the dist variants; their kernel 0 and stripe passes then run
 	// GOMAXPROCS wide).
@@ -468,7 +469,7 @@ func (r *Run) Transposed() *sparse.Ordered {
 	if r.MatrixT != nil {
 		return r.MatrixT()
 	}
-	return r.Matrix.TransposeOrdered()
+	return r.Matrix.TransposeOrderedWide(r.Cfg.Workers)
 }
 
 // Context returns the run's cancellation context.  Variants thread it
@@ -863,56 +864,64 @@ func externalSort(r *Run, runEdges int, byUV bool) error {
 }
 
 // buildMatrix is kernel 2 of every variant that builds the matrix from
-// kernel 1's sorted files (csr, extsort): a StripedSource decodes
-// the "k1" stripes ahead of a SortedBuilder reserved at M, the matrix mass
-// must equal the streamed edges, and ApplyKernel2Filter filters and
-// normalizes.  It drops the run's spare before it reads anything, and no
-// local here ever holds that list, so a collection that starts inside the
-// kernel cannot find it through a stale register (DESIGN.md §7).
+// kernel 1's sorted files (csr, extsort), Config.Workers wide: readMatrix
+// builds it, and Kernel2Filter filters and normalizes it on as many
+// workers.  The matrix, the statistics and the first error are the serial
+// ones at every width.
 func buildMatrix(r *Run) error {
-	r.spare = nil
-	src, err := fastio.NewStripedSource(r.FS, "k1", r.Codec())
+	a, err := readMatrix(r)
 	if err != nil {
 		return err
 	}
-	defer src.Close()
-	b, err := sparse.NewSortedBuilder(int(r.Cfg.N()))
+	a.Kernel2Filter(r.Cfg.Workers)
+	r.Matrix = a
+	return nil
+}
+
+// readMatrix builds the counting matrix of the "k1" stripes: they are
+// read in pieces, which Config.Workers workers decode and build into a
+// sparse.Builder reserved at M while the caller places them in order
+// (fastio.ReadPieces), and the matrix mass must equal the edges read.  It
+// drops the run's spare before it reads anything, and no local here ever
+// holds that list, so a collection that starts inside the kernel cannot
+// find it through a stale register (DESIGN.md §7).
+func readMatrix(r *Run) (*sparse.CSR, error) {
+	r.spare = nil
+	b, err := sparse.NewBuilder(int(r.Cfg.N()))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// M bounds NNZ, so Col and Val are made once.  (Past the int range —
 	// a 32-bit build from scale 27 — no matrix fits anyway.)
 	if m := r.Cfg.M(); m <= uint64(^uint(0)>>1) {
 		b.Reserve(int(m))
 	}
-	// Stream in bounded batches; the builder consumes each batch and the
-	// buffer resets, so the edges held stay O(batch).
-	edges := 0
-	buf := edge.NewList(0)
-	for {
-		buf.Reset()
-		if _, err := fastio.ReadEdges(src, buf, 8192); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return err
-		}
-		for i := 0; i < buf.Len(); i++ {
-			if err := b.Add(buf.U[i], buf.V[i]); err != nil {
-				return fmt.Errorf("kernel 2 stream: %w", err)
-			}
-		}
-		edges += buf.Len()
+	edges, err := fastio.ReadPieces(r.FS, "k1", r.Codec(), r.Cfg.Workers, k2PieceBytes(r), b)
+	if err != nil {
+		return nil, fmt.Errorf("kernel 2 stream: %w", err)
 	}
 	a := b.Finish()
 	r.MatrixMass = a.SumValues()
 	if r.MatrixMass != float64(edges) {
-		return fmt.Errorf("kernel 2: matrix mass %v != streamed edges %d", r.MatrixMass, edges)
+		return nil, fmt.Errorf("kernel 2: matrix mass %v != streamed edges %d", r.MatrixMass, edges)
 	}
-	ApplyKernel2Filter(a)
-	r.Matrix = a
-	return nil
+	return a, nil
 }
+
+// k2PieceSize is the bytes per piece kernel 2 reads (fastio.ReadPieces):
+// 6144 edges' worth in the run's format, or M/(64·Workers) edges if that
+// is fewer, but no fewer than 512, and at most 64 KiB.  Each of the ring's
+// 2·Workers slots holds a piece and its decoded edges (~20 bytes an edge),
+// so the slots take at most a byte per edge of the graph, and from scale
+// 16 on two workers a piece is big enough that its hand-off, some
+// microseconds, does not show.
+func k2PieceSize(r *Run) int {
+	edges := min(6144, max(512, r.Cfg.M()/uint64(64*workteam.Width(r.Cfg.Workers))))
+	return min(64<<10, int(float64(edges)*r.Codec().BytesPerEdge(r.Cfg.N())))
+}
+
+// k2PieceBytes is k2PieceSize, or in a test a smaller size.
+var k2PieceBytes = k2PieceSize
 
 // gatherKernel3 is kernel 3 on the gather engine over Matrixᵀ, on a team
 // Config.Workers wide (csr, extsort).  The bits are the serial

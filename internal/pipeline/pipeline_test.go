@@ -475,7 +475,8 @@ func TestKeepRankFalseDropsVector(t *testing.T) {
 // list not sorted by u — within a stripe or across a stripe boundary —
 // every kernel 2 that relies on the order; each error names kernel 2 (a
 // panic fails the test binary).  The unsorted edges keep columns 1 and 4
-// (in-degree 2), so they survive columnar's column filter.
+// (in-degree 2), so they survive columnar's column filter.  Then
+// kernel2HostilePieces puts bad edges where kernel 2's pieces begin.
 func TestKernel2HostileStripes(t *testing.T) {
 	sorting := []string{"csr", "extsort", "columnar"}
 	cases := []struct {
@@ -518,4 +519,5 @@ func TestKernel2HostileStripes(t *testing.T) {
 			}
 		}
 	}
+	kernel2HostilePieces(t)
 }

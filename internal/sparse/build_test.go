@@ -100,7 +100,7 @@ func TestSortedBuilderReserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Reserve(l.Len())
-	col, val := &b.cols[:1][0], &b.vals[:1][0]
+	col, val := &b.b.col[:1][0], &b.b.val[:1][0]
 	for i := range l.U {
 		if err := b.Add(l.U[i], l.V[i]); err != nil {
 			t.Fatal(err)
@@ -116,8 +116,8 @@ func TestSortedBuilderReserve(t *testing.T) {
 }
 
 // TestBuildersAgreeOnHubRows: FromEdges, FromSortedEdges and SortedBuilder
-// share one row-compress routine; on rows around its insertion-sort cutoff
-// (23, 24, 25 entries), on a hub row of 10⁴ copies of few columns and on
+// share one row-compress routine; on short rows (23, 24, 25 entries,
+// insertion-sorted), on a hub row of 10⁴ copies of few columns and on
 // empty rows between them, the three matrices are equal in every bit of
 // RowPtr, Col and Val.
 func TestBuildersAgreeOnHubRows(t *testing.T) {

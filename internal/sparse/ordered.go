@@ -53,12 +53,18 @@ type Ordered struct {
 
 // TransposeOrdered returns the square matrix's transpose as a
 // length-ordered gather operand in position labels; it panics on a row
-// block, whose operand the TransposeOrdered function builds.
-func (a *CSR) TransposeOrdered() *Ordered {
+// block, whose operand the TransposeOrdered function builds.  It is
+// TransposeOrderedWide on the caller's goroutine.
+func (a *CSR) TransposeOrdered() *Ordered { return a.TransposeOrderedWide(1) }
+
+// TransposeOrderedWide is TransposeOrdered on workers goroutines (<= 0
+// means GOMAXPROCS; one starts none), with the same operand at every
+// width.
+func (a *CSR) TransposeOrderedWide(workers int) *Ordered {
 	if a.Rows() != a.N {
 		panic("sparse: TransposeOrdered of a row block")
 	}
-	return transposeOrdered(a.N, a.RowPtr, a.Col, a.Val, true)
+	return transposeOrdered(a.N, a.RowPtr, a.Col, a.Val, true, workers)
 }
 
 // TransposeOrdered returns the length-ordered transpose of the
@@ -67,23 +73,53 @@ func (a *CSR) TransposeOrdered() *Ordered {
 // transpose has n rows, written through Rows; x is indexed by the
 // block's local row.  The inputs are only read.
 func TransposeOrdered(n int, rowPtr []int64, col []uint32, val []float64) *Ordered {
-	return transposeOrdered(n, rowPtr, col, val, false)
+	return transposeOrdered(n, rowPtr, col, val, false, 1)
 }
 
-// transposeOrdered builds either form.  One counting pass over col sizes
-// the rows; they are ordered by a counting sort on length, and one
-// scatter pass in row order places the entries and finds their slots: a
-// row's first value is its own slot, and any other value is looked up by
-// a linear scan over the extra slots this row has made so far.
-func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labelled bool) *Ordered {
-	cursor := make([]int64, n) // row lengths, then each row's write cursor
+// transposeOrdered builds either form on workers goroutines, each over a
+// range of the source rows.  A counting pass sizes the transpose's rows
+// per worker; the rows are ordered by a counting sort on their total
+// length; and a scatter pass places each range's entries at (column,
+// worker) offsets, where the serial pass in row order places them, and
+// finds their slots: a row's first value is its own slot, and any other
+// value is looked up by a linear scan over the extra slots this row has
+// made so far.  Each range numbers its extra slots from zero; the ranges'
+// lists are joined in order, and a last pass adds the extra slots of the
+// ranges before to the extra slots a range's entries name.
+func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labelled bool, workers int) *Ordered {
+	c := newCrew(workers)
+	defer c.close()
+	m := len(rowPtr) - 1
+	rows := splitRows(rowPtr, c.width)
+	counts := make([][]int64, c.width) // each range's column lengths, then its cursors
+	c.run(func(w int) {
+		cnt := make([]int64, n)
+		counts[w] = cnt
+		for _, j := range col[rowPtr[rows[w]]:rowPtr[rows[w+1]]] {
+			cnt[j]++
+		}
+	})
+	// The transpose's row lengths, then each row's first entry, in the
+	// last worker's counts: its cursors need only the counts before it.
+	last := counts[c.width-1]
+	lens := last
+	var cols []int
+	if c.width > 1 {
+		cols = split(n, c.width)
+		c.run(func(w int) {
+			for j := cols[w]; j < cols[w+1]; j++ {
+				for _, cnt := range counts[:c.width-1] {
+					lens[j] += cnt[j]
+				}
+			}
+		})
+	}
 	longest := int64(0)
-	for _, c := range col {
-		cursor[c]++
-		longest = max(longest, cursor[c])
+	for _, l := range lens {
+		longest = max(longest, l)
 	}
 	start := make([]int, longest+1) // rows per length, then each length's next position
-	for _, l := range cursor {
+	for _, l := range lens {
 		start[l]++
 	}
 	nonEmpty := n - start[0]
@@ -103,7 +139,7 @@ func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labell
 	} else {
 		t.Rows = make([]uint32, n)
 	}
-	for r, l := range cursor {
+	for r, l := range lens {
 		p := start[l]
 		start[l]++
 		if labelled {
@@ -112,40 +148,75 @@ func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labell
 			t.Rows[p] = uint32(r)
 		}
 		if l > 0 {
-			cursor[r] = t.Ptr[p]
+			lens[r] = t.Ptr[p]
 		}
 	}
-	m := len(rowPtr) - 1
-	t.Scale = make([]float64, m)
-	for i := 0; i < m; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		if lo == hi {
-			continue
-		}
-		slot := uint32(i)
-		if labelled {
-			slot = t.Label[i]
-		}
-		first, extras := math.Float64bits(val[lo]), len(t.Extra)
-		t.Scale[slot] = val[lo]
-		for k := lo; k < hi; k++ {
-			s := slot
-			if v := val[k]; math.Float64bits(v) != first {
-				e := extras
-				for e < len(t.Extra) && math.Float64bits(t.Extra[e]) != math.Float64bits(v) {
-					e++
+	if c.width > 1 {
+		c.run(func(w int) {
+			for j := cols[w]; j < cols[w+1]; j++ {
+				next := lens[j]
+				for _, cnt := range counts[:c.width-1] {
+					next, cnt[j] = next+cnt[j], next
 				}
-				if e == len(t.Extra) {
-					t.Extra = append(t.Extra, v)
-					t.Src = append(t.Src, slot)
-				}
-				s = uint32(m + e)
+				last[j] = next
 			}
-			q := cursor[col[k]]
-			t.Col[q] = s
-			cursor[col[k]] = q + 1
-		}
+		})
 	}
+	t.Scale = make([]float64, m)
+	extra, src := make([][]float64, c.width), make([][]uint32, c.width)
+	fix := make([][]int64, c.width) // where a range after the first named an extra slot
+	c.run(func(w int) {
+		cursor := counts[w]
+		var ex []float64
+		var sx []uint32
+		var fx []int64
+		for i := rows[w]; i < rows[w+1]; i++ {
+			lo, hi := rowPtr[i], rowPtr[i+1]
+			if lo == hi {
+				continue
+			}
+			slot := uint32(i)
+			if labelled {
+				slot = t.Label[i]
+			}
+			first, made := math.Float64bits(val[lo]), len(ex)
+			t.Scale[slot] = val[lo]
+			for k := lo; k < hi; k++ {
+				s := slot
+				if v := val[k]; math.Float64bits(v) != first {
+					e := made
+					for e < len(ex) && math.Float64bits(ex[e]) != math.Float64bits(v) {
+						e++
+					}
+					if e == len(ex) {
+						ex, sx = append(ex, v), append(sx, slot)
+					}
+					s = uint32(m + e)
+					if w > 0 {
+						fx = append(fx, cursor[col[k]])
+					}
+				}
+				q := cursor[col[k]]
+				t.Col[q] = s
+				cursor[col[k]] = q + 1
+			}
+		}
+		extra[w], src[w], fix[w] = ex, sx, fx
+	})
+	t.Extra, t.Src = extra[0], src[0]
+	if c.width == 1 {
+		return t
+	}
+	base := make([]uint32, c.width) // the extra slots of the ranges before
+	for w := 1; w < c.width; w++ {
+		base[w] = base[w-1] + uint32(len(extra[w-1]))
+		t.Extra, t.Src = append(t.Extra, extra[w]...), append(t.Src, src[w]...)
+	}
+	c.run(func(w int) {
+		for _, q := range fix[w] {
+			t.Col[q] += base[w]
+		}
+	})
 	return t
 }
 

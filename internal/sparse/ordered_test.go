@@ -403,8 +403,9 @@ func TestOrderedZeroAllocs(t *testing.T) {
 
 // FuzzTransposeOrdered builds a small CSR from arbitrary bytes — an n,
 // then (row, column, value) triplets — and requires the ordered operand
-// to hold its definition, to give TransposeOrdered twice the same layout,
-// and to multiply to Transpose().MxV's bits whole and over any split.
+// to hold its definition, to give TransposeOrdered twice the same layout
+// and TransposeOrderedWide at 2 and 3 workers the same arrays, and to
+// multiply to Transpose().MxV's bits whole and over any split.
 func FuzzTransposeOrdered(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 7, 2, 0, 3, 2, 3, 9})
 	f.Add([]byte{1, 0, 0, 1})
@@ -435,6 +436,11 @@ func FuzzTransposeOrdered(f *testing.F) {
 			!slices.Equal(o.Src, again.Src) || !slices.EqualFunc(o.Scale, again.Scale, sameFloatBits) ||
 			!slices.EqualFunc(o.Extra, again.Extra, sameFloatBits) {
 			t.Fatal("two builds of one matrix differ")
+		}
+		for _, workers := range []int{2, 3} {
+			if !sameOrdered(a.TransposeOrderedWide(workers), o) {
+				t.Fatalf("%d workers build another operand", workers)
+			}
 		}
 		x := make([]float64, n)
 		for i := range x {

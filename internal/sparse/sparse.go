@@ -3,7 +3,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/edge"
@@ -260,38 +259,37 @@ func appendRuns(col []uint32, val []float64, row []uint32) ([]uint32, []float64)
 }
 
 // radixRowLen is the row length from which sortUint32 radix-sorts: below
-// it the four 256-entry histograms cost more than pdqsort's comparisons.
-const radixRowLen = 192
+// it the byte histograms cost more than insertion sort's moves.
+const radixRowLen = 32
 
-// sortUint32 sorts one row's columns in three tiers — insertion sort below
-// 24 entries, slices.Sort up to radixRowLen, an LSD byte-radix sort through
-// scratch (at least as long as s) above.  Row lengths in Kronecker graphs
-// are mostly tiny with a few huge hub rows, so every tier matters.  Plain
-// integers have one sorted order, so which tier ran cannot show in the
-// result.
+// sortUint32 sorts one row's columns in two tiers — insertion sort below
+// radixRowLen entries, an LSD byte-radix sort through scratch (at least
+// as long as s) from there.  Row lengths in Kronecker graphs are mostly
+// short with a few huge hub rows, and at scale 16 the rows of 32 to 191
+// entries hold two fifths of the edges: pdqsort's comparisons sorted them
+// at twice the radix sort's cost.  Plain integers have one sorted order,
+// so which tier ran cannot show in the result.
 func sortUint32(s, scratch []uint32) {
-	switch {
-	case len(s) < 24:
-		for i := 1; i < len(s); i++ {
-			v := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > v {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = v
-		}
-	case len(s) < radixRowLen:
-		slices.Sort(s)
-	default:
+	if len(s) >= radixRowLen {
 		radixUint32(s, scratch[:len(s)])
+		return
+	}
+	for i := 1; i < len(s); i++ {
+		v := s[i]
+		j := i - 1
+		for j >= 0 && s[j] > v {
+			s[j+1] = s[j]
+			j--
+		}
+		s[j+1] = v
 	}
 }
 
 // radixUint32 sorts s by its bytes, least significant first, moving the
-// entries between s and scratch once per byte in which they differ.
+// entries between s and scratch once per byte in which they differ.  s
+// has fewer than 2^32 entries.
 func radixUint32(s, scratch []uint32) {
-	var count [4][256]int
+	var count [4][256]uint32
 	for _, v := range s {
 		count[0][v&0xFF]++
 		count[1][v>>8&0xFF]++
@@ -301,10 +299,10 @@ func radixUint32(s, scratch []uint32) {
 	src, dst := s, scratch
 	for p := range count {
 		c, shift := &count[p], uint(8*p)
-		if c[src[0]>>shift&0xFF] == len(s) {
+		if int(c[src[0]>>shift&0xFF]) == len(s) {
 			continue // every entry has this byte: the pass would move nothing
 		}
-		sum := 0
+		sum := uint32(0)
 		for b, n := range c {
 			c[b], sum = sum, sum+n
 		}

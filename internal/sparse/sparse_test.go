@@ -382,9 +382,9 @@ func sortedCopy(s []uint32) []uint32 {
 	return c
 }
 
-// TestRadixRowsMatchSlicesSort holds all three tiers of sortUint32 —
-// insertion below 24 entries, slices.Sort below radixRowLen, byte radix
-// from there — to slices.Sort: lengths around both thresholds, rows whose
+// TestRadixRowsMatchSlicesSort holds both tiers of sortUint32 —
+// insertion below radixRowLen entries, byte radix from there — to
+// slices.Sort: lengths around the threshold and beyond, rows whose
 // entries all agree in some bytes (passes the radix skips), values from
 // 2^24 up (so the third and fourth passes run), all-equal and descending
 // rows, and a scratch longer than the row.
