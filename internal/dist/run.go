@@ -132,22 +132,25 @@ func routeChunk(out []*edge.List, l *edge.List, n, p int) {
 // filterBlock applies the kernel-2 filter to one rank's block given the
 // globally reduced in-degree vector, and records the owned dangling rows
 // — the purely local step between the in-degree all-reduce and the NNZ
-// reduction.  The filter is pipeline.ApplyKernel2Filter's, step for step
-// on the same sparse.CSR methods, with the column mask derived from the
-// global din by sparse.Kernel2Mask:
+// reduction.  The filter is the serial kernel 2's own row pass
+// (sparse.CSR.FilterRows, the body of CSR.Kernel2Filter), with the column
+// mask derived from the global din by sparse.Kernel2Mask:
 //
 //	din = sum(A,1); zero columns with din == max(din) or din == 1;
 //	compact; divide each non-empty row by its out-degree.
 //
 // Degree sums are integer counts, so the all-reduced din is exact and the
-// distributed filter is bit-identical to the serial one.
+// distributed filter is bit-identical to the serial one.  The stored
+// counts are positive, so the rows of zero out-degree are the rows the
+// filter left empty.
 func filterBlock(st *rankState, din []float64) {
 	mask, _, _, _ := sparse.Kernel2Mask(din)
-	st.blk.ZeroColumns(mask)
-	st.blk.Compact()
-	dout := st.blk.OutDegrees()
-	st.blk.ScaleRows(dout)
-	st.danglingRows = danglingRowsOf(st.lo, dout)
+	st.blk.FilterRows(mask)
+	for i := range st.blk.Rows() {
+		if st.blk.RowPtr[i] == st.blk.RowPtr[i+1] {
+			st.danglingRows = append(st.danglingRows, st.lo+i)
+		}
+	}
 }
 
 // splitMatrix views a global matrix as p row-block rankStates sharing the

@@ -233,8 +233,9 @@ func Kernel1(h Hardware, w Workload) Prediction {
 
 // Kernel2 predicts read plus matrix construction and filtering.  Its
 // compute and memory terms divide by min(Workload.Workers, Cores): the
-// pieces decode and build, and the filter runs, that wide in memory and
-// out of core alike.
+// pieces decode and build that wide in memory and out of core alike.
+// (The filter's width is capped by the graph's density, at two for a
+// Kronecker graph; the model does not separate it from the build.)
 func Kernel2(h Hardware, w Workload) Prediction {
 	w = w.withDefaults()
 	m := w.M()

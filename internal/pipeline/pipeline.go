@@ -910,13 +910,14 @@ func readMatrix(r *Run) (*sparse.CSR, error) {
 
 // k2PieceSize is the bytes per piece kernel 2 reads (fastio.ReadPieces):
 // 6144 edges' worth in the run's format, or M/(64·Workers) edges if that
-// is fewer, but no fewer than 512, and at most 64 KiB.  Each of the ring's
-// 2·Workers slots holds a piece and its decoded edges (~20 bytes an edge),
-// so the slots take at most a byte per edge of the graph, and from scale
-// 16 on two workers a piece is big enough that its hand-off, some
-// microseconds, does not show.
+// is fewer, but no fewer than 64, and at most 64 KiB.  Each of the ring's
+// 2·Workers slots holds a piece, its decoded edges and the rows the
+// builder makes of them (~40 bytes an edge), so the slots take about a
+// byte per edge of the graph on any number of cores, and from scale 16 on
+// two workers a piece is big enough that its hand-off, some microseconds,
+// does not show.
 func k2PieceSize(r *Run) int {
-	edges := min(6144, max(512, r.Cfg.M()/uint64(64*workteam.Width(r.Cfg.Workers))))
+	edges := min(6144, max(64, r.Cfg.M()/uint64(64*workteam.Width(r.Cfg.Workers))))
 	return min(64<<10, int(float64(edges)*r.Codec().BytesPerEdge(r.Cfg.N())))
 }
 

@@ -116,10 +116,11 @@ func TestSortedBuilderReserve(t *testing.T) {
 }
 
 // TestBuildersAgreeOnHubRows: FromEdges, FromSortedEdges and SortedBuilder
-// share one row-compress routine; on short rows (23, 24, 25 entries,
-// insertion-sorted), on a hub row of 10⁴ copies of few columns and on
-// empty rows between them, the three matrices are equal in every bit of
-// RowPtr, Col and Val.
+// share one row-compress routine; on short rows (23, 24, 25 entries), on
+// rows around its radix cutoff (31, 32, 33 entries, and one column 32
+// times), on a hub row of 10⁴ copies of few columns and on empty rows
+// between them, the three matrices are equal in every bit of RowPtr, Col
+// and Val.
 func TestBuildersAgreeOnHubRows(t *testing.T) {
 	const n = 64
 	g := xrand.New(5)
@@ -132,9 +133,13 @@ func TestBuildersAgreeOnHubRows(t *testing.T) {
 	row(0, 23, n)
 	row(1, 24, n)
 	row(2, 25, n)
-	row(7, 10000, 3) // 10⁴ duplicates of three columns
-	row(8, 24, 1)    // one column, 24 times
-	row(9, 1, n)
+	row(3, radixRowLen-1, n)
+	row(4, radixRowLen, n)
+	row(5, radixRowLen+1, n)
+	row(7, 10000, 3)       // 10⁴ duplicates of three columns
+	row(8, 24, 1)          // one column, 24 times
+	row(9, radixRowLen, 1) // one column, at the cutoff
+	row(10, 1, n)
 	row(40, 5000, n)
 	row(n-1, 25, n)
 

@@ -57,14 +57,14 @@ type Ordered struct {
 // TransposeOrderedWide on the caller's goroutine.
 func (a *CSR) TransposeOrdered() *Ordered { return a.TransposeOrderedWide(1) }
 
-// TransposeOrderedWide is TransposeOrdered on workers goroutines (<= 0
-// means GOMAXPROCS; one starts none), with the same operand at every
-// width.
+// TransposeOrderedWide is TransposeOrdered on up to workers goroutines
+// (<= 0 means GOMAXPROCS; one starts none; vectorWidth caps the width),
+// with the same operand at every width.
 func (a *CSR) TransposeOrderedWide(workers int) *Ordered {
 	if a.Rows() != a.N {
 		panic("sparse: TransposeOrdered of a row block")
 	}
-	return transposeOrdered(a.N, a.RowPtr, a.Col, a.Val, true, workers)
+	return transposeOrdered(a.N, a.RowPtr, a.Col, a.Val, true, vectorWidth(workers, a.N, int64(a.NNZ())))
 }
 
 // TransposeOrdered returns the length-ordered transpose of the
@@ -76,7 +76,7 @@ func TransposeOrdered(n int, rowPtr []int64, col []uint32, val []float64) *Order
 	return transposeOrdered(n, rowPtr, col, val, false, 1)
 }
 
-// transposeOrdered builds either form on workers goroutines, each over a
+// transposeOrdered builds either form on width goroutines, each over a
 // range of the source rows.  A counting pass sizes the transpose's rows
 // per worker; the rows are ordered by a counting sort on their total
 // length; and a scatter pass places each range's entries at (column,
@@ -86,8 +86,8 @@ func TransposeOrdered(n int, rowPtr []int64, col []uint32, val []float64) *Order
 // made so far.  Each range numbers its extra slots from zero; the ranges'
 // lists are joined in order, and a last pass adds the extra slots of the
 // ranges before to the extra slots a range's entries name.
-func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labelled bool, workers int) *Ordered {
-	c := newCrew(workers)
+func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labelled bool, width int) *Ordered {
+	c := newCrew(width)
 	defer c.close()
 	m := len(rowPtr) - 1
 	rows := splitRows(rowPtr, c.width)
@@ -164,12 +164,12 @@ func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labell
 	}
 	t.Scale = make([]float64, m)
 	extra, src := make([][]float64, c.width), make([][]uint32, c.width)
-	fix := make([][]int64, c.width) // where a range after the first named an extra slot
+	fix := make([][][]int64, c.width) // where a range after the first named an extra slot
 	c.run(func(w int) {
 		cursor := counts[w]
 		var ex []float64
 		var sx []uint32
-		var fx []int64
+		var fx [][]int64 // blocks of fixBlock positions: no regrowth
 		for i := rows[w]; i < rows[w+1]; i++ {
 			lo, hi := rowPtr[i], rowPtr[i+1]
 			if lo == hi {
@@ -193,7 +193,10 @@ func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labell
 					}
 					s = uint32(m + e)
 					if w > 0 {
-						fx = append(fx, cursor[col[k]])
+						if len(fx) == 0 || len(fx[len(fx)-1]) == fixBlock {
+							fx = append(fx, make([]int64, 0, fixBlock))
+						}
+						fx[len(fx)-1] = append(fx[len(fx)-1], cursor[col[k]])
 					}
 				}
 				q := cursor[col[k]]
@@ -213,12 +216,17 @@ func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labell
 		t.Extra, t.Src = append(t.Extra, extra[w]...), append(t.Src, src[w]...)
 	}
 	c.run(func(w int) {
-		for _, q := range fix[w] {
-			t.Col[q] += base[w]
+		for _, b := range fix[w] {
+			for _, q := range b {
+				t.Col[q] += base[w]
+			}
 		}
 	})
 	return t
 }
+
+// fixBlock is the positions per block of a range's fix list.
+const fixBlock = 4096
 
 // N returns the operand's row count: the length of a product's out.
 func (t *Ordered) N() int { return len(t.Label) + len(t.Rows) }

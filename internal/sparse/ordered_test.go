@@ -404,7 +404,7 @@ func TestOrderedZeroAllocs(t *testing.T) {
 // FuzzTransposeOrdered builds a small CSR from arbitrary bytes — an n,
 // then (row, column, value) triplets — and requires the ordered operand
 // to hold its definition, to give TransposeOrdered twice the same layout
-// and TransposeOrderedWide at 2 and 3 workers the same arrays, and to
+// and the transpose at widths 2 and 3 the same arrays, and to
 // multiply to Transpose().MxV's bits whole and over any split.
 func FuzzTransposeOrdered(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 7, 2, 0, 3, 2, 3, 9})
@@ -438,7 +438,7 @@ func FuzzTransposeOrdered(f *testing.F) {
 			t.Fatal("two builds of one matrix differ")
 		}
 		for _, workers := range []int{2, 3} {
-			if !sameOrdered(a.TransposeOrderedWide(workers), o) {
+			if !sameOrdered(transposeWide(a, workers), o) {
 				t.Fatalf("%d workers build another operand", workers)
 			}
 		}

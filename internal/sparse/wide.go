@@ -17,10 +17,10 @@ type crew struct {
 	team  *workteam.Team
 }
 
-// newCrew returns a crew of workteam.Width(workers) workers; Close it.
-func newCrew(workers int) *crew {
-	c := &crew{width: workteam.Width(workers)}
-	if c.width > 1 {
+// newCrew returns a crew of width workers; Close it.
+func newCrew(width int) *crew {
+	c := &crew{width: width}
+	if width > 1 {
 		c.team = workteam.New(c.width, func(w int) { c.phase(w) })
 	}
 	return c
@@ -40,6 +40,20 @@ func (c *crew) close() {
 	if c.team != nil {
 		c.team.Close()
 	}
+}
+
+// vectorWidth returns the width of a pass over nnz entries that gives
+// each worker but the first an n-element vector of its own:
+// workteam.Width(workers), capped so that those vectors hold at most one
+// element per eight entries.  At 8 bytes an element that is a twelfth of
+// the matrix's 12 bytes an entry, on any number of cores: a Kronecker
+// graph's ~14 entries a row allow two workers.
+func vectorWidth(workers, n int, nnz int64) int {
+	w := workteam.Width(workers)
+	if n > 0 {
+		w = min(w, 1+int(nnz/(8*int64(n))))
+	}
+	return w
 }
 
 // splitRows returns the parts+1 bounds of an nnz-balanced split of the
@@ -78,8 +92,9 @@ type FilterStats struct {
 }
 
 // Kernel2Filter performs the filtering and normalization steps of kernel
-// 2 on a freshly built counting adjacency matrix, in place, on workers
-// goroutines (<= 0 means GOMAXPROCS; one starts none):
+// 2 on a freshly built counting adjacency matrix, in place, on up to
+// workers goroutines (<= 0 means GOMAXPROCS; one starts none; vectorWidth
+// caps the width):
 //
 //	din = sum(A,1)
 //	A(:, din == max(din)) = 0   // eliminate super-nodes
@@ -95,7 +110,12 @@ type FilterStats struct {
 // values are integer counts (their partial sums are exact), so the
 // matrix and the statistics are the serial bits.
 func (a *CSR) Kernel2Filter(workers int) FilterStats {
-	c := newCrew(workers)
+	return a.kernel2Filter(vectorWidth(workers, a.N, int64(a.NNZ())))
+}
+
+// kernel2Filter is Kernel2Filter on width workers.
+func (a *CSR) kernel2Filter(width int) FilterStats {
+	c := newCrew(width)
 	defer c.close()
 	rows := splitRows(a.RowPtr, c.width)
 	din := make([]float64, a.N)
@@ -152,6 +172,16 @@ func (a *CSR) Kernel2Filter(workers int) FilterStats {
 	}
 	a.Col, a.Val = a.Col[:nnz], a.Val[:nnz]
 	return st
+}
+
+// FilterRows zeroes the columns mask marks, drops the explicit zeros and
+// divides each row by its out-degree, in place on the caller's goroutine,
+// and returns the entries zeroed: Kernel2Filter's second half, for a row
+// block whose mask comes from in-degrees summed over every block.
+func (a *CSR) FilterRows(mask []bool) int {
+	end, zeroed := a.filterRows(mask, 0, a.Rows(), 0)
+	a.Col, a.Val = a.Col[:end], a.Val[:end]
+	return zeroed
 }
 
 // filterRows zeroes the masked columns of the rows [lo, hi), whose

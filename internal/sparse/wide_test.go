@@ -69,6 +69,12 @@ func serialFilter(a *CSR) FilterStats {
 	return st
 }
 
+// transposeWide is TransposeOrderedWide at exactly width workers, however
+// few entries a holds.
+func transposeWide(a *CSR, width int) *Ordered {
+	return transposeOrdered(a.N, a.RowPtr, a.Col, a.Val, true, width)
+}
+
 // sameBits reports whether a and b hold the same matrix, bit for bit.
 func sameBits(a, b *CSR) bool {
 	return a.N == b.N && slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.Col, b.Col) &&
@@ -135,8 +141,8 @@ func kernel2Input(data []byte) (l *edge.List, n int, bounds []int, workers, rese
 // serial definitions, bit for bit: a Builder fed a u-sorted list in pieces
 // cut anywhere, on a ring as fastio.ReadPieces runs it, with Col and Val
 // reserved for every edge, half of them or none, must build FromEdges'
-// matrix; Kernel2Filter at the width must equal the step-by-step filter,
-// statistics included; and TransposeOrderedWide must equal
+// matrix; the filter at the width must equal the step-by-step filter,
+// statistics included; and the transpose at the width must equal
 // TransposeOrdered.  With a bad edge, the build's error must be the one
 // SortedBuilder returns for that edge, added one at a time.
 func FuzzKernel2Wide(f *testing.F) {
@@ -183,11 +189,11 @@ func FuzzKernel2Wide(f *testing.F) {
 		if err := got.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		wantSt, gotSt := serialFilter(ref), got.Kernel2Filter(workers)
+		wantSt, gotSt := serialFilter(ref), got.kernel2Filter(workers)
 		if gotSt != wantSt || !sameBits(got, ref) {
 			t.Fatalf("w%d: filter %+v / %v, step by step %+v / %v", workers, gotSt, got, wantSt, ref)
 		}
-		if !sameOrdered(got.TransposeOrderedWide(workers), ref.TransposeOrdered()) {
+		if !sameOrdered(transposeWide(got, workers), ref.TransposeOrdered()) {
 			t.Fatalf("w%d: the wide ordered transpose differs", workers)
 		}
 	})
@@ -203,8 +209,8 @@ func TestWideWidthOneStartsNoGoroutine(t *testing.T) {
 	a := randomCSR(t, 3, 4000, 300)
 	for _, workers := range []int{1, 3} {
 		b := a.Clone()
-		b.Kernel2Filter(workers)
-		b.TransposeOrderedWide(workers)
+		b.kernel2Filter(workers)
+		transposeWide(b, workers)
 		// A closed team's goroutines exit on their own time.
 		for deadline := time.Now().Add(10 * time.Second); teamGoroutines() > 0; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
@@ -221,9 +227,9 @@ func teamGoroutines() int {
 }
 
 // TestKernel2FilterWideStats: on a counting matrix with hub columns, leaves
-// and rows split across every width's ranges, Kernel2Filter at widths 1,
-// 2, 3 and 8 equals the step-by-step filter, and the transpose equals
-// width 1's.
+// and rows split across every width's ranges, the filter at widths 1, 2,
+// 3 and 8 equals the step-by-step filter, and the transpose equals width
+// 1's.
 func TestKernel2FilterWideStats(t *testing.T) {
 	l := kroneckerSorted(t, 10)
 	ref, err := FromEdges(l, 1<<10)
@@ -235,14 +241,46 @@ func TestKernel2FilterWideStats(t *testing.T) {
 	wantT := ref.TransposeOrdered()
 	for _, workers := range []int{1, 2, 3, 8} {
 		a := built.Clone()
-		if st := a.Kernel2Filter(workers); st != wantSt || !sameBits(a, ref) {
+		if st := a.kernel2Filter(workers); st != wantSt || !sameBits(a, ref) {
 			t.Errorf("w%d: filter %+v, step by step %+v (matrix equal: %v)", workers, st, wantSt, sameBits(a, ref))
 		}
-		if !sameOrdered(a.TransposeOrderedWide(workers), wantT) {
+		if !sameOrdered(transposeWide(a, workers), wantT) {
 			t.Errorf("w%d: the ordered transpose differs from width 1's", workers)
 		}
 	}
 	if wantSt.EntriesZeroed == 0 || wantSt.LeafColumns == 0 || math.IsNaN(wantSt.MaxInDegree) {
 		t.Errorf("the graph exercises too little of the filter: %+v", wantSt)
+	}
+}
+
+// TestVectorWidthCap: the filter and the transpose give every worker but
+// the first an N-vector, so their width stops where those vectors would
+// pass an eighth of the entries, on any number of cores; the filter and
+// the transpose at 16 workers allocate no more than at that cap.
+func TestVectorWidthCap(t *testing.T) {
+	for _, c := range []struct {
+		workers, n int
+		nnz        int64
+		want       int
+	}{
+		{16, 1000, 15000, 2}, {16, 1000, 32000, 5}, {2, 1000, 8000, 2}, {2, 1000, 7999, 1}, {8, 100, 0, 1},
+		{3, 0, 0, 3}, {1, 10, 1 << 20, 1},
+	} {
+		if got := vectorWidth(c.workers, c.n, c.nnz); got != c.want {
+			t.Errorf("vectorWidth(%d, %d, %d) = %d, want %d", c.workers, c.n, c.nnz, got, c.want)
+		}
+	}
+	a := randomCSR(t, 4, 30000, 2000) // 15 entries a row: width 2 at most
+	allocated := func(workers int) uint64 {
+		b := a.Clone()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.Kernel2Filter(workers)
+		b.TransposeOrderedWide(workers)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if at2, at16 := allocated(2), allocated(16); at16 > at2+at2/8 {
+		t.Errorf("16 workers allocate %d bytes, 2 workers %d", at16, at2)
 	}
 }
