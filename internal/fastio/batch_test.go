@@ -29,6 +29,9 @@ func encode(t testing.TB, c Codec, l *edge.List, batch int) []byte {
 	return buf.Bytes()
 }
 
+// readChunkEdges is the batch the tests' read loops ask for.
+const readChunkEdges = 16 << 10
+
 // drain reads src to its end in batches of at most batch edges, holding it
 // to the EdgeSource contract.  It returns the edges read and what ended the
 // stream: nil for io.EOF, else the error.

@@ -18,9 +18,11 @@
 //   - codec resolution by name (CodecByName) and by on-disk content
 //     (Detect, DetectStriped);
 //   - striped writing and reading of edge lists across N files of a
-//     vfs.FS: whole lists on a ring of workers (WriteStripedWide,
-//     ReadStripedInto), streams through a source and a sink that decode
-//     ahead of and encode behind their callers.
+//     vfs.FS, in pieces that one encoder or decoder per codec runs on a
+//     workteam.Ring: whole lists on a ring of workers (WriteStripedWide,
+//     ReadStripedInto, ReadPieces), and streams (StripedSink,
+//     StripedSource) on a ring of one goroutine that encodes behind or
+//     decodes ahead of its caller.
 package fastio
 
 import (
@@ -36,12 +38,8 @@ import (
 
 	"repro/internal/edge"
 	"repro/internal/vfs"
+	"repro/internal/workteam"
 )
-
-// DefaultBufSize is the buffer size of NaiveTSV's writer.  256 KiB
-// amortizes syscall and copy overhead at the record sizes involved
-// (≈ 15 bytes per edge at benchmark scales).
-const DefaultBufSize = 256 << 10
 
 // AppendUint appends the decimal representation of v to dst and returns the
 // extended slice.  It is equivalent to strconv.AppendUint(dst, v, 10),
@@ -184,11 +182,6 @@ type EdgeSink interface {
 type EdgeSource interface {
 	ReadEdges(l *edge.List, max int) (int, error)
 }
-
-// readChunkEdges is the batch size used by the streaming read loops: large
-// enough to amortize the per-call overhead, small enough that scratch
-// buffers stay cache- and allocation-friendly.
-const readChunkEdges = 16 << 10
 
 // WriteEdges writes edges l[lo:hi) to s, after checking the range.
 func WriteEdges(s EdgeSink, l *edge.List, lo, hi int) error {
@@ -428,7 +421,7 @@ func (t *tsvScanner) record() (u, v uint64, err error) {
 // NaiveTSV codec
 
 // NaiveTSV reads and writes the same text format as TSV but through the
-// generic standard-library route: fmt.Fprintf for writing and
+// generic standard-library route: fmt.Appendf for writing and
 // bufio.Scanner plus strconv.ParseUint for reading.  It exists to model the
 // paper's interpreted-language implementations, whose string handling
 // dominates kernels 0–2, and doubles as a differential-testing oracle for
@@ -442,9 +435,7 @@ func (NaiveTSV) Name() string { return "naivetsv" }
 func (NaiveTSV) BytesPerEdge(maxVertex uint64) float64 { return TSV{}.BytesPerEdge(maxVertex) }
 
 // NewWriter implements Codec.
-func (NaiveTSV) NewWriter(w io.Writer) EdgeSink {
-	return &naiveWriter{w: bufio.NewWriterSize(w, DefaultBufSize)}
-}
+func (NaiveTSV) NewWriter(w io.Writer) EdgeSink { return newBlockWriter(NaiveTSV{}, w) }
 
 // NewReader implements Codec.
 func (NaiveTSV) NewReader(r io.Reader) EdgeSource {
@@ -453,21 +444,13 @@ func (NaiveTSV) NewReader(r io.Reader) EdgeSource {
 	return &naiveReader{s: s}
 }
 
-type naiveWriter struct {
-	w *bufio.Writer
-}
-
-// WriteEdges implements EdgeSink, one fmt.Fprintf per edge.
-func (n *naiveWriter) WriteEdges(l *edge.List, lo, hi int) error {
+// appendEdges formats the records one fmt.Appendf call each.
+func (NaiveTSV) appendEdges(dst []byte, l *edge.List, lo, hi int, _ bool) []byte {
 	for i := lo; i < hi; i++ {
-		if _, err := fmt.Fprintf(n.w, "%d\t%d\n", l.U[i], l.V[i]); err != nil {
-			return err
-		}
+		dst = fmt.Appendf(dst, "%d\t%d\n", l.U[i], l.V[i])
 	}
-	return nil
+	return dst
 }
-
-func (n *naiveWriter) Flush() error { return n.w.Flush() }
 
 type naiveReader struct {
 	s    *bufio.Scanner
@@ -619,30 +602,25 @@ func ReadStriped(fs vfs.FS, prefix string, codec Codec) (*edge.List, error) {
 	return ReadStripedInto(fs, prefix, codec, nil, 0)
 }
 
-// ReadStripedInto is ReadStriped decoding into dst's storage on workers
-// goroutines (<= 0 means GOMAXPROCS; one starts none, and NaiveTSV always
-// decodes on the caller's).  dst is truncated first and grows, as append
-// grows it, only if the stripes hold more edges than it has room for, so
-// a list of the right size is filled in place.  A nil dst is a new list.
-// dst's previous contents are lost even when the read fails.  The edges,
-// and the error — `fastio: <file>: <cause>`, the first in stream order —
-// are a StripedSource's at every width.
-func ReadStripedInto(fs vfs.FS, prefix string, codec Codec, dst *edge.List, workers int) (*edge.List, error) {
-	return readStriped(fs, prefix, codec, dst, workers, decodeBlock)
-}
-
 // StripedSource is an EdgeSource that streams edges from a set of stripe
 // files in order, opening each file lazily: the stripe reader of the
-// kernels that stream (the out-of-core sort, kernel 2's build) without
-// materializing the whole edge list.
-// The files are decoded a few batches ahead of the caller on a
-// one-goroutine workteam.Ring (overlap.go); a decode error is
-// `fastio: <file>: <cause>` and ends the stream.  Close stops the ring: a
-// caller that stops reading before io.EOF or an error must call it.
+// kernels that stream (the out-of-core sort and its merge inputs) without
+// materializing the whole edge list.  It reads and cuts the files in
+// pieces of streamBlock bytes, which one goroutine decodes ahead of the
+// caller in streamSlots slots (wide.go), and ReadEdges copies edges
+// straight out of the oldest decoded piece.  A failure is
+// `fastio: <file>: <cause>`, after the edges before it, and every read
+// after it returns it again.  Close stops the goroutine: a caller that
+// stops reading before io.EOF or an error must call it.
 type StripedSource struct {
-	readAhead
-	in stripeReader
+	in  pieceReader
+	cur *pieceIn // the piece reads are served from, cur.us[pos:]
+	pos int
+	end error // what stopped the cut after the pieces put
 }
+
+// errClosed is what a stream returns once it is closed.
+var errClosed = errors.New("fastio: use of a closed stream")
 
 // NewStripedSource returns a StripedSource over the stripes of prefix.
 func NewStripedSource(fs vfs.FS, prefix string, codec Codec) (*StripedSource, error) {
@@ -656,19 +634,62 @@ func NewStripedSource(fs vfs.FS, prefix string, codec Codec) (*StripedSource, er
 // NewFileSource returns a StripedSource over the named files, read in the
 // given order: a stripe set, or one spilled run of an external sort.
 func NewFileSource(fs vfs.FS, codec Codec, names ...string) *StripedSource {
-	s := &StripedSource{in: stripeReader{fs: fs, codec: codec, names: names}}
-	s.fill = s.in.readEdges
-	return s
+	return &StripedSource{in: newPieceReader(fs, codec, names, streamBlock)}
 }
 
-// Close stops the read-ahead and releases the currently open file, if any.
+// ReadEdges implements EdgeSource.  It returns what is left of one piece
+// at most.
+func (s *StripedSource) ReadEdges(l *edge.List, max int) (int, error) {
+	for s.cur == nil || s.pos == len(s.cur.us) {
+		if err := s.advance(); err != nil {
+			return 0, err
+		}
+	}
+	n := min(max, len(s.cur.us)-s.pos)
+	l.U = append(l.U, s.cur.us[s.pos:s.pos+n]...)
+	l.V = append(l.V, s.cur.vs[s.pos:s.pos+n]...)
+	s.pos += n
+	return n, nil
+}
+
+// advance moves to the next decoded piece, after putting pieces into
+// every slot but the one it leaves, and starts the goroutine on the first
+// call.  With no piece left it returns what ended the stream: the error
+// of the piece it leaves, else end.
+func (s *StripedSource) advance() error {
+	in := &s.in
+	switch {
+	case s.cur != nil && s.cur.err != nil:
+		return s.cur.err
+	case in.ring == nil && s.end != nil:
+		return s.end // closed
+	case in.ring == nil:
+		in.start(workteam.NewRing(1, streamSlots, in.decode))
+	}
+	for s.end == nil && in.ring.InFlight() < len(in.slots) {
+		s.end = in.put()
+	}
+	if in.ring.InFlight() == 0 {
+		return s.end
+	}
+	s.cur, s.pos = &in.slots[in.ring.Wait()%len(in.slots)], 0
+	return nil
+}
+
+// Close stops the goroutine, once its pieces are done, and closes the
+// open file; later reads return an error.
 func (s *StripedSource) Close() error {
-	s.halt()
-	return s.in.close()
+	if s.in.ring != nil {
+		s.in.stop()
+		s.in.ring = nil
+	}
+	s.cur, s.end = nil, errClosed
+	return nil
 }
 
 // stripeReader decodes a list of files one after the other on the calling
-// goroutine: the stream a StripedSource reads ahead.
+// goroutine: the stream of a codec that cannot cut (NaiveTSV), which a
+// pieceReader reads in pieces of edges.
 type stripeReader struct {
 	fs    vfs.FS
 	codec Codec

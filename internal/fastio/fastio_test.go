@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -310,23 +312,85 @@ func TestReadStripedMissing(t *testing.T) {
 	}
 }
 
+// TestStripedSourceStreams: a StripedSource reads back, in order, the
+// stripes WriteStriped wrote, for every codec and stripe count (more
+// stripes than edges too), in reads of 1, 13, 4096 and all the edges, and
+// in pieces of 100 bytes (records and blocks straddle them) and of
+// streamBlock.
 func TestStripedSourceStreams(t *testing.T) {
-	l := randomList(4, 505)
-	fs := vfs.NewMem()
-	if err := WriteStriped(fs, "e", TSV{}, 7, l); err != nil {
-		t.Fatal(err)
+	long, short := splitList(), randomList(4, 5)
+	for _, c := range Codecs() {
+		for _, tc := range []struct {
+			l      *edge.List
+			nfiles int
+		}{{long, 1}, {long, 3}, {long, 7}, {short, 8}} {
+			fs := vfs.NewMem()
+			if err := WriteStriped(fs, "e", c, tc.nfiles, tc.l); err != nil {
+				t.Fatal(err)
+			}
+			names, err := StripeNames(fs, "e", c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, block := range []int{100, streamBlock} {
+				for _, batch := range []int{1, 13, 4096, tc.l.Len()} {
+					src := &StripedSource{in: newPieceReader(fs, c, names, block)}
+					got, err := drain(t, src, batch)
+					src.Close()
+					if err != nil || !got.Equal(tc.l) {
+						t.Errorf("%s/%d stripes/block %d/reads of %d: %d of %d edges, %v",
+							c.Name(), tc.nfiles, block, batch, got.Len(), tc.l.Len(), err)
+					}
+				}
+			}
+		}
 	}
-	src, err := NewStripedSource(fs, "e", TSV{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	got, err := drain(t, src, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(l) {
-		t.Error("StripedSource does not preserve order across stripes")
+}
+
+// TestStripedSourceDrainAllocs pins what a drained stream allocates: a
+// StripedSource over one stripe of 2²⁰ edges sorted by u, read to its end
+// 4096 edges at a time, allocates no more, in count or bytes, than the
+// read-ahead it replaced (a stage and three batches of 4096 edges beside
+// the codec's reader), whose figures these bounds are.
+func TestStripedSourceDrainAllocs(t *testing.T) {
+	l := randomList(5, 1<<20)
+	slices.Sort(l.U)
+	dst := edge.NewList(4096)
+	for _, c := range []struct {
+		codec         Codec
+		allocs, bytes uint64
+	}{{Packed{}, 34, 535_000}, {TSV{}, 32, 371_000}, {Binary{}, 30, 273_000}} {
+		fs := vfs.NewMem()
+		if err := WriteStriped(fs, "s", c.codec, 1, l); err != nil {
+			t.Fatal(err)
+		}
+		drainOnce := func() {
+			src, err := NewStripedSource(fs, "s", c.codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for err == nil {
+				dst.Reset()
+				_, err = src.ReadEdges(dst, 4096)
+			}
+			if err != io.EOF {
+				t.Fatal(err)
+			}
+			src.Close()
+		}
+		drainOnce()
+		const runs = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			drainOnce()
+		}
+		runtime.ReadMemStats(&after)
+		allocs, bytes := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
+		if allocs > c.allocs || bytes > c.bytes {
+			t.Errorf("%s: a drain allocated %d times, %d B; the bound is %d times, %d B",
+				c.codec.Name(), allocs, bytes, c.allocs, c.bytes)
+		}
 	}
 }
 

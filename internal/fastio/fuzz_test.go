@@ -18,8 +18,9 @@ import (
 // decode panics; that the striped decode (a StripedSource) decodes the same
 // edges as the codec's bare reader over the same bytes, fails exactly when
 // it does, and names the stripe in its error; that the whole-list reader
-// at widths 1, 2 and 3, in pieces of fuzzBlock bytes, decodes the same
-// edges or fails with the same error text; that a clean decode, and
+// at widths 1, 2 and 3, and a StripedSource, in pieces of fuzzBlock bytes,
+// decode the same edges and fail with the same error text; that a clean
+// decode, and
 // (u, v), round-trip through the codec's writer; and that ReadStriped's
 // list has room for no more than twice the edges it holds (plus 64), so no
 // header or record can steer it into a large reservation.  Each row then
@@ -100,6 +101,13 @@ func fuzzDecode(f *testing.F, codecs ...Codec) {
 					t.Fatalf("%s: whole list at %d workers: %v; stripe: %d edges, %v", c.Name(), workers, err, got.Len(), gerr)
 				}
 			}
+			small := &StripedSource{in: newPieceReader(fs, c, []string{StripeName("f", c, 0)}, fuzzBlock)}
+			l, err := drain(t, small, 7)
+			small.Close()
+			if !l.Equal(got) || (err == nil) != (gerr == nil) || err != nil && err.Error() != gerr.Error() {
+				t.Fatalf("%s: stripe in %d-byte pieces: %d edges, %v; in %d-byte pieces: %d edges, %v",
+					c.Name(), fuzzBlock, l.Len(), err, streamBlock, got.Len(), gerr)
+			}
 			if gerr == nil {
 				l, err := ReadStriped(fs, "f", c)
 				if err != nil || !l.Equal(got) {
@@ -144,7 +152,7 @@ func tsvOracle(t *testing.T, data []byte, striped *edge.List, stripedErr error, 
 	if !striped.Equal(want) || (stripedErr == nil) != (wantErr == nil) {
 		t.Fatalf("stripe: %d edges, %v; oracle: %d edges, %v", striped.Len(), stripedErr, want.Len(), wantErr)
 	}
-	for _, size := range []int{16, DefaultBufSize} {
+	for _, size := range []int{16, decodeBlock} {
 		got, gotErr := decodeTSV(bytes.NewReader(data), size)
 		if !got.Equal(want) || (gotErr == "") != (wantErr == nil) {
 			t.Fatalf("buffer %d: %d edges, error %q; oracle: %d edges, %v", size, got.Len(), gotErr, want.Len(), wantErr)

@@ -10,19 +10,25 @@ import (
 // One encoder and one decoder per format (DESIGN.md §9 "The codec
 // interface"): a splitCodec's three methods run on a stream, through the
 // blockWriter and blockReader its NewWriter and NewReader return, and on
-// the pieces of a whole-list pass (wide.go).  Both readers read and cut
-// through blocks, so the two give the same edges and the same errors.
+// the pieces of a stripe pass or stream (wide.go).  Both readers read and
+// cut through blocks, so the two give the same edges and the same errors.
 
-// splitCodec is a Codec whose stream splits at record boundaries (Packed:
-// block boundaries) into pieces that encode and decode on their own.
-// TSV, Binary and Packed are; NaiveTSV, the interpreted-language
-// stand-in, is not: it keeps its own writer and reader, on one core.
-type splitCodec interface {
+// encoder is a Codec's one encoder.  Every codec of this package has one.
+type encoder interface {
 	Codec
 	// appendEdges appends the encoding of l[lo:hi) to dst.  head is set
 	// when the piece opens its stream; a Packed piece that does not end
 	// its stream holds a multiple of PackedBlockEdges edges.
 	appendEdges(dst []byte, l *edge.List, lo, hi int, head bool) []byte
+}
+
+// splitCodec is a Codec whose stream splits at record boundaries (Packed:
+// block boundaries) into pieces that encode and decode on their own.
+// TSV, Binary and Packed are; NaiveTSV, the interpreted-language
+// stand-in, is not: it keeps its own reader, and reads and writes on one
+// core.
+type splitCodec interface {
+	encoder
 	// cut returns the length n of the longest prefix of b that holds
 	// whole records and the number of edges in it.  head is set when b
 	// opens its stream, eof when nothing follows b; err is a framing
@@ -35,21 +41,21 @@ type splitCodec interface {
 	decode(b []byte, us, vs []uint64, head bool, line int) (int, error)
 }
 
-// blockWriter is a splitCodec's EdgeSink.  It encodes PackedBlockEdges
+// blockWriter is an encoder's EdgeSink.  It encodes PackedBlockEdges
 // edges at a time: straight from the caller's list while a write covers
 // whole runs of them, else from edges it stages until a run is whole or
 // Flush ends it.  So a Packed block ends every 4 096 edges of the stream
 // and at each Flush, however the writes split it.  The bytes go to w once
 // decodeBlock of them are encoded, and at Flush.
 type blockWriter struct {
-	codec splitCodec
+	codec encoder
 	w     io.Writer
 	buf   []byte    // encoded, not yet written
 	stage edge.List // the open run's edges, fewer than PackedBlockEdges
 	head  bool      // nothing is encoded yet: the next bytes open the stream
 }
 
-func newBlockWriter(c splitCodec, w io.Writer) *blockWriter {
+func newBlockWriter(c encoder, w io.Writer) *blockWriter {
 	return &blockWriter{codec: c, w: w, head: true}
 }
 

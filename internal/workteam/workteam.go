@@ -11,7 +11,7 @@
 // the caller puts numbered pieces, goroutines run them, and the caller
 // waits for them in put order.  Every width-invariant pass of the cold
 // path runs on one: kernel 0's sampling and shuffle (internal/kronecker),
-// the whole-list codec passes and the overlapped streams
+// the whole-list codec passes and the streamed stripes
 // (internal/fastio), and the in-memory sort (internal/xsort).
 package workteam
 

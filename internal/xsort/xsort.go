@@ -331,10 +331,10 @@ type ExternalStats struct {
 }
 
 // External sorts the edge stream src into dst using at most
-// cfg.RunEdges·16 bytes of in-memory edge storage (plus the merge's
-// read-ahead batches, a few per run), spilling sorted runs to cfg.FS in
+// cfg.RunEdges·16 bytes of in-memory edge storage (plus each merge
+// input's two slots of decoded pieces), spilling sorted runs to cfg.FS in
 // cfg.Codec (Binary by default) and k-way merging them with a loser tree
-// over batched, read-ahead run readers.  Run files are removed before
+// over batched run readers that decode ahead of it.  Run files are removed before
 // return on success and failure alike, so an aborted sort leaves no
 // stripes behind.
 func External(src fastio.EdgeSource, dst fastio.EdgeSink, cfg ExternalConfig) (stats ExternalStats, err error) {
