@@ -41,7 +41,7 @@ func main() {
 	stopped.Fault = &core.FaultPlan{KillRank: 1, AtIteration: 7}
 	svc := core.NewService(core.WithCheckpointStorage(store))
 	_, err = svc.Run(ctx, stopped, core.WithResumeKey("run42"), core.WithProgress(func(ev core.PipelineEvent) {
-		if ev.Kind == core.EventPipelineCheckpointSaved {
+		if ev.Kind == core.EventCheckpointSaved {
 			fmt.Printf("epoch committed after iteration %d\n", ev.Iteration)
 		}
 	}))

@@ -109,7 +109,7 @@ func main() {
 		PageRank: pagerank.Options{Iterations: 1000},
 	}
 	_, err = svc.Run(cctx, cfg, core.WithProgress(func(ev core.PipelineEvent) {
-		if ev.Kind == core.EventPipelineIteration && ev.Iteration == 3 {
+		if ev.Kind == core.EventIteration && ev.Iteration == 3 {
 			cancel() // pull the plug three iterations into kernel 3
 		}
 	}))

@@ -1,7 +1,7 @@
 // Socialnetwork: PageRank beyond the web (paper §III cites social-network
 // analysis as a primary application).  This example builds a synthetic
 // follower graph with the deterministic perfect-power-law generator,
-// contrasts its degree statistics with an Erdős–Rényi control, runs the
+// contrasts its degree skew with an Erdős–Rényi control, runs the
 // pipeline's PageRank, and shows that rank correlates with — but is not
 // identical to — raw popularity (in-degree).
 //
@@ -17,7 +17,6 @@ import (
 	"repro/internal/pagerank"
 	"repro/internal/pipeline"
 	"repro/internal/sparse"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -31,36 +30,25 @@ func main() {
 	n := int(gen.NumVertices())
 	fmt.Printf("follower graph: %d accounts, %d follow edges (deterministic PPL)\n", n, follows.Len())
 
-	// Degree statistics: the PPL graph is heavy-tailed, the ER control is
-	// not.  Kernel 2's super-node elimination exists exactly because of
-	// this skew.
-	outDeg, err := stats.OutDegrees(follows, n)
+	// Degree skew: the PPL graph is heavy-tailed, the ER control is not.
+	// Kernel 2's super-node elimination exists exactly because of this
+	// skew.
+	a, err := sparse.FromEdges(follows, n)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fit, err := stats.FitPowerLaw(stats.NewHistogram(positive(outDeg)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("out-degree power-law fit: slope %.2f (R² %.3f), Gini %.3f\n",
-		fit.Slope, fit.R2, stats.GiniCoefficient(outDeg))
-
 	er := gensuite.ER{Scale: 12, EdgeFactor: 16, Seed: 5}
 	erEdges, err := er.Generate()
 	if err != nil {
 		log.Fatal(err)
 	}
-	erDeg, err := stats.OutDegrees(erEdges, n)
+	control, err := sparse.FromEdges(erEdges, n)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Erdős–Rényi control Gini: %.3f (near-uniform degrees)\n\n", stats.GiniCoefficient(erDeg))
+	fmt.Printf("out-degree max / mean: PPL %s, Erdős–Rényi control %s\n\n", skew(a), skew(control))
 
 	// Pipeline kernels 2-3 on the follower graph.
-	a, err := sparse.FromEdges(follows, n)
-	if err != nil {
-		log.Fatal(err)
-	}
 	inDeg := a.InDegrees() // popularity before filtering
 	pipeline.ApplyKernel2Filter(a)
 	res, err := pagerank.Gather(a, pagerank.Options{Seed: 1, Iterations: 100, Dangling: true})
@@ -84,14 +72,14 @@ func main() {
 		overlapPercent(accounts, inDeg, 100))
 }
 
-func positive(v []int) []int {
-	var out []int
-	for _, x := range v {
-		if x > 0 {
-			out = append(out, x)
-		}
+// skew reports a matrix's maximum and mean out-degree.
+func skew(a *sparse.CSR) string {
+	most, sum := 0.0, 0.0
+	for _, d := range a.OutDegrees() {
+		most, sum = max(most, d), sum+d
 	}
-	return out
+	mean := sum / float64(a.Rows())
+	return fmt.Sprintf("%.0f / %.1f (%.1f×)", most, mean, most/mean)
 }
 
 // account pairs an id with its PageRank and in-degree.

@@ -94,7 +94,8 @@ type StageCacheStats = pipeline.StageCacheStats
 // Event is one observation of a streaming run (Service.RunStream).
 type Event = serve.Event
 
-// The streaming event kinds.
+// The event kinds, of RunStream's events and of WithProgress's
+// PipelineEvents alike.
 const (
 	EventRunStarted         = serve.EventRunStarted
 	EventKernelStart        = serve.EventKernelStart
@@ -135,17 +136,6 @@ func WithCheckpointStorage(fs vfs.FS) ServiceOption { return serve.WithCheckpoin
 // PipelineEvent is the synchronous in-run progress observation delivered
 // to WithProgress callbacks (RunStream is its channel-shaped form).
 type PipelineEvent = pipeline.Event
-
-// The pipeline-level event kinds.
-const (
-	EventPipelineKernelStart        = pipeline.EventKernelStart
-	EventPipelineKernelEnd          = pipeline.EventKernelEnd
-	EventPipelineIteration          = pipeline.EventIteration
-	EventPipelineCheckpointSaved    = pipeline.EventCheckpointSaved
-	EventPipelineCheckpointRestored = pipeline.EventCheckpointRestored
-	EventPipelineCacheHit           = pipeline.EventCacheHit
-	EventPipelineCacheMiss          = pipeline.EventCacheMiss
-)
 
 // CheckpointSpec configures epoch checkpoint/restart of the distributed
 // kernel 3 (Config.Checkpoint).  See dist.CheckpointSpec.

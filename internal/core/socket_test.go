@@ -216,7 +216,7 @@ func TestSocketServiceFailuresDiscardTheFabric(t *testing.T) {
 	long := cfg
 	long.PageRank.Iterations = 1_000_000
 	_, err = svc.Run(ctx, long, WithProgress(func(ev PipelineEvent) {
-		if ev.Kind == EventPipelineIteration && ev.Iteration == 3 {
+		if ev.Kind == EventIteration && ev.Iteration == 3 {
 			cancel()
 		}
 	}))
@@ -273,7 +273,7 @@ func TestSocketServiceConcurrentRuns(t *testing.T) {
 	go func() {
 		var once sync.Once
 		_, err := svc.Run(context.Background(), long, WithProgress(func(ev PipelineEvent) {
-			if ev.Kind == EventPipelineIteration {
+			if ev.Kind == EventIteration {
 				once.Do(func() { close(holding); <-release })
 			}
 		}))

@@ -18,10 +18,9 @@ package dist
 // reduce and nothing that depends on the worker count.
 
 import (
-	"sync"
-
 	"repro/internal/edge"
 	"repro/internal/sparse"
+	"repro/internal/workteam"
 )
 
 // Config configures the distributed runtime beyond the processor count.
@@ -58,8 +57,8 @@ type rankProduct struct {
 	team *sparse.Team
 }
 
-// newRankProduct spawns the team, max(workers, 1) wide; callers must
-// close the product when iteration ends.
+// newRankProduct starts the team, max(workers, 1) wide (at one, the
+// caller alone); callers must close the product when iteration ends.
 func newRankProduct(op *rankOperand, workers int) *rankProduct {
 	return &rankProduct{op: op, team: op.at.NewTeam(workers)}
 }
@@ -73,50 +72,44 @@ func (p *rankProduct) close() { p.team.Close() }
 
 // partitionChunk splits one rank's input chunk l into p destination
 // buckets by splitter key range — the local half of kernel 1's all-to-all,
-// shared by both runtimes.  With workers > 1 the chunk is scanned by
-// contiguous sub-chunks concurrently and each destination's per-worker
-// parts are concatenated in worker order, which is sub-chunk order, which
-// is input order: the bucket contents and their stability-critical
-// ordering are exactly the serial scan's for every worker count.
+// shared by both runtimes.  A workteam.Team of workers scans contiguous
+// sub-chunks, and each destination's per-worker parts are concatenated in
+// worker order, which is sub-chunk order, which is input order: the
+// bucket contents and their stability-critical ordering are exactly the
+// serial scan's for every worker count.  At one worker, or on a chunk
+// shorter than 2·workers, the caller scans it whole, and its one part
+// list is the bucket set.
 func partitionChunk(l *edge.List, splitters []uint64, p, workers int) []*edge.List {
-	out := make([]*edge.List, p)
 	m := l.Len()
-	if workers <= 1 || m < 2*workers {
-		for d := range out {
-			out[d] = edge.NewList(0)
-		}
-		for i := 0; i < m; i++ {
-			out[destRank(splitters, l.U[i])].Append(l.U[i], l.V[i])
-		}
-		return out
+	if m < 2*workers {
+		workers = 1
 	}
 	parts := make([][]*edge.List, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wlo, whi := blockBounds(m, workers, w)
-		parts[w] = make([]*edge.List, p)
-		for d := range parts[w] {
-			parts[w][d] = edge.NewList(0)
+	team := workteam.New(workers)
+	team.Run(func(w int) {
+		lo, hi := blockBounds(m, workers, w)
+		mine := make([]*edge.List, p)
+		for d := range mine {
+			mine[d] = edge.NewList(0)
 		}
-		wg.Add(1)
-		//prlint:allow determinism -- partition workers own disjoint index ranges and join on wg; output order is fixed by the range split
-		go func(w, wlo, whi int) {
-			defer wg.Done()
-			mine := parts[w]
-			for i := wlo; i < whi; i++ {
-				mine[destRank(splitters, l.U[i])].Append(l.U[i], l.V[i])
-			}
-		}(w, wlo, whi)
+		for i := lo; i < hi; i++ {
+			mine[destRank(splitters, l.U[i])].Append(l.U[i], l.V[i])
+		}
+		parts[w] = mine
+	})
+	team.Close()
+	if workers == 1 {
+		return parts[0]
 	}
-	wg.Wait()
-	for d := 0; d < p; d++ {
+	out := make([]*edge.List, p)
+	for d := range out {
 		n := 0
-		for w := 0; w < workers; w++ {
-			n += parts[w][d].Len()
+		for _, mine := range parts {
+			n += mine[d].Len()
 		}
 		out[d] = edge.NewList(n)
-		for w := 0; w < workers; w++ {
-			out[d].AppendList(parts[w][d])
+		for _, mine := range parts {
+			out[d].AppendList(mine[d])
 		}
 	}
 	return out

@@ -1,6 +1,10 @@
 package dist
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/edge"
+)
 
 // TestChooseSplittersDegenerate pins the splitter selection: quantiles
 // stay frequency-weighted (skewed samples concentrate splitters in their
@@ -71,6 +75,41 @@ func TestChooseSplittersDegenerate(t *testing.T) {
 		for i := 1; i < len(got); i++ {
 			if got[i] <= got[i-1] {
 				t.Errorf("%s: splitters not strictly increasing: %v", name, got)
+			}
+		}
+	}
+}
+
+// TestPartitionChunkMatchesSerialScan: at every worker count the buckets
+// are the serial scan's, edge for edge and in input order, on empty
+// chunks, chunks shorter than 2·workers and long ones, with one bucket
+// and with three.
+func TestPartitionChunkMatchesSerialScan(t *testing.T) {
+	long := edge.NewList(1000)
+	for i := range 1000 {
+		long.Append(uint64(i*7919%97), uint64(i))
+	}
+	chunks := []*edge.List{edge.NewList(0), long.Slice(0, 1), long.Slice(0, 5), long.Slice(0, 15), long}
+	for _, splitters := range [][]uint64{nil, {30, 60}} {
+		p := len(splitters) + 1
+		for _, l := range chunks {
+			want := make([]*edge.List, p)
+			for d := range want {
+				want[d] = edge.NewList(0)
+			}
+			for i := range l.Len() {
+				want[destRank(splitters, l.U[i])].Append(l.U[i], l.V[i])
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				got := partitionChunk(l, splitters, p, workers)
+				if len(got) != p {
+					t.Fatalf("p=%d m=%d w=%d: %d buckets", p, l.Len(), workers, len(got))
+				}
+				for d := range got {
+					if !got[d].Equal(want[d]) {
+						t.Errorf("p=%d m=%d w=%d: bucket %d is not the serial scan's", p, l.Len(), workers, d)
+					}
+				}
 			}
 		}
 	}

@@ -17,7 +17,8 @@
 // jump-ahead (xrand.Leap) as it is put, the Graph500 "no communication
 // between processors" property with the serial bits; GenerateTo hands the
 // chunks to its sink in stream order.  Generate's shuffle draws its indices
-// on a one-goroutine ring while the caller swaps.
+// on a one-goroutine ring while the caller swaps, or, at one worker, on
+// the caller between its swaps.
 package kronecker
 
 import (
@@ -198,20 +199,11 @@ func generate(cfg Config, chunk int) (*edge.List, error) {
 	m := int(cfg.M())
 	l := edge.Make(m)
 	s, g, perm := newSampler(cfg), xrand.NewSeeded(cfg.Seed, 0), labels(cfg)
-	if workers := ringWidth(cfg, chunk); workers > 1 {
-		s.sampleRing(g, uint64(m), chunk, workers, perm, func(c, n int) ([]uint64, []uint64) {
-			return l.U[c*chunk : c*chunk+n], l.V[c*chunk : c*chunk+n]
-		}, nil)
-	} else {
-		s.sample(g, l.U, l.V, perm)
-	}
+	s.sampleRing(g, uint64(m), chunk, ringWidth(cfg, chunk), perm, func(c, n int) ([]uint64, []uint64) {
+		return l.U[c*chunk : c*chunk+n], l.V[c*chunk : c*chunk+n]
+	}, nil)
 	if !cfg.SkipPermutation {
-		g := xrand.NewSeeded(cfg.Seed, shuffleStream)
-		if workteam.Width(cfg.Workers) > 1 && m > drawBlock {
-			shuffleAhead(l, g)
-		} else {
-			l.Shuffle(g)
-		}
+		shuffleAhead(l, xrand.NewSeeded(cfg.Seed, shuffleStream), cfg.Workers)
 	}
 	return l, nil
 }
@@ -224,8 +216,8 @@ func ringWidth(cfg Config, chunk int) int {
 }
 
 // sampleRing samples the m edges of g's stream in chunks of chunk edges on
-// a ring of workers goroutines and 2·workers slots (workteam.Ring): chunk
-// c, of n edges, into into(c, n), which may be its slot, c mod 2·workers.
+// a workteam.Wide ring of workers (inline at one): chunk c, of n edges,
+// into into(c, n), which may be its slot, c mod workteam.WideSlots(workers).
 // The caller hands each chunk to done, when it is not nil, in chunk order;
 // the chunk's slot is free again once done returns.  Edge e takes words
 // 2·Scale·e onwards of the stream, so chunk c starts one Leap of
@@ -237,11 +229,12 @@ func (s sampler) sampleRing(g *xrand.Xoshiro256, m uint64, chunk, workers int, p
 	into func(c, n int) (us, vs []uint64), done func(c, n int) error) error {
 	chunks := int((m + uint64(chunk) - 1) / uint64(chunk))
 	edges := func(c int) int { return int(min(m-uint64(c)*uint64(chunk), uint64(chunk))) }
-	starts := make([]xrand.Xoshiro256, 2*workers)
-	r := workteam.NewRing(workers, len(starts), func(c int) {
+	var starts []xrand.Xoshiro256 // each slot's start state
+	r := workteam.Wide(workers, func(c int) {
 		us, vs := into(c, edges(c))
 		s.sample(&starts[c%len(starts)], us, vs, perm)
 	})
+	starts = make([]xrand.Xoshiro256, r.Slots())
 	leap := xrand.LeapOf(uint64(2 * s.scale * chunk))
 	var err error
 	for err == nil && (r.Next() < chunks || r.InFlight() > 0) {
@@ -265,18 +258,22 @@ const drawBlock = 1 << 12
 // for i = M−1, …, 1 in blocks, in Shuffle's order, while the caller swaps
 // edge i with edge j block by block.  The draws are Shuffle's, so the
 // permutation is too; the swaps, which miss the cache, no longer wait on
-// the generator.
-func shuffleAhead(l *edge.List, g *xrand.Xoshiro256) {
+// the generator.  At one worker, or on one block, the ring is inline:
+// the caller draws a block, then swaps it.
+func shuffleAhead(l *edge.List, g *xrand.Xoshiro256, workers int) {
 	n := l.Len()
 	blocks := (n - 1 + drawBlock - 1) / drawBlock
 	// Block c draws for i = n−1−c·drawBlock downwards.
 	draws := func(c int) int { return min(n-1-c*drawBlock, drawBlock) }
-	// One block being drawn, one queued, one being swapped.
-	bufs := make([][]uint64, 3)
-	for k := range bufs {
-		bufs[k] = make([]uint64, drawBlock)
+	goroutines, slots := 0, 1
+	if workteam.Width(workers) > 1 && blocks > 1 {
+		goroutines, slots = 1, 3 // one block being drawn, one queued, one being swapped
 	}
-	r := workteam.NewRing(1, len(bufs), func(c int) {
+	bufs := make([][]uint64, slots)
+	for k := range bufs {
+		bufs[k] = make([]uint64, min(n, drawBlock))
+	}
+	r := workteam.NewRing(goroutines, slots, func(c int) {
 		b, i := bufs[c%len(bufs)][:draws(c)], n-1-c*drawBlock
 		for k := range b {
 			b[k] = g.Uint64n(uint64(i - k + 1))
@@ -316,7 +313,7 @@ const (
 )
 
 // generateToBatch is the number of edges GenerateTo hands its sink per
-// call, the last call excepted; its serial loop samples that many a time.
+// call, the last call excepted.
 const generateToBatch = 4096
 
 // EdgeWriter is GenerateTo's sink.  A fastio.EdgeSink (a fastio.StripedSink,
@@ -339,8 +336,8 @@ type EdgeWriter interface {
 // to the start vertex, which is all kernel 1 needs.
 //
 // Sampling runs cfg.Workers wide, ahead of the sink; the sink is called
-// from GenerateTo's goroutine only, with the edges and the calls the
-// serial loop makes, at every width.
+// from GenerateTo's goroutine only, with the same edges and calls at
+// every width.
 func GenerateTo(cfg Config, sink EdgeWriter) error { return generateTo(cfg, sink, chunkEdges) }
 
 // generateTo is GenerateTo sampling chunks of chunk edges.
@@ -350,37 +347,25 @@ func generateTo(cfg Config, sink EdgeWriter, chunk int) error {
 		return err
 	}
 	perm, g, s, m := labels(cfg), xrand.NewSeeded(cfg.Seed, 0), newSampler(cfg), cfg.M()
-	if workers := ringWidth(cfg, chunk); workers > 1 {
-		// Chunk c is sampled into slot c mod 2·workers of the ring.
-		slots := make([]*edge.List, 2*workers)
-		for k := range slots {
-			slots[k] = edge.Make(chunk)
-		}
-		h := handOff{sink: sink, carry: edge.NewList(generateToBatch)}
-		if err := s.sampleRing(g, m, chunk, workers, perm, func(c, n int) ([]uint64, []uint64) {
-			return slots[c%len(slots)].U[:n], slots[c%len(slots)].V[:n]
-		}, func(c, n int) error {
-			return h.write(slots[c%len(slots)], n)
-		}); err != nil {
-			return err
-		}
-		return h.flush()
+	workers := ringWidth(cfg, chunk)
+	// Chunk c is sampled into slot c mod the ring's slots.
+	slots := make([]*edge.List, workteam.WideSlots(workers))
+	for k := range slots {
+		slots[k] = edge.Make(int(min(uint64(chunk), m)))
 	}
-	batch := edge.Make(generateToBatch)
-	for left := m; left > 0; {
-		n := int(min(left, generateToBatch))
-		s.sample(g, batch.U[:n], batch.V[:n], perm)
-		if err := writeBatch(sink, batch, 0, n); err != nil {
-			return err
-		}
-		left -= uint64(n)
+	h := handOff{sink: sink, carry: edge.NewList(generateToBatch)}
+	if err := s.sampleRing(g, m, chunk, workers, perm, func(c, n int) ([]uint64, []uint64) {
+		return slots[c%len(slots)].U[:n], slots[c%len(slots)].V[:n]
+	}, func(c, n int) error {
+		return h.write(slots[c%len(slots)], n)
+	}); err != nil {
+		return err
 	}
-	return sink.Flush()
+	return h.flush()
 }
 
 // handOff passes runs of edges to a sink in calls of generateToBatch
-// edges, as the serial loop does, carrying a partial batch from one run
-// into the next.
+// edges, carrying a partial batch from one run into the next.
 type handOff struct {
 	sink  EdgeWriter
 	carry *edge.List // the start of a batch the next run completes

@@ -254,6 +254,12 @@ const (
 	// resident matrix: this run computes it and deposits it.  Kernel is
 	// K2Filter.
 	EventCacheMiss
+	// EventRunStarted fires once when a run clears admission and begins
+	// executing.  Only Service.RunStream emits it.
+	EventRunStarted
+	// EventRunEnd fires exactly once, last, with the run's Result or
+	// error.  Only Service.RunStream emits it.
+	EventRunEnd
 )
 
 // String implements fmt.Stringer.
@@ -273,6 +279,10 @@ func (k EventKind) String() string {
 		return "cache-hit"
 	case EventCacheMiss:
 		return "cache-miss"
+	case EventRunStarted:
+		return "run-started"
+	case EventRunEnd:
+		return "run-end"
 	default:
 		return fmt.Sprintf("event?(%d)", int(k))
 	}

@@ -435,6 +435,58 @@ func TestRunStreamCheckpointEvents(t *testing.T) {
 	}
 }
 
+// TestRunStreamForwardsPipelineKinds: RunStream's kinds are pipeline's,
+// value and name, and a killed, resumed and cached run brings every one.
+func TestRunStreamForwardsPipelineKinds(t *testing.T) {
+	kinds := []struct {
+		stream, pipe serve.EventKind
+		name         string
+	}{
+		{serve.EventKernelStart, pipeline.EventKernelStart, "kernel-start"},
+		{serve.EventKernelEnd, pipeline.EventKernelEnd, "kernel-end"},
+		{serve.EventIteration, pipeline.EventIteration, "iteration"},
+		{serve.EventCheckpointSaved, pipeline.EventCheckpointSaved, "checkpoint-saved"},
+		{serve.EventCheckpointRestored, pipeline.EventCheckpointRestored, "checkpoint-restored"},
+		{serve.EventCacheHit, pipeline.EventCacheHit, "cache-hit"},
+		{serve.EventCacheMiss, pipeline.EventCacheMiss, "cache-miss"},
+		{serve.EventRunStarted, pipeline.EventRunStarted, "run-started"},
+		{serve.EventRunEnd, pipeline.EventRunEnd, "run-end"},
+	}
+	svc := serve.New()
+	defer svc.Close()
+	ctx := context.Background()
+	cfg := runCfg("distgo")
+	cfg.PageRank = pagerank.Options{Seed: 11, Iterations: 10}
+	cfg.Checkpoint.Every = 3
+	kill := cfg
+	kill.Fault = &dist.FaultPlan{KillRank: 0, AtIteration: 7}
+	seen := map[serve.EventKind]int{}
+	for _, run := range []struct {
+		cfg  pipeline.Config
+		opts []serve.RunOption
+	}{
+		{kill, []serve.RunOption{serve.WithResumeKey("kinds")}},
+		{cfg, []serve.RunOption{serve.WithResumeKey("kinds")}},
+		{cfg, nil},
+	} {
+		for ev := range svc.RunStream(ctx, run.cfg, run.opts...) {
+			seen[ev.Kind]++
+		}
+	}
+	for _, k := range kinds {
+		if k.stream != k.pipe || k.stream.String() != k.name {
+			t.Errorf("%s: stream kind %d (%v), pipeline's %d (%v)", k.name, int(k.stream), k.stream, int(k.pipe), k.pipe)
+		}
+		if seen[k.pipe] == 0 {
+			t.Errorf("no %s event arrived", k.name)
+		}
+		delete(seen, k.pipe)
+	}
+	for k, n := range seen {
+		t.Errorf("%d events of unknown kind %v", n, k)
+	}
+}
+
 // TestWithCheckpointStorage pins the durable-storage option: epochs land
 // in the supplied FS under the key-derived prefix, so a second Service
 // (a "new process") resumes from them.

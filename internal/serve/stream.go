@@ -13,63 +13,22 @@ import (
 // (or its admission slot), cancellable context or not.
 const streamGrace = 5 * time.Second
 
-// EventKind classifies a RunStream event.
-type EventKind int
+// EventKind classifies a RunStream event: the pipeline's kinds, which
+// RunStream forwards as they are, plus EventRunStarted and EventRunEnd.
+type EventKind = pipeline.EventKind
 
+// The RunStream event kinds (see pipeline.EventKind).
 const (
-	// EventRunStarted fires once when the run clears admission and
-	// begins executing.
-	EventRunStarted EventKind = iota
-	// EventKernelStart fires before each kernel.
-	EventKernelStart
-	// EventKernelEnd fires after each kernel, with its KernelResult.
-	EventKernelEnd
-	// EventIteration fires after each kernel-3 PageRank iteration.
-	EventIteration
-	// EventRunEnd fires exactly once, last, with the run's Result or
-	// error; the channel closes after it.
-	EventRunEnd
-	// EventCheckpointSaved fires after the distributed kernel 3 commits
-	// a checkpoint epoch; Iteration carries the epoch's completed-
-	// iteration count.
-	EventCheckpointSaved
-	// EventCheckpointRestored fires when a resuming kernel 3 loads a
-	// complete epoch before iterating; Iteration carries the epoch's
-	// completed-iteration count.
-	EventCheckpointRestored
-	// EventCacheHit fires when the matrix cache serves the kernel-2
-	// matrix; Kernel is K2Filter, and kernels 0–2 are skipped.
-	EventCacheHit
-	// EventCacheMiss fires when the consulted cache held no matrix;
-	// this run computes and deposits it.
-	EventCacheMiss
+	EventRunStarted         = pipeline.EventRunStarted
+	EventKernelStart        = pipeline.EventKernelStart
+	EventKernelEnd          = pipeline.EventKernelEnd
+	EventIteration          = pipeline.EventIteration
+	EventRunEnd             = pipeline.EventRunEnd
+	EventCheckpointSaved    = pipeline.EventCheckpointSaved
+	EventCheckpointRestored = pipeline.EventCheckpointRestored
+	EventCacheHit           = pipeline.EventCacheHit
+	EventCacheMiss          = pipeline.EventCacheMiss
 )
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EventRunStarted:
-		return "run-started"
-	case EventKernelStart:
-		return "kernel-start"
-	case EventKernelEnd:
-		return "kernel-end"
-	case EventIteration:
-		return "iteration"
-	case EventRunEnd:
-		return "run-end"
-	case EventCheckpointSaved:
-		return "checkpoint-saved"
-	case EventCheckpointRestored:
-		return "checkpoint-restored"
-	case EventCacheHit:
-		return "cache-hit"
-	case EventCacheMiss:
-		return "cache-miss"
-	default:
-		return "event?"
-	}
-}
 
 // Event is one observation of a streaming run.
 type Event struct {
@@ -106,12 +65,12 @@ type Event struct {
 // and overrides it).
 func (s *Service) RunStream(ctx context.Context, cfg pipeline.Config, opts ...RunOption) <-chan Event {
 	ch := make(chan Event, 16)
-	// emit delivers one mid-run event: buffered fast path, then a
-	// bounded wait.  The grace timer is what keeps an abandoned stream
-	// from stranding the run and its admission slot even under a
-	// non-cancellable context — a consumer stalled past the grace
-	// period is treated as gone and forfeits events.
-	emit := func(ev Event) {
+	// send delivers one event: buffered fast path, then a bounded wait
+	// that stop cuts short.  The grace timer is what keeps an abandoned
+	// stream from stranding the run and its admission slot even under a
+	// non-cancellable context — a consumer stalled past the grace period
+	// is treated as gone and forfeits events.
+	send := func(ev Event, stop <-chan struct{}) {
 		select {
 		case ch <- ev: // a draining consumer never loses events
 			return
@@ -121,28 +80,15 @@ func (s *Service) RunStream(ctx context.Context, cfg pipeline.Config, opts ...Ru
 		defer t.Stop()
 		select {
 		case ch <- ev:
-		case <-ctx.Done():
+		case <-stop:
 		case <-t.C:
 		}
 	}
-	// emitFinal delivers EventRunEnd.  The run is already over, so ctx
-	// (likely cancelled, if the run was) must not race the delivery: a
-	// consumer still draining gets the event within its next receive;
-	// only an abandoned stream drops it, after the grace period, so the
-	// goroutine never leaks.
-	emitFinal := func(ev Event) {
-		select {
-		case ch <- ev:
-			return
-		default:
-		}
-		t := time.NewTimer(streamGrace)
-		defer t.Stop()
-		select {
-		case ch <- ev:
-		case <-t.C:
-		}
-	}
+	// A mid-run event gives up when ctx is done.  EventRunEnd comes after
+	// the run, so ctx (likely cancelled, if the run was) must not race its
+	// delivery: it waits on no stop, and a consumer still draining gets it
+	// within its next receive.
+	emit := func(ev Event) { send(ev, ctx.Done()) }
 	//prlint:allow determinism -- stream pump, not kernel work: it relays events and the terminal Result; delivery timing never influences what the run computes
 	go func() {
 		defer close(ch)
@@ -151,29 +97,10 @@ func (s *Service) RunStream(ctx context.Context, cfg pipeline.Config, opts ...Ru
 		all = append(all,
 			withStarted(func() { emit(Event{Kind: EventRunStarted}) }),
 			WithProgress(func(pe pipeline.Event) {
-				ev := Event{Kernel: pe.Kernel, Iteration: pe.Iteration, KernelResult: pe.KernelResult}
-				switch pe.Kind {
-				case pipeline.EventKernelStart:
-					ev.Kind = EventKernelStart
-				case pipeline.EventKernelEnd:
-					ev.Kind = EventKernelEnd
-				case pipeline.EventIteration:
-					ev.Kind = EventIteration
-				case pipeline.EventCheckpointSaved:
-					ev.Kind = EventCheckpointSaved
-				case pipeline.EventCheckpointRestored:
-					ev.Kind = EventCheckpointRestored
-				case pipeline.EventCacheHit:
-					ev.Kind = EventCacheHit
-				case pipeline.EventCacheMiss:
-					ev.Kind = EventCacheMiss
-				default:
-					return
-				}
-				emit(ev)
+				emit(Event{Kind: pe.Kind, Kernel: pe.Kernel, Iteration: pe.Iteration, KernelResult: pe.KernelResult})
 			}))
 		res, err := s.Run(ctx, cfg, all...)
-		emitFinal(Event{Kind: EventRunEnd, Result: res, Err: err})
+		send(Event{Kind: EventRunEnd, Result: res, Err: err}, nil)
 	}()
 	return ch
 }

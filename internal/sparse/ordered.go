@@ -76,8 +76,8 @@ func TransposeOrdered(n int, rowPtr []int64, col []uint32, val []float64) *Order
 	return transposeOrdered(n, rowPtr, col, val, false, 1)
 }
 
-// transposeOrdered builds either form on width goroutines, each over a
-// range of the source rows.  A counting pass sizes the transpose's rows
+// transposeOrdered builds either form on a team of width workers, each
+// over a range of the source rows.  A counting pass sizes the transpose's rows
 // per worker; the rows are ordered by a counting sort on their total
 // length; and a scatter pass places each range's entries at (column,
 // worker) offsets, where the serial pass in row order places them, and
@@ -87,12 +87,12 @@ func TransposeOrdered(n int, rowPtr []int64, col []uint32, val []float64) *Order
 // lists are joined in order, and a last pass adds the extra slots of the
 // ranges before to the extra slots a range's entries name.
 func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labelled bool, width int) *Ordered {
-	c := newCrew(width)
-	defer c.close()
+	team := workteam.New(width)
+	defer team.Close()
 	m := len(rowPtr) - 1
-	rows := splitRows(rowPtr, c.width)
-	counts := make([][]int64, c.width) // each range's column lengths, then its cursors
-	c.run(func(w int) {
+	rows := splitRows(rowPtr, width)
+	counts := make([][]int64, width) // each range's column lengths, then its cursors
+	team.Run(func(w int) {
 		cnt := make([]int64, n)
 		counts[w] = cnt
 		for _, j := range col[rowPtr[rows[w]]:rowPtr[rows[w+1]]] {
@@ -101,14 +101,14 @@ func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labell
 	})
 	// The transpose's row lengths, then each row's first entry, in the
 	// last worker's counts: its cursors need only the counts before it.
-	last := counts[c.width-1]
+	last := counts[width-1]
 	lens := last
 	var cols []int
-	if c.width > 1 {
-		cols = split(n, c.width)
-		c.run(func(w int) {
+	if width > 1 {
+		cols = split(n, width)
+		team.Run(func(w int) {
 			for j := cols[w]; j < cols[w+1]; j++ {
-				for _, cnt := range counts[:c.width-1] {
+				for _, cnt := range counts[:width-1] {
 					lens[j] += cnt[j]
 				}
 			}
@@ -151,11 +151,11 @@ func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labell
 			lens[r] = t.Ptr[p]
 		}
 	}
-	if c.width > 1 {
-		c.run(func(w int) {
+	if width > 1 {
+		team.Run(func(w int) {
 			for j := cols[w]; j < cols[w+1]; j++ {
 				next := lens[j]
-				for _, cnt := range counts[:c.width-1] {
+				for _, cnt := range counts[:width-1] {
 					next, cnt[j] = next+cnt[j], next
 				}
 				last[j] = next
@@ -163,9 +163,9 @@ func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labell
 		})
 	}
 	t.Scale = make([]float64, m)
-	extra, src := make([][]float64, c.width), make([][]uint32, c.width)
-	fix := make([][][]int64, c.width) // where a range after the first named an extra slot
-	c.run(func(w int) {
+	extra, src := make([][]float64, width), make([][]uint32, width)
+	fix := make([][][]int64, width) // where a range after the first named an extra slot
+	team.Run(func(w int) {
 		cursor := counts[w]
 		var ex []float64
 		var sx []uint32
@@ -207,15 +207,15 @@ func transposeOrdered(n int, rowPtr []int64, col []uint32, val []float64, labell
 		extra[w], src[w], fix[w] = ex, sx, fx
 	})
 	t.Extra, t.Src = extra[0], src[0]
-	if c.width == 1 {
+	if width == 1 {
 		return t
 	}
-	base := make([]uint32, c.width) // the extra slots of the ranges before
-	for w := 1; w < c.width; w++ {
+	base := make([]uint32, width) // the extra slots of the ranges before
+	for w := 1; w < width; w++ {
 		base[w] = base[w-1] + uint32(len(extra[w-1]))
 		t.Extra, t.Src = append(t.Extra, extra[w]...), append(t.Src, src[w]...)
 	}
-	c.run(func(w int) {
+	team.Run(func(w int) {
 		for _, b := range fix[w] {
 			for _, q := range b {
 				t.Col[q] += base[w]
@@ -338,8 +338,8 @@ func (t *Ordered) Split(parts int) []int {
 // the host preempts, is caught up by the others taking the rest.
 const teamChunks = 32
 
-// Team computes an Ordered product on a persistent worker team: spawned
-// once, signalled twice per product, so a steady-state product allocates
+// Team computes an Ordered product on a persistent workteam.Team: started
+// once, two rounds per product, so a steady-state product allocates
 // nothing.  The team owns the term vector, so any number of teams may
 // share one operand.  A product first fills the term vector, an even
 // share of slots per worker, then deals the chunks of
@@ -349,15 +349,16 @@ const teamChunks = 32
 // one worker, so the result is bit-for-bit MxV's for every worker count
 // and every interleaving.
 type Team struct {
-	fill, bounds []int
-	next         atomic.Int64 // the next chunk to deal; reset per product
-	gathering    bool         // which phase a round runs
-	out, x, y    []float64
-	team         *workteam.Team
+	fill, bounds  []int
+	next          atomic.Int64 // the next chunk to deal; reset per product
+	out, x, y     []float64
+	terms, gather func(w int) // the product's two rounds
+	team          *workteam.Team
 }
 
-// NewTeam spawns max(workers, 1) goroutines over t.  Callers must Close
-// the team when done or the goroutines leak.
+// NewTeam starts a team of max(workers, 1) workers over t: at one, the
+// caller alone.  Callers must Close the team when done or the goroutines
+// leak.
 func (t *Ordered) NewTeam(workers int) *Team {
 	workers = max(workers, 1)
 	slots := int64(t.Slots())
@@ -365,16 +366,14 @@ func (t *Ordered) NewTeam(workers int) *Team {
 	for w := range m.fill {
 		m.fill[w] = int(int64(w) * slots / int64(workers))
 	}
-	m.team = workteam.New(workers, func(w int) {
-		if !m.gathering {
-			t.terms(m.y, m.x, m.fill[w], m.fill[w+1])
-			return
-		}
+	m.terms = func(w int) { t.terms(m.y, m.x, m.fill[w], m.fill[w+1]) }
+	m.gather = func(int) {
 		out, y, chunks := m.out, m.y, int64(len(m.bounds)-1)
 		for c := m.next.Add(1) - 1; c < chunks; c = m.next.Add(1) - 1 {
 			t.gatherRange(out, y, m.bounds[c], m.bounds[c+1])
 		}
-	})
+	}
+	m.team = workteam.New(workers)
 	return m
 }
 
@@ -382,15 +381,13 @@ func (t *Ordered) NewTeam(workers int) *Team {
 func (m *Team) Workers() int { return len(m.fill) - 1 }
 
 // MxV computes out = T·x across the team (workteam.Run's happens-before
-// edges keep the workers from racing the caller on out, x, the phase and
-// the counter, and the gather round from racing the fill round on y).
+// edges keep the workers from racing the caller on out, x and the
+// counter, and the gather round from racing the terms round on y).
 func (m *Team) MxV(out, x []float64) {
 	m.out, m.x = out, x
-	m.gathering = false
-	m.team.Run()
-	m.gathering = true
+	m.team.Run(m.terms)
 	m.next.Store(0)
-	m.team.Run()
+	m.team.Run(m.gather)
 }
 
 // Close terminates the worker goroutines; the team must not be used

@@ -6,42 +6,6 @@ import (
 	"repro/internal/workteam"
 )
 
-// crew runs the phases of a wide pass over row or column ranges, one
-// range per worker: on the caller's goroutine alone at width 1, else on a
-// workteam.Team.  Each phase writes only its own range's outputs, and
-// every sum it forms is the serial pass's, so the results are the serial
-// bits at every width.
-type crew struct {
-	width int
-	phase func(w int)
-	team  *workteam.Team
-}
-
-// newCrew returns a crew of width workers; Close it.
-func newCrew(width int) *crew {
-	c := &crew{width: width}
-	if width > 1 {
-		c.team = workteam.New(c.width, func(w int) { c.phase(w) })
-	}
-	return c
-}
-
-// run runs f(w) for every worker w and returns when all have.
-func (c *crew) run(f func(w int)) {
-	if c.team == nil {
-		f(0)
-		return
-	}
-	c.phase = f
-	c.team.Run()
-}
-
-func (c *crew) close() {
-	if c.team != nil {
-		c.team.Close()
-	}
-}
-
 // vectorWidth returns the width of a pass over nnz entries that gives
 // each worker but the first an n-element vector of its own:
 // workteam.Width(workers), capped so that those vectors hold at most one
@@ -115,25 +79,25 @@ func (a *CSR) Kernel2Filter(workers int) FilterStats {
 
 // kernel2Filter is Kernel2Filter on width workers.
 func (a *CSR) kernel2Filter(width int) FilterStats {
-	c := newCrew(width)
-	defer c.close()
-	rows := splitRows(a.RowPtr, c.width)
+	team := workteam.New(width)
+	defer team.Close()
+	rows := splitRows(a.RowPtr, width)
 	din := make([]float64, a.N)
-	part := make([][]float64, c.width)
+	part := make([][]float64, width)
 	part[0] = din
-	for w := 1; w < c.width; w++ {
+	for w := 1; w < width; w++ {
 		part[w] = make([]float64, a.N)
 	}
-	c.run(func(w int) {
+	team.Run(func(w int) {
 		d, lo, hi := part[w], a.RowPtr[rows[w]], a.RowPtr[rows[w+1]]
 		val := a.Val[lo:hi]
 		for k, col := range a.Col[lo:hi] {
 			d[col] += val[k]
 		}
 	})
-	if c.width > 1 {
-		cols := split(a.N, c.width)
-		c.run(func(w int) {
+	if width > 1 {
+		cols := split(a.N, width)
+		team.Run(func(w int) {
 			for j := cols[w]; j < cols[w+1]; j++ {
 				s := din[j]
 				for _, d := range part[1:] {
@@ -147,13 +111,13 @@ func (a *CSR) kernel2Filter(width int) FilterStats {
 	mask, maxDin, superNodes, leaves := Kernel2Mask(din)
 	st.MaxInDegree, st.SuperNodeColumns, st.LeafColumns = maxDin, superNodes, leaves
 
-	from := make([]int64, c.width) // each range's first entry, then how far it moves down
-	end := make([]int64, c.width)  // each range's kept entries' end
-	zeroed := make([]int, c.width)
+	from := make([]int64, width) // each range's first entry, then how far it moves down
+	end := make([]int64, width)  // each range's kept entries' end
+	zeroed := make([]int, width)
 	for w := range from {
 		from[w] = a.RowPtr[rows[w]]
 	}
-	c.run(func(w int) { end[w], zeroed[w] = a.filterRows(mask, rows[w], rows[w+1], from[w]) })
+	team.Run(func(w int) { end[w], zeroed[w] = a.filterRows(mask, rows[w], rows[w+1], from[w]) })
 	nnz := int64(0)
 	for w := range from {
 		if nnz != from[w] {
@@ -163,8 +127,8 @@ func (a *CSR) kernel2Filter(width int) FilterStats {
 		st.EntriesZeroed += zeroed[w]
 		nnz, from[w] = nnz+end[w]-from[w], from[w]-nnz
 	}
-	if nnz != end[c.width-1] {
-		c.run(func(w int) {
+	if nnz != end[width-1] {
+		team.Run(func(w int) {
 			for i := rows[w]; i < rows[w+1]; i++ {
 				a.RowPtr[i+1] -= from[w]
 			}

@@ -203,9 +203,6 @@ func FuzzKernel2Wide(f *testing.F) {
 // transpose run on the caller's goroutine; wider, on a team whose
 // goroutines are gone soon after they return.
 func TestWideWidthOneStartsNoGoroutine(t *testing.T) {
-	if c := newCrew(1); c.team != nil {
-		t.Fatal("a crew of one started a team")
-	}
 	a := randomCSR(t, 3, 4000, 300)
 	for _, workers := range []int{1, 3} {
 		b := a.Clone()

@@ -1,11 +1,12 @@
 // Package workteam holds the repo's two worker shapes, both spawned once
 // and driven over pre-made channels, so neither allocates per round or
-// per piece (DESIGN.md §7).
+// per piece (DESIGN.md §7); at one worker, both run on the caller.
 //
-// A Team is a persistent signal/join team: n goroutines that each run one
-// shared work function per round.  The shared-memory parallel PageRank
-// engine (internal/pagerank, sparse.Team) and the hybrid per-rank SpMV
-// teams (internal/dist) are built on it.
+// A Team is a persistent signal/join team: n goroutines that each run the
+// round's work function, or the caller alone at one worker.  Kernel 2's
+// filter, the kernel-3 transpose and product (internal/sparse, under the
+// parallel PageRank engine and the hybrid per-rank teams) and the hybrid
+// kernel-1 partition (internal/dist) run on it.
 //
 // A Ring is an ordered ring of pieces (DESIGN.md §9 "The ordered ring"):
 // the caller puts numbered pieces, goroutines run them, and the caller
@@ -29,28 +30,30 @@ func Width(n int) int {
 	return n
 }
 
-// Team is a fixed set of worker goroutines executing one shared work
-// function per round.  A Team must be Closed when no longer needed or
-// its goroutines leak; it must not be used after Close, and rounds must
-// not overlap (Run is not reentrant).
+// Team is a fixed set of workers that run one work function per round:
+// n goroutines, or, at one worker, the caller alone.  A Team must be
+// Closed when no longer needed or its goroutines leak; it must not be
+// used after Close, and rounds must not overlap (Run is not reentrant).
 type Team struct {
-	start []chan struct{}
+	work  func(worker int) // this round's work
+	start []chan struct{}  // nil at one worker
 	wg    sync.WaitGroup
 }
 
-// New spawns n worker goroutines, each executing work(worker) once per
-// Run round.  Per-round inputs are typically fields of the owning struct
-// that the caller writes before Run: the signalling channel send
-// happens-after those writes and the join happens-after every worker's
-// work returns, so the worker never races the caller on them.
-func New(n int, work func(worker int)) *Team {
-	t := &Team{start: make([]chan struct{}, n)}
-	for i := 0; i < n; i++ {
+// New returns a team of n workers (at least one).  At one it starts no
+// goroutine; otherwise it spawns n, each waiting for Run's rounds.
+func New(n int) *Team {
+	t := &Team{}
+	if n <= 1 {
+		return t
+	}
+	t.start = make([]chan struct{}, n)
+	for i := range t.start {
 		ch := make(chan struct{}, 1)
 		t.start[i] = ch
 		go func(worker int) {
 			for range ch {
-				work(worker)
+				t.work(worker)
 				t.wg.Done()
 			}
 		}(i)
@@ -58,9 +61,19 @@ func New(n int, work func(worker int)) *Team {
 	return t
 }
 
-// Run executes one round — signal every worker, wait for all — with zero
-// heap allocations.
-func (t *Team) Run() {
+// Run runs one round, f(worker) on every worker, and returns when all
+// have; at one worker f(0) runs on the caller.  Per-round inputs are
+// typically fields of the owning struct that the caller writes before
+// Run: the signalling channel send happens-after those writes and the
+// join happens-after every worker's f returns, so the workers never race
+// the caller on them.  A func value built once runs with zero heap
+// allocations per round.
+func (t *Team) Run(f func(worker int)) {
+	if t.start == nil {
+		f(0)
+		return
+	}
+	t.work = f
 	t.wg.Add(len(t.start))
 	for _, ch := range t.start {
 		ch <- struct{}{}
@@ -131,9 +144,17 @@ func NewRing(goroutines, slots int, work func(c int)) *Ring {
 // on the caller's goroutine alone.
 func Wide(workers int, work func(c int)) *Ring {
 	if w := Width(workers); w > 1 {
-		return NewRing(w, 2*w, work)
+		return NewRing(w, WideSlots(workers), work)
 	}
 	return NewRing(0, 1, work)
+}
+
+// WideSlots is the slots of a Wide ring of workers.
+func WideSlots(workers int) int {
+	if w := Width(workers); w > 1 {
+		return 2 * w
+	}
+	return 1
 }
 
 // Slots is the ring's slots: the most pieces in flight.

@@ -9,11 +9,12 @@ import (
 
 func TestTeamRunsEveryWorkerPerRound(t *testing.T) {
 	var hits [5]int64
-	tm := New(5, func(w int) { atomic.AddInt64(&hits[w], 1) })
+	tm := New(5)
 	defer tm.Close()
+	work := func(w int) { atomic.AddInt64(&hits[w], 1) }
 	const rounds = 7
 	for i := 0; i < rounds; i++ {
-		tm.Run()
+		tm.Run(work)
 	}
 	for w, h := range hits {
 		if h != rounds {
@@ -24,11 +25,59 @@ func TestTeamRunsEveryWorkerPerRound(t *testing.T) {
 
 func TestTeamRunZeroAllocs(t *testing.T) {
 	var sink int64
-	tm := New(4, func(w int) { atomic.AddInt64(&sink, int64(w)) })
+	tm := New(4)
 	defer tm.Close()
-	tm.Run() // warm
-	if allocs := testing.AllocsPerRun(50, tm.Run); allocs != 0 {
+	work := func(w int) { atomic.AddInt64(&sink, int64(w)) }
+	tm.Run(work) // warm
+	if allocs := testing.AllocsPerRun(50, func() { tm.Run(work) }); allocs != 0 {
 		t.Errorf("Run allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestTeamOneWorkerRunsInline: a team of one starts no goroutine and runs
+// each round on the caller, and a round allocates nothing at one worker
+// or at four.
+func TestTeamOneWorkerRunsInline(t *testing.T) {
+	base := runtime.NumGoroutine()
+	tm := New(1)
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("New(1): %d goroutines, %d before", n, base)
+	}
+	var ran []int
+	during := 0
+	tm.Run(func(w int) { ran, during = append(ran, w), runtime.NumGoroutine() })
+	if len(ran) != 1 || ran[0] != 0 || during != base {
+		t.Errorf("one worker ran %v with %d goroutines, want [0] with %d", ran, during, base)
+	}
+	tm.Close()
+	for _, n := range []int{1, 4} {
+		var sink atomic.Int64
+		tm := New(n)
+		work := func(w int) { sink.Add(int64(w)) }
+		if allocs := testing.AllocsPerRun(50, func() { tm.Run(work) }); allocs != 0 {
+			t.Errorf("%d workers: Run allocates %.1f/op, want 0", n, allocs)
+		}
+		tm.Close()
+	}
+}
+
+// TestTeamRunTakesEachRoundsWork: each round runs the function it is
+// given, on every worker, and the caller sees what it wrote.
+func TestTeamRunTakesEachRoundsWork(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		tm := New(n)
+		got := make([]int, n)
+		add := func(w int) { got[w] += w + 1 }
+		double := func(w int) { got[w] *= 2 }
+		for _, f := range []func(int){add, double, add} {
+			tm.Run(f)
+		}
+		for w, g := range got {
+			if want := 3 * (w + 1); g != want {
+				t.Errorf("%d workers: worker %d holds %d, want %d", n, w, g, want)
+			}
+		}
+		tm.Close()
 	}
 }
 
